@@ -179,13 +179,11 @@ def _drifting_demands(windows=200):
 
 
 def test_window_schedule_warm_start(benchmark):
-    """Drifting demand on the bounded backend: basis reuse vs cold starts."""
+    """Drifting demand: basis reuse vs cold starts."""
     demands = _drifting_demands()
-    cold = _run_windows(demands, backend="bounded",
-                        lp_cache=False, warm_start=False)
+    cold = _run_windows(demands, lp_cache=False, warm_start=False)
     warm = benchmark.pedantic(
-        lambda: _run_windows(demands, backend="bounded",
-                             lp_cache=False, warm_start=True),
+        lambda: _run_windows(demands, lp_cache=False, warm_start=True),
         rounds=1, iterations=1,
     )
     assert warm.lp_solves == cold.lp_solves == len(demands)

@@ -5,7 +5,7 @@ The package is organised bottom-up:
 
 - :mod:`repro.sim` — discrete-event simulation kernel (the testbed substrate).
 - :mod:`repro.core` — the ticket/currency agreement calculus (paper §2).
-- :mod:`repro.lp` — linear-programming solvers (from-scratch simplex + scipy).
+- :mod:`repro.lp` — LP modelling DSL, compiled programs and the bounded simplex.
 - :mod:`repro.scheduling` — window schedulers and baselines (paper §3.1).
 - :mod:`repro.coordination` — combining-tree aggregation protocol (paper §3.2).
 - :mod:`repro.cluster` — WebBench-like clients, capacity servers, workloads.

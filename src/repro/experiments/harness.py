@@ -94,7 +94,6 @@ class Scenario:
         window: WindowConfig = WindowConfig(0.1),
         seed: int = 0,
         bin_width: float = 1.0,
-        backend: str = "auto",
         trace: bool = False,
         lp_cache: bool = True,
         fast_periodic: bool = True,
@@ -107,7 +106,6 @@ class Scenario:
         self.graph = graph
         self.access: AccessLevels = compute_access_levels(graph)
         self.window = window
-        self.backend = backend
         self.lp_cache = bool(lp_cache)
         self.fast_lane = bool(fast_lane)
         # L4 switch data-path lane (flow records + arena tables); kept
@@ -263,7 +261,7 @@ class Scenario:
         kw.setdefault("lp_cache", self.lp_cache)
         red = L7Redirector(
             self.sim, name, self.access, servers, window=self.window,
-            n_redirectors=n_redirectors or 1, backend=self.backend, **kw,
+            n_redirectors=n_redirectors or 1, **kw,
         )
         self.l7_redirectors[name] = red
         self._trace_allocator(name, red.allocator)
@@ -295,8 +293,7 @@ class Scenario:
         daemon = L4Daemon(
             self.sim, f"{name}-daemon", switch, self.access, window=self.window,
             mode=mode, prices=prices, capacity=capacity,
-            n_redirectors=n_redirectors or 1, backend=self.backend,
-            lp_cache=self.lp_cache,
+            n_redirectors=n_redirectors or 1, lp_cache=self.lp_cache,
         )
         self.l4_switches[name] = switch
         self.l4_daemons[name] = daemon

@@ -726,7 +726,6 @@ class ShardedRunner:
         world: ShardedWorld,
         shards: int = 1,
         lp_cache: bool = True,
-        backend: str = "auto",
         epoch_timeout: float = 120.0,
         recovery: Optional[RecoveryPolicy] = RecoveryPolicy(),
         checkpoint_retain: int = 2,
@@ -745,7 +744,6 @@ class ShardedRunner:
         self.transport = transport
         self.shards = min(int(shards), len(world.clusters))
         self.lp_cache = bool(lp_cache)
-        self.backend = backend
         self.epoch_timeout = float(epoch_timeout)
         self.recovery = recovery
         self.checkpoint_retain = int(checkpoint_retain)
@@ -755,7 +753,7 @@ class ShardedRunner:
         n_clusters = len(world.clusters)
         self.allocator = WindowAllocator(
             self.access, self.window_cfg, mode="community",
-            n_redirectors=n_clusters, backend=backend, lp_cache=lp_cache,
+            n_redirectors=n_clusters, lp_cache=lp_cache,
         )
         w_levels = self.access.per_window(world.window)
         self._conservative = {
@@ -1439,7 +1437,6 @@ def run_sharded(
     replicas: int = 1,
     load_scale: float = 1.0,
     lp_cache: bool = True,
-    backend: str = "auto",
     epoch_timeout: float = 120.0,
     recovery: Optional[RecoveryPolicy] = RecoveryPolicy(),
     checkpoint_retain: int = 2,
@@ -1457,7 +1454,7 @@ def run_sharded(
     world = build(duration_scale=duration_scale, seed=seed,
                   replicas=replicas, load_scale=load_scale)
     runner = ShardedRunner(world, shards=shards, lp_cache=lp_cache,
-                           backend=backend, epoch_timeout=epoch_timeout,
+                           epoch_timeout=epoch_timeout,
                            recovery=recovery,
                            checkpoint_retain=checkpoint_retain,
                            checkpoint_spill=checkpoint_spill,

@@ -44,7 +44,6 @@ class L4Daemon:
         prices: Optional[Mapping[str, float]] = None,
         capacity: Optional[float] = None,
         n_redirectors: int = 1,
-        backend: str = "auto",
         conntrack_sweep: float = 10.0,
         lp_cache: bool = True,
         stale_after: Optional[float] = None,
@@ -60,7 +59,6 @@ class L4Daemon:
             prices=prices,
             capacity=capacity,
             n_redirectors=n_redirectors,
-            backend=backend,
             server_capacities={
                 owner: sum(s.capacity for s in pool)
                 for owner, pool in switch.servers.items()

@@ -178,7 +178,6 @@ class AsyncRedirector:
         prices: Optional[Mapping[str, float]] = None,
         n_redirectors: int = 1,
         retry_after: float = 0.1,
-        backend: str = "auto",
     ):
         self.name = name
         self.access = access
@@ -189,7 +188,7 @@ class AsyncRedirector:
         self.retry_after = float(retry_after)
         self.allocator = WindowAllocator(
             access, window=window, mode=mode, prices=prices,
-            n_redirectors=n_redirectors, backend=backend,
+            n_redirectors=n_redirectors,
         )
         self.principals = access.names
         self.quota = ImplicitQuota(self.principals)

@@ -80,7 +80,6 @@ class L7Redirector:
         prices: Optional[Mapping[str, float]] = None,
         capacity: Optional[float] = None,
         n_redirectors: int = 1,
-        backend: str = "auto",
         queuing: str = "implicit",
         smoothing: float = 0.7,
         defer_delay: float = 0.0,
@@ -118,7 +117,6 @@ class L7Redirector:
             prices=prices,
             capacity=capacity,
             n_redirectors=n_redirectors,
-            backend=backend,
             server_capacities={
                 owner: sum(s.capacity for s in pool)
                 for owner, pool in self.servers.items()

@@ -2,21 +2,25 @@
 
 The paper formulates both admission-control policies (community max-min
 response time, provider income) as small linear programs solved every time
-window (§3.1.2).  Two interchangeable backends are provided:
+window (§3.1.2).  One solver runs them:
 
-- :mod:`repro.lp.simplex` — a from-scratch two-phase dense tableau simplex
-  with Bland's anti-cycling rule (no external dependency, deterministic);
-- :mod:`repro.lp.scipy_backend` — :func:`scipy.optimize.linprog` (HiGHS),
-  used to cross-validate the simplex in tests.
+- :mod:`repro.lp.model` — the algebraic DSL the programs are written in;
+- :mod:`repro.lp.program` — a model lowered *once* to standard-form arrays,
+  with handles to the few entries a scheduler rewrites per window;
+- :mod:`repro.lp.bounded_simplex` — a from-scratch bounded-variable revised
+  simplex with Bland's rule and warm starts (numpy only, deterministic);
+- :func:`repro.lp.solve` — lower if needed, solve, audit.
 
-Models are built with :class:`repro.lp.model.Model`; :func:`repro.lp.solve`
-is the backend-selecting facade.
+:mod:`repro.lp.oracle` (:func:`scipy.optimize.linprog`, imported lazily) is
+the test oracle the simplex is cross-validated against; nothing at run time
+imports scipy.
 """
 
 from repro.lp.cache import SolveCache, structural_fingerprint
 from repro.lp.lpwrite import read_lp, write_lp
 from repro.lp.model import Constraint, LinExpr, Model, Sense, Status, Solution, Var
-from repro.lp.solver import available_backends, solve
+from repro.lp.program import Program
+from repro.lp.solver import solve
 
 __all__ = [
     "Model",
@@ -26,10 +30,10 @@ __all__ = [
     "Sense",
     "Status",
     "Solution",
+    "Program",
     "SolveCache",
     "structural_fingerprint",
     "solve",
-    "available_backends",
     "write_lp",
     "read_lp",
 ]

@@ -1,47 +1,56 @@
-"""Bounded-variable primal simplex.
+"""Bounded-variable primal simplex — the repo's one LP solver.
 
 The window-scheduling LPs are dominated by *box-bounded* variables (every
-``x_ik`` carries ``0 <= x <= MI+OI``).  The baseline tableau simplex
-(:mod:`repro.lp.simplex`) turns each finite upper bound into an extra
-constraint row, roughly doubling the tableau.  This module implements the
-classic bounded-variable revised simplex, which keeps bounds implicit:
+``x_ik`` carries ``0 <= x <= MI+OI``).  The classic bounded-variable revised
+simplex keeps those bounds implicit instead of spending a row on each:
 
 - nonbasic variables rest at their lower *or* upper bound;
 - an entering variable may *flip* bound without a basis change when its own
   opposite bound is the tightest ratio;
 - the ratio test limits basic variables against both of their bounds.
 
-Phase 1 uses artificial variables (minimise their sum) from a basis of
-artificials with structurals at their nearest-zero finite bound.  Pivoting
-uses Bland's rule throughout, so the method terminates.
+It iterates directly on the standard-form arrays of a
+:class:`repro.lp.program.Program` (``[A | I]``, bounds and cost vectors are
+built when the program is lowered, not per solve).  Phase 1 uses artificial
+variables (minimise their sum) from a basis of artificials with structurals
+at their nearest-zero finite bound.  Pivoting uses Bland's rule throughout,
+so the method terminates.
 
 Warm starts: the result carries the optimal basis (column list plus
-per-column statuses).  Passing it back as ``warm_start`` on a program of
-the same shape — the window schedulers' case, where only the demand-driven
-RHS moves between solves — skips phase 1 entirely when the old basis is
-still primal feasible, so consecutive windows re-pivot from the previous
-optimum instead of from scratch.  An infeasible or shape-mismatched basis
-silently falls back to the cold two-phase path, so warm starting is always
-safe to attempt.
+per-column statuses).  Passing it back as ``warm_start`` for the same
+program with a few entries patched — the window schedulers' case — skips
+phase 1 entirely when the old basis is still primal feasible, so consecutive
+windows re-pivot from the previous optimum instead of from scratch.  A basis
+that no longer fits (primal infeasible, singular, wrong shape) silently
+falls back to the cold two-phase path, so warm starting is always safe to
+attempt.  Among alternative optima the vertex reached depends on the
+starting basis; the sequence of solves is deterministic, so it is too.
 
-Cross-validated against scipy's HiGHS and the row-based simplex on random
-boxed LPs in ``tests/lp/test_bounded_simplex.py``; selectable as
-``backend="bounded"`` everywhere an LP backend is accepted.
+Tolerances: reduced costs, pivots and ratio ties use the absolute ``_TOL``;
+*feasibility* (phase-1 residuals, the warm basis' primal check) is judged
+relative to the magnitude of the row or bound it is measured against, so a
+row of 1e-7-sized coefficients is held to the same relative standard as a
+row of ones, and the returned point is clipped into its box.
+
+Cross-validated against scipy's HiGHS (:mod:`repro.lp.oracle`) on random
+boxed LPs in ``tests/lp/``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.lp.model import Model, Solution, Status
-from repro.lp.simplex import SimplexResult
+from repro.lp.model import Status
+from repro.lp.program import Program
 
-__all__ = ["solve_bounded_simplex", "bounded_simplex_arrays"]
+__all__ = ["bounded_simplex", "SimplexResult"]
 
-_TOL = 1e-9
+_TOL = 1e-9     # reduced costs, pivot elements, ratio-test ties (absolute)
+_FEAS = 1e-9    # primal feasibility, relative to row / bound magnitude
 _INF = math.inf
 
 # Nonbasic status codes
@@ -49,124 +58,90 @@ _AT_LO = 0
 _AT_UP = 1
 _FREE_ZERO = 2   # free variable resting at 0
 _BASIC = 3
+# d * sign > 0 means moving off the bound pays: up from LO, down from UP.
+_GAIN_SIGN = np.array([-1.0, 1.0, 0.0, 0.0])
 
 
-def solve_bounded_simplex(
-    model: Model, max_iter: int = 20_000, warm_start: Optional[Tuple] = None
-) -> Solution:
-    """Solve a :class:`repro.lp.model.Model` with the bounded simplex.
-
-    ``warm_start`` is a basis from a previous solve's ``Solution.basis``;
-    it is used when still feasible for this program and ignored otherwise.
-    """
-    c, A_ub, b_ub, A_eq, b_eq, bounds = model.to_arrays()
-    res = bounded_simplex_arrays(
-        c, A_ub, b_ub, A_eq, b_eq, bounds, max_iter=max_iter,
-        warm_start=warm_start,
-    )
-    sol = model.solution_from_x(
-        res.x, res.status, iterations=res.iterations, backend="bounded"
-    )
-    sol.basis = res.basis
-    sol.warm_started = res.warm_started
-    return sol
+@dataclass
+class SimplexResult:
+    status: Status
+    x: Optional[np.ndarray]
+    objective: float
+    iterations: int
+    # (basis column list, per-column statuses), reusable to warm-start a
+    # re-solve of the same program after patching; None when a redundant
+    # row kept an artificial basic.
+    basis: Optional[tuple] = None
+    warm_started: bool = False
 
 
-def bounded_simplex_arrays(
-    c: np.ndarray,
-    A_ub: np.ndarray,
-    b_ub: np.ndarray,
-    A_eq: np.ndarray,
-    b_eq: np.ndarray,
-    bounds: List[Tuple[float, float]],
-    max_iter: int = 20_000,
-    warm_start: Optional[Tuple] = None,
+class _Basis(tuple):
+    """``(basis columns, per-column statuses)`` as this solver hands it out:
+    consistent by construction, so a warm start re-checks only its shape."""
+
+
+def bounded_simplex(
+    program: Program, warm_start: Optional[Tuple] = None, max_iter: int = 20_000
 ) -> SimplexResult:
-    """Minimise ``c @ x`` s.t. ``A_ub x <= b_ub``, ``A_eq x = b_eq`` and box
-    ``bounds``, keeping the bounds implicit in the simplex."""
-    c = np.asarray(c, dtype=float)
-    nv = c.size
-    A_ub = np.asarray(A_ub, dtype=float).reshape(-1, nv)
-    A_eq = np.asarray(A_eq, dtype=float).reshape(-1, nv)
-    m_ub, m_eq = A_ub.shape[0], A_eq.shape[0]
-    m = m_ub + m_eq
+    """Minimise ``program.cost @ z`` over the program's rows and box bounds.
 
-    # Structurals + slacks (slack_i in [0, inf) for each <= row).
-    n = nv + m_ub
-    A = np.zeros((m, n))
-    if m_ub:
-        A[:m_ub, :nv] = A_ub
-        A[:m_ub, nv:] = np.eye(m_ub)
-    if m_eq:
-        A[m_ub:, :nv] = A_eq
-    b = np.concatenate([np.asarray(b_ub, float), np.asarray(b_eq, float)])
-
-    lo = np.full(n, 0.0)
-    up = np.full(n, _INF)
-    for j, (l, h) in enumerate(bounds):
-        lo[j], up[j] = float(l), float(h)
-    # slacks: [0, inf) already
-
-    cost = np.zeros(n)
-    cost[:nv] = c
+    ``warm_start`` is a previous result's ``basis``; it is used when it still
+    fits the (patched) program and ignored otherwise.
+    """
+    A, b, lo, up = program.A, program.b, program.lo, program.up
+    m, n = A.shape
+    nv = program.nv
 
     total_iters = 0
-    state: Optional[_State] = None
-    warm_used = False
-    if warm_start is not None:
-        state = _warm_state(A, b, lo, up, warm_start, n, m)
-        warm_used = state is not None
+    state = _warm_state(A, b, lo, up, warm_start) if warm_start is not None else None
+    warm_used = state is not None
 
     if state is None:
         # Initial nonbasic values: nearest-to-zero finite bound (0 for free).
-        status = np.empty(n, dtype=int)
-        x = np.zeros(n)
-        for j in range(n):
-            if lo[j] == -_INF and up[j] == _INF:
-                status[j] = _FREE_ZERO
-                x[j] = 0.0
-            elif lo[j] == -_INF:
-                status[j] = _AT_UP
-                x[j] = up[j]
-            else:
-                status[j] = _AT_LO
-                x[j] = lo[j]
+        status = np.where(
+            np.isneginf(lo), np.where(np.isposinf(up), _FREE_ZERO, _AT_UP), _AT_LO
+        )
+        x = _resting(status, lo, up)
 
-        # Phase 1: artificials absorb the residual b - A x_N.
+        # Phase 1: artificials absorb the residual b - A x_N.  Each is
+        # priced by its row's own magnitude (largest coefficient or
+        # right-hand side), so what is minimised — and then judged — is
+        # *relative* infeasibility: a residual of 1e-8 is noise on a row of
+        # ones and a gross violation of a row of 1e-7s.
         resid = b - A @ x
-        n_art = m
         A1 = np.hstack([A, np.diag(np.where(resid >= 0, 1.0, -1.0))])
-        lo1 = np.concatenate([lo, np.zeros(n_art)])
-        up1 = np.concatenate([up, np.full(n_art, _INF)])
+        lo1 = np.concatenate([lo, np.zeros(m)])
+        up1 = np.concatenate([up, np.full(m, _INF)])
         x1 = np.concatenate([x, np.abs(resid)])
-        status1 = np.concatenate([status, np.full(n_art, _BASIC, dtype=int)])
-        basis = list(range(n, n + n_art))
+        status1 = np.concatenate([status, np.full(m, _BASIC, dtype=int)])
+        row_scale = np.abs(b)
+        if nv:
+            row_scale = np.maximum(row_scale, np.abs(A[:, :nv]).max(axis=1))
+        row_scale[row_scale < 1e-150] = 1.0     # a (numerically) all-zero row
+        cost1 = np.zeros(n + m)
+        cost1[n:] = 1.0 / row_scale
 
-        cost1 = np.zeros(n + n_art)
-        cost1[n:] = 1.0
-
-        state = _State(A1, b, lo1, up1, x1, status1, basis)
-        iters1, st = _optimize(state, cost1, allowed=n + n_art, max_iter=max_iter)
-        total_iters = iters1
+        state = _State(A1, b, lo1, up1, x1, status1, list(range(n, n + m)))
+        total_iters, st = _optimize(state, cost1, allowed=n + m, max_iter=max_iter)
         if st is Status.ITERATION_LIMIT:
             return SimplexResult(st, None, math.nan, total_iters)
-        if cost1 @ state.x > 1e-7:
+        if (state.x[n:] > _FEAS * row_scale).any():
             return SimplexResult(Status.INFEASIBLE, None, math.nan, total_iters)
 
         # Drive remaining artificials out of the basis where possible.
         for row in range(m):
             if state.basis[row] >= n:
                 Binv_row = np.linalg.solve(state.B().T, _unit(m, row))
-                coeffs = Binv_row @ state.A[:, :n]
-                candidates = np.nonzero(np.abs(coeffs) > 1e-7)[0]
+                coeffs = np.abs(Binv_row @ state.A[:, :n])
+                candidates = np.nonzero(coeffs > 1e-7 * coeffs.max())[0]
                 nonbasic = [j for j in candidates if state.status[j] != _BASIC]
                 if nonbasic:
-                    j = int(nonbasic[0])
-                    state.pivot(row, j)
+                    state.pivot(row, int(nonbasic[0]))
                 # else: redundant row; the artificial stays basic at value 0.
 
-    cost2 = np.zeros(state.A.shape[1])
-    cost2[:n] = cost
+    cost2 = program.cost
+    if state.A.shape[1] > n:
+        cost2 = np.concatenate([cost2, np.zeros(m)])
     iters2, st = _optimize(state, cost2, allowed=n, max_iter=max_iter - total_iters)
     total_iters += iters2
     if st is not Status.OPTIMAL:
@@ -174,70 +149,60 @@ def bounded_simplex_arrays(
             st, None, math.nan, total_iters, warm_started=warm_used
         )
 
-    xr = state.x[:nv].copy()
-    obj = float(c @ xr)
-    if all(j < n for j in state.basis):
-        basis_out: Optional[Tuple] = (
-            list(state.basis), state.status[:n].copy()
-        )
-    else:
-        basis_out = None   # a redundant-row artificial stayed basic
+    # Basic values carry round-off (and the phase-1 / warm-start feasibility
+    # slack); the point handed back is inside its box exactly.
+    xr = np.minimum(np.maximum(state.x[:nv], lo[:nv]), up[:nv])
+    basis_out: Optional[Tuple] = None   # a redundant-row artificial stayed basic
+    if warm_used or all(j < n for j in state.basis):
+        basis_out = _Basis((state.basis, state.status[:n]))
     return SimplexResult(
-        Status.OPTIMAL, xr, obj, total_iters,
+        Status.OPTIMAL, xr, float(program.cost[:nv] @ xr), total_iters,
         basis=basis_out, warm_started=warm_used,
     )
 
 
 def _warm_state(
-    A: np.ndarray,
-    b: np.ndarray,
-    lo: np.ndarray,
-    up: np.ndarray,
-    warm: Tuple,
-    n: int,
-    m: int,
+    A: np.ndarray, b: np.ndarray, lo: np.ndarray, up: np.ndarray, warm: Tuple
 ) -> Optional["_State"]:
     """Reconstruct simplex state from a previous basis, or None if the
     basis does not fit this program (shape mismatch, singular B, or primal
     infeasible under the new bounds/RHS)."""
+    m, n = A.shape
     try:
         basis_in, status_in = warm
-    except (TypeError, ValueError):
-        return None
-    basis = [int(j) for j in basis_in]
-    status = np.asarray(status_in, dtype=int).copy()
-    if len(basis) != m or status.shape != (n,):
-        return None
-    if any(j < 0 or j >= n for j in basis):
-        return None
-    if sorted(j for j in range(n) if status[j] == _BASIC) != sorted(basis):
-        return None
-    x = np.zeros(n)
-    for j in range(n):
-        sj = status[j]
-        if sj == _BASIC:
-            continue
-        if sj == _AT_LO:
-            if lo[j] == -_INF:
-                return None
-            x[j] = lo[j]
-        elif sj == _AT_UP:
-            if up[j] == _INF:
-                return None
-            x[j] = up[j]
-        elif sj == _FREE_ZERO:
-            x[j] = 0.0
-        else:
+        basis = list(basis_in)
+        status = np.array(status_in, dtype=int)
+        if len(basis) != m or status.shape != (n,):
             return None
-    state = _State(A, b, lo, up, x, status, basis)
+        if not isinstance(warm, _Basis):    # from outside: is it a basis at all?
+            is_basic = status == _BASIC
+            if (
+                min(basis, default=0) < 0
+                or np.count_nonzero(is_basic) != m
+                or not is_basic[basis].all()
+            ):
+                return None
+        x = _resting(status, lo, up)    # ValueError on an unknown status code
+    except (TypeError, ValueError, IndexError):
+        return None
+    if not np.isfinite(x).all():
+        return None              # a nonbasic variable would rest at infinity
     try:
-        state._recompute_basics()
+        xb = np.linalg.solve(A[:, basis], b - A @ x)
     except np.linalg.LinAlgError:
         return None
-    xb = state.x[basis]
-    if np.any(xb < lo[basis] - 1e-7) or np.any(xb > up[basis] + 1e-7):
+    lob, upb = lo[basis], up[basis]
+    slack = _FEAS * np.maximum(1.0, np.abs(xb))
+    if (xb < lob - slack).any() or (xb > upb + slack).any():
         return None   # old optimum no longer primal feasible: cold start
-    return state
+    x[basis] = xb
+    return _State(A, b, lo, up, x, status, basis)
+
+
+def _resting(status: np.ndarray, lo: np.ndarray, up: np.ndarray) -> np.ndarray:
+    """Where each variable rests by status: its lower bound, its upper bound,
+    0 for a free one — and 0 for a basic one, whose value is solved for."""
+    return np.choose(status, (lo, up, 0.0, 0.0))
 
 
 def _unit(m: int, i: int) -> np.ndarray:
@@ -248,6 +213,8 @@ def _unit(m: int, i: int) -> np.ndarray:
 
 class _State:
     """Mutable simplex state: basis, variable values and statuses."""
+
+    __slots__ = ("A", "b", "lo", "up", "x", "status", "basis", "m")
 
     def __init__(self, A, b, lo, up, x, status, basis):
         self.A = A
@@ -263,10 +230,9 @@ class _State:
         return self.A[:, self.basis]
 
     def pivot(self, row: int, entering: int) -> None:
-        """Swap basis[row] out for ``entering`` (values already updated by
-        the caller, or both at a consistent point for phase transitions)."""
+        """Swap basis[row] out for ``entering`` at a consistent point (the
+        phase transition); the leaving variable rests at its nearer bound."""
         leaving = self.basis[row]
-        # The leaving variable rests at whichever bound it hit.
         if self.up[leaving] < _INF and abs(self.x[leaving] - self.up[leaving]) < abs(
             self.x[leaving] - self.lo[leaving]
         ):
@@ -280,66 +246,65 @@ class _State:
             self.x[leaving] = 0.0
         self.status[entering] = _BASIC
         self.basis[row] = entering
-        self._recompute_basics()
-
-    def _recompute_basics(self) -> None:
-        nonbasic_contrib = self.b - self.A @ np.where(
-            self.status == _BASIC, 0.0, self.x
-        )
-        xb = np.linalg.solve(self.B(), nonbasic_contrib)
-        for i, j in enumerate(self.basis):
-            self.x[j] = xb[i]
+        nonbasic = np.where(self.status == _BASIC, 0.0, self.x)
+        self.x[self.basis] = np.linalg.solve(self.B(), self.b - self.A @ nonbasic)
 
 
 def _optimize(state: _State, cost: np.ndarray, allowed: int, max_iter: int):
     """Bounded-variable primal simplex iterations (Bland's rule)."""
     m = state.m
+    A, lo, up, x, status, basis = (
+        state.A, state.lo, state.up, state.x, state.status, state.basis
+    )
     iters = 0
     while True:
         if iters >= max_iter:
             return iters, Status.ITERATION_LIMIT
-        B = state.B()
+        B = A[:, basis]
         try:
-            y = np.linalg.solve(B.T, cost[state.basis])
+            y = np.linalg.solve(B.T, cost[basis])
         except np.linalg.LinAlgError:  # pragma: no cover - defensive
             return iters, Status.INFEASIBLE
-        d = cost[:allowed] - y @ state.A[:, :allowed]
+        if allowed == A.shape[1]:
+            d, st = cost - y @ A, status
+        else:
+            d, st = cost[:allowed] - y @ A[:, :allowed], status[:allowed]
 
-        entering = -1
-        direction = 0.0
-        for j in range(allowed):
-            sj = state.status[j]
-            if sj == _BASIC:
-                continue
-            if (sj in (_AT_LO, _FREE_ZERO)) and d[j] < -_TOL:
-                entering, direction = j, +1.0
-                break  # Bland: first eligible index
-            if (sj in (_AT_UP, _FREE_ZERO)) and d[j] > _TOL:
-                entering, direction = j, -1.0
-                break
-        if entering < 0:
+        # Bland: the first nonbasic column whose move improves the cost —
+        # up from a lower bound (d < 0), down from an upper bound (d > 0),
+        # either way for a free variable resting at 0.
+        gain = d * _GAIN_SIGN[st]
+        free = st == _FREE_ZERO
+        if free.any():
+            gain[free] = np.abs(d[free])
+        eligible = np.flatnonzero(gain > _TOL)
+        if eligible.size == 0:
             return iters, Status.OPTIMAL
+        entering = int(eligible[0])
+        direction = 1.0 if st[entering] == _AT_LO or (
+            st[entering] == _FREE_ZERO and d[entering] < 0
+        ) else -1.0
 
         # Direction of basic variables as entering moves by +direction.
-        w = np.linalg.solve(B, state.A[:, entering]) * direction
+        w = np.linalg.solve(B, A[:, entering]) * direction
 
         # Ratio test.  Candidates: each basic variable hitting one of its
         # bounds, and the entering variable flipping to its opposite bound.
-        span = state.up[entering] - state.lo[entering]
+        span = up[entering] - lo[entering]
         t_max = span if np.isfinite(span) else _INF
         leave_row = -1                           # -1 = bound flip
         for i in range(m):
-            j = state.basis[i]
-            if w[i] > _TOL and state.lo[j] > -_INF:
-                t = max((state.x[j] - state.lo[j]) / w[i], 0.0)
-            elif w[i] < -_TOL and state.up[j] < _INF:
-                t = max((state.up[j] - state.x[j]) / (-w[i]), 0.0)
+            j = basis[i]
+            if w[i] > _TOL and lo[j] > -_INF:
+                t = max((x[j] - lo[j]) / w[i], 0.0)
+            elif w[i] < -_TOL and up[j] < _INF:
+                t = max((up[j] - x[j]) / (-w[i]), 0.0)
             else:
                 continue
             if t < t_max - _TOL:
                 t_max, leave_row = t, i
             elif t <= t_max + _TOL and (
-                leave_row == -1 or state.basis[i] < state.basis[leave_row]
+                leave_row == -1 or basis[i] < basis[leave_row]
             ):
                 # Tie: prefer a basis change (Bland: smallest leaving index).
                 t_max, leave_row = min(t_max, t), i
@@ -348,22 +313,21 @@ def _optimize(state: _State, cost: np.ndarray, allowed: int, max_iter: int):
             return iters, Status.UNBOUNDED
 
         # Apply the step.
-        state.x[entering] += direction * t_max
-        for i in range(m):
-            state.x[state.basis[i]] -= w[i] * t_max
+        x[entering] += direction * t_max
+        x[basis] -= w * t_max
 
         if leave_row < 0:
             # Bound flip: entering moved across its box; stays nonbasic.
-            state.status[entering] = _AT_UP if direction > 0 else _AT_LO
+            status[entering] = _AT_UP if direction > 0 else _AT_LO
         else:
-            leaving = state.basis[leave_row]
+            leaving = basis[leave_row]
             # Leaving rests at the bound it reached.
             if w[leave_row] > 0:
-                state.status[leaving] = _AT_LO if state.lo[leaving] > -_INF else _FREE_ZERO
-                state.x[leaving] = state.lo[leaving] if state.lo[leaving] > -_INF else 0.0
+                status[leaving] = _AT_LO if lo[leaving] > -_INF else _FREE_ZERO
+                x[leaving] = lo[leaving] if lo[leaving] > -_INF else 0.0
             else:
-                state.status[leaving] = _AT_UP
-                state.x[leaving] = state.up[leaving]
-            state.status[entering] = _BASIC
-            state.basis[leave_row] = entering
+                status[leaving] = _AT_UP
+                x[leaving] = up[leaving]
+            status[entering] = _BASIC
+            basis[leave_row] = entering
         iters += 1

@@ -96,7 +96,9 @@ class SolveCache:
         if q > 0.0:
             vec: Tuple = tuple(int(round(float(d) / q)) for d in demand)
         else:
-            vec = tuple(float(d) for d in demand)
+            if isinstance(demand, np.ndarray):
+                demand = demand.tolist()
+            vec = tuple(map(float, demand))
         return (fingerprint, vec, tag)
 
     def get(self, key: Hashable) -> Optional[Any]:

@@ -11,8 +11,10 @@ A small modelling layer so scheduler code reads like the paper's math::
 
 Expressions are linear (``LinExpr``); comparisons (``<=``, ``>=``, ``==``)
 against expressions or numbers produce :class:`Constraint` objects, which
-:meth:`Model.add` registers.  :meth:`Model.to_arrays` lowers the model to
-the dense ``(c, A_ub, b_ub, A_eq, b_eq, bounds)`` form both backends consume.
+:meth:`Model.add` registers.  :meth:`Model.to_arrays` gives the dense
+``(c, A_ub, b_ub, A_eq, b_eq, bounds)`` form; :meth:`Model.lower` turns it
+into the :class:`repro.lp.program.Program` the solver iterates on — once,
+for callers that re-solve one structure with a few entries patched.
 """
 
 from __future__ import annotations
@@ -20,9 +22,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.lp.program import Program
 
 __all__ = [
     "Var", "LinExpr", "Constraint", "Model", "Sense", "Status", "Solution",
@@ -191,12 +196,13 @@ class Solution:
     status: Status
     objective: float = math.nan
     x: Optional[np.ndarray] = None
-    _by_var: Dict["Var", float] = field(default_factory=dict)
+    # The solved model's variables; ``x`` is indexed by ``Var.index``.
+    _vars: List["Var"] = field(default_factory=list)
     iterations: int = 0
-    backend: str = ""
-    # Warm-start bookkeeping (bounded backend only): the optimal basis of
-    # this solve, reusable as ``warm_start`` for a shifted-RHS re-solve, and
-    # whether this solve itself started from a supplied basis.
+    backend: str = ""   # "bounded" from repro.lp.solve, "scipy" from the oracle
+    # Warm-start bookkeeping: the optimal basis of this solve, reusable as
+    # ``warm_start`` for a re-solve of the patched program, and whether this
+    # solve itself started from a supplied basis.
     basis: Optional[Tuple] = None
     warm_started: bool = False
 
@@ -206,13 +212,13 @@ class Solution:
 
     def value(self, var: Union[Var, LinExpr]) -> float:
         if isinstance(var, Var):
-            return self._by_var[var]
+            return float(self.x[var.index])
         if isinstance(var, LinExpr):
-            return sum(c * self._by_var[v] for v, c in var.coeffs.items()) + var.const
+            return sum(c * float(self.x[v.index]) for v, c in var.coeffs.items()) + var.const
         raise ModelError(f"cannot evaluate {var!r}")
 
     def values(self) -> Dict[str, float]:
-        return {v.name: x for v, x in self._by_var.items()}
+        return {v.name: float(self.x[v.index]) for v in self._vars}
 
 
 class Model:
@@ -261,7 +267,7 @@ class Model:
                                  np.ndarray, np.ndarray, List[Tuple[float, float]]]:
         """Dense ``(c, A_ub, b_ub, A_eq, b_eq, bounds)`` for *minimisation*.
 
-        The objective is negated when the model maximises, so backends always
+        The objective is negated when the model maximises, so solvers always
         minimise ``c @ x``.
         """
         nv = len(self.vars)
@@ -294,15 +300,21 @@ class Model:
         bounds = [(v.lb, v.ub) for v in self.vars]
         return c, A_ub, b_ub, A_eq, b_eq, bounds
 
+    def lower(self) -> "Program":
+        """Lower to a :class:`repro.lp.program.Program` (do this once per
+        structure; patch the program, not the model, afterwards)."""
+        from repro.lp.program import Program
+
+        return Program(*self.to_arrays(), model=self)
+
     def solution_from_x(self, x: np.ndarray, status: Status,
                         iterations: int = 0, backend: str = "") -> Solution:
         """Package a raw solution vector, recomputing the model objective."""
         if status is not Status.OPTIMAL or x is None:
             return Solution(status=status, iterations=iterations, backend=backend)
-        by_var = {v: float(x[v.index]) for v in self.vars}
-        obj = sum(c * by_var[v] for v, c in self.objective.coeffs.items())
-        obj += self.objective.const
-        return Solution(
-            status=status, objective=float(obj), x=np.asarray(x, dtype=float),
-            _by_var=by_var, iterations=iterations, backend=backend,
+        solution = Solution(
+            status=status, x=np.asarray(x, dtype=float), _vars=self.vars,
+            iterations=iterations, backend=backend,
         )
+        solution.objective = float(solution.value(self.objective))
+        return solution

@@ -1,23 +1,25 @@
-"""scipy HiGHS backend: lowers a :class:`repro.lp.model.Model` to
-:func:`scipy.optimize.linprog`.  Used both as a fast production backend and
-to cross-validate the from-scratch simplex."""
+"""Test oracle: the same LP through :func:`scipy.optimize.linprog` (HiGHS).
+
+Not on any runtime path — scipy is imported inside :func:`solve_scipy` only,
+so the library runs with numpy alone.  Tests hold the bounded simplex to
+this on random LPs and on the schedulers' compiled window programs.
+"""
 
 from __future__ import annotations
+
+from importlib.util import find_spec
+from typing import Union
 
 import numpy as np
 
 from repro.lp.model import Model, Solution, Status
+from repro.lp.program import Program
 
 __all__ = ["solve_scipy", "scipy_available"]
 
-try:  # pragma: no cover - import guard
-    from scipy.optimize import linprog as _linprog
-except ImportError:  # pragma: no cover
-    _linprog = None
-
 
 def scipy_available() -> bool:
-    return _linprog is not None
+    return find_spec("scipy") is not None
 
 
 _STATUS_MAP = {
@@ -28,11 +30,12 @@ _STATUS_MAP = {
 }
 
 
-def solve_scipy(model: Model) -> Solution:
-    if _linprog is None:  # pragma: no cover
-        raise RuntimeError("scipy is not available")
+def solve_scipy(model: Union[Model, Program]) -> Solution:
+    """Solve a model — or a compiled program as currently patched."""
+    from scipy.optimize import linprog
+
     c, A_ub, b_ub, A_eq, b_eq, bounds = model.to_arrays()
-    res = _linprog(
+    res = linprog(
         c,
         A_ub=A_ub if A_ub.size else None,
         b_ub=b_ub if b_ub.size else None,

@@ -1,59 +1,49 @@
-"""Backend-selecting solve facade."""
+"""The solve entry point: one solver, one path."""
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, Optional, Tuple, Union
 
-from repro.lp.bounded_simplex import solve_bounded_simplex
+from repro.lp.bounded_simplex import bounded_simplex
 from repro.lp.model import Model, Solution
-from repro.lp.scipy_backend import scipy_available, solve_scipy
-from repro.lp.simplex import solve_simplex
+from repro.lp.program import Program
 
-__all__ = ["solve", "available_backends", "set_feasibility_check"]
+__all__ = ["solve", "set_feasibility_check"]
 
 # Optional post-solve audit (repro.analysis.invariants wires the
 # InvariantChecker's primal-feasibility check here under --check-invariants
 # / REPRO_CHECK=1).  None — the default — costs one identity test per solve.
-_feasibility_check: Optional[Callable[[Model, Solution], None]] = None
+_feasibility_check: Optional[Callable[[Program, Solution], None]] = None
 
 
 def set_feasibility_check(
-    hook: Optional[Callable[[Model, Solution], None]]
+    hook: Optional[Callable[[Program, Solution], None]]
 ) -> None:
     """Install (or with ``None`` remove) a post-solve solution audit."""
     global _feasibility_check
     _feasibility_check = hook
 
 
-def available_backends() -> List[str]:
-    backends = ["simplex", "bounded"]
-    if scipy_available():
-        backends.insert(0, "scipy")
-    return backends
+def solve(
+    program: Union[Program, Model],
+    warm_start: Optional[Tuple] = None,
+    max_iter: int = 20_000,
+) -> Solution:
+    """Solve a lowered :class:`Program` with the bounded simplex.
 
-
-def solve(model: Model, backend: str = "auto", warm_start=None, **kwargs) -> Solution:
-    """Solve ``model``.
-
-    Backends: ``"scipy"`` (HiGHS), ``"simplex"`` (from-scratch tableau,
-    bounds as rows), ``"bounded"`` (from-scratch bounded-variable revised
-    simplex).  ``"auto"`` prefers scipy when present and falls back to the
-    built-in bounded simplex, so the library works with numpy alone.
-
-    ``warm_start`` (a previous ``Solution.basis``) is honoured by the
-    bounded backend and silently ignored by the others, so callers can
-    always thread the last basis through.
+    A :class:`Model` is lowered first (fine for a one-off; callers that
+    re-solve one structure lower once and patch the program).  ``warm_start``
+    is a previous ``Solution.basis`` of the same program; a basis that no
+    longer fits is ignored, so callers can always thread the last one through.
     """
-    if backend == "auto":
-        backend = "scipy" if scipy_available() else "bounded"
-    if backend == "scipy":
-        solution = solve_scipy(model)
-    elif backend == "simplex":
-        solution = solve_simplex(model, **kwargs)
-    elif backend == "bounded":
-        solution = solve_bounded_simplex(model, warm_start=warm_start, **kwargs)
-    else:
-        raise ValueError(f"unknown backend {backend!r}; use {available_backends()}")
+    if isinstance(program, Model):
+        program = program.lower()
+    res = bounded_simplex(program, warm_start=warm_start, max_iter=max_iter)
+    solution = program.solution_from_x(
+        res.x, res.status, iterations=res.iterations, backend="bounded"
+    )
+    solution.basis = res.basis
+    solution.warm_started = res.warm_started
     if _feasibility_check is not None:
-        _feasibility_check(model, solution)
+        _feasibility_check(program, solution)
     return solution

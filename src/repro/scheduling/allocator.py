@@ -57,7 +57,6 @@ class WindowAllocator:
         prices: provider mode — price per additional request per customer.
         capacity: provider mode — total provider capacity override.
         n_redirectors: redirector count, for the conservative fallback.
-        backend: LP backend.
     """
 
     def __init__(
@@ -68,7 +67,6 @@ class WindowAllocator:
         prices: Optional[Mapping[str, float]] = None,
         capacity: Optional[float] = None,
         n_redirectors: int = 1,
-        backend: str = "auto",
         server_owners: Optional[List[str]] = None,
         server_capacities: Optional[Mapping[str, float]] = None,
         cache_tolerance: float = 0.05,
@@ -93,6 +91,8 @@ class WindowAllocator:
         self.fallback_windows = 0
         self.degraded_windows = 0
         self._server_capacities = dict(server_capacities or {})
+        self._prices = dict(prices or {})
+        self._capacity = capacity
         # Demand barely moves between adjacent 100 ms windows in steady
         # state; re-solving a near-identical LP dominates simulation cost.
         # A solve is reused while every principal's global estimate stays
@@ -102,21 +102,48 @@ class WindowAllocator:
         # at most cache_tolerance, transiently.
         self.cache_tolerance = float(cache_tolerance)
         self._cached_est: Optional[Dict[str, float]] = None
-        self._cached_plan = None  # CommunitySchedule or ProviderSchedule
+        # The solved plan in the form compute() consumes: requests served
+        # per principal (in ``principals`` order) and forwarding weights.
+        self._cached_plan: Optional[Tuple[List[float], Dict[str, Dict[str, float]]]] = None
         # The tolerance cache above reuses a plan for *nearby* demand; the
         # scheduler's own exact-match SolveCache (lp_cache) dedups repeats
         # of identical demand with bit-identical results.
         self.lp_cache = bool(lp_cache)
 
-        if mode == "community":
-            self.scheduler: Union[CommunityScheduler, ProviderScheduler] = (
-                CommunityScheduler(access, window, backend=backend, lp_cache=lp_cache)
+        self._build_scheduler()
+
+    def _build_scheduler(self) -> None:
+        """(Re)compile the window program for the current access levels,
+        and with it everything compute() needs that only they determine."""
+        access = self.access
+        names = access.names
+        # No global information: 1/R of the mandatory entitlements.
+        share = 1.0 / self.n_redirectors
+        self._fallback_quota = [float(mc) * share for mc in self._w.MC]
+        self._fallback_weights = {
+            p: {k: float(v) for k, v in zip(names, row) if v > 1e-12}
+            for p, row in zip(names, self._w.MI)
+        }
+        self.scheduler: Union[CommunityScheduler, ProviderScheduler]
+        if self.mode == "community":
+            self.scheduler = CommunityScheduler(
+                access, self.window, lp_cache=self.lp_cache
             )
         else:
             self.scheduler = ProviderScheduler(
-                access, prices or {}, capacity=capacity, window=window,
-                backend=backend, lp_cache=lp_cache,
+                access, self._prices, capacity=self._capacity,
+                window=self.window, lp_cache=self.lp_cache,
             )
+            # A defaulted capacity is resolved once: renegotiated access
+            # levels do not move it.
+            self._capacity = self.scheduler.capacity
+            # Provider mode spreads every customer over the provider's pools.
+            cap = self._server_capacities or {
+                name: float(access.V[access.index(name)])
+                for name in access.names
+                if access.V[access.index(name)] > 0
+            }
+            self._provider_weights = {p: dict(cap) for p in access.names}
 
     @property
     def principals(self) -> Tuple[str, ...]:
@@ -136,17 +163,7 @@ class WindowAllocator:
         self.access = access
         self._w = access.per_window(self.window.length)
         self.invalidate_cache()
-        if self.mode == "community":
-            self.scheduler = CommunityScheduler(
-                access, self.window, backend=self.scheduler.backend,
-                lp_cache=self.lp_cache,
-            )
-        else:
-            old = self.scheduler
-            self.scheduler = ProviderScheduler(
-                access, old.prices, capacity=old.capacity, window=self.window,
-                backend=old.backend, lp_cache=self.lp_cache,
-            )
+        self._build_scheduler()
 
     # -- global estimate -----------------------------------------------------
 
@@ -193,37 +210,22 @@ class WindowAllocator:
                 *self._conservative(local), global_estimate=global_est,
                 used_fallback=True,
             )
-        if self.mode == "community":
-            sched = self._solve(global_est)
-            quotas: Dict[str, float] = {}
-            weights: Dict[str, Dict[str, float]] = {}
-            for p in self.principals:
-                total = sched.served(p)
-                g = global_est.get(p, 0.0)
-                frac = min(1.0, total / g) if g > 1e-9 else 0.0
-                quotas[p] = frac * local.get(p, 0.0)
-                weights[p] = sched.assignments(p)
-        else:
-            res = self._solve(global_est)
-            quotas, weights = {}, {}
-            cap = self._server_capacities or {
-                name: float(self.access.V[self.access.index(name)])
-                for name in self.principals
-                if self.access.V[self.access.index(name)] > 0
-            }
-            for p in self.principals:
-                total = res.x.get(p, 0.0)
-                g = global_est.get(p, 0.0)
-                frac = min(1.0, total / g) if g > 1e-9 else 0.0
-                quotas[p] = frac * local.get(p, 0.0)
-                weights[p] = dict(cap)
+        served, weights = self._solve(global_est)
+        quotas: Dict[str, float] = {}
+        for p, total in zip(self.principals, served):
+            g = global_est.get(p, 0.0)
+            frac = min(1.0, total / g) if g > 1e-9 else 0.0
+            quotas[p] = frac * local.get(p, 0.0)
         return Allocation(
             quotas=quotas, weights=weights, global_estimate=global_est,
             used_fallback=False,
         )
 
-    def _solve(self, global_est: Dict[str, float]):
-        """LP solve with a relative-tolerance reuse cache."""
+    def _solve(
+        self, global_est: Dict[str, float]
+    ) -> Tuple[List[float], Dict[str, Dict[str, float]]]:
+        """LP solve with a relative-tolerance reuse cache; returns the plan
+        as ``(served per principal, forwarding weights)``."""
         if self._cached_plan is not None and self.cache_tolerance > 0:
             tol = self.cache_tolerance
             cached = self._cached_est
@@ -236,9 +238,21 @@ class WindowAllocator:
                 return self._cached_plan
         self.lp_solves += 1
         plan = self.scheduler.schedule(global_est)
+        names = self.principals
+        if self.mode == "community":
+            # Row sums and forwarding weights once per solved plan, not per
+            # principal per window the plan is reused for.
+            served = [float(row.sum()) for row in plan.x]
+            weights = {
+                p: {k: float(v) for k, v in zip(names, row) if v > 1e-9}
+                for p, row in zip(names, plan.x)
+            }
+        else:
+            served = [plan.x.get(p, 0.0) for p in names]
+            weights = self._provider_weights
         self._cached_est = dict(global_est)
-        self._cached_plan = plan
-        return plan
+        self._cached_plan = (served, weights)
+        return self._cached_plan
 
     def invalidate_cache(self) -> None:
         self._cached_est = None
@@ -248,14 +262,8 @@ class WindowAllocator:
         self, local: Mapping[str, float]
     ) -> Tuple[Dict[str, float], Dict[str, Dict[str, float]]]:
         """No global information: use 1/R of the mandatory entitlements."""
-        share = 1.0 / self.n_redirectors
-        quotas, weights = {}, {}
-        for p in self.principals:
-            i = self.access.index(p)
-            quotas[p] = min(local.get(p, 0.0), float(self._w.MC[i]) * share)
-            weights[p] = {
-                k: float(self._w.MI[i, self.access.index(k)])
-                for k in self.principals
-                if self._w.MI[i, self.access.index(k)] > 1e-12
-            }
-        return quotas, weights
+        quotas = {
+            p: min(local.get(p, 0.0), cap)
+            for p, cap in zip(self.principals, self._fallback_quota)
+        }
+        return quotas, self._fallback_weights

@@ -37,7 +37,8 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.core.access import AccessLevels
-from repro.lp import Model, Solution, SolveCache, solve, structural_fingerprint
+from repro.lp import Model, Solution, solve, structural_fingerprint
+from repro.scheduling.compiled import CompiledWindowLP
 from repro.scheduling.window import WindowConfig
 
 __all__ = ["CommunityScheduler", "CommunitySchedule"]
@@ -91,28 +92,34 @@ class CommunitySchedule:
         return np.clip(f, 0.0, 1.0)
 
 
-class CommunityScheduler:
-    """Builds and solves the community LP for each scheduling window.
+class CommunityScheduler(CompiledWindowLP):
+    """Compiles the community LP once and re-solves it each window.
+
+    The program's structure — which ``x_ik`` exist, one (min-fraction,
+    queue-size, guarantee) row triple per principal, one capacity row per
+    server — depends on the access levels alone and is lowered at
+    construction.  Per window only the ``n_i`` coefficient of theta, the
+    queue right-hand sides, the ``min(n_i, MC_i)`` guarantees (or, in the
+    literal pairwise form, the scaled lower bounds) and — with locality
+    caps — the capacity right-hand sides are rewritten.
 
     Args:
         access: per-second access levels from
             :func:`repro.core.access.compute_access_levels`.
         window: scheduling window; access levels are scaled by its length.
-        backend: LP backend (``"auto"``/``"scipy"``/``"simplex"``).
         enforce_lower_bounds: when False, mandatory lower bounds become
             advisory (useful for ablations).
         lp_cache: memoise solves on the exact demand vector.  Steady-state
             traffic re-presents identical windows, so a hit returns the
             bit-identical schedule a fresh solve would have produced.
-        warm_start: re-use the previous window's optimal basis when the
-            backend supports it (``"bounded"``); ignored otherwise.
+        warm_start: start each solve from the previous window's optimal
+            basis (False: always the cold two-phase path).
     """
 
     def __init__(
         self,
         access: AccessLevels,
         window: WindowConfig = WindowConfig(),
-        backend: str = "auto",
         enforce_lower_bounds: bool = True,
         pairwise_lower_bounds: bool = False,
         lp_cache: bool = True,
@@ -120,20 +127,49 @@ class CommunityScheduler:
     ):
         self.access = access
         self.window = window
-        self.backend = backend
         self.enforce_lower_bounds = enforce_lower_bounds
         self.pairwise_lower_bounds = pairwise_lower_bounds
-        self.warm_start = warm_start
-        self._w = access.per_window(window.length)
-        self.lp_solves = 0
-        self.cache_hits = 0
-        self.lp_iterations = 0
-        self._basis = None
-        self._cache: Optional[SolveCache] = SolveCache() if lp_cache else None
-        w = self._w
-        self._fp = structural_fingerprint(
-            "community", access.names, w.MI, w.OI, w.MC, w.V,
-            window.length, backend, enforce_lower_bounds, pairwise_lower_bounds,
+        w = access.per_window(window.length)
+        names = access.names
+        n_p = len(names)
+
+        m = Model("community")
+        theta = m.var("theta", lb=0.0, ub=1.0)
+        xs = {
+            (i, k): m.var(f"x_{names[i]}_{names[k]}", ub=w.MI[i, k] + w.OI[i, k])
+            for i in range(n_p) for k in range(n_p)
+            if w.MI[i, k] + w.OI[i, k] > 1e-12
+        }
+        # Aggregate mandatory guarantee: serve at least the smaller of the
+        # demand and the mandatory access level.
+        queue_rows = self._queue_constraints(
+            m, theta, xs,
+            guarantee=enforce_lower_bounds and not pairwise_lower_bounds,
+        )
+        self._owners = np.array(sorted({k for _, k in xs}), dtype=int)
+        capacity = [
+            m.add(sum(v for (_, o), v in xs.items() if o == k) <= float(w.V[k]))
+            for k in self._owners
+        ]
+        m.maximize(theta)
+
+        prog = self._compile(
+            m,
+            structural_fingerprint(
+                "community", names, w.MI, w.OI, w.MC, w.V,
+                window.length, enforce_lower_bounds, pairwise_lower_bounds,
+            ),
+            lp_cache, warm_start,
+        )
+        self._bind(xs, queue_rows)
+        self._capacity_rows = prog.rows(capacity)
+        self._MC = w.MC[self._holders]
+        self._V = w.V[self._owners]
+        # Literal paper form (ablation only): per-pair lower bounds MI_ik,
+        # scaled down when queue i cannot absorb its mandatory level MC_i.
+        self._pairwise = (
+            (w.MI[self._xi, self._xk], w.MC[self._xi])
+            if pairwise_lower_bounds and enforce_lower_bounds else None
         )
 
     @property
@@ -148,94 +184,38 @@ class CommunityScheduler:
         """Solve one window; ``queue_lengths`` are *global* per-principal
         queue sizes in requests (aggregated across redirectors)."""
         names = self.names
-        n_p = len(names)
         q = _as_vector(names, queue_lengths)
-        if np.any(q < 0):
+        if (q < 0).any():
             raise ValueError("queue lengths must be non-negative")
         caps = _as_vector(names, locality_caps) if locality_caps is not None else None
 
-        key = None
-        if self._cache is not None:
-            key = self._cache.key(
-                self._fp, q, tag=tuple(caps) if caps is not None else None
+        key, hit = self._lookup(q, tag=tuple(caps) if caps is not None else None)
+        if hit is not None:
+            xmat, theta_v, sol = hit
+            return CommunitySchedule(
+                names=names, x=xmat.copy(), theta=theta_v, solution=sol
             )
-            hit = self._cache.get(key)
-            if hit is not None:
-                self.cache_hits += 1
-                xmat, theta_v, sol = hit
-                return CommunitySchedule(
-                    names=names, x=xmat.copy(), theta=theta_v, solution=sol
-                )
 
-        w = self._w
-        m = Model("community")
-        theta = m.var("theta", lb=0.0, ub=1.0)
-        x = np.empty((n_p, n_p), dtype=object)
-        for i in range(n_p):
-            # Literal paper form (ablation only): per-pair lower bounds,
-            # scaled down when the queue cannot absorb the mandatory level.
-            if (
-                self.pairwise_lower_bounds
-                and self.enforce_lower_bounds
-                and w.MC[i] > 1e-12
-            ):
-                lb_scale = min(1.0, q[i] / w.MC[i])
-            else:
-                lb_scale = 0.0
-            for k in range(n_p):
-                hi = w.MI[i, k] + w.OI[i, k]
-                if hi <= 1e-12:
-                    x[i, k] = None
-                    continue
-                lo = w.MI[i, k] * lb_scale
-                x[i, k] = m.var(f"x_{names[i]}_{names[k]}", lb=lo, ub=hi)
-
-        for i in range(n_p):
-            row = [x[i, k] for k in range(n_p) if x[i, k] is not None]
-            if not row:
-                continue
-            total = sum(v for v in row)
-            if q[i] > 1e-12:
-                m.add(total >= theta * float(q[i]))
-            m.add(total <= float(q[i]))
-            # Aggregate mandatory guarantee: serve at least the smaller of
-            # the demand and the mandatory access level.
-            if self.enforce_lower_bounds and not self.pairwise_lower_bounds:
-                guarantee = min(float(q[i]), float(w.MC[i]))
-                if guarantee > 1e-12:
-                    m.add(total >= guarantee)
-        for k in range(n_p):
-            col = [x[i, k] for i in range(n_p) if x[i, k] is not None]
-            if not col:
-                continue
-            load = sum(v for v in col)
-            m.add(load <= float(w.V[k]))
-            if caps is not None and np.isfinite(caps[k]):
-                m.add(load <= float(caps[k]))
-
-        m.maximize(theta)
-        sol = solve(
-            m, backend=self.backend,
-            warm_start=self._basis if self.warm_start else None,
+        prog = self.program
+        self._write_queues(q, self._MC)
+        if self._pairwise is not None:
+            MI, MC = self._pairwise
+            with np.errstate(divide="ignore", invalid="ignore"):
+                scale = np.where(MC > 1e-12, np.minimum(1.0, q[self._xi] / MC), 0.0)
+            prog.set_bounds(self._xcols, lo=MI * scale)
+        # A locality cap on a server is one more upper limit on its load
+        # (fmin: a NaN cap is no cap).
+        prog.set_rhs(
+            self._capacity_rows,
+            self._V if caps is None else np.fmin(self._V, caps[self._owners]),
         )
-        self.lp_solves += 1
-        self.lp_iterations += int(sol.iterations)
-        if sol.basis is not None:
-            self._basis = sol.basis
-        if not sol.optimal:
-            raise RuntimeError(
-                f"community LP {sol.status.value}; agreement structure is "
-                "inconsistent with the queue state"
-            )
 
-        xmat = np.zeros((n_p, n_p))
-        for i in range(n_p):
-            for k in range(n_p):
-                if x[i, k] is not None:
-                    xmat[i, k] = sol.value(x[i, k])
-        theta_v = float(sol.value(theta))
-        if key is not None:
-            self._cache.put(key, (xmat.copy(), theta_v, sol))
+        sol = self._solve(
+            solve, "community LP",
+            "; agreement structure is inconsistent with the queue state",
+        )
+        xmat, theta_v = self._matrix(sol, len(names))
+        self._store(key, (xmat.copy(), theta_v, sol))
         return CommunitySchedule(
             names=names, x=xmat, theta=theta_v, solution=sol
         )

@@ -29,7 +29,8 @@ from typing import Dict, Mapping, Tuple
 import numpy as np
 
 from repro.core.multiresource import MultiResourceAccess, bottleneck_rate
-from repro.lp import Model, Solution, SolveCache, solve, structural_fingerprint
+from repro.lp import Model, Solution, solve, structural_fingerprint
+from repro.scheduling.compiled import CompiledWindowLP
 from repro.scheduling.window import WindowConfig
 
 __all__ = ["MultiResourceCommunityScheduler", "MultiResourceSchedule"]
@@ -55,8 +56,13 @@ class MultiResourceSchedule:
         return total
 
 
-class MultiResourceCommunityScheduler:
+class MultiResourceCommunityScheduler(CompiledWindowLP):
     """Max-min window scheduler over vector resources.
+
+    Compiled once like :class:`~repro.scheduling.community.CommunityScheduler`
+    (the per-resource capacity rows are part of the fixed structure); per
+    window only theta's ``n_i`` coefficients, the queue right-hand sides and
+    the ``min(n_i, guaranteed_requests_i)`` floors are rewritten.
 
     Args:
         access: vector access levels from
@@ -72,13 +78,11 @@ class MultiResourceCommunityScheduler:
         access: MultiResourceAccess,
         profiles: Mapping[str, Mapping[str, float]],
         window: WindowConfig = WindowConfig(),
-        backend: str = "auto",
         lp_cache: bool = True,
         warm_start: bool = True,
     ):
         self.access = access
         self.window = window
-        self.backend = backend
         self.profiles: Dict[str, Dict[str, float]] = {}
         for name in access.names:
             prof = dict(profiles.get(name, {}))
@@ -95,18 +99,46 @@ class MultiResourceCommunityScheduler:
         self._MIw = access.MI * w
         self._OIw = access.OI * w
         self._Vw = access.V * w
-        self.warm_start = warm_start
-        self.lp_solves = 0
-        self.cache_hits = 0
-        self.lp_iterations = 0
-        self._basis = None
-        self._cache = SolveCache() if lp_cache else None
-        self._fp = structural_fingerprint(
-            "multiresource", access.names, access.resources,
-            self._MIw, self._OIw, self._Vw,
-            tuple(sorted((p, tuple(sorted(prof.items())))
-                         for p, prof in self.profiles.items())),
-            window.length, backend,
+        names, n, resources = access.names, access.n, access.resources
+
+        m = Model("multiresource-community")
+        theta = m.var("theta", lb=0.0, ub=1.0)
+        xs = {}
+        for i, holder in enumerate(names):
+            for k in range(n):
+                hi = bottleneck_rate(
+                    self._MIw[i, k] + self._OIw[i, k], self.profiles[holder], resources
+                )
+                if hi > 1e-12:
+                    xs[i, k] = m.var(f"x_{holder}_{names[k]}", ub=hi)
+        queue_rows = self._queue_constraints(m, theta, xs, guarantee=True)
+        for k in range(n):
+            for r, res in enumerate(resources):
+                if self._Vw[k, r] <= 1e-12:
+                    continue
+                terms = [
+                    self.profiles[names[i]].get(res, 0.0) * v
+                    for (i, o), v in xs.items()
+                    if o == k and self.profiles[names[i]].get(res, 0.0) > 1e-12
+                ]
+                if terms:
+                    m.add(sum(terms) <= float(self._Vw[k, r]))
+        m.maximize(theta)
+
+        self._compile(
+            m,
+            structural_fingerprint(
+                "multiresource", names, resources,
+                self._MIw, self._OIw, self._Vw,
+                tuple(sorted((p, tuple(sorted(prof.items())))
+                             for p, prof in self.profiles.items())),
+                window.length,
+            ),
+            lp_cache, warm_start,
+        )
+        self._bind(xs, queue_rows)
+        self._guaranteed = np.array(
+            [self.guaranteed_requests(names[i]) for i in self._holders]
         )
 
     @property
@@ -125,81 +157,23 @@ class MultiResourceCommunityScheduler:
 
     def schedule(self, queue_lengths: Mapping[str, float]) -> MultiResourceSchedule:
         names = self.names
-        n = self.access.n
         resources = self.access.resources
         q = np.array([float(queue_lengths.get(p, 0.0)) for p in names])
-        if np.any(q < 0):
+        if (q < 0).any():
             raise ValueError("queue lengths must be non-negative")
 
-        key = None
-        if self._cache is not None:
-            key = self._cache.key(self._fp, q)
-            hit = self._cache.get(key)
-            if hit is not None:
-                self.cache_hits += 1
-                xmat, theta_v, sol = hit
-                return MultiResourceSchedule(
-                    names=names, resources=resources, x=xmat.copy(),
-                    theta=theta_v, solution=sol,
-                )
+        key, hit = self._lookup(q)
+        if hit is not None:
+            xmat, theta_v, sol = hit
+            return MultiResourceSchedule(
+                names=names, resources=resources, x=xmat.copy(),
+                theta=theta_v, solution=sol,
+            )
 
-        m = Model("multiresource-community")
-        theta = m.var("theta", lb=0.0, ub=1.0)
-        x = np.empty((n, n), dtype=object)
-        for i, holder in enumerate(names):
-            for k in range(n):
-                hi = bottleneck_rate(
-                    self._MIw[i, k] + self._OIw[i, k],
-                    self.profiles[holder],
-                    resources,
-                )
-                x[i, k] = m.var(f"x_{holder}_{names[k]}", ub=hi) if hi > 1e-12 else None
-
-        for i, holder in enumerate(names):
-            row = [v for v in x[i] if v is not None]
-            if not row:
-                continue
-            total = sum(v for v in row)
-            if q[i] > 1e-12:
-                m.add(total >= theta * float(q[i]))
-            m.add(total <= float(q[i]))
-            guarantee = min(float(q[i]), self.guaranteed_requests(holder))
-            if guarantee > 1e-12:
-                m.add(total >= guarantee)
-
-        for k in range(n):
-            for r, res in enumerate(resources):
-                if self._Vw[k, r] <= 1e-12:
-                    continue
-                terms = []
-                for i, holder in enumerate(names):
-                    if x[i, k] is None:
-                        continue
-                    demand = self.profiles[holder].get(res, 0.0)
-                    if demand > 1e-12:
-                        terms.append(demand * x[i, k])
-                if terms:
-                    m.add(sum(terms) <= float(self._Vw[k, r]))
-
-        m.maximize(theta)
-        sol = solve(
-            m, backend=self.backend,
-            warm_start=self._basis if self.warm_start else None,
-        )
-        self.lp_solves += 1
-        self.lp_iterations += int(sol.iterations)
-        if sol.basis is not None:
-            self._basis = sol.basis
-        if not sol.optimal:
-            raise RuntimeError(f"multi-resource LP {sol.status.value}")
-        xmat = np.zeros((n, n))
-        for i in range(n):
-            for k in range(n):
-                if x[i, k] is not None:
-                    xmat[i, k] = sol.value(x[i, k])
-        theta_v = float(sol.value(theta))
-        if key is not None:
-            self._cache.put(key, (xmat.copy(), theta_v, sol))
+        self._write_queues(q, self._guaranteed)
+        sol = self._solve(solve, "multi-resource LP")
+        xmat, theta_v = self._matrix(sol, len(names))
+        self._store(key, (xmat.copy(), theta_v, sol))
         return MultiResourceSchedule(
             names=names, resources=resources, x=xmat,
             theta=theta_v, solution=sol,

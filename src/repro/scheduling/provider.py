@@ -23,7 +23,8 @@ from typing import Dict, Mapping, Optional, Tuple
 import numpy as np
 
 from repro.core.access import AccessLevels
-from repro.lp import Model, Solution, SolveCache, Status, solve, structural_fingerprint
+from repro.lp import Model, Solution, Status, solve, structural_fingerprint
+from repro.scheduling.compiled import CompiledWindowLP
 from repro.scheduling.window import WindowConfig
 
 __all__ = ["ProviderScheduler", "ProviderSchedule"]
@@ -45,8 +46,13 @@ class ProviderSchedule:
         return sum(self.x.values())
 
 
-class ProviderScheduler:
-    """Builds and solves the provider-income LP each window.
+class ProviderScheduler(CompiledWindowLP):
+    """Compiles the provider-income LP once and re-solves it each window.
+
+    One variable per customer, one capacity row and the price objective are
+    fixed by the agreements; per window only the demand-clipped bounds
+    ``min(n_i, MC_i) <= x_i <= min(n_i, MC_i + OC_i)`` are rewritten (an
+    idle customer's variable is pinned to ``[0, 0]``).
 
     Args:
         access: per-second access levels; customer entitlements must stem
@@ -58,8 +64,8 @@ class ProviderScheduler:
         window: scheduling window.
         lp_cache: memoise solves on the exact demand vector (bit-identical
             results; see :class:`repro.lp.SolveCache`).
-        warm_start: re-use the previous window's basis on the ``"bounded"``
-            backend; ignored by the others.
+        warm_start: start each solve from the previous window's optimal
+            basis (False: always the cold two-phase path).
     """
 
     def __init__(
@@ -68,13 +74,11 @@ class ProviderScheduler:
         prices: Mapping[str, float],
         capacity: Optional[float] = None,
         window: WindowConfig = WindowConfig(),
-        backend: str = "auto",
         lp_cache: bool = True,
         warm_start: bool = True,
     ):
         self.access = access
         self.window = window
-        self.backend = backend
         self.prices = dict(prices)
         for name, p in self.prices.items():
             if p < 0:
@@ -88,83 +92,63 @@ class ProviderScheduler:
             if access.mandatory(name) + access.optional(name) > 1e-12
             and access.V[access.index(name)] == 0.0
         )
-        self._w = access.per_window(window.length)
+        w = access.per_window(window.length)
         self._vs = self.capacity * window.length
-        self.warm_start = warm_start
-        self.lp_solves = 0
-        self.cache_hits = 0
-        self.lp_iterations = 0
-        self._basis = None
-        self._cache: Optional[SolveCache] = SolveCache() if lp_cache else None
-        self._fp = structural_fingerprint(
-            "provider", self.customers, self._w.MC, self._w.OC,
-            tuple(sorted(self.prices.items())), self._vs, window.length, backend,
+        idx = [access.index(name) for name in self.customers]
+        self._mc = w.MC[idx]
+        self._oc = w.OC[idx]
+        self._price = np.array([self.prices.get(name, 0.0) for name in self.customers])
+
+        m = Model("provider")
+        xs = [m.var(f"x_{name}") for name in self.customers]
+        if xs:
+            m.add(sum(xs) <= self._vs)
+            m.maximize(sum(
+                float(p) * (v - float(mc))
+                for p, v, mc in zip(self._price, xs, self._mc)
+            ))
+        prog = self._compile(
+            m,
+            structural_fingerprint(
+                "provider", self.customers, w.MC, w.OC,
+                tuple(sorted(self.prices.items())), self._vs, window.length,
+            ),
+            lp_cache, warm_start,
         )
+        self._xcols = prog.cols(xs)
 
     def schedule(self, queue_lengths: Mapping[str, float]) -> ProviderSchedule:
         """Solve one window; ``queue_lengths`` are global per-customer
         queue sizes in requests."""
-        key = None
-        if self._cache is not None:
-            demand = np.array(
-                [float(queue_lengths.get(name, 0.0)) for name in self.customers]
-            )
-            key = self._cache.key(self._fp, demand)
-            hit = self._cache.get(key)
-            if hit is not None:
-                self.cache_hits += 1
-                x, income, sol = hit
-                return ProviderSchedule(
-                    customers=self.customers, x=dict(x), income=income, solution=sol
-                )
-        w = self._w
-        m = Model("provider")
-        xs: Dict[str, object] = {}
-        obj = None
-        for name in self.customers:
-            i = self.access.index(name)
-            n_i = float(queue_lengths.get(name, 0.0))
-            if n_i < 0:
-                raise ValueError(f"negative queue length for {name!r}")
-            mc, oc = w.MC[i], w.OC[i]
-            lo = min(mc, n_i)
-            hi = min(mc + oc, n_i)
-            if hi <= 1e-12:
-                xs[name] = None
-                continue
-            v = m.var(f"x_{name}", lb=lo, ub=hi)
-            xs[name] = v
-            p = self.prices.get(name, 0.0)
-            term = p * (v - mc)
-            obj = term if obj is None else obj + term
-
-        live = [v for v in xs.values() if v is not None]
-        if not live:
+        customers = self.customers
+        n = np.array([float(queue_lengths.get(name, 0.0)) for name in customers])
+        if (n < 0).any():
+            raise ValueError("queue lengths must be non-negative")
+        key, hit = self._lookup(n)
+        if hit is not None:
+            x, income, sol = hit
             return ProviderSchedule(
-                customers=self.customers,
-                x={name: 0.0 for name in self.customers},
+                customers=customers, x=dict(x), income=income, solution=sol
+            )
+        # As in the community model the mandatory floor shrinks to the
+        # demand; a customer with (next to) nothing queued is pinned to 0.
+        hi = np.minimum(self._mc + self._oc, n)
+        live = hi > 1e-12
+        if not live.any():
+            return ProviderSchedule(
+                customers=customers,
+                x={name: 0.0 for name in customers},
                 income=0.0,
                 solution=Solution(status=Status.OPTIMAL, objective=0.0),
             )
-        m.add(sum(live) <= self._vs)
-        m.maximize(obj if obj is not None else live[0] * 0.0)
-        sol = solve(
-            m, backend=self.backend,
-            warm_start=self._basis if self.warm_start else None,
-        )
-        self.lp_solves += 1
-        self.lp_iterations += int(sol.iterations)
-        if sol.basis is not None:
-            self._basis = sol.basis
-        if not sol.optimal:
-            raise RuntimeError(f"provider LP {sol.status.value}")
-        x = {
-            name: (sol.value(v) if v is not None else 0.0)
-            for name, v in xs.items()
-        }
-        income = float(sol.objective)
-        if key is not None:
-            self._cache.put(key, (dict(x), income, sol))
+        hi = np.where(live, hi, 0.0)
+        self.program.set_bounds(self._xcols, lo=np.minimum(self._mc, hi), up=hi)
+        sol = self._solve(solve, "provider LP")
+        admitted = sol.x[self._xcols]
+        x = dict(zip(customers, admitted.tolist()))
+        # Income counts the customers in play this window only.
+        income = float(self._price[live] @ (admitted - self._mc)[live])
+        self._store(key, (dict(x), income, sol))
         return ProviderSchedule(
-            customers=self.customers, x=x, income=income, solution=sol
+            customers=customers, x=x, income=income, solution=sol
         )

@@ -1,8 +1,20 @@
-"""Shared fixtures: the paper's canonical agreement graphs."""
+"""Shared fixtures: the paper's canonical agreement graphs.
+
+Also the hypothesis profiles.  Tier-1 runs ``tier1``: derandomised (the
+examples are a function of each test's source, not of the clock) and without
+the local example database, so the gate cannot flake or remember.  The
+non-gating CI job explores with ``--hypothesis-profile=random`` (add
+``--hypothesis-seed=N`` to reproduce one of its runs).
+"""
 
 import pytest
+from hypothesis import settings
 
 from repro.core.agreements import Agreement, AgreementGraph
+
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.register_profile("random", database=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture

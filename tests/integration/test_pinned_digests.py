@@ -1,0 +1,52 @@
+"""The L7 figures, bit for bit, against constants from before the window LP
+was compiled (scipy/HiGHS solving a freshly built model every window).
+
+``repro check`` proves runs agree with *each other*; this pins them to the
+past.  The constants were captured at the parent of the commit that made the
+warm-started bounded simplex the only solver: a solver or scheduler change
+that moves a single admitted request in fig6 / fig7 / fig8 at 1/20 scale
+shows up here as a digest mismatch, not as a tolerance drift.
+"""
+
+import pytest
+
+import repro.experiments.figures as figures
+from repro.analysis.replay import l7_admission_digest, scenario_digest
+
+PINNED = {
+    "fig6": (
+        "912035a6c4d2e3dcd079cae8fb98b36372dd53c882cede676a2fac35c1dee593",
+        {"R1": "d9e6752c6b9c8d08b1dcf5487e9b2b25bb16d9eaae537fe3ddf24046a0b205d9",
+         "R2": "62e64c0736b30e7b1a65ade28cff7143ff0679569b17dde31e5a68109c587289"},
+    ),
+    "fig7": (
+        "0e6cb1396ebededa4c69716dd23eda6fc09753766e28d2bbb338d4eae302dc73",
+        {"R1": "82b0b39a746abd0c2d7268b3cc4d511d272cc60700232c64c28948bc8cc6cdb0",
+         "R2": "926c1f055e0bb8ae1139bbd0f07ac691b1c59524e5d849e47561bad61eb6b1a2"},
+    ),
+    "fig8": (
+        "28b457e790da70f79f7d649ca36da9b6e1c6d2229b2f759b4f1246166ee0bec6",
+        {"R1": "f7fe3fe05b4e0e25a73627de3a0f2f5907c50fe1167600c66d9e511b65d5c079",
+         "R2": "0444572f926f7b13bf46fca9ec7ba2239609fc6ba0a7435995ce45e25dbe53a5"},
+    ),
+}
+
+
+@pytest.mark.parametrize("figure", sorted(PINNED))
+def test_l7_figure_reproduces_parent_digests(figure, monkeypatch):
+    worlds = []
+
+    class Recorded(figures.Scenario):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            worlds.append(self)
+
+    monkeypatch.setattr(figures, "Scenario", Recorded)
+    result = figures.ALL_FIGURES[figure](duration_scale=0.05, seed=0)
+    (sc,) = worlds
+    world, admission = PINNED[figure]
+    assert scenario_digest(sc) == world
+    assert {
+        name: l7_admission_digest(red) for name, red in sc.l7_redirectors.items()
+    } == admission
+    assert result.figure == figure

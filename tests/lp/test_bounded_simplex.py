@@ -1,4 +1,5 @@
-"""Bounded-variable revised simplex: unit cases + cross-validation."""
+"""Bounded-variable revised simplex: unit cases, the pinned tolerance-edge
+regressions, and cross-validation against the scipy oracle."""
 
 import math
 
@@ -7,8 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.lp import Model, Status, solve
-from repro.lp.bounded_simplex import solve_bounded_simplex
-from repro.lp.scipy_backend import scipy_available
+from repro.lp.oracle import scipy_available, solve_scipy
 
 
 class TestBasicCases:
@@ -18,7 +18,7 @@ class TestBasicCases:
         m.add(x + y <= 4)
         m.add(x <= 3)
         m.maximize(x + 2 * y)
-        s = solve_bounded_simplex(m)
+        s = solve(m)
         assert s.status is Status.OPTIMAL
         assert s.objective == pytest.approx(6.0)
 
@@ -28,7 +28,7 @@ class TestBasicCases:
         x = m.var("x", lb=1.0, ub=5.0)
         y = m.var("y", lb=-2.0, ub=3.0)
         m.minimize(x - 2 * y)
-        s = solve_bounded_simplex(m)
+        s = solve(m)
         assert s.value(x) == pytest.approx(1.0)
         assert s.value(y) == pytest.approx(3.0)
         assert s.objective == pytest.approx(-5.0)
@@ -38,7 +38,7 @@ class TestBasicCases:
         x, y = m.var("x"), m.var("y")
         m.add(x + y == 10)
         m.maximize(y - x)
-        s = solve_bounded_simplex(m)
+        s = solve(m)
         assert s.value(y) == pytest.approx(10.0)
 
     def test_infeasible(self):
@@ -46,13 +46,13 @@ class TestBasicCases:
         x = m.var("x", lb=5.0)
         m.add(x <= 1)
         m.maximize(x)
-        assert solve_bounded_simplex(m).status is Status.INFEASIBLE
+        assert solve(m).status is Status.INFEASIBLE
 
     def test_unbounded(self):
         m = Model()
         x = m.var("x")
         m.maximize(x)
-        assert solve_bounded_simplex(m).status is Status.UNBOUNDED
+        assert solve(m).status is Status.UNBOUNDED
 
     def test_free_variables(self):
         m = Model()
@@ -60,7 +60,7 @@ class TestBasicCases:
         v = m.var("v", lb=-math.inf, ub=10.0)
         m.add(u + v == 3)
         m.minimize(u - v)
-        s = solve_bounded_simplex(m)
+        s = solve(m)
         assert s.objective == pytest.approx(-17.0)
 
     def test_negative_lower_bounds(self):
@@ -68,7 +68,7 @@ class TestBasicCases:
         x = m.var("x", lb=-5.0, ub=-1.0)
         m.add(x >= -3)
         m.minimize(x)
-        s = solve_bounded_simplex(m)
+        s = solve(m)
         assert s.value(x) == pytest.approx(-3.0)
 
     def test_degenerate(self):
@@ -77,7 +77,7 @@ class TestBasicCases:
         for _ in range(3):
             m.add(x <= 1)
         m.maximize(x)
-        assert solve_bounded_simplex(m).objective == pytest.approx(1.0)
+        assert solve(m).objective == pytest.approx(1.0)
 
     def test_iteration_limit(self):
         m = Model()
@@ -85,25 +85,89 @@ class TestBasicCases:
         for i in range(5):
             m.add(xs[i] + xs[i + 1] <= 1.5)
         m.maximize(sum(xs))
-        s = solve_bounded_simplex(m, max_iter=1)
+        s = solve(m, max_iter=1)
         assert s.status is Status.ITERATION_LIMIT
 
     def test_community_window_lp(self, fig9_graph):
-        """The real workload: a community window solved by all backends."""
+        """The real workload: a compiled community window against the oracle."""
         from repro.core.access import compute_access_levels
         from repro.scheduling.community import CommunityScheduler
         from repro.scheduling.window import WindowConfig
 
-        acc = compute_access_levels(fig9_graph)
-        results = {}
-        for be in ("bounded", "simplex", "scipy"):
-            s = CommunityScheduler(acc, WindowConfig(0.1), backend=be).schedule(
-                {"A": 40.0, "B": 40.0}
-            )
-            results[be] = (s.theta, s.served("A"), s.served("B"))
-        for be, vals in results.items():
-            assert vals[0] == pytest.approx(results["scipy"][0], abs=1e-6), be
-            assert vals[1] == pytest.approx(results["scipy"][1], abs=1e-5), be
+        sched = CommunityScheduler(compute_access_levels(fig9_graph), WindowConfig(0.1))
+        s = sched.schedule({"A": 40.0, "B": 40.0})
+        oracle = solve_scipy(sched.program)
+        assert s.theta == pytest.approx(oracle.objective, abs=1e-6)
+        assert s.x.sum() == pytest.approx(oracle.x[1:].sum(), abs=1e-5)
+
+
+def _lp(bounds, rows, objective):
+    """``maximize objective @ x  s.t.  coefs @ x <= rhs`` per row, boxed."""
+    m = Model()
+    xs = [m.var(f"x{i}", lb=lo, ub=hi) for i, (lo, hi) in enumerate(bounds)]
+    for coefs, rhs in rows:
+        m.add(sum(c * x for c, x in zip(coefs, xs)) <= rhs)
+    m.maximize(sum(c * x for c, x in zip(objective, xs)))
+    return m
+
+
+# Shrunk hypothesis examples on which the solver used to disagree with HiGHS
+# (``--hypothesis-seed`` 7, 9, 19, 20 and 23 of the random profile at the
+# commit that made it the default).  Each sat on an *absolute* 1e-7 tolerance:
+# phase 1 accepted a residual that was small only because the row was, and
+# the point handed back lay outside its box.
+_INFEASIBLE_EDGES = {
+    "tiny-row-wants-x-above-ub": _lp(
+        [(0.0, 0.5)], [([-1.0215004561801626e-07], -1.0215004561801626e-07)], [0.0]),
+    "rhs-subnormal-below-lb": _lp(
+        [(1e-07, 1.0000001)], [([1.0], -2.225073858507e-311)], [0.0]),
+    "rhs-1e-25-below-lb": _lp(
+        [(1e-07, 1.0000001)], [([1.0], -7.060580611194904e-25)], [0.0]),
+    "half-x-below-minus-6e-8": _lp(
+        [(0.0, 1.0)], [([0.5], -5.960464477539063e-08)], [0.0]),
+    "1e-7-coefficient-lb-1": _lp(
+        [(0.0, 1.0), (1.0, 2.0)], [([0.0, 1e-07], -0.0)], [0.0, 0.0]),
+}
+
+
+class TestToleranceEdges:
+    @pytest.mark.parametrize("name", sorted(_INFEASIBLE_EDGES))
+    def test_relative_infeasibility_detected(self, name):
+        model = _INFEASIBLE_EDGES[name]
+        assert solve(model).status is Status.INFEASIBLE
+        if scipy_available():
+            assert solve_scipy(model).status is Status.INFEASIBLE
+
+    def test_tiny_coefficient_still_binds(self):
+        # 1e-7 * x1 <= 0 means x1 <= 0.  (HiGHS answers x1 = 0.125: that
+        # point's row activity, 1.25e-8, is inside its absolute tolerance.)
+        model = _lp([(0.0, 1.0), (0.0, 0.125)], [([0.0, 1e-07], -0.0)], [0.0, 1.0])
+        s = solve(model)
+        assert s.status is Status.OPTIMAL
+        assert s.objective == 0.0
+
+    @pytest.mark.parametrize("model", [
+        # Phase 1 must see an improvement of relative size 1 on a row of
+        # 1e-61s (x1 starts at -1 and has to move to 0) ...
+        _lp([(0.0, 1.0), (-1.0, 0.0)],
+            [([0.0, 0.0], -0.0), ([0.0, -1.5708299232293897e-61], -0.0)], [0.0, 1.0]),
+        # ... and undo a pivot that left a 1e-12-coefficient row violated
+        # by 1e-12 (x0 must come back from 1 to 0).
+        _lp([(0.0, 1.0), (0.0, 1.0)],
+            [([1e-12, 0.0], -7.562175876342652e-173), ([0.0, 0.0], -0.0),
+             ([1.0, 0.0], 1.0)], [0.0, 0.0]),
+    ], ids=["1e-61-row", "1e-12-row"])
+    def test_phase_one_prices_rows_by_their_own_scale(self, model):
+        s = solve(model)
+        assert s.status is Status.OPTIMAL
+        assert list(s.x) == [0.0, 0.0]
+
+    def test_returned_point_is_clipped_into_its_box(self):
+        # x0 <= -5e-10 with x0 >= 0 is feasible to the relative tolerance;
+        # the basic value -5e-10 must not leak out below the lower bound.
+        s = solve(_lp([(0.0, 1.0)], [([1.0], -5e-10)], [1.0]))
+        assert s.status is Status.OPTIMAL
+        assert s.x[0] == 0.0
 
 
 @st.composite
@@ -126,13 +190,32 @@ def boxed_lp(draw):
     return model
 
 
+def _breaks_relative_tolerance(model, x, tol=1e-9):
+    """Does ``x`` violate a row or bound by more than ``tol`` of that row's /
+    bound's own magnitude — the bounded simplex's feasibility standard?"""
+    _c, A_ub, b_ub, _A_eq, _b_eq, bounds = model.to_arrays()
+    if A_ub.size:
+        scale = np.maximum(np.abs(A_ub).max(axis=1), np.abs(b_ub))
+        if np.any(A_ub @ x - b_ub > tol * scale):
+            return True
+    return any(
+        xi < lo - tol * max(1.0, abs(lo)) or xi > hi + tol * max(1.0, abs(hi))
+        for xi, (lo, hi) in zip(x, bounds)
+    )
+
+
 @pytest.mark.skipif(not scipy_available(), reason="scipy missing")
 class TestCrossValidation:
     @given(boxed_lp())
     @settings(max_examples=200, deadline=None)
     def test_matches_scipy_on_boxed_lps(self, model):
-        s1 = solve(model, backend="bounded")
-        s2 = solve(model, backend="scipy")
+        s1 = solve(model)
+        s2 = solve_scipy(model)
+        if s2.status is Status.OPTIMAL and _breaks_relative_tolerance(model, s2.x):
+            # HiGHS holds rows to 1e-7 *absolute*; where its point only
+            # exists inside that slack the two answer different questions
+            # (see TestToleranceEdges.test_tiny_coefficient_still_binds).
+            return
         assert s1.status == s2.status
         if s1.status is Status.OPTIMAL:
             scale = max(1.0, abs(s2.objective))
@@ -141,7 +224,7 @@ class TestCrossValidation:
     @given(boxed_lp())
     @settings(max_examples=80, deadline=None)
     def test_solution_feasible(self, model):
-        s = solve(model, backend="bounded")
+        s = solve(model)
         if s.status is not Status.OPTIMAL:
             return
         c, A_ub, b_ub, A_eq, b_eq, bounds = model.to_arrays()
@@ -149,14 +232,4 @@ class TestCrossValidation:
         if A_ub.size:
             assert (A_ub @ x <= b_ub + 1e-6).all()
         for xi, (lo, hi) in zip(x, bounds):
-            assert lo - 1e-7 <= xi <= hi + 1e-7
-
-    @given(boxed_lp())
-    @settings(max_examples=80, deadline=None)
-    def test_matches_row_based_simplex(self, model):
-        s1 = solve(model, backend="bounded")
-        s2 = solve(model, backend="simplex")
-        assert s1.status == s2.status
-        if s1.status is Status.OPTIMAL:
-            scale = max(1.0, abs(s2.objective))
-            assert abs(s1.objective - s2.objective) <= 1e-6 * scale
+            assert lo <= xi <= hi          # clipped: inside the box exactly

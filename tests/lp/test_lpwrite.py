@@ -46,8 +46,8 @@ class TestRoundTrip:
     def test_toy_roundtrip_solves_identically(self):
         m1 = _toy()
         m2 = read_lp(write_lp(m1))
-        s1 = solve(m1, backend="scipy")
-        s2 = solve(m2, backend="scipy")
+        s1 = solve(m1)
+        s2 = solve(m2)
         assert s1.status == s2.status
         assert s1.objective == pytest.approx(s2.objective, abs=1e-9)
 
@@ -75,7 +75,7 @@ class TestRoundTrip:
                 m.add(sum(row) <= 40.0)
         m.maximize(theta)
         m2 = read_lp(write_lp(m))
-        s1, s2 = solve(m, backend="scipy"), solve(m2, backend="scipy")
+        s1, s2 = solve(m), solve(m2)
         assert s1.objective == pytest.approx(s2.objective, abs=1e-9)
 
     @given(
@@ -99,8 +99,8 @@ class TestRoundTrip:
             m.add(a * x + b * y <= rhs)
         m.maximize(objs[0] * x + objs[1] * y)
         m2 = read_lp(write_lp(m))
-        s1 = solve(m, backend="scipy")
-        s2 = solve(m2, backend="scipy")
+        s1 = solve(m)
+        s2 = solve(m2)
         assert s1.status == s2.status
         if s1.status is Status.OPTIMAL:
             assert s1.objective == pytest.approx(s2.objective, abs=1e-7)

@@ -116,7 +116,7 @@ class TestModel:
         m.maximize(x)
         from repro.lp import solve
 
-        sol = solve(m, backend="simplex")
+        sol = solve(m)
         assert sol.value(x) == pytest.approx(2.0)
         assert sol.value(2 * x + 1) == pytest.approx(5.0)
 
@@ -126,7 +126,7 @@ class TestModel:
         m.maximize(x)
         from repro.lp import solve
 
-        sol = solve(m, backend="simplex")
+        sol = solve(m)
         assert sol.values() == {"x": pytest.approx(1.0)}
 
     def test_nonoptimal_solution_has_no_values(self):

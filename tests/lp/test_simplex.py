@@ -1,5 +1,10 @@
-"""From-scratch simplex: unit cases plus hypothesis cross-validation
-against scipy's HiGHS on random bounded LPs."""
+"""The in-repo simplex through ``repro.lp.solve``: unit cases plus hypothesis
+cross-validation against the scipy oracle on random upper-bounded LPs.
+
+These cases were written for the row-based tableau simplex; with that solver
+deleted they hold the bounded simplex — the one production solver — to the
+same behaviour (``test_bounded_simplex.py`` adds the box-bound specifics).
+"""
 
 import math
 
@@ -7,9 +12,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.lp import Model, Status, solve
-from repro.lp.scipy_backend import scipy_available
-from repro.lp.simplex import simplex_arrays, solve_simplex
+from repro.lp import Model, Program, Status, solve
+from repro.lp.bounded_simplex import bounded_simplex
+from repro.lp.oracle import scipy_available, solve_scipy
 
 
 class TestBasicCases:
@@ -19,7 +24,7 @@ class TestBasicCases:
         m.add(x + y <= 4)
         m.add(x <= 3)
         m.maximize(x + 2 * y)
-        s = solve_simplex(m)
+        s = solve(m)
         assert s.status is Status.OPTIMAL
         assert s.objective == pytest.approx(6.0)  # x=2, y=2
 
@@ -29,7 +34,7 @@ class TestBasicCases:
         y = m.var("y", lb=2.0)
         m.add(x + y >= 5)
         m.minimize(3 * x + y)
-        s = solve_simplex(m)
+        s = solve(m)
         assert s.objective == pytest.approx(7.0)  # x=1, y=4
 
     def test_equality_constraint(self):
@@ -37,7 +42,7 @@ class TestBasicCases:
         x, y = m.var("x"), m.var("y")
         m.add(x + y == 10)
         m.maximize(y - x)
-        s = solve_simplex(m)
+        s = solve(m)
         assert s.value(y) == pytest.approx(10.0)
 
     def test_infeasible(self):
@@ -45,13 +50,13 @@ class TestBasicCases:
         x = m.var("x", lb=5.0)
         m.add(x <= 1)
         m.maximize(x)
-        assert solve_simplex(m).status is Status.INFEASIBLE
+        assert solve(m).status is Status.INFEASIBLE
 
     def test_unbounded(self):
         m = Model()
         x = m.var("x")
         m.maximize(x)
-        assert solve_simplex(m).status is Status.UNBOUNDED
+        assert solve(m).status is Status.UNBOUNDED
 
     def test_free_variables(self):
         m = Model()
@@ -59,7 +64,7 @@ class TestBasicCases:
         v = m.var("v", lb=-math.inf, ub=10.0)
         m.add(u + v == 3)
         m.minimize(u - v)
-        s = solve_simplex(m)
+        s = solve(m)
         assert s.status is Status.OPTIMAL
         assert s.objective == pytest.approx(-17.0)  # v=10, u=-7
 
@@ -68,7 +73,7 @@ class TestBasicCases:
         x = m.var("x", lb=-math.inf, ub=5.0)
         m.add(x >= -2)
         m.minimize(x)
-        s = solve_simplex(m)
+        s = solve(m)
         assert s.value(x) == pytest.approx(-2.0)
 
     def test_degenerate_redundant_constraints(self):
@@ -78,7 +83,7 @@ class TestBasicCases:
             m.add(x <= 1)
         m.add(x + 0 * m.var("y") == 1)
         m.maximize(x)
-        s = solve_simplex(m)
+        s = solve(m)
         assert s.objective == pytest.approx(1.0)
 
     def test_zero_objective(self):
@@ -86,7 +91,7 @@ class TestBasicCases:
         x = m.var("x", ub=3.0)
         m.add(x >= 1)
         m.maximize(0 * x)
-        s = solve_simplex(m)
+        s = solve(m)
         assert s.status is Status.OPTIMAL
         assert 1.0 - 1e-9 <= s.value(x) <= 3.0 + 1e-9
 
@@ -96,18 +101,18 @@ class TestBasicCases:
         for i in range(7):
             m.add(xs[i] + xs[i + 1] <= 1.5)
         m.maximize(sum(xs))
-        s = solve_simplex(m, max_iter=1)
+        s = solve(m, max_iter=1)
         assert s.status is Status.ITERATION_LIMIT
 
     def test_arrays_entrypoint(self):
-        res = simplex_arrays(
+        res = bounded_simplex(Program(
             c=np.array([-1.0]),
             A_ub=np.array([[1.0]]),
             b_ub=np.array([4.0]),
             A_eq=np.zeros((0, 1)),
             b_eq=np.zeros(0),
             bounds=[(0.0, math.inf)],
-        )
+        ))
         assert res.status is Status.OPTIMAL
         assert res.x[0] == pytest.approx(4.0)
 
@@ -137,8 +142,8 @@ class TestCrossValidation:
     @given(random_lp())
     @settings(max_examples=150, deadline=None)
     def test_matches_scipy(self, model):
-        s1 = solve(model, backend="simplex")
-        s2 = solve(model, backend="scipy")
+        s1 = solve(model)
+        s2 = solve_scipy(model)
         assert s1.status == s2.status
         if s1.status is Status.OPTIMAL:
             scale = max(1.0, abs(s2.objective))
@@ -147,7 +152,7 @@ class TestCrossValidation:
     @given(random_lp())
     @settings(max_examples=60, deadline=None)
     def test_solution_is_feasible(self, model):
-        s = solve(model, backend="simplex")
+        s = solve(model)
         if s.status is not Status.OPTIMAL:
             return
         c, A_ub, b_ub, A_eq, b_eq, bounds = model.to_arrays()

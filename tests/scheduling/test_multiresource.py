@@ -137,7 +137,9 @@ class TestScheduling:
     def test_backends_agree(self):
         acc = _shared_server()
         profiles = {"A": {"cpu": 2.0, "net": 0.5}, "B": {"cpu": 0.5, "net": 2.0}}
-        q = {"A": 80.0, "B": 120.0}
-        s1 = MultiResourceCommunityScheduler(acc, profiles, W, backend="simplex").schedule(q)
-        s2 = MultiResourceCommunityScheduler(acc, profiles, W, backend="scipy").schedule(q)
-        assert s1.theta == pytest.approx(s2.theta, abs=1e-6)
+        from repro.lp.oracle import solve_scipy
+
+        sched = MultiResourceCommunityScheduler(acc, profiles, W)
+        s1 = sched.schedule({"A": 80.0, "B": 120.0})
+        # The oracle on the compiled program, as patched for this window.
+        assert s1.theta == pytest.approx(solve_scipy(sched.program).objective, abs=1e-6)

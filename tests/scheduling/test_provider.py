@@ -107,13 +107,11 @@ class TestMechanics:
         r = sched.schedule({"A": 100.0})
         assert r.admitted("A") <= 5.0 + 1e-9  # 50% of 100/s in a 0.1s window
 
-    def test_simplex_backend_agrees(self):
-        q = {"A": 80.0, "B": 40.0}
-        r1 = ProviderScheduler(
-            _fig10_access(), prices={"A": 2.0, "B": 1.0}, window=W, backend="simplex"
-        ).schedule(q)
-        r2 = ProviderScheduler(
-            _fig10_access(), prices={"A": 2.0, "B": 1.0}, window=W, backend="scipy"
-        ).schedule(q)
-        assert r1.admitted("A") == pytest.approx(r2.admitted("A"), abs=1e-6)
-        assert r1.income == pytest.approx(r2.income, abs=1e-6)
+    def test_simplex_backend_agrees(self, fig10_sched):
+        from repro.lp.oracle import solve_scipy
+
+        r1 = fig10_sched.schedule({"A": 80.0, "B": 40.0})
+        # The oracle on the compiled program, as patched for this window.
+        r2 = solve_scipy(fig10_sched.program)
+        assert r1.admitted("A") == pytest.approx(r2.x[0], abs=1e-6)
+        assert r1.income == pytest.approx(r2.objective, abs=1e-6)
