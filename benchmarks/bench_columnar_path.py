@@ -14,13 +14,21 @@ baseline runs a shorter timeline of the identical scenario (same rates,
 same shape) and both sides are compared on requests per wall-clock
 second, so the baseline does not cost CI minutes.  Headline medians land
 in ``benchmarks/BENCH_core.json`` via ``record_bench``.
+
+The paper-scale cell guards the other end: the columnar window step must be
+cheap at x1 too (fig6 itself, 3,000 windows of ~40 requests), or the lane
+can never be the one window kernel.  There a window's fixed costs are all
+there is, so it fails when per-buffer or per-request bookkeeping creeps
+back into the pump.
 """
 
 import os
 import time
 
+from repro.analysis.replay import scenario_digest
 from repro.core.agreements import Agreement, AgreementGraph
 from repro.experiments.benchrecord import record_bench
+from repro.experiments.figures import fig6_scenario
 from repro.experiments.harness import Scenario
 
 BENCH_PATH = os.path.join(os.path.dirname(__file__), "BENCH_core.json")
@@ -35,6 +43,8 @@ T_COLUMNAR = 47.0
 T_SLOTTED = 3.0
 REQUESTS_FLOOR = 5_000_000
 SPEEDUP_FLOOR = 10.0
+# fig6 x1: columnar wall over slotted wall, same world and seed.
+PAPER_SCALE_CEILING = 1.5
 
 
 def _mega_graph() -> AgreementGraph:
@@ -133,4 +143,29 @@ def test_columnar_path_speedup():
     assert speedup >= SPEEDUP_FLOOR, (
         f"columnar {col_rate:.0f} req/s vs slotted {slot_rate:.0f} req/s "
         f"= {speedup:.2f}x (< {SPEEDUP_FLOOR:.0f}x floor)"
+    )
+
+
+def test_columnar_path_paper_scale():
+    """fig6 x1, strict open loop: columnar no slower than 1.5x slotted."""
+    def run(lane):
+        return fig6_scenario(duration_scale=1.0, seed=11, lane=lane,
+                             strict_open_loop=True)[0]
+
+    t_col, sc_col = _best_of(lambda: run("columnar"))
+    t_slot, sc_slot = _best_of(lambda: run("slotted"))
+    assert sc_col.lane == "columnar" and sc_col.lane_fallback is None
+    assert sc_slot.lane == "slotted"
+    assert scenario_digest(sc_col) == scenario_digest(sc_slot)
+    ratio = t_col / t_slot
+    record_bench(
+        "columnar_path_paper_scale", t_col * 1000.0,
+        meta={"columnar_over_slotted_x": round(ratio, 2),
+              "slotted_ms": round(t_slot * 1000.0, 3),
+              "requests": _issued(sc_col)},
+        path=BENCH_PATH,
+    )
+    assert ratio <= PAPER_SCALE_CEILING, (
+        f"fig6 x1: columnar {t_col:.2f} s vs slotted {t_slot:.2f} s "
+        f"= {ratio:.2f}x (> {PAPER_SCALE_CEILING}x ceiling)"
     )

@@ -121,7 +121,7 @@ class ColumnarStream:
     """
 
     __slots__ = (
-        "mix", "arrivals", "spacing", "jitter", "batch",
+        "mix", "arrivals", "spacing", "jitter", "batch", "scan_gap",
         "_size_rng", "_flag_rng", "_gap_rng", "_unit",
         "_gap_buf", "_gap_i", "_cost_buf", "_cost_i",
     )
@@ -146,6 +146,11 @@ class ColumnarStream:
         self.spacing = 1.0 / float(rate)
         self.jitter = float(jitter)
         self.batch = int(batch)
+        # Gap length that sizes `take_until`'s cumsum prefix: the smallest
+        # possible gap for uniform/jittered arrivals (the prefix is then an
+        # upper bound), half the mean otherwise (a guess, doubled on miss).
+        bounded = arrivals == "uniform" and self.jitter < 1.0
+        self.scan_gap = self.spacing * (1.0 - self.jitter if bounded else 0.5)
         self._size_rng, self._flag_rng, self._gap_rng = rng.spawn(3)
         self._unit = (
             (mix.unit_bytes or mix.sampler.mean_bytes) if mix.size_cost else None
@@ -222,7 +227,6 @@ class ColumnarClient:
         on_response=None,
         batch: int = 65536,
         rt_reservoir: int = 4096,
-        track_responses: bool = True,
     ):
         if rate <= 0:
             raise ValueError("rate must be positive")
@@ -248,7 +252,6 @@ class ColumnarClient:
         self.jitter = float(jitter)
         self.arrivals = arrivals
         self.max_retry_pool = 0
-        self.track_responses = bool(track_responses)
 
         if self.active_windows is None:
             self._win_starts: Optional[List[float]] = None
@@ -318,6 +321,11 @@ class ColumnarClient:
         Advances the cursor; (times, costs) with costs None for unit-cost
         mixes.  Each call continues the exact cumsum chain of the previous
         one, so per-window takes equal one whole-phase take element-wise.
+        Only the prefix of the gap buffer that can land before
+        ``min(segment end, hi)`` is scanned: a prefix of a left-to-right
+        cumsum chain is the chain of the prefix, and a prefix that turns out
+        too short is a block exhausted early — the chain continues from its
+        last element over a doubled prefix.
         """
         t = self._t_next
         if t is None:
@@ -329,8 +337,9 @@ class ColumnarClient:
             if (t > hi) if closed else (t >= hi):
                 break
             end = self._segment_end(t)
+            k = int((min(end, hi) - t) / stream.scan_gap) + 2
             while True:
-                gaps = stream.gap_view()
+                gaps = stream.gap_view()[:k]
                 chain = np.cumsum(np.concatenate(((t,), gaps)))
                 cand = chain[:-1]
                 ok = cand < end
@@ -345,7 +354,8 @@ class ColumnarClient:
                     m_total += m
                 if m == cand.shape[0]:
                     t = float(chain[-1])
-                    continue  # block exhausted mid-segment: refill
+                    k *= 2
+                    continue  # prefix exhausted mid-segment: scan on / refill
                 t = float(chain[m])
                 break
             if t >= end:
@@ -512,23 +522,31 @@ class _ServerLane:
         coc = self._pco[:k] if self._pco is not None else None
         meter.record_many(f"server:{srv.name}", Fc)
         completed = srv.completed
-        for code in np.unique(prc).tolist():
-            pname = engine.principal_names[code]
-            m = prc == code
-            tp = Fc[m]
+        clients = engine.clients_by_code
+        # One bincount over client codes finds who completed; a request's
+        # principal is its client's, so the principals present follow from
+        # it.  A window with a single code present needs no masks.
+        counts = np.bincount(clc)
+        codes = np.flatnonzero(counts).tolist()
+        pcodes = sorted({clients[code]._pcode for code in codes})
+        for pcode in pcodes:
+            pname = engine.principal_names[pcode]
+            if len(pcodes) == 1:
+                tp, wts = Fc, coc
+            else:
+                m = prc == pcode
+                tp = Fc[m]
+                wts = coc[m] if coc is not None else None
             completed[pname] = completed.get(pname, 0) + int(tp.shape[0])
             meter.record_many(pname, tp)
-            if coc is None:
-                meter.record_many(f"units:{pname}", tp)
-            else:
-                meter.record_many(f"units:{pname}", tp, weights=coc[m])
-        clients = engine.clients_by_code
-        for code in np.unique(clc).tolist():
+            meter.record_many(f"units:{pname}", tp, weights=wts)
+        for code in codes:
             cli = clients[code]
-            m = clc == code
-            cnt = int(np.count_nonzero(m))
-            cli.completed += cnt
-            if cli.track_responses:
+            cli.completed += int(counts[code])
+            if len(codes) == 1:
+                cli.response_stats.update_many(Fc - crc)
+            else:
+                m = clc == code
                 cli.response_stats.update_many(Fc[m] - crc[m])
         self._pf = pf[k:]
         self._ps = self._ps[k:]

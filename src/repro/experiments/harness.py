@@ -341,8 +341,7 @@ class Scenario:
                 )
             self.lane = "slotted"
             self.lane_fallback = reason
-        kw.pop("track_responses", None)  # ColumnarClient-only knob
-        kw.pop("batch", None)
+        kw.pop("batch", None)  # ColumnarClient-only knob
         kw.setdefault("fast_lane", self.fast_lane)
         client = ClientMachine(
             self.sim, name, principal, redirector, rate,

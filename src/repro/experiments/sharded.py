@@ -369,14 +369,16 @@ class _ClusterState:
         arr = t0 + np.sort(self.rng.uniform(0.0, self.window, size=m))
         svc = self.svc
         # finish_i = svc*(i+1) + max(clock, max_{j<=i}(arr_j - svc*j))
-        slack = np.maximum.accumulate(arr - svc * np.arange(m))
-        finish = svc * np.arange(1, m + 1) + np.maximum(slack, self.clock)
+        idx = np.arange(m + 1)
+        slack = np.maximum.accumulate(arr - svc * idx[:-1])
+        finish = svc * idx[1:] + np.maximum(slack, self.clock)
         resp = finish - arr
         self.clock = float(finish[-1])
+        mean = resp.mean()
         batch = StreamStats(
             count=m,
-            mean=float(resp.mean()),
-            m2=float(((resp - resp.mean()) ** 2).sum()),
+            mean=float(mean),
+            m2=float(((resp - mean) ** 2).sum()),
             min=float(resp.min()),
             max=float(resp.max()),
         )

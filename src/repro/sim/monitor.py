@@ -51,20 +51,30 @@ class RateMeter:
         one vectorised floor-divide and accumulated via ``np.bincount`` —
         no intermediate Python list.  ``np.bincount`` sums sequentially in
         array order, so batches of integer-valued weights reproduce the
-        scalar path's per-bin totals bit-for-bit.
+        scalar path's per-bin totals bit-for-bit.  A batch whose earliest
+        and latest times share a bin (floor-divide is monotone, so every
+        time between them does too) adds its count, or its sequentially
+        summed weights, to that one bin and skips the binning.
         """
         ts = np.asarray(times, dtype=float)
         if ts.size == 0:
             return
-        bins = self._bins.get(key)
-        if bins is None:
-            bins = self._bins[key] = {}
-        idx = np.floor_divide(ts, self.bin_width).astype(np.int64)
-        lo = int(idx.min())
+        w = None
         if weights is not None:
             w = np.asarray(weights, dtype=float)
             if w.shape != ts.shape:
                 raise ValueError("weights must match times in shape")
+        bins = self._bins.get(key)
+        if bins is None:
+            bins = self._bins[key] = {}
+        lo = int(ts.min() // self.bin_width)
+        if lo == int(ts.max() // self.bin_width):
+            total = ts.size * weight if w is None else float(np.cumsum(w)[-1])
+            if total:
+                bins[lo] = bins.get(lo, 0.0) + total
+            return
+        idx = np.floor_divide(ts, self.bin_width).astype(np.int64)
+        if w is not None:
             counts = np.bincount(idx - lo, weights=w)
         else:
             counts = np.bincount(idx - lo).astype(float)

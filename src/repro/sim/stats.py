@@ -3,27 +3,40 @@
 Long scale runs complete millions of requests; keeping every response time
 in a Python list (the previous ``ClientMachine.response_times``) grows
 without bound and dominates memory at the benchmark tier.
-:class:`StreamingStats` replaces it with O(1) running moments (count, mean,
-M2 — Welford's algorithm, numerically stable) plus an optional bounded
-reservoir for quantiles.
+:class:`StreamingStats` replaces it with bounded running moments (count,
+mean, M2) plus an optional bounded reservoir for quantiles.
 
-The reservoir is classic Algorithm R with a deterministic xorshift64*
-index stream (seeded per instance), so runs are reproducible without
-touching the simulation's named numpy substreams.  While ``count`` is
-within the reservoir capacity the samples are simply *all* observations in
-insertion order, so small runs report exact quantiles — only beyond the
-cap do quantiles become reservoir estimates.
+**Moments** are accumulated in fixed blocks of ``_BLOCK`` observations
+*aligned to the global observation index*: every observation is copied into
+one internal buffer; when the buffer fills, the block is reduced with numpy
+(two-pass mean / squared deviations) and Chan-merged into the running
+``(n, mean, M2)``.  The result is a function of the observation sequence
+alone — where a batch begins or ends never enters the arithmetic — so
+:meth:`StreamingStats.add` and :meth:`StreamingStats.update_many` agree bit
+for bit under any batch split *by construction*.  Reading ``mean`` /
+``variance`` mid-block merges the open block on the fly and stores nothing.
+
+**The reservoir** is a skip-ahead sampler (Li's Algorithm L) on a
+deterministic per-instance xorshift64 state, so runs are reproducible
+without touching the simulation's named numpy substreams.  It draws once
+per *replacement* — O(cap·log(N/cap)) draws for N observations — and
+between replacements an observation costs one index compare.  While
+``count`` is within the reservoir capacity the samples are simply *all*
+observations in insertion order, so small runs report exact quantiles —
+only beyond the cap do quantiles become reservoir estimates.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from math import expm1, log
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 __all__ = ["StreamingStats"]
 
 _MASK64 = (1 << 64) - 1
+_BLOCK = 1024
 
 
 class StreamingStats:
@@ -37,158 +50,154 @@ class StreamingStats:
     """
 
     __slots__ = (
-        "count", "mean", "_m2", "min", "max",
-        "_cap", "_samples", "_sample_seq", "_state",
+        "count", "min", "max", "_n", "_mean", "_m2", "_buf",
+        "_cap", "_samples", "_sample_seq", "_state", "_logw", "_next",
     )
 
     def __init__(self, reservoir: int = 4096, seed: int = 0x9E3779B9) -> None:
         if reservoir < 0:
             raise ValueError("reservoir must be >= 0")
         self.count = 0
-        self.mean = 0.0
-        self._m2 = 0.0
         self.min = float("inf")
         self.max = float("-inf")
+        # Moments of the closed blocks (``_n`` is a multiple of _BLOCK) and
+        # the open block ``_buf[:count - _n]``.
+        self._n = 0
+        self._mean = 0.0
+        self._m2 = 0.0
+        self._buf = np.empty(_BLOCK)
         self._cap = int(reservoir)
         self._samples: List[float] = []
         # Original observation index of each reservoir slot, so callers can
         # trim warm-up samples by insertion order even after replacements.
         self._sample_seq: List[int] = []
-        self._state = (int(seed) | 1) & _MASK64
+        # splitmix64 finaliser: nearby seeds start far apart in state space.
+        z = (int(seed) + 0x9E3779B97F4A7C15) & _MASK64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        self._state = (z ^ (z >> 31)) or 1
+        # Algorithm L state: log of the running threshold W and the index
+        # of the next observation that replaces a slot.
+        self._logw = 0.0
+        self._next = self._cap - 1
+        if self._cap:
+            self._skip()
 
     def add(self, x: float) -> None:
-        n = self.count + 1
-        self.count = n
-        delta = x - self.mean
-        self.mean += delta / n
-        self._m2 += delta * (x - self.mean)
+        i = self.count
+        self.count = i + 1
+        k = i - self._n
+        self._buf[k] = x
+        if k == _BLOCK - 1:
+            self._close_block()
         if x < self.min:
             self.min = x
         if x > self.max:
             self.max = x
-        cap = self._cap
-        if not cap:
-            return
-        if n <= cap:
+        if i < self._cap:
             self._samples.append(x)
-            self._sample_seq.append(n - 1)
-            return
-        # Algorithm R: replace a random slot with probability cap/n.
-        s = self._state
-        s = (s ^ (s << 13)) & _MASK64
-        s ^= s >> 7
-        s = (s ^ (s << 17)) & _MASK64
-        self._state = s
-        j = s % n
-        if j < cap:
-            self._samples[j] = x
-            self._sample_seq[j] = n - 1
+            self._sample_seq.append(i)
+        elif i == self._next:
+            self._replace(i, x)
 
-    def update_many(self, values, weights=None) -> None:
+    def update_many(self, values) -> None:
         """Fold a batch of observations in — the columnar lane's bulk path.
 
-        Without ``weights`` this is *bit-identical* to ``for x in values:
-        self.add(x)``: Welford's recurrence and the reservoir's xorshift
-        index stream are inherently sequential, so the moments are replayed
-        element-wise with all state hoisted into locals (one method call
-        per batch instead of per sample) and min/max reduced vectorised.
-
-        With ``weights`` the batch is folded as *frequency-weighted*
-        observations (West 1979): ``count`` grows by the weight sum and the
-        moments match repeating each value ``w`` times, but the reservoir
-        only sees the distinct values once — weighted batches are a moments
-        contract, not a sample-stream one.
+        Bit-identical to ``for x in values: self.add(x)`` under any batch
+        split: the batch is copied into the same index-aligned blocks
+        ``add`` fills (each closed by the same numpy reduction), extrema are
+        order-free, and the reservoir jumps straight from one replacement
+        index to the next instead of visiting every observation.
         """
-        vals = np.asarray(values, dtype=float)
-        if vals.ndim != 1:
-            vals = vals.ravel()
-        if vals.size == 0:
+        vals = np.asarray(values, dtype=float).ravel()
+        m = vals.shape[0]
+        if not m:
             return
-        if weights is not None:
-            w = np.asarray(weights, dtype=float)
-            if w.shape != vals.shape:
-                raise ValueError("weights must match values in shape")
-            if np.any(w < 0):
-                raise ValueError("weights must be non-negative")
-            count = float(self.count)
-            mean = self.mean
-            m2 = self._m2
-            for x, wi in zip(vals.tolist(), w.tolist()):
-                if wi == 0.0:
-                    continue
-                count += wi
-                delta = x - mean
-                mean += (wi / count) * delta
-                m2 += wi * delta * (x - mean)
-            self.count = int(count)
-            self.mean = mean
-            self._m2 = m2
-            # Zero-weight values occurred zero times: exclude from extrema.
-            seen = vals[w > 0.0]
-            if seen.size:
-                lo = float(seen.min())
-                hi = float(seen.max())
-                if lo < self.min:
-                    self.min = lo
-                if hi > self.max:
-                    self.max = hi
-            return
-        lo = float(vals.min())
-        hi = float(vals.max())
-        if lo < self.min:
-            self.min = lo
-        if hi > self.max:
-            self.max = hi
-        n = self.count
-        mean = self.mean
-        m2 = self._m2
+        self.min = min(self.min, float(vals.min()))
+        self.max = max(self.max, float(vals.max()))
+        first = self.count
+        buf = self._buf
+        pos = 0
+        while pos < m:
+            k = self.count - self._n
+            take = min(_BLOCK - k, m - pos)
+            buf[k:k + take] = vals[pos:pos + take]
+            pos += take
+            self.count += take
+            if k + take == _BLOCK:
+                self._close_block()
         cap = self._cap
-        samples = self._samples
-        sample_seq = self._sample_seq
-        s = self._state
-        xs = vals.tolist()
-        if not cap:
-            for x in xs:
-                n += 1
-                delta = x - mean
-                mean += delta / n
-                m2 += delta * (x - mean)
-        else:
-            for x in xs:
-                n += 1
-                delta = x - mean
-                mean += delta / n
-                m2 += delta * (x - mean)
-                if n <= cap:
-                    samples.append(x)
-                    sample_seq.append(n - 1)
-                    continue
-                s = (s ^ (s << 13)) & _MASK64
-                s ^= s >> 7
-                s = (s ^ (s << 17)) & _MASK64
-                j = s % n
-                if j < cap:
-                    samples[j] = x
-                    sample_seq[j] = n - 1
-        self.count = n
-        self.mean = mean
-        self._m2 = m2
-        self._state = s
+        if first < cap:
+            fill = min(m, cap - first)
+            self._samples.extend(vals[:fill].tolist())
+            self._sample_seq.extend(range(first, first + fill))
+        if cap:
+            while self._next < self.count:
+                i = self._next
+                self._replace(i, float(vals[i - first]))
 
-    # -- derived moments ---------------------------------------------------
+    # -- moments -----------------------------------------------------------
+
+    def _moments(self) -> Tuple[float, float]:
+        """(mean, M2) of every observation so far; mutates nothing."""
+        na = self._n
+        nb = self.count - na
+        if not nb:
+            return self._mean, self._m2
+        blk = self._buf[:nb]
+        mean_b = float(np.add.reduce(blk)) / nb
+        dev = blk - mean_b
+        m2_b = float(np.add.reduce(dev * dev))
+        if not na:
+            return mean_b, m2_b
+        # Chan, Golub & LeVeque's pairwise merge.
+        n = na + nb
+        delta = mean_b - self._mean
+        return (
+            self._mean + delta * nb / n,
+            self._m2 + m2_b + delta * delta * na * nb / n,
+        )
+
+    def _close_block(self) -> None:
+        self._mean, self._m2 = self._moments()
+        self._n = self.count
+
+    @property
+    def mean(self) -> float:
+        return self._moments()[0]
 
     @property
     def variance(self) -> float:
         """Sample variance (ddof=1); 0 for fewer than two observations."""
         if self.count < 2:
             return 0.0
-        return self._m2 / (self.count - 1)
+        return self._moments()[1] / (self.count - 1)
 
     @property
     def std(self) -> float:
         return self.variance ** 0.5
 
-    # -- reservoir access --------------------------------------------------
+    # -- reservoir ---------------------------------------------------------
+
+    def _uniform(self) -> float:
+        """Next xorshift64 variate, strictly inside (0, 1)."""
+        s = self._state
+        s = (s ^ (s << 13)) & _MASK64
+        s ^= s >> 7
+        s = (s ^ (s << 17)) & _MASK64
+        self._state = s
+        return ((s >> 12) + 0.5) * 2.0 ** -52
+
+    def _skip(self) -> None:
+        """Algorithm L: tighten W, then jump to the next replacement."""
+        self._logw += log(self._uniform()) / self._cap
+        self._next += int(log(self._uniform()) / log(-expm1(self._logw))) + 1
+
+    def _replace(self, i: int, x: float) -> None:
+        j = int(self._uniform() * self._cap)
+        self._samples[j] = x
+        self._sample_seq[j] = i
+        self._skip()
 
     @property
     def samples(self) -> List[float]:

@@ -160,6 +160,39 @@ class TestRecordMany:
         np.testing.assert_array_equal(st_, bt)
         np.testing.assert_array_equal(sv, bv)
 
+    @pytest.mark.parametrize("times", [
+        [3.10, 3.20, 3.49],          # inside one bin: the single-bin path
+        [3.40, 3.49, 3.50, 3.70],    # straddles the 3.5 edge
+        [3.5],                       # exactly on an edge (t == k * w)
+        [3.0, 3.25, 3.4999999],      # from an edge up to just under the next
+        [2.9999999, 3.0],            # the edge is the batch maximum
+    ], ids=["one-bin", "straddle", "edge", "edge-first", "edge-last"])
+    @pytest.mark.parametrize("kw", [
+        {}, {"weight": 2.5}, {"weights": [3.0, 1.0, 4.0, 1.0]},
+    ], ids=["count", "constant-weight", "integer-weights"])
+    def test_single_bin_path_matches_scalar(self, times, kw):
+        # The fast path must land every batch where scalar `record` does,
+        # with the same totals bit for bit, on top of existing bin contents.
+        w = kw.get("weights")
+        if w is not None:
+            kw = {"weights": w[:len(times)]}
+        scalar = RateMeter(bin_width=0.5)
+        batched = RateMeter(bin_width=0.5)
+        for m in (scalar, batched):
+            m.record("A", 3.3, weight=7.0)
+        for i, t in enumerate(times):
+            scalar.record(
+                "A", t, weight=kw.get("weight", 1.0) if w is None else w[i]
+            )
+        batched.record_many("A", times, **kw)
+        assert batched._bins == scalar._bins
+
+    def test_all_zero_weights_create_no_bin(self):
+        m = RateMeter(bin_width=1.0)
+        m.record_many("A", [0.1, 0.2], weights=[0.0, 0.0])
+        m.record_many("A", [0.1, 1.2], weights=[0.0, 0.0])
+        assert m.series("A")[0].size == 0
+
     def test_weights_shape_mismatch(self):
         m = RateMeter(bin_width=1.0)
         with pytest.raises(ValueError):

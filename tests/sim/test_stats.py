@@ -1,7 +1,10 @@
+import zlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hs
 
-from repro.sim.stats import StreamingStats
+from repro.sim.stats import _BLOCK, StreamingStats
 
 
 class TestMoments:
@@ -55,6 +58,29 @@ class TestReservoir:
         for i in range(50_000):
             st.add(float(i))
         assert st.percentile(50) == pytest.approx(25_000, rel=0.15)
+
+    def test_skip_ahead_inclusion_is_uniform(self):
+        # Every position of the stream must be equally likely to survive:
+        # over 240 seeds (crc32 of a name, as the clients seed theirs) a
+        # cap-50 reservoir over 2,000 observations holds 5 samples per
+        # decile per run, 1,200 per decile in all.  Membership within a run
+        # is negatively correlated, so the spread is below binomial
+        # (sd < 33); the 10 % tolerance is 3.6 sd and catches a sampler
+        # that favours early or late positions.
+        n, cap, runs = 2000, 50, 240
+        per_decile = np.zeros(10)
+        for r in range(runs):
+            stats = StreamingStats(
+                reservoir=cap, seed=zlib.crc32(f"client-{r}".encode())
+            )
+            stats.update_many(np.arange(n, dtype=float))
+            assert len(stats.samples) == cap
+            per_decile += np.bincount(
+                (np.asarray(stats.samples) * 10 // n).astype(int), minlength=10
+            )
+        expected = runs * cap / 10
+        assert per_decile.sum() == runs * cap
+        assert np.all(np.abs(per_decile - expected) <= 0.10 * expected)
 
     def test_deterministic(self):
         def fill(seed):
@@ -128,33 +154,68 @@ class TestUpdateMany:
         assert (b.count, b.mean, b.variance) == (a.count, a.mean, a.variance)
         assert b.samples == a.samples
 
-    def test_weighted_moments_match_repetition(self):
-        vals = [1.5, 2.0, 8.0, 0.25]
-        weights = [3, 1, 2, 5]
-        repeated = StreamingStats(reservoir=0)
-        for v, w in zip(vals, weights):
-            for _ in range(w):
-                repeated.add(v)
-        weighted = StreamingStats(reservoir=0)
-        weighted.update_many(vals, weights=weights)
-        assert weighted.count == repeated.count
-        assert weighted.mean == pytest.approx(repeated.mean, rel=1e-12)
-        assert weighted.variance == pytest.approx(repeated.variance, rel=1e-12)
-
-    def test_zero_weights_skipped(self):
-        st = StreamingStats(reservoir=0)
-        st.update_many([1.0, 99.0, 2.0], weights=[1.0, 0.0, 1.0])
-        assert st.mean == pytest.approx(1.5)
-        assert st.max == 2.0
-
     def test_empty_batch_noop(self):
         st = StreamingStats()
         st.update_many([])
         assert st.count == 0
 
-    def test_bad_weights(self):
-        st = StreamingStats()
-        with pytest.raises(ValueError):
-            st.update_many([1.0, 2.0], weights=[1.0])
-        with pytest.raises(ValueError):
-            st.update_many([1.0], weights=[-2.0])
+    def test_reads_between_batches_change_nothing(self):
+        # mean / variance / percentile merge the open block on the fly;
+        # reading them mid-block must leave every later value untouched.
+        rng = np.random.default_rng(6)
+        xs = rng.lognormal(0.0, 1.0, size=3 * _BLOCK + 17)
+        quiet = StreamingStats(reservoir=64, seed=3)
+        read = StreamingStats(reservoir=64, seed=3)
+        seen = []
+        for chunk in np.array_split(xs, 11):
+            quiet.update_many(chunk)
+            read.update_many(chunk)
+            seen.append((read.mean, read.variance, read.std, read.percentile(90)))
+            assert seen[-1][:2] == (read.mean, read.variance)  # idempotent
+        assert (read.count, read.mean, read.variance) == (
+            quiet.count, quiet.mean, quiet.variance
+        )
+        assert read.samples == quiet.samples
+        assert read.mean == pytest.approx(xs.mean(), rel=1e-12)
+        assert read.variance == pytest.approx(xs.var(ddof=1), rel=1e-9)
+
+
+# Batch sizes straddling the block size, the empty batch, and small ones.
+_SIZES = hs.sampled_from(
+    [0, 1, 2, 5, 37, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1]
+)
+
+
+class TestBatchSplitInvariance:
+    """`add` and `update_many` fill the same index-aligned blocks, so any
+    interleaving of the two over one observation sequence must agree on
+    every observable, bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        ops=hs.lists(hs.one_of(hs.just(None), _SIZES), min_size=1, max_size=12),
+        cap=hs.sampled_from([0, 1, 16, 300]),
+        seed=hs.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_any_interleaving_matches_scalar_adds(self, ops, cap, seed):
+        total = sum(1 if size is None else size for size in ops)
+        xs = np.random.default_rng(seed).lognormal(0.0, 1.0, size=total)
+        scalar = StreamingStats(reservoir=cap, seed=seed)
+        for x in xs:
+            scalar.add(float(x))
+        mixed = StreamingStats(reservoir=cap, seed=seed)
+        pos = 0
+        for size in ops:
+            if size is None:
+                mixed.add(float(xs[pos]))
+                pos += 1
+            else:
+                mixed.update_many(xs[pos:pos + size])
+                pos += size
+        assert mixed.count == scalar.count == total
+        assert mixed.mean == scalar.mean
+        assert mixed.variance == scalar.variance
+        assert (mixed.min, mixed.max) == (scalar.min, scalar.max)
+        assert mixed.samples == scalar.samples
+        for skip in (0, total // 4, total):
+            assert mixed.tail_values(skip) == scalar.tail_values(skip)
