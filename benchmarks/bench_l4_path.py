@@ -3,9 +3,9 @@
 Drives a Fig 9-shaped world — two principals with a [0.5, 0.5] agreement,
 two 320 req/s servers, one L4 switch + window daemon — through ~50k
 admitted-or-refused flows, A/B-ing the flow-record fast lane
-(``fast_lane=True``: slotted conntrack/NAT arenas, precomputed best-slack
-heap, coalesced reinjection pump) against the retained per-packet scalar
-path.
+(``lane="slotted"``: slotted conntrack/NAT arenas, precomputed best-slack
+heap, coalesced reinjection pump) against the per-packet reference path
+(``lane="scalar"``).
 
 Clients are replaced by a slim arrival pump (precomputed per-phase arrival
 times, drained in 10 ms ticks) so the switch path dominates the profile
@@ -74,13 +74,13 @@ def _arrivals():
 _TIMES, _PRINS = _arrivals()
 
 
-def _run(fast_lane: bool):
+def _run(lane: str):
     """One ~50k-flow run; returns per-principal counter dicts."""
     g = AgreementGraph()
     g.add_principal("A", capacity=320.0)
     g.add_principal("B", capacity=320.0)
     g.add_agreement(Agreement("B", "A", 0.5, 0.5))
-    sc = Scenario(g, window=WindowConfig(0.5), seed=0, l4_fast_lane=fast_lane)
+    sc = Scenario(g, window=WindowConfig(0.5), seed=0, lane=lane)
     # Servers built directly (not via ``sc.server``) so no completion-meter
     # hook runs per flow — the profile should be the switch path, not
     # harness bookkeeping.  Both lanes shed the identical overhead.
@@ -143,14 +143,14 @@ def _best_of(fn, reps=3):
 def test_l4_path_lane_parity():
     """Both lanes must resolve the identical arrival schedule identically:
     same per-principal admitted, dropped, completed and refused counters."""
-    fast = _run(fast_lane=True)
-    scalar = _run(fast_lane=False)
+    fast = _run("slotted")
+    scalar = _run("scalar")
     assert fast == scalar, f"lane divergence: {fast} != {scalar}"
 
 
 def test_l4_path_fast(benchmark):
     """~50k-flow fig9-shaped run through the flow-record fast lane."""
-    out = benchmark.pedantic(lambda: _run(fast_lane=True), rounds=3,
+    out = benchmark.pedantic(lambda: _run("slotted"), rounds=3,
                              iterations=1)
     median_s = benchmark.stats.stats.median
     record_bench(
@@ -163,8 +163,8 @@ def test_l4_path_fast(benchmark):
 
 
 def test_l4_path_scalar(benchmark):
-    """Same run through the per-packet scalar path (``fast_lane=False``)."""
-    out = benchmark.pedantic(lambda: _run(fast_lane=False), rounds=3,
+    """Same run through the per-packet scalar path (``lane="scalar"``)."""
+    out = benchmark.pedantic(lambda: _run("scalar"), rounds=3,
                              iterations=1)
     median_s = benchmark.stats.stats.median
     record_bench(
@@ -178,8 +178,8 @@ def test_l4_path_scalar(benchmark):
 
 def test_l4_path_speedup():
     """Acceptance gate: fast lane >= 3x scalar flow throughput."""
-    t_fast, out_fast = _best_of(lambda: _run(fast_lane=True))
-    t_scalar, out_scalar = _best_of(lambda: _run(fast_lane=False))
+    t_fast, out_fast = _best_of(lambda: _run("slotted"))
+    t_scalar, out_scalar = _best_of(lambda: _run("scalar"))
     assert out_fast == out_scalar
     fast_rate = out_fast["flows"] / t_fast
     scalar_rate = out_scalar["flows"] / t_scalar

@@ -3,13 +3,10 @@
 The paper's testbed tops out at a few thousand requests per second; the
 reproduction's value as a study tool comes from running *much* bigger
 scenarios.  These benchmarks drive the full client -> redirector -> server
-round trip through at least 100k requests per run, A/B-ing the vectorised
-fast lane (``fast_lane=True``, chunked :class:`WorkloadStream` draws +
-callback open loop) against the retained scalar path.
-
-The open-loop speedup assertion is the PR's acceptance gate: the fast
-lane must clear 3x the scalar path's throughput.  Headline medians land
-in ``benchmarks/BENCH_core.json`` via ``record_bench``.
+round trip (chunked :class:`WorkloadStream` draws + callback open loop)
+through at least 100k requests per run.  Headline medians land in
+``benchmarks/BENCH_core.json`` via ``record_bench``; the ``_fast`` in the
+entry names dates from when a scalar client path existed beside this one.
 """
 
 import os
@@ -43,7 +40,7 @@ class _StaticRedirector:
         return self._decision
 
 
-def _run_open(fast_lane: bool):
+def _run_open():
     """One open-loop run; returns (completed, meter) for sanity checks."""
     sim = Simulator()
     streams = RngStreams(7)
@@ -53,7 +50,6 @@ def _run_open(fast_lane: bool):
     client = ClientMachine(
         sim, "c0", "A", red, rate=OPEN_RATE,
         rng=streams.get("client:c0"),
-        fast_lane=fast_lane,
         on_response=lambda req: times.append(req.completed_at),
     )
     sim.run(until=OPEN_REQUESTS / OPEN_RATE)
@@ -65,7 +61,7 @@ def _run_open(fast_lane: bool):
 
 
 def _run_open_checked():
-    """Open loop on the fast lane with the runtime invariant checker
+    """Open loop with the runtime invariant checker
     watching the server — measures the checker's hot-path overhead."""
     sim = Simulator()
     streams = RngStreams(7)
@@ -76,7 +72,6 @@ def _run_open_checked():
     client = ClientMachine(
         sim, "c0", "A", red, rate=OPEN_RATE,
         rng=streams.get("client:c0"),
-        fast_lane=True,
     )
     sim.run(until=OPEN_REQUESTS / OPEN_RATE)
     assert client.completed >= OPEN_REQUESTS
@@ -85,7 +80,7 @@ def _run_open_checked():
     return client.completed
 
 
-def _run_closed(fast_lane: bool):
+def _run_closed():
     """Closed loop: 64 virtual users saturating a 10k req/s server."""
     sim = Simulator()
     streams = RngStreams(7)
@@ -95,7 +90,6 @@ def _run_closed(fast_lane: bool):
         sim, "c0", "A", red, rate=OPEN_RATE,
         rng=streams.get("client:c0"),
         mode="closed", users=64, think=0.0,
-        fast_lane=fast_lane,
     )
     sim.run(until=CLOSED_REQUESTS / CLOSED_CAPACITY + 1.0)
     assert client.completed >= CLOSED_REQUESTS
@@ -115,10 +109,8 @@ def _best_of(fn, reps=3):
 
 
 def test_request_path_open_fast(benchmark):
-    """100k-request open loop through the vectorised fast lane."""
-    completed, _ = benchmark.pedantic(
-        lambda: _run_open(fast_lane=True), rounds=3, iterations=1,
-    )
+    """100k-request open loop."""
+    completed, _ = benchmark.pedantic(_run_open, rounds=3, iterations=1)
     median_s = benchmark.stats.stats.median
     record_bench(
         "request_path_open_fast", median_s * 1000.0,
@@ -128,48 +120,14 @@ def test_request_path_open_fast(benchmark):
     )
 
 
-def test_request_path_open_scalar(benchmark):
-    """Same scenario through the scalar A/B path (``fast_lane=False``)."""
-    completed, _ = benchmark.pedantic(
-        lambda: _run_open(fast_lane=False), rounds=3, iterations=1,
-    )
-    median_s = benchmark.stats.stats.median
-    record_bench(
-        "request_path_open_scalar", median_s * 1000.0,
-        meta={"requests": completed,
-              "reqs_per_s": round(completed / median_s)},
-        path=BENCH_PATH,
-    )
-
-
-def test_request_path_open_speedup():
-    """Acceptance gate: fast lane >= 3x scalar throughput, open loop."""
-    t_fast, (n_fast, _) = _best_of(lambda: _run_open(fast_lane=True))
-    t_scalar, (n_scalar, _) = _best_of(lambda: _run_open(fast_lane=False))
-    fast_rate = n_fast / t_fast
-    scalar_rate = n_scalar / t_scalar
-    speedup = fast_rate / scalar_rate
-    record_bench(
-        "request_path_open_speedup", t_fast * 1000.0,
-        meta={"speedup_x": round(speedup, 2),
-              "fast_reqs_per_s": round(fast_rate),
-              "scalar_reqs_per_s": round(scalar_rate)},
-        path=BENCH_PATH,
-    )
-    assert speedup >= 3.0, (
-        f"fast lane {fast_rate:.0f} req/s vs scalar {scalar_rate:.0f} req/s "
-        f"= {speedup:.2f}x (< 3x floor)"
-    )
-
-
 def test_request_path_open_checked():
-    """Invariant-checker overhead on the open-loop fast lane.
+    """Invariant-checker overhead on the open loop.
 
     Target: < 5% over the unchecked run (the checker adds one callback
     per completion and ten window ticks per simulated second); exactly
     0% when disabled, since no hooks are installed at all.
     """
-    t_plain, (n_plain, _) = _best_of(lambda: _run_open(fast_lane=True))
+    t_plain, (n_plain, _) = _best_of(_run_open)
     t_checked, n_checked = _best_of(_run_open_checked)
     overhead_pct = (t_checked / t_plain - 1.0) * 100.0
     record_bench(
@@ -184,10 +142,8 @@ def test_request_path_open_checked():
 
 
 def test_request_path_closed_fast(benchmark):
-    """100k-request closed loop (64 users, zero think) on the fast lane."""
-    completed = benchmark.pedantic(
-        lambda: _run_closed(fast_lane=True), rounds=3, iterations=1,
-    )
+    """100k-request closed loop (64 users, zero think)."""
+    completed = benchmark.pedantic(_run_closed, rounds=3, iterations=1)
     median_s = benchmark.stats.stats.median
     record_bench(
         "request_path_closed_fast", median_s * 1000.0,
@@ -197,21 +153,8 @@ def test_request_path_closed_fast(benchmark):
     )
 
 
-def test_request_path_closed_scalar(benchmark):
-    completed = benchmark.pedantic(
-        lambda: _run_closed(fast_lane=False), rounds=3, iterations=1,
-    )
-    median_s = benchmark.stats.stats.median
-    record_bench(
-        "request_path_closed_scalar", median_s * 1000.0,
-        meta={"requests": completed,
-              "reqs_per_s": round(completed / median_s)},
-        path=BENCH_PATH,
-    )
-
-
 def test_request_path_size_cost_mix(benchmark):
-    """Fast lane with size-proportional costs (the §4 'large requests are
+    """Size-proportional costs (the §4 'large requests are
     multiple small ones' accounting) — exercises the cost block path."""
     def run():
         sim = Simulator()
@@ -221,7 +164,6 @@ def test_request_path_size_cost_mix(benchmark):
             sim, "c0", "A", _StaticRedirector(server), rate=OPEN_RATE,
             rng=streams.get("client:c0"),
             mix=RequestMix(size_cost=True),
-            fast_lane=True,
         )
         sim.run(until=OPEN_REQUESTS / OPEN_RATE)
         return client.completed

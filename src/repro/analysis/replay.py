@@ -69,7 +69,7 @@ def l4_admission_digest(daemon: Any) -> str:
     admitted/refused traces (exact float bytes of every series).
 
     This is the quantity the paper's L4 figures plot per window; the
-    fast/scalar lane-parity contract is that this digest — not just the
+    slotted/scalar lane-parity contract is that this digest — not just the
     aggregate rates — is identical between the two data paths.
     """
     h = hashlib.sha256()
@@ -85,7 +85,7 @@ def l4_admission_digest(daemon: Any) -> str:
 def l7_admission_digest(redirector: Any) -> str:
     """SHA-256 over an :class:`~repro.l7.redirector.L7Redirector`'s
     per-window admitted/refused traces — the L7 counterpart of
-    :func:`l4_admission_digest`, hashed by the three-lane parity check."""
+    :func:`l4_admission_digest`, hashed by the lane parity check."""
     h = hashlib.sha256()
     meter = redirector.admission_meter
     for key in sorted(meter.keys):
@@ -139,8 +139,6 @@ def fig6_replay(
     seed: int = 0,
     runs: int = 2,
     with_invariants: bool = True,
-    lp_cache: bool = True,
-    fast_lane: bool = True,
 ) -> ReplayReport:
     """Run the fig6 scenario ``runs`` times (plus one checked run) and diff.
 
@@ -157,18 +155,14 @@ def fig6_replay(
     labels: List[str] = []
     for i in range(max(1, runs)):
         sc, _ = fig6_scenario(
-            duration_scale=duration_scale, seed=seed,
-            lp_cache=lp_cache, fast_lane=fast_lane,
-            check_invariants=False,
+            duration_scale=duration_scale, seed=seed, check_invariants=False,
         )
         digests.append(scenario_digest(sc))
         labels.append(f"run {i + 1}")
     checker_summary: Optional[Dict[str, int]] = None
     if with_invariants:
         sc, _ = fig6_scenario(
-            duration_scale=duration_scale, seed=seed,
-            lp_cache=lp_cache, fast_lane=fast_lane,
-            check_invariants=True,
+            duration_scale=duration_scale, seed=seed, check_invariants=True,
         )
         digests.append(scenario_digest(sc))
         labels.append("run +check")
@@ -179,8 +173,7 @@ def fig6_replay(
         digests=digests,
         labels=labels,
         checker_summary=checker_summary,
-        meta={"duration_scale": duration_scale, "seed": seed,
-              "lp_cache": lp_cache, "fast_lane": fast_lane},
+        meta={"duration_scale": duration_scale, "seed": seed},
     )
 
 
@@ -189,8 +182,6 @@ def chaos_replay(
     seed: int = 0,
     runs: int = 2,
     with_invariants: bool = True,
-    lp_cache: bool = True,
-    fast_lane: bool = True,
     plan: Optional[Any] = None,
 ) -> ReplayReport:
     """Replay the *faulted* fault-matrix scenario and diff digests.
@@ -212,7 +203,6 @@ def chaos_replay(
     for i in range(max(1, runs)):
         sc, injector, _ = fault_matrix_scenario(
             duration_scale=duration_scale, seed=seed,
-            lp_cache=lp_cache, fast_lane=fast_lane,
             check_invariants=False, plan=plan,
         )
         plan_digest = injector.plan.digest()
@@ -222,7 +212,6 @@ def chaos_replay(
     if with_invariants:
         sc, injector, _ = fault_matrix_scenario(
             duration_scale=duration_scale, seed=seed,
-            lp_cache=lp_cache, fast_lane=fast_lane,
             check_invariants=True, plan=plan,
         )
         digests.append(scenario_digest(sc))
@@ -235,7 +224,6 @@ def chaos_replay(
         labels=labels,
         checker_summary=checker_summary,
         meta={"duration_scale": duration_scale, "seed": seed,
-              "lp_cache": lp_cache, "fast_lane": fast_lane,
               "plan_digest": plan_digest},
     )
 
@@ -246,14 +234,13 @@ def l4_replay(
     seed: int = 0,
     runs: int = 2,
     with_invariants: bool = True,
-    lp_cache: bool = True,
-    fast_lane: bool = True,
 ) -> ReplayReport:
-    """Replay an L4 figure on the *fast* and *scalar* switch lanes and diff.
+    """Replay an L4 figure on the *slotted* and *scalar* lanes and diff.
 
     Unlike :func:`fig6_replay` (same code path, repeated), this harness
-    compares two different data-path implementations: the flow-record fast
-    lane against the per-packet scalar path.  Each run's digest combines
+    compares two different data-path implementations: the flow-record
+    switch (``lane="slotted"``) against the per-packet reference path
+    (``lane="scalar"``).  Each run's digest combines
     the full scenario digest with the daemon's per-window admitted-rate
     trace digest, so the report is IDENTICAL only when both lanes produce
     bit-identical observable behaviour — the PR's acceptance contract.
@@ -270,11 +257,10 @@ def l4_replay(
     labels: List[str] = []
     adm_digests: Dict[str, str] = {}
 
-    def one(l4_fast_lane: bool, check: bool, label: str) -> Any:
+    def one(lane: str, check: bool, label: str) -> Any:
         sc, _ = build(
-            duration_scale=duration_scale, seed=seed, lp_cache=lp_cache,
-            fast_lane=fast_lane, l4_fast_lane=l4_fast_lane,
-            check_invariants=check,
+            duration_scale=duration_scale, seed=seed,
+            check_invariants=check, lane=lane,
         )
         daemon = sc.l4_daemons["SW"]
         full = scenario_digest(sc)
@@ -288,11 +274,11 @@ def l4_replay(
         return sc
 
     for i in range(max(1, runs - 1)):
-        one(True, False, f"fast {i + 1}")
-    one(False, False, "scalar")
+        one("slotted", False, f"slotted {i + 1}")
+    one("scalar", False, "scalar")
     checker_summary: Optional[Dict[str, int]] = None
     if with_invariants:
-        sc = one(True, True, "fast +check")
+        sc = one("slotted", True, "slotted +check")
         assert sc.invariants is not None
         checker_summary = sc.invariants.summary()
     return ReplayReport(
@@ -301,7 +287,6 @@ def l4_replay(
         labels=labels,
         checker_summary=checker_summary,
         meta={"duration_scale": duration_scale, "seed": seed,
-              "lp_cache": lp_cache, "fast_lane": fast_lane,
               "admission_digests": dict(adm_digests)},
     )
 
@@ -310,17 +295,18 @@ def columnar_replay(
     figure: str = "fig6",
     duration_scale: float = 0.05,
     seed: int = 0,
-    lp_cache: bool = True,
 ) -> ReplayReport:
-    """Run one figure on all three lanes — scalar, slotted, columnar — and
-    diff their combined digests.
+    """Run one figure on every lane that executes different code for it and
+    diff their combined digests: scalar, slotted and columnar for fig9 /
+    fig10; slotted and columnar for fig6, which has no L4 switch for
+    ``"scalar"`` to change.
 
     Every lane runs the *strict open-loop* variant of the scenario (retry
     pools off — the columnar lane's operating envelope), so the digests
     are comparable: each combines the full scenario digest with the
     per-window admitted/refused trace digests (L7 redirectors' admission
     meters for fig6, the L4 daemon's for fig9/fig10).  IDENTICAL means the
-    columnar lane's bulk window advance reproduces both event lanes
+    columnar lane's bulk window advance reproduces the event lanes
     bit-for-bit — the PR 6 acceptance contract, extending the PR 2/5 ones.
     """
     from repro.experiments.figures import (
@@ -338,12 +324,14 @@ def columnar_replay(
     digests: List[str] = []
     labels: List[str] = []
     adm_digests: Dict[str, str] = {}
-    meta: Dict[str, Any] = {
-        "duration_scale": duration_scale, "seed": seed, "lp_cache": lp_cache,
-    }
-    for lane in ("scalar", "slotted", "columnar"):
+    meta: Dict[str, Any] = {"duration_scale": duration_scale, "seed": seed}
+    lanes = (
+        ("slotted", "columnar") if figure == "fig6"
+        else ("scalar", "slotted", "columnar")
+    )
+    for lane in lanes:
         sc, _ = build(
-            duration_scale=duration_scale, seed=seed, lp_cache=lp_cache,
+            duration_scale=duration_scale, seed=seed,
             check_invariants=False, lane=lane, strict_open_loop=True,
         )
         if lane == "columnar":
@@ -378,7 +366,6 @@ def sharded_replay(
     seed: int = 0,
     shards: int = 4,
     replicas: int = 4,
-    lp_cache: bool = True,
     with_crashes: bool = False,
     transport: str = "shm",
 ) -> ReplayReport:
@@ -417,13 +404,12 @@ def sharded_replay(
     labels: List[str] = []
     meta: Dict[str, Any] = {
         "duration_scale": duration_scale, "seed": seed,
-        "replicas": replicas, "lp_cache": lp_cache,
-        "transport": transport,
+        "replicas": replicas, "transport": transport,
     }
     final_ckpt = ""
     res = run_sharded(
         figure, duration_scale=duration_scale, seed=seed, shards=1,
-        replicas=replicas, lp_cache=lp_cache, transport=transport,
+        replicas=replicas, transport=transport,
     )
     digests.append(res.digest())
     labels.append("shards=1")
@@ -435,7 +421,7 @@ def sharded_replay(
     for plane in ("pipe", "shm"):
         res = run_sharded(
             figure, duration_scale=duration_scale, seed=seed, shards=shards,
-            replicas=replicas, lp_cache=lp_cache, transport=plane,
+            replicas=replicas, transport=plane,
         )
         digests.append(res.digest())
         labels.append(f"shards={shards} {res.data_plane}")
@@ -452,8 +438,7 @@ def sharded_replay(
         crash_faults = [f"0:{e1}:exc", f"{min(1, shards - 1)}:{e2}:kill"]
         res = run_sharded(
             figure, duration_scale=duration_scale, seed=seed, shards=shards,
-            replicas=replicas, lp_cache=lp_cache, faults=crash_faults,
-            transport=transport,
+            replicas=replicas, faults=crash_faults, transport=transport,
         )
         digests.append(res.digest())
         labels.append(f"shards={shards}+crashes")
@@ -466,8 +451,7 @@ def sharded_replay(
         # budget forces the second death down the reassignment path.
         res = run_sharded(
             figure, duration_scale=duration_scale, seed=seed, shards=shards,
-            replicas=replicas, lp_cache=lp_cache,
-            faults=[f"0:{e1}:kill", f"0:{e2}:kill"],
+            replicas=replicas, faults=[f"0:{e1}:kill", f"0:{e2}:kill"],
             recovery=RecoveryPolicy(max_restarts=1, backoff_base=0.01),
             transport=transport,
         )

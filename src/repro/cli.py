@@ -3,6 +3,7 @@
 ::
 
     python -m repro figures [--scale 0.3] [--seed 0] [--only fig6,fig9]
+                            [--lane scalar|slotted|columnar]
     python -m repro report  [--scale 0.5] [-o EXPERIMENTS.md]
     python -m repro inspect A:1000 B:1500 C A-B:0.4:0.6 B-C:0.6:1.0
     python -m repro baseline [--duration 20]
@@ -19,8 +20,9 @@ docs/DETERMINISM.md; exit 0 clean / 1 findings / 2 usage error, with
 ``--format {text,json,sarif}``, an incremental content-hash cache, a
 reviewed-baseline workflow and ``--jobs N`` parallel parsing);
 ``check`` replays one or more scenarios and compares trace digests, with
-the runtime invariant checker on the final run — for fig6/fig9/fig10 it
-also diffs the scalar, slotted and columnar lanes against each other, and
+the runtime invariant checker on the final run — for fig9/fig10 it also
+diffs the scalar, slotted and columnar lanes against each other (slotted
+and columnar for fig6, which has no L4 switch for ``scalar`` to change), and
 ``check --shards N`` instead proves the sharded lane's window-epoch
 barrier parity (``shards=1`` vs ``shards=N`` digests on fig6/fig9, with
 the ``shards=N`` run repeated on both the pipe and shared-memory data
@@ -65,22 +67,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated figure ids (default: all)")
     p_fig.add_argument("--plot", action="store_true",
                        help="render each figure's rate series as a terminal chart")
-    p_fig.add_argument("--lp-cache", action=argparse.BooleanOptionalAction,
-                       default=True,
-                       help="memoise window LP solves on exact demand "
-                            "(bit-identical results; --no-lp-cache disables)")
-    p_fig.add_argument("--fast-lane", action=argparse.BooleanOptionalAction,
-                       default=True,
-                       help="vectorised request-path fast lane "
-                            "(--no-fast-lane runs the scalar A/B path)")
-    p_fig.add_argument("--l4-fast-lane", action=argparse.BooleanOptionalAction,
-                       default=True,
-                       help="L4 switch flow-record fast lane for fig9/fig10 "
-                            "(--no-l4-fast-lane runs the per-packet scalar "
-                            "path; traces are bit-identical either way)")
-    p_fig.add_argument("--columnar", action=argparse.BooleanOptionalAction,
-                       default=False,
-                       help="run fig6/fig9 on the columnar lane (strict "
+    p_fig.add_argument("--lane", type=str, default="slotted",
+                       choices=["scalar", "slotted", "columnar"],
+                       help="execution lane for fig6/fig9/fig10: slotted "
+                            "(the default), scalar (fig9/fig10's L4 switch "
+                            "on its per-packet reference path; traces are "
+                            "bit-identical to slotted) or columnar (strict "
                             "open-loop scenario variant, whole workload "
                             "phases advanced as numpy columns)")
     p_fig.add_argument("--shards", type=int, default=0, metavar="R",
@@ -154,8 +146,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="scenario to replay; repeatable (default: fig6). "
                             "fig6 covers the full stack; faultmatrix adds "
                             "fault injection, failure detection and tree "
-                            "healing; fig9/fig10 diff the L4 fast lane "
-                            "against the scalar packet path")
+                            "healing; fig9/fig10 diff the slotted lane "
+                            "against the scalar per-packet path; the figure "
+                            "scenarios also diff every lane on the strict "
+                            "open-loop variant")
     p_chk.add_argument("--scale", type=float, default=0.05,
                        help="phase-duration scale for each replay run")
     p_chk.add_argument("--seed", type=int, default=0)
@@ -165,12 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default=True,
                        help="add a final run with the runtime invariant "
                             "checker on; its digest must match too")
-    p_chk.add_argument("--columnar", action=argparse.BooleanOptionalAction,
-                       default=True,
-                       help="for fig6/fig9/fig10, also require the scalar, "
-                            "slotted and columnar lanes to produce identical "
-                            "digests on the strict open-loop scenario "
-                            "(--no-columnar skips the three-lane diff)")
     p_chk.add_argument("--shards", type=int, default=0, metavar="R",
                        help="shard-parity mode: run each scenario's sharded "
                             "world with shards=1 and shards=R and require "
@@ -268,24 +256,18 @@ def _cmd_figures(args) -> int:
     wanted = [f.strip() for f in args.only.split(",") if f.strip()] or list(ALL_FIGURES)
     failures = 0
     known = [n for n in wanted if n in ALL_FIGURES]
-    lp_cache = getattr(args, "lp_cache", True)
-    fast_lane = getattr(args, "fast_lane", True)
-    l4_fast_lane = getattr(args, "l4_fast_lane", True)
-    lane = "columnar" if getattr(args, "columnar", False) else None
+    lane = getattr(args, "lane", "slotted")
     shards = getattr(args, "shards", 0) or None
     transport = getattr(args, "transport", "shm")
     jobs = max(1, getattr(args, "jobs", 1))
     if jobs > 1:
         results = dict(run_figures_parallel(
             known, scale=args.scale, seed=args.seed, jobs=jobs,
-            lp_cache=lp_cache, fast_lane=fast_lane, l4_fast_lane=l4_fast_lane,
             lane=lane, shards=shards, transport=transport,
         ))
     else:
         results = {
-            n: ALL_FIGURES[n](**figure_kwargs(n, args.scale, args.seed, lp_cache,
-                                              fast_lane=fast_lane,
-                                              l4_fast_lane=l4_fast_lane,
+            n: ALL_FIGURES[n](**figure_kwargs(n, args.scale, args.seed,
                                               lane=lane, shards=shards,
                                               transport=transport))
             for n in known
@@ -411,7 +393,7 @@ def _cmd_check(args) -> int:
         elif scenario == "faultmatrix":
             replay = chaos_replay
         else:
-            # fig9/fig10: fast-vs-scalar L4 lane parity, not just replay.
+            # fig9/fig10: slotted-vs-scalar L4 lane parity, not just replay.
             replay = partial(l4_replay, figure=scenario)
         report = replay(
             duration_scale=args.scale,
@@ -421,7 +403,7 @@ def _cmd_check(args) -> int:
         )
         print(report.render())
         failures += 0 if report.ok else 1
-        if args.columnar and scenario != "faultmatrix":
+        if scenario != "faultmatrix":
             three = columnar_replay(
                 figure=scenario, duration_scale=args.scale, seed=args.seed,
             )

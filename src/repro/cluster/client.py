@@ -16,12 +16,11 @@ Two generation modes:
 - ``closed`` — ``users`` virtual users in issue/response/think loops,
   useful for response-time experiments.
 
-The request-path fast lane (``fast_lane=True``, the default):
+The request path:
 
 - workload fields and arrival gaps come pre-drawn in numpy blocks from a
   :class:`repro.cluster.workload.WorkloadStream` (spawned child RNG
-  streams; the scalar ``mix.draw`` path is retained with
-  ``fast_lane=False`` for A/B runs);
+  streams);
 - the open loop is a self-rescheduling heap callback instead of a
   generator process — no per-request ``Timer`` allocation or generator
   resume;
@@ -29,11 +28,6 @@ The request-path fast lane (``fast_lane=True``, the default):
   (O(log n) instead of scanning every window per request);
 - response times feed bounded :class:`repro.sim.stats.StreamingStats`
   (count/mean/M2 + reservoir) instead of an unbounded list.
-
-Fast lane on/off changes which RNG stream each draw comes from, so the two
-lanes are statistically equivalent, not bit-identical; the A/B figure test
-(``tests/integration/test_fast_lane_ab.py``) pins both within the paper
-tolerances.
 """
 
 from __future__ import annotations
@@ -127,7 +121,6 @@ class ClientMachine:
         jitter: float = 0.0,
         arrivals: str = "uniform",
         on_response: Optional[Callable[[Request], None]] = None,
-        fast_lane: bool = True,
         stream_chunk: int = 1024,
         rt_reservoir: int = 4096,
     ):
@@ -159,10 +152,7 @@ class ClientMachine:
         self.mode = mode
         self.users = int(users)
         self.think = float(think)
-        self.jitter = float(jitter)
-        self.arrivals = arrivals
         self.on_response = on_response
-        self.fast_lane = bool(fast_lane)
 
         if active_windows is None:
             self._win_starts: Optional[List[float]] = None
@@ -180,19 +170,14 @@ class ClientMachine:
         )
         self._retry_pool = 0
 
-        self._stream: Optional[WorkloadStream] = None
-        if self.fast_lane:
-            self._stream = WorkloadStream(
-                self.mix, rng, chunk=stream_chunk,
-                rate=self.rate if mode == "open" else None,
-                arrivals=arrivals, jitter=self.jitter,
-            )
+        self._stream = WorkloadStream(
+            self.mix, rng, chunk=stream_chunk,
+            rate=self.rate if mode == "open" else None,
+            arrivals=arrivals, jitter=jitter,
+        )
 
         if mode == "open":
-            if self.fast_lane:
-                sim.schedule(0.0, self._open_tick)
-            else:
-                sim.process(self._open_loop(), name=f"client[{name}]")
+            sim.schedule(0.0, self._open_tick)
         else:
             for u in range(self.users):
                 sim.process(self._closed_user(u), name=f"client[{name}]#{u}")
@@ -222,8 +207,8 @@ class ClientMachine:
     # -- open-loop generation ------------------------------------------------
 
     def _open_tick(self) -> None:
-        """Fast-lane open loop: one self-rescheduling heap callback per
-        request — no generator, no per-request Timer."""
+        """Open loop: one self-rescheduling heap callback per request —
+        no generator, no per-request Timer."""
         sim = self.sim
         now = sim.now
         if not self.is_active(now):
@@ -243,40 +228,6 @@ class ClientMachine:
         self.issued += 1
         self._dispatch(req)
         sim.schedule(gap, self._open_tick)
-
-    def _open_loop(self):
-        """Scalar open loop (``fast_lane=False``): the pre-fast-lane path,
-        kept for A/B comparisons."""
-        spacing = 1.0 / self.rate
-        while True:
-            now = self.sim.now
-            if not self.is_active(now):
-                nxt = self._next_activity_start(now)
-                if nxt is None:
-                    return  # no future activity; stop the generator
-                yield nxt - now
-                continue
-            self._issue_fresh()
-            if self.arrivals == "poisson":
-                gap = float(self.rng.exponential(spacing))
-            else:
-                gap = spacing
-                if self.jitter > 0:
-                    gap *= 1.0 + float(self.rng.uniform(-self.jitter, self.jitter))
-            yield gap
-
-    def _issue_fresh(self) -> None:
-        url, size, cost = self.mix.draw(self.rng)
-        req = Request(
-            principal=self.principal,
-            client_id=self.name,
-            created_at=self.sim.now,
-            size_bytes=size,
-            cost=cost,
-            url=url,
-        )
-        self.issued += 1
-        self._dispatch(req)
 
     def _dispatch(self, req: Request) -> None:
         req.attempts += 1
@@ -326,12 +277,6 @@ class ClientMachine:
 
     # -- closed-loop users ----------------------------------------------------------
 
-    def _draw_fields(self) -> Tuple[str, int, float]:
-        if self._stream is not None:
-            url, size, cost, _gap = self._stream.draw_next()
-            return url, size, cost
-        return self.mix.draw(self.rng)
-
     def _closed_user(self, user_id: int):
         # Stagger user start so users do not lock-step.
         yield float(self.rng.uniform(0.0, self.users / self.rate))
@@ -343,7 +288,7 @@ class ClientMachine:
                     return
                 yield nxt - now
                 continue
-            url, size, cost = self._draw_fields()
+            url, size, cost, _gap = self._stream.draw_next()
             req = Request(
                 principal=self.principal,
                 client_id=self.name,

@@ -7,7 +7,7 @@ marginal with a clipped lognormal calibrated so the post-clipping mean
 stays at the target; :class:`RequestMix` adds the static/dynamic split and
 optional per-unit cost accounting for large requests.
 
-:class:`WorkloadStream` is the request-path fast lane over a mix: it
+:class:`WorkloadStream` is how clients sample a mix: it
 pre-draws reply sizes, static/dynamic flags, costs, and arrival gaps in
 numpy blocks instead of paying scalar ``rng.lognormal``/``rng.random``
 calls per request.  Determinism contract: the stream spawns one dedicated
@@ -16,8 +16,7 @@ the parent stream), and each field is consumed strictly in draw order —
 numpy generators produce identical sequences whether sampled one value at
 a time or in blocks, so the emitted request stream is **invariant to the
 chunk size by construction** (asserted for chunks 1/256/4096 in
-``tests/cluster/test_workload.py``).  The scalar path is retained as
-:meth:`RequestMix.draw` for A/B comparisons.
+``tests/cluster/test_workload.py``).
 """
 
 from __future__ import annotations
@@ -110,22 +109,6 @@ class RequestMix:
         if self.unit_bytes is not None and self.unit_bytes <= 0:
             raise ValueError("unit_bytes must be positive")
 
-    def draw(self, rng: np.random.Generator) -> tuple:
-        """(url, size_bytes, cost) for one request (scalar reference path).
-
-        Kept as the A/B baseline for :class:`WorkloadStream`; per-request
-        it pays two scalar generator calls plus numpy scalar clipping.
-        """
-        size = int(self.sampler.sample(rng))
-        dynamic = bool(rng.random() < self.dynamic_fraction)
-        url = "/cgi/page" if dynamic else "/static/page"
-        if self.size_cost:
-            unit = self.unit_bytes or self.sampler.mean_bytes
-            cost = max(1.0, round(size / unit))
-        else:
-            cost = 1.0
-        return url, size, cost
-
 
 _STATIC_URL = "/static/page"
 _DYNAMIC_URL = "/cgi/page"
@@ -148,9 +131,8 @@ class WorkloadStream:
         arrivals: ``"uniform"`` (fixed/jittered spacing) or ``"poisson"``.
         jitter: relative uniform jitter on the fixed spacing.
 
-    Per-chunk the stream validates what the scalar path checked per
-    request: sizes are clipped into ``[min_bytes, max_bytes]`` by the
-    sampler and costs are ``>= 1`` by construction, so the
+    Sizes are clipped into ``[min_bytes, max_bytes]`` by the sampler and
+    costs are ``>= 1`` by construction, so the
     :class:`repro.cluster.request.Request` constructor's checks never
     fire on streamed fields.
     """
@@ -200,8 +182,6 @@ class WorkloadStream:
         self._urls = [_DYNAMIC_URL if d else _STATIC_URL for d in dynamic.tolist()]
         self._sizes = sizes.tolist()
         if self._unit is not None:
-            # Mirrors the scalar path's max(1, round(size / unit)) — both
-            # numpy and Python round half to even.
             self._costs = np.maximum(1.0, np.round(sizes / self._unit)).tolist()
         else:
             self._costs = None

@@ -75,9 +75,6 @@ def canonical_plan(duration_scale: float = 1.0) -> FaultPlan:
 def fault_matrix_scenario(
     duration_scale: float = 1.0,
     seed: int = 0,
-    lp_cache: bool = True,
-    fast_lane: bool = True,
-    fast_periodic: bool = True,
     check_invariants: Optional[bool] = None,
     plan: Optional[FaultPlan] = None,
     heartbeat_period: float = 0.25,
@@ -93,9 +90,7 @@ def fault_matrix_scenario(
     t1, t2 = phase, 2.0 * phase
     end = 3.0 * phase
     sc = Scenario(
-        _graph(), seed=seed, bin_width=0.5, lp_cache=lp_cache,
-        fast_lane=fast_lane, fast_periodic=fast_periodic,
-        check_invariants=check_invariants,
+        _graph(), seed=seed, bin_width=0.5, check_invariants=check_invariants,
     )
     server = sc.server("S", "S", 320.0)
     r1 = sc.l7("R1", {"S": server}, n_redirectors=2, stale_after=stale_after)
@@ -125,15 +120,11 @@ def fault_matrix_scenario(
 def run_fault_matrix(
     duration_scale: float = 1.0,
     seed: int = 0,
-    lp_cache: bool = True,
-    fast_lane: bool = True,
-    fast_periodic: bool = True,
     check_invariants: Optional[bool] = None,
 ) -> FigureResult:
     """The fault matrix as a figure: rates per phase, floor + recovery."""
     sc, injector, (t1, t2, end) = fault_matrix_scenario(
-        duration_scale=duration_scale, seed=seed, lp_cache=lp_cache,
-        fast_lane=fast_lane, fast_periodic=fast_periodic,
+        duration_scale=duration_scale, seed=seed,
         check_invariants=check_invariants,
     )
     # Degradation needs stale_after + failure detection to kick in; the

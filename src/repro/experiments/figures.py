@@ -94,11 +94,7 @@ def run_fig1() -> Fig1Result:
     return Fig1Result(endpoint=endpoint, coordinated=coordinated)
 
 
-def run_fig1_distributed(
-    duration: float = 30.0, seed: int = 0,
-    lp_cache: bool = True, fast_periodic: bool = True,
-    fast_lane: bool = True,
-) -> Fig1Result:
+def run_fig1_distributed(duration: float = 30.0, seed: int = 0) -> Fig1Result:
     """Fig 1 as a *full simulation*, not arithmetic.
 
     End-point side: two :class:`EndpointEnforcingServer` s behind locality-
@@ -130,8 +126,7 @@ def run_fig1_distributed(
         g1.add_principal(name, capacity=50.0)
     g1.add_principal("A")
     g1.add_principal("B")
-    sc1 = Scenario(g1, seed=seed, lp_cache=lp_cache, fast_periodic=fast_periodic,
-                  fast_lane=fast_lane)
+    sc1 = Scenario(g1, seed=seed)
     # End-point enforcers run a coarser window (the paper's §6 notes such
     # systems operate at coarse granularity — Oceano at minutes); at 0.1 s
     # their per-window quotas here would round to ~2 requests and the
@@ -158,8 +153,7 @@ def run_fig1_distributed(
     for server in ("S1", "S2"):
         g2.add_agreement(Agreement(server, "A", 0.2, 1.0))
         g2.add_agreement(Agreement(server, "B", 0.8, 1.0))
-    sc2 = Scenario(g2, seed=seed, lp_cache=lp_cache, fast_periodic=fast_periodic,
-                  fast_lane=fast_lane)
+    sc2 = Scenario(g2, seed=seed)
     cs1 = sc2.server("S1", "S1", 50.0)
     cs2 = sc2.server("S2", "S2", 50.0)
     cr1 = sc2.l7("R1", {"S1": cs1, "S2": cs2}, n_redirectors=2)
@@ -232,6 +226,22 @@ def run_fig3() -> Fig3Result:
 # Fig 6 — L7: sharing agreements in a service-provider context
 # ---------------------------------------------------------------------------
 
+def _run_sharded(
+    figure: str, duration_scale: float, seed: int, lane: str, shards: int,
+    transport: str,
+) -> FigureResult:
+    """Route ``run_fig6`` / ``run_fig9`` to the sharded lane."""
+    if lane != "slotted":
+        raise ValueError(
+            f"lane={lane!r} and shards={shards} select different execution "
+            "lanes; give one or the other"
+        )
+    from repro.experiments.sharded import run_sharded_figure
+
+    return run_sharded_figure(figure, duration_scale=duration_scale,
+                              seed=seed, shards=shards, transport=transport)
+
+
 def _fig6_graph(capacity: float, a_lb: float, b_lb: float) -> AgreementGraph:
     g = AgreementGraph()
     g.add_principal("S", capacity=capacity)
@@ -244,9 +254,8 @@ def _fig6_graph(capacity: float, a_lb: float, b_lb: float) -> AgreementGraph:
 
 def fig6_scenario(
     duration_scale: float = 1.0, seed: int = 0,
-    lp_cache: bool = True, fast_periodic: bool = True,
-    fast_lane: bool = True, check_invariants: Optional[bool] = None,
-    lane: Optional[str] = None, strict_open_loop: Optional[bool] = None,
+    check_invariants: Optional[bool] = None,
+    lane: str = "slotted", strict_open_loop: Optional[bool] = None,
 ) -> Tuple[Scenario, float]:
     """Build and run the fig6 world; returns ``(scenario, phase_length)``.
 
@@ -256,17 +265,14 @@ def fig6_scenario(
     digests.
 
     ``strict_open_loop`` disables client retry pools (defaults to on for
-    the columnar lane, which requires it; the three-lane parity replays
-    pass it explicitly for *every* lane so all three run the identical
-    strict scenario).
+    the columnar lane, which requires it; the lane-parity replays pass it
+    explicitly for *every* lane so all run the identical strict scenario).
     """
     T = 100.0 * duration_scale
     if strict_open_loop is None:
         strict_open_loop = lane == "columnar"
     sc = Scenario(_fig6_graph(320.0, 0.2, 0.8), seed=seed,
-                  lp_cache=lp_cache, fast_periodic=fast_periodic,
-                  fast_lane=fast_lane, check_invariants=check_invariants,
-                  lane=lane)
+                  check_invariants=check_invariants, lane=lane)
     server = sc.server("S", "S", 320.0)
     r1 = sc.l7("R1", {"S": server}, n_redirectors=2)
     r2 = sc.l7("R2", {"S": server}, n_redirectors=2)
@@ -282,9 +288,7 @@ def fig6_scenario(
 
 
 def run_fig6(
-    duration_scale: float = 1.0, seed: int = 0,
-    lp_cache: bool = True, fast_periodic: bool = True,
-    fast_lane: bool = True, lane: Optional[str] = None,
+    duration_scale: float = 1.0, seed: int = 0, lane: str = "slotted",
     shards: Optional[int] = None, transport: str = "shm",
 ) -> FigureResult:
     """Fig 6: V=320; A [0.2,1] with two 135 req/s clients at R1; B [0.8,1]
@@ -293,16 +297,13 @@ def run_fig6(
     ``shards`` routes to the sharded lane (one worker process per shard,
     window-epoch barriers — see :mod:`repro.experiments.sharded`); results
     there are digest-identical for every shard count and for either
-    ``transport`` (pipe or shared-memory data plane).
+    ``transport`` (pipe or shared-memory data plane).  The sharded lane is
+    its own execution model, so ``shards`` with a non-default ``lane`` is
+    an error.
     """
     if shards is not None and shards > 0:
-        from repro.experiments.sharded import run_sharded_figure
-
-        return run_sharded_figure("fig6", duration_scale=duration_scale,
-                                  seed=seed, shards=shards, lp_cache=lp_cache,
-                                  transport=transport)
-    sc, T = fig6_scenario(duration_scale, seed, lp_cache, fast_periodic,
-                          fast_lane, lane=lane)
+        return _run_sharded("fig6", duration_scale, seed, lane, shards, transport)
+    sc, T = fig6_scenario(duration_scale, seed, lane=lane)
     settle = min(5.0, T * 0.2)
     phases = [("phase1", 0.0, T), ("phase2", T, 2 * T), ("phase3", 2 * T, 3 * T)]
     return FigureResult(
@@ -323,17 +324,11 @@ def run_fig6(
 # Fig 7 — L7: optimisation of the community metric
 # ---------------------------------------------------------------------------
 
-def run_fig7(
-    duration_scale: float = 1.0, seed: int = 0,
-    lp_cache: bool = True, fast_periodic: bool = True,
-    fast_lane: bool = True,
-) -> FigureResult:
+def run_fig7(duration_scale: float = 1.0, seed: int = 0) -> FigureResult:
     """Fig 7: V=250; both A and B have [0.2,1]; A has two clients, B one.
     The community objective serves A at twice B's rate."""
     T = 150.0 * duration_scale
-    sc = Scenario(_fig6_graph(250.0, 0.2, 0.2), seed=seed,
-                  lp_cache=lp_cache, fast_periodic=fast_periodic,
-                  fast_lane=fast_lane)
+    sc = Scenario(_fig6_graph(250.0, 0.2, 0.2), seed=seed)
     server = sc.server("S", "S", 250.0)
     r1 = sc.l7("R1", {"S": server}, n_redirectors=2)
     r2 = sc.l7("R2", {"S": server}, n_redirectors=2)
@@ -360,8 +355,6 @@ def run_fig7(
 
 def run_fig8(
     duration_scale: float = 1.0, seed: int = 0, lag: Optional[float] = None,
-    lp_cache: bool = True, fast_periodic: bool = True,
-    fast_lane: bool = True,
 ) -> FigureResult:
     """Fig 8: V=320; A [0.8,1] (two clients at R1), B [0.2,1] (one at R2);
     combining-tree broadcasts lag by ~``lag`` seconds.  Reproduces the
@@ -379,9 +372,7 @@ def run_fig8(
     # Fine measurement bins: phase boundaries sit at the information lag,
     # which rarely aligns with 1 s bins, and the post-lag surge must not
     # smear into the conservative phase's mean.
-    sc = Scenario(_fig8_graph(), seed=seed, bin_width=0.2,
-                  lp_cache=lp_cache, fast_periodic=fast_periodic,
-                  fast_lane=fast_lane)
+    sc = Scenario(_fig8_graph(), seed=seed, bin_width=0.2)
     server = sc.server("S", "S", 320.0)
     r1 = sc.l7("R1", {"S": server}, n_redirectors=2)
     r2 = sc.l7("R2", {"S": server}, n_redirectors=2)
@@ -442,17 +433,16 @@ def _fig8_graph() -> AgreementGraph:
 
 def fig9_scenario(
     duration_scale: float = 1.0, seed: int = 0,
-    lp_cache: bool = True, fast_periodic: bool = True,
-    fast_lane: bool = True, l4_fast_lane: bool = True,
     check_invariants: Optional[bool] = None,
-    lane: Optional[str] = None, strict_open_loop: Optional[bool] = None,
+    lane: str = "slotted", strict_open_loop: Optional[bool] = None,
 ) -> Tuple[Scenario, float]:
     """Build and run the fig9 world; returns ``(scenario, phase_length)``.
 
     Shared between :func:`run_fig9` and the L4 lane-parity replay harness
     (:func:`repro.analysis.replay.l4_replay`), which runs *this exact
     scenario* once per lane and diffs the per-window admitted-rate trace
-    digests — the fast lane must be bit-identical to the scalar path.
+    digests — ``lane="slotted"`` must be bit-identical to the per-packet
+    ``lane="scalar"`` switch path.
 
     ``strict_open_loop`` disables client retry pools (defaults to on for
     the columnar lane; the three-lane parity replays pass it for every
@@ -465,9 +455,7 @@ def fig9_scenario(
     g.add_principal("A", capacity=320.0)
     g.add_principal("B", capacity=320.0)
     g.add_agreement(Agreement("B", "A", 0.5, 0.5))
-    sc = Scenario(g, seed=seed, lp_cache=lp_cache, fast_periodic=fast_periodic,
-                  fast_lane=fast_lane, l4_fast_lane=l4_fast_lane,
-                  check_invariants=check_invariants, lane=lane)
+    sc = Scenario(g, seed=seed, check_invariants=check_invariants, lane=lane)
     sa = sc.server("SA", "A", 320.0)
     sb = sc.server("SB", "B", 320.0)
     switch = sc.l4("SW", {"A": sa, "B": sb})
@@ -481,11 +469,8 @@ def fig9_scenario(
 
 
 def run_fig9(
-    duration_scale: float = 1.0, seed: int = 0,
-    lp_cache: bool = True, fast_periodic: bool = True,
-    fast_lane: bool = True, l4_fast_lane: bool = True,
-    lane: Optional[str] = None, shards: Optional[int] = None,
-    transport: str = "shm",
+    duration_scale: float = 1.0, seed: int = 0, lane: str = "slotted",
+    shards: Optional[int] = None, transport: str = "shm",
 ) -> FigureResult:
     """Fig 9: A and B each own a 320 req/s server; B grants A [0.5, 0.5].
     Four phases: A 2 clients / none / 1 client / none, B always one client;
@@ -494,13 +479,8 @@ def run_fig9(
     ``shards`` routes to the sharded lane, like :func:`run_fig6`.
     """
     if shards is not None and shards > 0:
-        from repro.experiments.sharded import run_sharded_figure
-
-        return run_sharded_figure("fig9", duration_scale=duration_scale,
-                                  seed=seed, shards=shards, lp_cache=lp_cache,
-                                  transport=transport)
-    sc, T = fig9_scenario(duration_scale, seed, lp_cache, fast_periodic,
-                          fast_lane, l4_fast_lane, lane=lane)
+        return _run_sharded("fig9", duration_scale, seed, lane, shards, transport)
+    sc, T = fig9_scenario(duration_scale, seed, lane=lane)
     settle = min(5.0, T * 0.2)
     phases = [
         ("phase1", 0.0, T), ("phase2", T, 2 * T),
@@ -527,10 +507,8 @@ def run_fig9(
 
 def fig10_scenario(
     duration_scale: float = 1.0, seed: int = 0,
-    lp_cache: bool = True, fast_periodic: bool = True,
-    fast_lane: bool = True, l4_fast_lane: bool = True,
     check_invariants: Optional[bool] = None,
-    lane: Optional[str] = None, strict_open_loop: Optional[bool] = None,
+    lane: str = "slotted", strict_open_loop: Optional[bool] = None,
 ) -> Tuple[Scenario, float]:
     """Build and run the fig10 world; returns ``(scenario, phase_length)``.
 
@@ -548,9 +526,7 @@ def fig10_scenario(
     g.add_principal("B")
     g.add_agreement(Agreement("P", "A", 0.8, 1.0))
     g.add_agreement(Agreement("P", "B", 0.2, 1.0))
-    sc = Scenario(g, seed=seed, lp_cache=lp_cache, fast_periodic=fast_periodic,
-                  fast_lane=fast_lane, l4_fast_lane=l4_fast_lane,
-                  check_invariants=check_invariants, lane=lane)
+    sc = Scenario(g, seed=seed, check_invariants=check_invariants, lane=lane)
     s1 = sc.server("S1", "P", 320.0)
     s2 = sc.server("S2", "P", 320.0)
     switch = sc.l4(
@@ -566,16 +542,12 @@ def fig10_scenario(
 
 
 def run_fig10(
-    duration_scale: float = 1.0, seed: int = 0,
-    lp_cache: bool = True, fast_periodic: bool = True,
-    fast_lane: bool = True, l4_fast_lane: bool = True,
-    lane: Optional[str] = None,
+    duration_scale: float = 1.0, seed: int = 0, lane: str = "slotted",
 ) -> FigureResult:
     """Fig 10: provider with two 320 req/s servers; A [0.8,1] pays more than
     B [0.2,1].  Same client timeline as Fig 9; the provider admits the
     highest payer first while honouring B's mandatory floor."""
-    sc, T = fig10_scenario(duration_scale, seed, lp_cache, fast_periodic,
-                           fast_lane, l4_fast_lane, lane=lane)
+    sc, T = fig10_scenario(duration_scale, seed, lane=lane)
     settle = min(5.0, T * 0.2)
     phases = [
         ("phase1", 0.0, T), ("phase2", T, 2 * T),

@@ -95,57 +95,26 @@ class Scenario:
         seed: int = 0,
         bin_width: float = 1.0,
         trace: bool = False,
-        lp_cache: bool = True,
-        fast_periodic: bool = True,
-        fast_lane: bool = True,
-        l4_fast_lane: bool = True,
         check_invariants: Optional[bool] = None,
-        lane: Optional[str] = None,
-        shards: int = 1,
+        lane: str = "slotted",
     ):
         self.graph = graph
         self.access: AccessLevels = compute_access_levels(graph)
         self.window = window
-        self.lp_cache = bool(lp_cache)
-        self.fast_lane = bool(fast_lane)
-        # L4 switch data-path lane (flow records + arena tables); kept
-        # separate from the client-side fast_lane so either can be A/B'd
-        # against its scalar path independently.
-        self.l4_fast_lane = bool(l4_fast_lane)
-        # Three-lane selector: ``lane`` overrides the per-layer flags.
-        # "scalar" = per-request events everywhere; "slotted" = the PR 2/5
-        # fast lanes; "columnar" = struct-of-arrays bulk advance with one
-        # pump event per window (strict open loop; unsupported features
-        # fall back to "slotted" and record why in ``lane_fallback``).
-        if lane is not None and lane not in ("scalar", "slotted", "columnar"):
+        # The one execution selector.  "slotted" = per-request events, L4
+        # switches on flow records + arena tables; "scalar" = the same
+        # events with every L4 switch on its per-packet TcpPacket /
+        # NatTable / ConnTracker path (the paper's §4.2 packet model and
+        # the bit-exact reference; identical to "slotted" in a world
+        # without an L4 switch); "columnar" = struct-of-arrays bulk advance
+        # with one pump event per window (strict open loop; unsupported
+        # features fall back to "slotted" and record why in
+        # ``lane_fallback``).
+        if lane not in ("scalar", "slotted", "columnar"):
             raise ValueError(f"unknown lane {lane!r}")
-        if lane == "scalar":
-            self.fast_lane = False
-            self.l4_fast_lane = False
-        elif lane in ("slotted", "columnar"):
-            self.fast_lane = True
-            self.l4_fast_lane = True
-        self.lane: str = lane or ("slotted" if self.fast_lane else "scalar")
+        self.lane: str = lane
         self.lane_fallback: Optional[str] = None
-        # Sharded execution is a separate execution model over declarative
-        # worlds (repro.experiments.sharded) — the event kernel is one
-        # serial timeline and cannot be split mid-scenario.  Entry points
-        # that support sharding (fig6/fig9) dispatch to the ShardedRunner
-        # *before* constructing a Scenario; asking an already-built event
-        # Scenario for shards > 1 records a fallback reason, mirroring
-        # ``lane_fallback``.
-        if int(shards) < 1:
-            raise ValueError("shards must be >= 1")
-        self.shards = int(shards)
-        self.shard_fallback: Optional[str] = None
-        if self.shards > 1:
-            self.shards = 1
-            self.shard_fallback = (
-                "event-lane scenarios run one serial timeline; use the "
-                "sharded lane entry points (run_fig6/run_fig9 shards=, "
-                "repro figures --shards) for window-epoch sharding"
-            )
-        self.sim = Simulator(fast_periodic=fast_periodic)
+        self.sim = Simulator()
         self.streams = RngStreams(seed)
         self.meter = RateMeter(bin_width)
         self.counter = MessageCounter()
@@ -258,7 +227,6 @@ class Scenario:
         n_redirectors: Optional[int] = None,
         **kw,
     ) -> L7Redirector:
-        kw.setdefault("lp_cache", self.lp_cache)
         red = L7Redirector(
             self.sim, name, self.access, servers, window=self.window,
             n_redirectors=n_redirectors or 1, **kw,
@@ -281,19 +249,19 @@ class Scenario:
         capacity: Optional[float] = None,
         **kw,
     ) -> L4Switch:
-        kw.setdefault("fast_lane", self.l4_fast_lane)
         if self.lane == "columnar" and kw.get("health") is not None:
             # Health-checked pools need the checker's event-path probes.
             self.lane = "slotted"
             self.lane_fallback = "health-checked L4 pools need per-flow events"
         switch_cls = ColumnarL4Switch if self.lane == "columnar" else L4Switch
         switch = switch_cls(
-            self.sim, name, self.access.names, servers, window=self.window, **kw,
+            self.sim, name, self.access.names, servers, window=self.window,
+            fast_lane=self.lane != "scalar", **kw,
         )
         daemon = L4Daemon(
             self.sim, f"{name}-daemon", switch, self.access, window=self.window,
             mode=mode, prices=prices, capacity=capacity,
-            n_redirectors=n_redirectors or 1, lp_cache=self.lp_cache,
+            n_redirectors=n_redirectors or 1,
         )
         self.l4_switches[name] = switch
         self.l4_daemons[name] = daemon
@@ -320,7 +288,7 @@ class Scenario:
             reason = self._columnar_unsupported(redirector, kw)
             if reason is None:
                 ckw = dict(kw)
-                for drop in ("fast_lane", "users", "think", "stream_chunk"):
+                for drop in ("users", "think", "stream_chunk"):
                     ckw.pop(drop, None)
                 client = ColumnarClient(
                     self.sim, name, principal, redirector, rate,
@@ -342,7 +310,6 @@ class Scenario:
             self.lane = "slotted"
             self.lane_fallback = reason
         kw.pop("batch", None)  # ColumnarClient-only knob
-        kw.setdefault("fast_lane", self.fast_lane)
         client = ClientMachine(
             self.sim, name, principal, redirector, rate,
             rng=self.streams.get(f"client:{name}"),

@@ -108,11 +108,8 @@ def figure_kwargs(
     name: str,
     scale: float,
     seed: int,
-    lp_cache: bool = True,
     partition_seeds: bool = False,
-    fast_lane: bool = True,
-    l4_fast_lane: bool = True,
-    lane: Optional[str] = None,
+    lane: str = "slotted",
     shards: Optional[int] = None,
     transport: str = "shm",
 ) -> Dict[str, Any]:
@@ -121,24 +118,20 @@ def figure_kwargs(
     ``partition_seeds=True`` gives every figure its own
     :func:`scenario_seed`-derived stream; the default reuses ``seed``
     verbatim, matching a serial ``for name: run_figN(seed=seed)`` loop.
-    ``l4_fast_lane`` only reaches the L4 figures (fig9/fig10) — the other
-    entry points have no L4 switch to thread it to; ``lane`` only reaches
-    the figures with a columnar-capable scenario (fig6/fig9/fig10);
-    ``shards`` only reaches the figures with a sharded world (fig6/fig9),
-    as does ``transport`` (the sharded lane's data plane; results are
-    bit-identical for pipe and shm).
+    ``lane`` only reaches the figures whose entry point selects a lane
+    (fig6/fig9/fig10 — the columnar-capable scenarios, and for fig9/fig10
+    the per-packet ``"scalar"`` switch path); ``shards`` only reaches the
+    figures with a sharded world (fig6/fig9), as does ``transport`` (the
+    sharded lane's data plane; results are bit-identical for pipe and
+    shm).
     """
     s = scenario_seed(seed, name) if partition_seeds else seed
     if name in ("fig1", "fig3"):
         return {}
     if name == "fig1d":
-        return {"duration": max(20.0, 100.0 * scale), "seed": s,
-                "lp_cache": lp_cache, "fast_lane": fast_lane}
-    kwargs = {"duration_scale": scale, "seed": s, "lp_cache": lp_cache,
-              "fast_lane": fast_lane}
-    if name in ("fig9", "fig10"):
-        kwargs["l4_fast_lane"] = l4_fast_lane
-    if lane is not None and name in ("fig6", "fig9", "fig10"):
+        return {"duration": max(20.0, 100.0 * scale), "seed": s}
+    kwargs: Dict[str, Any] = {"duration_scale": scale, "seed": s}
+    if name in ("fig6", "fig9", "fig10"):
         kwargs["lane"] = lane
     if shards is not None and name in ("fig6", "fig9"):
         kwargs["shards"] = shards
@@ -158,11 +151,8 @@ def run_figures_parallel(
     scale: float = 0.3,
     seed: int = 0,
     jobs: Optional[int] = None,
-    lp_cache: bool = True,
     partition_seeds: bool = False,
-    fast_lane: bool = True,
-    l4_fast_lane: bool = True,
-    lane: Optional[str] = None,
+    lane: str = "slotted",
     shards: Optional[int] = None,
     transport: str = "shm",
 ) -> List[Tuple[str, Any]]:
@@ -170,7 +160,9 @@ def run_figures_parallel(
 
     Returns ``(name, result)`` pairs in the order requested.  Results are
     bit-identical to the serial path for any ``jobs`` (and, on the
-    sharded lane, for any ``shards``).
+    sharded lane, for any ``shards``).  Figures bound for the sharded lane
+    run here in the parent: they bring their own worker processes, which
+    the pool's daemonic workers may not have.
     """
     from repro.experiments.figures import ALL_FIGURES
 
@@ -179,8 +171,13 @@ def run_figures_parallel(
     if unknown:
         raise KeyError(f"unknown figures {unknown}; have {list(ALL_FIGURES)}")
     tasks = [
-        (n, figure_kwargs(n, scale, seed, lp_cache, partition_seeds,
-                          fast_lane, l4_fast_lane, lane, shards, transport))
+        (n, figure_kwargs(n, scale, seed, partition_seeds, lane, shards,
+                          transport))
         for n in wanted
     ]
-    return parallel_map(_figure_task, tasks, jobs=jobs)
+    pooled = iter(parallel_map(
+        _figure_task, [t for t in tasks if "shards" not in t[1]], jobs=jobs,
+    ))
+    return [
+        _figure_task(t) if "shards" in t[1] else next(pooled) for t in tasks
+    ]

@@ -727,7 +727,6 @@ class ShardedRunner:
         self,
         world: ShardedWorld,
         shards: int = 1,
-        lp_cache: bool = True,
         epoch_timeout: float = 120.0,
         recovery: Optional[RecoveryPolicy] = RecoveryPolicy(),
         checkpoint_retain: int = 2,
@@ -745,7 +744,6 @@ class ShardedRunner:
         self.world = world
         self.transport = transport
         self.shards = min(int(shards), len(world.clusters))
-        self.lp_cache = bool(lp_cache)
         self.epoch_timeout = float(epoch_timeout)
         self.recovery = recovery
         self.checkpoint_retain = int(checkpoint_retain)
@@ -755,7 +753,7 @@ class ShardedRunner:
         n_clusters = len(world.clusters)
         self.allocator = WindowAllocator(
             self.access, self.window_cfg, mode="community",
-            n_redirectors=n_clusters, lp_cache=lp_cache,
+            n_redirectors=n_clusters,
         )
         w_levels = self.access.per_window(world.window)
         self._conservative = {
@@ -940,8 +938,9 @@ class ShardedRunner:
                         "shm data plane unavailable, falling back to the "
                         "pipe plane: %s", exc,
                     )
-            barrier = self._start_workers()
+            barrier: Optional[EpochBarrier] = None
             try:
+                barrier = self._start_workers()
                 for k in range(n_windows):
                     if frac is None:
                         fallback_windows += 1
@@ -977,9 +976,10 @@ class ShardedRunner:
                     assert latest is not None
                     final = latest[1]
             finally:
-                barrier_polls = barrier.polls
-                barrier_wait_s = barrier.poll_wait_s
-                barrier.close(terminate=True)
+                if barrier is not None:
+                    barrier_polls = barrier.polls
+                    barrier_wait_s = barrier.poll_wait_s
+                    barrier.close(terminate=True)
                 if self._plane is not None:
                     self._plane.close()
                     self._plane.unlink()
@@ -1438,7 +1438,6 @@ def run_sharded(
     shards: int = 1,
     replicas: int = 1,
     load_scale: float = 1.0,
-    lp_cache: bool = True,
     epoch_timeout: float = 120.0,
     recovery: Optional[RecoveryPolicy] = RecoveryPolicy(),
     checkpoint_retain: int = 2,
@@ -1455,7 +1454,7 @@ def run_sharded(
         ) from None
     world = build(duration_scale=duration_scale, seed=seed,
                   replicas=replicas, load_scale=load_scale)
-    runner = ShardedRunner(world, shards=shards, lp_cache=lp_cache,
+    runner = ShardedRunner(world, shards=shards,
                            epoch_timeout=epoch_timeout,
                            recovery=recovery,
                            checkpoint_retain=checkpoint_retain,
@@ -1469,9 +1468,7 @@ def run_sharded_figure(
     duration_scale: float = 1.0,
     seed: int = 0,
     shards: int = 1,
-    lp_cache: bool = True,
     transport: str = "shm",
-    **_ignored: Any,
 ) -> FigureResult:
     """Run fig6/fig9 on the sharded lane, returning a FigureResult.
 
@@ -1480,7 +1477,7 @@ def run_sharded_figure(
     so the paper's phase rates must still come out.
     """
     res = run_sharded(figure, duration_scale=duration_scale, seed=seed,
-                      shards=shards, lp_cache=lp_cache, transport=transport)
+                      shards=shards, transport=transport)
     T = 100.0 * duration_scale
     settle = min(5.0, T * 0.2)
     if figure == "fig6":

@@ -45,7 +45,6 @@ class L4Daemon:
         capacity: Optional[float] = None,
         n_redirectors: int = 1,
         conntrack_sweep: float = 10.0,
-        lp_cache: bool = True,
         stale_after: Optional[float] = None,
     ):
         self.sim = sim
@@ -63,7 +62,6 @@ class L4Daemon:
                 owner: sum(s.capacity for s in pool)
                 for owner, pool in switch.servers.items()
             },
-            lp_cache=lp_cache,
             stale_after=stale_after,
         )
         self.last_allocation: Optional[Allocation] = None

@@ -84,7 +84,6 @@ class L7Redirector:
         smoothing: float = 0.7,
         defer_delay: float = 0.0,
         max_held: int = 0,
-        lp_cache: bool = True,
         stale_after: Optional[float] = None,
         health: Optional[BackendHealthChecker] = None,
     ):
@@ -121,7 +120,6 @@ class L7Redirector:
                 owner: sum(s.capacity for s in pool)
                 for owner, pool in self.servers.items()
             },
-            lp_cache=lp_cache,
             stale_after=stale_after,
         )
         self.principals: Tuple[str, ...] = access.names

@@ -70,7 +70,6 @@ class WindowAllocator:
         server_owners: Optional[List[str]] = None,
         server_capacities: Optional[Mapping[str, float]] = None,
         cache_tolerance: float = 0.05,
-        lp_cache: bool = True,
         stale_after: Optional[float] = None,
     ):
         if mode not in ("community", "provider"):
@@ -106,9 +105,8 @@ class WindowAllocator:
         # per principal (in ``principals`` order) and forwarding weights.
         self._cached_plan: Optional[Tuple[List[float], Dict[str, Dict[str, float]]]] = None
         # The tolerance cache above reuses a plan for *nearby* demand; the
-        # scheduler's own exact-match SolveCache (lp_cache) dedups repeats
-        # of identical demand with bit-identical results.
-        self.lp_cache = bool(lp_cache)
+        # scheduler's own exact-match SolveCache dedups repeats of
+        # identical demand with bit-identical results.
 
         self._build_scheduler()
 
@@ -126,13 +124,11 @@ class WindowAllocator:
         }
         self.scheduler: Union[CommunityScheduler, ProviderScheduler]
         if self.mode == "community":
-            self.scheduler = CommunityScheduler(
-                access, self.window, lp_cache=self.lp_cache
-            )
+            self.scheduler = CommunityScheduler(access, self.window)
         else:
             self.scheduler = ProviderScheduler(
                 access, self._prices, capacity=self._capacity,
-                window=self.window, lp_cache=self.lp_cache,
+                window=self.window,
             )
             # A defaulted capacity is resolved once: renegotiated access
             # levels do not move it.

@@ -20,10 +20,10 @@ on long runs:
   long runs with churning timers keep bounded memory.
 - *Periodic-event fast path*: :meth:`Simulator.every` timers (the
   per-window ticks that dominate heap traffic) self-reschedule as plain
-  heap entries instead of driving a generator process.  The fast path
-  consumes exactly the same sequence numbers at the same timestamps as the
-  process-based path, so simulations are bit-identical with it on or off
-  (``Simulator(fast_periodic=False)`` selects the generator path).
+  heap entries instead of driving a generator process.  They consume
+  exactly the same sequence numbers at the same timestamps as a generator
+  process that calls ``fn`` and yields ``period`` would
+  (``tests/sim/test_engine.py`` holds that ticker as the oracle).
 """
 
 from __future__ import annotations
@@ -276,15 +276,14 @@ class Simulator:
     [1.5]
     """
 
-    __slots__ = ("_now", "_heap", "_seq", "_running", "_dead", "fast_periodic")
+    __slots__ = ("_now", "_heap", "_seq", "_running", "_dead")
 
-    def __init__(self, fast_periodic: bool = True) -> None:
+    def __init__(self) -> None:
         self._now = 0.0
         self._heap: list[tuple[float, int, Callable, tuple]] = []
         self._seq = 0
         self._running = False
         self._dead = 0          # cancelled-timer tombstones still in the heap
-        self.fast_periodic = fast_periodic
 
     @property
     def now(self) -> float:
@@ -335,29 +334,17 @@ class Simulator:
         return timer
 
     def every(self, period: float, fn: Callable, *args: Any,
-              start: float = 0.0):
+              start: float = 0.0) -> PeriodicTimer:
         """Call ``fn(*args)`` every ``period`` seconds forever.
 
-        With ``fast_periodic`` (the default) this is a self-rescheduling
-        heap entry — no generator, no process bookkeeping — returning a
-        cancellable :class:`PeriodicTimer`.  With ``fast_periodic=False``
-        the original generator-process path is used (it consumes identical
-        sequence numbers, so both paths produce bit-identical simulations).
+        A self-rescheduling heap entry — no generator, no process
+        bookkeeping — returned as a cancellable :class:`PeriodicTimer`.
         """
-        if self.fast_periodic:
-            timer = PeriodicTimer(
-                self, fn, args, period, start=start if start > 0 else None
-            )
-            self.schedule(0.0, _fire, timer)
-            return timer
-
-        def _ticker() -> Generator[float, Any, None]:
-            if start > 0:
-                yield start
-            while True:
-                fn(*args)
-                yield period
-        return self.process(_ticker(), name=f"every({getattr(fn, '__name__', 'fn')})")
+        timer = PeriodicTimer(
+            self, fn, args, period, start=start if start > 0 else None
+        )
+        self.schedule(0.0, _fire, timer)
+        return timer
 
     def _compact(self) -> None:
         """Rebuild the heap without cancelled-timer tombstones.

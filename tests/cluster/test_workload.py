@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from repro.cluster.workload import ReplySizeSampler, RequestMix
+from repro.cluster.workload import ReplySizeSampler, RequestMix, WorkloadStream
 
 
 class TestReplySizeSampler:
@@ -38,25 +38,31 @@ class TestReplySizeSampler:
 
 
 class TestRequestMix:
+    """A mix is sampled one request at a time: ``WorkloadStream(chunk=1)``."""
+
     def test_draw_fields(self):
-        mix = RequestMix(dynamic_fraction=0.5)
-        rng = np.random.default_rng(0)
-        url, size, cost = mix.draw(rng)
+        stream = WorkloadStream(
+            RequestMix(dynamic_fraction=0.5), np.random.default_rng(0), chunk=1
+        )
+        url, size, cost, gap = stream.draw_next()
         assert url in ("/cgi/page", "/static/page")
         assert size >= 200
         assert cost == 1.0
+        assert gap is None
 
     def test_dynamic_fraction_respected(self):
-        mix = RequestMix(dynamic_fraction=0.3)
-        rng = np.random.default_rng(1)
-        urls = [mix.draw(rng)[0] for _ in range(5000)]
+        stream = WorkloadStream(
+            RequestMix(dynamic_fraction=0.3), np.random.default_rng(1), chunk=1
+        )
+        urls = [stream.draw_next()[0] for _ in range(5000)]
         frac = sum(u.startswith("/cgi") for u in urls) / len(urls)
         assert frac == pytest.approx(0.3, abs=0.03)
 
     def test_size_cost_mode(self):
-        mix = RequestMix(size_cost=True)
-        rng = np.random.default_rng(2)
-        costs = [mix.draw(rng)[2] for _ in range(2000)]
+        stream = WorkloadStream(
+            RequestMix(size_cost=True), np.random.default_rng(2), chunk=1
+        )
+        costs = [stream.draw_next()[2] for _ in range(2000)]
         assert min(costs) >= 1.0
         assert max(costs) > 1.0  # big replies cost multiple units
 
@@ -67,8 +73,6 @@ class TestRequestMix:
 
 class TestWorkloadStream:
     def _drain(self, chunk, n=5000, **kw):
-        from repro.cluster.workload import WorkloadStream
-
         kw.setdefault("rate", 100.0)
         stream = WorkloadStream(
             RequestMix(dynamic_fraction=0.3, size_cost=True),
@@ -78,7 +82,7 @@ class TestWorkloadStream:
 
     def test_chunk_size_invariance(self):
         """The emitted stream is identical for any chunk size — the
-        determinism contract of the vectorised fast lane."""
+        determinism contract of the vectorised draws."""
         base = self._drain(1)
         assert self._drain(256) == base
         assert self._drain(4096) == base
@@ -92,8 +96,6 @@ class TestWorkloadStream:
         assert self._drain(300, jitter=0.3) == base
 
     def test_spawn_does_not_touch_parent(self):
-        from repro.cluster.workload import WorkloadStream
-
         rng = np.random.default_rng(5)
         before = np.random.default_rng(5).random(4)
         WorkloadStream(RequestMix(), rng)
@@ -114,7 +116,7 @@ class TestWorkloadStream:
         assert frac == pytest.approx(0.3, abs=0.02)
 
     def test_size_cost_matches_scalar_formula(self):
-        """Vectorised costs equal the scalar path's max(1, round(size/unit))
+        """Vectorised costs equal the scalar formula max(1, round(size/unit))
         applied to the streamed sizes."""
         mix = RequestMix(size_cost=True)
         unit = mix.unit_bytes or mix.sampler.mean_bytes
@@ -136,8 +138,6 @@ class TestWorkloadStream:
         assert all(d[3] is None for d in draws)
 
     def test_validation(self):
-        from repro.cluster.workload import WorkloadStream
-
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
             WorkloadStream(RequestMix(), rng, chunk=0)

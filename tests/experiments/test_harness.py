@@ -122,11 +122,19 @@ class TestColumnarLane:
 
     def test_lane_resolution(self, fig6_graph):
         assert Scenario(fig6_graph).lane == "slotted"
-        assert Scenario(fig6_graph, fast_lane=False).lane == "scalar"
         sc = Scenario(fig6_graph, lane="scalar")
-        assert (sc.lane, sc.fast_lane, sc.l4_fast_lane) == ("scalar", False, False)
+        assert sc.lane == "scalar" and sc.columnar is None
         sc = Scenario(fig6_graph, lane="columnar")
         assert sc.lane == "columnar" and sc.columnar is not None
+        with pytest.raises(ValueError):
+            Scenario(fig6_graph, lane=None)
+
+    def test_lane_alone_selects_the_l4_data_path(self, fig9_graph):
+        for lane, fast in (("scalar", False), ("slotted", True), ("columnar", True)):
+            sc = Scenario(fig9_graph, lane=lane)
+            sa = sc.server("SA", "A", 320.0)
+            sb = sc.server("SB", "B", 320.0)
+            assert sc.l4("SW", {"A": sa, "B": sb}).fast_lane is fast
 
     def test_trace_falls_back_to_slotted(self, fig6_graph):
         sc = Scenario(fig6_graph, lane="columnar", trace=True)

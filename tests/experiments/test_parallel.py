@@ -96,9 +96,9 @@ class TestFigureBatch:
     def test_kwargs_shapes(self):
         assert figure_kwargs("fig1", 0.3, 7) == {}
         assert figure_kwargs("fig6", 0.3, 7) == {
-            "duration_scale": 0.3, "seed": 7, "lp_cache": True,
-            "fast_lane": True,
+            "duration_scale": 0.3, "seed": 7, "lane": "slotted",
         }
+        assert figure_kwargs("fig7", 0.3, 7) == {"duration_scale": 0.3, "seed": 7}
         assert figure_kwargs("fig1d", 0.3, 7)["duration"] == pytest.approx(30.0)
 
     def test_partitioned_seeds_differ(self):
@@ -136,7 +136,7 @@ class TestLaneThreading:
         assert figure_kwargs("fig9", 0.3, 7, lane="columnar")["lane"] == "columnar"
         assert figure_kwargs("fig10", 0.3, 7, lane="columnar")["lane"] == "columnar"
         assert "lane" not in figure_kwargs("fig7", 0.3, 7, lane="columnar")
-        assert "lane" not in figure_kwargs("fig6", 0.3, 7)
+        assert "lane" not in figure_kwargs("fig1d", 0.3, 7, lane="scalar")
 
 
 class TestShardThreading:
@@ -146,6 +146,20 @@ class TestShardThreading:
         assert "shards" not in figure_kwargs("fig10", 0.3, 7, shards=4)
         assert "shards" not in figure_kwargs("fig7", 0.3, 7, shards=4)
         assert "shards" not in figure_kwargs("fig6", 0.3, 7)
+
+    def test_sharded_figures_run_beside_the_pool(self):
+        # Sharded figures bring their own worker processes, which daemonic
+        # pool workers may not have: they run in the parent, results in
+        # the order asked for.
+        names = ["fig7", "fig6", "fig8"]
+        serial = run_figures_parallel(names, scale=0.05, jobs=1, shards=2)
+        pooled = run_figures_parallel(names, scale=0.05, jobs=2, shards=2)
+        assert [n for n, _ in pooled] == names
+        for (_, a), (_, b) in zip(serial, pooled):
+            assert [dataclasses.asdict(p) for p in a.phases] == [
+                dataclasses.asdict(p) for p in b.phases
+            ]
+        assert "sharded lane" in pooled[1][1].notes
 
     def test_shards_do_not_change_seed(self):
         base = figure_kwargs("fig6", 0.3, 7, partition_seeds=True)

@@ -14,7 +14,6 @@ import pytest
 from repro.coordination.barrier import ShardWorkerError
 from repro.coordination.checkpoint import RecoveryPolicy
 from repro.experiments.figures import run_fig6, run_fig9
-from repro.experiments.harness import Scenario
 from repro.experiments.sharded import (
     ShardedRunner,
     run_sharded,
@@ -56,6 +55,11 @@ class TestDigestParity:
         world = sharded_fig6_world(duration_scale=SCALE, seed=0, replicas=1)
         runner = ShardedRunner(world, shards=64)
         assert runner.shards == len(world.clusters)
+
+    def test_invalid_shards_rejected(self):
+        world = sharded_fig6_world(duration_scale=SCALE, seed=0, replicas=1)
+        with pytest.raises(ValueError, match="shards must be >= 1"):
+            ShardedRunner(world, shards=0)
 
     def test_policy_counters_match_inline(self):
         a = run_sharded("fig6", duration_scale=SCALE, seed=0, shards=1,
@@ -125,22 +129,14 @@ class TestFigureIntegration:
         with pytest.raises(ValueError, match="sharded lane supports"):
             run_sharded("fig10")
 
-
-class TestScenarioFallback:
-    def test_event_lane_scenario_falls_back_to_serial(self, fig6_graph):
-        scenario = Scenario(fig6_graph, shards=4)
-        assert scenario.shards == 1
-        assert scenario.shard_fallback is not None
-        assert "sharded lane" in scenario.shard_fallback
-
-    def test_shards_one_is_not_a_fallback(self, fig6_graph):
-        scenario = Scenario(fig6_graph, shards=1)
-        assert scenario.shards == 1
-        assert scenario.shard_fallback is None
-
-    def test_invalid_shards_rejected(self, fig6_graph):
-        with pytest.raises(ValueError):
-            Scenario(fig6_graph, shards=0)
+    @pytest.mark.parametrize("run_fig", [run_fig6, run_fig9],
+                             ids=["fig6", "fig9"])
+    @pytest.mark.parametrize("lane", ["scalar", "columnar"])
+    def test_lane_with_shards_rejected(self, run_fig, lane):
+        # The sharded lane is its own execution model: asking for another
+        # one as well used to be silently ignored.
+        with pytest.raises(ValueError, match=r"lane=.*shards="):
+            run_fig(duration_scale=SCALE, seed=0, lane=lane, shards=2)
 
 
 class TestWorkerFailure:
@@ -155,6 +151,24 @@ class TestWorkerFailure:
                                recovery=None)
         with pytest.raises(ShardWorkerError, match="died mid-window"):
             runner.run()
+
+    def test_failed_spawn_leaves_no_segment(self, monkeypatch):
+        from multiprocessing import shared_memory
+
+        world = sharded_fig6_world(duration_scale=SCALE, seed=0,
+                                   replicas=REPLICAS)
+        runner = ShardedRunner(world, shards=2)
+
+        def refuse(task):
+            raise OSError("no more processes")
+
+        monkeypatch.setattr(runner, "_spawn", refuse)
+        with pytest.raises(OSError, match="no more processes"):
+            runner.run()
+        if runner._plane is None:              # platform without POSIX shm
+            pytest.skip(f"shm unavailable: {runner.transport_fallback}")
+        with pytest.raises(FileNotFoundError):
+            shared_memory.SharedMemory(name=runner._plane.spec.name)
 
     def test_fault_env_ignored_by_other_shards(self, monkeypatch):
         # A fault address that never fires must leave results untouched.

@@ -1,12 +1,12 @@
 """Acceptance A/B: the L4 flow-record fast lane is bit-identical.
 
-Unlike the request-path fast lane (``test_fast_lane_ab.py``), the L4
-switch draws no randomness of its own — both lanes run the same quota
-arithmetic at the same event times — so the contract here is strict:
+The L4 switch draws no randomness of its own — both lanes run the same
+quota arithmetic at the same event times — so the contract is strict:
 per-phase rates and the full per-window admitted-rate series must be
-*bit-identical* between the flow-record lane and the per-packet scalar
-lane, not merely statistically equivalent.  ``repro check --scenario
-fig9|fig10`` enforces the same property via SHA-256 trace digests in CI.
+*bit-identical* between the flow-record lane (``lane="slotted"``, the
+default) and the per-packet reference lane (``lane="scalar"``).  ``repro
+check --scenario fig9|fig10`` enforces the same property via SHA-256 trace
+digests in CI.
 """
 
 import numpy as np
@@ -21,8 +21,8 @@ SCALE = 0.05
 @pytest.mark.parametrize("run_fig", [run_fig9, run_fig10],
                          ids=["fig9", "fig10"])
 def test_l4_lanes_bit_identical(run_fig):
-    fast = run_fig(duration_scale=SCALE, l4_fast_lane=True)
-    scalar = run_fig(duration_scale=SCALE, l4_fast_lane=False)
+    fast = run_fig(duration_scale=SCALE, lane="slotted")
+    scalar = run_fig(duration_scale=SCALE, lane="scalar")
     assert fast.phases == scalar.phases
     assert set(fast.series) == set(scalar.series)
     for key in fast.series:
@@ -34,7 +34,7 @@ def test_l4_lanes_bit_identical(run_fig):
 
 def test_l4_replay_digests_identical():
     """The CLI harness criterion itself: combined scenario + admission
-    digests match across fast x2 / scalar / fast-with-invariants runs."""
+    digests match across slotted / scalar / slotted-with-invariants runs."""
     report = l4_replay(figure="fig9", duration_scale=SCALE, seed=0,
                        runs=2, with_invariants=True)
     assert report.identical, report.render()

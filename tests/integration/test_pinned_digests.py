@@ -6,12 +6,18 @@ past.  The constants were captured at the parent of the commit that made the
 warm-started bounded simplex the only solver: a solver or scheduler change
 that moves a single admitted request in fig6 / fig7 / fig8 at 1/20 scale
 shows up here as a digest mismatch, not as a tolerance drift.
+
+The L4 figures, the fault matrix and the simulated fig1 were pinned the same
+way at the parent of the commit that made ``lane=`` the only execution
+selector (every one of their entry points changed signature there).
 """
 
 import pytest
 
 import repro.experiments.figures as figures
-from repro.analysis.replay import l7_admission_digest, scenario_digest
+from repro.analysis.replay import (
+    chaos_replay, l4_admission_digest, l7_admission_digest, scenario_digest,
+)
 
 PINNED = {
     "fig6": (
@@ -31,9 +37,29 @@ PINNED = {
     ),
 }
 
+PINNED_L4 = {
+    "fig9": (
+        "c3f3bb981efd1896cfd8510460f1b782c9c85e4a93536a594dfcc61d2615c926",
+        {"SW": "c4dec87ffcbcebdf6e18ae8ecdd047e53b361320a7d45167307fd83168174ced"},
+    ),
+    "fig10": (
+        "b801b3a14bda7f8925a9f9eef14348da4e3a0e5bcb685f3ce14f090740ea6fc5",
+        {"SW": "84374b3ca066197c85f915a566e5292945c6a9c722ffc7823e3f5d0bdb995cb0"},
+    ),
+}
 
-@pytest.mark.parametrize("figure", sorted(PINNED))
-def test_l7_figure_reproduces_parent_digests(figure, monkeypatch):
+PINNED_FAULT_MATRIX = (
+    "d50e8bae17ce97240aa20f84c4d12424e7f52eddbd378370499625c034b63e7a"
+)
+
+PINNED_FIG1D = {
+    "endpoint": {"A": "0x1.cd9999999999ap+4", "B": "0x1.149999999999ap+6"},
+    "coordinated": {"A": "0x1.40ccccccccccdp+4", "B": "0x1.3f33333333334p+6"},
+}
+
+
+def _run_recorded(figure, monkeypatch):
+    """Run one figure at 1/20 scale; returns (its Scenario, its result)."""
     worlds = []
 
     class Recorded(figures.Scenario):
@@ -44,9 +70,39 @@ def test_l7_figure_reproduces_parent_digests(figure, monkeypatch):
     monkeypatch.setattr(figures, "Scenario", Recorded)
     result = figures.ALL_FIGURES[figure](duration_scale=0.05, seed=0)
     (sc,) = worlds
+    return sc, result
+
+
+@pytest.mark.parametrize("figure", sorted(PINNED))
+def test_l7_figure_reproduces_parent_digests(figure, monkeypatch):
+    sc, result = _run_recorded(figure, monkeypatch)
     world, admission = PINNED[figure]
     assert scenario_digest(sc) == world
     assert {
         name: l7_admission_digest(red) for name, red in sc.l7_redirectors.items()
     } == admission
     assert result.figure == figure
+
+
+@pytest.mark.parametrize("figure", sorted(PINNED_L4))
+def test_l4_figure_reproduces_parent_digests(figure, monkeypatch):
+    sc, result = _run_recorded(figure, monkeypatch)
+    world, admission = PINNED_L4[figure]
+    assert scenario_digest(sc) == world
+    assert {
+        name: l4_admission_digest(daemon) for name, daemon in sc.l4_daemons.items()
+    } == admission
+    assert result.figure == figure
+
+
+def test_fault_matrix_reproduces_parent_digest():
+    report = chaos_replay(duration_scale=0.4, seed=0, with_invariants=False)
+    assert report.digests[0] == PINNED_FAULT_MATRIX
+
+
+def test_fig1_distributed_reproduces_parent_rates():
+    result = figures.run_fig1_distributed(duration=20, seed=0)
+    assert {
+        "endpoint": {p: r.hex() for p, r in result.endpoint.items()},
+        "coordinated": {p: r.hex() for p, r in result.coordinated.items()},
+    } == PINNED_FIG1D

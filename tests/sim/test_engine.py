@@ -5,6 +5,19 @@ from repro.sim.engine import (
 )
 
 
+def generator_every(sim, period, fn, *args, start=0.0):
+    """``Simulator.every`` as a generator process — the oracle the
+    PeriodicTimer must match event for event (also patched over
+    ``Simulator.every`` by tests/integration/test_lp_cache_ab.py)."""
+    def ticker():
+        if start > 0:
+            yield start
+        while True:
+            fn(*args)
+            yield period
+    return sim.process(ticker())
+
+
 class TestScheduling:
     def test_callbacks_in_time_order(self):
         sim = Simulator()
@@ -362,14 +375,14 @@ class TestTimers:
         assert out == list(range(10))
 
     def test_fast_periodic_matches_generator_path(self):
-        """The PeriodicTimer fast path is bit-identical to the legacy
-        generator-process path: same tick times, same interleaving with
-        other processes, same seq-number tie-breaks."""
-        def run_once(fast):
-            sim = Simulator(fast_periodic=fast)
+        """The PeriodicTimer is bit-identical to a generator process that
+        calls and yields: same tick times, same interleaving with other
+        processes, same seq-number tie-breaks."""
+        def run_once(every):
+            sim = Simulator()
             trace = []
-            sim.every(0.1, lambda: trace.append(("tick", sim.now)))
-            sim.every(0.25, lambda: trace.append(("slow", sim.now)), start=0.25)
+            every(sim, 0.1, lambda: trace.append(("tick", sim.now)))
+            every(sim, 0.25, lambda: trace.append(("slow", sim.now)), start=0.25)
 
             def proc():
                 while sim.now < 0.9:
@@ -380,7 +393,7 @@ class TestTimers:
             sim.run(until=1.0)
             return trace
 
-        assert run_once(True) == run_once(False)
+        assert run_once(Simulator.every) == run_once(generator_every)
 
     def test_timer_classes_exported(self):
         sim = Simulator()

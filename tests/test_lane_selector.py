@@ -1,0 +1,92 @@
+"""``lane=`` is the only execution selector: the four A/B accelerator
+switches stay deleted everywhere above the component that owns one."""
+
+import inspect
+
+import pytest
+
+from repro.analysis import replay
+from repro.cli import build_parser
+from repro.cluster.client import ClientMachine
+from repro.experiments import faultmatrix, figures, parallel, sharded
+from repro.experiments.harness import Scenario
+from repro.l4.daemon import L4Daemon
+from repro.l4.switch import L4Switch
+from repro.l7.redirector import L7Redirector
+from repro.scheduling.allocator import WindowAllocator
+from repro.scheduling.community import CommunityScheduler
+from repro.scheduling.multiresource import MultiResourceCommunityScheduler
+from repro.scheduling.provider import ProviderScheduler
+from repro.sim.engine import Simulator
+
+GONE = {"lp_cache", "fast_periodic", "fast_lane", "l4_fast_lane"}
+
+SWITCHLESS = [
+    Scenario,
+    *figures.ALL_FIGURES.values(),
+    figures.fig6_scenario, figures.fig9_scenario, figures.fig10_scenario,
+    parallel.figure_kwargs, parallel.run_figures_parallel,
+    faultmatrix.fault_matrix_scenario, faultmatrix.run_fault_matrix,
+    replay.fig6_replay, replay.chaos_replay, replay.l4_replay,
+    replay.columnar_replay, replay.sharded_replay,
+    sharded.ShardedRunner, sharded.run_sharded, sharded.run_sharded_figure,
+    WindowAllocator, L7Redirector, L4Daemon, ClientMachine, Simulator,
+]
+
+
+def _accepts(fn, name):
+    params = inspect.signature(fn).parameters
+    if name in params:
+        return True
+    # A **kwargs catch-all is a pass-through in disguise.  run_faultmatrix's
+    # forwards to run_fault_matrix, which is checked by name above.
+    return fn is not figures.run_faultmatrix and any(
+        p.kind is p.VAR_KEYWORD for p in params.values()
+    )
+
+
+@pytest.mark.parametrize(
+    "fn", SWITCHLESS, ids=lambda fn: f"{fn.__module__}.{fn.__qualname__}"
+)
+def test_accelerator_switches_are_gone(fn):
+    assert not [name for name in sorted(GONE) if _accepts(fn, name)]
+
+
+def test_scenario_takes_the_lane_and_nothing_else():
+    assert list(inspect.signature(Scenario).parameters) == [
+        "graph", "window", "seed", "bin_width", "trace", "check_invariants",
+        "lane",
+    ]
+    assert inspect.signature(Scenario).parameters["lane"].default == "slotted"
+
+
+@pytest.mark.parametrize("owner, switch", [
+    (CommunityScheduler, "lp_cache"),
+    (ProviderScheduler, "lp_cache"),
+    (MultiResourceCommunityScheduler, "lp_cache"),
+    (L4Switch, "fast_lane"),
+], ids=lambda v: getattr(v, "__name__", v))
+def test_component_level_switches_remain(owner, switch):
+    # Where the cache lives (raw solve counts for tests and ablations) and
+    # where the per-packet reference path lives.
+    assert inspect.signature(owner).parameters[switch].default is True
+
+
+@pytest.mark.parametrize("flag", [
+    "--no-lp-cache", "--no-fast-lane", "--no-l4-fast-lane", "--columnar",
+])
+def test_parser_rejects_the_old_flags(flag, capsys):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["figures", flag])
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_check_has_no_columnar_flag(capsys):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["check", "--no-columnar"])
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lane", ["scalar", "slotted", "columnar"])
+def test_parser_accepts_lane(lane):
+    assert build_parser().parse_args(["figures", "--lane", lane]).lane == lane
