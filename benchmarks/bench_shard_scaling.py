@@ -4,13 +4,11 @@ The sharded lane partitions a fig6-shaped world's clusters across R
 worker processes that synchronize only at window boundaries (window-epoch
 barrier, one combining-tree merge + LP solve per window in the parent).
 This bench drives a 64-cluster world with ~28M admitted requests through
-shards=1 (inline reference) and shards=8 on *both* data planes — the
-zero-copy shared-memory seqlock plane (the default) and the pickled pipe
-transport — and records the wall-clock curve plus the per-epoch byte
+shards=1 (inline reference) and shards=8 on the zero-copy shared-memory
+seqlock plane, and records the wall-clock curve plus the per-epoch byte
 accounting into ``benchmarks/BENCH_core.json``.  ``bytes_per_epoch`` is
-the parent-handled data-plane traffic per window: pickled message bytes
-on the pipe plane, copied float64 columns + sequence words on the shm
-plane (the deferred checkpoint ring is reported separately as
+the parent-handled data-plane traffic per window: copied float64 columns
++ sequence words (the deferred checkpoint ring is reported separately as
 ``ring_bytes_per_epoch`` — it never crosses to the parent in steady
 state, which is the point).
 
@@ -18,9 +16,8 @@ The >=3x speedup floor only means anything when 8 workers can actually
 run concurrently, so the assertion is gated on the affinity mask:
 single-digit-core CI boxes and 1-core containers record the honest curve
 (with the core count in the meta) and skip the floor.  Digest parity —
-``shards=1`` bit-identical to ``shards=R`` on either transport — is
-asserted here too, on a small world, so the perf numbers can never come
-from diverging work.
+``shards=1`` bit-identical to ``shards=R`` — is asserted here too, on a
+small world, so the perf numbers can never come from diverging work.
 """
 
 import os
@@ -40,7 +37,6 @@ DURATION_SCALE = 0.01
 SEED = 3
 SHARDS = 8
 SPEEDUP_FLOOR = 3.0
-BYTES_RATIO_FLOOR = 10.0
 
 
 def _cores() -> int:
@@ -53,10 +49,10 @@ def _cores() -> int:
     return max(1, os.cpu_count() or 1)
 
 
-def _run(shards: int, transport: str = "shm"):
+def _run(shards: int):
     return run_sharded(
         "fig6", duration_scale=DURATION_SCALE, seed=SEED, shards=shards,
-        replicas=REPLICAS, load_scale=LOAD_SCALE, transport=transport,
+        replicas=REPLICAS, load_scale=LOAD_SCALE,
     )
 
 
@@ -84,21 +80,17 @@ def _plane_meta(res) -> dict:
         "bytes_per_epoch": res.bytes_per_epoch,
         "ring_bytes_per_epoch": res.ring_bytes_per_epoch,
         "barrier_polls": res.barrier_polls,
-        "barrier_wait_ms": round(res.barrier_wait_s * 1000.0, 1),
         "plane_polls": res.plane_polls,
         "plane_wait_ms": round(res.plane_wait_s * 1000.0, 1),
     }
 
 
 def test_shard_parity_smoke():
-    """Digest parity on a small world: perf never buys divergence —
-    across shard counts and across transports."""
+    """Digest parity on a small world: perf never buys divergence."""
     digests = {
-        (shards, transport): run_sharded(
-            "fig6", duration_scale=0.02, seed=0, shards=shards,
-            replicas=4, transport=transport).digest()
+        shards: run_sharded("fig6", duration_scale=0.02, seed=0,
+                            shards=shards, replicas=4).digest()
         for shards in (1, 2, 4)
-        for transport in ("pipe", "shm")
     }
     assert len(set(digests.values())) == 1, digests
 
@@ -120,12 +112,8 @@ def test_shard_scaling_serial(benchmark):
 def test_shard_scaling_sharded(benchmark):
     """Same world across 8 worker processes, shared-memory data plane.
 
-    The meta splits the parent's idle time into ``barrier_wait_ms``
-    (pipe-poll sleep: control traffic and, on the pipe plane, boundary
-    messages) and ``plane_wait_ms`` (seqlock-poll sleep on the shm
-    plane); ``checkpoint_kb`` is the retained epoch-checkpoint footprint
-    at K=2 — the self-healing machinery's overhead, visible next to the
-    wall-clock it rides on.
+    ``plane_wait_ms`` in the meta is the parent's idle time: seqlock-poll
+    sleep while workers simulate the window.
     """
     res = benchmark.pedantic(lambda: _run(SHARDS), rounds=3, iterations=1)
     assert res.shards == SHARDS
@@ -133,62 +121,28 @@ def test_shard_scaling_sharded(benchmark):
     median_s = benchmark.stats.stats.median
     meta = {"admitted": admitted, "clusters": len(res.clusters),
             "windows": res.n_windows, "cores": _cores(),
-            "reqs_per_s": round(admitted / median_s),
-            "checkpoint_kb": round(res.checkpoint_bytes / 1024.0, 1)}
+            "reqs_per_s": round(admitted / median_s)}
     meta.update(_plane_meta(res))
     record_bench("shard_scaling_8", median_s * 1000.0, meta=meta,
                  path=BENCH_PATH)
 
 
-def test_shard_scaling_sharded_pipe(benchmark):
-    """The pickled-pipe transport, kept measured so the shm win stays
-    honest (and so a pipe regression can't hide behind the default)."""
-    res = benchmark.pedantic(lambda: _run(SHARDS, "pipe"),
-                             rounds=3, iterations=1)
-    assert res.data_plane == "pipe"
-    median_s = benchmark.stats.stats.median
-    meta = {"admitted": _admitted(res), "cores": _cores(),
-            "windows": res.n_windows}
-    meta.update(_plane_meta(res))
-    record_bench("shard_scaling_8_pipe", median_s * 1000.0, meta=meta,
-                 path=BENCH_PATH)
-
-
 def test_shard_scaling_speedup():
-    """Record the scaling curve; enforce >=3x only with >=8 usable cores.
-
-    Also records the transport comparison at 8 shards: wall-clock for
-    pipe vs shm and the parent-handled bytes-per-epoch ratio, which must
-    be >=10x in shm's favour wherever shared memory is available.
-    """
+    """Record the scaling curve; enforce >=3x only with >=8 usable cores."""
     t_1, res_1 = _best_of(lambda: _run(1))
     t_r, res_r = _best_of(lambda: _run(SHARDS))
-    t_p, res_p = _best_of(lambda: _run(SHARDS, "pipe"))
     assert res_1.digest() == res_r.digest(), "sharded run diverged"
-    assert res_p.digest() == res_r.digest(), "transports diverged"
     cores = _cores()
     speedup = t_1 / t_r
     meta = {"speedup_x": round(speedup, 2), "cores": cores,
             "shards": SHARDS, "admitted": _admitted(res_r),
             "serial_s": round(t_1, 3), "sharded_s": round(t_r, 3),
-            "pipe_sharded_s": round(t_p, 3),
             "data_plane": res_r.data_plane,
-            "bytes_per_epoch": res_r.bytes_per_epoch,
-            "pipe_bytes_per_epoch": res_p.bytes_per_epoch}
-    if res_r.data_plane == "shm":
-        meta["bytes_ratio_x"] = round(
-            res_p.bytes_per_epoch / res_r.bytes_per_epoch, 1)
-    else:                                   # platform without POSIX shm
+            "bytes_per_epoch": res_r.bytes_per_epoch}
+    if res_r.transport_fallback is not None:   # platform without POSIX shm
         meta["transport_fallback"] = res_r.transport_fallback
     record_bench("shard_scaling_speedup", t_r * 1000.0, meta=meta,
                  path=BENCH_PATH)
-    if res_r.data_plane == "shm":
-        assert res_p.bytes_per_epoch >= \
-            BYTES_RATIO_FLOOR * res_r.bytes_per_epoch, (
-                f"pipe {res_p.bytes_per_epoch} B/epoch vs shm "
-                f"{res_r.bytes_per_epoch} B/epoch: ratio below "
-                f"{BYTES_RATIO_FLOOR:.0f}x"
-            )
     if cores >= SHARDS:
         assert speedup >= SPEEDUP_FLOOR, (
             f"{SHARDS} shards on {cores} cores: {speedup:.2f}x "

@@ -367,7 +367,6 @@ def sharded_replay(
     shards: int = 4,
     replicas: int = 4,
     with_crashes: bool = False,
-    transport: str = "shm",
 ) -> ReplayReport:
     """Run one sharded world with ``shards=1`` and ``shards=N`` and diff.
 
@@ -380,11 +379,10 @@ def sharded_replay(
     the proof.  ``replicas`` stamps out enough clusters that every worker
     owns several (the interesting regime for packing bugs).
 
-    The shards=N comparison runs under *both* data planes — the pickled
-    pipe transport and the shared-memory seqlock plane — so one report
-    also proves the transport is digest-invisible (both planes carry the
-    same float64 values bit-exactly; see docs/DETERMINISM.md).  Crash
-    runs use the selected ``transport``.
+    A ``shards=N`` run that fell back to the inline path (no shared memory
+    here) compared nothing across processes; its digest is suffixed
+    ``:ran-inline`` so the report reads DIVERGED instead of vacuously
+    IDENTICAL.
 
     ``with_crashes`` extends the contract to recovery: a third run kills
     workers at two distinct epochs (clean-exception path at one, SIGKILL
@@ -394,22 +392,19 @@ def sharded_replay(
     and a run that never triggered reassignment is marked divergent (the
     harness would otherwise silently stop testing degradation).
     """
+    from repro.experiments.faultmatrix import _crash_epochs
     from repro.experiments.sharded import run_sharded
 
     if shards < 2:
         raise ValueError("shard parity needs shards >= 2 to compare against 1")
-    if transport not in ("pipe", "shm"):
-        raise ValueError(f"transport must be pipe or shm, not {transport!r}")
     digests: List[str] = []
     labels: List[str] = []
     meta: Dict[str, Any] = {
-        "duration_scale": duration_scale, "seed": seed,
-        "replicas": replicas, "transport": transport,
+        "duration_scale": duration_scale, "seed": seed, "replicas": replicas,
     }
-    final_ckpt = ""
     res = run_sharded(
         figure, duration_scale=duration_scale, seed=seed, shards=1,
-        replicas=replicas, transport=transport,
+        replicas=replicas,
     )
     digests.append(res.digest())
     labels.append("shards=1")
@@ -417,28 +412,25 @@ def sharded_replay(
     meta["clusters"] = len(res.clusters)
     meta["lp_solves"] = res.lp_solves
     final_ckpt = res.final_checkpoint_digest
-    bytes_per_epoch: Dict[str, int] = {}
-    for plane in ("pipe", "shm"):
-        res = run_sharded(
-            figure, duration_scale=duration_scale, seed=seed, shards=shards,
-            replicas=replicas, transport=plane,
-        )
-        digests.append(res.digest())
-        labels.append(f"shards={shards} {res.data_plane}")
-        bytes_per_epoch[res.data_plane] = res.bytes_per_epoch
-        if plane == "shm" and res.transport_fallback is not None:
-            meta["transport_fallback"] = res.transport_fallback
-    meta["bytes_per_epoch"] = bytes_per_epoch
+    res = run_sharded(
+        figure, duration_scale=duration_scale, seed=seed, shards=shards,
+        replicas=replicas,
+    )
+    d = res.digest()
+    if res.data_plane != "shm":
+        d += ":ran-inline"
+        meta["transport_fallback"] = res.transport_fallback
+    digests.append(d)
+    labels.append(f"shards={shards} {res.data_plane}")
+    meta["bytes_per_epoch"] = res.bytes_per_epoch
     if with_crashes:
         from repro.coordination.checkpoint import RecoveryPolicy
 
-        n = int(meta["n_windows"])
-        e1 = max(1, n // 3)
-        e2 = max(e1 + 1, (2 * n) // 3)
+        e1, e2 = _crash_epochs(res.n_windows)
         crash_faults = [f"0:{e1}:exc", f"{min(1, shards - 1)}:{e2}:kill"]
         res = run_sharded(
             figure, duration_scale=duration_scale, seed=seed, shards=shards,
-            replicas=replicas, faults=crash_faults, transport=transport,
+            replicas=replicas, faults=crash_faults,
         )
         digests.append(res.digest())
         labels.append(f"shards={shards}+crashes")
@@ -453,7 +445,6 @@ def sharded_replay(
             figure, duration_scale=duration_scale, seed=seed, shards=shards,
             replicas=replicas, faults=[f"0:{e1}:kill", f"0:{e2}:kill"],
             recovery=RecoveryPolicy(max_restarts=1, backoff_base=0.01),
-            transport=transport,
         )
         d = res.digest()
         if not res.reassignments:

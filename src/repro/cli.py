@@ -24,10 +24,9 @@ the runtime invariant checker on the final run — for fig9/fig10 it also
 diffs the scalar, slotted and columnar lanes against each other (slotted
 and columnar for fig6, which has no L4 switch for ``scalar`` to change), and
 ``check --shards N`` instead proves the sharded lane's window-epoch
-barrier parity (``shards=1`` vs ``shards=N`` digests on fig6/fig9, with
-the ``shards=N`` run repeated on both the pipe and shared-memory data
-planes — ``--transport`` picks the plane for the crash runs), and
-``--with-crashes`` additionally kills workers mid-run (exception and
+barrier parity (``shards=1`` vs ``shards=N`` digests on fig6/fig9; a
+``shards=N`` run that fell back inline for want of shared memory reads
+DIVERGED, never vacuously IDENTICAL), and ``--with-crashes`` additionally kills workers mid-run (exception and
 SIGKILL deaths, plus a forced shard retirement) and requires the
 recovered digests to match bit-for-bit;
 ``chaos`` injects faults (the canonical coordination partition, a seeded
@@ -79,14 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run fig6/fig9 on the sharded lane with R "
                             "worker processes synchronised at window-epoch "
                             "barriers (digests are independent of R)")
-    p_fig.add_argument("--transport", type=str, default="shm",
-                       choices=["pipe", "shm"],
-                       help="sharded-lane data plane: shm (zero-copy "
-                            "shared-memory seqlock slots, the default; "
-                            "falls back to pipe with a warning where "
-                            "shared memory is unavailable) or pipe "
-                            "(pickled messages); digests are identical "
-                            "either way")
     p_fig.add_argument("--jobs", type=int, default=1,
                        help="worker processes for the figure batch "
                             "(results are independent of this)")
@@ -164,11 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "world with shards=1 and shards=R and require "
                             "bit-identical digests (fig6/fig9 only; skips "
                             "the ordinary replay diff)")
-    p_chk.add_argument("--transport", type=str, default="shm",
-                       choices=["pipe", "shm"],
-                       help="with --shards: data plane for the crash runs "
-                            "(the plain shards=R comparison always runs "
-                            "both planes and requires all digests equal)")
     p_chk.add_argument("--with-crashes", action="store_true",
                        help="with --shards: also run the crash-recovery "
                             "paths — worker deaths (exception and SIGKILL "
@@ -207,10 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_chaos.add_argument("--figure", type=str, default="fig6",
                          choices=["fig6", "fig9"],
                          help="sharded world for --shards mode")
-    p_chaos.add_argument("--transport", type=str, default="shm",
-                         choices=["pipe", "shm"],
-                         help="sharded-lane data plane for --shards mode "
-                              "(recovery digests are identical either way)")
     return parser
 
 
@@ -258,18 +240,16 @@ def _cmd_figures(args) -> int:
     known = [n for n in wanted if n in ALL_FIGURES]
     lane = getattr(args, "lane", "slotted")
     shards = getattr(args, "shards", 0) or None
-    transport = getattr(args, "transport", "shm")
     jobs = max(1, getattr(args, "jobs", 1))
     if jobs > 1:
         results = dict(run_figures_parallel(
             known, scale=args.scale, seed=args.seed, jobs=jobs,
-            lane=lane, shards=shards, transport=transport,
+            lane=lane, shards=shards,
         ))
     else:
         results = {
             n: ALL_FIGURES[n](**figure_kwargs(n, args.scale, args.seed,
-                                              lane=lane, shards=shards,
-                                              transport=transport))
+                                              lane=lane, shards=shards))
             for n in known
         }
     for name in wanted:
@@ -382,7 +362,6 @@ def _cmd_check(args) -> int:
                 figure=scenario, duration_scale=args.scale, seed=args.seed,
                 shards=args.shards,
                 with_crashes=getattr(args, "with_crashes", False),
-                transport=getattr(args, "transport", "shm"),
             )
             print(report.render())
             failures += 0 if report.ok else 1
@@ -478,8 +457,7 @@ def _cmd_chaos_sharded(args) -> int:
         baseline = run_sharded(figure, duration_scale=args.scale,
                                seed=args.seed, shards=1, replicas=replicas)
         res = run_sharded(figure, duration_scale=args.scale, seed=args.seed,
-                          shards=args.shards, replicas=replicas, faults=bound,
-                          transport=getattr(args, "transport", "shm"))
+                          shards=args.shards, replicas=replicas, faults=bound)
         match = res.digest() == baseline.digest()
         print(f"  restarts={len(res.restarts)} "
               f"reassignments={len(res.reassignments)}")
@@ -490,11 +468,9 @@ def _cmd_chaos_sharded(args) -> int:
         report = run_crash_recovery_matrix(
             figure=figure, duration_scale=args.scale, seed=args.seed,
             shards=args.shards, replicas=replicas,
-            transport=getattr(args, "transport", "shm"),
         )
         e1, e2 = report["epochs"]
         print(f"crash-recovery matrix ({figure}, shards={args.shards}, "
-              f"transport {report['transport']}, "
               f"deaths at epochs {e1}/{e2}): "
               f"{'ok' if report['ok'] else 'FAILED'}")
         for name, cell in report["cells"].items():

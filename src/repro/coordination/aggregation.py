@@ -38,7 +38,7 @@ class VectorAggregate:
         float64 column per principal, and the parent reconstitutes the
         leaf with insertion order fixed by ``principals`` — the same order
         the worker's own :meth:`local` used — so downstream combining-tree
-        folds are float-for-float identical to the pipe transport.
+        folds are float-for-float identical to the inline path's.
         """
         return cls.local({p: float(v) for p, v in zip(principals, row)})
 

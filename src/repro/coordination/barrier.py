@@ -1,26 +1,23 @@
-"""Window-epoch barrier for sharded single-scenario execution.
+"""Control channel for sharded single-scenario execution.
 
 The paper's coordination structure (§3.2) makes clusters independent
 *within* a scheduling window: they exchange state only through the
 combining tree at window boundaries, 2(n-1) messages per round.  The
 sharded runner (:mod:`repro.experiments.sharded`) exploits exactly that —
 each worker process simulates its clusters through window *k* to
-completion, then stops at the boundary and exchanges state with the
-parent.  This module is the transport shim for that exchange: typed
-boundary messages over :mod:`multiprocessing` pipes, plus a conservative
-barrier (`EpochBarrier`) that releases no worker into window *k+1* until
-every worker has reported window *k*.  Under the shared-memory data
-plane (:mod:`repro.coordination.shm`) the per-epoch boundary payload
-moves out of the pipes entirely; the pipe then carries only low-rate
-control traffic — faults, reassignment, finish, failure — polled through
-:meth:`EpochBarrier.poll_control`.
+completion, then stops at the boundary.  The per-epoch boundary payload
+moves through the shared-memory data plane
+(:mod:`repro.coordination.shm`); this module is what the
+:mod:`multiprocessing` pipes beside it still carry: low-rate typed
+control traffic — reassignment and its adoption reply, finish, failure —
+polled through :meth:`EpochBarrier.poll_control` /
+:meth:`EpochBarrier.try_recv`.
 
 Failure model: a worker that dies mid-window (crash, OOM kill, bug) must
 surface as a typed :class:`ShardWorkerError` in the parent — never a
-hang.  ``recv``/``gather`` therefore poll each pipe with capped
-exponential backoff (``poll_floor`` up to ``poll_interval``), check
-process liveness between polls, and enforce an overall per-epoch
-timeout.  A worker that catches its own exception ships a
+hang.  Every control poll is non-blocking and checks process liveness;
+the runner interleaves them with its seqlock polls and enforces the
+per-epoch timeout.  A worker that catches its own exception ships a
 :class:`WorkerFailure` message so the parent can re-raise with the
 original detail.  The barrier itself is policy-free: *recovering* from a
 :class:`ShardWorkerError` (respawn from checkpoint, or reassign the dead
@@ -31,14 +28,12 @@ surgery primitives ``replace`` and ``deactivate``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from time import monotonic  # simlint: disable=SIM001  # IPC liveness timeout, not sim time
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Type, TypeVar
 
 from repro.coordination.aggregation import VectorAggregate
 from repro.coordination.checkpoint import ClusterCheckpoint
 
 __all__ = [
-    "AllocationMessage",
     "BoundaryMessage",
     "ReassignMessage",
     "FinishMessage",
@@ -51,53 +46,33 @@ M = TypeVar("M")
 
 
 @dataclass(frozen=True)
-class AllocationMessage:
-    """Parent -> workers: release into window ``epoch`` with this policy.
-
-    ``frac`` maps each principal to the globally consistent served
-    fraction ``min(1, x_p / n_p)`` from the window LP on the previous
-    epoch's merged demand; each worker scales it by its clusters' *local*
-    demand, exactly how :class:`~repro.scheduling.allocator.WindowAllocator`
-    applies a combining-tree broadcast.  ``frac=None`` means no global
-    information exists yet (epoch 0): workers fall back to the
-    conservative 1/R mandatory split carried in their static task config,
-    the paper's Fig 8 phase-1 behaviour.
-    """
-
-    epoch: int
-    frac: Optional[Dict[str, float]] = None
-
-
-@dataclass(frozen=True)
 class BoundaryMessage:
-    """Worker -> parent at the window-``epoch`` boundary.
+    """Survivor -> parent: window ``epoch`` replayed for adopted clusters.
 
-    ``demand`` carries one :class:`VectorAggregate` per cluster (never
-    pre-summed per shard: the parent folds the per-cluster leaves through
-    the combining tree in an order fixed by cluster names, so the merged
-    float totals are independent of how clusters were packed into
-    shards).  ``admitted`` carries the per-principal admitted counts for
-    the same window and ``checkpoints`` the post-window state snapshot
-    per cluster — together they make the parent the sole owner of run
-    history, so a worker death loses at most the in-flight window.
+    The reply to a :class:`ReassignMessage`, and the only boundary record
+    that crosses a pipe: the survivor's ring slot already reads
+    "epoch published" for its own rows, so the adopted rows (written into
+    the same slot for later restores) need a separate completion signal.
+    ``demand`` carries one :class:`VectorAggregate` per adopted cluster
+    (never pre-summed: the parent folds per-cluster leaves through the
+    combining tree in an order fixed by cluster names) and ``admitted``
+    the per-principal admitted counts for the same window.
     """
 
     epoch: int
     shard: int
     demand: Dict[str, VectorAggregate] = field(default_factory=dict)
     admitted: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    checkpoints: Dict[str, ClusterCheckpoint] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
 class ReassignMessage:
     """Parent -> one survivor: adopt a dead shard's clusters mid-epoch.
 
-    Sent for window ``epoch`` *after* that window's
-    :class:`AllocationMessage`; pipe FIFO ordering therefore guarantees
-    the survivor sees it after finishing its own window, and the adoption
-    reply (a second :class:`BoundaryMessage` covering only the adopted
-    clusters) after its regular boundary report.  ``checkpoints`` holds
+    Sent while window ``epoch`` is in flight; the survivor defers it
+    until it has published its own epoch-``epoch`` rows, then replays the
+    window for the adopted clusters and answers with a
+    :class:`BoundaryMessage` covering only them.  ``checkpoints`` holds
     the adopted clusters' state as of epoch ``epoch - 1`` (empty when the
     dead shard never completed a window), so the survivor replays the
     in-flight window for them bit-identically.
@@ -134,30 +109,23 @@ class ShardWorkerError(RuntimeError):
 
 
 class EpochBarrier:
-    """Parent-side conservative barrier over worker pipes.
+    """Parent-side control channel: one pipe (and process) per worker slot.
 
-    One connection per worker slot.  ``broadcast`` releases all active
-    workers into an epoch; ``gather`` blocks until every active worker
-    has reported that epoch's boundary message, converting worker death,
-    protocol violations and timeouts into :class:`ShardWorkerError`.
-    ``send``/``recv`` are the per-slot primitives a recovering runner
-    needs to retry a single shard without disturbing the rest.
+    ``send`` / ``poll_control`` / ``try_recv`` are non-blocking per-slot
+    primitives that convert worker death and protocol violations into
+    :class:`ShardWorkerError`; the window barrier itself is the runner's
+    seqlock gather over the data plane, which calls them between polls.
 
     A slot can be *replaced* (a respawned worker takes over the shard
     index) or *deactivated* (the shard is gone for good; its connection
-    is closed and its process reaped, and broadcast/gather skip it).
-    ``polls``/``poll_wait_s`` count the parent's poll syscalls and the
-    wall-clock time spent blocked in them, so the scaling bench can
-    report parent-side poll overhead.
+    is closed and its process reaped).  ``polls`` counts the parent's
+    poll syscalls.
     """
 
     def __init__(
         self,
         connections: Sequence[Any],
         processes: Optional[Sequence[Any]] = None,
-        timeout: float = 120.0,
-        poll_interval: float = 0.05,
-        poll_floor: float = 0.001,
     ) -> None:
         if processes is not None and len(processes) != len(connections):
             raise ValueError("need one process handle per connection")
@@ -165,11 +133,7 @@ class EpochBarrier:
         self.processes: Optional[List[Any]] = (
             list(processes) if processes is not None else None
         )
-        self.timeout = float(timeout)
-        self.poll_interval = float(poll_interval)
-        self.poll_floor = min(float(poll_floor), self.poll_interval)
         self.polls = 0
-        self.poll_wait_s = 0.0
 
     def __len__(self) -> int:
         return len(self.connections)
@@ -192,27 +156,14 @@ class EpochBarrier:
                 shard, f"pipe closed while sending {type(msg).__name__}: {exc}"
             ) from exc
 
-    def broadcast(self, msg: Any) -> None:
-        for shard in self.active:
-            self.send(shard, msg)
-
-    def recv(self, shard: int, epoch: int, kind: Type[M],
-             deadline: Optional[float] = None) -> M:
-        """One ``kind`` message for ``epoch`` from one shard."""
-        if deadline is None:
-            deadline = monotonic() + self.timeout  # simlint: disable=SIM001
-        msg = self._recv_one(shard, deadline)
-        return self._check(shard, msg, epoch, kind)
-
     def poll_control(self, shard: int) -> Optional[Any]:
         """Non-blocking control-pipe check for one shard.
 
-        The shared-memory data plane moves boundary traffic out of the
-        pipes, but the pipe still carries failure and adoption control
-        messages — and worker death still surfaces as EOF/liveness here.
-        Returns a pending message, ``None`` when the pipe is quiet, and
-        raises :class:`ShardWorkerError` for :class:`WorkerFailure`
-        payloads, EOF, or a dead process with a drained pipe.
+        The pipe carries failure and adoption control messages, and
+        worker death surfaces as EOF/liveness here.  Returns a pending
+        message, ``None`` when the pipe is quiet, and raises
+        :class:`ShardWorkerError` for :class:`WorkerFailure` payloads,
+        EOF, or a dead process with a drained pipe.
         """
         conn = self.connections[shard]
         if conn is None:
@@ -235,57 +186,6 @@ class EpochBarrier:
         msg = self.poll_control(shard)
         if msg is None:
             return None
-        return self._check(shard, msg, epoch, kind)
-
-    # -- internals ----------------------------------------------------------
-
-    def _alive(self, shard: int) -> bool:
-        if self.processes is None or self.processes[shard] is None:
-            return True
-        return bool(self.processes[shard].is_alive())
-
-    def _recv_one(self, shard: int, deadline: float) -> Any:
-        conn = self.connections[shard]
-        if conn is None:
-            raise ShardWorkerError(shard, "shard slot is deactivated")
-        # Capped exponential backoff: a worker mid-window keeps the parent
-        # nearly idle (sleeps approach poll_interval), while a boundary
-        # message that is about to arrive is picked up within ~poll_floor.
-        wait = self.poll_floor
-        while True:
-            remaining = deadline - monotonic()  # simlint: disable=SIM001
-            if remaining <= 0:
-                raise ShardWorkerError(
-                    shard, f"no boundary message within {self.timeout:.0f}s (hang?)"
-                )
-            try:
-                t0 = monotonic()  # simlint: disable=SIM001
-                ready = conn.poll(min(wait, remaining))
-                self.polls += 1
-                self.poll_wait_s += monotonic() - t0  # simlint: disable=SIM001
-                if ready:
-                    return conn.recv()
-            except (EOFError, BrokenPipeError, OSError) as exc:
-                raise self._death_error(shard, exc) from exc
-            if not self._alive(shard) and not conn.poll(0):
-                raise self._death_error(shard, None)
-            wait = min(wait * 2.0, self.poll_interval)
-
-    def _death_error(self, shard: int, cause: Optional[BaseException]) -> ShardWorkerError:
-        """Diagnose an EOF/liveness failure: prefer the exitcode if dead."""
-        if self.processes is not None and self.processes[shard] is not None:
-            proc = self.processes[shard]
-            proc.join(timeout=1.0)
-            if not proc.is_alive():
-                return ShardWorkerError(
-                    shard,
-                    f"worker process died mid-window (exitcode {proc.exitcode})",
-                )
-        return ShardWorkerError(shard, f"pipe closed mid-window: {cause}")
-
-    def _check(self, shard: int, msg: Any, epoch: int, kind: Type[M]) -> M:
-        if isinstance(msg, WorkerFailure):
-            raise ShardWorkerError(msg.shard, msg.detail)
         if not isinstance(msg, kind):
             raise ShardWorkerError(
                 shard, f"expected {kind.__name__} for epoch {epoch}, "
@@ -298,13 +198,24 @@ class EpochBarrier:
             )
         return msg
 
-    def gather(self, epoch: int, kind: Type[M]) -> List[M]:
-        """One ``kind`` message per active worker for ``epoch``, in shard order."""
-        deadline = monotonic() + self.timeout  # simlint: disable=SIM001
-        out: List[M] = []
-        for shard in self.active:
-            out.append(self.recv(shard, epoch, kind, deadline=deadline))
-        return out
+    # -- internals ----------------------------------------------------------
+
+    def _alive(self, shard: int) -> bool:
+        if self.processes is None or self.processes[shard] is None:
+            return True
+        return bool(self.processes[shard].is_alive())
+
+    def _death_error(self, shard: int, cause: Optional[BaseException]) -> ShardWorkerError:
+        """Diagnose an EOF/liveness failure: prefer the exitcode if dead."""
+        if self.processes is not None and self.processes[shard] is not None:
+            proc = self.processes[shard]
+            proc.join(timeout=1.0)
+            if not proc.is_alive():
+                return ShardWorkerError(
+                    shard,
+                    f"worker process died mid-window (exitcode {proc.exitcode})",
+                )
+        return ShardWorkerError(shard, f"pipe closed mid-window: {cause}")
 
     # -- slot surgery -------------------------------------------------------
 

@@ -3,34 +3,29 @@
 The paper's enforcement scheme is built to survive node loss — the
 combining tree heals around a dead node and allocation degrades to the
 conservative 1/R split (§3.2).  This module gives the *execution
-substrate* the same property: at every window barrier each worker ships a
-compact :class:`ClusterCheckpoint` per cluster (RNG substream position,
+substrate* the same property: at every window barrier each worker writes
+a compact :class:`ClusterCheckpoint` per cluster (RNG substream position,
 residual-carry admission state, mergeable response-time
 :class:`~repro.coordination.aggregation.StreamStats`, and the Lindley
-server clock), and the parent retains the last K epochs in a
-:class:`CheckpointStore`.  Because a cluster's entire private state is
-exactly those four things — the per-window history arrays live in the
-parent — a respawned worker restored from the latest checkpoint replays
-the in-flight window bit-identically: the Philox counter resumes at the
-exact draw where the snapshot was taken.
+server clock) into the shared-memory ring
+(:mod:`repro.coordination.shm`), the one place recovery reads from.
+Because a cluster's entire private state is exactly those four things —
+the per-window history arrays live in the parent — a respawned worker
+restored from the latest checkpoint replays the in-flight window
+bit-identically: the Philox counter resumes at the exact draw where the
+snapshot was taken.
 
-Checkpoints are content-addressed (SHA-256 over a canonical JSON form) so
-recovery can be audited: the digest of the state a worker was restored
-from is recorded in the :class:`ShardRestart` event, and a spill file —
-optional; the store is in-memory by default — is verified against its
-digests on load.  Digesting is *lazy*: the steady-state epoch loop never
-JSON-canonicalizes or hashes anything — digests are computed (and cached)
-only on spill, restore verification, and audit.
-
-Checkpoints also have a fixed-layout binary form (:func:`pack_checkpoint`
-/ :func:`unpack_checkpoint`): one ``uint64`` row of
+The ring stores the fixed-layout binary form (:func:`pack_checkpoint` /
+:func:`unpack_checkpoint`): one ``uint64`` row of
 ``RECORD_BASE_WORDS + P`` words per cluster, holding the complete Philox
 bit-generator state, the :class:`StreamStats` moments, the Lindley clock
-and the per-principal carry.  The shared-memory data plane
-(:mod:`repro.coordination.shm`) writes these rows into a K-deep ring at
-every barrier — zero pickling — and the round-trip is bit-exact, so a
-checkpoint restored from the binary form digests identically to one that
-crossed a pipe.
+and the per-principal carry — zero pickling, and the round-trip is
+bit-exact.  Checkpoints are content-addressed (SHA-256 over a canonical
+JSON form) so recovery can be audited: the digest of the state a worker
+was restored from is recorded in the :class:`ShardRestart` event.
+Digesting is *lazy*: the steady-state epoch loop never JSON-canonicalizes
+or hashes anything — digests are computed (and cached) only on restore
+and for the run's final-state witness.
 
 :class:`RecoveryPolicy` governs the parent's reaction to a
 :class:`~repro.coordination.barrier.ShardWorkerError`: how many respawns
@@ -45,9 +40,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -55,14 +49,12 @@ from repro.coordination.aggregation import StreamStats
 
 __all__ = [
     "ClusterCheckpoint",
-    "CheckpointStore",
     "RecoveryPolicy",
     "ShardRestart",
     "ShardReassignment",
     "epoch_digest",
     "RECORD_BASE_WORDS",
     "record_words",
-    "record_nbytes",
     "pack_checkpoint",
     "unpack_checkpoint",
 ]
@@ -93,10 +85,6 @@ def record_words(n_principals: int) -> int:
     return RECORD_BASE_WORDS + int(n_principals)
 
 
-def record_nbytes(n_principals: int) -> int:
-    return 8 * record_words(n_principals)
-
-
 def _encode(obj: Any) -> Any:
     """JSON-able form of a checkpoint field (ndarrays become typed lists)."""
     if isinstance(obj, np.ndarray):
@@ -109,16 +97,6 @@ def _encode(obj: Any) -> Any:
         return {str(k): _encode(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_encode(v) for v in obj]
-    return obj
-
-
-def _decode(obj: Any) -> Any:
-    if isinstance(obj, dict):
-        if "__nd__" in obj:
-            return np.array(obj["__nd__"], dtype=obj["dtype"])
-        return {k: _decode(v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [_decode(v) for v in obj]
     return obj
 
 
@@ -156,26 +134,12 @@ class ClusterCheckpoint:
             "clock": self.clock,
         }
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ClusterCheckpoint":
-        resp = data["response"]
-        return cls(
-            rng_state=_decode(data["rng_state"]),
-            carry={k: float(v) for k, v in data["carry"].items()},
-            response=StreamStats(
-                count=int(resp["count"]), mean=float(resp["mean"]),
-                m2=float(resp["m2"]), min=float(resp["min"]),
-                max=float(resp["max"]),
-            ),
-            clock=float(data["clock"]),
-        )
-
     def digest(self) -> str:
         """SHA-256 over the canonical JSON form — names this state exactly.
 
         Lazy and cached: the steady-state epoch loop never calls this; it
-        runs only on spill, restore verification and audit, and the first
-        computation is memoized on the (frozen) instance.
+        runs only on restore and for the final-state witness, and the
+        first computation is memoized on the (frozen) instance.
         """
         if self._digest is None:
             canonical = json.dumps(self.to_dict(), sort_keys=True,
@@ -240,7 +204,7 @@ def unpack_checkpoint(row: np.ndarray,
     ``Generator.bit_generator.state`` produces (uint64 arrays for
     counter/key/buffer, plain ints for the scalars), so the canonical JSON
     form — and therefore :meth:`ClusterCheckpoint.digest` — is identical
-    to the pipe-transported original.
+    to the packed original's.
     """
     if row.dtype != np.uint64 or row.shape != (record_words(len(principals)),):
         raise ValueError("unpack_checkpoint: wrong row shape/dtype")
@@ -265,134 +229,6 @@ def unpack_checkpoint(row: np.ndarray,
              for i, p in enumerate(principals)}
     return ClusterCheckpoint(rng_state=rng_state, carry=carry,
                              response=response, clock=float(flt[18]))
-
-
-class CheckpointStore:
-    """Parent-side retention of the last ``retain`` epochs of checkpoints.
-
-    ``put`` merges one epoch's per-cluster snapshots (already combined
-    across shards by the caller) and prunes anything older than the
-    retention window.  It performs **no pickling and no hashing**: size
-    accounting comes from the fixed binary record layout
-    (:func:`record_nbytes`), and content digests are computed lazily by
-    :meth:`digest` — on spill, restore verification, or audit — and cached
-    in :attr:`digests`.  With ``spill_path`` set, the retained window is
-    also mirrored to a JSON file after every put (digesting at spill time;
-    spilling is the documented expensive audit path), and :meth:`load`
-    verifies the per-epoch digests on the way back in — a corrupted spill
-    is an error, never silently different state.
-    """
-
-    def __init__(self, retain: int = 2,
-                 spill_path: Optional[str] = None) -> None:
-        if retain < 1:
-            raise ValueError("retain must be >= 1")
-        self.retain = int(retain)
-        self.spill_path = spill_path
-        self._epochs: "OrderedDict[int, Dict[str, ClusterCheckpoint]]" = \
-            OrderedDict()
-        self.digests: Dict[int, str] = {}   # lazily digested epochs (audit log)
-        self.bytes_retained = 0
-        self._sizes: Dict[int, int] = {}
-
-    def __len__(self) -> int:
-        return len(self._epochs)
-
-    @property
-    def epochs(self) -> List[int]:
-        return list(self._epochs)
-
-    def put(self, epoch: int,
-            checkpoints: Mapping[str, ClusterCheckpoint]) -> None:
-        """Retain one epoch's merged snapshots.
-
-        Digest-free and pickle-free: sizes come from the binary record
-        layout arithmetic, content digests from the lazy :meth:`digest`.
-        """
-        snap = dict(checkpoints)
-        self._epochs[epoch] = snap
-        self._epochs.move_to_end(epoch)
-        self._sizes[epoch] = sum(record_nbytes(len(ck.carry))
-                                 for ck in snap.values())
-        while len(self._epochs) > self.retain:
-            old, _ = self._epochs.popitem(last=False)
-            self._sizes.pop(old, None)
-        self.bytes_retained = sum(self._sizes.values())
-        if self.spill_path:
-            self._spill()
-
-    def digest(self, epoch: int) -> str:
-        """Content digest of a retained (or previously digested) epoch.
-
-        Computed on first request and cached in :attr:`digests` — the
-        audit log keeps digests of evicted epochs alive as long as they
-        were digested (spilled, restored from, or audited) before
-        eviction.
-        """
-        if epoch not in self.digests:
-            if epoch not in self._epochs:
-                raise KeyError(
-                    f"epoch {epoch} is neither retained nor previously "
-                    f"digested"
-                )
-            self.digests[epoch] = epoch_digest(self._epochs[epoch])
-        return self.digests[epoch]
-
-    def get(self, epoch: int) -> Dict[str, ClusterCheckpoint]:
-        return dict(self._epochs[epoch])
-
-    def latest(self) -> Optional[Tuple[int, Dict[str, ClusterCheckpoint]]]:
-        """(epoch, checkpoints) of the newest retained epoch, or None."""
-        if not self._epochs:
-            return None
-        epoch = next(reversed(self._epochs))
-        return epoch, dict(self._epochs[epoch])
-
-    # -- spill file ---------------------------------------------------------
-
-    def _spill(self) -> None:
-        payload = {
-            "retain": self.retain,
-            "epochs": {
-                str(epoch): {
-                    "digest": self.digest(epoch),
-                    "clusters": {
-                        name: ck.to_dict() for name, ck in snap.items()
-                    },
-                }
-                for epoch, snap in self._epochs.items()
-            },
-        }
-        assert self.spill_path is not None
-        tmp = self.spill_path + ".tmp"
-        with open(tmp, "w") as fh:
-            json.dump(payload, fh, sort_keys=True)
-        import os
-
-        os.replace(tmp, self.spill_path)
-
-    @classmethod
-    def load(cls, path: str, retain: Optional[int] = None) -> "CheckpointStore":
-        """Rebuild a store from a spill file, verifying content digests."""
-        with open(path) as fh:
-            payload = json.load(fh)
-        store = cls(retain=retain if retain is not None
-                    else int(payload.get("retain", 2)), spill_path=None)
-        for epoch_s in sorted(payload.get("epochs", {}), key=int):
-            entry = payload["epochs"][epoch_s]
-            snap = {
-                name: ClusterCheckpoint.from_dict(d)
-                for name, d in entry["clusters"].items()
-            }
-            store.put(int(epoch_s), snap)
-            digest = store.digest(int(epoch_s))
-            if digest != entry["digest"]:
-                raise ValueError(
-                    f"checkpoint spill corrupt: epoch {epoch_s} digest "
-                    f"mismatch ({digest[:12]} != {entry['digest'][:12]})"
-                )
-        store.spill_path = path
-        return store
 
 
 @dataclass(frozen=True)

@@ -3,14 +3,12 @@
 The paper's enforcement loop is a per-window cycle — summarized demand up
 a combining tree, one allocation vector broadcast back down — and its
 economics depend on the measurement plane costing ~nothing next to the
-work it measures.  PR 7/9 crossed that boundary with pickled pipe
-messages: every epoch serialized per-cluster ``VectorAggregate``s plus a
-full checkpoint that was JSON-canonicalized and SHA-256'd before the next
-window could start.  This module replaces that with one preallocated
-``multiprocessing.shared_memory`` segment, viewed through numpy:
+work it measures.  This module is the sharded lane's one boundary
+transport: a preallocated ``multiprocessing.shared_memory`` segment,
+viewed through numpy:
 
 * a **control block** the parent seqlock-publishes each epoch's
-  allocation into (replacing per-shard ``AllocationMessage`` sends), and
+  allocation into, and
 * one **region per shard** holding a K-deep ring of fixed-layout slots;
   each slot has demand and admitted columns (``C×P float64``) plus one
   binary checkpoint record per cluster
@@ -23,8 +21,8 @@ after.  The parent polls the sequence word, copies the rows it needs, and
 re-checks the word — an unchanged even value proves the copy saw no
 concurrent writer; anything else is retried.  The steady-state epoch
 therefore does **zero pickling and zero hashing**; pipes remain only for
-low-rate control traffic (faults, reassignment, finish, failure), and the
-checkpoint ring is decoded only on restore, spill, or audit.
+low-rate control traffic (reassignment, finish, failure), and the
+checkpoint ring is decoded only on restore and at the horizon.
 
 Memory-ordering caveat: the seqlock has no explicit fences — it relies on
 the total-store-order guarantee of x86-64 (and on CPython's interpreter
@@ -75,7 +73,7 @@ _CTL_BASE_WORDS = 3
 
 
 class ShmUnavailable(RuntimeError):
-    """Shared memory cannot be used here; callers fall back to pipes."""
+    """Shared memory cannot be used here; the runner falls back to inline."""
 
 
 @dataclass(frozen=True)
@@ -284,8 +282,8 @@ class ShmDataPlane:
         """Decode ``epoch``'s checkpoint records from the ring.
 
         ``owners`` maps cluster name to the shard that published it during
-        ``epoch``.  This is the deferred-digest path — restore, spill,
-        audit — never the steady-state loop.  A slot whose sequence word
+        ``epoch``.  This is the deferred-digest path — restore and the
+        final-state witness — never the steady-state loop.  A slot whose sequence word
         is not the epoch's published value is an error: the ring is only
         read for epochs the parent has already folded.
         """
@@ -321,9 +319,9 @@ class ShmDataPlane:
         Demand + admitted row copies for every cluster, one control-block
         write, and one sequence-word read per shard.  Checkpoint records
         are *excluded*: they are written in place by workers and never
-        cross to the parent until restore/spill/audit (that deferral is
-        the point); their per-epoch ring footprint is reported separately
-        as :attr:`ring_bytes_per_epoch`.
+        cross to the parent until a restore or the horizon (that deferral
+        is the point); their per-epoch ring footprint is reported
+        separately as :attr:`ring_bytes_per_epoch`.
         """
         C, P = len(self.spec.clusters), len(self.spec.principals)
         return 8 * (C * 2 * P + self._ctl_words + self.spec.shards)

@@ -177,7 +177,6 @@ def canonical_shard_plan(
     figure: str = "fig6",
     duration_scale: float = 0.05,
     shards: int = 4,
-    window: float = 0.1,
 ) -> FaultPlan:
     """The canonical worker-revocation plan for ``repro chaos --shards R``.
 
@@ -186,13 +185,15 @@ def canonical_shard_plan(
     at two thirds (the hard-death path).  Epoch binding happens in
     :func:`repro.experiments.sharded.shard_faults_from_plan`.
     """
-    horizon = {"fig9": 4.0}.get(figure, 3.0)
-    n_windows = max(1, int(round(horizon * 100.0 * duration_scale / window)))
-    e1, e2 = _crash_epochs(n_windows)
+    from repro.experiments.sharded import SHARDED_WORLDS
+
+    world = SHARDED_WORLDS[figure](duration_scale)
+    e1, e2 = _crash_epochs(world.n_windows)
     return FaultPlan(
         events=[
-            ShardRevoke(at=e1 * window, shard=0, mode="exc"),
-            ShardRevoke(at=e2 * window, shard=min(1, shards - 1), mode="kill"),
+            ShardRevoke(at=e1 * world.window, shard=0, mode="exc"),
+            ShardRevoke(at=e2 * world.window, shard=min(1, shards - 1),
+                        mode="kill"),
         ],
         name=f"shard-crash-{figure}",
     )
@@ -204,7 +205,6 @@ def run_crash_recovery_matrix(
     seed: int = 0,
     shards: int = 4,
     replicas: int = 4,
-    transport: str = "shm",
 ) -> Dict[str, Any]:
     """Crash-recovery matrix: every death mode must leave the digest intact.
 
@@ -220,11 +220,10 @@ def run_crash_recovery_matrix(
     Every cell must reproduce the reference digest bit-identically — the
     matrix's single pass/fail; ``reassign`` must additionally record at
     least one :class:`~repro.coordination.checkpoint.ShardReassignment`
-    (otherwise the cell exercised nothing and is marked failed).
-
-    ``transport`` selects the faulted cells' data plane (pipe or shm); the
-    shards=1 reference runs inline either way, so matrix parity also
-    proves recovery is digest-identical on the chosen transport.
+    (otherwise the cell exercised nothing and is marked failed).  Where
+    shared memory is unavailable the faulted cells raise
+    :class:`~repro.coordination.shm.ShmUnavailable` rather than pass
+    unfaulted on the inline fallback.
     """
     from repro.experiments.sharded import run_sharded
 
@@ -241,7 +240,7 @@ def run_crash_recovery_matrix(
             kwargs["recovery"] = recovery
         res = run_sharded(figure, duration_scale=duration_scale, seed=seed,
                           shards=shards, replicas=replicas, faults=faults,
-                          transport=transport, **kwargs)
+                          **kwargs)
         degraded = len(res.reassignments)
         ok = res.digest() == ref and (degraded > 0 or not need_reassign)
         cells[name] = {
@@ -265,7 +264,6 @@ def run_crash_recovery_matrix(
     return {
         "figure": figure,
         "shards": shards,
-        "transport": transport,
         "epochs": [e1, e2],
         "baseline_digest": ref,
         "cells": cells,

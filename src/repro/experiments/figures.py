@@ -222,13 +222,39 @@ def run_fig3() -> Fig3Result:
     )
 
 
+# Paper-reported phase rates of the two figures every lane reproduces
+# (event lanes here, the sharded lane in experiments/sharded.py): phase i
+# spans [(i-1)·T, i·T) with T = 100 s × duration_scale.
+PAPER_PHASES = {
+    "fig6": (
+        PhaseExpectation("phase1", {"A": 185.0, "B": 135.0}),
+        PhaseExpectation("phase2", {"A": 270.0, "B": 0.0}),
+        PhaseExpectation("phase3", {"A": 185.0, "B": 135.0}),
+    ),
+    "fig9": (
+        PhaseExpectation("phase1", {"A": 480.0, "B": 160.0}),
+        PhaseExpectation("phase2", {"A": 0.0, "B": 320.0}),
+        PhaseExpectation("phase3", {"A": 400.0, "B": 240.0}),
+        PhaseExpectation("phase4", {"A": 0.0, "B": 320.0}),
+    ),
+}
+
+
+def paper_phases(
+    figure: str, T: float
+) -> Tuple[List[Tuple[str, float, float]], List[PhaseExpectation], float]:
+    """``(phases, expected, settle)`` for fig6/fig9 at phase length ``T``."""
+    expected = list(PAPER_PHASES[figure])
+    phases = [(e.phase, i * T, (i + 1) * T) for i, e in enumerate(expected)]
+    return phases, expected, min(5.0, T * 0.2)
+
+
 # ---------------------------------------------------------------------------
 # Fig 6 — L7: sharing agreements in a service-provider context
 # ---------------------------------------------------------------------------
 
 def _run_sharded(
     figure: str, duration_scale: float, seed: int, lane: str, shards: int,
-    transport: str,
 ) -> FigureResult:
     """Route ``run_fig6`` / ``run_fig9`` to the sharded lane."""
     if lane != "slotted":
@@ -239,7 +265,7 @@ def _run_sharded(
     from repro.experiments.sharded import run_sharded_figure
 
     return run_sharded_figure(figure, duration_scale=duration_scale,
-                              seed=seed, shards=shards, transport=transport)
+                              seed=seed, shards=shards)
 
 
 def _fig6_graph(capacity: float, a_lb: float, b_lb: float) -> AgreementGraph:
@@ -289,32 +315,26 @@ def fig6_scenario(
 
 def run_fig6(
     duration_scale: float = 1.0, seed: int = 0, lane: str = "slotted",
-    shards: Optional[int] = None, transport: str = "shm",
+    shards: Optional[int] = None,
 ) -> FigureResult:
     """Fig 6: V=320; A [0.2,1] with two 135 req/s clients at R1; B [0.8,1]
     with one client at R2.  Three phases: both active / only A / both.
 
     ``shards`` routes to the sharded lane (one worker process per shard,
     window-epoch barriers — see :mod:`repro.experiments.sharded`); results
-    there are digest-identical for every shard count and for either
-    ``transport`` (pipe or shared-memory data plane).  The sharded lane is
+    there are digest-identical for every shard count.  The sharded lane is
     its own execution model, so ``shards`` with a non-default ``lane`` is
     an error.
     """
     if shards is not None and shards > 0:
-        return _run_sharded("fig6", duration_scale, seed, lane, shards, transport)
+        return _run_sharded("fig6", duration_scale, seed, lane, shards)
     sc, T = fig6_scenario(duration_scale, seed, lane=lane)
-    settle = min(5.0, T * 0.2)
-    phases = [("phase1", 0.0, T), ("phase2", T, 2 * T), ("phase3", 2 * T, 3 * T)]
+    phases, expected, settle = paper_phases("fig6", T)
     return FigureResult(
         figure="fig6",
         title="L7: agreements respected in a service-provider context",
         phases=sc.phase_rates(phases, keys=["A", "B"], settle=settle),
-        expected=[
-            PhaseExpectation("phase1", {"A": 185.0, "B": 135.0}),
-            PhaseExpectation("phase2", {"A": 270.0, "B": 0.0}),
-            PhaseExpectation("phase3", {"A": 185.0, "B": 135.0}),
-        ],
+        expected=expected,
         series=sc.series(["A", "B"]),
         notes="Paper: phase1 ~ (A 190, B 135); phase2 A 270 (client-limited).",
     )
@@ -470,7 +490,7 @@ def fig9_scenario(
 
 def run_fig9(
     duration_scale: float = 1.0, seed: int = 0, lane: str = "slotted",
-    shards: Optional[int] = None, transport: str = "shm",
+    shards: Optional[int] = None,
 ) -> FigureResult:
     """Fig 9: A and B each own a 320 req/s server; B grants A [0.5, 0.5].
     Four phases: A 2 clients / none / 1 client / none, B always one client;
@@ -479,23 +499,14 @@ def run_fig9(
     ``shards`` routes to the sharded lane, like :func:`run_fig6`.
     """
     if shards is not None and shards > 0:
-        return _run_sharded("fig9", duration_scale, seed, lane, shards, transport)
+        return _run_sharded("fig9", duration_scale, seed, lane, shards)
     sc, T = fig9_scenario(duration_scale, seed, lane=lane)
-    settle = min(5.0, T * 0.2)
-    phases = [
-        ("phase1", 0.0, T), ("phase2", T, 2 * T),
-        ("phase3", 2 * T, 3 * T), ("phase4", 3 * T, 4 * T),
-    ]
+    phases, expected, settle = paper_phases("fig9", T)
     return FigureResult(
         figure="fig9",
         title="L4: agreements respected in a community context",
         phases=sc.phase_rates(phases, keys=["A", "B"], settle=settle),
-        expected=[
-            PhaseExpectation("phase1", {"A": 480.0, "B": 160.0}),
-            PhaseExpectation("phase2", {"A": 0.0, "B": 320.0}),
-            PhaseExpectation("phase3", {"A": 400.0, "B": 240.0}),
-            PhaseExpectation("phase4", {"A": 0.0, "B": 320.0}),
-        ],
+        expected=expected,
         series=sc.series(["A", "B"]),
         notes="Phase 3: A limited to ~400 by the single client machine.",
     )

@@ -111,7 +111,6 @@ def figure_kwargs(
     partition_seeds: bool = False,
     lane: str = "slotted",
     shards: Optional[int] = None,
-    transport: str = "shm",
 ) -> Dict[str, Any]:
     """Keyword arguments for one ``run_figN`` entry point.
 
@@ -121,9 +120,7 @@ def figure_kwargs(
     ``lane`` only reaches the figures whose entry point selects a lane
     (fig6/fig9/fig10 — the columnar-capable scenarios, and for fig9/fig10
     the per-packet ``"scalar"`` switch path); ``shards`` only reaches the
-    figures with a sharded world (fig6/fig9), as does ``transport`` (the
-    sharded lane's data plane; results are bit-identical for pipe and
-    shm).
+    figures with a sharded world (fig6/fig9).
     """
     s = scenario_seed(seed, name) if partition_seeds else seed
     if name in ("fig1", "fig3"):
@@ -135,7 +132,6 @@ def figure_kwargs(
         kwargs["lane"] = lane
     if shards is not None and name in ("fig6", "fig9"):
         kwargs["shards"] = shards
-        kwargs["transport"] = transport
     return kwargs
 
 
@@ -154,7 +150,6 @@ def run_figures_parallel(
     partition_seeds: bool = False,
     lane: str = "slotted",
     shards: Optional[int] = None,
-    transport: str = "shm",
 ) -> List[Tuple[str, Any]]:
     """Run paper figures across worker processes.
 
@@ -171,8 +166,7 @@ def run_figures_parallel(
     if unknown:
         raise KeyError(f"unknown figures {unknown}; have {list(ALL_FIGURES)}")
     tasks = [
-        (n, figure_kwargs(n, scale, seed, partition_seeds, lane, shards,
-                          transport))
+        (n, figure_kwargs(n, scale, seed, partition_seeds, lane, shards))
         for n in wanted
     ]
     pooled = iter(parallel_map(

@@ -9,21 +9,20 @@ exchange state exclusively through the combining tree at window edges,
 2(n-1) messages per round.  The runner makes each window a conservative
 barrier epoch:
 
-1. the parent broadcasts the window-k allocation policy (the globally
+1. the parent publishes the window-k allocation policy (the globally
    consistent served fraction per principal, from the LP on window k-1's
    merged demand; window 0 uses the conservative 1/R fallback),
 2. every worker simulates its clusters through window k to completion and
-   ships one :class:`~repro.coordination.barrier.BoundaryMessage` carrying
-   a per-cluster :class:`~repro.coordination.aggregation.VectorAggregate`
-   of demand, the per-principal admitted counts, and a
-   :class:`~repro.coordination.checkpoint.ClusterCheckpoint` per cluster,
-3. the parent folds the per-cluster aggregates through the existing
+   publishes, per cluster, a demand row, the per-principal admitted
+   counts, and a binary
+   :class:`~repro.coordination.checkpoint.ClusterCheckpoint` record,
+3. the parent folds the per-cluster demand through the existing
    :class:`~repro.coordination.tree.CombiningTree` reduction (balanced
    tree over *sorted cluster names*, so float-sum order never depends on
    how clusters were packed into shards), solves the window LP via the
    shared :class:`~repro.scheduling.allocator.WindowAllocator` (reusing
-   its SolveCache), ingests the window's history and checkpoints, and
-   releases everyone into window k+1.
+   its SolveCache), ingests the window's history, and releases everyone
+   into window k+1.
 
 The parent is the sole owner of run history (the per-window series live
 in the parent, never the workers), so a worker holds nothing but its
@@ -46,19 +45,17 @@ checkpoint resumes the Philox counter at the exact draw of the snapshot.
 bit-identical SHA-256 digests — enforced by ``repro check --shards
 [--with-crashes]`` exactly like the three-way lane digest.
 
-Two data planes carry the boundary exchange.  The default ``transport=
-"shm"`` uses the zero-copy shared-memory plane
-(:mod:`repro.coordination.shm`): the parent seqlock-publishes each
-epoch's allocation into a control block, workers write demand/admitted
-columns and binary checkpoint records into per-shard ring slots, and the
-parent folds allocations straight out of the arrays — the steady-state
-epoch does zero pickling and zero hashing, and pipes carry only control
-traffic (faults, reassignment, finish, failure).  ``transport="pipe"``
-keeps the PR 7/9 pickled-message plane; the runner also falls back to it
-automatically (recorded in ``ShardedResult.transport_fallback``) when
-shared memory is unavailable.  The transport is digest-invisible: both
-planes move the same float64 values bit-exactly and fold them in the
-same order.
+One data plane carries the boundary exchange: the zero-copy
+shared-memory plane (:mod:`repro.coordination.shm`).  The parent
+seqlock-publishes each epoch's allocation into a control block, workers
+write demand/admitted columns and binary checkpoint records into
+per-shard ring slots, and the parent folds allocations straight out of
+the arrays — the steady-state epoch does zero pickling and zero hashing,
+and pipes carry only control traffic (reassignment and its adoption
+reply, finish, failure, death detection).  Where shared memory is
+unavailable the runner runs the ``shards=1`` inline path instead —
+bit-identical by the contract above — and records why in
+``ShardedResult.transport_fallback``.
 
 Deterministic crash hooks for tests and chaos runs: the
 ``REPRO_SHARD_FAULT`` env var (or the ``faults=`` argument, or a
@@ -77,10 +74,10 @@ import logging
 import math
 import multiprocessing as mp
 import os
-import pickle
 import signal
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from time import monotonic  # simlint: disable=SIM001  # IPC deadlines, not sim time
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -88,7 +85,6 @@ import numpy as np
 
 from repro.coordination.aggregation import StreamStats, VectorAggregate
 from repro.coordination.barrier import (
-    AllocationMessage,
     BoundaryMessage,
     EpochBarrier,
     FinishMessage,
@@ -97,7 +93,6 @@ from repro.coordination.barrier import (
     WorkerFailure,
 )
 from repro.coordination.checkpoint import (
-    CheckpointStore,
     ClusterCheckpoint,
     RecoveryPolicy,
     ShardReassignment,
@@ -108,7 +103,7 @@ from repro.coordination.shm import PlaneSpec, ShmDataPlane, ShmUnavailable
 from repro.coordination.tree import CombiningTree
 from repro.core.access import compute_access_levels
 from repro.core.agreements import Agreement, AgreementGraph
-from repro.experiments.harness import FigureResult, PhaseExpectation
+from repro.experiments.harness import FigureResult
 from repro.faults.plan import SHARD_REVOKE_MODES, FaultPlan, FaultPlanError, ShardRevoke
 from repro.scheduling.allocator import WindowAllocator
 from repro.scheduling.window import WindowConfig
@@ -293,8 +288,8 @@ class ShardTask:
     conservative: Dict[str, float] = field(default_factory=dict)
     faults: Tuple[ShardFault, ...] = ()
     restore: Dict[str, ClusterCheckpoint] = field(default_factory=dict)
-    # Shared-memory data plane: when set, the worker attaches to the
-    # parent's segment and the pipe carries only control traffic.
+    # The parent's shared-memory segment a worker process attaches to
+    # (None for the inline path, which crosses no process boundary).
     plane: Optional[PlaneSpec] = None
     # First epoch this worker will execute (respawned workers resume at
     # the in-flight window; the allocation control block already shows it).
@@ -439,15 +434,13 @@ class ShardState:
         return {c.spec.name: c.checkpoint() for c in subset}
 
 
-def _boundary(epoch: int, shard: int, state: ShardState,
-              records: Dict[str, ClusterRecord],
-              clusters: Optional[List[_ClusterState]] = None) -> BoundaryMessage:
+def _adoption_reply(epoch: int, shard: int,
+                    records: Dict[str, ClusterRecord]) -> BoundaryMessage:
     return BoundaryMessage(
         epoch=epoch,
         shard=shard,
         demand={name: rec[0] for name, rec in records.items()},
         admitted={name: rec[1] for name, rec in records.items()},
-        checkpoints=state.checkpoints(clusters),
     )
 
 
@@ -468,47 +461,6 @@ def _plane_rows(
     }
 
 
-def _shard_worker_main(conn: Any, task: ShardTask) -> None:
-    """Worker process entry point: epoch loop until FinishMessage.
-
-    Module-level (picklable under spawn); receives *all* state through
-    ``task`` — never module globals (SIM007's worker contract).
-    Dispatches to the shared-memory loop when the task carries a plane
-    spec; otherwise runs the pipe-message loop.
-    """
-    if task.plane is not None:
-        _shard_worker_shm(conn, task)
-        return
-    faults = {f.epoch: f.mode for f in task.faults}
-    try:
-        state = ShardState(task)
-        while True:
-            msg = conn.recv()
-            if isinstance(msg, FinishMessage):
-                return
-            if isinstance(msg, ReassignMessage):
-                added = state.adopt(msg.clusters, msg.checkpoints)
-                records = {
-                    c.spec.name: c.step(msg.epoch, msg.frac, task.conservative)
-                    for c in added
-                }
-                conn.send(_boundary(msg.epoch, task.shard, state, records,
-                                    clusters=added))
-                continue
-            mode = faults.pop(msg.epoch, None)
-            if mode is not None:
-                _fire_fault(mode)   # deterministic mid-window death
-            records = state.step(msg.epoch, msg.frac)
-            conn.send(_boundary(msg.epoch, task.shard, state, records))
-    except (EOFError, BrokenPipeError, KeyboardInterrupt):
-        return
-    except Exception as exc:   # ship the failure; never leave a hang
-        try:
-            conn.send(WorkerFailure(task.shard, f"{type(exc).__name__}: {exc}"))
-        except Exception:
-            pass
-
-
 # Worker-side allocation poll backoff: tiny floor keeps barrier latency in
 # the tens of microseconds, tiny cap keeps a waiting worker nearly idle
 # without ever adding more than ~2 ms to an epoch boundary.
@@ -516,8 +468,11 @@ _WORKER_POLL_FLOOR = 0.0002
 _WORKER_POLL_CAP = 0.002
 
 
-def _shard_worker_shm(conn: Any, task: ShardTask) -> None:
-    """Shared-memory worker loop: allocations and boundaries via the plane.
+def _shard_worker_main(conn: Any, task: ShardTask) -> None:
+    """Worker process entry point: allocations and boundaries via the plane.
+
+    Module-level (picklable under spawn); receives *all* state through
+    ``task`` — never module globals (SIM007's worker contract).
 
     The pipe is polled non-blockingly for control traffic only.  A
     ``ReassignMessage`` for epoch *k* is deferred until this worker has
@@ -527,10 +482,11 @@ def _shard_worker_shm(conn: Any, task: ShardTask) -> None:
     are rare control traffic), but the adopted rows are *also* published
     into this worker's ring slot so later restores can decode them.
     """
-    assert task.plane is not None
     faults = {f.epoch: f.mode for f in task.faults}
-    plane = ShmDataPlane.attach(task.plane)
+    plane: Optional[ShmDataPlane] = None
     try:
+        assert task.plane is not None   # only the inline path has none
+        plane = ShmDataPlane.attach(task.plane)
         state = ShardState(task)
         principals = task.principals
         last = task.resume_epoch - 1
@@ -554,8 +510,7 @@ def _shard_worker_shm(conn: Any, task: ShardTask) -> None:
                 plane.publish(task.shard, msg.epoch,
                               _plane_rows(state, records, principals,
                                           clusters=added))
-                conn.send(_boundary(msg.epoch, task.shard, state, records,
-                                    clusters=added))
+                conn.send(_adoption_reply(msg.epoch, task.shard, records))
             ready, frac = plane.poll_allocation(last + 1)
             if not ready:
                 time.sleep(wait)
@@ -578,7 +533,8 @@ def _shard_worker_shm(conn: Any, task: ShardTask) -> None:
         except Exception:
             pass
     finally:
-        plane.close()
+        if plane is not None:
+            plane.close()
 
 
 # ---------------------------------------------------------------------------
@@ -617,18 +573,19 @@ class ShardedResult:
     restarts: List[ShardRestart] = field(default_factory=list)
     reassignments: List[ShardReassignment] = field(default_factory=list)
     final_checkpoint_digest: str = ""
-    checkpoint_bytes: int = 0       # retained store size (sharded runs)
     barrier_polls: int = 0
+    # Always 0 (the parent retains no checkpoints and never blocks on a
+    # pipe); kept because the frozen benchmarks/e2e/workloads.py reads
+    # them — ROADMAP item 1's benchmark PR removes both.
+    checkpoint_bytes: int = 0
     barrier_wait_s: float = 0.0
     # Data-plane accounting.  ``data_plane`` is what actually carried the
-    # boundary exchange: "inline" (shards=1), "pipe", or "shm";
-    # ``transport_fallback`` records why a requested shm plane fell back
-    # to pipes.  ``bytes_per_epoch`` is the per-epoch boundary payload the
-    # parent handles: pickled message bytes for the pipe plane (probed
-    # once on a steady-state epoch), copied row/control bytes for the shm
-    # plane.  ``ring_bytes_per_epoch`` is the checkpoint-record bytes
-    # workers write in place per epoch (shm only; decoded only on
-    # restore/spill/audit, never crossing to the parent in steady state).
+    # boundary exchange: "shm", or "inline" (shards=1, or no shared
+    # memory here — ``transport_fallback`` then records why).
+    # ``bytes_per_epoch`` is the row/control bytes the parent copies per
+    # epoch; ``ring_bytes_per_epoch`` the checkpoint-record bytes workers
+    # write in place per epoch (decoded only on restore and at the
+    # horizon, never crossing to the parent in steady state).
     data_plane: str = "inline"
     transport_fallback: Optional[str] = None
     bytes_per_epoch: int = 0
@@ -708,9 +665,12 @@ class ShardedRunner:
 
     ``shards=1`` steps the identical per-cluster state machines inline (no
     processes, no pickling) — the reference the digest-parity check holds
-    every R against.  Partitioning is round-robin over *sorted* cluster
-    names, so shard membership is a pure function of (world, R); results
-    are a pure function of world alone.
+    every R against, and what any R runs as when the platform cannot
+    provide shared memory (:class:`ShmUnavailable`; an explicit
+    ``faults=`` schedule then raises instead of silently not firing).
+    Partitioning is round-robin over *sorted* cluster names, so shard
+    membership is a pure function of (world, R); results are a pure
+    function of world alone.
 
     ``recovery`` (default :class:`RecoveryPolicy`) makes the sharded path
     self-healing: respawn-from-checkpoint inside the budget, cluster
@@ -729,25 +689,16 @@ class ShardedRunner:
         shards: int = 1,
         epoch_timeout: float = 120.0,
         recovery: Optional[RecoveryPolicy] = RecoveryPolicy(),
-        checkpoint_retain: int = 2,
-        checkpoint_spill: Optional[str] = None,
         faults: Optional[Sequence[Any]] = None,
-        transport: str = "shm",
     ) -> None:
         if shards < 1:
             raise ValueError("shards must be >= 1")
         if not world.clusters:
             raise ValueError("world has no clusters")
-        if transport not in ("pipe", "shm"):
-            raise ValueError(f"transport must be 'pipe' or 'shm', "
-                             f"not {transport!r}")
         self.world = world
-        self.transport = transport
         self.shards = min(int(shards), len(world.clusters))
         self.epoch_timeout = float(epoch_timeout)
         self.recovery = recovery
-        self.checkpoint_retain = int(checkpoint_retain)
-        self.checkpoint_spill = checkpoint_spill
         self.access = compute_access_levels(world.graph)
         self.window_cfg = WindowConfig(world.window)
         n_clusters = len(world.clusters)
@@ -760,20 +711,22 @@ class ShardedRunner:
             p: float(w_levels.MC[self.access.index(p)]) / n_clusters
             for p in world.principals
         }
-        ordered = sorted(world.clusters, key=lambda c: c.name)
-        self._partitions: List[Tuple[ShardCluster, ...]] = [
-            tuple(ordered[i::self.shards]) for i in range(self.shards)
-        ]
+        self._ordered = sorted(world.clusters, key=lambda c: c.name)
         # Reduction order: balanced combining tree over sorted cluster
         # names — fixed fold order regardless of shard packing.
-        self._tree = CombiningTree.balanced([c.name for c in ordered])
+        self._tree = CombiningTree.balanced([c.name for c in self._ordered])
+        self._explicit_faults = faults is not None
         self._fault_specs = self._bind_faults(faults)
+        # fork inherits the imported modules cheaply; spawn works the same
+        # because workers rebuild everything from the pickled task (but
+        # get their own resource tracker and must unregister on attach).
+        self._mp_method = (
+            "fork" if "fork" in mp.get_all_start_methods() else "spawn")
         # Per-run mutable state (set up in run()).
         self._owned: Dict[int, List[ShardCluster]] = {}
         self._faults: Dict[int, List[ShardFault]] = {}
         self._expected: Dict[int, int] = {}
         self._epoch_attempts: Dict[Tuple[int, int], int] = {}
-        self._store = CheckpointStore(retain=self.checkpoint_retain)
         self.restarts: List[ShardRestart] = []
         self.reassignments: List[ShardReassignment] = []
         self._ctx: Any = None
@@ -784,8 +737,6 @@ class ShardedRunner:
         self._ring_owner: Optional[Dict[str, int]] = None
         self._plane_polls = 0
         self._plane_wait_s = 0.0
-        self._bytes_per_epoch = 0
-        self._probe_epoch = 0
 
     # -- fault binding ------------------------------------------------------
 
@@ -836,7 +787,7 @@ class ShardedRunner:
             conservative=dict(self._conservative),
             faults=tuple(self._faults.get(shard, ())),
             restore=dict(restore or {}),
-            plane=self._plane.spec if self._plane is not None else None,
+            plane=None if self._plane is None else self._plane.spec,
             resume_epoch=int(resume_epoch),
         )
 
@@ -865,6 +816,35 @@ class ShardedRunner:
 
     # -- the run ------------------------------------------------------------
 
+    def _open_plane(self) -> Optional[ShmDataPlane]:
+        """The run's data plane, or ``None`` to run inline."""
+        if self.shards == 1:
+            return None
+        try:
+            return ShmDataPlane.create(
+                [c.name for c in self._ordered], self.world.principals,
+                self.shards,
+                unregister_on_attach=(self._mp_method != "fork"),
+            )
+        except ShmUnavailable as exc:
+            unfired = sorted(f"{shard}:{f.epoch}:{f.mode}"
+                             for shard, fl in self._fault_specs.items()
+                             for f in fl)
+            if unfired and self._explicit_faults:
+                raise ShmUnavailable(
+                    f"{exc}; faults {unfired} need worker processes and "
+                    f"would not fire on the inline fallback"
+                ) from exc
+            self.transport_fallback = str(exc)
+            _LOG.warning(
+                "shm data plane unavailable, running shards=%d inline%s: %s",
+                self.shards,
+                f" ({_FAULT_ENV} faults {unfired} will not fire)"
+                if unfired else "",
+                exc,
+            )
+            return None
+
     def run(self) -> ShardedResult:
         world = self.world
         n_windows = world.n_windows
@@ -879,114 +859,59 @@ class ShardedRunner:
         gdemand = {p: np.zeros(n_windows) for p in world.principals}
         fallback_windows = 0
         frac: Optional[Dict[str, float]] = None
-        self._owned = {i: list(p) for i, p in enumerate(self._partitions)}
         self._faults = {s: list(fl) for s, fl in self._fault_specs.items()}
         self._epoch_attempts = {}
-        self._store = CheckpointStore(retain=self.checkpoint_retain,
-                                      spill_path=self.checkpoint_spill)
         self.restarts = []
         self.reassignments = []
-        barrier_polls = 0
-        barrier_wait_s = 0.0
-        self._plane = None
         self.transport_fallback = None
         self._ring_owner = None
         self._plane_polls = 0
         self._plane_wait_s = 0.0
-        self._bytes_per_epoch = 0
-        # Probe pipe-plane bytes on a steady-state epoch (epoch 0's
-        # allocation is None, so it under-counts).
-        self._probe_epoch = min(1, n_windows - 1)
-
-        def policy_step(
-            k: int, records: Dict[str, ClusterRecord]
-        ) -> Dict[str, float]:
-            merged = self._reduce({n: rec[0] for n, rec in records.items()})
-            for p in world.principals:
-                gdemand[p][k] = merged.get(p, 0.0)
-            return self._policy(merged)
-
-        if self.shards == 1:
-            state = ShardState(self._task(0))
+        barrier_polls = 0
+        plane = self._plane = self._open_plane()
+        shards = self.shards if plane is not None else 1
+        self._owned = {i: self._ordered[i::shards] for i in range(shards)}
+        barrier: Optional[EpochBarrier] = None
+        try:
+            if plane is None:
+                state = ShardState(self._task(0))
+                step = state.step
+            else:
+                barrier = self._start_workers()
+                step = partial(self._epoch, barrier)
             for k in range(n_windows):
                 if frac is None:
                     fallback_windows += 1
                 else:
                     for p in world.principals:
                         frac_hist[p][k] = frac[p]
-                records = state.step(k, frac)
+                records = step(k, frac)
                 self._ingest(k, records)
-                frac = policy_step(k, records)
-            final = state.checkpoints()
-        else:
-            # fork inherits the imported modules cheaply; spawn works the
-            # same because workers rebuild everything from the pickled
-            # task.  Chosen before plane creation: spawn workers get their
-            # own resource tracker and must unregister on attach.
-            method = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-            self._mp_method = method
-            if self.transport == "shm":
-                try:
-                    self._plane = ShmDataPlane.create(
-                        sorted(names), world.principals, self.shards,
-                        depth=max(2, self.checkpoint_retain),
-                        unregister_on_attach=(method != "fork"),
-                    )
-                except ShmUnavailable as exc:
-                    self.transport_fallback = str(exc)
-                    _LOG.warning(
-                        "shm data plane unavailable, falling back to the "
-                        "pipe plane: %s", exc,
-                    )
-            barrier: Optional[EpochBarrier] = None
-            try:
-                barrier = self._start_workers()
-                for k in range(n_windows):
-                    if frac is None:
-                        fallback_windows += 1
-                    else:
-                        for p in world.principals:
-                            frac_hist[p][k] = frac[p]
-                    if self._plane is not None:
-                        records = self._epoch_shm(barrier, k, frac)
-                        self._ring_owner = {c.name: s
-                                            for s, cl in self._owned.items()
-                                            for c in cl}
-                        if self.checkpoint_spill:
-                            # Documented expensive audit path: decode the
-                            # ring so the spill mirror stays complete.
-                            self._store.put(k, self._plane.read_checkpoints(
-                                k, self._ring_owner))
-                    else:
-                        records, ckpts = self._epoch(barrier, k, frac)
-                        self._store.put(k, ckpts)
-                    self._ingest(k, records)
-                    frac = policy_step(k, records)
+                merged = self._reduce({n: rec[0] for n, rec in records.items()})
+                for p in world.principals:
+                    gdemand[p][k] = merged.get(p, 0.0)
+                frac = self._policy(merged)
+            if barrier is None:
+                final = state.checkpoints()
+            else:
                 for shard in barrier.active:
                     try:
                         barrier.send(shard, FinishMessage(n_windows))
                     except ShardWorkerError:
                         pass   # the horizon is reached; a late death is moot
-                if self._plane is not None:
-                    assert self._ring_owner is not None
-                    final = self._plane.read_checkpoints(n_windows - 1,
-                                                         self._ring_owner)
-                else:
-                    latest = self._store.latest()
-                    assert latest is not None
-                    final = latest[1]
-            finally:
-                if barrier is not None:
-                    barrier_polls = barrier.polls
-                    barrier_wait_s = barrier.poll_wait_s
-                    barrier.close(terminate=True)
-                if self._plane is not None:
-                    self._plane.close()
-                    self._plane.unlink()
+                assert plane is not None and self._ring_owner is not None
+                final = plane.read_checkpoints(n_windows - 1, self._ring_owner)
+        finally:
+            if barrier is not None:
+                barrier_polls = barrier.polls
+                barrier.close(terminate=True)
+            if plane is not None:
+                plane.close()
+                plane.unlink()
 
         return ShardedResult(
             world=world,
-            shards=self.shards,
+            shards=shards,
             window=world.window,
             n_windows=n_windows,
             principals=tuple(world.principals),
@@ -1004,17 +929,13 @@ class ShardedRunner:
             restarts=list(self.restarts),
             reassignments=list(self.reassignments),
             final_checkpoint_digest=epoch_digest(final),
-            checkpoint_bytes=self._store.bytes_retained,
             barrier_polls=barrier_polls,
-            barrier_wait_s=barrier_wait_s,
-            data_plane=("inline" if self.shards == 1
-                        else "shm" if self._plane is not None else "pipe"),
+            data_plane="inline" if plane is None else "shm",
             transport_fallback=self.transport_fallback,
-            bytes_per_epoch=(self._plane.boundary_bytes_per_epoch
-                             if self._plane is not None
-                             else self._bytes_per_epoch),
-            ring_bytes_per_epoch=(self._plane.ring_bytes_per_epoch
-                                  if self._plane is not None else 0),
+            bytes_per_epoch=(0 if plane is None
+                             else plane.boundary_bytes_per_epoch),
+            ring_bytes_per_epoch=(0 if plane is None
+                                  else plane.ring_bytes_per_epoch),
             plane_polls=self._plane_polls,
             plane_wait_s=self._plane_wait_s,
         )
@@ -1036,71 +957,22 @@ class ShardedRunner:
 
     # -- sharded epoch protocol (with recovery) -----------------------------
 
-    def _epoch(
-        self, barrier: EpochBarrier, k: int, frac: Optional[Dict[str, float]]
-    ) -> Tuple[Dict[str, ClusterRecord], Dict[str, ClusterCheckpoint]]:
-        """Run window ``k`` across the workers; heal failures as they surface."""
-        send_failures: List[ShardWorkerError] = []
-        probe = (k == self._probe_epoch)
-        self._expected = {}
-        for shard in barrier.active:
-            self._expected[shard] = 1
-            msg_out = AllocationMessage(k, frac)
-            if probe:
-                # One-time pipe-plane cost probe on a steady-state epoch:
-                # what actually crosses per epoch, pickled.
-                self._bytes_per_epoch += len(
-                    pickle.dumps(msg_out, pickle.HIGHEST_PROTOCOL))
-            try:
-                barrier.send(shard, msg_out)
-            except ShardWorkerError as err:
-                send_failures.append(err)
-        for err in send_failures:
-            self._handle_failure(barrier, err.shard, k, frac, err)
-        records: Dict[str, ClusterRecord] = {}
-        ckpts: Dict[str, ClusterCheckpoint] = {}
-        while True:
-            pending = [s for s in sorted(self._expected) if self._expected[s] > 0]
-            if not pending:
-                break
-            shard = pending[0]
-            try:
-                msg = barrier.recv(shard, k, BoundaryMessage)
-            except ShardWorkerError as err:
-                self._handle_failure(barrier, shard, k, frac, err)
-                continue
-            self._expected[shard] -= 1
-            if probe:
-                self._bytes_per_epoch += len(
-                    pickle.dumps(msg, pickle.HIGHEST_PROTOCOL))
-            for name, agg in msg.demand.items():
-                records[name] = (agg, dict(msg.admitted.get(name, {})))
-            ckpts.update(msg.checkpoints)
-        missing = [n for n in (c.name for c in self.world.clusters)
-                   if n not in records]
-        if missing:
-            raise ShardWorkerError(
-                -1, f"epoch {k} completed without records for {missing}"
-            )
-        return records, ckpts
-
-    # Parent-side seqlock poll backoff (shm plane): each poll is a couple
-    # of numpy scalar reads, so the floor can sit well under the pipe
-    # plane's 1 ms syscall floor without burning a core.
+    # Parent-side seqlock poll backoff: each poll is a couple of numpy
+    # scalar reads, so the floor can sit well under a syscall's cost
+    # without burning a core.
     _PARENT_POLL_FLOOR = 0.00005
     _PARENT_POLL_CAP = 0.002
 
-    def _epoch_shm(
+    def _epoch(
         self, barrier: EpochBarrier, k: int, frac: Optional[Dict[str, float]]
     ) -> Dict[str, ClusterRecord]:
-        """Window ``k`` over the shared-memory plane; heal failures inline.
+        """Run window ``k`` across the workers; heal failures as they surface.
 
-        The allocation is seqlock-published once (replacing per-shard
-        pipe sends); the gather loop then polls every pending shard's
-        slot, folding rows the moment they publish, and interleaves
-        non-blocking pipe checks so worker death (or an adoption reply)
-        surfaces between slot polls.  ``self._expected`` counts pending
-        pipe-borne adoption replies, exactly as in the pipe plane.
+        The allocation is seqlock-published once; the gather loop then
+        polls every pending shard's slot, folding rows the moment they
+        publish, and interleaves non-blocking pipe checks so worker death
+        (or an adoption reply) surfaces between slot polls.
+        ``self._expected`` counts pending pipe-borne adoption replies.
         """
         plane = self._plane
         assert plane is not None
@@ -1192,6 +1064,8 @@ class ShardedRunner:
             raise ShardWorkerError(
                 -1, f"epoch {k} completed without records for {missing}"
             )
+        self._ring_owner = {c.name: s for s, cl in self._owned.items()
+                            for c in cl}
         return records
 
     def _restore_snapshot(
@@ -1199,26 +1073,13 @@ class ShardedRunner:
     ) -> Tuple[int, Dict[str, ClusterCheckpoint]]:
         """(restored_epoch, full snapshot) a recovery at epoch ``k`` uses.
 
-        Pipe plane: the checkpoint store's newest retained epoch (always
-        ``k-1`` during epoch ``k``).  Shm plane: decode epoch ``k-1`` from
-        the ring via the owner map of the last completed epoch — the
-        deferred-digest path, paid only on recovery.
+        Decodes epoch ``k-1`` from the ring via the owner map of the last
+        completed epoch — the deferred-digest path, paid only on recovery.
         """
-        if self._plane is not None:
-            if k == 0 or self._ring_owner is None:
-                return -1, {}
-            return k - 1, self._plane.read_checkpoints(k - 1, self._ring_owner)
-        latest = self._store.latest()
-        return latest if latest is not None else (-1, {})
-
-    def _restored_digest(self, restored_epoch: int,
-                         snap: Dict[str, ClusterCheckpoint]) -> str:
-        """Audit digest of the state a recovery restored from (lazy)."""
-        if restored_epoch < 0:
-            return ""
-        if self._plane is None:
-            return self._store.digest(restored_epoch)
-        return epoch_digest(snap)
+        if k == 0 or self._ring_owner is None:
+            return -1, {}
+        assert self._plane is not None
+        return k - 1, self._plane.read_checkpoints(k - 1, self._ring_owner)
 
     def _handle_failure(
         self, barrier: EpochBarrier, shard: int, k: int,
@@ -1253,15 +1114,13 @@ class ShardedRunner:
         ]
         conn, proc = self._spawn(self._task(shard, restore=restore,
                                             resume_epoch=k))
+        # The control block already shows epoch k; the respawned worker
+        # resumes there without any pipe traffic.
         barrier.replace(shard, conn, proc)
-        if self._plane is None:
-            barrier.send(shard, AllocationMessage(k, frac))
-        # (shm plane: the control block already shows epoch k; the
-        # respawned worker resumes there without any pipe traffic.)
         self.restarts.append(ShardRestart(
             epoch=k, shard=shard, attempt=attempt + 1,
             restored_epoch=restored_epoch,
-            restored_digest=self._restored_digest(restored_epoch, snap),
+            restored_digest=epoch_digest(snap) if restored_epoch >= 0 else "",
             detail=err.detail,
         ))
         _LOG.warning(
@@ -1322,15 +1181,13 @@ class ShardedRunner:
         return parent, proc
 
     def _start_workers(self) -> EpochBarrier:
-        method = getattr(self, "_mp_method", None) or (
-            "fork" if "fork" in mp.get_all_start_methods() else "spawn")
-        self._ctx = mp.get_context(method)
+        self._ctx = mp.get_context(self._mp_method)
         conns, procs = [], []
         for shard in range(self.shards):
             conn, proc = self._spawn(self._task(shard))
             conns.append(conn)
             procs.append(proc)
-        return EpochBarrier(conns, procs, timeout=self.epoch_timeout)
+        return EpochBarrier(conns, procs)
 
 
 # ---------------------------------------------------------------------------
@@ -1440,12 +1297,16 @@ def run_sharded(
     load_scale: float = 1.0,
     epoch_timeout: float = 120.0,
     recovery: Optional[RecoveryPolicy] = RecoveryPolicy(),
-    checkpoint_retain: int = 2,
-    checkpoint_spill: Optional[str] = None,
     faults: Optional[Sequence[Any]] = None,
     transport: str = "shm",
 ) -> ShardedResult:
     """Build a named sharded world and run it with R shards."""
+    # There is one data plane; the parameter survives only because the
+    # frozen benchmarks/e2e/workloads.py passes transport="shm" — ROADMAP
+    # item 1's benchmark PR removes it from both sides.
+    if transport != "shm":
+        raise ValueError(f"the sharded lane has one data plane, 'shm'; "
+                         f"transport={transport!r} is gone")
     try:
         build = SHARDED_WORLDS[figure]
     except KeyError:
@@ -1456,10 +1317,7 @@ def run_sharded(
                   replicas=replicas, load_scale=load_scale)
     runner = ShardedRunner(world, shards=shards,
                            epoch_timeout=epoch_timeout,
-                           recovery=recovery,
-                           checkpoint_retain=checkpoint_retain,
-                           checkpoint_spill=checkpoint_spill,
-                           faults=faults, transport=transport)
+                           recovery=recovery, faults=faults)
     return runner.run()
 
 
@@ -1468,7 +1326,6 @@ def run_sharded_figure(
     duration_scale: float = 1.0,
     seed: int = 0,
     shards: int = 1,
-    transport: str = "shm",
 ) -> FigureResult:
     """Run fig6/fig9 on the sharded lane, returning a FigureResult.
 
@@ -1476,32 +1333,15 @@ def run_sharded_figure(
     different execution model over the same LP and the same offered load,
     so the paper's phase rates must still come out.
     """
+    from repro.experiments.figures import paper_phases
+
     res = run_sharded(figure, duration_scale=duration_scale, seed=seed,
-                      shards=shards, transport=transport)
-    T = 100.0 * duration_scale
-    settle = min(5.0, T * 0.2)
-    if figure == "fig6":
-        phases = [("phase1", 0.0, T), ("phase2", T, 2 * T),
-                  ("phase3", 2 * T, 3 * T)]
-        expected = [
-            PhaseExpectation("phase1", {"A": 185.0, "B": 135.0}),
-            PhaseExpectation("phase2", {"A": 270.0, "B": 0.0}),
-            PhaseExpectation("phase3", {"A": 185.0, "B": 135.0}),
-        ]
-        title = "L7: agreements respected (sharded lane)"
-    else:
-        phases = [("phase1", 0.0, T), ("phase2", T, 2 * T),
-                  ("phase3", 2 * T, 3 * T), ("phase4", 3 * T, 4 * T)]
-        expected = [
-            PhaseExpectation("phase1", {"A": 480.0, "B": 160.0}),
-            PhaseExpectation("phase2", {"A": 0.0, "B": 320.0}),
-            PhaseExpectation("phase3", {"A": 400.0, "B": 240.0}),
-            PhaseExpectation("phase4", {"A": 0.0, "B": 320.0}),
-        ]
-        title = "L4: agreements respected (sharded lane)"
+                      shards=shards)
+    phases, expected, settle = paper_phases(figure, 100.0 * duration_scale)
     return FigureResult(
         figure=figure,
-        title=title,
+        title=f"{'L7' if figure == 'fig6' else 'L4'}: agreements respected "
+              f"(sharded lane)",
         phases=res.phase_rates(phases, keys=["A", "B"], settle=settle),
         expected=expected,
         series=res.series(["A", "B"]),

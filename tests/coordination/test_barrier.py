@@ -1,21 +1,24 @@
 """EpochBarrier failure model: every bad outcome is a typed error, fast.
 
-The barrier's contract is that a worker that dies, stalls, or breaks the
-epoch protocol surfaces as :class:`ShardWorkerError` in the parent —
-never a hang.  These tests drive the barrier directly over raw pipes
-(no :class:`ShardedRunner`), so each failure mode is isolated.
+The control channel's contract is that a worker that dies, stalls, or
+breaks the epoch protocol surfaces as :class:`ShardWorkerError` in the
+parent — never a hang.  These tests drive the non-blocking per-slot
+primitives (``send`` / ``poll_control`` / ``try_recv``) directly over raw
+pipes, so each failure mode is isolated; only the stall case needs the
+:class:`ShardedRunner`, whose gather loop owns the per-epoch deadline.
 """
 
 import multiprocessing as mp
 import os
+from time import monotonic, sleep
 
 import pytest
 
 from repro.coordination.barrier import (
-    AllocationMessage,
     BoundaryMessage,
     EpochBarrier,
     FinishMessage,
+    ReassignMessage,
     ShardWorkerError,
     WorkerFailure,
 )
@@ -24,8 +27,19 @@ CTX = mp.get_context("fork" if "fork" in mp.get_all_start_methods()
                      else "spawn")
 
 
+def _await(poll, timeout=30.0):
+    """Spin a non-blocking ``poll`` until it returns a message or raises."""
+    deadline = monotonic() + timeout
+    while monotonic() < deadline:
+        msg = poll()
+        if msg is not None:
+            return msg
+        sleep(0.001)
+    raise AssertionError(f"nothing arrived within {timeout:.0f}s")
+
+
 def _echo_worker(conn):
-    """Reply to each AllocationMessage with a matching BoundaryMessage."""
+    """Reply to each ReassignMessage with a matching BoundaryMessage."""
     while True:
         msg = conn.recv()
         if isinstance(msg, FinishMessage):
@@ -38,21 +52,10 @@ def _crash_worker(conn):
     os._exit(7)
 
 
-def _stuck_worker(conn):
+def _stuck_worker(conn, task=None):
     """Never reads, never replies — simulates a wedged worker."""
-    import time
     while True:
-        time.sleep(60.0)
-
-
-def _slow_echo_worker(conn, delay):
-    import time
-    while True:
-        msg = conn.recv()
-        if isinstance(msg, FinishMessage):
-            return
-        time.sleep(delay)
-        conn.send(BoundaryMessage(msg.epoch, 0, {}))
+        sleep(60.0)
 
 
 def _pipe_pair():
@@ -62,17 +65,21 @@ def _pipe_pair():
 
 class TestHappyPath:
     def test_broadcast_gather_roundtrip(self):
+        # The runner's adoption exchange, from the per-slot primitives:
+        # send to every active slot, then poll each for its typed reply.
         parent, child = _pipe_pair()
         proc = CTX.Process(target=_echo_worker, args=(child,), daemon=True)
         proc.start()
         child.close()
-        barrier = EpochBarrier([parent], [proc], timeout=30.0)
+        barrier = EpochBarrier([parent], [proc])
         try:
             for epoch in range(3):
-                barrier.broadcast(AllocationMessage(epoch, None))
-                (msg,) = barrier.gather(epoch, BoundaryMessage)
+                for shard in barrier.active:
+                    barrier.send(shard, ReassignMessage(epoch))
+                msg = _await(lambda: barrier.try_recv(0, epoch,
+                                                      BoundaryMessage))
                 assert msg.epoch == epoch
-            barrier.broadcast(FinishMessage(3))
+            barrier.send(0, FinishMessage(3))
         finally:
             barrier.close(terminate=True)
 
@@ -88,42 +95,46 @@ class TestFailureModes:
         proc = CTX.Process(target=_crash_worker, args=(child,), daemon=True)
         proc.start()
         child.close()
-        barrier = EpochBarrier([parent], [proc], timeout=30.0)
+        barrier = EpochBarrier([parent], [proc])
         try:
-            barrier.broadcast(AllocationMessage(0, None))
+            barrier.send(0, ReassignMessage(0))
             with pytest.raises(ShardWorkerError, match="died mid-window"):
-                barrier.gather(0, BoundaryMessage)
+                _await(lambda: barrier.poll_control(0))
         finally:
             barrier.close(terminate=True)
 
-    def test_timeout_raises_typed_error(self):
-        # No process handle and nothing ever arrives: the deadline, not
-        # liveness, must end the wait.
-        parent, _child = _pipe_pair()
-        barrier = EpochBarrier([parent], timeout=0.2, poll_interval=0.05)
-        with pytest.raises(ShardWorkerError, match="no boundary message"):
-            barrier.gather(0, BoundaryMessage)
+    def test_timeout_raises_typed_error(self, monkeypatch):
+        # Workers that stay alive but never publish: the runner's
+        # per-epoch deadline, not liveness, must end the wait.
+        from repro.experiments import sharded
+
+        monkeypatch.setattr(sharded, "_shard_worker_main", _stuck_worker)
+        world = sharded.sharded_fig6_world(duration_scale=0.02, replicas=2)
+        runner = sharded.ShardedRunner(world, shards=2, epoch_timeout=0.2,
+                                       recovery=None)
+        with pytest.raises(ShardWorkerError, match="no boundary publication"):
+            runner.run()
 
     def test_worker_failure_message_reraised(self):
         parent, child = _pipe_pair()
         child.send(WorkerFailure(0, "ValueError: boom"))
-        barrier = EpochBarrier([parent], timeout=5.0)
+        barrier = EpochBarrier([parent])
         with pytest.raises(ShardWorkerError, match="ValueError: boom"):
-            barrier.gather(0, BoundaryMessage)
+            barrier.poll_control(0)
 
     def test_wrong_message_type_rejected(self):
         parent, child = _pipe_pair()
         child.send(FinishMessage(0))
-        barrier = EpochBarrier([parent], timeout=5.0)
+        barrier = EpochBarrier([parent])
         with pytest.raises(ShardWorkerError, match="expected BoundaryMessage"):
-            barrier.gather(0, BoundaryMessage)
+            barrier.try_recv(0, 0, BoundaryMessage)
 
     def test_epoch_skew_rejected(self):
         parent, child = _pipe_pair()
         child.send(BoundaryMessage(4, 0, {}))
-        barrier = EpochBarrier([parent], timeout=5.0)
+        barrier = EpochBarrier([parent])
         with pytest.raises(ShardWorkerError, match="epoch skew"):
-            barrier.gather(3, BoundaryMessage)
+            barrier.try_recv(0, 3, BoundaryMessage)
 
     def test_broadcast_to_closed_pipe_raises(self):
         parent, child = _pipe_pair()
@@ -131,7 +142,8 @@ class TestFailureModes:
         child.close()
         barrier = EpochBarrier([parent])
         with pytest.raises(ShardWorkerError, match="pipe closed"):
-            barrier.broadcast(AllocationMessage(0, None))
+            for shard in barrier.active:
+                barrier.send(shard, FinishMessage(0))
 
     def test_mismatched_process_list_rejected(self):
         parent, _child = _pipe_pair()
@@ -157,7 +169,7 @@ class TestTeardown:
             child.close()
             conns.append(parent)
             procs.append(proc)
-        barrier = EpochBarrier(conns, procs, timeout=5.0)
+        barrier = EpochBarrier(conns, procs)
         handles = list(procs)
         barrier.close(terminate=True)
         # Liveness: every worker is dead and reaped, every slot released.
@@ -176,10 +188,10 @@ class TestTeardown:
         proc = CTX.Process(target=_echo_worker, args=(child,), daemon=True)
         proc.start()
         child.close()
-        barrier = EpochBarrier([parent], [proc], timeout=5.0)
+        barrier = EpochBarrier([parent], [proc])
         barrier.close(terminate=True)
         with pytest.raises(OSError):
-            parent.send(AllocationMessage(0, None))
+            parent.send(FinishMessage(0))
 
     def test_close_without_processes_just_closes_pipes(self):
         parent, _child = _pipe_pair()
@@ -192,63 +204,40 @@ class TestSlotSurgery:
     def test_deactivate_retires_slot(self):
         a, _ca = _pipe_pair()
         b, _cb = _pipe_pair()
-        barrier = EpochBarrier([a, b], timeout=5.0)
+        barrier = EpochBarrier([a, b])
         barrier.deactivate(0)
         assert barrier.active == [1]
         with pytest.raises(ShardWorkerError, match="deactivated"):
-            barrier.send(0, AllocationMessage(0, None))
+            barrier.send(0, FinishMessage(0))
+        with pytest.raises(ShardWorkerError, match="deactivated"):
+            barrier.poll_control(0)
 
     def test_replace_installs_new_worker(self):
         parent, child = _pipe_pair()
         proc = CTX.Process(target=_crash_worker, args=(child,), daemon=True)
         proc.start()
         child.close()
-        barrier = EpochBarrier([parent], [proc], timeout=5.0)
-        barrier.broadcast(AllocationMessage(0, None))
+        barrier = EpochBarrier([parent], [proc])
+        barrier.send(0, ReassignMessage(0))
         with pytest.raises(ShardWorkerError):
-            barrier.gather(0, BoundaryMessage)
+            _await(lambda: barrier.poll_control(0))
         parent2, child2 = _pipe_pair()
         proc2 = CTX.Process(target=_echo_worker, args=(child2,), daemon=True)
         proc2.start()
         child2.close()
         barrier.replace(0, parent2, proc2)
         try:
-            barrier.broadcast(AllocationMessage(1, None))
-            (msg,) = barrier.gather(1, BoundaryMessage)
+            barrier.send(0, ReassignMessage(1))
+            msg = _await(lambda: barrier.try_recv(0, 1, BoundaryMessage))
             assert msg.epoch == 1
         finally:
             barrier.close(terminate=True)
 
 
 class TestPollBackoff:
-    """The recv loop backs off exponentially instead of spinning at 50ms."""
-
     def test_ready_message_needs_one_poll(self):
         parent, child = _pipe_pair()
         child.send(BoundaryMessage(0, 0, {}))
-        barrier = EpochBarrier([parent], timeout=5.0)
-        barrier.recv(0, 0, BoundaryMessage)
+        barrier = EpochBarrier([parent])
+        assert barrier.try_recv(0, 0, BoundaryMessage) is not None
         assert barrier.polls == 1
-
-    def test_slow_worker_polls_logarithmically(self):
-        parent, child = _pipe_pair()
-        proc = CTX.Process(target=_slow_echo_worker, args=(child, 0.3),
-                           daemon=True)
-        proc.start()
-        child.close()
-        barrier = EpochBarrier([parent], [proc], timeout=30.0,
-                               poll_interval=0.05, poll_floor=0.001)
-        try:
-            barrier.broadcast(AllocationMessage(0, None))
-            barrier.gather(0, BoundaryMessage)
-            # 0.3s of silence: doubling from 1ms and capping at 50ms needs
-            # ~12 polls; a flat 1ms spin would need ~300.
-            assert 2 <= barrier.polls <= 30
-            assert barrier.poll_wait_s >= 0.2
-        finally:
-            barrier.close(terminate=True)
-
-    def test_poll_floor_clamped_to_interval(self):
-        parent, _child = _pipe_pair()
-        barrier = EpochBarrier([parent], poll_interval=0.01, poll_floor=0.5)
-        assert barrier.poll_floor == 0.01

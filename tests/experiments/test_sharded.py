@@ -1,18 +1,19 @@
 """Sharded single-scenario execution: parity, routing, and failure tests.
 
 The sharded lane's whole contract is one equality: ``shards=1`` and
-``shards=R`` produce bit-identical SHA-256 digests for every R — and,
-since the zero-copy data plane landed, for either transport.  The digest
-deliberately excludes both the shard count and the transport, so equality
-*is* the proof that partitioning, boundary publication (pickled pipe
-messages or shared-memory seqlock slots) and the combining-tree fold
-carry no shard- or transport-dependent state.
+``shards=R`` produce bit-identical SHA-256 digests for every R.  The
+digest deliberately excludes the shard count, so equality *is* the proof
+that partitioning, boundary publication through the shared-memory seqlock
+slots and the combining-tree fold carry no shard-dependent state.
 """
+
+import multiprocessing as mp
 
 import pytest
 
 from repro.coordination.barrier import ShardWorkerError
 from repro.coordination.checkpoint import RecoveryPolicy
+from repro.coordination.shm import ShmDataPlane, ShmUnavailable
 from repro.experiments.figures import run_fig6, run_fig9
 from repro.experiments.sharded import (
     ShardedRunner,
@@ -28,24 +29,21 @@ SCALE = 0.02
 REPLICAS = 4
 
 
-def digest(figure, shards, seed=0, transport="shm"):
+def digest(figure, shards, seed=0):
     return run_sharded(figure, duration_scale=SCALE, seed=seed,
-                       shards=shards, replicas=REPLICAS,
-                       transport=transport).digest()
+                       shards=shards, replicas=REPLICAS).digest()
 
 
 class TestDigestParity:
-    @pytest.mark.parametrize("transport", ["pipe", "shm"])
-    def test_fig6_bit_identical_across_shard_counts(self, transport):
+    def test_fig6_bit_identical_across_shard_counts(self):
         reference = digest("fig6", 1)
         for shards in (2, 4, 8):
-            assert digest("fig6", shards, transport=transport) == reference
+            assert digest("fig6", shards) == reference
 
-    @pytest.mark.parametrize("transport", ["pipe", "shm"])
-    def test_fig9_bit_identical_across_shard_counts(self, transport):
+    def test_fig9_bit_identical_across_shard_counts(self):
         reference = digest("fig9", 1)
         for shards in (2, 4):
-            assert digest("fig9", shards, transport=transport) == reference
+            assert digest("fig9", shards) == reference
 
     def test_digest_depends_on_seed_not_shards(self):
         assert digest("fig6", 1, seed=0) != digest("fig6", 1, seed=1)
@@ -73,38 +71,85 @@ class TestDigestParity:
 
 
 class TestDataPlane:
-    """Transport selection and the byte accounting the bench gates on."""
+    """The one data plane, its byte accounting, and the inline fallback."""
 
     def test_invalid_transport_rejected(self):
-        world = sharded_fig6_world(duration_scale=SCALE, seed=0,
-                                   replicas=REPLICAS)
-        with pytest.raises(ValueError, match="transport"):
-            ShardedRunner(world, shards=2, transport="carrier-pigeon")
+        # run_sharded alone still takes the word (the frozen e2e benchmark
+        # passes it), and only the one value that exists.
+        assert run_sharded("fig6", duration_scale=SCALE, replicas=REPLICAS,
+                           shards=1, transport="shm").data_plane == "inline"
+        for gone in ("pipe", "carrier-pigeon"):
+            with pytest.raises(ValueError, match="transport"):
+                run_sharded("fig6", duration_scale=SCALE, transport=gone)
 
     def test_inline_run_reports_inline_plane(self):
         res = run_sharded("fig6", duration_scale=SCALE, seed=0, shards=1,
                           replicas=REPLICAS)
         assert res.data_plane == "inline"
+        assert res.transport_fallback is None
 
-    def test_shm_moves_an_order_of_magnitude_fewer_bytes(self):
-        pipe = run_sharded("fig6", duration_scale=SCALE, seed=0, shards=4,
-                           replicas=REPLICAS, transport="pipe")
-        shm = run_sharded("fig6", duration_scale=SCALE, seed=0, shards=4,
-                          replicas=REPLICAS, transport="shm")
-        assert pipe.data_plane == "pipe" and pipe.bytes_per_epoch > 0
-        if shm.data_plane != "shm":        # platform without POSIX shm
-            assert shm.transport_fallback
-            pytest.skip(f"shm unavailable: {shm.transport_fallback}")
-        assert shm.transport_fallback is None
-        # The PR's headline number: >= 10x fewer parent-handled bytes.
-        assert pipe.bytes_per_epoch >= 10 * shm.bytes_per_epoch
+    def test_sharded_run_reports_shm_plane_and_its_bytes(self):
+        res = run_sharded("fig6", duration_scale=SCALE, seed=0, shards=4,
+                          replicas=REPLICAS)
+        assert (res.shards, res.data_plane) == (4, "shm")
+        assert res.transport_fallback is None
+        assert res.bytes_per_epoch > 0
         # The deferred checkpoint ring is accounted, not hidden.
-        assert shm.ring_bytes_per_epoch > 0
+        assert res.ring_bytes_per_epoch > 0
 
     def test_figure_notes_name_the_data_plane(self):
         res = run_sharded_figure("fig6", duration_scale=SCALE, seed=0,
-                                 shards=2, transport="pipe")
-        assert "data plane pipe" in res.notes
+                                 shards=2)
+        assert "data plane shm" in res.notes
+
+
+@pytest.fixture
+def no_shm(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise ShmUnavailable("shared memory allocation failed: test says no")
+
+    monkeypatch.setattr(ShmDataPlane, "create", refuse)
+
+
+class TestInlineFallback:
+    """No shared memory: run inline, say so, and never pass vacuously."""
+
+    def test_runs_inline_with_equal_digest_and_recorded_reason(
+            self, no_shm, monkeypatch, caplog):
+        world = sharded_fig6_world(duration_scale=SCALE, seed=0,
+                                   replicas=REPLICAS)
+        runner = ShardedRunner(world, shards=4)
+
+        def no_children(task):
+            raise AssertionError("inline fallback spawned a worker")
+
+        monkeypatch.setattr(runner, "_spawn", no_children)
+        with caplog.at_level("WARNING", logger="repro.sharded"):
+            res = runner.run()
+        assert mp.active_children() == []
+        assert (res.shards, res.data_plane) == (1, "inline")
+        assert "test says no" in res.transport_fallback
+        assert "test says no" in caplog.text
+        assert res.digest() == digest("fig6", 1)
+        assert res.bytes_per_epoch == res.ring_bytes_per_epoch == 0
+
+    def test_explicit_faults_raise_instead_of_not_firing(self, no_shm):
+        with pytest.raises(ShmUnavailable, match=r"0:3:exc.*would not fire"):
+            faulted("fig6", 2, ["0:3:exc"])
+
+    def test_env_faults_only_warn(self, no_shm, monkeypatch, caplog):
+        monkeypatch.setenv("REPRO_SHARD_FAULT", "0:1")
+        with caplog.at_level("WARNING", logger="repro.sharded"):
+            assert digest("fig6", 2) == digest("fig6", 1)
+        assert "will not fire" in caplog.text
+
+    def test_parity_report_marks_a_comparison_that_ran_inline(self, no_shm):
+        from repro.analysis.replay import sharded_replay
+
+        report = sharded_replay("fig6", duration_scale=SCALE, shards=2)
+        assert report.digests[1] == report.digests[0] + ":ran-inline"
+        assert not report.ok
+        assert report.meta["transport_fallback"]
 
 
 class TestFigureIntegration:
@@ -152,6 +197,21 @@ class TestWorkerFailure:
         with pytest.raises(ShardWorkerError, match="died mid-window"):
             runner.run()
 
+    def test_failed_attach_reaches_the_parent_with_its_reason(self, monkeypatch):
+        # Forked workers inherit the patch; the attach error must arrive as
+        # a WorkerFailure, not as an anonymous "died mid-window".
+        def refuse(spec):
+            raise FileNotFoundError(f"no segment {spec.name}")
+
+        monkeypatch.setattr(ShmDataPlane, "attach", refuse)
+        world = sharded_fig6_world(duration_scale=SCALE, seed=0,
+                                   replicas=REPLICAS)
+        runner = ShardedRunner(world, shards=2, epoch_timeout=30.0,
+                               recovery=None)
+        with pytest.raises(ShardWorkerError,
+                           match="FileNotFoundError: no segment"):
+            runner.run()
+
     def test_failed_spawn_leaves_no_segment(self, monkeypatch):
         from multiprocessing import shared_memory
 
@@ -165,8 +225,6 @@ class TestWorkerFailure:
         monkeypatch.setattr(runner, "_spawn", refuse)
         with pytest.raises(OSError, match="no more processes"):
             runner.run()
-        if runner._plane is None:              # platform without POSIX shm
-            pytest.skip(f"shm unavailable: {runner.transport_fallback}")
         with pytest.raises(FileNotFoundError):
             shared_memory.SharedMemory(name=runner._plane.spec.name)
 
@@ -196,22 +254,18 @@ def faulted(figure, shards, faults, **kwargs):
 class TestCrashRecovery:
     """Self-healing: deaths at window barriers leave the digest intact.
 
-    Parametrized cells run on both data planes — recovery under shm
-    restores from the shared checkpoint ring (decoded binary records)
-    rather than the parent's pickled store, and must land on the same
-    digests.
+    Recovery restores from the shared checkpoint ring (decoded binary
+    records) and must land on the unfaulted digests.
     """
 
-    @pytest.mark.parametrize("transport", ["pipe", "shm"])
-    def test_exception_death_recovers_bit_identical(self, transport):
-        res = faulted("fig6", 2, ["0:3:exc"], transport=transport)
+    def test_exception_death_recovers_bit_identical(self):
+        res = faulted("fig6", 2, ["0:3:exc"])
         assert [r.epoch for r in res.restarts] == [3]
         assert res.restarts[0].restored_epoch == 2
         assert res.digest() == digest("fig6", 1)
 
-    @pytest.mark.parametrize("transport", ["pipe", "shm"])
-    def test_sigkill_death_recovers_bit_identical(self, transport):
-        res = faulted("fig6", 2, ["1:4:kill"], transport=transport)
+    def test_sigkill_death_recovers_bit_identical(self):
+        res = faulted("fig6", 2, ["1:4:kill"])
         assert len(res.restarts) == 1
         assert res.digest() == digest("fig6", 1)
 
@@ -234,11 +288,9 @@ class TestCrashRecovery:
         assert res.restarts[0].restored_digest  # non-empty SHA-256
         assert res.restarts[0].attempt == 1     # 1-based: first respawn
 
-    @pytest.mark.parametrize("transport", ["pipe", "shm"])
-    def test_budget_exhaustion_reassigns_to_survivors(self, transport):
+    def test_budget_exhaustion_reassigns_to_survivors(self):
         policy = RecoveryPolicy(max_restarts=1, backoff_base=0.01)
-        res = faulted("fig6", 2, ["0:2:kill", "0:4:kill"], recovery=policy,
-                      transport=transport)
+        res = faulted("fig6", 2, ["0:2:kill", "0:4:kill"], recovery=policy)
         assert len(res.restarts) == 1
         assert len(res.reassignments) == 1
         move = res.reassignments[0]
@@ -256,8 +308,7 @@ class TestCrashRecovery:
         with pytest.raises(ShardWorkerError):
             runner.run()
 
-    @pytest.mark.parametrize("transport", ["pipe", "shm"])
-    def test_fig9_recovery_parity(self, transport):
-        res = faulted("fig9", 2, ["0:3:kill"], transport=transport)
+    def test_fig9_recovery_parity(self):
+        res = faulted("fig9", 2, ["0:3:kill"])
         assert len(res.restarts) == 1
         assert res.digest() == digest("fig9", 1)

@@ -10,6 +10,11 @@ shows up here as a digest mismatch, not as a tolerance drift.
 The L4 figures, the fault matrix and the simulated fig1 were pinned the same
 way at the parent of the commit that made ``lane=`` the only execution
 selector (every one of their entry points changed signature there).
+
+The sharded lane was pinned at the parent of the commit that made the
+shared-memory plane its only boundary transport: ``shards=1``, ``shards=4``
+and the four crash cells (recovery by respawn and by reassignment) must all
+land on the digests the inline path produced there.
 """
 
 import pytest
@@ -18,6 +23,8 @@ import repro.experiments.figures as figures
 from repro.analysis.replay import (
     chaos_replay, l4_admission_digest, l7_admission_digest, scenario_digest,
 )
+from repro.experiments.faultmatrix import run_crash_recovery_matrix
+from repro.experiments.sharded import run_sharded
 
 PINNED = {
     "fig6": (
@@ -45,6 +52,18 @@ PINNED_L4 = {
     "fig10": (
         "b801b3a14bda7f8925a9f9eef14348da4e3a0e5bcb685f3ce14f090740ea6fc5",
         {"SW": "84374b3ca066197c85f915a566e5292945c6a9c722ffc7823e3f5d0bdb995cb0"},
+    ),
+}
+
+# figure -> (ShardedResult.digest(), final_checkpoint_digest) at 4 replicas.
+PINNED_SHARDED = {
+    "fig6": (
+        "7679f693c4bb53f3cd6400baa8c556595eb29413cff2418892ee05db8489d315",
+        "dbb9d2e15b8cf759869ce6efaaff74bf9dcf05f72ad5d5ab882848ea9c4b389b",
+    ),
+    "fig9": (
+        "d99641ae642bf11b7334088694d08bc56a706d5dafef3016066bc0a585b65f4d",
+        "fe967f5bf6f9d2b53e18485e8f2b0b807426e847d91eb7c408059cb9cd8c1c0b",
     ),
 }
 
@@ -93,6 +112,22 @@ def test_l4_figure_reproduces_parent_digests(figure, monkeypatch):
         name: l4_admission_digest(daemon) for name, daemon in sc.l4_daemons.items()
     } == admission
     assert result.figure == figure
+
+
+@pytest.mark.parametrize("figure", sorted(PINNED_SHARDED))
+def test_sharded_figure_reproduces_parent_digests(figure):
+    for shards in (1, 4):
+        res = run_sharded(figure, duration_scale=0.05, seed=0, shards=shards,
+                          replicas=4)
+        assert (res.digest(), res.final_checkpoint_digest) == \
+            PINNED_SHARDED[figure], f"shards={shards}"
+    assert res.data_plane == "shm"
+    matrix = run_crash_recovery_matrix(figure, duration_scale=0.05, seed=0,
+                                       shards=4, replicas=4)
+    assert sorted(matrix["cells"]) == ["exc", "kill", "multi", "reassign"]
+    for name, cell in matrix["cells"].items():
+        assert cell["digest"] == PINNED_SHARDED[figure][0], name
+        assert cell["ok"] and cell["checkpoint_match"], name
 
 
 def test_fault_matrix_reproduces_parent_digest():

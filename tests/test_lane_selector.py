@@ -1,5 +1,6 @@
 """``lane=`` is the only execution selector: the four A/B accelerator
-switches stay deleted everywhere above the component that owns one."""
+switches stay deleted everywhere above the component that owns one, and
+so do the sharded lane's transport and checkpoint-store knobs."""
 
 import inspect
 
@@ -19,7 +20,8 @@ from repro.scheduling.multiresource import MultiResourceCommunityScheduler
 from repro.scheduling.provider import ProviderScheduler
 from repro.sim.engine import Simulator
 
-GONE = {"lp_cache", "fast_periodic", "fast_lane", "l4_fast_lane"}
+GONE = {"lp_cache", "fast_periodic", "fast_lane", "l4_fast_lane",
+        "transport", "checkpoint_spill", "checkpoint_retain"}
 
 SWITCHLESS = [
     Scenario,
@@ -27,6 +29,7 @@ SWITCHLESS = [
     figures.fig6_scenario, figures.fig9_scenario, figures.fig10_scenario,
     parallel.figure_kwargs, parallel.run_figures_parallel,
     faultmatrix.fault_matrix_scenario, faultmatrix.run_fault_matrix,
+    faultmatrix.run_crash_recovery_matrix,
     replay.fig6_replay, replay.chaos_replay, replay.l4_replay,
     replay.columnar_replay, replay.sharded_replay,
     sharded.ShardedRunner, sharded.run_sharded, sharded.run_sharded_figure,
@@ -49,7 +52,10 @@ def _accepts(fn, name):
     "fn", SWITCHLESS, ids=lambda fn: f"{fn.__module__}.{fn.__qualname__}"
 )
 def test_accelerator_switches_are_gone(fn):
-    assert not [name for name in sorted(GONE) if _accepts(fn, name)]
+    # run_sharded alone still takes transport="shm": the frozen e2e
+    # benchmark passes it, and anything else is a ValueError.
+    gone = GONE - {"transport"} if fn is sharded.run_sharded else GONE
+    assert not [name for name in sorted(gone) if _accepts(fn, name)]
 
 
 def test_scenario_takes_the_lane_and_nothing_else():
@@ -78,6 +84,13 @@ def test_component_level_switches_remain(owner, switch):
 def test_parser_rejects_the_old_flags(flag, capsys):
     with pytest.raises(SystemExit):
         build_parser().parse_args(["figures", flag])
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["figures", "check", "chaos"])
+def test_parser_rejects_transport(command, capsys):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args([command, "--shards", "2", "--transport", "shm"])
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
