@@ -13,7 +13,7 @@ import os
 import time
 
 from repro.analysis.invariants import InvariantChecker
-from repro.cluster.client import ClientMachine, Redirect
+from repro.cluster.client import START_SKEW, ClientMachine, Redirect
 from repro.cluster.server import Server
 from repro.cluster.workload import RequestMix
 from repro.experiments.benchrecord import record_bench
@@ -25,6 +25,9 @@ BENCH_PATH = os.path.join(os.path.dirname(__file__), "BENCH_core.json")
 
 OPEN_REQUESTS = 100_000
 OPEN_RATE = 1000.0          # req/s; 100 s simulated => 100k requests
+# ... counted from the client's first request, which an evenly spaced
+# machine issues at its seed-drawn start skew.
+OPEN_HORIZON = OPEN_REQUESTS / OPEN_RATE + START_SKEW
 CLOSED_REQUESTS = 100_000
 CLOSED_CAPACITY = 10_000.0  # req/s; closed loop saturates the server
 
@@ -52,7 +55,7 @@ def _run_open():
         rng=streams.get("client:c0"),
         on_response=lambda req: times.append(req.completed_at),
     )
-    sim.run(until=OPEN_REQUESTS / OPEN_RATE)
+    sim.run(until=OPEN_HORIZON)
     meter = RateMeter(bin_width=1.0)
     meter.record_many("A", times)
     assert client.completed >= OPEN_REQUESTS
@@ -73,7 +76,7 @@ def _run_open_checked():
         sim, "c0", "A", red, rate=OPEN_RATE,
         rng=streams.get("client:c0"),
     )
-    sim.run(until=OPEN_REQUESTS / OPEN_RATE)
+    sim.run(until=OPEN_HORIZON)
     assert client.completed >= OPEN_REQUESTS
     assert checker.checks_run > 0
     assert checker.violations == []
@@ -165,7 +168,7 @@ def test_request_path_size_cost_mix(benchmark):
             rng=streams.get("client:c0"),
             mix=RequestMix(size_cost=True),
         )
-        sim.run(until=OPEN_REQUESTS / OPEN_RATE)
+        sim.run(until=OPEN_HORIZON)
         return client.completed
 
     completed = benchmark.pedantic(run, rounds=1, iterations=1)

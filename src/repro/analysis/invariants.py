@@ -13,6 +13,8 @@ checks that the accounting underneath cannot be wrong, window by window:
   units per window (plus one in-flight request of carry-over slack).
 - **Flows**: NAT rewrite entries stay in bijection with open conntrack
   flows (installed together, removed together, expired together).
+- **Parking**: ``issued == admitted + dropped + parked`` per open-loop
+  client, and a redirector holds exactly what its clients count as parked.
 - **LP**: every accepted LP solution is primal-feasible within ``eps``.
 
 Checks are attached by :class:`repro.experiments.harness.Scenario` when
@@ -257,6 +259,25 @@ class InvariantChecker:
         if window <= 0:
             raise ValueError("window must be positive")
         sim.every(window, self.check_nat_conntrack, switch, start=window)
+
+    # -- refusal queues -------------------------------------------------------
+
+    def check_parking(self, clients: Any, redirectors: Any) -> None:
+        """Open-loop conservation across clients and ``ParkedRequests``."""
+        for c in clients:
+            if c.mode == "open" and c.issued != c.admitted + c.dropped + c.parked:
+                self._fail(
+                    f"client {c.name!r}: issued {c.issued} != admitted "
+                    f"{c.admitted} + dropped {c.dropped} + parked {c.parked}")
+                return
+        for red in redirectors:
+            pooled = sum(c.parked for c in clients if c.redirector is red)
+            if len(red.parked) != pooled:
+                self._fail(
+                    f"redirector {red.name!r} holds {len(red.parked)} parked "
+                    f"requests, its clients count {pooled}")
+                return
+        self._passed()
 
     # -- LP feasibility ------------------------------------------------------
 

@@ -4,15 +4,17 @@ A client machine generates requests for one principal at a bounded rate —
 the paper's clients top out at 400 req/s natively, or 135 req/s when
 fronted by the proxy the L7 experiments needed.  Clients obey the
 redirector's decision: a *redirect* sends the request to the assigned
-server; a *defer* (the L7 self-redirect / L4 queueing) makes the client
-retry after a delay; requests whose retry pool overflows are dropped, so
-offered load stays bounded under sustained overload.
+server; a *defer* (the L7 self-redirect / L4 SYN-queue overflow) parks an
+open-loop request at the redirector that refused it (:class:`ParkedRequests`,
+re-offered when the next window's quotas are installed) unless its client
+already has ``max_retry_pool`` waiting, so offered load stays bounded under
+sustained overload.  Only closed-loop users poll (``retry_delay``).
 
 Two generation modes:
 
 - ``open`` (default) — fixed-spacing arrivals at ``rate`` while the phase
   schedule says the client is active; this is what the paper's figures
-  measure against.
+  measure against (the seed enters as :data:`START_SKEW`).
 - ``closed`` — ``users`` virtual users in issue/response/think loops,
   useful for response-time experiments.
 
@@ -34,8 +36,9 @@ from __future__ import annotations
 
 import zlib
 from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Protocol, Tuple, Union
+from typing import Callable, Deque, Dict, Iterable, List, Optional, Protocol, Tuple, Union
 
 import numpy as np
 
@@ -45,7 +48,8 @@ from repro.cluster.workload import RequestMix, WorkloadStream
 from repro.sim.engine import Simulator
 from repro.sim.stats import StreamingStats
 
-__all__ = ["ClientMachine", "Redirect", "Defer", "Drop", "Held", "RedirectorAPI"]
+__all__ = ["ClientMachine", "Redirect", "Defer", "Drop", "Held",
+           "RedirectorAPI", "ParkedRequests", "START_SKEW", "start_skew"]
 
 
 @dataclass(frozen=True)
@@ -57,9 +61,8 @@ class Redirect:
 
 @dataclass(frozen=True)
 class Defer:
-    """Not admitted this window; client should retry (self-redirect)."""
-
-    delay: float = 0.0
+    """Not admitted this window (self-redirect): an open-loop client parks
+    the request at the redirector, a closed-loop user asks again later."""
 
 
 @dataclass(frozen=True)
@@ -75,12 +78,62 @@ class Held:
 
 Decision = Union[Redirect, Defer, Drop, Held]
 
+START_SKEW = 0.1  # seconds: one scheduling window
+
+
+def start_skew(rng: np.random.Generator, arrivals: str, jitter: float) -> float:
+    """First-request time of an open-loop client: machines start within a window
+    of each other, so an evenly spaced one (no other draw) gets a seed-drawn offset."""
+    even = arrivals == "uniform" and jitter <= 0
+    return float(rng.uniform(0.0, START_SKEW)) if even else 0.0
+
 
 class RedirectorAPI(Protocol):
     """What clients need from any redirector implementation."""
 
     def handle(self, request: Request, done=None) -> Decision:  # pragma: no cover
         ...
+
+    def park(self, client: "ClientMachine", request: Request) -> bool:  # pragma: no cover
+        """Hold a refused request for re-offer; False = no queue, drop it."""
+
+
+class ParkedRequests:
+    """A redirector's refusal queue (§4.1 implicit queuing, §4.2 kernel
+    queue): one FIFO per principal, shared by all of its clients.  The owner
+    calls :meth:`reoffer` right after installing each window's quotas and
+    passes its per-window demand ledger as ``arrivals``."""
+
+    def __init__(self, principals: Iterable[str], arrivals: Dict[str, float]):
+        # principal -> (client, request) pairs, oldest first
+        self._fifo: Dict[str, Deque[tuple]] = {p: deque() for p in principals}
+        self._cost = {p: 0.0 for p in self._fifo}
+        self._arrivals = arrivals
+
+    def __len__(self) -> int:
+        return sum(len(q) for q in self._fifo.values())
+
+    def park(self, client: "ClientMachine", request: Request) -> bool:
+        self._fifo[request.principal].append((client, request))
+        self._cost[request.principal] += request.cost
+        return True
+
+    def reoffer(self, now: float) -> None:
+        """Offer each FIFO oldest-first through the owner's ``handle`` until
+        one is refused again, dropping those whose client went inactive.
+        What stays parked counts as this window's demand (``handle`` already
+        counted the refused head), so the LP keeps seeing the backlog."""
+        for p, q in self._fifo.items():
+            while q:
+                client, request = q[0]
+                if not client.is_active(now):
+                    client.dropped += 1
+                elif client._offer(request, client._on_done) is None:
+                    self._arrivals[p] += self._cost[p] - request.cost
+                    break
+                q.popleft()
+                self._cost[p] -= request.cost
+                client.parked -= 1
 
 
 def _merge_windows(
@@ -138,14 +191,11 @@ class ClientMachine:
         self.rng = rng
         self.active_windows = active_windows  # None = always active
         self.mix = mix or RequestMix()
+        # Closed-loop users only: a deferred user asks again after
+        # retry_delay, jittered so polls do not resonate with the window.
         self.retry_delay = float(retry_delay)
-        # Jitter decorrelates retries from window boundaries: a retry delay
-        # that is an exact multiple of the scheduling window makes deferred
-        # bursts resonate (alternating heavy/light windows).
         self.retry_jitter = float(retry_jitter)
-        # Default pool: half a second of offered load.  Bounds both memory
-        # and the retry-storm rate under sustained overload (a retry can at
-        # most double the offered load at the default retry_delay).
+        # Requests that may wait parked at once (default: 0.5 s of load).
         self.max_retry_pool = (
             int(max_retry_pool) if max_retry_pool is not None else max(8, int(0.5 * rate))
         )
@@ -168,7 +218,7 @@ class ClientMachine:
         self.response_stats = StreamingStats(
             reservoir=rt_reservoir, seed=zlib.crc32(name.encode("utf-8")) or 1
         )
-        self._retry_pool = 0
+        self.parked = 0  # requests waiting in the redirector's ParkedRequests
 
         self._stream = WorkloadStream(
             self.mix, rng, chunk=stream_chunk,
@@ -177,7 +227,7 @@ class ClientMachine:
         )
 
         if mode == "open":
-            sim.schedule(0.0, self._open_tick)
+            sim.schedule(start_skew(rng, arrivals, jitter), self._open_tick)
         else:
             for u in range(self.users):
                 sim.process(self._closed_user(u), name=f"client[{name}]#{u}")
@@ -230,42 +280,30 @@ class ClientMachine:
         sim.schedule(gap, self._open_tick)
 
     def _dispatch(self, req: Request) -> None:
-        req.attempts += 1
-        decision = self.redirector.handle(req, done=self._on_done)
-        if isinstance(decision, Redirect):
-            if decision.server.submit(req, done=self._on_done):
-                self.admitted += 1
-                return
-            # Server-side rejection (bounded queue, or end-point
-            # enforcement): behaves like a deferral to the client.
-            decision = Defer()
-        if isinstance(decision, Held):
-            self.admitted += 1  # the redirector owns it now
-        elif isinstance(decision, Defer):
-            self.deferred += 1
-            if self._retry_pool >= self.max_retry_pool:
-                self.dropped += 1
-                return
-            self._retry_pool += 1
-            self.sim.schedule(self._retry_after() + decision.delay, self._retry, req)
-        elif isinstance(decision, Drop):
-            self.dropped += 1
-        else:  # pragma: no cover - defensive
-            raise TypeError(f"unexpected decision {decision!r}")
-
-    def _retry_after(self) -> float:
-        if self.retry_jitter <= 0:
-            return self.retry_delay
-        lo = 1.0 - self.retry_jitter
-        hi = 1.0 + self.retry_jitter
-        return self.retry_delay * float(self.rng.uniform(lo, hi))
-
-    def _retry(self, req: Request) -> None:
-        self._retry_pool -= 1
-        if not self.is_active(self.sim.now):
-            self.dropped += 1
+        if self._offer(req, self._on_done) is not None:
             return
-        self._dispatch(req)
+        if self.parked < self.max_retry_pool and self.redirector.park(self, req):
+            self.parked += 1
+        else:
+            self.dropped += 1
+
+    def _offer(self, req: Request, done: Callable[[Request], None]) -> Optional[bool]:
+        """Ask the redirector once: True admitted, False dropped, None refused
+        (``Defer``, or the named server's bounded queue / end-point rejected)."""
+        req.attempts += 1
+        decision = self.redirector.handle(req, done=done)
+        if isinstance(decision, Held) or (
+            isinstance(decision, Redirect) and decision.server.submit(req, done=done)
+        ):
+            self.admitted += 1  # at a server, or the redirector owns it now
+            return True
+        if isinstance(decision, Drop):
+            self.dropped += 1
+            return False
+        if not isinstance(decision, (Defer, Redirect)):  # pragma: no cover
+            raise TypeError(f"unexpected decision {decision!r}")
+        self.deferred += 1
+        return None
 
     def _on_done(self, req: Request) -> None:
         self.completed += 1
@@ -304,27 +342,15 @@ class ClientMachine:
 
     def _closed_dispatch(self, req: Request):
         while True:
-            req.attempts += 1
+            # A server-queue overflow is a refusal too: its ``done`` never fires.
             done = self.sim.event(f"resp-{req.request_id}")
-            decision = self.redirector.handle(req, done=lambda r: done.succeed(r))
-            if isinstance(decision, Redirect):
-                if decision.server.submit(req, done=lambda r: done.succeed(r)):
-                    self.admitted += 1
-                    yield done
-                    self._on_done(req)
-                    return True
-                # Queue overflow at the server: without this the ``done``
-                # event never fires and the virtual user would hang forever
-                # — treat it as a deferral, like the open loop does.
-                decision = Defer()
-            if isinstance(decision, Held):
-                self.admitted += 1
+            outcome = self._offer(req, done.succeed)
+            if outcome is None:
+                j = self.retry_jitter
+                spread = float(self.rng.uniform(1.0 - j, 1.0 + j)) if j > 0 else 1.0
+                yield self.retry_delay * spread
+                continue
+            if outcome:
                 yield done
                 self._on_done(req)
-                return True
-            if isinstance(decision, Defer):
-                self.deferred += 1
-                yield self._retry_after() + decision.delay
-                continue
-            self.dropped += 1
-            return False
+            return outcome

@@ -50,7 +50,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cluster.client import _merge_windows
+from repro.cluster.client import _merge_windows, start_skew
 from repro.cluster.workload import RequestMix
 from repro.l7.redirector import L7Redirector
 from repro.scheduling.window import WindowConfig
@@ -222,8 +222,6 @@ class ColumnarClient:
         jitter: float = 0.0,
         arrivals: str = "uniform",
         max_retry_pool: Optional[int] = 0,
-        retry_delay: float = 0.2,
-        retry_jitter: float = 0.5,
         on_response=None,
         batch: int = 65536,
         rt_reservoir: int = 4096,
@@ -278,10 +276,11 @@ class ColumnarClient:
 
         # Cursor: time of the next emitting tick, normalized onto an
         # active segment (inactive jumps consume no draws, exactly like
-        # the scalar `_open_tick`'s schedule_at(next_start)).
-        t: Optional[float] = 0.0
-        if not self.is_active(0.0):
-            t = self._next_segment_start(0.0)
+        # the scalar `_open_tick`'s schedule_at(next_start)), from the same
+        # start skew as ClientMachine's first tick.
+        t: Optional[float] = start_skew(rng, arrivals, self.jitter)
+        if not self.is_active(t):
+            t = self._next_segment_start(t)
         self._t_next = t
 
     # -- measurements ------------------------------------------------------

@@ -65,6 +65,10 @@ class PassthroughRedirector:
         self.admitted[request.principal] = self.admitted.get(request.principal, 0) + 1
         return Redirect(self._by_name[name])
 
+    def park(self, client, request: Request) -> bool:
+        """No windows, no quota to wait for: a server-rejected request is dropped."""
+        return False
+
 
 @dataclass
 class BaselineComparison:

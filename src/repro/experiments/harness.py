@@ -133,6 +133,10 @@ class Scenario:
         )
         if self.invariants is not None:
             self.invariants.check_ticket_conservation(graph)
+            self.sim.every(window.length, lambda: self.invariants.check_parking(
+                list(self.clients.values()),
+                [*self.l7_redirectors.values(), *self.l4_switches.values()],
+            ), start=window.length)
         # The columnar engine must exist before *any* other component so
         # its boundary pump carries the smallest event sequence numbers
         # (fires first at every window boundary — see ColumnarEngine).

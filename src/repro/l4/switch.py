@@ -10,7 +10,9 @@ Packet path, as in the LVS-based prototype:
 - If there is no quota, the SYN goes into a per-principal kernel queue; a
   kernel thread reinjects queued SYNs in subsequent windows as allowance
   appears (oldest first, spread evenly across the window so releases do
-  not bunch).  The queue is bounded; overflow drops the SYN (RST).
+  not bunch).  The queue is bounded; overflow drops the SYN (RST), whose
+  retransmission waits in :class:`repro.cluster.client.ParkedRequests`,
+  re-offered at ``install`` once reinjection has spent quota on the queue.
 - Non-SYN packets of admitted connections are translated through the NAT
   table and forwarded to the recorded server; responses are rewritten back
   to the virtual address.
@@ -42,7 +44,7 @@ import heapq
 from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Mapping, Optional, Tuple, Union
 
-from repro.cluster.client import Decision, Defer, Drop, Held
+from repro.cluster.client import Decision, Defer, Drop, Held, ParkedRequests
 from repro.cluster.health import BackendHealthChecker
 from repro.cluster.request import Request
 from repro.cluster.server import Server
@@ -155,6 +157,8 @@ class L4Switch:
         self._pending_tuples: set = set()  # tuples of SYNs waiting in kernel queues
         self._arrivals: Dict[str, float] = {p: 0.0 for p in self.principals}
         self.demand_estimate: Dict[str, float] = {p: 0.0 for p in self.principals}
+        self.parked = ParkedRequests(self.principals, self._arrivals)
+        self.park = self.parked.park
         self._weights: Dict[str, Dict[str, float]] = {p: {} for p in self.principals}
         # Per-window, per-(principal, server) forwarding budgets and usage.
         # The LP allocates per server *owner*; the budget is split across
@@ -170,10 +174,9 @@ class L4Switch:
             p: [] for p in self.principals
         }
         # Decisions are frozen dataclasses the clients only type-check, so
-        # the fast lane hands out shared singletons instead of allocating
-        # one per SYN.
+        # the switch hands out shared singletons, not one per SYN.
         self._held = Held()
-        self._defer = Defer(self.window.length)
+        self._defer = Defer()
 
         # Telemetry
         self.admitted: Dict[str, int] = {p: 0 for p in self.principals}
@@ -211,6 +214,7 @@ class L4Switch:
                 self._slack_heap[p] = heap
         self._end_window_accounting()
         self._schedule_reinjection()
+        self.parked.reoffer(self.sim.now)
 
     def local_demand(self) -> Dict[str, float]:
         """Kernel queue lengths plus the incoming-rate estimate — the
@@ -252,8 +256,8 @@ class L4Switch:
         wraps the request in a SYN and runs the packet path.
 
         A SYN lost to kernel-queue overflow is reported as :class:`Defer`:
-        the client's TCP stack would retransmit the SYN after a timeout, and
-        the client model's jittered retry emulates that.
+        the client's TCP stack would retransmit the SYN after a timeout;
+        the open-loop client parks it here until the next ``install``.
         """
         if request.principal not in self._principal_set:
             return Drop()
@@ -268,7 +272,7 @@ class L4Switch:
             request=request,
         )
         accepted = self.on_packet(syn, done=done)
-        return Held() if accepted else Defer(self.window.length)
+        return self._held if accepted else self._defer
 
     def _free_port(self, client_ip: str) -> int:
         """Next ephemeral port whose (client, port) tuple is not in use."""

@@ -14,7 +14,9 @@ Every scheduling window (100 ms in all experiments) the redirector:
 Admission is the paper's *implicit queuing*: requests within quota are
 redirected (HTTP 302) to a server chosen by smooth weighted round-robin
 over the LP's per-server split; requests beyond quota get a self-redirect
-(:class:`repro.cluster.client.Defer`) so the client retries.  The original
+(:class:`repro.cluster.client.Defer`) and wait in this redirector's
+:class:`repro.cluster.client.ParkedRequests` (the queue a self-redirect
+loop amounts to), re-offered oldest-first right after step 3.  The original
 *explicit queuing* — hold requests and release a batch at the next window
 boundary, whose bunching anomaly the paper §4.1 describes — is available
 with ``queuing="explicit"`` for the ablation benchmark.
@@ -33,7 +35,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.cluster.client import Decision, Defer, Drop, Held, Redirect
+from repro.cluster.client import Decision, Defer, Drop, Held, ParkedRequests, Redirect
 from repro.cluster.health import BackendHealthChecker
 from repro.cluster.request import Request
 from repro.cluster.server import Server
@@ -66,7 +68,6 @@ class L7Redirector:
         queuing: ``"implicit"`` (default, what the paper shipped) or
             ``"explicit"`` (windowed hold-and-release, for the ablation).
         smoothing: EWMA weight on the newest window's arrivals.
-        defer_delay: extra delay hint attached to self-redirects.
     """
 
     def __init__(
@@ -82,7 +83,6 @@ class L7Redirector:
         n_redirectors: int = 1,
         queuing: str = "implicit",
         smoothing: float = 0.7,
-        defer_delay: float = 0.0,
         max_held: int = 0,
         stale_after: Optional[float] = None,
         health: Optional[BackendHealthChecker] = None,
@@ -97,11 +97,10 @@ class L7Redirector:
         self.window = window
         self.queuing = queuing
         self.smoothing = float(smoothing)
-        self.defer_delay = float(defer_delay)
         # Fault model: route only to health-checked backends; degrade the
         # allocator to 1/R when the global view goes stale (partition).
         # ``alive`` is the redirector process itself — down means clients
-        # get no answer (Drop; their retry loop models failover).
+        # get no answer (Drop), parked requests included at the next boundary.
         self.health = health
         self.alive = True
 
@@ -136,6 +135,8 @@ class L7Redirector:
 
         self._arrivals: Dict[str, float] = {p: 0.0 for p in self.principals}
         self.demand_estimate: Dict[str, float] = {p: 0.0 for p in self.principals}
+        self.parked = ParkedRequests(self.principals, self._arrivals)
+        self.park = self.parked.park
 
         # Telemetry
         self.admitted: Dict[str, int] = {p: 0 for p in self.principals}
@@ -208,6 +209,7 @@ class L7Redirector:
         alloc = self.allocator.compute(self.local_demand(), now=self.sim.now)
         self.last_allocation = alloc
         self._install(alloc)
+        self.parked.reoffer(self.sim.now)
         if self.queuing == "explicit":
             self._release_held(alloc)
 
@@ -271,7 +273,7 @@ class L7Redirector:
                 return Redirect(server)
             self.quota.rejected[p] += 1  # no usable server this window
         self.self_redirects[p] += 1
-        return Defer(self.defer_delay)
+        return Defer()
 
     def _pick_server(self, principal: str) -> Optional[Server]:
         owner = self._wrr[principal].next()

@@ -131,6 +131,52 @@ class TestNatConntrack:
             chk.check_nat_conntrack(self._Stub(4, 3))
 
 
+class TestParking:
+    class _Red:
+        name = "R"
+
+        def __init__(self, held):
+            self.parked = list(range(held))
+
+    class _Client:
+        name, mode = "C", "open"
+
+        def __init__(self, red, issued, admitted, dropped, parked):
+            self.redirector = red
+            self.issued, self.admitted = issued, admitted
+            self.dropped, self.parked = dropped, parked
+
+    def test_conserved_passes(self):
+        chk, red = InvariantChecker(), self._Red(5)
+        chk.check_parking(
+            [self._Client(red, 10, 5, 2, 3), self._Client(red, 4, 1, 1, 2)], [red])
+        assert chk.checks_run == 1
+
+    def test_lost_request_fails(self):
+        chk, red = InvariantChecker(), self._Red(3)
+        with pytest.raises(InvariantViolation, match="issued 10 != admitted 5"):
+            chk.check_parking([self._Client(red, 10, 5, 1, 3)], [red])
+
+    def test_redirector_and_clients_disagree(self):
+        chk, red = InvariantChecker(), self._Red(4)
+        with pytest.raises(InvariantViolation, match="holds 4 parked"):
+            chk.check_parking([self._Client(red, 10, 5, 2, 3)], [red])
+
+    def test_scenario_checks_every_window(self, fig6_graph):
+        sc = Scenario(fig6_graph, check_invariants=True)
+        srv = sc.server("S", "S", 320.0)
+        red = sc.l7("R", {"S": srv})
+        sc.client("C1", "A", red, rate=400.0)
+        before = sc.invariants.checks_run
+        sc.run(2.0)
+        assert sc.clients["C1"].parked == len(red.parked) > 0
+        assert sc.invariants.checks_run - before >= 3 * 19   # server, LP, parking
+        # A request that goes missing is caught at the next boundary.
+        sc.clients["C1"].parked -= 1
+        with pytest.raises(InvariantViolation, match="client 'C1'"):
+            sc.sim.run(until=2.2)
+
+
 class TestLpFeasibility:
     def _model(self):
         m = Model("toy")

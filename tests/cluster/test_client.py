@@ -1,18 +1,27 @@
 import numpy as np
 import pytest
 
-from repro.cluster.client import ClientMachine, Defer, Drop, Held, Redirect
+from repro.cluster.client import (
+    START_SKEW, ClientMachine, Defer, Drop, Held, ParkedRequests, Redirect,
+)
 from repro.cluster.server import Server
 from repro.sim.engine import Simulator
 
 
 class ScriptedRedirector:
-    """Redirector double returning a scripted sequence of decisions."""
+    """Redirector double returning a scripted sequence of decisions.
+
+    Refused requests wait in a real :class:`ParkedRequests`; a test that
+    wants a window boundary calls ``red.parked.reoffer(now)`` itself.
+    """
 
     def __init__(self, decisions):
         self.decisions = decisions
         self.seen = []
         self.dones = []
+        self.arrivals = {"A": 0.0}
+        self.parked = ParkedRequests(["A"], self.arrivals)
+        self.park = self.parked.park
 
     def handle(self, request, done=None):
         self.seen.append(request)
@@ -20,6 +29,11 @@ class ScriptedRedirector:
         if callable(self.decisions):
             return self.decisions(request)
         return self.decisions
+
+
+# When `_client`'s evenly spaced machine issues its first request: the one
+# draw it makes from its generator (see START_SKEW).
+SKEW = np.random.default_rng(0).uniform(0.0, START_SKEW)
 
 
 def _client(sim, red, **kw):
@@ -36,7 +50,8 @@ class TestOpenLoop:
         red = ScriptedRedirector(Redirect(srv))
         c = _client(sim, red, rate=100.0)
         sim.run(until=10.0)
-        assert c.issued == pytest.approx(1000, abs=2)
+        assert 0.0 <= SKEW < START_SKEW and red.seen[0].created_at == SKEW
+        assert c.issued == pytest.approx(100.0 * (10.0 - SKEW), abs=2)
         assert c.admitted == c.issued
 
     def test_active_windows(self):
@@ -50,27 +65,84 @@ class TestOpenLoop:
     def test_defer_then_retry(self):
         sim = Simulator()
         srv = Server(sim, "S", capacity=10_000.0)
-        calls = {"n": 0}
+
+        second = []
 
         def flaky(request):
-            calls["n"] += 1
-            return Defer() if request.attempts == 1 else Redirect(srv)
+            if request.attempts == 1:
+                return Defer()
+            second.append(request)
+            return Redirect(srv)
 
         red = ScriptedRedirector(flaky)
-        c = _client(sim, red, rate=10.0, retry_delay=0.1)
+        c = _client(sim, red, rate=10.0)
+        sim.every(0.5, lambda: red.parked.reoffer(sim.now), start=0.5)
         sim.run(until=5.0)
-        assert c.deferred > 0
-        assert c.admitted > 0
-        # every admitted request needed exactly two attempts
-        assert all(r.attempts == 2 for r in red.seen if r.served_by or r.attempts == 2)
+        assert c.deferred == c.issued > 0
+        # Every request is refused once, waits parked (5 per boundary, never
+        # asked in between) and is admitted on its second attempt, in order.
+        assert len(red.seen) == c.issued + c.admitted
+        assert c.admitted == c.issued - c.parked > 0
+        assert len(second) == c.admitted and all(r.attempts == 2 for r in second)
+        assert [r.created_at for r in second] == sorted(r.created_at for r in second)
 
     def test_retry_pool_overflow_drops(self):
         sim = Simulator()
         red = ScriptedRedirector(Defer())
-        c = _client(sim, red, rate=100.0, max_retry_pool=5, retry_delay=10.0)
+        c = _client(sim, red, rate=100.0, max_retry_pool=5)
         sim.run(until=2.0)
-        assert c._retry_pool == 5
-        assert c.dropped > 0
+        assert c.parked == len(red.parked) == 5
+        assert c.dropped == c.issued - 5 > 0
+        # Re-offered and refused again: the head stays, nobody moves up, and
+        # what waits behind the head is counted as the window's demand.
+        red.parked.reoffer(sim.now)
+        assert c.parked == len(red.parked) == 5
+        assert red.arrivals == {"A": 4.0}
+        assert c.issued == c.admitted + c.dropped + c.parked
+
+    def test_parked_request_of_an_inactive_client_is_dropped(self):
+        sim = Simulator()
+        red = ScriptedRedirector(Defer())
+        c = _client(sim, red, rate=100.0, max_retry_pool=5,
+                    active_windows=[(0.0, 1.0)])
+        sim.run(until=2.0)
+        asked = len(red.seen)
+        red.parked.reoffer(sim.now)
+        assert len(red.seen) == asked            # dropped without asking
+        assert c.parked == len(red.parked) == 0
+        assert c.admitted == 0 and c.dropped == c.issued
+
+    def test_fifo_is_shared_by_the_clients_of_a_principal(self):
+        sim = Simulator()
+        srv = Server(sim, "S", capacity=10_000.0)
+        budget = {"n": 0}
+        served = []
+
+        def gate(request):
+            if budget["n"] > 0:
+                budget["n"] -= 1
+                served.append(request)
+                return Redirect(srv)
+            return Defer()
+
+        red = ScriptedRedirector(gate)
+        c1 = _client(sim, red, rate=10.0, max_retry_pool=50)
+        c2 = ClientMachine(sim, "C2", "A", red, 10.0,
+                           rng=np.random.default_rng(1), max_retry_pool=50)
+        sim.run(until=2.0)
+        budget["n"] = 10
+        red.parked.reoffer(sim.now)
+        assert len(served) == 10 and c1.admitted == c2.admitted == 5
+        assert max(r.created_at for r in served) < 0.6   # the ten oldest
+
+    def test_server_rejection_parks_at_the_redirector(self):
+        sim = Simulator()
+        srv = Server(sim, "S", capacity=1.0, max_queue=1)
+        red = ScriptedRedirector(Redirect(srv))
+        c = _client(sim, red, rate=100.0, max_retry_pool=3)
+        sim.run(until=1.0)
+        assert srv.dropped > 0 and c.parked == len(red.parked) == 3
+        assert c.issued == c.admitted + c.dropped + c.parked
 
     def test_drop_decision_counted(self):
         sim = Simulator()
@@ -103,7 +175,7 @@ class TestOpenLoop:
         c = _client(sim, red, rate=100.0, active_windows=[(0.0, 1.0)])
         sim.run(until=50.0)
         issued_at_1s = c.issued
-        assert issued_at_1s == pytest.approx(100, abs=2)
+        assert issued_at_1s == pytest.approx(100.0 * (1.0 - SKEW), abs=2)
 
     def test_poisson_arrivals(self):
         sim = Simulator()

@@ -1,15 +1,16 @@
-"""The L7 figures, bit for bit, against constants from before the window LP
-was compiled (scipy/HiGHS solving a freshly built model every window).
+"""The event-lane figures, bit for bit, against constants from the past.
 
 ``repro check`` proves runs agree with *each other*; this pins them to the
-past.  The constants were captured at the parent of the commit that made the
-warm-started bounded simplex the only solver: a solver or scheduler change
-that moves a single admitted request in fig6 / fig7 / fig8 at 1/20 scale
-shows up here as a digest mismatch, not as a tolerance drift.
+past: a solver, scheduler or request-path change that moves a single
+admitted request in fig6-fig10, the fault matrix or the simulated fig1 at
+1/20 scale shows up here as a digest mismatch, not as a tolerance drift.
 
-The L4 figures, the fault matrix and the simulated fig1 were pinned the same
-way at the parent of the commit that made ``lane=`` the only execution
-selector (every one of their entry points changed signature there).
+The event-lane constants were captured at the commit that parked refused
+requests in a per-principal FIFO at the redirector instead of retrying each
+one through the event heap — a change of simulated behaviour by design
+(CHANGES.md lists every old -> new value).  Before it they had held since
+the parents of the commits that compiled the window LP (fig6/7/8) and that
+made ``lane=`` the only execution selector (fig9/10, fault matrix, fig1).
 
 The sharded lane was pinned at the parent of the commit that made the
 shared-memory plane its only boundary transport: ``shards=1``, ``shards=4``
@@ -28,30 +29,30 @@ from repro.experiments.sharded import run_sharded
 
 PINNED = {
     "fig6": (
-        "912035a6c4d2e3dcd079cae8fb98b36372dd53c882cede676a2fac35c1dee593",
-        {"R1": "d9e6752c6b9c8d08b1dcf5487e9b2b25bb16d9eaae537fe3ddf24046a0b205d9",
-         "R2": "62e64c0736b30e7b1a65ade28cff7143ff0679569b17dde31e5a68109c587289"},
+        "7143835c10feb6b8444c9df230443934f15093779576e733db50a03820974228",
+        {"R1": "9111c6490487105bfe40626b4569984dec97cee73bdb6c8d424ed89acd2548d1",
+         "R2": "b7ffd25bf289e829a7f5eb19f849309a6440864a639f4262d6fa4e3327d340da"},
     ),
     "fig7": (
-        "0e6cb1396ebededa4c69716dd23eda6fc09753766e28d2bbb338d4eae302dc73",
-        {"R1": "82b0b39a746abd0c2d7268b3cc4d511d272cc60700232c64c28948bc8cc6cdb0",
-         "R2": "926c1f055e0bb8ae1139bbd0f07ac691b1c59524e5d849e47561bad61eb6b1a2"},
+        "25fdb3d783d9458f4cb43b0d823ab901c31d58213297ae76cf7b7f21d79391f8",
+        {"R1": "92afb60680c7e113a3d3a767785af1a7b1846b8f62bc32156f149b322744df47",
+         "R2": "b6a93bfc451f0ade707c083280aa39923bb4cd4907e940663297e588c063bfe1"},
     ),
     "fig8": (
-        "28b457e790da70f79f7d649ca36da9b6e1c6d2229b2f759b4f1246166ee0bec6",
-        {"R1": "f7fe3fe05b4e0e25a73627de3a0f2f5907c50fe1167600c66d9e511b65d5c079",
-         "R2": "0444572f926f7b13bf46fca9ec7ba2239609fc6ba0a7435995ce45e25dbe53a5"},
+        "7db85863f06e605808061672f4a0548d198344d4683a818819a360d1bfdfeeaa",
+        {"R1": "9ad5985782def67f63a8209546ab0d03bf684c7853d1e2dbf02d0b68a599c330",
+         "R2": "7e9154b3f864557e357c74756f3ad654816953fb5fa9ef9500bb8cec96afd2cc"},
     ),
 }
 
 PINNED_L4 = {
     "fig9": (
-        "c3f3bb981efd1896cfd8510460f1b782c9c85e4a93536a594dfcc61d2615c926",
-        {"SW": "c4dec87ffcbcebdf6e18ae8ecdd047e53b361320a7d45167307fd83168174ced"},
+        "322da75164e94b87535ea329040cab53cc195f396decad5c48cf10d9e247c423",
+        {"SW": "ccb30099eb00b10f827cf48ef92caab5b0bd43ca4ec1362714dfe71f869b67c9"},
     ),
     "fig10": (
-        "b801b3a14bda7f8925a9f9eef14348da4e3a0e5bcb685f3ce14f090740ea6fc5",
-        {"SW": "84374b3ca066197c85f915a566e5292945c6a9c722ffc7823e3f5d0bdb995cb0"},
+        "7f5d988ca6bfa9a992b7d0604b48fd0c49e9b732ad9ff968dcaedf34fdf1367e",
+        {"SW": "5740b83786d4f16958d8407ebf961976212da115a678245784f79695c835b809"},
     ),
 }
 
@@ -68,16 +69,16 @@ PINNED_SHARDED = {
 }
 
 PINNED_FAULT_MATRIX = (
-    "d50e8bae17ce97240aa20f84c4d12424e7f52eddbd378370499625c034b63e7a"
+    "038a99cf5f49d0ddc20f7c461a9025dd951a7cbc63f7f46f89f534de550dcacd"
 )
 
 PINNED_FIG1D = {
     "endpoint": {"A": "0x1.cd9999999999ap+4", "B": "0x1.149999999999ap+6"},
-    "coordinated": {"A": "0x1.40ccccccccccdp+4", "B": "0x1.3f33333333334p+6"},
+    "coordinated": {"A": "0x1.4000000000000p+4", "B": "0x1.4000000000000p+6"},
 }
 
 
-def _run_recorded(figure, monkeypatch):
+def _run_recorded(figure, monkeypatch, seed=0):
     """Run one figure at 1/20 scale; returns (its Scenario, its result)."""
     worlds = []
 
@@ -87,7 +88,7 @@ def _run_recorded(figure, monkeypatch):
             worlds.append(self)
 
     monkeypatch.setattr(figures, "Scenario", Recorded)
-    result = figures.ALL_FIGURES[figure](duration_scale=0.05, seed=0)
+    result = figures.ALL_FIGURES[figure](duration_scale=0.05, seed=seed)
     (sc,) = worlds
     return sc, result
 

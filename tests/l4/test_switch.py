@@ -325,3 +325,37 @@ class TestPortSpace:
         switch.nat.install(tup, "SA", 80, now=0.0)   # tuple is live
         switch._release_port(tup[0], tup[1])         # stray release
         assert switch._claim_tuple("C1") != tup
+
+
+class TestParkedRequests:
+    """SYN-queue overflow parks at the switch; ``install`` re-offers after
+    the kernel thread has spent quota on the kernel queue."""
+
+    @pytest.mark.parametrize("fast_lane", [True, False])
+    def test_reinjection_then_parked(self, fig9_graph, fast_lane):
+        import numpy as np
+        from repro.cluster.client import START_SKEW, ClientMachine
+
+        sim, _, _, _, switch = _world(
+            fig9_graph, max_syn_queue=2, fast_lane=fast_lane,
+            spread_reinjection=False,
+        )
+        weights = {"A": {"A": 32.0}}
+        switch.install(_alloc({"A": 0.0}, weights))
+        t0 = np.random.default_rng(0).uniform(0.0, START_SKEW)  # first SYN
+        c = ClientMachine(sim, "C1", "A", switch, 100.0,
+                          rng=np.random.default_rng(0), max_retry_pool=3,
+                          active_windows=[(0.0, t0 + 0.0599)])
+        sim.run(until=t0 + 0.07)
+        # Six SYNs: two in the kernel queue, three parked, one dropped.
+        assert (c.issued, c.admitted, c.parked, c.dropped) == (6, 2, 3, 1)
+        assert switch.queue_lengths()["A"] == 2 and len(switch.parked) == 3
+        c._win_ends[0] = 1.0  # keep the client active across the boundary
+        switch.install(_alloc({"A": 3.0}, weights))
+        # Quota 3: the two queued SYNs reinject first, the oldest parked one
+        # is admitted on what is left, the next two refill the kernel queue.
+        assert switch.reinjected["A"] == 2
+        assert (c.admitted, c.parked, c.dropped) == (5, 0, 1)
+        assert switch.queue_lengths()["A"] == 2 and len(switch.parked) == 0
+        sim.run(until=1.0)
+        assert switch.admitted["A"] == 3 and c.completed == 3

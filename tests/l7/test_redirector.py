@@ -181,3 +181,41 @@ class TestEndToEndWithClients:
         b_rate = completions["B"] / 30.0
         assert b_rate == pytest.approx(135.0, rel=0.1)
         assert a_rate == pytest.approx(185.0, rel=0.1)
+
+
+class TestParkedRequests:
+    def _overloaded(self, fig6_graph):
+        sim, _, srv, red = _world(fig6_graph)
+        clients = [
+            ClientMachine(sim, f"C{i}", "A", red, 400.0,
+                          rng=np.random.default_rng(i), max_retry_pool=40)
+            for i in (1, 2)
+        ]
+        return sim, red, clients
+
+    def test_backlog_is_reoffered_first_and_counts_as_demand(self, fig6_graph):
+        sim, red, clients = self._overloaded(fig6_graph)
+        sim.run(until=1.05)
+        early = [c.admitted for c in clients]
+        sim.run(until=3.05)
+        # 800 req/s against 320: both pools full, the redirector holds them.
+        assert [c.parked for c in clients] == [40, 40]
+        assert len(red.parked) == 80
+        for c in clients:
+            assert c.issued == c.admitted + c.dropped + c.parked
+        # Demand = a window of fresh arrivals + the backlog at its boundary
+        # (re-offered or still parked, each request once).
+        assert red.demand_estimate["A"] == pytest.approx(80.0 + 80.0, rel=0.02)
+        # Past the start skew's head start the shared FIFO serves both alike.
+        a1, a2 = (c.admitted - e for c, e in zip(clients, early))
+        assert a1 + a2 == pytest.approx(640, abs=2) and abs(a1 - a2) <= 0.01 * a1
+
+    def test_crashed_redirector_drops_what_it_holds(self, fig6_graph):
+        sim, red, clients = self._overloaded(fig6_graph)
+        sim.run(until=1.05)
+        assert len(red.parked) == 80
+        dropped = sum(c.dropped for c in clients)
+        red.crash()
+        sim.run(until=1.15)   # one boundary later
+        assert len(red.parked) == 0 and all(c.parked == 0 for c in clients)
+        assert sum(c.dropped for c in clients) >= dropped + 80

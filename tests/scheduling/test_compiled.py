@@ -200,7 +200,11 @@ class TestInTheLoop:
         sc, _ = fig6_scenario(duration_scale=0.05, seed=0)
         solves = sum(r.allocator.scheduler.lp_solves for r in sc.l7_redirectors.values())
         assert len(warm) == solves > 100
-        assert sum(warm) >= 0.95 * len(warm)
+        # Cold: each redirector's first two solves (empty basis, then the
+        # other's demand arriving over the tree) and the two where B's
+        # demand leaves and returns — 8 with per-request retries (of 189)
+        # and 8 with parking (of 135: steadier demand, fewer re-solves).
+        assert len(warm) - sum(warm) <= 8
 
     def test_feasibility_audit_fires_once_per_solve(self, monkeypatch):
         audited = []
