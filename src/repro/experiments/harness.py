@@ -8,6 +8,7 @@ per-phase service rates the paper's figures plot.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -98,6 +99,7 @@ class Scenario:
         check_invariants: Optional[bool] = None,
         lane: str = "slotted",
     ):
+        gc.collect()  # the previous world is one big cycle: free it before this one grows
         self.graph = graph
         self.access: AccessLevels = compute_access_levels(graph)
         self.window = window

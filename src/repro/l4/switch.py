@@ -11,8 +11,7 @@ Packet path, as in the LVS-based prototype:
   kernel thread reinjects queued SYNs in subsequent windows as allowance
   appears (oldest first, spread evenly across the window so releases do
   not bunch).  The queue is bounded; overflow drops the SYN (RST), whose
-  retransmission waits in :class:`repro.cluster.client.ParkedRequests`,
-  re-offered at ``install`` once reinjection has spent quota on the queue.
+  retransmission waits parked and is re-offered at ``install`` after reinjection.
 - Non-SYN packets of admitted connections are translated through the NAT
   table and forwarded to the recorded server; responses are rewritten back
   to the virtual address.

@@ -14,9 +14,8 @@ Every scheduling window (100 ms in all experiments) the redirector:
 Admission is the paper's *implicit queuing*: requests within quota are
 redirected (HTTP 302) to a server chosen by smooth weighted round-robin
 over the LP's per-server split; requests beyond quota get a self-redirect
-(:class:`repro.cluster.client.Defer`) and wait in this redirector's
-:class:`repro.cluster.client.ParkedRequests` (the queue a self-redirect
-loop amounts to), re-offered oldest-first right after step 3.  The original
+(:class:`repro.cluster.client.Defer`) and wait in the redirector's
+:class:`repro.cluster.client.ParkedRequests` until step 3.  The original
 *explicit queuing* — hold requests and release a batch at the next window
 boundary, whose bunching anomaly the paper §4.1 describes — is available
 with ``queuing="explicit"`` for the ablation benchmark.
