@@ -5,10 +5,11 @@ worker processes that synchronize only at window boundaries (window-epoch
 barrier, one combining-tree merge + LP solve per window in the parent).
 This bench drives a 64-cluster world with ~28M admitted requests through
 shards=1 (inline reference) and shards=8 on the zero-copy shared-memory
-seqlock plane, and records the wall-clock curve plus the per-epoch byte
+plane, and records the wall-clock curve plus the per-epoch byte
 accounting into ``benchmarks/BENCH_core.json``.  ``bytes_per_epoch`` is
-the parent-handled data-plane traffic per window: copied float64 columns
-+ sequence words (the deferred checkpoint ring is reported separately as
+the parent-handled traffic per window: copied float64 columns + the
+pickled allocation message per shard (the deferred checkpoint ring is
+reported separately as
 ``ring_bytes_per_epoch`` — it never crosses to the parent in steady
 state, which is the point).
 
@@ -112,8 +113,9 @@ def test_shard_scaling_serial(benchmark):
 def test_shard_scaling_sharded(benchmark):
     """Same world across 8 worker processes, shared-memory data plane.
 
-    ``plane_wait_ms`` in the meta is the parent's idle time: seqlock-poll
-    sleep while workers simulate the window.
+    ``plane_wait_ms`` in the meta is the parent's idle time: blocked in
+    ``EpochBarrier.wait`` on the pipes while workers simulate the window;
+    ``plane_polls`` counts those wait calls.
     """
     res = benchmark.pedantic(lambda: _run(SHARDS), rounds=3, iterations=1)
     assert res.shards == SHARDS

@@ -5,30 +5,35 @@ The paper's coordination structure (§3.2) makes clusters independent
 combining tree at window boundaries, 2(n-1) messages per round.  The
 sharded runner (:mod:`repro.experiments.sharded`) exploits exactly that —
 each worker process simulates its clusters through window *k* to
-completion, then stops at the boundary.  The per-epoch boundary payload
-moves through the shared-memory data plane
-(:mod:`repro.coordination.shm`); this module is what the
-:mod:`multiprocessing` pipes beside it still carry: low-rate typed
-control traffic — reassignment and its adoption reply, finish, failure —
-polled through :meth:`EpochBarrier.poll_control` /
-:meth:`EpochBarrier.try_recv`.
+completion, then stops at the boundary — and synchronises every epoch
+with messages on one :mod:`multiprocessing` pipe per worker, the tree's
+own exchange with the parent as root:
+
+* parent -> worker: the allocation ``(epoch, frac)``, a
+  :class:`ReassignMessage`, or a :class:`FinishMessage`;
+* worker -> parent: the bare ``int`` epoch once its rows are published
+  in the shared-memory ring (:mod:`repro.coordination.shm`), a
+  :class:`BoundaryMessage` answering an adoption, or a
+  :class:`WorkerFailure`.
 
 Failure model: a worker that dies mid-window (crash, OOM kill, bug) must
 surface as a typed :class:`ShardWorkerError` in the parent — never a
-hang.  Every control poll is non-blocking and checks process liveness;
-the runner interleaves them with its seqlock polls and enforces the
-per-epoch timeout.  A worker that catches its own exception ships a
-:class:`WorkerFailure` message so the parent can re-raise with the
-original detail.  The barrier itself is policy-free: *recovering* from a
-:class:`ShardWorkerError` (respawn from checkpoint, or reassign the dead
-shard's clusters) is the runner's job, supported here by the slot
-surgery primitives ``replace`` and ``deactivate``.
+hang.  :meth:`EpochBarrier.wait` blocks on the pending workers' pipes
+*and* their process sentinels, so a death surfaces the moment it
+happens; a timeout, a protocol violation and a :class:`WorkerFailure`
+(a worker that caught its own exception, with the original detail) are
+the same typed error.  The barrier itself is policy-free: *recovering*
+from a :class:`ShardWorkerError` (respawn from checkpoint, or reassign
+the dead shard's clusters) is the runner's job, supported here by the
+slot surgery primitives ``replace`` and ``deactivate``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Type, TypeVar
+from multiprocessing.connection import wait as wait_ready
+from time import perf_counter  # simlint: disable=SIM001  # IPC accounting, not sim time
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.coordination.aggregation import VectorAggregate
 from repro.coordination.checkpoint import ClusterCheckpoint
@@ -42,17 +47,13 @@ __all__ = [
     "EpochBarrier",
 ]
 
-M = TypeVar("M")
-
-
 @dataclass(frozen=True)
 class BoundaryMessage:
     """Survivor -> parent: window ``epoch`` replayed for adopted clusters.
 
     The reply to a :class:`ReassignMessage`, and the only boundary record
-    that crosses a pipe: the survivor's ring slot already reads
-    "epoch published" for its own rows, so the adopted rows (written into
-    the same slot for later restores) need a separate completion signal.
+    that crosses a pipe: the adopted rows are also written into the
+    survivor's ring slot, but only for later restores.
     ``demand`` carries one :class:`VectorAggregate` per adopted cluster
     (never pre-summed: the parent folds per-cluster leaves through the
     combining tree in an order fixed by cluster names) and ``admitted``
@@ -69,10 +70,11 @@ class BoundaryMessage:
 class ReassignMessage:
     """Parent -> one survivor: adopt a dead shard's clusters mid-epoch.
 
-    Sent while window ``epoch`` is in flight; the survivor defers it
-    until it has published its own epoch-``epoch`` rows, then replays the
-    window for the adopted clusters and answers with a
-    :class:`BoundaryMessage` covering only them.  ``checkpoints`` holds
+    Sent while window ``epoch`` is in flight, always after the
+    survivor's own allocation for ``epoch`` on the same pipe, so the
+    survivor has published its own rows when it replays the window for
+    the adopted clusters and answers with a :class:`BoundaryMessage`
+    covering only them.  ``checkpoints`` holds
     the adopted clusters' state as of epoch ``epoch - 1`` (empty when the
     dead shard never completed a window), so the survivor replays the
     in-flight window for them bit-identically.
@@ -111,15 +113,12 @@ class ShardWorkerError(RuntimeError):
 class EpochBarrier:
     """Parent-side control channel: one pipe (and process) per worker slot.
 
-    ``send`` / ``poll_control`` / ``try_recv`` are non-blocking per-slot
-    primitives that convert worker death and protocol violations into
-    :class:`ShardWorkerError`; the window barrier itself is the runner's
-    seqlock gather over the data plane, which calls them between polls.
-
-    A slot can be *replaced* (a respawned worker takes over the shard
-    index) or *deactivated* (the shard is gone for good; its connection
-    is closed and its process reaped).  ``polls`` counts the parent's
-    poll syscalls.
+    ``send`` and ``wait`` convert worker death and protocol violations
+    into :class:`ShardWorkerError`.  A slot can be *replaced* (a
+    respawned worker takes over the shard index) or *deactivated* (the
+    shard is gone for good; its connection is closed and its process
+    reaped).  ``polls`` counts ``wait`` calls and ``wait_s`` the seconds
+    spent blocked in them.
     """
 
     def __init__(
@@ -134,6 +133,7 @@ class EpochBarrier:
             list(processes) if processes is not None else None
         )
         self.polls = 0
+        self.wait_s = 0.0
 
     def __len__(self) -> int:
         return len(self.connections)
@@ -143,67 +143,73 @@ class EpochBarrier:
         """Shard indices that still have a live connection slot."""
         return [i for i, conn in enumerate(self.connections) if conn is not None]
 
-    # -- per-slot primitives ------------------------------------------------
+    # -- messaging ----------------------------------------------------------
 
-    def send(self, shard: int, msg: Any) -> None:
+    def _conn(self, shard: int) -> Any:
         conn = self.connections[shard]
         if conn is None:
             raise ShardWorkerError(shard, "shard slot is deactivated")
+        return conn
+
+    def send(self, shard: int, msg: Any) -> None:
         try:
-            conn.send(msg)
+            self._conn(shard).send(msg)
         except (BrokenPipeError, OSError) as exc:
             raise ShardWorkerError(
                 shard, f"pipe closed while sending {type(msg).__name__}: {exc}"
             ) from exc
 
-    def poll_control(self, shard: int) -> Optional[Any]:
-        """Non-blocking control-pipe check for one shard.
+    def wait(self, shards: Sequence[int], epoch: int,
+             timeout: float) -> List[Tuple[int, Any]]:
+        """Block until some of ``shards`` has a message or has died.
 
-        The pipe carries failure and adoption control messages, and
-        worker death surfaces as EOF/liveness here.  Returns a pending
-        message, ``None`` when the pipe is quiet, and raises
-        :class:`ShardWorkerError` for :class:`WorkerFailure` payloads,
-        EOF, or a dead process with a drained pipe.
+        Returns one ``(shard, item)`` per shard that became ready, in shard
+        order.  ``item`` is the shard's next message — the ``int`` epoch
+        it published or a :class:`BoundaryMessage`, both for ``epoch`` —
+        or, instead of a message, the :class:`ShardWorkerError` for a
+        :class:`WorkerFailure`, EOF, a dead process with a drained pipe,
+        or a protocol violation, so one failure never hides another
+        shard's message.  Nothing within ``timeout`` seconds raises.
         """
-        conn = self.connections[shard]
-        if conn is None:
-            raise ShardWorkerError(shard, "shard slot is deactivated")
-        try:
-            self.polls += 1
-            if conn.poll(0):
-                msg = conn.recv()
-                if isinstance(msg, WorkerFailure):
-                    raise ShardWorkerError(msg.shard, msg.detail)
-                return msg
-        except (EOFError, BrokenPipeError, OSError) as exc:
-            raise self._death_error(shard, exc) from exc
-        if not self._alive(shard) and not conn.poll(0):
-            raise self._death_error(shard, None)
-        return None
+        ready_for: Dict[Any, int] = {}
+        for shard in shards:
+            ready_for[self._conn(shard)] = shard
+            if self.processes is not None and self.processes[shard] is not None:
+                ready_for[self.processes[shard].sentinel] = shard
+        self.polls += 1
+        t0 = perf_counter()  # simlint: disable=SIM001
+        ready = wait_ready(list(ready_for), timeout)
+        self.wait_s += perf_counter() - t0  # simlint: disable=SIM001
+        if not ready:
+            raise ShardWorkerError(
+                min(shards),
+                f"no boundary publication for epoch {epoch} within "
+                f"{timeout:.0f}s (hang?)",
+            )
+        return [(shard, self._recv(shard, epoch))
+                for shard in sorted({ready_for[r] for r in ready})]
 
-    def try_recv(self, shard: int, epoch: int, kind: Type[M]) -> Optional[M]:
-        """Non-blocking typed receive: ``None`` when nothing is pending."""
-        msg = self.poll_control(shard)
-        if msg is None:
-            return None
-        if not isinstance(msg, kind):
-            raise ShardWorkerError(
-                shard, f"expected {kind.__name__} for epoch {epoch}, "
-                       f"got {type(msg).__name__}"
-            )
-        got = getattr(msg, "epoch", epoch)
+    def _recv(self, shard: int, epoch: int) -> Any:
+        conn = self.connections[shard]
+        try:
+            if not conn.poll(0):     # only the sentinel fired: it is dead
+                return self._death_error(shard, None)
+            msg = conn.recv()
+        except (EOFError, OSError) as exc:
+            return self._death_error(shard, exc)
+        if isinstance(msg, WorkerFailure):
+            return ShardWorkerError(msg.shard, msg.detail)
+        if not isinstance(msg, (int, BoundaryMessage)):
+            return ShardWorkerError(
+                shard, f"expected BoundaryMessage or publication for epoch "
+                       f"{epoch}, got {type(msg).__name__}")
+        got = msg if isinstance(msg, int) else msg.epoch
         if got != epoch:
-            raise ShardWorkerError(
-                shard, f"epoch skew: expected {epoch}, got {got}"
-            )
+            return ShardWorkerError(
+                shard, f"epoch skew: expected {epoch}, got {got}")
         return msg
 
     # -- internals ----------------------------------------------------------
-
-    def _alive(self, shard: int) -> bool:
-        if self.processes is None or self.processes[shard] is None:
-            return True
-        return bool(self.processes[shard].is_alive())
 
     def _death_error(self, shard: int, cause: Optional[BaseException]) -> ShardWorkerError:
         """Diagnose an EOF/liveness failure: prefer the exitcode if dead."""

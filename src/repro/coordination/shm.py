@@ -5,30 +5,22 @@ a combining tree, one allocation vector broadcast back down — and its
 economics depend on the measurement plane costing ~nothing next to the
 work it measures.  This module is the sharded lane's one boundary
 transport: a preallocated ``multiprocessing.shared_memory`` segment,
-viewed through numpy:
+viewed through numpy as one **region per shard** holding a K-deep ring of
+fixed-layout slots; each slot has demand and admitted columns
+(``C×P float64``) plus one binary checkpoint record per cluster
+(:func:`repro.coordination.checkpoint.pack_checkpoint`) and one epoch
+stamp.
 
-* a **control block** the parent seqlock-publishes each epoch's
-  allocation into, and
-* one **region per shard** holding a K-deep ring of fixed-layout slots;
-  each slot has demand and admitted columns (``C×P float64``) plus one
-  binary checkpoint record per cluster
-  (:func:`repro.coordination.checkpoint.pack_checkpoint`).
-
-Workers write their clusters' rows in place and publish with a per-slot
-**seqlock**: the slot's sequence word is bumped to ``2·epoch+1`` (odd =
-torn) before the row writes and to ``2·epoch+2`` (even = published)
-after.  The parent polls the sequence word, copies the rows it needs, and
-re-checks the word — an unchanged even value proves the copy saw no
-concurrent writer; anything else is retried.  The steady-state epoch
-therefore does **zero pickling and zero hashing**; pipes remain only for
-low-rate control traffic (reassignment, finish, failure), and the
-checkpoint ring is decoded only on restore and at the horizon.
-
-Memory-ordering caveat: the seqlock has no explicit fences — it relies on
-the total-store-order guarantee of x86-64 (and on CPython's interpreter
-making every numpy store a completed call before the next begins).  That
-is the documented portability boundary; the torn-read stress test in
-``tests/coordination/test_shm.py`` exercises the retry path empirically.
+Workers write their clusters' rows in place, stamp the slot with the
+epoch, and then say so on their control pipe
+(:mod:`repro.coordination.barrier`); the parent reads a shard's rows only
+after that message has arrived.  The pipe write and read are system
+calls, so they order the worker's stores before the parent's loads on
+every platform — no retry protocol, no reliance on a memory model.  The
+steady-state epoch therefore does **zero pickling and zero hashing** of
+boundary data: the pipes carry one small allocation message down and one
+word up per shard, and the checkpoint ring is decoded only on restore and
+at the horizon.
 
 Every region is sized for *all* clusters in the world (rows are indexed
 by global cluster position), so reassignment can move a cluster between
@@ -36,14 +28,13 @@ shards without relayout — the memory cost is small (the 8-shard bench
 world is ~200 KiB total) and the layout stays static for the whole run.
 
 Regions ring-buffer ``depth`` (K ≥ 2) epochs.  Slot ``e % K`` holds epoch
-``e``; because workers can never run more than one allocation ahead of
-the parent, the ``e−1`` slot a restore reads is always intact while epoch
-``e`` is in flight.
+``e``; because a worker receives allocation ``e+1`` only after the parent
+has folded epoch ``e``, the ``e−1`` slot a restore reads is always intact
+while epoch ``e`` is in flight.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
@@ -61,15 +52,6 @@ __all__ = [
     "ShmDataPlane",
     "ShmUnavailable",
 ]
-
-# Control block layout (uint64 words; float fields as IEEE-754 bits):
-#   word 0            seqlock word (2·epoch+1 torn, 2·epoch+2 published)
-#   word 1            epoch
-#   word 2            has_frac (0 = conservative/None, 1 = vector present)
-#   word 3..3+P-1     served fraction per principal (float64 bits)
-# An absent principal is encoded as NaN — never a legitimate fraction —
-# so the reconstructed dict has exactly the sender's key set.
-_CTL_BASE_WORDS = 3
 
 
 class ShmUnavailable(RuntimeError):
@@ -99,7 +81,7 @@ class PlaneSpec:
 
 
 class ShmDataPlane:
-    """One shared segment: allocation control block + per-shard slot rings."""
+    """One shared segment: a ring of epoch-stamped slots per shard."""
 
     def __init__(self, spec: PlaneSpec, shm: object, owner: bool) -> None:
         if spec.depth < 2:
@@ -110,12 +92,11 @@ class ShmDataPlane:
         self._owner = owner
         self.index: Dict[str, int] = {c: i for i, c in enumerate(spec.clusters)}
         C, P = len(spec.clusters), len(spec.principals)
-        self._ctl_words = _CTL_BASE_WORDS + P
         self._row_words = 2 * P                      # demand + admitted
         self._rec_words = record_words(P)
         self._slot_words = C * self._row_words + C * self._rec_words
         self._region_words = spec.depth * (1 + self._slot_words)
-        total = self._ctl_words + spec.shards * self._region_words
+        total = spec.shards * self._region_words
         self._words: Optional[np.ndarray] = np.ndarray(
             (total,), dtype=np.uint64, buffer=shm.buf)  # type: ignore[attr-defined]
         if owner:
@@ -128,7 +109,7 @@ class ShmDataPlane:
                        shards: int, depth: int) -> int:
         C, P = n_clusters, n_principals
         slot = C * 2 * P + C * record_words(P)
-        return 8 * (_CTL_BASE_WORDS + P + shards * depth * (1 + slot))
+        return 8 * shards * depth * (1 + slot)
 
     @classmethod
     def create(cls, clusters: Sequence[str], principals: Sequence[str],
@@ -176,10 +157,11 @@ class ShmDataPlane:
     # -- internal views -----------------------------------------------------
 
     def _region(self, shard: int) -> int:
-        return self._ctl_words + shard * self._region_words
+        return shard * self._region_words
 
-    def seq_words(self, shard: int) -> np.ndarray:
-        """The shard's per-slot sequence words (exposed for tests/audit)."""
+    def _stamps(self, shard: int) -> np.ndarray:
+        """The shard's per-slot epoch stamps (``epoch + 1``; 0 = never
+        published)."""
         assert self._words is not None
         off = self._region(shard)
         return self._words[off:off + self.spec.depth]
@@ -197,84 +179,44 @@ class ShmDataPlane:
                            base + 2 * C * P + C * self._rec_words]
         return demand, admitted, recs.reshape(C, self._rec_words)
 
-    # -- allocation control block (parent -> workers) -----------------------
-
-    def write_allocation(self, epoch: int,
-                         frac: Optional[Mapping[str, float]]) -> None:
-        assert self._words is not None
-        ctl = self._words[:self._ctl_words]
-        ctl[0] = 2 * epoch + 1                 # odd: write in progress
-        ctl[1] = epoch
-        ctl[2] = 0 if frac is None else 1
-        if frac is not None:
-            flt = ctl.view(np.float64)
-            for i, p in enumerate(self.spec.principals):
-                flt[_CTL_BASE_WORDS + i] = frac.get(p, math.nan)
-        ctl[0] = 2 * epoch + 2                 # even: published
-
-    def poll_allocation(self, epoch: int) \
-            -> Tuple[bool, Optional[Dict[str, float]]]:
-        """(ready, frac) for exactly ``epoch``; retried by the caller."""
-        assert self._words is not None
-        ctl = self._words[:self._ctl_words]
-        want = 2 * epoch + 2
-        if int(ctl[0]) != want:
-            return False, None
-        has = int(ctl[2])
-        vals = ctl.view(np.float64)[
-            _CTL_BASE_WORDS:_CTL_BASE_WORDS + len(self.spec.principals)].copy()
-        if int(ctl[0]) != want:                # torn by a concurrent write
-            return False, None
-        if not has:
-            return True, None
-        return True, {p: float(v)
-                      for p, v in zip(self.spec.principals, vals)
-                      if not math.isnan(v)}
+    def _holds(self, shard: int, epoch: int) -> bool:
+        return int(self._stamps(shard)[epoch % self.spec.depth]) == epoch + 1
 
     # -- boundary publication (workers -> parent) ---------------------------
 
     def publish(self, shard: int, epoch: int,
                 boundary: Mapping[str, Tuple[Sequence[float], Sequence[float],
                                              ClusterCheckpoint]]) -> None:
-        """Seqlock-publish one epoch's rows for ``boundary``'s clusters.
+        """Write one epoch's rows for ``boundary``'s clusters, then stamp.
 
         ``boundary`` maps cluster name to (demand-per-principal,
         admitted-per-principal, checkpoint); only the given rows are
         touched, so a reassignment survivor can republish adopted rows
-        into its own slot without disturbing its earlier writes.
+        into its own slot without disturbing its earlier writes.  The
+        caller announces the publication on its pipe afterwards.
         """
         slot = epoch % self.spec.depth
-        seq = self.seq_words(shard)
-        seq[slot] = 2 * epoch + 1
         demand, admitted, recs = self._slot(shard, slot)
         for name, (dvec, avec, ck) in boundary.items():
             i = self.index[name]
             demand[i, :] = dvec
             admitted[i, :] = avec
             pack_checkpoint(ck, self.spec.principals, recs[i])
-        seq[slot] = 2 * epoch + 2
+        self._stamps(shard)[slot] = epoch + 1
 
-    def try_read_boundary(self, shard: int, epoch: int,
-                          names: Sequence[str]) \
+    def read_boundary(self, shard: int, epoch: int, names: Sequence[str]) \
             -> Optional[Dict[str, Tuple[np.ndarray, np.ndarray]]]:
-        """Copy ``names``' demand/admitted rows for ``epoch``, or None.
+        """Copy ``names``' demand/admitted rows for ``epoch``.
 
-        None means "not published yet or torn mid-copy" — the caller
-        simply polls again.  A successful return is a consistent snapshot:
-        the sequence word was the epoch's even value both before and after
-        the copy.
+        Called only after the shard's pipe said it published ``epoch``;
+        None means the slot holds another epoch — a protocol violation
+        the caller turns into a typed error.
         """
-        slot = epoch % self.spec.depth
-        seq = self.seq_words(shard)
-        want = 2 * epoch + 2
-        if int(seq[slot]) != want:
+        if not self._holds(shard, epoch):
             return None
-        demand, admitted, _ = self._slot(shard, slot)
+        demand, admitted, _ = self._slot(shard, epoch % self.spec.depth)
         idx = [self.index[n] for n in names]
-        dcopy = demand[idx, :].copy()
-        acopy = admitted[idx, :].copy()
-        if int(seq[slot]) != want:             # writer raced us: retry
-            return None
+        dcopy, acopy = demand[idx, :], admitted[idx, :]   # fancy index: copies
         return {name: (dcopy[j], acopy[j]) for j, name in enumerate(names)}
 
     def read_checkpoints(self, epoch: int, owners: Mapping[str, int]) \
@@ -283,9 +225,9 @@ class ShmDataPlane:
 
         ``owners`` maps cluster name to the shard that published it during
         ``epoch``.  This is the deferred-digest path — restore and the
-        final-state witness — never the steady-state loop.  A slot whose sequence word
-        is not the epoch's published value is an error: the ring is only
-        read for epochs the parent has already folded.
+        final-state witness — never the steady-state loop.  A slot whose
+        stamp is not ``epoch`` is an error: the ring is only read for
+        epochs the parent has already folded.
         """
         slot = epoch % self.spec.depth
         out: Dict[str, ClusterCheckpoint] = {}
@@ -293,11 +235,10 @@ class ShmDataPlane:
         for name, shard in owners.items():
             by_shard.setdefault(shard, []).append(name)
         for shard, names in by_shard.items():
-            seq = self.seq_words(shard)
-            if int(seq[slot]) != 2 * epoch + 2:
+            if not self._holds(shard, epoch):
                 raise RuntimeError(
                     f"checkpoint ring: shard {shard} slot {slot} does not "
-                    f"hold epoch {epoch} (seq={int(seq[slot])})"
+                    f"hold epoch {epoch} (stamp={int(self._stamps(shard)[slot])})"
                 )
             _, _, recs = self._slot(shard, slot)
             for name in names:
@@ -314,17 +255,16 @@ class ShmDataPlane:
 
     @property
     def boundary_bytes_per_epoch(self) -> int:
-        """Data-plane bytes the parent handles per steady-state epoch.
+        """Row bytes the parent copies out of the plane per epoch.
 
-        Demand + admitted row copies for every cluster, one control-block
-        write, and one sequence-word read per shard.  Checkpoint records
-        are *excluded*: they are written in place by workers and never
-        cross to the parent until a restore or the horizon (that deferral
-        is the point); their per-epoch ring footprint is reported
-        separately as :attr:`ring_bytes_per_epoch`.
+        Demand + admitted rows for every cluster.  Checkpoint records are
+        *excluded*: they are written in place by workers and never cross
+        to the parent until a restore or the horizon (that deferral is the
+        point); their per-epoch ring footprint is reported separately as
+        :attr:`ring_bytes_per_epoch`.
         """
         C, P = len(self.spec.clusters), len(self.spec.principals)
-        return 8 * (C * 2 * P + self._ctl_words + self.spec.shards)
+        return 8 * C * 2 * P
 
     @property
     def ring_bytes_per_epoch(self) -> int:

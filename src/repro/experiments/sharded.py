@@ -9,13 +9,15 @@ exchange state exclusively through the combining tree at window edges,
 2(n-1) messages per round.  The runner makes each window a conservative
 barrier epoch:
 
-1. the parent publishes the window-k allocation policy (the globally
-   consistent served fraction per principal, from the LP on window k-1's
-   merged demand; window 0 uses the conservative 1/R fallback),
-2. every worker simulates its clusters through window k to completion and
+1. the parent sends every worker the window-k allocation policy (the
+   globally consistent served fraction per principal, from the LP on
+   window k-1's merged demand; window 0 uses the conservative 1/R
+   fallback),
+2. every worker simulates its clusters through window k to completion,
    publishes, per cluster, a demand row, the per-principal admitted
    counts, and a binary
-   :class:`~repro.coordination.checkpoint.ClusterCheckpoint` record,
+   :class:`~repro.coordination.checkpoint.ClusterCheckpoint` record, and
+   says so on its pipe,
 3. the parent folds the per-cluster demand through the existing
    :class:`~repro.coordination.tree.CombiningTree` reduction (balanced
    tree over *sorted cluster names*, so float-sum order never depends on
@@ -45,17 +47,17 @@ checkpoint resumes the Philox counter at the exact draw of the snapshot.
 bit-identical SHA-256 digests — enforced by ``repro check --shards
 [--with-crashes]`` exactly like the three-way lane digest.
 
-One data plane carries the boundary exchange: the zero-copy
-shared-memory plane (:mod:`repro.coordination.shm`).  The parent
-seqlock-publishes each epoch's allocation into a control block, workers
-write demand/admitted columns and binary checkpoint records into
-per-shard ring slots, and the parent folds allocations straight out of
-the arrays — the steady-state epoch does zero pickling and zero hashing,
-and pipes carry only control traffic (reassignment and its adoption
-reply, finish, failure, death detection).  Where shared memory is
-unavailable the runner runs the ``shards=1`` inline path instead —
-bit-identical by the contract above — and records why in
-``ShardedResult.transport_fallback``.
+One data plane carries the boundary rows: the zero-copy shared-memory
+plane (:mod:`repro.coordination.shm`).  Workers write demand/admitted
+columns and binary checkpoint records into per-shard ring slots, and the
+parent folds them straight out of the arrays.  The epoch itself is
+synchronised by messages on the control pipes
+(:mod:`repro.coordination.barrier`): the allocation goes down, a
+one-word "published k" comes back, and both sides block on the pipe
+instead of polling — the message also orders the worker's stores before
+the parent's loads.  Where shared memory is unavailable the runner runs
+the ``shards=1`` inline path instead — bit-identical by the contract
+above — and records why in ``ShardedResult.transport_fallback``.
 
 Deterministic crash hooks for tests and chaos runs: the
 ``REPRO_SHARD_FAULT`` env var (or the ``faults=`` argument, or a
@@ -74,12 +76,12 @@ import logging
 import math
 import multiprocessing as mp
 import os
+import pickle
 import signal
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from time import monotonic  # simlint: disable=SIM001  # IPC deadlines, not sim time
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -291,9 +293,6 @@ class ShardTask:
     # The parent's shared-memory segment a worker process attaches to
     # (None for the inline path, which crosses no process boundary).
     plane: Optional[PlaneSpec] = None
-    # First epoch this worker will execute (respawned workers resume at
-    # the in-flight window; the allocation control block already shows it).
-    resume_epoch: int = 0
 
 
 # One window's outcome for one cluster: (demand aggregate, admitted counts).
@@ -461,47 +460,47 @@ def _plane_rows(
     }
 
 
-# Worker-side allocation poll backoff: tiny floor keeps barrier latency in
-# the tens of microseconds, tiny cap keeps a waiting worker nearly idle
-# without ever adding more than ~2 ms to an epoch boundary.
-_WORKER_POLL_FLOOR = 0.0002
-_WORKER_POLL_CAP = 0.002
+# How long a worker blocks on its pipe before checking that the process
+# that started it is still its parent.  Under fork every worker inherits
+# the parent ends of its siblings' pipes, so a killed parent never shows
+# up as EOF; this watchdog is what ends an orphaned worker.
+_PARENT_CHECK_S = 1.0
+
+
+def _next_message(conn: Any, parent: int) -> Any:
+    """Block for the next control message; EOFError once orphaned."""
+    while not conn.poll(_PARENT_CHECK_S):
+        if os.getppid() != parent:
+            raise EOFError("parent process is gone")
+    return conn.recv()
 
 
 def _shard_worker_main(conn: Any, task: ShardTask) -> None:
-    """Worker process entry point: allocations and boundaries via the plane.
+    """Worker process entry point: block on the pipe, step, publish, report.
 
     Module-level (picklable under spawn); receives *all* state through
     ``task`` — never module globals (SIM007's worker contract).
 
-    The pipe is polled non-blockingly for control traffic only.  A
-    ``ReassignMessage`` for epoch *k* is deferred until this worker has
-    published its *own* epoch-*k* rows — publishing the adopted rows first
-    would mark the slot's seqlock as epoch-*k*-complete while the owned
-    rows were still stale.  Adoption replies go back over the pipe (they
-    are rare control traffic), but the adopted rows are *also* published
-    into this worker's ring slot so later restores can decode them.
+    Each allocation ``(k, frac)`` is answered by publishing the window's
+    rows into the ring and then sending ``k``.  A ``ReassignMessage`` for
+    epoch *k* always arrives after this worker's own allocation *k* (the
+    parent sends it later on the same pipe), so the adopted clusters are
+    replayed after the owned ones; their rows go into the ring slot for
+    later restores and back over the pipe as the adoption reply.
     """
     faults = {f.epoch: f.mode for f in task.faults}
+    parent = os.getppid()
     plane: Optional[ShmDataPlane] = None
     try:
         assert task.plane is not None   # only the inline path has none
         plane = ShmDataPlane.attach(task.plane)
         state = ShardState(task)
         principals = task.principals
-        last = task.resume_epoch - 1
-        pending: List[ReassignMessage] = []
-        wait = _WORKER_POLL_FLOOR
         while True:
-            if conn.poll(0):
-                msg = conn.recv()
-                if isinstance(msg, FinishMessage):
-                    return
-                if isinstance(msg, ReassignMessage):
-                    pending.append(msg)
-                    continue
-            while pending and pending[0].epoch <= last:
-                msg = pending.pop(0)
+            msg = _next_message(conn, parent)
+            if isinstance(msg, FinishMessage):
+                return
+            if isinstance(msg, ReassignMessage):
                 added = state.adopt(msg.clusters, msg.checkpoints)
                 records = {
                     c.spec.name: c.step(msg.epoch, msg.frac, task.conservative)
@@ -511,20 +510,15 @@ def _shard_worker_main(conn: Any, task: ShardTask) -> None:
                               _plane_rows(state, records, principals,
                                           clusters=added))
                 conn.send(_adoption_reply(msg.epoch, task.shard, records))
-            ready, frac = plane.poll_allocation(last + 1)
-            if not ready:
-                time.sleep(wait)
-                wait = min(wait * 2.0, _WORKER_POLL_CAP)
                 continue
-            wait = _WORKER_POLL_FLOOR
-            k = last + 1
+            k, frac = msg
             mode = faults.pop(k, None)
             if mode is not None:
                 _fire_fault(mode)   # deterministic mid-window death
             records = state.step(k, frac)
             plane.publish(task.shard, k,
                           _plane_rows(state, records, principals))
-            last = k
+            conn.send(k)
     except (EOFError, BrokenPipeError, KeyboardInterrupt):
         return
     except Exception as exc:   # ship the failure; never leave a hang
@@ -573,25 +567,32 @@ class ShardedResult:
     restarts: List[ShardRestart] = field(default_factory=list)
     reassignments: List[ShardReassignment] = field(default_factory=list)
     final_checkpoint_digest: str = ""
+    # ``plane_polls``: EpochBarrier.wait calls the parent made (each one
+    # blocking call on the pipes and process sentinels); ``plane_wait_s``:
+    # seconds the parent spent blocked in them.  The wait is both the
+    # barrier and the publication signal, so ``barrier_polls`` /
+    # ``barrier_wait_s`` report the same two numbers; the frozen
+    # benchmarks/e2e/workloads.py reads all four names.
     barrier_polls: int = 0
-    # Always 0 (the parent retains no checkpoints and never blocks on a
-    # pipe); kept because the frozen benchmarks/e2e/workloads.py reads
-    # them — ROADMAP item 1's benchmark PR removes both.
-    checkpoint_bytes: int = 0
     barrier_wait_s: float = 0.0
+    plane_polls: int = 0
+    plane_wait_s: float = 0.0
+    # Always 0 (the parent retains no checkpoints); kept because the
+    # frozen benchmark reads it — ROADMAP item 1's benchmark PR removes it.
+    checkpoint_bytes: int = 0
     # Data-plane accounting.  ``data_plane`` is what actually carried the
     # boundary exchange: "shm", or "inline" (shards=1, or no shared
     # memory here — ``transport_fallback`` then records why).
-    # ``bytes_per_epoch`` is the row/control bytes the parent copies per
-    # epoch; ``ring_bytes_per_epoch`` the checkpoint-record bytes workers
-    # write in place per epoch (decoded only on restore and at the
-    # horizon, never crossing to the parent in steady state).
+    # ``bytes_per_epoch``: the demand/admitted row bytes the parent copies
+    # per epoch plus the pickled steady-state allocation message it sends
+    # each shard; ``ring_bytes_per_epoch``: the
+    # checkpoint-record bytes workers write in place per epoch (decoded
+    # only on restore and at the horizon, never crossing to the parent in
+    # steady state).
     data_plane: str = "inline"
     transport_fallback: Optional[str] = None
     bytes_per_epoch: int = 0
     ring_bytes_per_epoch: int = 0
-    plane_polls: int = 0
-    plane_wait_s: float = 0.0
 
     # -- derived views ----------------------------------------------------
 
@@ -666,8 +667,9 @@ class ShardedRunner:
     ``shards=1`` steps the identical per-cluster state machines inline (no
     processes, no pickling) — the reference the digest-parity check holds
     every R against, and what any R runs as when the platform cannot
-    provide shared memory (:class:`ShmUnavailable`; an explicit
-    ``faults=`` schedule then raises instead of silently not firing).
+    provide shared memory (:class:`ShmUnavailable`).  An explicit
+    ``faults=`` schedule on any run that executes inline raises
+    :class:`ShmUnavailable` instead of silently not firing.
     Partitioning is round-robin over *sorted* cluster names, so shard
     membership is a pure function of (world, R); results are a pure
     function of world alone.
@@ -735,8 +737,6 @@ class ShardedRunner:
         # Cluster -> shard that published it during the last completed
         # epoch: the owner map a ring-decoded restore reads with.
         self._ring_owner: Optional[Dict[str, int]] = None
-        self._plane_polls = 0
-        self._plane_wait_s = 0.0
 
     # -- fault binding ------------------------------------------------------
 
@@ -775,7 +775,6 @@ class ShardedRunner:
     def _task(
         self, shard: int,
         restore: Optional[Mapping[str, ClusterCheckpoint]] = None,
-        resume_epoch: int = 0,
     ) -> ShardTask:
         return ShardTask(
             shard=shard,
@@ -788,7 +787,6 @@ class ShardedRunner:
             faults=tuple(self._faults.get(shard, ())),
             restore=dict(restore or {}),
             plane=None if self._plane is None else self._plane.spec,
-            resume_epoch=int(resume_epoch),
         )
 
     # -- reduction / policy -------------------------------------------------
@@ -817,33 +815,40 @@ class ShardedRunner:
     # -- the run ------------------------------------------------------------
 
     def _open_plane(self) -> Optional[ShmDataPlane]:
-        """The run's data plane, or ``None`` to run inline."""
-        if self.shards == 1:
-            return None
-        try:
-            return ShmDataPlane.create(
-                [c.name for c in self._ordered], self.world.principals,
-                self.shards,
-                unregister_on_attach=(self._mp_method != "fork"),
+        """The run's data plane, or ``None`` to run inline.
+
+        Faults need worker processes: on a run that executes inline
+        (``shards=1``, or no shared memory here) an explicit ``faults=``
+        schedule raises :class:`ShmUnavailable` instead of silently not
+        firing; ``REPRO_SHARD_FAULT`` faults only warn on the fallback.
+        """
+        reason = f"a {self.shards}-shard run executes inline"
+        if self.shards > 1:
+            try:
+                return ShmDataPlane.create(
+                    [c.name for c in self._ordered], self.world.principals,
+                    self.shards,
+                    unregister_on_attach=(self._mp_method != "fork"),
+                )
+            except ShmUnavailable as exc:
+                reason = self.transport_fallback = str(exc)
+        unfired = sorted(f"{shard}:{f.epoch}:{f.mode}"
+                         for shard, fl in self._fault_specs.items()
+                         for f in fl)
+        if unfired and self._explicit_faults:
+            raise ShmUnavailable(
+                f"{reason}; faults {unfired} need worker processes and "
+                f"would not fire on the inline path"
             )
-        except ShmUnavailable as exc:
-            unfired = sorted(f"{shard}:{f.epoch}:{f.mode}"
-                             for shard, fl in self._fault_specs.items()
-                             for f in fl)
-            if unfired and self._explicit_faults:
-                raise ShmUnavailable(
-                    f"{exc}; faults {unfired} need worker processes and "
-                    f"would not fire on the inline fallback"
-                ) from exc
-            self.transport_fallback = str(exc)
+        if self.transport_fallback is not None:
             _LOG.warning(
                 "shm data plane unavailable, running shards=%d inline%s: %s",
                 self.shards,
                 f" ({_FAULT_ENV} faults {unfired} will not fire)"
                 if unfired else "",
-                exc,
+                reason,
             )
-            return None
+        return None
 
     def run(self) -> ShardedResult:
         world = self.world
@@ -865,9 +870,7 @@ class ShardedRunner:
         self.reassignments = []
         self.transport_fallback = None
         self._ring_owner = None
-        self._plane_polls = 0
-        self._plane_wait_s = 0.0
-        barrier_polls = 0
+        polls, wait_s = 0, 0.0
         plane = self._plane = self._open_plane()
         shards = self.shards if plane is not None else 1
         self._owned = {i: self._ordered[i::shards] for i in range(shards)}
@@ -903,7 +906,7 @@ class ShardedRunner:
                 final = plane.read_checkpoints(n_windows - 1, self._ring_owner)
         finally:
             if barrier is not None:
-                barrier_polls = barrier.polls
+                polls, wait_s = barrier.polls, barrier.wait_s
                 barrier.close(terminate=True)
             if plane is not None:
                 plane.close()
@@ -929,15 +932,17 @@ class ShardedRunner:
             restarts=list(self.restarts),
             reassignments=list(self.reassignments),
             final_checkpoint_digest=epoch_digest(final),
-            barrier_polls=barrier_polls,
+            barrier_polls=polls,
+            barrier_wait_s=wait_s,
+            plane_polls=polls,
+            plane_wait_s=wait_s,
             data_plane="inline" if plane is None else "shm",
             transport_fallback=self.transport_fallback,
             bytes_per_epoch=(0 if plane is None
-                             else plane.boundary_bytes_per_epoch),
+                             else plane.boundary_bytes_per_epoch + shards
+                             * len(pickle.dumps((n_windows - 1, frac)))),
             ring_bytes_per_epoch=(0 if plane is None
                                   else plane.ring_bytes_per_epoch),
-            plane_polls=self._plane_polls,
-            plane_wait_s=self._plane_wait_s,
         )
 
     def _ingest(self, k: int, records: Dict[str, ClusterRecord]) -> None:
@@ -957,107 +962,69 @@ class ShardedRunner:
 
     # -- sharded epoch protocol (with recovery) -----------------------------
 
-    # Parent-side seqlock poll backoff: each poll is a couple of numpy
-    # scalar reads, so the floor can sit well under a syscall's cost
-    # without burning a core.
-    _PARENT_POLL_FLOOR = 0.00005
-    _PARENT_POLL_CAP = 0.002
-
     def _epoch(
         self, barrier: EpochBarrier, k: int, frac: Optional[Dict[str, float]]
     ) -> Dict[str, ClusterRecord]:
         """Run window ``k`` across the workers; heal failures as they surface.
 
-        The allocation is seqlock-published once; the gather loop then
-        polls every pending shard's slot, folding rows the moment they
-        publish, and interleaves non-blocking pipe checks so worker death
-        (or an adoption reply) surfaces between slot polls.
-        ``self._expected`` counts pending pipe-borne adoption replies.
+        Every shard that owns clusters is sent the allocation ``(k, frac)``
+        — a respawned replacement is sent it again — and the parent blocks
+        in :meth:`EpochBarrier.wait`, reading a shard's ring rows once its
+        "published k" has arrived.  ``need`` maps each shard still to
+        publish to the clusters it was asked for; ``self._expected``
+        counts pending pipe-borne adoption replies.
         """
         plane = self._plane
         assert plane is not None
-        plane.write_allocation(k, frac)
         self._expected = {}
-        need: Set[int] = {s for s in barrier.active if self._owned[s]}
+        need: Dict[int, List[str]] = {}
         records: Dict[str, ClusterRecord] = {}
         principals = self.world.principals
-        deadline = monotonic() + self.epoch_timeout  # simlint: disable=SIM001
-        wait = 0.0
-        while need or any(v > 0 for v in self._expected.values()):
-            if wait > 0.0:
-                time.sleep(wait)
-                self._plane_wait_s += wait
-            progress = False
-            for shard in sorted(need):
-                names = [c.name for c in self._owned[shard]]
-                self._plane_polls += 1
-                rows = None
-                failure: Optional[ShardWorkerError] = None
-                try:
-                    rows = plane.try_read_boundary(shard, k, names)
-                    if rows is None:
-                        # Quiet slot: give death/typed failure a chance to
-                        # surface instead of spinning until the deadline.
-                        stray = barrier.poll_control(shard)
-                        if stray is not None:
-                            failure = ShardWorkerError(
-                                shard,
-                                f"unexpected {type(stray).__name__} during "
-                                f"epoch {k}",
-                            )
-                except ShardWorkerError as err:
-                    failure = err
-                if failure is not None:
-                    self._handle_failure(barrier, shard, k, frac, failure)
-                    if (barrier.connections[shard] is None
-                            or not self._owned[shard]):
-                        need.discard(shard)   # reassigned away
-                    progress = True
+
+        def allocate(shard: int) -> None:
+            need[shard] = [c.name for c in self._owned[shard]]
+            try:
+                barrier.send(shard, (k, frac))
+            except ShardWorkerError:
+                pass   # the dead worker surfaces in the wait below
+
+        for shard in barrier.active:
+            if self._owned[shard]:
+                allocate(shard)
+        while need or any(self._expected.values()):
+            pending = set(need).union(
+                s for s, n in self._expected.items() if n)
+            for shard, msg in barrier.wait(sorted(pending), k,
+                                           self.epoch_timeout):
+                if isinstance(msg, BoundaryMessage) and self._expected.get(shard):
+                    self._expected[shard] -= 1
+                    for name, agg in msg.demand.items():
+                        records[name] = (agg, dict(msg.admitted.get(name, {})))
                     continue
+                rows = None
+                if isinstance(msg, int) and shard in need:
+                    rows = plane.read_boundary(shard, k, need[shard])
                 if rows is not None:
                     for name, (dvec, avec) in rows.items():
                         records[name] = (
                             VectorAggregate.from_columns(principals, dvec),
                             {p: float(v) for p, v in zip(principals, avec)},
                         )
-                    need.discard(shard)
-                    progress = True
-            for shard in [s for s in sorted(self._expected)
-                          if self._expected[s] > 0]:
-                try:
-                    msg = barrier.try_recv(shard, k, BoundaryMessage)
-                except ShardWorkerError as err:
-                    self._handle_failure(barrier, shard, k, frac, err)
-                    if (barrier.connections[shard] is not None
-                            and self._owned[shard]):
-                        # The respawned survivor replays *all* its clusters
-                        # (own + adopted) and publishes them via the plane;
-                        # no pipe reply is coming any more.
-                        self._expected[shard] = 0
-                        need.add(shard)
-                    progress = True
+                    del need[shard]
                     continue
-                if msg is not None:
-                    self._expected[shard] -= 1
-                    for name, agg in msg.demand.items():
-                        records[name] = (agg, dict(msg.admitted.get(name, {})))
-                    progress = True
-            if progress:
-                deadline = monotonic() + self.epoch_timeout  # simlint: disable=SIM001
-                wait = 0.0
-            else:
-                if monotonic() > deadline:  # simlint: disable=SIM001
-                    pending = sorted(need) + [
-                        s for s in sorted(self._expected)
-                        if self._expected[s] > 0
-                    ]
-                    raise ShardWorkerError(
-                        pending[0] if pending else -1,
-                        f"no boundary publication for epoch {k} within "
-                        f"{self.epoch_timeout:.0f}s (hang?)",
-                    )
-                wait = min(max(wait * 2.0, self._PARENT_POLL_FLOOR),
-                           self._PARENT_POLL_CAP)
+                self._handle_failure(
+                    barrier, shard, k, frac,
+                    msg if isinstance(msg, ShardWorkerError)
+                    else ShardWorkerError(
+                        shard, f"unexpected {type(msg).__name__} {msg!r} "
+                               f"during epoch {k}"))
+                need.pop(shard, None)
+                if barrier.connections[shard] is not None and self._owned[shard]:
+                    # Respawned: the replacement replays *all* its clusters
+                    # (own + adopted) and publishes them via the plane; no
+                    # pipe reply is coming any more.
+                    self._expected[shard] = 0
+                    allocate(shard)
         missing = [n for n in (c.name for c in self.world.clusters)
                    if n not in records]
         if missing:
@@ -1091,7 +1058,7 @@ class ShardedRunner:
         attempt = self._epoch_attempts.get((shard, k), 0)
         if (len(self.restarts) < policy.max_restarts
                 and attempt < policy.per_epoch_retries):
-            self._respawn(barrier, shard, k, frac, err, attempt)
+            self._respawn(barrier, shard, k, err, attempt)
         elif policy.reassign_on_exhaustion:
             self._reassign(barrier, shard, k, frac, err)
         else:
@@ -1099,9 +1066,10 @@ class ShardedRunner:
 
     def _respawn(
         self, barrier: EpochBarrier, shard: int, k: int,
-        frac: Optional[Dict[str, float]], err: ShardWorkerError, attempt: int,
+        err: ShardWorkerError, attempt: int,
     ) -> None:
-        """Respawn a dead shard from the last checkpoint and replay window k."""
+        """Respawn a dead shard from the last checkpoint; ``_epoch`` then
+        sends it window k's allocation to replay."""
         time.sleep(self.recovery.backoff(attempt))
         self._epoch_attempts[(shard, k)] = attempt + 1
         restored_epoch, snap = self._restore_snapshot(k)
@@ -1112,10 +1080,7 @@ class ShardedRunner:
         self._faults[shard] = [
             f for f in self._faults.get(shard, []) if f.epoch > k
         ]
-        conn, proc = self._spawn(self._task(shard, restore=restore,
-                                            resume_epoch=k))
-        # The control block already shows epoch k; the respawned worker
-        # resumes there without any pipe traffic.
+        conn, proc = self._spawn(self._task(shard, restore=restore))
         barrier.replace(shard, conn, proc)
         self.restarts.append(ShardRestart(
             epoch=k, shard=shard, attempt=attempt + 1,

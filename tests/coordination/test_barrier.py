@@ -2,10 +2,9 @@
 
 The control channel's contract is that a worker that dies, stalls, or
 breaks the epoch protocol surfaces as :class:`ShardWorkerError` in the
-parent — never a hang.  These tests drive the non-blocking per-slot
-primitives (``send`` / ``poll_control`` / ``try_recv``) directly over raw
-pipes, so each failure mode is isolated; only the stall case needs the
-:class:`ShardedRunner`, whose gather loop owns the per-epoch deadline.
+parent — never a hang.  These tests drive ``send`` and the one blocking
+``wait`` directly over raw pipes, so each failure mode is isolated; the
+runner-level stall case checks that the epoch loop passes the timeout on.
 """
 
 import multiprocessing as mp
@@ -27,15 +26,13 @@ CTX = mp.get_context("fork" if "fork" in mp.get_all_start_methods()
                      else "spawn")
 
 
-def _await(poll, timeout=30.0):
-    """Spin a non-blocking ``poll`` until it returns a message or raises."""
-    deadline = monotonic() + timeout
-    while monotonic() < deadline:
-        msg = poll()
-        if msg is not None:
-            return msg
-        sleep(0.001)
-    raise AssertionError(f"nothing arrived within {timeout:.0f}s")
+def _next(barrier, epoch=0, shard=0, timeout=30.0):
+    """The shard's next item from ``wait``, raised if it is an error."""
+    [(got, item)] = barrier.wait([shard], epoch, timeout)
+    assert got == shard
+    if isinstance(item, ShardWorkerError):
+        raise item
+    return item
 
 
 def _echo_worker(conn):
@@ -52,6 +49,11 @@ def _crash_worker(conn):
     os._exit(7)
 
 
+def _late_crash_worker(conn):
+    sleep(0.3)
+    os._exit(7)
+
+
 def _stuck_worker(conn, task=None):
     """Never reads, never replies — simulates a wedged worker."""
     while True:
@@ -65,8 +67,8 @@ def _pipe_pair():
 
 class TestHappyPath:
     def test_broadcast_gather_roundtrip(self):
-        # The runner's adoption exchange, from the per-slot primitives:
-        # send to every active slot, then poll each for its typed reply.
+        # The runner's adoption exchange: send to every active slot, then
+        # block for each typed reply.
         parent, child = _pipe_pair()
         proc = CTX.Process(target=_echo_worker, args=(child,), daemon=True)
         proc.start()
@@ -76,9 +78,8 @@ class TestHappyPath:
             for epoch in range(3):
                 for shard in barrier.active:
                     barrier.send(shard, ReassignMessage(epoch))
-                msg = _await(lambda: barrier.try_recv(0, epoch,
-                                                      BoundaryMessage))
-                assert msg.epoch == epoch
+                msg = _next(barrier, epoch)
+                assert isinstance(msg, BoundaryMessage) and msg.epoch == epoch
             barrier.send(0, FinishMessage(3))
         finally:
             barrier.close(terminate=True)
@@ -99,7 +100,41 @@ class TestFailureModes:
         try:
             barrier.send(0, ReassignMessage(0))
             with pytest.raises(ShardWorkerError, match="died mid-window"):
-                _await(lambda: barrier.poll_control(0))
+                _next(barrier)
+        finally:
+            barrier.close(terminate=True)
+
+    def test_death_surfaces_through_the_sentinel_not_the_timeout(self):
+        # The child end stays open in this process, so the pipe never
+        # reads EOF: only the process sentinel can end the wait early.
+        parent, child = _pipe_pair()
+        proc = CTX.Process(target=_late_crash_worker, args=(child,),
+                           daemon=True)
+        proc.start()
+        barrier = EpochBarrier([parent], [proc])
+        try:
+            t0 = monotonic()
+            with pytest.raises(ShardWorkerError, match="exitcode 7"):
+                _next(barrier, timeout=120.0)
+            assert monotonic() - t0 < 10.0
+        finally:
+            barrier.close(terminate=True)
+            child.close()
+
+    def test_wedged_worker_times_out_as_typed_error(self):
+        # Alive, pipe open, never answers: the timeout ends the wait.
+        parent, child = _pipe_pair()
+        proc = CTX.Process(target=_stuck_worker, args=(child,), daemon=True)
+        proc.start()
+        child.close()
+        barrier = EpochBarrier([parent], [proc])
+        try:
+            barrier.send(0, (0, None))
+            t0 = monotonic()
+            with pytest.raises(ShardWorkerError,
+                               match="no boundary publication for epoch 0"):
+                barrier.wait([0], 0, 0.2)
+            assert monotonic() - t0 < 10.0
         finally:
             barrier.close(terminate=True)
 
@@ -120,21 +155,21 @@ class TestFailureModes:
         child.send(WorkerFailure(0, "ValueError: boom"))
         barrier = EpochBarrier([parent])
         with pytest.raises(ShardWorkerError, match="ValueError: boom"):
-            barrier.poll_control(0)
+            _next(barrier)
 
     def test_wrong_message_type_rejected(self):
         parent, child = _pipe_pair()
         child.send(FinishMessage(0))
         barrier = EpochBarrier([parent])
         with pytest.raises(ShardWorkerError, match="expected BoundaryMessage"):
-            barrier.try_recv(0, 0, BoundaryMessage)
+            _next(barrier)
 
     def test_epoch_skew_rejected(self):
         parent, child = _pipe_pair()
         child.send(BoundaryMessage(4, 0, {}))
         barrier = EpochBarrier([parent])
         with pytest.raises(ShardWorkerError, match="epoch skew"):
-            barrier.try_recv(0, 3, BoundaryMessage)
+            _next(barrier, epoch=3)
 
     def test_broadcast_to_closed_pipe_raises(self):
         parent, child = _pipe_pair()
@@ -210,7 +245,7 @@ class TestSlotSurgery:
         with pytest.raises(ShardWorkerError, match="deactivated"):
             barrier.send(0, FinishMessage(0))
         with pytest.raises(ShardWorkerError, match="deactivated"):
-            barrier.poll_control(0)
+            barrier.wait([0], 0, 1.0)
 
     def test_replace_installs_new_worker(self):
         parent, child = _pipe_pair()
@@ -220,7 +255,7 @@ class TestSlotSurgery:
         barrier = EpochBarrier([parent], [proc])
         barrier.send(0, ReassignMessage(0))
         with pytest.raises(ShardWorkerError):
-            _await(lambda: barrier.poll_control(0))
+            _next(barrier)
         parent2, child2 = _pipe_pair()
         proc2 = CTX.Process(target=_echo_worker, args=(child2,), daemon=True)
         proc2.start()
@@ -228,16 +263,29 @@ class TestSlotSurgery:
         barrier.replace(0, parent2, proc2)
         try:
             barrier.send(0, ReassignMessage(1))
-            msg = _await(lambda: barrier.try_recv(0, 1, BoundaryMessage))
+            msg = _next(barrier, epoch=1)
             assert msg.epoch == 1
         finally:
             barrier.close(terminate=True)
 
 
-class TestPollBackoff:
-    def test_ready_message_needs_one_poll(self):
+class TestWait:
+    def test_ready_message_needs_one_wait(self):
         parent, child = _pipe_pair()
-        child.send(BoundaryMessage(0, 0, {}))
+        child.send(0)                                   # "published 0"
         barrier = EpochBarrier([parent])
-        assert barrier.try_recv(0, 0, BoundaryMessage) is not None
+        assert _next(barrier) == 0
         assert barrier.polls == 1
+
+    def test_one_failure_does_not_hide_another_shards_message(self):
+        a, ca = _pipe_pair()
+        b, cb = _pipe_pair()
+        ca.send(WorkerFailure(0, "RuntimeError: boom"))
+        cb.send(2)
+        barrier = EpochBarrier([a, b])
+        items = []
+        while len(items) < 2:
+            items += barrier.wait([s for s in (0, 1)
+                                   if s not in dict(items)], 2, 30.0)
+        got = dict(items)
+        assert isinstance(got[0], ShardWorkerError) and got[1] == 2

@@ -3,15 +3,21 @@
 The sharded lane's whole contract is one equality: ``shards=1`` and
 ``shards=R`` produce bit-identical SHA-256 digests for every R.  The
 digest deliberately excludes the shard count, so equality *is* the proof
-that partitioning, boundary publication through the shared-memory seqlock
+that partitioning, boundary publication through the shared-memory ring
 slots and the combining-tree fold carry no shard-dependent state.
 """
 
 import multiprocessing as mp
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+import time
 
 import pytest
 
-from repro.coordination.barrier import ShardWorkerError
+from repro.coordination.barrier import EpochBarrier, ShardWorkerError
 from repro.coordination.checkpoint import RecoveryPolicy
 from repro.coordination.shm import ShmDataPlane, ShmUnavailable
 from repro.experiments.figures import run_fig6, run_fig9
@@ -136,6 +142,18 @@ class TestInlineFallback:
     def test_explicit_faults_raise_instead_of_not_firing(self, no_shm):
         with pytest.raises(ShmUnavailable, match=r"0:3:exc.*would not fire"):
             faulted("fig6", 2, ["0:3:exc"])
+
+    def test_explicit_faults_on_one_shard_raise(self):
+        # shards=1 runs inline by design: a fault there would never fire.
+        with pytest.raises(ShmUnavailable, match=r"0:5:exc.*would not fire"):
+            faulted("fig6", 1, ["0:5:exc"])
+
+    def test_explicit_faults_on_shards_clamped_to_one_raise(self):
+        # The fig9 world with one replica has a single cluster, so any
+        # shard count clamps to one and the run executes inline.
+        with pytest.raises(ShmUnavailable, match=r"0:2:kill.*would not fire"):
+            run_sharded("fig9", duration_scale=SCALE, shards=4, replicas=1,
+                        faults=["0:2:kill"])
 
     def test_env_faults_only_warn(self, no_shm, monkeypatch, caplog):
         monkeypatch.setenv("REPRO_SHARD_FAULT", "0:1")
@@ -312,3 +330,78 @@ class TestCrashRecovery:
         res = faulted("fig9", 2, ["0:3:kill"])
         assert len(res.restarts) == 1
         assert res.digest() == digest("fig9", 1)
+
+    def test_respawned_worker_resumes_on_the_resent_allocation(
+            self, monkeypatch):
+        sent = []
+        send = EpochBarrier.send
+
+        def spy(self, shard, msg):
+            sent.append((shard, msg))
+            return send(self, shard, msg)
+
+        monkeypatch.setattr(EpochBarrier, "send", spy)
+        res = faulted("fig6", 2, ["0:3:kill"])
+        assert [r.epoch for r in res.restarts] == [3]
+        to_0 = [msg[0] for shard, msg in sent
+                if shard == 0 and isinstance(msg, tuple)]
+        # Epoch 3 went to the dead worker and again to its replacement,
+        # which then carried on from epoch 4.
+        assert to_0[:6] == [0, 1, 2, 3, 3, 4]
+        assert res.digest() == digest("fig6", 1)
+
+
+_ORPHAN_SCRIPT = textwrap.dedent("""
+    from repro.experiments import sharded
+
+    start = sharded.ShardedRunner._start_workers
+
+    def announce(self):
+        barrier = start(self)
+        print(self._plane.spec.name,
+              *[p.pid for p in barrier.processes], flush=True)
+        return barrier
+
+    sharded.ShardedRunner._start_workers = announce
+    sharded.run_sharded("fig6", duration_scale=50.0, shards=2, replicas=4)
+""")
+
+
+def _running(pid):
+    """Alive and not a zombie (an orphan's zombie may wait on a lazy init)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc") or not os.path.isdir("/dev/shm"),
+                    reason="needs /proc and /dev/shm")
+class TestParentDeath:
+    def test_workers_and_segment_go_when_the_parent_is_killed(self):
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.abspath(src)] + env.get("PYTHONPATH", "").split(os.pathsep))
+        with subprocess.Popen([sys.executable, "-c", _ORPHAN_SCRIPT],
+                              stdout=subprocess.PIPE, env=env,
+                              text=True) as proc:
+            try:
+                name, *pids = proc.stdout.readline().split()
+                assert len(pids) == 2
+                time.sleep(0.5)                   # let the epochs run
+            finally:
+                proc.send_signal(signal.SIGKILL)
+                proc.wait(timeout=30)
+        deadline = time.monotonic() + 3.0
+        while time.monotonic() < deadline and (
+                any(_running(int(p)) for p in pids)
+                or os.path.exists(f"/dev/shm/{name}")):
+            time.sleep(0.05)
+        alive = [p for p in pids if _running(int(p))]
+        for p in alive:                           # never leak them here
+            os.kill(int(p), signal.SIGKILL)
+        assert not alive, f"workers {alive} outlived their killed parent"
+        assert not os.path.exists(f"/dev/shm/{name}"), \
+            f"segment {name} outlived the run"

@@ -145,6 +145,15 @@ class TestChaosSharded:
         assert "shard 7 out of range" in captured.err
         assert "Traceback" not in captured.err
 
+    def test_one_shard_matrix_is_typed_exit_two(self, capsys):
+        # shards=1 runs inline, where no worker death can fire: the
+        # matrix must refuse instead of passing its cells vacuously.
+        rc = main(["chaos", "--shards", "1", "--scale", self.SCALE])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "would not fire" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_random_with_shards_rejected(self, capsys):
         rc = main(["chaos", "--shards", "2", "--random", "3"])
         captured = capsys.readouterr()
