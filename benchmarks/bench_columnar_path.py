@@ -16,10 +16,10 @@ second, so the baseline does not cost CI minutes.  Headline medians land
 in ``benchmarks/BENCH_core.json`` via ``record_bench``.
 
 The paper-scale cell guards the other end: the columnar window step must be
-cheap at x1 too (fig6 itself, 3,000 windows of ~40 requests), or the lane
-can never be the one window kernel.  There a window's fixed costs are all
-there is, so it fails when per-buffer or per-request bookkeeping creeps
-back into the pump.
+cheap at x1 too (fig6 itself, 3,000 windows of ~40 requests, with its
+refusals parked and re-offered at every install), since ``run_fig6`` runs
+it by default.  There a window's fixed costs are all there is, so it fails
+when per-buffer or per-request bookkeeping creeps back into the pump.
 """
 
 import os
@@ -147,10 +147,10 @@ def test_columnar_path_speedup():
 
 
 def test_columnar_path_paper_scale():
-    """fig6 x1, strict open loop: columnar no slower than 1.5x slotted."""
+    """fig6 x1 as run_fig6 runs it (retry pools on, refusals parked):
+    columnar no slower than 1.5x slotted."""
     def run(lane):
-        return fig6_scenario(duration_scale=1.0, seed=11, lane=lane,
-                             strict_open_loop=True)[0]
+        return fig6_scenario(duration_scale=1.0, seed=11, lane=lane)[0]
 
     t_col, sc_col = _best_of(lambda: run("columnar"))
     t_slot, sc_slot = _best_of(lambda: run("slotted"))

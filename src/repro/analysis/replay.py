@@ -301,13 +301,13 @@ def columnar_replay(
     fig10; slotted and columnar for fig6, which has no L4 switch for
     ``"scalar"`` to change.
 
-    Every lane runs the *strict open-loop* variant of the scenario (retry
-    pools off — the columnar lane's operating envelope), so the digests
-    are comparable: each combines the full scenario digest with the
-    per-window admitted/refused trace digests (L7 redirectors' admission
-    meters for fig6, the L4 daemon's for fig9/fig10).  IDENTICAL means the
-    columnar lane's bulk window advance reproduces the event lanes
-    bit-for-bit — the PR 6 acceptance contract, extending the PR 2/5 ones.
+    Every lane runs the figure's own world — retry pools on, refused
+    requests parked at the redirector and re-offered at each install — and
+    each digest combines the full scenario digest with the per-window
+    admitted/refused trace digests (L7 redirectors' admission meters for
+    fig6, the L4 daemon's for fig9/fig10).  IDENTICAL means the columnar
+    lane, which ``run_fig6`` / ``run_fig9`` / ``run_fig10`` use by default,
+    reproduces the slotted oracle bit-for-bit.
     """
     from repro.experiments.figures import (
         fig6_scenario, fig9_scenario, fig10_scenario,
@@ -332,7 +332,7 @@ def columnar_replay(
     for lane in lanes:
         sc, _ = build(
             duration_scale=duration_scale, seed=seed,
-            check_invariants=False, lane=lane, strict_open_loop=True,
+            check_invariants=False, lane=lane,
         )
         if lane == "columnar":
             meta["columnar_fallback"] = sc.lane_fallback

@@ -3,7 +3,7 @@
 ::
 
     python -m repro figures [--scale 0.3] [--seed 0] [--only fig6,fig9]
-                            [--lane scalar|slotted|columnar]
+                            [--lane columnar|slotted|scalar]
     python -m repro report  [--scale 0.5] [-o EXPERIMENTS.md]
     python -m repro inspect A:1000 B:1500 C A-B:0.4:0.6 B-C:0.6:1.0
     python -m repro baseline [--duration 20]
@@ -66,14 +66,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated figure ids (default: all)")
     p_fig.add_argument("--plot", action="store_true",
                        help="render each figure's rate series as a terminal chart")
-    p_fig.add_argument("--lane", type=str, default="slotted",
+    p_fig.add_argument("--lane", type=str, default=None,
                        choices=["scalar", "slotted", "columnar"],
-                       help="execution lane for fig6/fig9/fig10: slotted "
-                            "(the default), scalar (fig9/fig10's L4 switch "
-                            "on its per-packet reference path; traces are "
-                            "bit-identical to slotted) or columnar (strict "
-                            "open-loop scenario variant, whole workload "
-                            "phases advanced as numpy columns)")
+                       help="execution lane for fig6/fig9/fig10: columnar "
+                            "(the default; whole windows advanced as numpy "
+                            "columns), slotted (one event per request, the "
+                            "oracle repro check diffs against) or scalar "
+                            "(fig9/fig10's L4 switch on its per-packet "
+                            "reference path).  All three produce "
+                            "bit-identical traces; not with --shards")
     p_fig.add_argument("--shards", type=int, default=0, metavar="R",
                        help="run fig6/fig9 on the sharded lane with R "
                             "worker processes synchronised at window-epoch "
@@ -139,8 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "fault injection, failure detection and tree "
                             "healing; fig9/fig10 diff the slotted lane "
                             "against the scalar per-packet path; the figure "
-                            "scenarios also diff every lane on the strict "
-                            "open-loop variant")
+                            "scenarios also diff every lane against the "
+                            "slotted oracle")
     p_chk.add_argument("--scale", type=float, default=0.05,
                        help="phase-duration scale for each replay run")
     p_chk.add_argument("--seed", type=int, default=0)
@@ -238,7 +239,7 @@ def _cmd_figures(args) -> int:
     wanted = [f.strip() for f in args.only.split(",") if f.strip()] or list(ALL_FIGURES)
     failures = 0
     known = [n for n in wanted if n in ALL_FIGURES]
-    lane = getattr(args, "lane", "slotted")
+    lane = getattr(args, "lane", None)
     shards = getattr(args, "shards", 0) or None
     jobs = max(1, getattr(args, "jobs", 1))
     if jobs > 1:

@@ -49,7 +49,8 @@ from repro.sim.engine import Simulator
 from repro.sim.stats import StreamingStats
 
 __all__ = ["ClientMachine", "Redirect", "Defer", "Drop", "Held",
-           "RedirectorAPI", "ParkedRequests", "START_SKEW", "start_skew"]
+           "RedirectorAPI", "ParkedRequests", "START_SKEW", "start_skew",
+           "retry_pool"]
 
 
 @dataclass(frozen=True)
@@ -86,6 +87,11 @@ def start_skew(rng: np.random.Generator, arrivals: str, jitter: float) -> float:
     of each other, so an evenly spaced one (no other draw) gets a seed-drawn offset."""
     even = arrivals == "uniform" and jitter <= 0
     return float(rng.uniform(0.0, START_SKEW)) if even else 0.0
+
+
+def retry_pool(max_retry_pool: Optional[int], rate: float) -> int:
+    """Requests one client may have parked at once (default: 0.5 s of load)."""
+    return int(max_retry_pool) if max_retry_pool is not None else max(8, int(0.5 * rate))
 
 
 class RedirectorAPI(Protocol):
@@ -195,10 +201,7 @@ class ClientMachine:
         # retry_delay, jittered so polls do not resonate with the window.
         self.retry_delay = float(retry_delay)
         self.retry_jitter = float(retry_jitter)
-        # Requests that may wait parked at once (default: 0.5 s of load).
-        self.max_retry_pool = (
-            int(max_retry_pool) if max_retry_pool is not None else max(8, int(0.5 * rate))
-        )
+        self.max_retry_pool = retry_pool(max_retry_pool, rate)
         self.mode = mode
         self.users = int(users)
         self.think = float(think)

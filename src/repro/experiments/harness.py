@@ -109,7 +109,8 @@ class Scenario:
         # NatTable / ConnTracker path (the paper's §4.2 packet model and
         # the bit-exact reference; identical to "slotted" in a world
         # without an L4 switch); "columnar" = struct-of-arrays bulk advance
-        # with one pump event per window (strict open loop; unsupported
+        # with one pump event per window (open-loop clients, refusals
+        # parked at the redirector as in the event lanes; unsupported
         # features fall back to "slotted" and record why in
         # ``lane_fallback``).
         if lane not in ("scalar", "slotted", "columnar"):
@@ -330,8 +331,6 @@ class Scenario:
         """Why this client cannot run columnar (None when it can)."""
         if kw.get("mode", "open") != "open":
             return "closed-loop clients need per-request feedback"
-        if kw.get("max_retry_pool") != 0:
-            return "retry pools are closed-loop feedback"
         if kw.get("on_response") is not None:
             return "on_response hooks need per-request events"
         if hasattr(redirector, "columnar_group"):

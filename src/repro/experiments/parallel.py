@@ -109,7 +109,7 @@ def figure_kwargs(
     scale: float,
     seed: int,
     partition_seeds: bool = False,
-    lane: str = "slotted",
+    lane: Optional[str] = None,
     shards: Optional[int] = None,
 ) -> Dict[str, Any]:
     """Keyword arguments for one ``run_figN`` entry point.
@@ -118,9 +118,9 @@ def figure_kwargs(
     :func:`scenario_seed`-derived stream; the default reuses ``seed``
     verbatim, matching a serial ``for name: run_figN(seed=seed)`` loop.
     ``lane`` only reaches the figures whose entry point selects a lane
-    (fig6/fig9/fig10 — the columnar-capable scenarios, and for fig9/fig10
-    the per-packet ``"scalar"`` switch path); ``shards`` only reaches the
-    figures with a sharded world (fig6/fig9).
+    (fig6/fig9/fig10, and for fig9/fig10 the per-packet ``"scalar"``
+    switch path); ``None`` leaves them on their default, columnar.
+    ``shards`` only reaches the figures with a sharded world (fig6/fig9).
     """
     s = scenario_seed(seed, name) if partition_seeds else seed
     if name in ("fig1", "fig3"):
@@ -148,7 +148,7 @@ def run_figures_parallel(
     seed: int = 0,
     jobs: Optional[int] = None,
     partition_seeds: bool = False,
-    lane: str = "slotted",
+    lane: Optional[str] = None,
     shards: Optional[int] = None,
 ) -> List[Tuple[str, Any]]:
     """Run paper figures across worker processes.

@@ -98,8 +98,7 @@ def test_response_stats_match_the_slotted_lane():
     from repro.experiments.figures import fig6_scenario
 
     runs = {
-        lane: fig6_scenario(duration_scale=0.05, seed=0, lane=lane,
-                            strict_open_loop=True)[0]
+        lane: fig6_scenario(duration_scale=0.05, seed=0, lane=lane)[0]
         for lane in ("slotted", "columnar")
     }
     assert runs["columnar"].lane == "columnar"

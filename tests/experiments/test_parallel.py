@@ -95,9 +95,11 @@ class TestFigureBatch:
 
     def test_kwargs_shapes(self):
         assert figure_kwargs("fig1", 0.3, 7) == {}
+        # No lane named: the entry point runs its default, columnar.
         assert figure_kwargs("fig6", 0.3, 7) == {
-            "duration_scale": 0.3, "seed": 7, "lane": "slotted",
+            "duration_scale": 0.3, "seed": 7, "lane": None,
         }
+        assert figure_kwargs("fig9", 0.3, 7, lane="slotted")["lane"] == "slotted"
         assert figure_kwargs("fig7", 0.3, 7) == {"duration_scale": 0.3, "seed": 7}
         assert figure_kwargs("fig1d", 0.3, 7)["duration"] == pytest.approx(30.0)
 

@@ -2,12 +2,13 @@
 
 The columnar lane advances whole open-loop phases as numpy columns with
 one engine event per window, so the contract is the strictest in the
-repo: on the strict open-loop variant of a figure scenario (retry pools
-off — the columnar operating envelope), per-window admitted/refused/
-served series, every client/server counter and the combined SHA-256
-digests must be *bit-identical* across all three lanes — scalar (the L4
-switch on its per-packet path; the slotted code again where there is no
-L4 switch), slotted (per-request events) and columnar.
+repo: on a figure's own world (retry pools on, refusals parked at the
+redirector), per-window admitted/refused/served series, every
+client/server counter and the combined SHA-256 digests must be
+*bit-identical* across all three lanes — scalar (the L4 switch on its
+per-packet path; the slotted code again where there is no L4 switch),
+slotted (per-request events) and columnar, which ``run_fig6`` /
+``run_fig9`` / ``run_fig10`` use by default.
 ``repro check --scenario fig6 --scenario fig9`` enforces the same
 property in CI via :func:`repro.analysis.replay.columnar_replay`.
 
@@ -39,8 +40,7 @@ def _series_equal(a, b):
                          ids=["fig6", "fig9"])
 def test_three_lanes_bit_identical(build):
     runs = {
-        lane: build(duration_scale=SCALE, seed=0, lane=lane,
-                    strict_open_loop=True)[0]
+        lane: build(duration_scale=SCALE, seed=0, lane=lane)[0]
         for lane in ("scalar", "slotted", "columnar")
     }
     col = runs["columnar"]
@@ -55,9 +55,9 @@ def test_three_lanes_bit_identical(build):
         for name, cli in col.clients.items():
             peer = ref.clients[name]
             assert (cli.issued, cli.admitted, cli.completed,
-                    cli.deferred, cli.dropped) == \
+                    cli.deferred, cli.dropped, cli.parked) == \
                    (peer.issued, peer.admitted, peer.completed,
-                    peer.deferred, peer.dropped), (other, name)
+                    peer.deferred, peer.dropped, peer.parked), (other, name)
         for name, srv in col.servers.items():
             peer = ref.servers[name]
             assert srv.completed == peer.completed, (other, name)
@@ -83,7 +83,8 @@ def test_columnar_replay_digests_identical(figure):
                          ids=["1k", "64k", "whole-phase"])
 def test_batch_size_invariance(batch):
     """The refill block size must be unobservable: every batch reproduces
-    the default's digest bit-for-bit (1<<22 covers any phase whole)."""
+    the default's (one second of arrivals, here 1,024) digest bit-for-bit
+    (1<<22 covers any phase whole)."""
     def run(b):
         sc, _ = fig6_scenario(duration_scale=SCALE, seed=0, lane="columnar")
         return sc
@@ -98,11 +99,10 @@ def test_batch_size_invariance(batch):
         r1 = sc.l7("R1", {"S": server}, n_redirectors=2)
         r2 = sc.l7("R2", {"S": server}, n_redirectors=2)
         sc.connect_tree(link_delay=0.005)
-        ckw = {"max_retry_pool": 0, "batch": b}
-        sc.client("C1", "A", r1, rate=135.0, windows=[(0.0, 3 * T)], **ckw)
-        sc.client("C2", "A", r1, rate=135.0, windows=[(0.0, 3 * T)], **ckw)
+        sc.client("C1", "A", r1, rate=135.0, windows=[(0.0, 3 * T)], batch=b)
+        sc.client("C2", "A", r1, rate=135.0, windows=[(0.0, 3 * T)], batch=b)
         sc.client("C3", "B", r2, rate=135.0,
-                  windows=[(0.0, T), (2 * T, 3 * T)], **ckw)
+                  windows=[(0.0, T), (2 * T, 3 * T)], batch=b)
         sc.run(3 * T)
         return sc
 

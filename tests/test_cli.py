@@ -86,11 +86,32 @@ class TestCommands:
         assert lanes == [False]
 
     def test_figures_lane_with_shards_is_a_usage_error(self, capsys):
+        # Naming the default lane conflicts with --shards as much as any.
+        for lane in ("slotted", "columnar"):
+            rc = main(["figures", "--only", "fig6", "--scale", "0.05",
+                       "--lane", lane, "--shards", "2"])
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert f"lane={lane!r}" in err and "shards=2" in err
+
+    def test_figures_default_lane_shards(self, capsys, monkeypatch):
+        # The default lane is columnar, yet --shards alone picks the
+        # sharded lane: only a lane the caller names conflicts with it.
+        from repro.experiments import sharded
+
+        runs = []
+        run = sharded.run_sharded_figure
+
+        def spy(figure, **kwargs):
+            runs.append((figure, kwargs["shards"]))
+            return run(figure, **kwargs)
+
+        monkeypatch.setattr(sharded, "run_sharded_figure", spy)
         rc = main(["figures", "--only", "fig6", "--scale", "0.05",
-                   "--lane", "columnar", "--shards", "2"])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert "lane='columnar'" in err and "shards=2" in err
+                   "--shards", "2"])
+        assert rc == 0
+        assert "fig6: ok" in capsys.readouterr().out
+        assert runs == [("fig6", 2)]
 
     def test_baseline(self, capsys):
         rc = main(["baseline", "--duration", "8"])

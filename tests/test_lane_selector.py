@@ -1,6 +1,7 @@
 """``lane=`` is the only execution selector: the four A/B accelerator
 switches stay deleted everywhere above the component that owns one, and
-so do the sharded lane's transport and checkpoint-store knobs."""
+so do the sharded lane's transport and checkpoint-store knobs and the
+strict open-loop world variant the columnar lane once needed."""
 
 import inspect
 
@@ -21,7 +22,8 @@ from repro.scheduling.provider import ProviderScheduler
 from repro.sim.engine import Simulator
 
 GONE = {"lp_cache", "fast_periodic", "fast_lane", "l4_fast_lane",
-        "transport", "checkpoint_spill", "checkpoint_retain"}
+        "transport", "checkpoint_spill", "checkpoint_retain",
+        "strict_open_loop"}
 
 SWITCHLESS = [
     Scenario,
