@@ -1,8 +1,7 @@
-"""Static analysis and runtime invariant tooling (``simlint``).
+"""Runtime determinism and conservation tooling.
 
 The reproduction's headline claim — bit-identical figures across
-``--jobs``, ``--lp-cache`` and ``--fast-lane`` — rests on two contracts
-that nothing in the test suite enforced directly:
+``--jobs``, ``--lane`` and ``--shards`` — rests on two contracts:
 
 - **Determinism**: no wall-clock reads, no unseeded randomness, no
   iteration order drawn from unordered collections, total-order heap
@@ -12,10 +11,8 @@ that nothing in the test suite enforced directly:
   than their rate allows, NAT rewrite entries match open conntrack flows,
   LP solutions are feasible.
 
-This package enforces both:
+This package checks both at run time:
 
-- :mod:`repro.analysis.simlint` — an AST-based lint pass (rules
-  SIM001–SIM005) run as ``repro lint`` and in CI;
 - :mod:`repro.analysis.invariants` — an :class:`InvariantChecker` runtime
   layer enabled via ``Scenario(check_invariants=True)`` or ``REPRO_CHECK=1``
   (a no-op costing one ``is None`` test per completion when off);
@@ -23,7 +20,10 @@ This package enforces both:
   scenario twice (optionally a third time with invariants on) and compares
   trace digests, run as ``repro check`` and in CI.
 
-See ``docs/DETERMINISM.md`` for the full rule catalogue and rationale.
+The static side, the determinism lint (rules SIM001–SIM011), is the
+stand-alone ``tools/simlint`` package, run as ``PYTHONPATH=tools python
+-m simlint``; the simulator never imports it.  See ``docs/DETERMINISM.md``
+for the full rule catalogue and rationale.
 """
 
 from repro.analysis.invariants import (
@@ -32,7 +32,6 @@ from repro.analysis.invariants import (
     check_enabled,
 )
 from repro.analysis.replay import ReplayReport, fig6_replay, scenario_digest
-from repro.analysis.simlint import RULES, Violation, lint_paths, lint_source
 
 __all__ = [
     "InvariantChecker",
@@ -41,8 +40,4 @@ __all__ = [
     "ReplayReport",
     "fig6_replay",
     "scenario_digest",
-    "RULES",
-    "Violation",
-    "lint_paths",
-    "lint_source",
 ]

@@ -7,19 +7,14 @@
     python -m repro report  [--scale 0.5] [-o EXPERIMENTS.md]
     python -m repro inspect A:1000 B:1500 C A-B:0.4:0.6 B-C:0.6:1.0
     python -m repro baseline [--duration 20]
-    python -m repro lint    [src/repro ...] [--format sarif] [--baseline F]
     python -m repro check   [--scenario fig6 [--scenario fig9 ...]] [--runs 2]
     python -m repro chaos   [--random N | --plan plan.json] [--replay 2]
 
 ``figures`` reruns the paper's evaluation and prints pass/fail per figure;
 ``report`` renders the full paper-vs-measured markdown; ``inspect`` values
 an agreement graph given on the command line; ``baseline`` compares
-coordinated enforcement against a WRR front end; ``lint`` runs the
-whole-program simulation-determinism lint (SIM001–SIM011, see
-docs/DETERMINISM.md; exit 0 clean / 1 findings / 2 usage error, with
-``--format {text,json,sarif}``, an incremental content-hash cache, a
-reviewed-baseline workflow and ``--jobs N`` parallel parsing);
-``check`` replays one or more scenarios and compares trace digests, with
+coordinated enforcement against a WRR front end; ``check`` replays one
+or more scenarios and compares trace digests, with
 the runtime invariant checker on the final run — for fig9/fig10 it also
 diffs the scalar, slotted and columnar lanes against each other (slotted
 and columnar for fig6, which has no L4 switch for ``scalar`` to change), and
@@ -35,6 +30,10 @@ degradation and recovery (see docs/FAULTS.md); ``chaos --shards R`` runs
 the crash-recovery matrix on the sharded execution lane instead (a plan
 with ``revoke_shard`` events, or the canonical exc+kill matrix), exit
 0 parity held / 1 diverged / 2 invalid plan.
+
+The static determinism lint is not a subcommand: it is the stand-alone
+``tools/simlint`` package, run as ``PYTHONPATH=tools python -m simlint``
+(see docs/DETERMINISM.md §2).
 """
 
 from __future__ import annotations
@@ -108,27 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_base = sub.add_parser("baseline", help="coordinated vs WRR comparison")
     p_base.add_argument("--duration", type=float, default=20.0)
     p_base.add_argument("--seed", type=int, default=0)
-
-    p_lint = sub.add_parser(
-        "lint", help="determinism/conservation static analysis (SIM001-SIM011)"
-    )
-    p_lint.add_argument("paths", nargs="*", default=[],
-                        help="files or directories to lint (default: src/repro)")
-    p_lint.add_argument("--format", dest="fmt", default="text",
-                        choices=["text", "json", "sarif"],
-                        help="finding output format")
-    p_lint.add_argument("--output", default="",
-                        help="write formatted findings to a file")
-    p_lint.add_argument("--baseline", default="",
-                        help="baseline file of accepted findings to subtract")
-    p_lint.add_argument("--update-baseline", action="store_true",
-                        help="rewrite the baseline from current findings")
-    p_lint.add_argument("--cache", default=".simlint-cache.json",
-                        help="incremental cache file (content-hash keyed)")
-    p_lint.add_argument("--no-cache", action="store_true",
-                        help="disable the incremental cache")
-    p_lint.add_argument("--jobs", type=int, default=1,
-                        help="parse worker processes (0 = default_jobs())")
 
     p_chk = sub.add_parser(
         "check", help="replay-determinism harness with runtime invariants"
@@ -327,20 +305,6 @@ def _cmd_baseline(args) -> int:
     print(f"\nB's effective guarantee: {floor:.0f} req/s — "
           f"{'violated by WRR' if cmp.passthrough_violates else 'met by both'}")
     return 0
-
-
-def _cmd_lint(args) -> int:
-    from repro.analysis.simlint import run
-
-    return run(
-        args.paths or ["src/repro"],
-        fmt=args.fmt,
-        output=args.output or None,
-        baseline_path=args.baseline or None,
-        update_baseline=args.update_baseline,
-        cache_path=None if args.no_cache else args.cache,
-        jobs=args.jobs,
-    )
 
 
 def _cmd_check(args) -> int:
@@ -565,7 +529,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "report": _cmd_report,
         "inspect": _cmd_inspect,
         "baseline": _cmd_baseline,
-        "lint": _cmd_lint,
         "check": _cmd_check,
         "chaos": _cmd_chaos,
     }

@@ -17,7 +17,6 @@ imports scipy.
 """
 
 from repro.lp.cache import SolveCache, structural_fingerprint
-from repro.lp.lpwrite import read_lp, write_lp
 from repro.lp.model import Constraint, LinExpr, Model, Sense, Status, Solution, Var
 from repro.lp.program import Program
 from repro.lp.solver import solve
@@ -34,6 +33,4 @@ __all__ = [
     "SolveCache",
     "structural_fingerprint",
     "solve",
-    "write_lp",
-    "read_lp",
 ]

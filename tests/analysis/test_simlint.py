@@ -1,8 +1,18 @@
-"""simlint rule fixtures: positive, negative, and suppression per rule."""
+"""simlint rule fixtures (positive, negative, and suppression per rule),
+exit codes, and the tool's separation from the simulator."""
 
+import ast
+import io
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-from repro.analysis.simlint import RULES, lint_paths, lint_source
+import pytest
+
+from simlint import RULES, format_text, lint_paths, lint_source, main, run
+
+REPO = Path(__file__).resolve().parents[2]
 
 SIM_PATH = "src/repro/sim/example.py"          # SIM001 applies
 BENCH_PATH = "benchmarks/bench_example.py"     # SIM001 exempt
@@ -589,6 +599,82 @@ class TestSuppressionSyntax:
 
 class TestRepoIsClean:
     def test_src_repro_lints_clean(self):
-        pkg = Path(__file__).resolve().parents[2] / "src" / "repro"
+        pkg = REPO / "src" / "repro"
         violations = lint_paths([str(pkg)])
         assert violations == [], "\n".join(v.format() for v in violations)
+
+
+DIRTY = "import time\nt = time.time()\n"          # one SIM001 finding
+CLEAN = "def f(sim):\n    return sim.now\n"
+
+
+def write_project(tmp_path, files):
+    for rel, source in files.items():
+        target = tmp_path / rel
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_text(source)
+    return [str(tmp_path / rel) for rel in files]
+
+
+class TestFormats:
+    def test_text(self, tmp_path):
+        (path,) = write_project(tmp_path, {"a.py": DIRTY})
+        text = format_text(lint_paths([path]))
+        assert "SIM001" in text and "1 violation(s)" in text
+        assert format_text([]) == "simlint: clean"
+
+
+class TestRunExitCodes:
+    def test_clean_exits_zero(self, tmp_path):
+        paths = write_project(tmp_path, {"a.py": CLEAN})
+        out = io.StringIO()
+        assert run(paths, stream=out) == 0
+        assert "clean" in out.getvalue()
+
+    def test_findings_exit_one(self, tmp_path):
+        paths = write_project(tmp_path, {"a.py": DIRTY})
+        assert run(paths, stream=io.StringIO()) == 1
+
+    def test_usage_errors_raise_for_exit_two(self, tmp_path):
+        with pytest.raises(ValueError):
+            run([str(tmp_path / "missing.py")], stream=io.StringIO())
+        paths = write_project(tmp_path, {"a.py": "def f(:\n"})
+        with pytest.raises(ValueError):
+            run(paths, stream=io.StringIO())
+
+    def test_cli_main_maps_usage_errors_to_two(self, tmp_path):
+        paths = write_project(tmp_path, {"a.py": CLEAN, "b.py": DIRTY})
+        assert main([paths[0]]) == 0
+        assert main([paths[1]]) == 1
+        assert main([str(tmp_path / "gone.py")]) == 2
+
+
+class TestSeparation:
+    def test_simulator_imports_load_no_simlint(self):
+        # simlint must be importable in the child, so a stray import of it
+        # anywhere in the simulator would show up in sys.modules.
+        code = (
+            "import sys\n"
+            "import repro, repro.experiments.harness, repro.experiments.figures\n"
+            "import repro.experiments.sharded, repro.analysis.replay\n"
+            "print(sorted(m for m in sys.modules if 'simlint' in m))\n"
+        )
+        path = [str(REPO / "src"), str(REPO / "tools")]
+        if os.environ.get("PYTHONPATH"):
+            path.append(os.environ["PYTHONPATH"])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "[]"
+
+    def test_tool_imports_nothing_from_repro(self):
+        for path in sorted((REPO / "tools" / "simlint").glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                roots = {name.partition(".")[0] for name in names}
+                assert "repro" not in roots, f"{path.name}:{node.lineno}"

@@ -1,11 +1,10 @@
-"""Project-IR unit tests: module naming, fact round-trips, label shapes,
-call-graph resolution and the bounded transitive closure."""
+"""Project-IR unit tests: module naming, label shapes, call-graph
+resolution and the bounded transitive closure."""
 
 import ast
 
-from repro.analysis.simlint.ir import (
+from simlint.ir import (
     MAX_CLOSURE_DEPTH,
-    ModuleFacts,
     ProjectIR,
     collect_facts,
     module_name_for,
@@ -48,33 +47,6 @@ class TestModuleNames:
         script = tmp_path / "tool.py"
         script.write_text("")
         assert module_name_for(str(script)) == "tool"
-
-
-class TestFactsRoundTrip:
-    def test_json_round_trip_preserves_everything(self, tmp_path):
-        source = (
-            "import numpy as np\n"
-            "from collections import deque\n"
-            "CACHE = {}\n"
-            "def link_name(s, d):\n"
-            "    return f'link:{s}->{d}'\n"
-            "def run_task(streams, s, d):\n"
-            "    x = CACHE\n"
-            "    return streams.get(link_name(s, d))"
-            "  # simlint: disable=SIM009\n"
-        )
-        path = str(tmp_path / "m.py")
-        (tmp_path / "m.py").write_text(source)
-        facts = collect_facts(
-            ast.parse(source, filename=path), path,
-            suppressions={8: {"SIM009"}},
-        )
-        clone = ModuleFacts.from_dict(facts.to_dict())
-        assert clone.to_dict() == facts.to_dict()
-        assert clone.mutable_globals == ["CACHE"]
-        assert clone.str_returns == {"link_name": "link:{}->{}"}
-        assert clone.functions["run_task"].impure_reads[0][0] == "CACHE"
-        assert clone.suppressions == {8: {"SIM009"}}
 
 
 class TestLabelShapes:
