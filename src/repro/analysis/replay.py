@@ -20,14 +20,19 @@ from typing import Any, Dict, List, Optional
 import numpy as np
 
 __all__ = [
-    "ReplayReport", "scenario_digest", "l4_admission_digest",
-    "l7_admission_digest", "fig6_replay", "chaos_replay", "l4_replay",
-    "columnar_replay", "sharded_replay",
+    "ReplayReport", "scenario_digest", "admission_digest", "fig6_replay",
+    "chaos_replay", "l4_replay", "columnar_replay", "sharded_replay",
 ]
 
 
-def _hash_floats(h: "hashlib._Hash", values: Any) -> None:
-    h.update(np.ascontiguousarray(np.asarray(values, dtype=float)).tobytes())
+def _hash_meter(h: "hashlib._Hash", meter: Any) -> None:
+    """Feed every key of a :class:`~repro.sim.monitor.RateMeter`, in sorted
+    order, and the exact float bytes of its time/rate series into ``h``."""
+    for key in sorted(meter.keys):
+        h.update(key.encode("utf-8"))
+        for values in meter.series(key):
+            h.update(np.ascontiguousarray(
+                np.asarray(values, dtype=float)).tobytes())
 
 
 def scenario_digest(sc: Any) -> str:
@@ -40,11 +45,7 @@ def scenario_digest(sc: Any) -> str:
     construction order bookkeeping.
     """
     h = hashlib.sha256()
-    for key in sorted(sc.meter.keys):
-        h.update(key.encode("utf-8"))
-        times, rates = sc.meter.series(key)
-        _hash_floats(h, times)
-        _hash_floats(h, rates)
+    _hash_meter(h, sc.meter)
     for name in sorted(sc.servers):
         srv = sc.servers[name]
         h.update(name.encode("utf-8"))
@@ -64,35 +65,17 @@ def scenario_digest(sc: Any) -> str:
     return h.hexdigest()
 
 
-def l4_admission_digest(daemon: Any) -> str:
-    """SHA-256 over an :class:`~repro.l4.daemon.L4Daemon`'s per-window
-    admitted/refused traces (exact float bytes of every series).
+def admission_digest(owner: Any) -> str:
+    """SHA-256 over the per-window admitted/refused traces (exact float
+    bytes of every series) of an :class:`~repro.l7.redirector.L7Redirector`
+    or an :class:`~repro.l4.daemon.L4Daemon` — its ``admission_meter``.
 
-    This is the quantity the paper's L4 figures plot per window; the
-    slotted/scalar lane-parity contract is that this digest — not just the
-    aggregate rates — is identical between the two data paths.
+    This is the quantity the paper's figures plot per window; the
+    lane-parity contract is that this digest — not just the aggregate
+    rates — is identical across data paths.
     """
     h = hashlib.sha256()
-    meter = daemon.admission_meter
-    for key in sorted(meter.keys):
-        h.update(key.encode("utf-8"))
-        times, rates = meter.series(key)
-        _hash_floats(h, times)
-        _hash_floats(h, rates)
-    return h.hexdigest()
-
-
-def l7_admission_digest(redirector: Any) -> str:
-    """SHA-256 over an :class:`~repro.l7.redirector.L7Redirector`'s
-    per-window admitted/refused traces — the L7 counterpart of
-    :func:`l4_admission_digest`, hashed by the lane parity check."""
-    h = hashlib.sha256()
-    meter = redirector.admission_meter
-    for key in sorted(meter.keys):
-        h.update(key.encode("utf-8"))
-        times, rates = meter.series(key)
-        _hash_floats(h, times)
-        _hash_floats(h, rates)
+    _hash_meter(h, owner.admission_meter)
     return h.hexdigest()
 
 
@@ -264,7 +247,7 @@ def l4_replay(
         )
         daemon = sc.l4_daemons["SW"]
         full = scenario_digest(sc)
-        adm = l4_admission_digest(daemon)
+        adm = admission_digest(daemon)
         adm_digests[label] = adm
         combined = hashlib.sha256()
         combined.update(full.encode("ascii"))
@@ -341,14 +324,11 @@ def columnar_replay(
             )
         combined = hashlib.sha256()
         combined.update(scenario_digest(sc).encode("ascii"))
-        for name in sorted(sc.l7_redirectors):
-            adm = l7_admission_digest(sc.l7_redirectors[name])
-            adm_digests[f"{lane}:{name}"] = adm
-            combined.update(adm.encode("ascii"))
-        for name in sorted(sc.l4_daemons):
-            adm = l4_admission_digest(sc.l4_daemons[name])
-            adm_digests[f"{lane}:{name}"] = adm
-            combined.update(adm.encode("ascii"))
+        for owners in (sc.l7_redirectors, sc.l4_daemons):
+            for name in sorted(owners):
+                adm = admission_digest(owners[name])
+                adm_digests[f"{lane}:{name}"] = adm
+                combined.update(adm.encode("ascii"))
         digests.append(combined.hexdigest())
         labels.append(lane)
     meta["admission_digests"] = adm_digests

@@ -11,8 +11,6 @@
   (the tables recorded in ``EXPERIMENTS.md``).
 - :mod:`repro.experiments.parallel` — deterministic multi-process
   execution of figure/sweep batches (results independent of job count).
-- :mod:`repro.experiments.benchrecord` — the committed microbenchmark
-  ledger (``benchmarks/BENCH_core.json``).
 """
 
 from repro.experiments.harness import FigureResult, PhaseExpectation, Scenario
@@ -31,7 +29,6 @@ from repro.experiments.baselines import (
     PassthroughRedirector,
     run_enforcement_comparison,
 )
-from repro.experiments.benchrecord import load_bench, record_bench
 from repro.experiments.parallel import (
     default_jobs,
     parallel_map,
@@ -61,6 +58,4 @@ __all__ = [
     "default_jobs",
     "parallel_map",
     "run_figures_parallel",
-    "record_bench",
-    "load_bench",
 ]

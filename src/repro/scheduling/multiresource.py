@@ -17,8 +17,8 @@ server's capacity per type.
 
 Packing effect worth knowing: with complementary profiles (a CPU-heavy and
 a bandwidth-heavy principal) the vector LP co-schedules both at rates a
-scalar single-resource scheduler cannot see — quantified by
-``benchmarks/bench_ablation_multiresource.py``.
+scalar single-resource scheduler cannot see — asserted by
+``tests/scheduling/test_multiresource.py``.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ from simlint import RULES, format_text, lint_paths, lint_source, main, run
 REPO = Path(__file__).resolve().parents[2]
 
 SIM_PATH = "src/repro/sim/example.py"          # SIM001 applies
-BENCH_PATH = "benchmarks/bench_example.py"     # SIM001 exempt
+BENCH_PATH = "benchmarks/e2e/example.py"      # SIM001 exempt
 EXP_PATH = "src/repro/experiments/example.py"  # SIM005 threading applies
 PAR_PATH = "src/repro/experiments/parallel.py"  # SIM005 globals apply
 

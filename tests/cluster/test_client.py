@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 
+from repro.analysis.invariants import InvariantChecker
 from repro.cluster.client import (
     START_SKEW, ClientMachine, Defer, Drop, Held, ParkedRequests, Redirect,
 )
 from repro.cluster.server import Server
+from repro.cluster.workload import RequestMix
 from repro.sim.engine import Simulator
+from repro.sim.monitor import RateMeter
+from repro.sim.rng import RngStreams
 
 
 class ScriptedRedirector:
@@ -318,3 +322,65 @@ class TestFastLane:
         sim.run(until=2.0)
         assert c.completed > 0
         assert all(r.size_bytes >= 200 for r in red.seen)
+
+
+class _AlwaysRedirect:
+    """Sends every request to one server and keeps nothing, so 100k-request
+    runs exercise the request path itself, not a policy or a log."""
+
+    def __init__(self, server):
+        self._decision = Redirect(server)
+
+    def handle(self, request, done=None):
+        return self._decision
+
+
+class TestRequestPathAtScale:
+    """100k requests through generation, dispatch, service and completion.
+    The open loop counts from the first request, issued at the seed-drawn
+    start skew."""
+
+    REQUESTS = 100_000
+    RATE = 1000.0
+    HORIZON = REQUESTS / RATE + START_SKEW
+
+    def _open(self, capacity=1e9, **kw):
+        sim = Simulator()
+        server = Server(sim, "srv", capacity=capacity)
+        client = ClientMachine(
+            sim, "c0", "A", _AlwaysRedirect(server), rate=self.RATE,
+            rng=RngStreams(7).get("client:c0"), **kw,
+        )
+        return sim, server, client
+
+    def test_open_loop_completes_every_request_once(self):
+        times = []
+        sim, _, client = self._open(
+            on_response=lambda req: times.append(req.completed_at))
+        sim.run(until=self.HORIZON)
+        meter = RateMeter(bin_width=1.0)
+        meter.record_many("A", times)
+        assert client.completed >= self.REQUESTS
+        assert meter.total("A") == client.completed
+
+    def test_invariant_checker_changes_nothing(self):
+        sim, _, plain = self._open()
+        sim.run(until=self.HORIZON)
+        sim, server, checked = self._open()
+        checker = InvariantChecker()
+        checker.watch_server(sim, server, window=0.1)
+        sim.run(until=self.HORIZON)
+        assert checker.checks_run > 0
+        assert checker.violations == []
+        assert checked.completed == plain.completed >= self.REQUESTS
+
+    def test_closed_loop_saturates_the_server(self):
+        sim, _, client = self._open(capacity=10_000.0, mode="closed",
+                                    users=64, think=0.0)
+        sim.run(until=self.REQUESTS / 10_000.0 + 1.0)
+        assert client.completed >= self.REQUESTS
+
+    def test_size_proportional_costs(self):
+        sim, _, client = self._open(mix=RequestMix(size_cost=True))
+        sim.run(until=self.HORIZON)
+        assert client.completed >= self.REQUESTS

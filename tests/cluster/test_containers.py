@@ -57,6 +57,15 @@ class TestDeficitRoundRobin:
         sim.run(until=1.0)
         assert order == ["c0", "c1", "c2", "c3"]
 
+    def test_eight_containers_serve_every_request(self):
+        sim = Simulator()
+        shares = {f"P{i}": 1.0 / 8 for i in range(8)}
+        srv = _server(sim, shares, capacity=1e6)
+        for i in range(5_000):
+            srv.submit(_req(f"P{i % 8}"))
+        sim.run()
+        assert sum(srv.served(p) for p in shares) == 5_000
+
     def test_unknown_principal_dropped(self):
         sim = Simulator()
         srv = _server(sim)

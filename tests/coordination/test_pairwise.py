@@ -4,6 +4,8 @@ from repro.coordination.messages import MessageCounter
 from repro.coordination.pairwise import build_pairwise
 from repro.sim.engine import Simulator
 
+from .test_protocol import tree_messages_per_round
+
 
 def _run(locals_, duration=1.0, link_delay=0.01, counter=None):
     sim = Simulator()
@@ -39,6 +41,19 @@ class TestPairwise:
         rounds = 21
         per_round = counter.reports / rounds
         assert per_round == pytest.approx(n * (n - 1), rel=0.05)
+
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    def test_measured_traffic_ratio_to_tree(self, n):
+        """§3.2: both protocols run, and the measured ratio matches the
+        paper's n(n-1) vs 2(n-1) messages per round."""
+        counter = MessageCounter()
+        rounds = 50
+        _run({f"r{i}": {"A": 1.0} for i in range(n)},
+             duration=rounds * 0.1 + 0.05, link_delay=0.001, counter=counter)
+        pairwise = counter.reports / (rounds + 1)
+        tree = tree_messages_per_round(n, "balanced", rounds)
+        assert pairwise == pytest.approx(n * (n - 1), rel=0.1)
+        assert pairwise / tree == pytest.approx(n / 2.0, rel=0.25)
 
     def test_converges_after_one_delay(self):
         """Pairwise is *faster* to converge than the tree (one one-way hop),

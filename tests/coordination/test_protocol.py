@@ -94,6 +94,26 @@ class TestMessageComplexity:
         per_round = counter.total / rounds
         assert per_round == pytest.approx(2 * (6 - 1), rel=0.15)
 
+    @pytest.mark.parametrize("n", [4, 8, 16, 32])
+    def test_measured_tree_traffic_is_2n_minus_2(self, n):
+        per_round = tree_messages_per_round(n, "balanced")
+        assert per_round == pytest.approx(2 * (n - 1), rel=0.1)
+        assert per_round < CombiningTree.pairwise_messages_per_round(n)
+
+    @pytest.mark.parametrize("kind", ["star", "balanced", "chain"])
+    def test_every_overlay_shape_costs_2n_minus_2(self, kind):
+        """Shapes differ only in round latency (height x link delay)."""
+        assert tree_messages_per_round(12, kind) == pytest.approx(22.0, rel=0.15)
+
+
+def tree_messages_per_round(n, kind, rounds=50):
+    """Messages per aggregation round, measured over ``rounds`` rounds of
+    an ``n``-node overlay of shape ``kind``."""
+    counter = MessageCounter()
+    _run(kind, {f"r{i}": {"A": 1.0} for i in range(n)},
+         duration=rounds * 0.1 + 0.05, link_delay=0.001, counter=counter)
+    return counter.total / rounds
+
 
 class TestGlobalView:
     def test_fresh_and_stale(self):

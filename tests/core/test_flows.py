@@ -141,6 +141,38 @@ class TestEdgeCases:
         assert spectral_radius(np.zeros((0, 0))) == 0.0
 
 
+def _layered_dag(layers, width):
+    """Every principal of one layer shares [0.8, 0.9] of its capacity with
+    the whole next layer: many transitive paths per pair."""
+    g = AgreementGraph()
+    for l in range(layers):
+        for w in range(width):
+            g.add_principal(f"L{l}W{w}", capacity=100.0)
+    for l in range(layers - 1):
+        for w in range(width):
+            for w2 in range(width):
+                g.add_agreement(Agreement(
+                    f"L{l}W{w}", f"L{l+1}W{w2}", 0.8 / width, 0.9 / width))
+    return g
+
+
+class TestLayeredDags:
+    """§3.1.1 ablation: the paper's path enumeration (Formulae 1-4) and the
+    closed form on dense layered DAGs."""
+
+    @pytest.mark.parametrize("layers,width", [(3, 2), (4, 2), (3, 3)])
+    @pytest.mark.parametrize("method", [closed_form_flows, path_flows],
+                             ids=["closed_form", "paths"])
+    def test_flows_conserve(self, method, layers, width):
+        method(_layered_dag(layers, width)).check_conservation()
+
+    def test_methods_agree(self):
+        g = _layered_dag(4, 2)
+        f1, f2 = closed_form_flows(g), path_flows(g)
+        np.testing.assert_allclose(f1.MI, f2.MI, atol=1e-8)
+        np.testing.assert_allclose(f1.OI, f2.OI, atol=1e-8)
+
+
 def _random_dag(names, caps, edges):
     g = AgreementGraph()
     for name, cap in zip(names, caps):

@@ -61,6 +61,9 @@ class TestTimelineFigures:
     def test_fig7(self):
         r = run_fig7(duration_scale=SCALE, seed=0)
         assert r.ok, r.deviations()
+        # Each rate's 15 % band alone would admit 1.6x-2.4x.
+        steady = r.phase("steady")
+        assert 1.8 <= steady.rate("A") / steady.rate("B") <= 2.2
 
     def test_fig8(self):
         # Scale down the lag with the duration to keep phases meaningful.

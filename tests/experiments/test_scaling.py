@@ -3,7 +3,11 @@
 import pytest
 
 from repro.core.access import compute_access_levels
-from repro.experiments.scaling import random_community, run_scaling_point
+from repro.experiments.scaling import (
+    random_community,
+    run_scaling_point,
+    run_scaling_sweep,
+)
 
 
 class TestRandomCommunity:
@@ -36,3 +40,12 @@ class TestScalingPoint:
         assert p.lp_ms_mean > 0.0
         assert 0.0 <= p.guarantee_satisfaction <= 1.0
         assert p.throughput <= p.capacity * 1.05
+
+    @pytest.mark.parametrize("n", [6, 10, 18])
+    def test_guarantees_hold(self, n):
+        point = run_scaling_point(n, seed=0, duration=10.0)
+        assert point.guarantee_satisfaction >= 0.99
+
+    def test_guarantees_hold_across_a_sweep(self):
+        points = run_scaling_sweep(sizes=(6, 14, 30), duration=8.0)
+        assert all(p.guarantee_satisfaction >= 0.99 for p in points)

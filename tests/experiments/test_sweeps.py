@@ -4,6 +4,7 @@ import pytest
 
 from repro.experiments.sweeps import (
     sweep_cache,
+    sweep_delay,
     sweep_redirectors,
     sweep_window,
 )
@@ -27,3 +28,28 @@ class TestSweeps:
         assert points[0].extra["cache_hits"] == 0.0
         assert points[1].extra["cache_hits"] > 0.0
         assert points[1].extra["lp_solves"] < points[0].extra["lp_solves"]
+
+
+class TestSweepConclusions:
+    """Enforcement stays within 10 % of B's guarantee across each knob the
+    paper fixes."""
+
+    def test_window(self):
+        points = sweep_window(lengths=(0.05, 0.1, 0.25), duration=20.0)
+        assert all(p.enforcement_error < 0.1 for p in points)
+
+    def test_delay(self):
+        points = sweep_delay(delays=(0.005, 0.5, 2.0), duration=30.0)
+        assert all(p.enforcement_error < 0.1 for p in points)
+        # The conservative fallback lasts until the first broadcast, so
+        # the start-up ramp can only get worse with delay.
+        assert points[-1].extra["ramp_b"] <= points[0].extra["ramp_b"] + 5.0
+
+    def test_redirectors(self):
+        points = sweep_redirectors(counts=(1, 2, 4), duration=25.0)
+        assert all(p.enforcement_error < 0.1 for p in points)
+
+    def test_cache_tolerance(self):
+        points = sweep_cache(tolerances=(0.0, 0.05, 0.25), duration=20.0)
+        assert all(p.enforcement_error < 0.1 for p in points)
+        assert points[-1].extra["lp_solves"] < 0.5 * points[0].extra["lp_solves"]

@@ -35,6 +35,12 @@ class TestFaultMatrix:
         assert held >= 0.85 * CONSERVATIVE_B
         # ...and pays for the partition with its optional share.
         assert held < 0.7 * result.phase("p1_agreed").rates["B"]
+        # After the heal both principals are back on the pre-fault split.
+        agreed = result.phase("p1_agreed")
+        recovered = result.phase("p3_recovered")
+        for principal in ("A", "B"):
+            assert recovered.rate(principal) == pytest.approx(
+                agreed.rate(principal), rel=0.1)
         assert "evictions=1" in result.notes
         assert "rejoins=1" in result.notes
 

@@ -21,9 +21,7 @@ lane's.
 import numpy as np
 import pytest
 
-from repro.analysis.replay import (
-    l4_admission_digest, l7_admission_digest, scenario_digest,
-)
+from repro.analysis.replay import admission_digest, scenario_digest
 from repro.cluster.columnar import ColumnarClient, ColumnarEngine
 from repro.cluster.workload import RequestMix
 from repro.core.agreements import Agreement, AgreementGraph
@@ -159,8 +157,8 @@ def _counters(sc):
 def _digests(sc):
     return (
         scenario_digest(sc),
-        {n: l7_admission_digest(r) for n, r in sc.l7_redirectors.items()},
-        {n: l4_admission_digest(d) for n, d in sc.l4_daemons.items()},
+        {n: admission_digest(r) for n, r in sc.l7_redirectors.items()},
+        {n: admission_digest(d) for n, d in sc.l4_daemons.items()},
     )
 
 

@@ -1,7 +1,9 @@
 """Cross-stack integration tests beyond the paper's figures."""
 
+import numpy as np
 import pytest
 
+from repro.cluster.workload import ReplySizeSampler, RequestMix
 from repro.core.agreements import Agreement, AgreementGraph
 from repro.experiments.harness import Scenario
 from repro.scheduling.window import WindowConfig
@@ -192,7 +194,7 @@ class TestCrossLayerEquivalence:
 
 
 class TestWindowSizeRobustness:
-    @pytest.mark.parametrize("window_len", [0.05, 0.1, 0.25])
+    @pytest.mark.parametrize("window_len", [0.05, 0.1, 0.2, 0.25, 0.5])
     def test_enforcement_insensitive_to_window(self, fig6_graph, window_len):
         sc = Scenario(fig6_graph, window=WindowConfig(window_len), seed=9)
         srv = sc.server("S", "S", 320.0)
@@ -202,3 +204,87 @@ class TestWindowSizeRobustness:
         sc.run(25.0)
         b = sc.meter.mean_rate("B", 10.0, 25.0)
         assert b == pytest.approx(135.0, rel=0.12)
+
+    def test_long_window_reacts_no_faster(self, fig6_graph):
+        """A 1 s window still enforces the steady share, but B's ramp-up in
+        the 5 s after it starts is no faster than under 100 ms windows."""
+        ramp = {}
+        for window_len in (0.1, 1.0):
+            sc = Scenario(fig6_graph.copy(), window=WindowConfig(window_len),
+                          seed=5)
+            srv = sc.server("S", "S", 320.0)
+            red = sc.l7("R", {"S": srv})
+            sc.client("CA", "A", red, rate=270.0)
+            sc.client("CB", "B", red, rate=135.0, windows=[(10.0, 30.0)])
+            sc.run(30.0)
+            ramp[window_len] = sc.meter.mean_rate("B", 10.0, 15.0)
+        assert ramp[0.1] >= ramp[1.0] - 5.0
+
+
+class TestSizeProportionalCosts:
+    def test_unit_enforcement_with_mixed_sizes(self):
+        """§4: "large requests are treated as multiple small ones".  A 50/50
+        agreement holds in scheduling units, so a principal sending ~3-unit
+        requests gets far fewer of them through than one sending 1-unit
+        requests."""
+        g = AgreementGraph()
+        g.add_principal("S", capacity=320.0)
+        g.add_principal("A")
+        g.add_principal("B")
+        g.add_agreement(Agreement("S", "A", 0.5, 1.0))
+        g.add_agreement(Agreement("S", "B", 0.5, 1.0))
+        sc = Scenario(g, seed=9)
+        srv = sc.server("S", "S", 320.0)
+        red = sc.l7("R", {"S": srv})
+        bulky = RequestMix(
+            size_cost=True,
+            sampler=ReplySizeSampler(mean_bytes=18_000.0, min_bytes=6_000,
+                                     max_bytes=120_000),
+            unit_bytes=6144.0,
+        )
+        sc.client("CA", "A", red, rate=400.0, mix=bulky)
+        sc.client("CB", "B", red, rate=400.0, mix=RequestMix(size_cost=False))
+        sc.run(20.0)
+        rate = {key: sc.meter.mean_rate(key, 8.0, 20.0)
+                for key in ("A", "B", "units:A", "units:B")}
+        assert rate["units:A"] == pytest.approx(160.0, rel=0.12)
+        assert rate["units:B"] == pytest.approx(160.0, rel=0.12)
+        assert rate["A"] < 0.5 * rate["B"]
+
+
+def _closed_loop_response_times(mode, prices=None):
+    """Mean response time per principal for two symmetric closed-loop
+    principals sharing a 200 req/s server under ``mode``'s objective."""
+    g = AgreementGraph()
+    g.add_principal("S", capacity=200.0)
+    g.add_principal("A")
+    g.add_principal("B")
+    g.add_agreement(Agreement("S", "A", 0.1, 1.0))
+    g.add_agreement(Agreement("S", "B", 0.1, 1.0))
+    sc = Scenario(g, seed=8)
+    srv = sc.server("S", "S", 200.0)
+    red = sc.l7("R", {"S": srv}, mode=mode, prices=prices)
+    clients = {
+        p: sc.client(f"C{p}", p, red, rate=400.0, mode="closed", users=24,
+                     retry_delay=0.1)
+        for p in ("A", "B")
+    }
+    sc.run(25.0)
+    out = {}
+    for p, c in clients.items():
+        rts = np.array(c.response_times[len(c.response_times) // 3:])
+        out[p] = float(rts.mean()) if rts.size else np.inf
+    return out
+
+
+class TestObjectiveSemantics:
+    def test_community_minimises_max_response_time(self):
+        """The community LP's max-min served fraction is the paper's
+        "minimise the maximum response time": symmetric principals see
+        symmetric response times, and a provider objective favouring A
+        raises the community-wide worst case."""
+        community = _closed_loop_response_times("community")
+        skewed = _closed_loop_response_times(
+            "provider", prices={"A": 5.0, "B": 1.0})
+        assert community["A"] == pytest.approx(community["B"], rel=0.4)
+        assert max(community.values()) < max(skewed.values())

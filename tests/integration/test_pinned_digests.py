@@ -25,7 +25,7 @@ import pytest
 
 import repro.experiments.figures as figures
 from repro.analysis.replay import (
-    chaos_replay, l4_admission_digest, l7_admission_digest, scenario_digest,
+    admission_digest, chaos_replay, scenario_digest,
 )
 from repro.experiments.faultmatrix import run_crash_recovery_matrix
 from repro.experiments.sharded import run_sharded
@@ -113,7 +113,7 @@ def test_l7_figure_reproduces_parent_digests(figure, monkeypatch):
     world, admission = PINNED[figure]
     assert scenario_digest(sc) == world
     assert {
-        name: l7_admission_digest(red) for name, red in sc.l7_redirectors.items()
+        name: admission_digest(red) for name, red in sc.l7_redirectors.items()
     } == admission
     assert result.figure == figure
 
@@ -124,7 +124,7 @@ def test_l4_figure_reproduces_parent_digests(figure, monkeypatch):
     world, admission = PINNED_L4[figure]
     assert scenario_digest(sc) == world
     assert {
-        name: l4_admission_digest(daemon) for name, daemon in sc.l4_daemons.items()
+        name: admission_digest(daemon) for name, daemon in sc.l4_daemons.items()
     } == admission
     assert result.figure == figure
 

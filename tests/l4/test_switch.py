@@ -6,6 +6,7 @@ from repro.cluster.client import Defer, Drop, Held
 from repro.cluster.request import Request
 from repro.cluster.server import Server
 from repro.core.access import compute_access_levels
+from repro.experiments.harness import Scenario
 from repro.l4.switch import L4Switch, PortSpaceExhausted
 from repro.l4.packets import TcpFlags, TcpPacket
 from repro.scheduling.allocator import Allocation
@@ -283,6 +284,33 @@ class TestCoalescedReinjection:
         sim.run(until=1.0)
         assert switch.reinjected["A"] == 6
         assert switch.admitted["A"] == 6
+
+
+class TestReinjectionSpread:
+    """Releasing a window's queued SYNs in one burst recreates the L7
+    bunching problem; spreading them across the window keeps server queues
+    flat at identical enforcement."""
+
+    def _run(self, fig9_graph, spread):
+        sc = Scenario(fig9_graph.copy(), seed=7)
+        sa = sc.server("SA", "A", 320.0)
+        sb = sc.server("SB", "B", 320.0)
+        switch = sc.l4("SW", {"A": sa, "B": sb}, spread_reinjection=spread)
+        sc.client("CA", "A", switch, rate=800.0)
+        sc.client("CB", "B", switch, rate=400.0)
+        peaks = []
+        sc.sim.every(0.01, lambda: peaks.append(sa.queue_length + sb.queue_length))
+        sc.run(15.0)
+        return (max(peaks), sc.meter.mean_rate("A", 5.0, 15.0),
+                sc.meter.mean_rate("B", 5.0, 15.0))
+
+    def test_burst_builds_deeper_queues_at_equal_rates(self, fig9_graph):
+        spread = self._run(fig9_graph, True)
+        burst = self._run(fig9_graph, False)
+        for _, a_rate, b_rate in (spread, burst):
+            assert a_rate == pytest.approx(480.0, rel=0.08)
+            assert b_rate == pytest.approx(160.0, rel=0.12)
+        assert burst[0] >= spread[0]
 
 
 class TestPortSpace:

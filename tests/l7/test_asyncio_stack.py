@@ -117,9 +117,12 @@ class TestRedirection:
             ra, rb = await asyncio.gather(ga.run(3.0), gb.run(3.0))
             await red.stop()
             await origin.stop()
-            return ra, rb
+            return ra, rb, red
 
-        ra, rb = _run(body())
+        ra, rb, red = _run(body())
+        # Every completion went through one of the redirector's decisions.
+        for p, r in (("A", ra), ("B", rb)):
+            assert red.admitted[p] + red.self_redirects[p] >= r["completed"]
         # B's demand (100/s) is under its guarantee (120/s): served ~fully.
         assert rb["rate"] == pytest.approx(100.0, rel=0.2)
         # A is squeezed to roughly the remainder, far below its demand.

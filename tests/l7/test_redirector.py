@@ -7,6 +7,8 @@ from repro.cluster.client import ClientMachine, Defer, Drop, Held, Redirect
 from repro.cluster.request import Request
 from repro.cluster.server import Server
 from repro.core.access import compute_access_levels
+from repro.core.agreements import Agreement, AgreementGraph
+from repro.experiments.harness import Scenario
 from repro.l7.redirector import L7Redirector
 from repro.scheduling.window import WindowConfig
 from repro.sim.engine import Simulator
@@ -110,6 +112,39 @@ class TestExplicitQueuing:
         assert len(release_times) == 4
 
 
+def _closed_loop_rate(queuing, users):
+    """Served rate of ``users`` closed-loop users against a 320 req/s server
+    behind one redirector in ``queuing`` mode (the §4.1 experiment)."""
+    g = AgreementGraph()
+    g.add_principal("S", capacity=320.0)
+    g.add_principal("A")
+    g.add_agreement(Agreement("S", "A", 0.2, 1.0))
+    sc = Scenario(g, seed=3)
+    srv = sc.server("S", "S", 320.0)
+    red = sc.l7("R", {"S": srv}, queuing=queuing)
+    sc.client("C", "A", red, rate=1000.0, mode="closed", users=users,
+              retry_delay=0.05)
+    sc.run(15.0)
+    return sc.meter.mean_rate("A", 5.0, 15.0)
+
+
+class TestBunchingAnomaly:
+    """§4.1: window-boundary releases bunch requests, so closed-loop
+    clients of explicit queuing spend most of each window waiting at the
+    redirector; implicit quotas remove the hold time."""
+
+    @pytest.mark.parametrize("users", [4, 8, 16])
+    def test_implicit_saturates_where_explicit_does_not(self, users):
+        implicit = _closed_loop_rate("implicit", users)
+        explicit = _closed_loop_rate("explicit", users)
+        assert implicit >= 300.0
+        assert explicit < 0.7 * implicit
+
+    def test_explicit_needs_many_more_clients_to_saturate(self):
+        assert _closed_loop_rate("explicit", 4) < 100.0
+        assert _closed_loop_rate("explicit", 32) > 250.0
+
+
 class TestCreditAdmission:
     def test_credit_engine_matches_quota_rates(self, fig6_graph):
         """The credit-based engine enforces the same LP allocation as the
@@ -141,6 +176,10 @@ class TestCreditAdmission:
         for p in ("A", "B"):
             assert credit_rates[p] == pytest.approx(quota_rates[p], rel=0.08)
         assert credit_rates["B"] == pytest.approx(135.0, rel=0.08)
+        # Each engine on its own: B's demand in full, A the 320 - 135 rest.
+        for rates in (quota_rates, credit_rates):
+            assert rates["B"] == pytest.approx(135.0, rel=0.1)
+            assert rates["A"] == pytest.approx(185.0, rel=0.1)
 
 
 class TestValidation:

@@ -8,19 +8,20 @@ from repro.core.multiresource import compute_multiresource_access
 from repro.scheduling.multiresource import MultiResourceCommunityScheduler
 from repro.scheduling.window import WindowConfig
 
-RES = ("cpu", "net")
 W = WindowConfig(0.1)
 
 
-def _shared_server(cpu=1000.0, net=1000.0):
-    """One server S shared half/half between A and B."""
+def _shared_server(cpu=1000.0, net=1000.0, capacity=None):
+    """One server S shared half/half between A and B; ``capacity`` maps
+    resource type -> units per second and replaces the cpu/net pair."""
     g = AgreementGraph()
     g.add_principal("S")
     g.add_principal("A")
     g.add_principal("B")
     g.add_agreement(Agreement("S", "A", 0.5, 1.0))
     g.add_agreement(Agreement("S", "B", 0.5, 1.0))
-    return compute_multiresource_access(g, {"S": {"cpu": cpu, "net": net}}, RES)
+    capacity = capacity or {"cpu": cpu, "net": net}
+    return compute_multiresource_access(g, {"S": capacity}, tuple(capacity))
 
 
 class TestScheduling:
@@ -74,6 +75,17 @@ class TestScheduling:
         )
         plan = sched.schedule({"A": 200.0, "B": 200.0})
         assert plan.served("A") >= min(200.0, sched.guaranteed_requests("A")) - 1e-6
+
+    @pytest.mark.parametrize("m", [1, 2, 4, 8])
+    def test_solvable_for_any_number_of_resource_types(self, m):
+        resources = [f"r{i}" for i in range(m)]
+        acc = _shared_server(capacity={r: 1000.0 for r in resources})
+        profiles = {
+            "A": {r: 1.0 + 0.1 * i for i, r in enumerate(resources)},
+            "B": {r: 2.0 - 0.1 * i for i, r in enumerate(resources)},
+        }
+        sched = MultiResourceCommunityScheduler(acc, profiles, window=W)
+        assert sched.schedule({"A": 200.0, "B": 200.0}).theta > 0.0
 
     def test_empty_queues(self):
         acc = _shared_server()
