@@ -71,6 +71,21 @@ PINNED_SHARDED = {
     ),
 }
 
+# The same, at 2 replicas and 100x load: 1.5k-2.7k admitted requests per
+# cluster-window, the batch sizes the benchmark's sharded workload runs
+# (PINNED_SHARDED runs about 40).  Captured before the sharded epoch went
+# columnar, which must leave them alone.
+PINNED_SHARDED_LOAD = {
+    "fig6": (
+        "eec910838de86f2d8540165de961b88e0e4c1cc64d6f3b60d829129edfe7edfa",
+        "f536098998a6767e161a940e43718ea4b223373eaf4639cd38b83fe163566977",
+    ),
+    "fig9": (
+        "c8c7ea366d8c23227444ac162325761695cc085c9e9cc7640bdc46c9d20c0d27",
+        "2ee6c016d6bf505bda6f311136dd0618a94391ed80294488bee497909000efb3",
+    ),
+}
+
 PINNED_FAULT_MATRIX = (
     "038a99cf5f49d0ddc20f7c461a9025dd951a7cbc63f7f46f89f534de550dcacd"
 )
@@ -143,6 +158,16 @@ def test_sharded_figure_reproduces_parent_digests(figure):
     for name, cell in matrix["cells"].items():
         assert cell["digest"] == PINNED_SHARDED[figure][0], name
         assert cell["ok"] and cell["checkpoint_match"], name
+
+
+@pytest.mark.parametrize("figure", sorted(PINNED_SHARDED_LOAD))
+@pytest.mark.parametrize("shards", [1, 2])
+def test_sharded_load_reproduces_parent_digests(figure, shards):
+    res = run_sharded(figure, duration_scale=0.02, seed=0, shards=shards,
+                      replicas=2, load_scale=100.0)
+    assert (res.digest(), res.final_checkpoint_digest) == \
+        PINNED_SHARDED_LOAD[figure]
+    assert res.data_plane == ("inline" if shards == 1 else "shm")
 
 
 def test_fault_matrix_reproduces_parent_digest():
