@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Sequence
+from typing import Dict, Mapping
 
 __all__ = ["VectorAggregate", "StreamStats"]
 
@@ -28,19 +28,6 @@ class VectorAggregate:
     @classmethod
     def local(cls, values: Mapping[str, float]) -> "VectorAggregate":
         return cls(values=dict(values), contributors=1)
-
-    @classmethod
-    def from_columns(cls, principals: Sequence[str],
-                     row: Iterable[float]) -> "VectorAggregate":
-        """Rebuild a leaf aggregate from a dense per-principal row.
-
-        This is the shared-memory boundary form: workers publish one
-        float64 column per principal, and the parent reconstitutes the
-        leaf with insertion order fixed by ``principals`` — the same order
-        the worker's own :meth:`local` used — so downstream combining-tree
-        folds are float-for-float identical to the inline path's.
-        """
-        return cls.local({p: float(v) for p, v in zip(principals, row)})
 
     def merge(self, other: "VectorAggregate") -> "VectorAggregate":
         out = dict(self.values)

@@ -35,7 +35,6 @@ from multiprocessing.connection import wait as wait_ready
 from time import perf_counter  # simlint: disable=SIM001  # IPC accounting, not sim time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.coordination.aggregation import VectorAggregate
 from repro.coordination.checkpoint import ClusterCheckpoint
 
 __all__ = [
@@ -51,19 +50,15 @@ __all__ = [
 class BoundaryMessage:
     """Survivor -> parent: window ``epoch`` replayed for adopted clusters.
 
-    The reply to a :class:`ReassignMessage`, and the only boundary record
-    that crosses a pipe: the adopted rows are also written into the
-    survivor's ring slot, but only for later restores.
-    ``demand`` carries one :class:`VectorAggregate` per adopted cluster
-    (never pre-summed: the parent folds per-cluster leaves through the
-    combining tree in an order fixed by cluster names) and ``admitted``
-    the per-principal admitted counts for the same window.
+    The reply to a :class:`ReassignMessage`.  The survivor has written
+    the adopted clusters' rows into its ring slot for ``epoch``, as it
+    writes its own; ``clusters`` names them, and the parent copies them
+    from there like any other publication.
     """
 
     epoch: int
     shard: int
-    demand: Dict[str, VectorAggregate] = field(default_factory=dict)
-    admitted: Dict[str, Dict[str, float]] = field(default_factory=dict)
+    clusters: Tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)

@@ -184,40 +184,41 @@ class ShmDataPlane:
 
     # -- boundary publication (workers -> parent) ---------------------------
 
-    def publish(self, shard: int, epoch: int,
-                boundary: Mapping[str, Tuple[Sequence[float], Sequence[float],
-                                             ClusterCheckpoint]]) -> None:
-        """Write one epoch's rows for ``boundary``'s clusters, then stamp.
+    def publish(self, shard: int, epoch: int, rows: Sequence[int],
+                demand: np.ndarray, admitted: np.ndarray,
+                checkpoints: Sequence[ClusterCheckpoint]) -> None:
+        """Write one epoch's rows for some clusters, then stamp.
 
-        ``boundary`` maps cluster name to (demand-per-principal,
-        admitted-per-principal, checkpoint); only the given rows are
+        ``rows`` are the clusters' global row indices (:attr:`index`);
+        row j of ``demand`` / ``admitted`` (per principal) and
+        ``checkpoints[j]`` belong to ``rows[j]``.  Only the given rows are
         touched, so a reassignment survivor can republish adopted rows
         into its own slot without disturbing its earlier writes.  The
         caller announces the publication on its pipe afterwards.
         """
         slot = epoch % self.spec.depth
-        demand, admitted, recs = self._slot(shard, slot)
-        for name, (dvec, avec, ck) in boundary.items():
-            i = self.index[name]
-            demand[i, :] = dvec
-            admitted[i, :] = avec
+        dslot, aslot, recs = self._slot(shard, slot)
+        dslot[rows] = demand
+        aslot[rows] = admitted
+        for i, ck in zip(rows, checkpoints):
             pack_checkpoint(ck, self.spec.principals, recs[i])
         self._stamps(shard)[slot] = epoch + 1
 
-    def read_boundary(self, shard: int, epoch: int, names: Sequence[str]) \
-            -> Optional[Dict[str, Tuple[np.ndarray, np.ndarray]]]:
-        """Copy ``names``' demand/admitted rows for ``epoch``.
+    def read_rows(self, shard: int, epoch: int, rows: Sequence[int],
+                  demand: np.ndarray, admitted: np.ndarray) -> bool:
+        """Copy ``rows``' demand/admitted for ``epoch`` into the same rows
+        of ``demand`` / ``admitted`` (C×P, global row order).
 
         Called only after the shard's pipe said it published ``epoch``;
-        None means the slot holds another epoch — a protocol violation
-        the caller turns into a typed error.
+        False (nothing copied) means the slot holds another epoch — a
+        protocol violation the caller turns into a typed error.
         """
         if not self._holds(shard, epoch):
-            return None
-        demand, admitted, _ = self._slot(shard, epoch % self.spec.depth)
-        idx = [self.index[n] for n in names]
-        dcopy, acopy = demand[idx, :], admitted[idx, :]   # fancy index: copies
-        return {name: (dcopy[j], acopy[j]) for j, name in enumerate(names)}
+            return False
+        dslot, aslot, _ = self._slot(shard, epoch % self.spec.depth)
+        demand[rows] = dslot[rows]
+        admitted[rows] = aslot[rows]
+        return True
 
     def read_checkpoints(self, epoch: int, owners: Mapping[str, int]) \
             -> Dict[str, ClusterCheckpoint]:

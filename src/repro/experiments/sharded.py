@@ -18,13 +18,13 @@ barrier epoch:
    counts, and a binary
    :class:`~repro.coordination.checkpoint.ClusterCheckpoint` record, and
    says so on its pipe,
-3. the parent folds the per-cluster demand through the existing
-   :class:`~repro.coordination.tree.CombiningTree` reduction (balanced
-   tree over *sorted cluster names*, so float-sum order never depends on
-   how clusters were packed into shards), solves the window LP via the
-   shared :class:`~repro.scheduling.allocator.WindowAllocator` (reusing
-   its SolveCache), ingests the window's history, and releases everyone
-   into window k+1.
+3. the parent copies every shard's per-cluster rows into column k of its
+   ``(cluster, principal, window)`` history arrays, sums the column into
+   the window's global demand — exact in any order, because every entry
+   is an integer count far below 2^53, so packing clusters into shards
+   cannot move a bit — solves the window LP via the shared
+   :class:`~repro.scheduling.allocator.WindowAllocator` (reusing its
+   SolveCache), and releases everyone into window k+1.
 
 The parent is the sole owner of run history (the per-window series live
 in the parent, never the workers), so a worker holds nothing but its
@@ -49,8 +49,10 @@ bit-identical SHA-256 digests — enforced by ``repro check --shards
 
 One data plane carries the boundary rows: the zero-copy shared-memory
 plane (:mod:`repro.coordination.shm`).  Workers write demand/admitted
-columns and binary checkpoint records into per-shard ring slots, and the
-parent folds them straight out of the arrays.  The epoch itself is
+rows and binary checkpoint records into per-shard ring slots, and the
+parent copies a shard's rows into its history with one fancy-index
+copy; the ``shards=1`` path writes the same rows there directly, so
+there is one fold, the column sum.  The epoch itself is
 synchronised by messages on the control pipes
 (:mod:`repro.coordination.barrier`): the allocation goes down, a
 one-word "published k" comes back, and both sides block on the pipe
@@ -85,7 +87,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.coordination.aggregation import StreamStats, VectorAggregate
+from repro.coordination.aggregation import StreamStats
 from repro.coordination.barrier import (
     BoundaryMessage,
     EpochBarrier,
@@ -102,7 +104,6 @@ from repro.coordination.checkpoint import (
     epoch_digest,
 )
 from repro.coordination.shm import PlaneSpec, ShmDataPlane, ShmUnavailable
-from repro.coordination.tree import CombiningTree
 from repro.core.access import compute_access_levels
 from repro.core.agreements import Agreement, AgreementGraph
 from repro.experiments.harness import FigureResult
@@ -295,8 +296,31 @@ class ShardTask:
     plane: Optional[PlaneSpec] = None
 
 
-# One window's outcome for one cluster: (demand aggregate, admitted counts).
-ClusterRecord = Tuple[VectorAggregate, Dict[str, float]]
+class _Scratch:
+    """One worker's Lindley work space, shared by all of its clusters.
+
+    Two float64 rows and the service ramp ``svc * i``.  They grow to the
+    largest batch seen and are rebuilt only when they must grow or the
+    service time changes; they are per worker, not per cluster, because
+    per-cluster buffers cost resident memory for every cluster.
+    """
+
+    def __init__(self) -> None:
+        self.rows = np.empty((2, 0))
+        self.ramp = np.empty(0)
+        self.svc = math.nan
+
+    def take(self, m: int, svc: float) -> Tuple[np.ndarray, np.ndarray,
+                                                 np.ndarray]:
+        """(two length-m work rows, a ramp of at least m+1 entries)."""
+        n = self.rows.shape[1]
+        if m > n:
+            n = max(m, 2 * n)
+            self.rows = np.empty((2, n))
+        if svc != self.svc or len(self.ramp) <= m:
+            self.ramp = svc * np.arange(n + 1)
+            self.svc = svc
+        return self.rows[0, :m], self.rows[1, :m], self.ramp
 
 
 class _ClusterState:
@@ -306,15 +330,18 @@ class _ClusterState:
     fraction sequence), never on which shard runs it or which clusters
     share its worker — the invariant the digest-parity contract rests on.
     Everything here round-trips through :meth:`checkpoint`/:meth:`restore`
-    bit-exactly; per-window history lives in the parent.
+    bit-exactly; per-window history lives in the parent.  ``scratch`` is
+    work space only: nothing in it outlives one :meth:`_observe` call.
     """
 
     def __init__(self, spec: ShardCluster, principals: Tuple[str, ...],
-                 window: float, streams: RngStreams) -> None:
+                 window: float, streams: RngStreams,
+                 scratch: _Scratch) -> None:
         self.spec = spec
         self.principals = principals
         self.window = window
         self.rng = streams.get(f"cluster:{spec.name}")
+        self.scratch = scratch
         # Residual-carry admission: fractional quota left over while
         # quota-limited rolls into the next window (no banking of unused
         # quota), so long-run admitted rate tracks quota exactly.
@@ -324,8 +351,9 @@ class _ClusterState:
         self.svc = 1.0 / spec.capacity
 
     def step(self, k: int, frac: Optional[Dict[str, float]],
-             conservative: Mapping[str, float]) -> ClusterRecord:
-        """Simulate window k; returns (demand aggregate, admitted counts)."""
+             conservative: Mapping[str, float]
+             ) -> Tuple[List[float], List[float]]:
+        """Simulate window k; returns (demand, admitted) in principal order."""
         w = self.window
         t0, t1 = k * w, (k + 1) * w
         demand = {p: 0 for p in self.principals}
@@ -335,7 +363,7 @@ class _ClusterState:
                 demand[client.principal] += int(
                     self.rng.poisson(client.rate * active)
                 )
-        admitted: Dict[str, float] = {}
+        admitted: List[float] = []
         total_adm = 0
         for p in self.principals:
             d = demand[p]
@@ -349,30 +377,40 @@ class _ClusterState:
                 self.carry[p] = budget - adm
             else:
                 self.carry[p] = 0.0
-            admitted[p] = float(adm)
+            admitted.append(float(adm))
             total_adm += adm
         if total_adm > 0:
             self._observe(t0, total_adm)
-        return (
-            VectorAggregate.local({p: float(demand[p]) for p in self.principals}),
-            admitted,
-        )
+        return [float(demand[p]) for p in self.principals], admitted
 
     def _observe(self, t0: float, m: int) -> None:
-        """Constant-service Lindley recursion over m in-window arrivals."""
-        arr = t0 + np.sort(self.rng.uniform(0.0, self.window, size=m))
-        svc = self.svc
-        # finish_i = svc*(i+1) + max(clock, max_{j<=i}(arr_j - svc*j))
-        idx = np.arange(m + 1)
-        slack = np.maximum.accumulate(arr - svc * idx[:-1])
-        finish = svc * idx[1:] + np.maximum(slack, self.clock)
-        resp = finish - arr
-        self.clock = float(finish[-1])
-        mean = resp.mean()
+        """Constant-service Lindley recursion over m in-window arrivals.
+
+        finish_i = svc*(i+1) + max(clock, max_{j<=i}(arr_j - svc*j)).
+        Works in place in the worker's scratch rows (``arr`` in one;
+        slack, finish and response in the other) with the same ufuncs,
+        operand order and pairwise sums as allocating every temporary, so
+        every moment is bit-identical to that form.
+        """
+        arr, resp, ramp = self.scratch.take(m, self.svc)
+        # uniform(0, window) is 0.0 + window * u: the same draws, the same bits.
+        self.rng.random(out=arr)
+        arr *= self.window
+        arr.sort()
+        arr += t0
+        np.subtract(arr, ramp[:m], out=resp)
+        np.maximum.accumulate(resp, out=resp)
+        np.maximum(resp, self.clock, out=resp)
+        np.add(ramp[1:m + 1], resp, out=resp)
+        self.clock = float(resp[-1])
+        resp -= arr
+        mean = float(resp.sum()) / m       # what ndarray.mean computes
+        np.subtract(resp, mean, out=arr)
+        np.square(arr, out=arr)
         batch = StreamStats(
             count=m,
-            mean=float(mean),
-            m2=float(((resp - mean) ** 2).sum()),
+            mean=mean,
+            m2=float(arr.sum()),
             min=float(resp.min()),
             max=float(resp.max()),
         )
@@ -399,6 +437,7 @@ class ShardState:
     def __init__(self, task: ShardTask) -> None:
         self.task = task
         self.streams = RngStreams(task.seed)
+        self.scratch = _Scratch()
         self.clusters = [
             self._build(spec, task.restore.get(spec.name))
             for spec in task.clusters
@@ -407,15 +446,22 @@ class ShardState:
     def _build(self, spec: ShardCluster,
                ck: Optional[ClusterCheckpoint]) -> _ClusterState:
         state = _ClusterState(spec, self.task.principals, self.task.window,
-                              self.streams)
+                              self.streams, self.scratch)
         if ck is not None:
             state.restore(ck)
         return state
 
-    def step(self, k: int,
-             frac: Optional[Dict[str, float]]) -> Dict[str, ClusterRecord]:
+    def step(self, k: int, frac: Optional[Dict[str, float]],
+             demand: np.ndarray, admitted: np.ndarray,
+             clusters: Optional[Sequence[_ClusterState]] = None) -> None:
+        """Simulate window k for ``clusters`` (default: all of them).
+
+        The j-th cluster's demand and admitted counts go into row j of
+        ``demand`` and ``admitted`` (one column per principal).
+        """
         cons = self.task.conservative
-        return {c.spec.name: c.step(k, frac, cons) for c in self.clusters}
+        for j, c in enumerate(self.clusters if clusters is None else clusters):
+            demand[j], admitted[j] = c.step(k, frac, cons)
 
     def adopt(self, specs: Sequence[ShardCluster],
               checkpoints: Mapping[str, ClusterCheckpoint]) -> List[_ClusterState]:
@@ -426,38 +472,21 @@ class ShardState:
         self.clusters.extend(added)
         return added
 
-    def checkpoints(
-        self, clusters: Optional[Sequence[_ClusterState]] = None
-    ) -> Dict[str, ClusterCheckpoint]:
-        subset = self.clusters if clusters is None else clusters
-        return {c.spec.name: c.checkpoint() for c in subset}
+    def checkpoints(self) -> Dict[str, ClusterCheckpoint]:
+        return {c.spec.name: c.checkpoint() for c in self.clusters}
 
 
-def _adoption_reply(epoch: int, shard: int,
-                    records: Dict[str, ClusterRecord]) -> BoundaryMessage:
-    return BoundaryMessage(
-        epoch=epoch,
-        shard=shard,
-        demand={name: rec[0] for name, rec in records.items()},
-        admitted={name: rec[1] for name, rec in records.items()},
-    )
-
-
-def _plane_rows(
-    state: ShardState, records: Dict[str, ClusterRecord],
-    principals: Tuple[str, ...],
-    clusters: Optional[List[_ClusterState]] = None,
-) -> Dict[str, Tuple[List[float], List[float], ClusterCheckpoint]]:
-    """Boundary records in the shared-memory row form (dense columns)."""
-    cks = state.checkpoints(clusters)
-    return {
-        name: (
-            [agg.get(p, 0.0) for p in principals],
-            [float(admitted.get(p, 0.0)) for p in principals],
-            cks[name],
-        )
-        for name, (agg, admitted) in records.items()
-    }
+def _publish(plane: ShmDataPlane, state: ShardState, k: int,
+             frac: Optional[Dict[str, float]],
+             clusters: Sequence[_ClusterState]) -> None:
+    """Step ``clusters`` through window k and write their rows and
+    checkpoint records into this shard's ring slot."""
+    shape = (len(clusters), len(state.task.principals))
+    demand, admitted = np.empty(shape), np.empty(shape)
+    state.step(k, frac, demand, admitted, clusters)
+    plane.publish(state.task.shard, k,
+                  [plane.index[c.spec.name] for c in clusters],
+                  demand, admitted, [c.checkpoint() for c in clusters])
 
 
 # How long a worker blocks on its pipe before checking that the process
@@ -485,8 +514,8 @@ def _shard_worker_main(conn: Any, task: ShardTask) -> None:
     rows into the ring and then sending ``k``.  A ``ReassignMessage`` for
     epoch *k* always arrives after this worker's own allocation *k* (the
     parent sends it later on the same pipe), so the adopted clusters are
-    replayed after the owned ones; their rows go into the ring slot for
-    later restores and back over the pipe as the adoption reply.
+    replayed after the owned ones; their rows go into the same ring slot,
+    and the adoption reply names them.
     """
     faults = {f.epoch: f.mode for f in task.faults}
     parent = os.getppid()
@@ -495,29 +524,21 @@ def _shard_worker_main(conn: Any, task: ShardTask) -> None:
         assert task.plane is not None   # only the inline path has none
         plane = ShmDataPlane.attach(task.plane)
         state = ShardState(task)
-        principals = task.principals
         while True:
             msg = _next_message(conn, parent)
             if isinstance(msg, FinishMessage):
                 return
             if isinstance(msg, ReassignMessage):
                 added = state.adopt(msg.clusters, msg.checkpoints)
-                records = {
-                    c.spec.name: c.step(msg.epoch, msg.frac, task.conservative)
-                    for c in added
-                }
-                plane.publish(task.shard, msg.epoch,
-                              _plane_rows(state, records, principals,
-                                          clusters=added))
-                conn.send(_adoption_reply(msg.epoch, task.shard, records))
+                _publish(plane, state, msg.epoch, msg.frac, added)
+                conn.send(BoundaryMessage(
+                    msg.epoch, task.shard, tuple(c.spec.name for c in added)))
                 continue
             k, frac = msg
             mode = faults.pop(k, None)
             if mode is not None:
                 _fire_fault(mode)   # deterministic mid-window death
-            records = state.step(k, frac)
-            plane.publish(task.shard, k,
-                          _plane_rows(state, records, principals))
+            _publish(plane, state, k, frac, state.clusters)
             conn.send(k)
     except (EOFError, BrokenPipeError, KeyboardInterrupt):
         return
@@ -554,6 +575,8 @@ class ShardedResult:
     n_windows: int
     principals: Tuple[str, ...]
     clusters: Tuple[str, ...]
+    # cluster -> principal -> per-window series: contiguous rows of the
+    # runner's (cluster, principal, window) history arrays.
     demand: Dict[str, Dict[str, np.ndarray]]
     admitted: Dict[str, Dict[str, np.ndarray]]
     refused: Dict[str, Dict[str, np.ndarray]]
@@ -674,6 +697,14 @@ class ShardedRunner:
     membership is a pure function of (world, R); results are a pure
     function of world alone.
 
+    The runner owns the run's history: demand and admitted counts as two
+    ``(cluster, principal, window)`` float64 arrays in sorted-cluster
+    order, the data plane's own row order.  Window k is column k: the
+    inline path writes its rows there, a shard's publication is copied
+    there with one fancy-index copy, the window's global demand is the
+    column's sum, and refused = demand − admitted is taken once at the
+    horizon.
+
     ``recovery`` (default :class:`RecoveryPolicy`) makes the sharded path
     self-healing: respawn-from-checkpoint inside the budget, cluster
     reassignment to survivors beyond it.  ``recovery=None`` restores the
@@ -714,9 +745,6 @@ class ShardedRunner:
             for p in world.principals
         }
         self._ordered = sorted(world.clusters, key=lambda c: c.name)
-        # Reduction order: balanced combining tree over sorted cluster
-        # names — fixed fold order regardless of shard packing.
-        self._tree = CombiningTree.balanced([c.name for c in self._ordered])
         self._explicit_faults = faults is not None
         self._fault_specs = self._bind_faults(faults)
         # fork inherits the imported modules cheaply; spawn works the same
@@ -789,21 +817,11 @@ class ShardedRunner:
             plane=None if self._plane is None else self._plane.spec,
         )
 
-    # -- reduction / policy -------------------------------------------------
+    # -- policy -------------------------------------------------------------
 
-    def _reduce(self, leaves: Dict[str, VectorAggregate]) -> VectorAggregate:
-        """Fold per-cluster aggregates in combining-tree order."""
-
-        def fold(node: Any) -> VectorAggregate:
-            agg = leaves[node].copy()
-            for child in self._tree.children(node):
-                agg = agg.merge(fold(child))
-            return agg
-
-        return fold(self._tree.root)
-
-    def _policy(self, merged: VectorAggregate) -> Dict[str, float]:
-        """Window LP on the merged demand -> served fraction per principal."""
+    def _policy(self, total: np.ndarray) -> Dict[str, float]:
+        """Window LP on the global demand -> served fraction per principal."""
+        merged = dict(zip(self.world.principals, total.tolist()))
         demand = {p: merged.get(p, 0.0) for p in self.allocator.principals}
         alloc = self.allocator.compute(demand)
         frac: Dict[str, float] = {}
@@ -853,15 +871,12 @@ class ShardedRunner:
     def run(self) -> ShardedResult:
         world = self.world
         n_windows = world.n_windows
-        names = [c.name for c in world.clusters]
-        self._dh = {n: {p: np.zeros(n_windows) for p in world.principals}
-                    for n in names}
-        self._ah = {n: {p: np.zeros(n_windows) for p in world.principals}
-                    for n in names}
-        self._rh = {n: {p: np.zeros(n_windows) for p in world.principals}
-                    for n in names}
-        frac_hist = {p: np.full(n_windows, -1.0) for p in world.principals}
-        gdemand = {p: np.zeros(n_windows) for p in world.principals}
+        principals = tuple(world.principals)
+        names = [c.name for c in self._ordered]
+        shape = (len(names), len(principals), n_windows)
+        demand, admitted = np.zeros(shape), np.zeros(shape)
+        frac_hist = np.full((len(principals), n_windows), -1.0)
+        gdemand = np.zeros((len(principals), n_windows))
         fallback_windows = 0
         frac: Optional[Dict[str, float]] = None
         self._faults = {s: list(fl) for s, fl in self._fault_specs.items()}
@@ -877,6 +892,8 @@ class ShardedRunner:
         barrier: Optional[EpochBarrier] = None
         try:
             if plane is None:
+                # One shard owns every cluster in sorted order: its row j
+                # is history row j.
                 state = ShardState(self._task(0))
                 step = state.step
             else:
@@ -886,14 +903,11 @@ class ShardedRunner:
                 if frac is None:
                     fallback_windows += 1
                 else:
-                    for p in world.principals:
-                        frac_hist[p][k] = frac[p]
-                records = step(k, frac)
-                self._ingest(k, records)
-                merged = self._reduce({n: rec[0] for n, rec in records.items()})
-                for p in world.principals:
-                    gdemand[p][k] = merged.get(p, 0.0)
-                frac = self._policy(merged)
+                    frac_hist[:, k] = [frac[p] for p in principals]
+                step(k, frac, demand[:, :, k], admitted[:, :, k])
+                # Integer counts far below 2**53: exact in any order.
+                gdemand[:, k] = demand[:, :, k].sum(axis=0)
+                frac = self._policy(gdemand[:, k])
             if barrier is None:
                 final = state.checkpoints()
             else:
@@ -912,20 +926,24 @@ class ShardedRunner:
                 plane.close()
                 plane.unlink()
 
+        def per_cluster(hist: np.ndarray) -> Dict[str, Dict[str, np.ndarray]]:
+            return {n: dict(zip(principals, hist[i]))
+                    for i, n in enumerate(names)}
+
         return ShardedResult(
             world=world,
             shards=shards,
             window=world.window,
             n_windows=n_windows,
-            principals=tuple(world.principals),
-            clusters=tuple(sorted(names)),
-            demand=self._dh,
-            admitted=self._ah,
-            refused=self._rh,
+            principals=principals,
+            clusters=tuple(names),
+            demand=per_cluster(demand),
+            admitted=per_cluster(admitted),
+            refused=per_cluster(demand - admitted),
             response={n: ck.response for n, ck in final.items()},
             clock={n: ck.clock for n, ck in final.items()},
-            global_demand=gdemand,
-            frac=frac_hist,
+            global_demand=dict(zip(principals, gdemand)),
+            frac=dict(zip(principals, frac_hist)),
             lp_solves=self.allocator.lp_solves,
             cache_hits=self.allocator.cache_hits,
             fallback_windows=fallback_windows,
@@ -945,44 +963,31 @@ class ShardedRunner:
                                   else plane.ring_bytes_per_epoch),
         )
 
-    def _ingest(self, k: int, records: Dict[str, ClusterRecord]) -> None:
-        """Fold one window's records into the parent-owned history arrays.
-
-        ``refused = demand - admitted`` is exact: both are small-integer
-        counts represented as float64, so the difference is the same float
-        the worker-side subtraction used to produce.
-        """
-        for name, (agg, admitted) in records.items():
-            for p in self.world.principals:
-                d = agg.get(p, 0.0)
-                a = float(admitted.get(p, 0.0))
-                self._dh[name][p][k] = d
-                self._ah[name][p][k] = a
-                self._rh[name][p][k] = d - a
-
     # -- sharded epoch protocol (with recovery) -----------------------------
 
     def _epoch(
-        self, barrier: EpochBarrier, k: int, frac: Optional[Dict[str, float]]
-    ) -> Dict[str, ClusterRecord]:
+        self, barrier: EpochBarrier, k: int, frac: Optional[Dict[str, float]],
+        demand: np.ndarray, admitted: np.ndarray,
+    ) -> None:
         """Run window ``k`` across the workers; heal failures as they surface.
 
         Every shard that owns clusters is sent the allocation ``(k, frac)``
         — a respawned replacement is sent it again — and the parent blocks
-        in :meth:`EpochBarrier.wait`, reading a shard's ring rows once its
-        "published k" has arrived.  ``need`` maps each shard still to
-        publish to the clusters it was asked for; ``self._expected``
-        counts pending pipe-borne adoption replies.
+        in :meth:`EpochBarrier.wait`, copying a shard's ring rows into
+        ``demand`` / ``admitted`` (column k of the history) once its
+        "published k", or its reply naming adopted clusters, has arrived.
+        ``need`` maps each shard still to publish to the rows it was asked
+        for; ``self._expected`` counts pending adoption replies.
         """
         plane = self._plane
         assert plane is not None
+        index = plane.index
         self._expected = {}
-        need: Dict[int, List[str]] = {}
-        records: Dict[str, ClusterRecord] = {}
-        principals = self.world.principals
+        need: Dict[int, List[int]] = {}
+        copied = np.zeros(len(index), dtype=bool)
 
         def allocate(shard: int) -> None:
-            need[shard] = [c.name for c in self._owned[shard]]
+            need[shard] = [index[c.name] for c in self._owned[shard]]
             try:
                 barrier.send(shard, (k, frac))
             except ShardWorkerError:
@@ -996,21 +1001,15 @@ class ShardedRunner:
                 s for s, n in self._expected.items() if n)
             for shard, msg in barrier.wait(sorted(pending), k,
                                            self.epoch_timeout):
+                rows = None
                 if isinstance(msg, BoundaryMessage) and self._expected.get(shard):
                     self._expected[shard] -= 1
-                    for name, agg in msg.demand.items():
-                        records[name] = (agg, dict(msg.admitted.get(name, {})))
-                    continue
-                rows = None
-                if isinstance(msg, int) and shard in need:
-                    rows = plane.read_boundary(shard, k, need[shard])
-                if rows is not None:
-                    for name, (dvec, avec) in rows.items():
-                        records[name] = (
-                            VectorAggregate.from_columns(principals, dvec),
-                            {p: float(v) for p, v in zip(principals, avec)},
-                        )
-                    del need[shard]
+                    rows = [index[n] for n in msg.clusters]
+                elif isinstance(msg, int) and shard in need:
+                    rows = need.pop(shard)
+                if rows is not None and plane.read_rows(shard, k, rows,
+                                                        demand, admitted):
+                    copied[rows] = True
                     continue
                 self._handle_failure(
                     barrier, shard, k, frac,
@@ -1021,19 +1020,17 @@ class ShardedRunner:
                 need.pop(shard, None)
                 if barrier.connections[shard] is not None and self._owned[shard]:
                     # Respawned: the replacement replays *all* its clusters
-                    # (own + adopted) and publishes them via the plane; no
-                    # pipe reply is coming any more.
+                    # (own + adopted) and publishes them in one go; no
+                    # adoption reply is coming any more.
                     self._expected[shard] = 0
                     allocate(shard)
-        missing = [n for n in (c.name for c in self.world.clusters)
-                   if n not in records]
-        if missing:
+        if not copied.all():
+            missing = [n for n, i in index.items() if not copied[i]]
             raise ShardWorkerError(
                 -1, f"epoch {k} completed without records for {missing}"
             )
         self._ring_owner = {c.name: s for s, cl in self._owned.items()
                             for c in cl}
-        return records
 
     def _restore_snapshot(
         self, k: int

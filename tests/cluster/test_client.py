@@ -316,7 +316,7 @@ class TestFastLane:
 
     def test_closed_loop_uses_stream_fields(self):
         sim = Simulator()
-        srv = Server(sim, "S", capacity=1e6)
+        srv = Server(sim, "S", capacity=1e3)
         red = ScriptedRedirector(Redirect(srv))
         c = _client(sim, red, rate=100.0, mode="closed", users=2)
         sim.run(until=2.0)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.coordination.aggregation import StreamStats, VectorAggregate
+from repro.coordination.tree import CombiningTree
 
 
 class TestVectorAggregate:
@@ -36,6 +37,37 @@ class TestVectorAggregate:
         right = vs[0].merge(vs[1].merge(vs[2].merge(vs[3])))
         assert left.values == right.values
         assert left.contributors == right.contributors
+
+
+    @given(st.integers(1, 4).flatmap(lambda p: st.lists(
+        st.lists(st.integers(0, 2**40), min_size=p, max_size=p),
+        min_size=1, max_size=80)))
+    @settings(max_examples=80, deadline=None)
+    def test_column_sum_is_the_combining_tree_fold(self, counts):
+        # The sharded lane sums window k's (cluster, principal) column of
+        # integer counts; it used to fold per-cluster leaves through a
+        # balanced tree over the sorted cluster names (kept here as the
+        # oracle).  Integers below 2**53 make any order exact.
+        C, P = len(counts), len(counts[0])
+        principals = [f"p{j}" for j in range(P)]
+        names = [f"c{i:02d}" for i in range(C)]
+        history = np.zeros((C, P, 3))
+        history[:, :, 1] = counts
+        total = history[:, :, 1].sum(axis=0)
+
+        tree = CombiningTree.balanced(names)
+        leaves = {n: VectorAggregate.local(dict(zip(principals, map(float, row))))
+                  for n, row in zip(names, counts)}
+
+        def fold(node):
+            agg = leaves[node].copy()
+            for child in tree.children(node):
+                agg = agg.merge(fold(child))
+            return agg
+
+        merged = fold(tree.root)
+        assert [float(x).hex() for x in total] == \
+            [merged.get(p).hex() for p in principals]
 
 
 class TestStreamStats:

@@ -41,7 +41,7 @@ def _echo_worker(conn):
         msg = conn.recv()
         if isinstance(msg, FinishMessage):
             return
-        conn.send(BoundaryMessage(msg.epoch, 0, {}))
+        conn.send(BoundaryMessage(msg.epoch, 0))
 
 
 def _crash_worker(conn):
@@ -166,7 +166,7 @@ class TestFailureModes:
 
     def test_epoch_skew_rejected(self):
         parent, child = _pipe_pair()
-        child.send(BoundaryMessage(4, 0, {}))
+        child.send(BoundaryMessage(4, 0))
         barrier = EpochBarrier([parent])
         with pytest.raises(ShardWorkerError, match="epoch skew"):
             _next(barrier, epoch=3)

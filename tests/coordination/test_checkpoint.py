@@ -12,9 +12,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.coordination.aggregation import StreamStats
 from repro.coordination.checkpoint import (
+    RECORD_BASE_WORDS,
     ClusterCheckpoint,
     RecoveryPolicy,
     epoch_digest,
@@ -121,6 +123,68 @@ class TestBinaryRecord:
         with pytest.raises(ValueError, match="row shape"):
             pack_checkpoint(ck, self.PRINCIPALS,
                             np.zeros(3, dtype=np.uint64))
+
+
+def pack_oracle(ck, principals, out):
+    """``pack_checkpoint`` as it was before one ``struct`` call wrote the
+    row: one numpy store per field, kept verbatim as the reference."""
+    state = ck.rng_state
+    inner = state["state"]
+    out[0:4] = np.asarray(inner["counter"], dtype=np.uint64)
+    out[4:6] = np.asarray(inner["key"], dtype=np.uint64)
+    out[6:10] = np.asarray(state["buffer"], dtype=np.uint64)
+    out[10] = int(state["buffer_pos"])
+    out[11] = int(state["has_uint32"])
+    out[12] = int(state["uinteger"])
+    out[13] = int(ck.response.count)
+    flt = out.view(np.float64)
+    flt[14] = ck.response.mean
+    flt[15] = ck.response.m2
+    flt[16] = ck.response.min
+    flt[17] = ck.response.max
+    flt[18] = ck.clock
+    for i, p in enumerate(principals):
+        flt[RECORD_BASE_WORDS + i] = float(ck.carry[p])
+
+
+finite_or_inf = st.floats(allow_nan=False)
+
+
+@st.composite
+def checkpoints(draw):
+    rng = RngStreams(draw(st.integers(0, 2**32))).get("cluster:R1")
+    rng.random(draw(st.integers(0, 50)))
+    # An odd number of 32-bit draws leaves half a word buffered.
+    rng.integers(0, 2**32, size=draw(st.integers(0, 5)), dtype=np.uint32)
+    principals = tuple(f"P{i}" for i in range(draw(st.integers(1, 4))))
+    count = draw(st.integers(0, 2**40))
+    stats = StreamStats() if count == 0 else StreamStats(
+        count, *(draw(finite_or_inf) for _ in range(4)))
+    ck = ClusterCheckpoint(
+        rng_state=rng.bit_generator.state,
+        carry={p: draw(finite_or_inf) for p in principals},
+        response=stats,
+        clock=draw(finite_or_inf),
+    )
+    return ck, principals
+
+
+class TestStructPacking:
+    @given(checkpoints())
+    @settings(max_examples=80, deadline=None)
+    def test_rows_are_word_equal_to_the_per_field_form(self, case):
+        ck, principals = case
+        new = np.zeros(record_words(len(principals)), dtype=np.uint64)
+        old = np.ones_like(new)
+        pack_checkpoint(ck, principals, new)
+        pack_oracle(ck, principals, old)
+        assert new.tolist() == old.tolist()
+        # ... and so is a state restored from that row and packed again.
+        back = unpack_checkpoint(new, principals)
+        again, again_old = np.zeros_like(new), np.ones_like(new)
+        pack_checkpoint(back, principals, again)
+        pack_oracle(back, principals, again_old)
+        assert again.tolist() == again_old.tolist() == new.tolist()
 
 
 class TestRecoveryPolicy:

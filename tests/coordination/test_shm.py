@@ -11,6 +11,7 @@ per-epoch byte accounting must match the actual views, since the bench
 reports those numbers.
 """
 
+import numpy as np
 import pytest
 
 from repro.coordination.aggregation import StreamStats
@@ -46,10 +47,29 @@ def plane():
     p.unlink()
 
 
-def boundary_for(names, value, ck=None):
+def publish(plane, shard, epoch, names, value, ck=None):
+    """Publish ``names`` with demand (value, value + 0.5), admitted twice that."""
     ck = ck if ck is not None else make_checkpoint()
-    vec = [value, value + 0.5]
-    return {n: (list(vec), [v * 2 for v in vec], ck) for n in names}
+    demand = np.array([[value, value + 0.5]] * len(names))
+    plane.publish(shard, epoch, [plane.index[n] for n in names],
+                  demand, 2 * demand, [ck] * len(names))
+
+
+def blank(plane):
+    """A C×P destination pair; NaN marks rows never copied."""
+    shape = (len(plane.spec.clusters), len(PRINCIPALS))
+    return np.full(shape, np.nan), np.full(shape, np.nan)
+
+
+def read(plane, shard, epoch, names):
+    """``names``' (demand, admitted) rows, or None if the slot holds another
+    epoch (then nothing at all was copied)."""
+    demand, admitted = blank(plane)
+    rows = [plane.index[n] for n in names]
+    if not plane.read_rows(shard, epoch, rows, demand, admitted):
+        assert np.isnan(demand).all() and np.isnan(admitted).all()
+        return None
+    return {n: (demand[i], admitted[i]) for n, i in zip(names, rows)}
 
 
 class TestLayout:
@@ -76,42 +96,48 @@ class TestLayout:
 class TestBoundarySlots:
     def test_publish_then_read_is_bit_exact(self, plane):
         names = ["R1[0]", "R2[0]"]
-        plane.publish(0, epoch=5, boundary=boundary_for(names, 1.25))
-        rows = plane.read_boundary(0, 5, names)
-        assert rows is not None
-        d, a = rows["R1[0]"]
-        assert list(d) == [1.25, 1.75] and list(a) == [2.5, 3.5]
+        publish(plane, 0, 5, names, 1.25)
+        demand, admitted = blank(plane)
+        rows = [plane.index[n] for n in names]
+        assert plane.read_rows(0, 5, rows, demand, admitted)
+        assert list(demand[rows[0]]) == [1.25, 1.75]
+        assert list(admitted[rows[0]]) == [2.5, 3.5]
+        # Only the named rows are written, and they are copies: the
+        # slot's next publication does not reach them.
+        assert np.isnan(demand[plane.index["R1[1]"]]).all()
+        publish(plane, 0, 5, names, 9.0)
+        assert list(demand[rows[1]]) == [1.25, 1.75]
 
     def test_unpublished_epoch_reads_none(self, plane):
-        assert plane.read_boundary(0, 0, ["R1[0]"]) is None
-        plane.publish(0, epoch=0, boundary=boundary_for(["R1[0]"], 1.0))
-        assert plane.read_boundary(0, 2, ["R1[0]"]) is None  # same slot
+        assert read(plane, 0, 0, ["R1[0]"]) is None
+        publish(plane, 0, 0, ["R1[0]"], 1.0)
+        assert read(plane, 0, 2, ["R1[0]"]) is None  # same slot
 
     def test_partial_publish_preserves_other_rows(self, plane):
         # A reassignment survivor republishes only adopted rows; its own
         # earlier writes in the same slot must survive.
-        plane.publish(0, epoch=0, boundary=boundary_for(["R1[0]"], 1.0))
-        plane.publish(0, epoch=0, boundary=boundary_for(["R2[0]"], 9.0))
-        rows = plane.read_boundary(0, 0, ["R1[0]", "R2[0]"])
+        publish(plane, 0, 0, ["R1[0]"], 1.0)
+        publish(plane, 0, 0, ["R2[0]"], 9.0)
+        rows = read(plane, 0, 0, ["R1[0]", "R2[0]"])
         assert list(rows["R1[0]"][0]) == [1.0, 1.5]
         assert list(rows["R2[0]"][0]) == [9.0, 9.5]
 
     def test_shards_have_independent_rings(self, plane):
-        plane.publish(0, epoch=0, boundary=boundary_for(["R1[0]"], 1.0))
-        assert plane.read_boundary(1, 0, ["R1[0]"]) is None
+        publish(plane, 0, 0, ["R1[0]"], 1.0)
+        assert read(plane, 1, 0, ["R1[0]"]) is None
 
 
 class TestCheckpointRing:
     def test_ring_round_trip_preserves_digest(self, plane):
         ck = make_checkpoint(draws=13)
-        plane.publish(0, epoch=2, boundary=boundary_for(["R1[0]"], 0.0, ck))
-        plane.publish(1, epoch=2, boundary=boundary_for(["R2[1]"], 0.0, ck))
+        publish(plane, 0, 2, ["R1[0]"], 0.0, ck)
+        publish(plane, 1, 2, ["R2[1]"], 0.0, ck)
         out = plane.read_checkpoints(2, {"R1[0]": 0, "R2[1]": 1})
         assert out["R1[0]"].digest() == ck.digest()
         assert out["R2[1]"].digest() == ck.digest()
 
     def test_wrong_epoch_in_slot_is_an_error(self, plane):
-        plane.publish(0, epoch=0, boundary=boundary_for(["R1[0]"], 0.0))
+        publish(plane, 0, 0, ["R1[0]"], 0.0)
         with pytest.raises(RuntimeError, match="checkpoint ring"):
             plane.read_checkpoints(2, {"R1[0]": 0})     # slot holds epoch 0
 
@@ -120,8 +146,8 @@ class TestAttach:
     def test_worker_view_shares_the_owner_segment(self, plane):
         worker = ShmDataPlane.attach(plane.spec)
         try:
-            worker.publish(1, epoch=0, boundary=boundary_for(["R1[1]"], 3.0))
-            rows = plane.read_boundary(1, 0, ["R1[1]"])
+            publish(worker, 1, 0, ["R1[1]"], 3.0)
+            rows = read(plane, 1, 0, ["R1[1]"])
             assert rows is not None and list(rows["R1[1]"][0]) == [3.0, 3.5]
         finally:
             worker.close()                              # owner still unlinks

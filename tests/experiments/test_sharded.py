@@ -4,7 +4,7 @@ The sharded lane's whole contract is one equality: ``shards=1`` and
 ``shards=R`` produce bit-identical SHA-256 digests for every R.  The
 digest deliberately excludes the shard count, so equality *is* the proof
 that partitioning, boundary publication through the shared-memory ring
-slots and the combining-tree fold carry no shard-dependent state.
+slots and the column sum carry no shard-dependent state.
 """
 
 import multiprocessing as mp
@@ -15,19 +15,26 @@ import sys
 import textwrap
 import time
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.coordination.aggregation import StreamStats
 from repro.coordination.barrier import EpochBarrier, ShardWorkerError
 from repro.coordination.checkpoint import RecoveryPolicy
 from repro.coordination.shm import ShmDataPlane, ShmUnavailable
 from repro.experiments.figures import run_fig6, run_fig9
 from repro.experiments.sharded import (
+    ShardCluster,
     ShardedRunner,
+    _ClusterState,
+    _Scratch,
     run_sharded,
     run_sharded_figure,
     sharded_fig6_world,
 )
 from repro.faults.plan import FaultPlanError
+from repro.sim.rng import RngStreams
 
 # Small but non-degenerate worlds: 4 replicas give fig6 8 clusters and
 # fig9 4 clusters, so every shard count below actually partitions work.
@@ -74,6 +81,75 @@ class TestDigestParity:
         # must produce identical solve/cache/fallback counts.
         assert (a.lp_solves, a.cache_hits, a.fallback_windows) == \
                (b.lp_solves, b.cache_hits, b.fallback_windows)
+
+
+class LindleyOracle:
+    """``_ClusterState._observe`` as it was before it worked in place:
+    every temporary allocated, kept verbatim as the reference."""
+
+    def __init__(self, rng, window, capacity):
+        self.rng, self.window, self.svc = rng, window, 1.0 / capacity
+        self.response = StreamStats()
+        self.clock = 0.0
+
+    def _observe(self, t0, m):
+        arr = t0 + np.sort(self.rng.uniform(0.0, self.window, size=m))
+        svc = self.svc
+        # finish_i = svc*(i+1) + max(clock, max_{j<=i}(arr_j - svc*j))
+        idx = np.arange(m + 1)
+        slack = np.maximum.accumulate(arr - svc * idx[:-1])
+        finish = svc * idx[1:] + np.maximum(slack, self.clock)
+        resp = finish - arr
+        self.clock = float(finish[-1])
+        mean = resp.mean()
+        batch = StreamStats(
+            count=m,
+            mean=float(mean),
+            m2=float(((resp - mean) ** 2).sum()),
+            min=float(resp.min()),
+            max=float(resp.max()),
+        )
+        self.response = self.response.merge(batch)
+
+
+def observed(state):
+    stats = state.response
+    return (state.clock.hex(), stats.count, stats.mean.hex(), stats.m2.hex(),
+            stats.min.hex(), stats.max.hex())
+
+
+class TestLindleyInPlace:
+    """The in-place observer is the allocating one, bit for bit."""
+
+    WINDOW = 0.1
+
+    @given(
+        batches=st.lists(
+            st.tuples(st.integers(1, 6000), st.sampled_from([0, 1]),
+                      st.floats(-0.2, 0.2)),
+            min_size=1, max_size=8),
+        seed=st.integers(0, 3),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_moments_and_clock_equal_the_allocating_form(self, batches, seed):
+        # Two clusters of different capacity share one scratch, as every
+        # cluster of a worker does; batches grow and shrink, and the
+        # clock starts ahead of or behind the window by up to 2 windows.
+        scratch = _Scratch()
+        pairs = []
+        for name, capacity in (("R1", 32000.0), ("R2", 640.0)):
+            state = _ClusterState(ShardCluster(name, (), capacity), ("A",),
+                                  self.WINDOW, RngStreams(seed), scratch)
+            oracle = LindleyOracle(RngStreams(seed).get(f"cluster:{name}"),
+                                   self.WINDOW, capacity)
+            pairs.append((state, oracle))
+        for k, (m, which, lead) in enumerate(batches):
+            state, oracle = pairs[which]
+            t0 = k * self.WINDOW
+            state.clock = oracle.clock = t0 + lead
+            state._observe(t0, m)
+            oracle._observe(t0, m)
+            assert observed(state) == observed(oracle), (k, m)
 
 
 class TestDataPlane:
