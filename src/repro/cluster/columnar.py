@@ -24,15 +24,20 @@ the other two):
   exact, so the greedy prefix equals the scalar ``try_admit`` sequence.
 - **Service** replays the server recurrence
   ``F_i = fl(max(a_i, F_{i-1}) + fl(cost_i / capacity))`` with exact
-  vectorised fast paths (all-idle: ``F = a + s``; all-busy: seeded cumsum)
-  whose preconditions are *checked on the exact values*, falling back to a
-  tight scalar loop for mixed windows.
+  vectorised paths whose preconditions are *checked on the exact values*:
+  all-idle (``F = a + s``), all-busy (seeded cumsum), and for mixed
+  batches of 64 requests or more a busy-period pass (guess the period
+  starts in max-plus, replay the scalar adds down each period, keep the
+  prefix whose starts the replayed values confirm, restart after it).
+  Smaller mixed batches run a tight scalar loop.
 - **Ordering** at equal-time events follows the engine's sequence-number
   rules: the pump is scheduled before any other component (smallest
-  construction seq, re-armed first at every boundary by induction), client
-  streams merge in creation order, and completions/busy-time — whose
-  effects are order-free (bin-keyed meters, integer counters) — commit in
-  per-server batches at the boundary.
+  construction seq, re-armed first at every boundary by induction); equal
+  arrival times from different clients merge in the order their ticks were
+  scheduled, i.e. by the clients' previous ticks, back to the last instant
+  where the two chains differ (:meth:`ColumnarEngine.fires_first`); and
+  completions/busy-time — whose effects are order-free (bin-keyed meters,
+  integer counters) — commit in per-server batches at the boundary.
 - **Refusals park** exactly as :class:`ClientMachine`'s do: in event order,
   each refused request waits in its redirector's
   :class:`~repro.cluster.client.ParkedRequests` (the one refusal queue of
@@ -55,6 +60,7 @@ from __future__ import annotations
 import itertools
 import zlib
 from bisect import bisect_right
+from functools import cmp_to_key
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -119,6 +125,147 @@ def _greedy_admit(budget: float, costs: np.ndarray) -> Tuple[np.ndarray, float]:
         if j < n:
             j += 1  # the first over-budget request is refused, budget-free
     return mask, budget
+
+
+# Mixed batches shorter than this keep the scalar loop: below it the
+# busy-period pass's fixed cost (a few dozen array calls) is not repaid.
+_BUSY_MIN = 64
+# Chain positions the busy-period pass replays in lock step (one gather-add
+# per depth over every chain still running); longer chains finish with one
+# seeded cumsum each.
+_LOCKSTEP = 8
+
+
+def _scalar_service(
+    a: np.ndarray, s: np.ndarray, f: float,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The server recurrence, one request at a time: (completions, starts)."""
+    tl = a.tolist()
+    svl = s.tolist()
+    starts: List[float] = []
+    fins: List[float] = []
+    ap_s = starts.append
+    ap_f = fins.append
+    for i in range(len(tl)):
+        t = tl[i]
+        s0 = t if t > f else f
+        ap_s(s0)
+        f = s0 + svl[i]
+        ap_f(f)
+    return np.asarray(fins), np.asarray(starts)
+
+
+def _busy_pass(
+    a: np.ndarray, s: np.ndarray, f: float,
+) -> Tuple[np.ndarray, np.ndarray, int]:
+    """One busy-period pass over a batch: ``(F, S, k)`` where ``F[:k]`` and
+    ``S[:k]`` equal the scalar recurrence from ``free_at = f``.
+
+    1. *Guess* where busy periods start from the max-plus closed form
+       ``F~ = C + max(f, max.accumulate(a - (C - s)))``, ``C = cumsum(s)``:
+       ``i`` starts one iff ``a_i >= F~_{i-1}`` (index 0 against ``f``,
+       exactly).  ``F~`` rounds differently from the sequential adds, so it
+       only proposes.
+    2. *Replay* the scalar adds for that guess: ``a + s`` at a start
+       (``f + s_0`` when index 0 continues the carried period), then
+       ``F_i = F_{i-1} + s_i`` down every chain — lock-step gather-adds for
+       the first ``_LOCKSTEP`` positions, one seeded cumsum per longer tail.
+    3. *Accept* the prefix before the first index whose start test on the
+       replayed values (``a_i >= F_{i-1}``) disagrees with the guess: by
+       induction each accepted ``F_i`` is the scalar one (at a tie
+       ``a == F`` both branches give the same value).  ``k >= 1``, since
+       index 0 was tested exactly.
+    """
+    n = a.shape[0]
+    c = s.cumsum()
+    g = np.maximum.accumulate(a - (c - s))
+    np.maximum(g, f, out=g)
+    g += c
+    start = np.empty(n, dtype=bool)
+    start[0] = a[0] >= f
+    np.greater_equal(a[1:], g[:-1], out=start[1:])
+    heads = np.flatnonzero(start)
+    F = np.empty(n)
+    F[heads] = a[heads] + s[heads]
+    if not start[0]:
+        F[0] = f + s[0]
+        heads = np.concatenate(((0,), heads))
+    lens = np.empty_like(heads)
+    np.subtract(heads[1:], heads[:-1], out=lens[:-1])
+    lens[-1] = n - heads[-1]
+    run = lens > 1
+    live, lens = heads[run], lens[run]
+    for d in range(1, _LOCKSTEP + 1):
+        if not live.shape[0]:
+            break
+        idx = live + d
+        F[idx] = F[idx - 1] + s[idx]
+        run = lens > d + 1
+        live, lens = live[run], lens[run]
+    for h, m in zip(live.tolist(), lens.tolist()):
+        tail = F[h + _LOCKSTEP:h + m]
+        seed = tail[0]
+        tail[:] = s[h + _LOCKSTEP:h + m]
+        tail[0] = seed
+        tail.cumsum(out=tail)
+    prev = np.empty(n)
+    prev[0] = f
+    prev[1:] = F[:-1]
+    exact = a >= prev
+    wrong = exact != start
+    k = int(wrong.argmax()) if wrong.any() else n
+    return F, np.where(exact, a, prev), k
+
+
+def _service(
+    a: np.ndarray, s: np.ndarray, f: float,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Completion and service-start columns of one FIFO batch: exactly the
+    scalar ``S_i = max(a_i, F_{i-1})``, ``F_i = fl(S_i + s_i)`` from
+    ``F_{-1} = f``.
+
+    All-idle and saturated batches are single array expressions whose
+    preconditions are checked on the very values the recurrence produces,
+    so a passing check *proves* equality.  Mixed batches run busy-period
+    passes (:func:`_busy_pass`), each restarted from the last exact ``F``
+    where its guess failed; fewer than ``_BUSY_MIN`` requests, and any
+    such suffix, take the scalar loop.
+    """
+    n = a.shape[0]
+    f_idle = a + s
+    if a[0] >= f and (n == 1 or bool(np.all(a[1:] >= f_idle[:-1]))):
+        return f_idle, a
+    f_sat = np.cumsum(np.concatenate(((f,), s)))[1:]
+    if a[0] <= f and (n == 1 or bool(np.all(a[1:] <= f_sat[:-1]))):
+        return f_sat, np.concatenate(((f,), f_sat[:-1]))
+    fins: List[np.ndarray] = []
+    starts: List[np.ndarray] = []
+    i = 0
+    while i < n:
+        if n - i < _BUSY_MIN:
+            F, S = _scalar_service(a[i:], s[i:], f)
+            k = n - i
+        else:
+            F, S, k = _busy_pass(a[i:], s[i:], f)
+        fins.append(F[:k])
+        starts.append(S[:k])
+        f = float(F[k - 1])
+        i += k
+    if len(fins) == 1:
+        return fins[0], starts[0]
+    return np.concatenate(fins), np.concatenate(starts)
+
+
+def _runs(pairs: List[int]):
+    """``(first, last)`` index of each run of equal neighbours, from the
+    ascending positions ``i`` whose entry equals entry ``i + 1``."""
+    lo = prev = pairs[0]
+    for i in pairs[1:]:
+        if i != prev + 1:
+            yield lo, prev + 1
+            lo = i
+        prev = i
+    yield lo, prev + 1
 
 
 def _block(rate: float) -> int:
@@ -310,14 +457,20 @@ class ColumnarClient:
         self._pcode = -1
         self._engine: Optional["ColumnarEngine"] = None
 
-        # Cursor: time of the next emitting tick, normalized onto an
-        # active segment (inactive jumps consume no draws, exactly like
-        # the scalar `_open_tick`'s schedule_at(next_start)), from the same
-        # start skew as ClientMachine's first tick.
-        t: Optional[float] = start_skew(rng, arrivals, self.jitter)
-        if not self.is_active(t):
-            t = self._next_segment_start(t)
-        self._t_next = t
+        # Cursor: time of ClientMachine's next `_open_tick`, from the same
+        # start skew as its first.  A tick outside every active segment is
+        # an idle tick: it emits nothing and re-arms at the next segment
+        # start without consuming a draw, like the scalar tick's
+        # schedule_at(next_start).
+        self._t_next: Optional[float] = start_skew(rng, arrivals, self.jitter)
+        # Ticks fired by the current take (arrivals and idle ticks), and the
+        # firing-order state before it: the last tick fired earlier (-inf:
+        # none, the first tick was scheduled at construction) and this
+        # client's rank among clients whose last tick fired at that instant
+        # (see ColumnarEngine.fires_first).
+        self._fired = _EMPTY
+        self._last = _NEG_INF
+        self._rank = 0
 
     # -- measurements ------------------------------------------------------
 
@@ -335,11 +488,12 @@ class ColumnarClient:
         return i >= 0 and t < self._win_ends[i]
 
     def _segment_end(self, t: float) -> float:
+        """End of the active segment holding ``t``; ``<= t`` when idle."""
         starts = self._win_starts
         if starts is None:
             return _INF
         i = bisect_right(starts, t) - 1
-        return self._win_ends[i]
+        return self._win_ends[i] if i >= 0 else t
 
     def _next_segment_start(self, t: float) -> Optional[float]:
         starts = self._win_starts or []
@@ -381,17 +535,26 @@ class ColumnarClient:
         cumsum chain is the chain of the prefix, and a prefix that turns out
         too short is a block exhausted early — the chain continues from its
         last element over a doubled prefix.
+
+        The ticks this take fired, idle ones included, are left in
+        ``_fired`` for the engine's equal-time ordering.
         """
         t = self._t_next
         if t is None:
+            self._fired = _EMPTY
             return _EMPTY, None
         stream = self.stream
         out: List[np.ndarray] = []
+        fired: List[np.ndarray] = []
         m_total = 0
         while t is not None:
             if (t > hi) if closed else (t >= hi):
                 break
             end = self._segment_end(t)
+            if t >= end:
+                fired.append(np.array((t,)))
+                t = self._next_segment_start(t)
+                continue
             k = int((min(end, hi) - t) / stream.scan_gap) + 2
             while True:
                 gaps = stream.gap_view()[:k]
@@ -405,6 +568,7 @@ class ColumnarClient:
                 m = int(ok.sum())  # candidates are monotone: prefix length
                 if m:
                     out.append(cand[:m])
+                    fired.append(out[-1])
                     stream.consume_gaps(m)
                     m_total += m
                 if m == cand.shape[0]:
@@ -412,17 +576,15 @@ class ColumnarClient:
                     k *= 2
                     continue  # prefix exhausted mid-segment: scan on / refill
                 t = float(chain[m])
-                break
-            if t >= end:
-                # Tick falls outside the segment: the scalar loop jumps to
-                # the next activity start without consuming a draw.
-                t = self._next_segment_start(t)
-                continue
-            break  # stopped on the window bound, cursor stays mid-segment
+                break  # past the window bound or the segment end
         self._t_next = t
+        times = _EMPTY if not out else (
+            out[0] if len(out) == 1 else np.concatenate(out))
+        self._fired = (
+            times if len(fired) == len(out)
+            else fired[0] if len(fired) == 1 else np.concatenate(fired))
         if not m_total:
             return _EMPTY, None
-        times = out[0] if len(out) == 1 else np.concatenate(out)
         return times, stream.take_costs(m_total)
 
 
@@ -506,11 +668,18 @@ class _ServerLane:
             created = np.concatenate([c[2] for c in chunks])
             cl = np.concatenate([c[3] for c in chunks])
             pr = np.concatenate([c[4] for c in chunks])
-            # Same-time submissions from different chunks interleave by
-            # client creation order — the engine's equal-time event order
-            # (chunks never share a client, so this is a total order).
-            order = np.lexsort((cl, ts))
+            # Each chunk is in event order already; same-time submissions
+            # from different chunks interleave in the engine's firing order.
+            order = np.argsort(ts, kind="stable")
             ts = ts[order]
+            if bool(np.any(ts[1:] == ts[:-1])):
+                src = np.repeat(np.arange(len(chunks)),
+                                [c[0].shape[0] for c in chunks])[order]
+                fix = self.engine.tie_order(
+                    ts, cl[order], src, created[order] == ts)
+                if fix is not None:
+                    order = order[fix]
+                    ts = ts[fix]
             created = created[order]
             cl = cl[order]
             pr = pr[order]
@@ -525,34 +694,7 @@ class _ServerLane:
             sv = np.full(n, 1.0 / srv.capacity)
         else:
             sv = costs / srv.capacity
-        f_prev = self.free_at
-        # Three exact paths.  The preconditions are evaluated on the very
-        # values the scalar recurrence would produce, so a passing check
-        # *proves* the vectorised result equals the sequential one.
-        f_idle = ts + sv
-        if ts[0] >= f_prev and (n == 1 or bool(np.all(ts[1:] >= f_idle[:-1]))):
-            F, S = f_idle, ts
-        else:
-            f_sat = np.cumsum(np.concatenate(((f_prev,), sv)))[1:]
-            if ts[0] <= f_prev and (n == 1 or bool(np.all(ts[1:] <= f_sat[:-1]))):
-                F = f_sat
-                S = np.concatenate(((f_prev,), f_sat[:-1]))
-            else:
-                tl = ts.tolist()
-                svl = sv.tolist()
-                starts: List[float] = []
-                fins: List[float] = []
-                f = f_prev
-                ap_s = starts.append
-                ap_f = fins.append
-                for i in range(n):
-                    a = tl[i]
-                    s0 = a if a > f else f
-                    ap_s(s0)
-                    f = s0 + svl[i]
-                    ap_f(f)
-                F = np.asarray(fins)
-                S = np.asarray(starts)
+        F, S = _service(ts, sv, self.free_at)
         self.free_at = float(F[-1])
         # Append to the uncommitted tail (both F and S are nondecreasing,
         # within the batch and across batches).
@@ -732,9 +874,7 @@ class _L7Group:
                     cp if cp is not None else np.ones(pp.shape[0])
                     for cp, pp in zip(cost_parts, parts)
                 ])
-            # Stable sort over per-client sorted blocks concatenated in
-            # creation order == the engine's equal-time event order.
-            order = np.argsort(ts, kind="stable")
+            order = engine.event_order(ts, cl)
             ts = ts[order]
             cl = cl[order]
             if costs is not None:
@@ -820,7 +960,7 @@ class _L7Group:
             ])
         else:
             costs = np.ones(ts.shape[0])
-        order = np.argsort(ts, kind="stable")
+        order = engine.event_order(ts, cl)
         ts = ts[order]
         cl = cl[order]
         pc = pc[order]
@@ -915,7 +1055,7 @@ class ColumnarEngine:
                 )
             self._group_of[id(red)] = group
             self._groups.append(group)
-        client._code = len(self.clients_by_code)
+        client._code = client._rank = len(self.clients_by_code)
         client._pcode = self.principal_code(client.principal)
         client._engine = self
         self.clients_by_code.append(client)
@@ -980,3 +1120,100 @@ class ColumnarEngine:
             group.advance(hi, closed)
         for lane in self._lanes.values():
             lane.advance(hi)
+        self._roll_ticks()
+
+    # -- equal-time order ----------------------------------------------------
+
+    def event_order(self, ts: np.ndarray, cl: np.ndarray) -> np.ndarray:
+        """Permutation merging per-client blocks of arrivals (each
+        ascending, concatenated) into the engine's event order."""
+        order = np.argsort(ts, kind="stable")
+        fix = self.tie_order(ts[order], cl[order])
+        return order if fix is None else order[fix]
+
+    def fires_first(self, c: int, d: int, t: float) -> bool:
+        """Whether client ``c``'s tick at ``t`` fires before client ``d``'s,
+        both fired by the current take, in the event lanes' order.
+
+        The engine breaks equal-time ties by scheduling order, and a client
+        schedules each tick from its previous one (an idle tick re-arms at
+        the next segment start; the first tick is scheduled at
+        construction).  So of two ticks at ``t`` the one whose previous tick
+        fired earlier goes first, recursively: walk both chains back to the
+        latest instant at which they differ, or to the ticks fired before
+        this take, ordered by ``(_last, _rank)``.
+        """
+        a = self.clients_by_code[c]
+        b = self.clients_by_code[d]
+        fa, fb = a._fired, b._fired
+        i = int(np.searchsorted(fa, t))
+        j = int(np.searchsorted(fb, t))
+        m = min(i, j)
+        if m:
+            pa, pb = fa[i - m:i], fb[j - m:j]
+            diff = np.flatnonzero(pa != pb)
+            if diff.shape[0]:
+                k = int(diff[-1])
+                return bool(pa[k] < pb[k])
+        if i != j:
+            # One chain reaches a tick fired before this take, older than
+            # any tick of the other chain's that it is compared with.
+            return i < j
+        if a._last != b._last:
+            return a._last < b._last
+        return a._rank < b._rank
+
+    def tie_order(
+        self, ts: np.ndarray, cl: np.ndarray,
+        src: Optional[np.ndarray] = None, tick: Optional[np.ndarray] = None,
+    ) -> Optional[np.ndarray]:
+        """Permutation of ``ts`` (sorted, stably) putting each run of equal
+        times in firing order, or None when no run spans two sources.
+
+        Entries of one source (``src``, default: the client code) keep
+        their relative order.  Two clients' ticks are ordered by
+        :meth:`fires_first`; an entry that is not its client's tick
+        (``tick`` False: an L4 release) falls back to client-code order.
+        """
+        same = ts[1:] == ts[:-1]
+        if not same.any():
+            return None
+        if src is None:
+            src = cl
+        perm = np.arange(ts.shape[0])
+        changed = False
+        for lo, hi in _runs(np.flatnonzero(same).tolist()):
+            if not bool(np.any(src[lo:hi + 1] != src[lo])):
+                continue
+            t = float(ts[lo])
+
+            def before(x: int, y: int, t: float = t) -> int:
+                if src[x] == src[y]:
+                    return x - y
+                if tick is None or (tick[x] and tick[y]):
+                    return -1 if self.fires_first(int(cl[x]), int(cl[y]), t) else 1
+                return int(cl[x] - cl[y]) or x - y
+
+            run = sorted(range(lo, hi + 1), key=cmp_to_key(before))
+            perm[lo:hi + 1] = run
+            changed = True
+        return perm if changed else None
+
+    def _roll_ticks(self) -> None:
+        """Carry each client's firing-order state past this window: its last
+        fired tick, and its rank among the clients whose last tick fired at
+        the same instant."""
+        tied: Dict[float, List[ColumnarClient]] = {}
+        for cli in self.clients_by_code:
+            if cli._fired.shape[0]:
+                tied.setdefault(float(cli._fired[-1]), []).append(cli)
+        # Groups are disjoint, and fires_first reads only the state of the
+        # two clients it compares, so each group can be ranked and rolled
+        # in turn.
+        for t, group in tied.items():
+            if len(group) > 1:
+                group.sort(key=cmp_to_key(
+                    lambda x, y, t=t:
+                        -1 if self.fires_first(x._code, y._code, t) else 1))
+            for r, cli in enumerate(group):
+                cli._last, cli._rank, cli._fired = t, r, _EMPTY

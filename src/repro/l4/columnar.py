@@ -181,7 +181,7 @@ class _L4Group:
             else:
                 costs = np.ones(total)
             if len(parts) > 1:
-                order = np.argsort(ts, kind="stable")
+                order = engine.event_order(ts, cl)
                 ts = ts[order]
                 cl = cl[order]
                 costs = costs[order]

@@ -4,15 +4,20 @@ The three-lane digest parity lives in
 ``tests/integration/test_columnar_lane_ab.py``; this file pins what the
 digests do not: the one property ``ColumnarClient.take_until`` promises on
 its own (the window boundaries it is called with, the refill block size and
-the length of the gap prefix it scans are all unobservable), and the
-response-time statistics, which no digest hashes.
+the length of the gap prefix it scans are all unobservable), the
+response-time statistics, which no digest hashes, and the server drain
+against the scalar recurrence it replaces, bit for bit.
 """
+
+import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import repro.cluster.columnar as columnar
 from repro.cluster.client import START_SKEW
-from repro.cluster.columnar import ColumnarClient
+from repro.cluster.columnar import ColumnarClient, _ServerLane
 
 RATE = 100.0
 WINDOW = 0.1
@@ -108,3 +113,181 @@ def test_response_stats_match_the_slotted_lane():
         assert (col.mean, col.variance) == (ref.mean, ref.variance), name
         assert (col.min, col.max) == (ref.min, ref.max), name
         assert col.samples == ref.samples, name
+
+
+# -- the server drain ------------------------------------------------------
+
+
+def _scalar_drain(ts, sv, f_prev):
+    """The FIFO server recurrence as the drain ran it before it was
+    vectorised, kept verbatim as the oracle."""
+    n = ts.shape[0]
+    tl = ts.tolist()
+    svl = sv.tolist()
+    starts = []
+    fins = []
+    f = f_prev
+    ap_s = starts.append
+    ap_f = fins.append
+    for i in range(n):
+        a = tl[i]
+        s0 = a if a > f else f
+        ap_s(s0)
+        f = s0 + svl[i]
+        ap_f(f)
+    return np.asarray(fins), np.asarray(starts)
+
+
+# How each arrival is placed relative to the request before it (a_prev) and
+# the exact completion time of everything before it (f):
+#   idle   after the server drained: max(a_prev, f) + 0.1 to 3 services
+#   busy   a_prev + 0 to 0.9 services (usually still queued)
+#   tie    exactly f, the scalar loop's `a > f` boundary
+#   below  1-4 ulps before f
+#   above  1-4 ulps after f
+KINDS = ("idle", "busy", "tie", "below", "above")
+
+
+def _place(kind, a_prev, f, s, u):
+    if kind == "idle":
+        return max(a_prev, f) + (0.1 + 2.9 * u) * s
+    if kind == "busy":
+        return a_prev + 0.9 * u * s
+    a = f
+    step = -np.inf if kind == "below" else np.inf
+    for _ in range(0 if kind == "tie" else 1 + int(4 * u)):
+        a = np.nextafter(a, step)
+    return max(a_prev, float(a))
+
+
+@st.composite
+def batches(draw):
+    """(arrival times, costs or None, capacity, free_at): runs of one
+    placement kind each, long enough to build busy periods past the
+    lock-step depth, at offsets where sums round."""
+    capacity = draw(st.sampled_from([1.0, 3.0, 7.0, 320.0, 32_000.0]))
+    offset = draw(st.sampled_from([0.0, 0.1, 1234.5678, 1e6 + 0.1]))
+    runs = draw(st.lists(
+        st.tuples(st.sampled_from(KINDS), st.integers(1, 40)),
+        min_size=1, max_size=10))
+    n = sum(m for _, m in runs)
+    unit = draw(st.booleans())
+    costs = None if unit else np.asarray(
+        draw(st.lists(st.integers(1, 8), min_size=n, max_size=n)), dtype=float)
+    sv = np.full(n, 1.0 / capacity) if costs is None else costs / capacity
+    # free_at: none yet, behind the first arrival, or ahead of it by up to
+    # a few hundred services (a saturated start).
+    lag = draw(st.sampled_from([None, -5.0, -0.5, 0.0, 0.5, 5.0, 300.0]))
+    free_at = -np.inf if lag is None else offset + lag * float(sv[0])
+    u = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random(n)
+    ts = np.empty(n)
+    a_prev, f, i = offset, free_at, 0
+    for kind, m in runs:
+        for _ in range(m):
+            a = _place(kind, a_prev, f, float(sv[i]), float(u[i]))
+            ts[i] = a_prev = a
+            f = (a if a > f else f) + float(sv[i])
+            i += 1
+    return ts, costs, capacity, free_at
+
+
+def _lane(capacity, free_at):
+    lane = _ServerLane(None, types.SimpleNamespace(name="S", capacity=capacity))
+    lane.free_at = free_at
+    return lane
+
+
+def _drain_all(lane, ts, costs, cuts=()):
+    codes = np.zeros(ts.shape[0], dtype=np.int64)
+    bounds = [0, *cuts, ts.shape[0]]
+    for lo, hi in zip(bounds, bounds[1:]):
+        if hi > lo:
+            lane._drain(ts[lo:hi], None if costs is None else costs[lo:hi],
+                        ts[lo:hi], codes[lo:hi], codes[lo:hi])
+
+
+def _assert_scalar_exact(ts, costs, capacity, free_at, cuts=()):
+    lane = _lane(capacity, free_at)
+    _drain_all(lane, ts, costs, cuts)
+    sv = (np.full(ts.shape[0], 1.0 / capacity) if costs is None
+          else costs / capacity)
+    F, S = _scalar_drain(ts, sv, free_at)
+    assert lane._pf.tobytes() == F.tobytes()
+    assert lane._ps.tobytes() == S.tobytes()
+    assert lane.free_at.hex() == float(F[-1]).hex()
+
+
+@given(batches(), st.integers(0, 400))
+@settings(max_examples=300, deadline=None)
+def test_drain_equals_scalar_recurrence(batch, cut):
+    ts, costs, capacity, free_at = batch
+    _assert_scalar_exact(ts, costs, capacity, free_at)
+    # Split in two drains: free_at carries the recurrence across them.
+    _assert_scalar_exact(ts, costs, capacity, free_at,
+                         cuts=(min(cut, ts.shape[0]),))
+
+
+def _batch(kinds, capacity=3.0, offset=1e6 + 0.1, free_at=-np.inf, seed=0):
+    """A deterministic batch from ``(kind, count)`` runs (see KINDS)."""
+    n = sum(m for _, m in kinds)
+    costs = np.random.default_rng(seed).integers(1, 9, n).astype(float)
+    u = np.random.default_rng(seed + 1).random(n)
+    ts = np.empty(n)
+    a_prev, f, i = offset, free_at, 0
+    for kind, m in kinds:
+        for _ in range(m):
+            s = costs[i] / capacity
+            ts[i] = a_prev = _place(kind, a_prev, f, s, float(u[i]))
+            f = (ts[i] if ts[i] > f else f) + s
+            i += 1
+    return ts, costs
+
+
+@pytest.mark.parametrize("kinds,free_lag,path", [
+    ([("idle", 100)], -1.0, "idle"),
+    ([("busy", 100)], 500.0, "saturated"),
+    ([("idle", 3), ("busy", 20)] * 5, 0.0, "busy"),
+    ([("busy", 60), ("tie", 10), ("idle", 2), ("busy", 30)], 2.0, "busy"),
+    ([("idle", 10), ("busy", 30)], 0.0, "scalar"),  # mixed, < _BUSY_MIN
+], ids=["idle", "saturated", "mixed", "mixed-ties-ahead", "mixed-small"])
+def test_drain_paths_are_exact(kinds, free_lag, path, monkeypatch):
+    passes = []
+    busy_pass = columnar._busy_pass
+
+    def spy(a, s, f):
+        passes.append(a.shape[0])
+        return busy_pass(a, s, f)
+
+    monkeypatch.setattr(columnar, "_busy_pass", spy)
+    offset = 1e6 + 0.1
+    ts, costs = _batch(kinds, offset=offset, free_at=offset + free_lag)
+    _assert_scalar_exact(ts, costs, 3.0, offset + free_lag)
+    assert bool(passes) == (path == "busy")
+    if path == "busy":
+        # The batch holds busy periods longer than the lock-step replays.
+        F, _ = _scalar_drain(ts, costs / 3.0, offset + free_lag)
+        starts = np.flatnonzero(ts >= np.concatenate(([offset + free_lag], F[:-1])))
+        assert np.diff(np.append(starts, ts.shape[0])).max() > columnar._LOCKSTEP + 1
+
+
+def test_busy_pass_restarts_where_its_guess_fails(monkeypatch):
+    # One long busy period at an offset where the max-plus guess and the
+    # sequential adds round apart; request 70 arrives a few ulps either side
+    # of the exact completion before it, so for some of these the guess
+    # misplaces a busy-period start and the drain must restart from the
+    # last exact value.
+    restarts = []
+    busy_pass = columnar._busy_pass
+
+    def spy(a, s, f):
+        F, S, k = busy_pass(a, s, f)
+        if k < a.shape[0]:
+            restarts.append(k)
+        return F, S, k
+
+    monkeypatch.setattr(columnar, "_busy_pass", spy)
+    for kind in ("tie", "below", "above"):
+        for seed in range(6):
+            ts, costs = _batch([("busy", 70), (kind, 1), ("busy", 29)], seed=seed)
+            _assert_scalar_exact(ts, costs, 3.0, -np.inf)
+    assert restarts and set(restarts) == {70}

@@ -14,6 +14,9 @@ made ``lane=`` the only execution selector (fig9/10, fault matrix, fig1).
 
 fig6, fig9 and fig10 have run on the columnar lane by default since the
 commit that let it park refused requests; their constants did not move.
+At paper scale no server batch reaches the columnar drain's busy-period
+pass, so ``PINNED_COLUMNAR_LOAD`` pins the benchmark's 100x columnar world,
+where mixed batches of thousands of requests do, on both lanes.
 
 The sharded lane was pinned at the parent of the commit that made the
 shared-memory plane its only boundary transport: ``shards=1``, ``shards=4``
@@ -23,11 +26,14 @@ land on the digests the inline path produced there.
 
 import pytest
 
+import repro.cluster.columnar as columnar
 import repro.experiments.figures as figures
 from repro.analysis.replay import (
     admission_digest, chaos_replay, scenario_digest,
 )
+from repro.core.agreements import Agreement, AgreementGraph
 from repro.experiments.faultmatrix import run_crash_recovery_matrix
+from repro.experiments.harness import Scenario
 from repro.experiments.sharded import run_sharded
 
 PINNED = {
@@ -84,6 +90,16 @@ PINNED_SHARDED_LOAD = {
         "c8c7ea366d8c23227444ac162325761695cc085c9e9cc7640bdc46c9d20c0d27",
         "2ee6c016d6bf505bda6f311136dd0618a94391ed80294488bee497909000efb3",
     ),
+}
+
+# seed -> scenario_digest of the benchmark's columnar world (fig6 x100:
+# capacity 32k, A one 27k client, B one 13.5k client, jitter 0.4, no retry
+# pool) at T = 0.5.  Its server drains batches of up to ~3.6k requests, so
+# mixed busy/idle batches take the busy-period drain rather than the scalar
+# loop.  Captured before that drain existed; both lanes must land on them.
+PINNED_COLUMNAR_LOAD = {
+    0: "a490a4dcda25e96ae1d8422dba556721858860033748d08a55f13a4018da0589",
+    1: "d8b99eac1e46e5aed7cdd39a7ddce3f92a2763eef09d8ac45c4600050c1b3e9c",
 }
 
 PINNED_FAULT_MATRIX = (
@@ -168,6 +184,45 @@ def test_sharded_load_reproduces_parent_digests(figure, shards):
     assert (res.digest(), res.final_checkpoint_digest) == \
         PINNED_SHARDED_LOAD[figure]
     assert res.data_plane == ("inline" if shards == 1 else "shm")
+
+
+def _columnar_load_world(seed, lane, T=0.5):
+    g = AgreementGraph()
+    g.add_principal("S", capacity=32_000.0)
+    g.add_principal("A")
+    g.add_principal("B")
+    g.add_agreement(Agreement("S", "A", 0.2, 1.0))
+    g.add_agreement(Agreement("S", "B", 0.8, 1.0))
+    sc = Scenario(g, seed=seed, lane=lane)
+    server = sc.server("S", "S", 32_000.0)
+    r1 = sc.l7("R1", {"S": server}, n_redirectors=2)
+    r2 = sc.l7("R2", {"S": server}, n_redirectors=2)
+    sc.connect_tree(link_delay=0.005)
+    sc.client("C1", "A", r1, rate=27_000.0, windows=[(0.0, 3 * T)],
+              max_retry_pool=0, jitter=0.4)
+    sc.client("C2", "B", r2, rate=13_500.0,
+              windows=[(0.0, T), (2 * T, 3 * T)], max_retry_pool=0, jitter=0.4)
+    sc.run(3 * T)
+    return sc
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_COLUMNAR_LOAD))
+def test_columnar_load_reproduces_parent_digests(seed, monkeypatch):
+    passes = []
+    busy_pass = columnar._busy_pass
+
+    def spy(*args):
+        passes.append(args[0].shape[0])
+        return busy_pass(*args)
+
+    monkeypatch.setattr(columnar, "_busy_pass", spy)
+    col = _columnar_load_world(seed, "columnar")
+    assert (col.lane, col.lane_fallback) == ("columnar", None)
+    # Mixed batches of >= 64 requests took the busy-period drain.
+    assert len(passes) >= 3 and min(passes) >= columnar._BUSY_MIN
+    assert scenario_digest(col) == PINNED_COLUMNAR_LOAD[seed]
+    assert scenario_digest(_columnar_load_world(seed, "slotted")) == \
+        PINNED_COLUMNAR_LOAD[seed]
 
 
 def test_fault_matrix_reproduces_parent_digest():
