@@ -31,13 +31,13 @@ from repro.analysis.invariants import (
     InvariantViolation,
     check_enabled,
 )
-from repro.analysis.replay import ReplayReport, fig6_replay, scenario_digest
+from repro.analysis.replay import ReplayReport, figure_replay, scenario_digest
 
 __all__ = [
     "InvariantChecker",
     "InvariantViolation",
     "check_enabled",
     "ReplayReport",
-    "fig6_replay",
+    "figure_replay",
     "scenario_digest",
 ]

@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 __all__ = [
-    "ReplayReport", "scenario_digest", "admission_digest", "fig6_replay",
-    "chaos_replay", "l4_replay", "columnar_replay", "sharded_replay",
+    "ReplayReport", "scenario_digest", "admission_digest", "combined_digest",
+    "figure_replay", "chaos_replay", "columnar_replay", "sharded_replay",
 ]
 
 
@@ -117,46 +117,91 @@ class ReplayReport:
         return "\n".join(lines)
 
 
-def fig6_replay(
-    duration_scale: float = 0.05,
-    seed: int = 0,
-    runs: int = 2,
-    with_invariants: bool = True,
+def _figure_builder(figure: str, caller: str) -> Callable[..., Any]:
+    from repro.experiments.figures import (
+        fig6_scenario, fig9_scenario, fig10_scenario,
+    )
+
+    builders = {
+        "fig6": fig6_scenario, "fig9": fig9_scenario, "fig10": fig10_scenario,
+    }
+    if figure not in builders:
+        raise ValueError(f"{caller} supports {sorted(builders)}, not {figure!r}")
+    return builders[figure]
+
+
+def combined_digest(sc: Any) -> Tuple[str, Dict[str, str]]:
+    """SHA-256 over :func:`scenario_digest` and the :func:`admission_digest`
+    of every L7 redirector and L4 daemon (sorted by name); also returns
+    the per-owner admission digests."""
+    h = hashlib.sha256()
+    h.update(scenario_digest(sc).encode("ascii"))
+    admissions: Dict[str, str] = {}
+    for owners in (sc.l7_redirectors, sc.l4_daemons):
+        for name in sorted(owners):
+            adm = admissions[name] = admission_digest(owners[name])
+            h.update(adm.encode("ascii"))
+    return h.hexdigest(), admissions
+
+
+def _replay(
+    scenario: str,
+    build: Callable[[bool], Any],
+    digest: Callable[[Any], str],
+    runs: int,
+    with_invariants: bool,
+    meta: Dict[str, Any],
 ) -> ReplayReport:
-    """Run the fig6 scenario ``runs`` times (plus one checked run) and diff.
-
-    fig6 exercises the full stack the determinism contract covers: RNG
-    workload streams, the event kernel, two L7 redirectors, the combining
-    tree, and the window LP — which is why CI replays it rather than a
-    toy scenario.
-    """
-    from repro.experiments.figures import fig6_scenario
-
+    """Run ``build(check_invariants)`` ``runs`` times plus, optionally, once
+    with the invariant checker on, and report every run's ``digest``."""
     if runs < 2 and not with_invariants:
         raise ValueError("need at least two runs to compare digests")
     digests: List[str] = []
     labels: List[str] = []
     for i in range(max(1, runs)):
-        sc, _ = fig6_scenario(
-            duration_scale=duration_scale, seed=seed, check_invariants=False,
-        )
-        digests.append(scenario_digest(sc))
+        digests.append(digest(build(False)))
         labels.append(f"run {i + 1}")
     checker_summary: Optional[Dict[str, int]] = None
     if with_invariants:
-        sc, _ = fig6_scenario(
-            duration_scale=duration_scale, seed=seed, check_invariants=True,
-        )
-        digests.append(scenario_digest(sc))
+        sc = build(True)
+        digests.append(digest(sc))
         labels.append("run +check")
         assert sc.invariants is not None
         checker_summary = sc.invariants.summary()
     return ReplayReport(
-        scenario="fig6",
+        scenario=scenario,
         digests=digests,
         labels=labels,
         checker_summary=checker_summary,
-        meta={"duration_scale": duration_scale, "seed": seed},
+        meta=meta,
+    )
+
+
+def figure_replay(
+    figure: str = "fig6",
+    duration_scale: float = 0.05,
+    seed: int = 0,
+    runs: int = 2,
+    with_invariants: bool = True,
+) -> ReplayReport:
+    """Run fig6, fig9 or fig10 ``runs`` times (plus one checked run) and diff.
+
+    fig6 exercises the full L7 stack the determinism contract covers: RNG
+    workload streams, the event kernel, two L7 redirectors, the combining
+    tree and the window LP; fig9 and fig10 put the L4 switch and its
+    daemon in the loop.  Every run is on the slotted oracle lane, and
+    each digest is :func:`combined_digest`: the full scenario digest plus
+    every redirector's and daemon's per-window admitted/refused traces.
+    """
+    build = _figure_builder(figure, "figure_replay")
+    return _replay(
+        figure,
+        lambda check: build(
+            duration_scale=duration_scale, seed=seed, check_invariants=check,
+        )[0],
+        lambda sc: combined_digest(sc)[0],
+        runs, with_invariants,
+        {"duration_scale": duration_scale, "seed": seed},
     )
 
 
@@ -169,109 +214,27 @@ def chaos_replay(
 ) -> ReplayReport:
     """Replay the *faulted* fault-matrix scenario and diff digests.
 
-    Same contract as :func:`fig6_replay`, but every run injects the fault
+    Same contract as :func:`figure_replay`, but every run injects the fault
     plan (the canonical coordination partition when ``plan`` is None):
     failure detection, eviction, tree reconfiguration, conservative
     fallback, heal and rejoin must all land on identical event sequences —
     fault handling is part of the determinism envelope, not an exception
-    to it.
+    to it.  Each digest is :func:`scenario_digest`.
     """
     from repro.experiments.faultmatrix import fault_matrix_scenario
 
-    if runs < 2 and not with_invariants:
-        raise ValueError("need at least two runs to compare digests")
-    digests: List[str] = []
-    labels: List[str] = []
-    plan_digest = ""
-    for i in range(max(1, runs)):
+    meta: Dict[str, Any] = {"duration_scale": duration_scale, "seed": seed}
+
+    def build(check: bool) -> Any:
         sc, injector, _ = fault_matrix_scenario(
             duration_scale=duration_scale, seed=seed,
-            check_invariants=False, plan=plan,
+            check_invariants=check, plan=plan,
         )
-        plan_digest = injector.plan.digest()
-        digests.append(scenario_digest(sc))
-        labels.append(f"run {i + 1}")
-    checker_summary: Optional[Dict[str, int]] = None
-    if with_invariants:
-        sc, injector, _ = fault_matrix_scenario(
-            duration_scale=duration_scale, seed=seed,
-            check_invariants=True, plan=plan,
-        )
-        digests.append(scenario_digest(sc))
-        labels.append("run +check")
-        assert sc.invariants is not None
-        checker_summary = sc.invariants.summary()
-    return ReplayReport(
-        scenario="faultmatrix",
-        digests=digests,
-        labels=labels,
-        checker_summary=checker_summary,
-        meta={"duration_scale": duration_scale, "seed": seed,
-              "plan_digest": plan_digest},
-    )
-
-
-def l4_replay(
-    figure: str = "fig9",
-    duration_scale: float = 0.05,
-    seed: int = 0,
-    runs: int = 2,
-    with_invariants: bool = True,
-) -> ReplayReport:
-    """Replay an L4 figure on the *slotted* and *scalar* lanes and diff.
-
-    Unlike :func:`fig6_replay` (same code path, repeated), this harness
-    compares two different data-path implementations: the flow-record
-    switch (``lane="slotted"``) against the per-packet reference path
-    (``lane="scalar"``).  Each run's digest combines
-    the full scenario digest with the daemon's per-window admitted-rate
-    trace digest, so the report is IDENTICAL only when both lanes produce
-    bit-identical observable behaviour — the PR's acceptance contract.
-    """
-    from repro.experiments.figures import fig9_scenario, fig10_scenario
-
-    if figure == "fig9":
-        build = fig9_scenario
-    elif figure == "fig10":
-        build = fig10_scenario
-    else:
-        raise ValueError(f"l4_replay supports fig9/fig10, not {figure!r}")
-    digests: List[str] = []
-    labels: List[str] = []
-    adm_digests: Dict[str, str] = {}
-
-    def one(lane: str, check: bool, label: str) -> Any:
-        sc, _ = build(
-            duration_scale=duration_scale, seed=seed,
-            check_invariants=check, lane=lane,
-        )
-        daemon = sc.l4_daemons["SW"]
-        full = scenario_digest(sc)
-        adm = admission_digest(daemon)
-        adm_digests[label] = adm
-        combined = hashlib.sha256()
-        combined.update(full.encode("ascii"))
-        combined.update(adm.encode("ascii"))
-        digests.append(combined.hexdigest())
-        labels.append(label)
+        meta["plan_digest"] = injector.plan.digest()
         return sc
 
-    for i in range(max(1, runs - 1)):
-        one("slotted", False, f"slotted {i + 1}")
-    one("scalar", False, "scalar")
-    checker_summary: Optional[Dict[str, int]] = None
-    if with_invariants:
-        sc = one("slotted", True, "slotted +check")
-        assert sc.invariants is not None
-        checker_summary = sc.invariants.summary()
-    return ReplayReport(
-        scenario=figure,
-        digests=digests,
-        labels=labels,
-        checker_summary=checker_summary,
-        meta={"duration_scale": duration_scale, "seed": seed,
-              "admission_digests": dict(adm_digests)},
-    )
+    return _replay("faultmatrix", build, scenario_digest, runs,
+                   with_invariants, meta)
 
 
 def columnar_replay(
@@ -279,40 +242,21 @@ def columnar_replay(
     duration_scale: float = 0.05,
     seed: int = 0,
 ) -> ReplayReport:
-    """Run one figure on every lane that executes different code for it and
-    diff their combined digests: scalar, slotted and columnar for fig9 /
-    fig10; slotted and columnar for fig6, which has no L4 switch for
-    ``"scalar"`` to change.
+    """Run one figure on the slotted and columnar lanes and diff their
+    :func:`combined_digest`.
 
-    Every lane runs the figure's own world — retry pools on, refused
-    requests parked at the redirector and re-offered at each install — and
-    each digest combines the full scenario digest with the per-window
-    admitted/refused trace digests (L7 redirectors' admission meters for
-    fig6, the L4 daemon's for fig9/fig10).  IDENTICAL means the columnar
-    lane, which ``run_fig6`` / ``run_fig9`` / ``run_fig10`` use by default,
-    reproduces the slotted oracle bit-for-bit.
+    Both lanes run the figure's own world — retry pools on, refused
+    requests parked at the redirector and re-offered at each install.
+    IDENTICAL means the columnar lane, which ``run_fig6`` / ``run_fig9`` /
+    ``run_fig10`` use by default, reproduces the slotted oracle
+    bit-for-bit.
     """
-    from repro.experiments.figures import (
-        fig6_scenario, fig9_scenario, fig10_scenario,
-    )
-
-    builders = {
-        "fig6": fig6_scenario, "fig9": fig9_scenario, "fig10": fig10_scenario,
-    }
-    build = builders.get(figure)
-    if build is None:
-        raise ValueError(
-            f"columnar_replay supports {sorted(builders)}, not {figure!r}"
-        )
+    build = _figure_builder(figure, "columnar_replay")
     digests: List[str] = []
     labels: List[str] = []
     adm_digests: Dict[str, str] = {}
     meta: Dict[str, Any] = {"duration_scale": duration_scale, "seed": seed}
-    lanes = (
-        ("slotted", "columnar") if figure == "fig6"
-        else ("scalar", "slotted", "columnar")
-    )
-    for lane in lanes:
+    for lane in ("slotted", "columnar"):
         sc, _ = build(
             duration_scale=duration_scale, seed=seed,
             check_invariants=False, lane=lane,
@@ -322,14 +266,10 @@ def columnar_replay(
             meta["columnar_requests"] = (
                 sc.columnar.requests if sc.columnar is not None else 0
             )
-        combined = hashlib.sha256()
-        combined.update(scenario_digest(sc).encode("ascii"))
-        for owners in (sc.l7_redirectors, sc.l4_daemons):
-            for name in sorted(owners):
-                adm = admission_digest(owners[name])
-                adm_digests[f"{lane}:{name}"] = adm
-                combined.update(adm.encode("ascii"))
-        digests.append(combined.hexdigest())
+        digest, admissions = combined_digest(sc)
+        for name, adm in admissions.items():
+            adm_digests[f"{lane}:{name}"] = adm
+        digests.append(digest)
         labels.append(lane)
     meta["admission_digests"] = adm_digests
     return ReplayReport(

@@ -3,7 +3,7 @@
 ::
 
     python -m repro figures [--scale 0.3] [--seed 0] [--only fig6,fig9]
-                            [--lane columnar|slotted|scalar]
+                            [--lane columnar|slotted]
     python -m repro report  [--scale 0.5] [-o EXPERIMENTS.md]
     python -m repro inspect A:1000 B:1500 C A-B:0.4:0.6 B-C:0.6:1.0
     python -m repro baseline [--duration 20]
@@ -15,9 +15,8 @@
 an agreement graph given on the command line; ``baseline`` compares
 coordinated enforcement against a WRR front end; ``check`` replays one
 or more scenarios and compares trace digests, with
-the runtime invariant checker on the final run — for fig9/fig10 it also
-diffs the scalar, slotted and columnar lanes against each other (slotted
-and columnar for fig6, which has no L4 switch for ``scalar`` to change), and
+the runtime invariant checker on the final run — for fig6/fig9/fig10 it
+also diffs the columnar lane against the slotted oracle — and
 ``check --shards N`` instead proves the sharded lane's window-epoch
 barrier parity (``shards=1`` vs ``shards=N`` digests on fig6/fig9; a
 ``shards=N`` run that fell back inline for want of shared memory reads
@@ -66,14 +65,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("--plot", action="store_true",
                        help="render each figure's rate series as a terminal chart")
     p_fig.add_argument("--lane", type=str, default=None,
-                       choices=["scalar", "slotted", "columnar"],
+                       choices=["slotted", "columnar"],
                        help="execution lane for fig6/fig9/fig10: columnar "
                             "(the default; whole windows advanced as numpy "
-                            "columns), slotted (one event per request, the "
-                            "oracle repro check diffs against) or scalar "
-                            "(fig9/fig10's L4 switch on its per-packet "
-                            "reference path).  All three produce "
-                            "bit-identical traces; not with --shards")
+                            "columns) or slotted (one event per request, the "
+                            "oracle repro check diffs against).  Both "
+                            "produce bit-identical traces; not with --shards")
     p_fig.add_argument("--shards", type=int, default=0, metavar="R",
                        help="run fig6/fig9 on the sharded lane with R "
                             "worker processes synchronised at window-epoch "
@@ -114,12 +111,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_chk.add_argument("--scenario", type=str, action="append", default=None,
                        choices=["fig6", "faultmatrix", "fig9", "fig10"],
                        help="scenario to replay; repeatable (default: fig6). "
-                            "fig6 covers the full stack; faultmatrix adds "
-                            "fault injection, failure detection and tree "
-                            "healing; fig9/fig10 diff the slotted lane "
-                            "against the scalar per-packet path; the figure "
-                            "scenarios also diff every lane against the "
-                            "slotted oracle")
+                            "fig6 covers the full stack, fig9/fig10 the L4 "
+                            "switch; faultmatrix adds fault injection, "
+                            "failure detection and tree healing; the figure "
+                            "scenarios also diff the columnar lane against "
+                            "the slotted oracle")
     p_chk.add_argument("--scale", type=float, default=0.05,
                        help="phase-duration scale for each replay run")
     p_chk.add_argument("--seed", type=int, default=0)
@@ -308,10 +304,8 @@ def _cmd_baseline(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    from functools import partial
-
     from repro.analysis.replay import (
-        chaos_replay, columnar_replay, fig6_replay, l4_replay, sharded_replay,
+        chaos_replay, columnar_replay, figure_replay, sharded_replay,
     )
 
     scenarios = args.scenario or ["fig6"]
@@ -331,28 +325,22 @@ def _cmd_check(args) -> int:
             print(report.render())
             failures += 0 if report.ok else 1
         return 1 if failures else 0
+    replay_args = dict(
+        duration_scale=args.scale, seed=args.seed, runs=args.runs,
+        with_invariants=args.check_invariants,
+    )
     for scenario in scenarios:
-        if scenario == "fig6":
-            replay = fig6_replay
-        elif scenario == "faultmatrix":
-            replay = chaos_replay
+        if scenario == "faultmatrix":
+            reports = [chaos_replay(**replay_args)]
         else:
-            # fig9/fig10: slotted-vs-scalar L4 lane parity, not just replay.
-            replay = partial(l4_replay, figure=scenario)
-        report = replay(
-            duration_scale=args.scale,
-            seed=args.seed,
-            runs=args.runs,
-            with_invariants=args.check_invariants,
-        )
-        print(report.render())
-        failures += 0 if report.ok else 1
-        if scenario != "faultmatrix":
-            three = columnar_replay(
-                figure=scenario, duration_scale=args.scale, seed=args.seed,
-            )
-            print(three.render())
-            failures += 0 if three.ok else 1
+            reports = [
+                figure_replay(scenario, **replay_args),
+                columnar_replay(figure=scenario, duration_scale=args.scale,
+                                seed=args.seed),
+            ]
+        for report in reports:
+            print(report.render())
+            failures += 0 if report.ok else 1
     return 1 if failures else 0
 
 

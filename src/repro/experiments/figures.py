@@ -467,11 +467,11 @@ def fig9_scenario(
 ) -> Tuple[Scenario, float]:
     """Build and run the fig9 world; returns ``(scenario, phase_length)``.
 
-    Shared between :func:`run_fig9` and the L4 lane-parity replay harness
-    (:func:`repro.analysis.replay.l4_replay`), which runs *this exact
-    scenario* once per lane and diffs the per-window admitted-rate trace
-    digests — ``lane="slotted"`` must be bit-identical to the per-packet
-    ``lane="scalar"`` switch path, and ``lane="columnar"`` to both.
+    Shared between :func:`run_fig9` and the replay harness
+    (:mod:`repro.analysis.replay`), which replays *this exact scenario*
+    and diffs the per-window admitted-rate trace digests across runs and
+    across lanes — ``lane="columnar"`` must be bit-identical to
+    ``lane="slotted"``.
     """
     T = 100.0 * duration_scale
     g = AgreementGraph()
@@ -524,8 +524,8 @@ def fig10_scenario(
 ) -> Tuple[Scenario, float]:
     """Build and run the fig10 world; returns ``(scenario, phase_length)``.
 
-    Shared between :func:`run_fig10` and the L4 lane-parity replay
-    harness, like :func:`fig9_scenario` (provider/price mode variant —
+    Shared between :func:`run_fig10` and the replay harness, like
+    :func:`fig9_scenario` (provider/price mode variant —
     the columnar lane replays admission against the live switch, so the
     provider's price-ordered picks are exercised identically).
     """

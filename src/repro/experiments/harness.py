@@ -103,17 +103,12 @@ class Scenario:
         self.graph = graph
         self.access: AccessLevels = compute_access_levels(graph)
         self.window = window
-        # The one execution selector.  "slotted" = per-request events, L4
-        # switches on flow records + arena tables; "scalar" = the same
-        # events with every L4 switch on its per-packet TcpPacket /
-        # NatTable / ConnTracker path (the paper's §4.2 packet model and
-        # the bit-exact reference; identical to "slotted" in a world
-        # without an L4 switch); "columnar" = struct-of-arrays bulk advance
-        # with one pump event per window (open-loop clients, refusals
-        # parked at the redirector as in the event lanes; unsupported
-        # features fall back to "slotted" and record why in
-        # ``lane_fallback``).
-        if lane not in ("scalar", "slotted", "columnar"):
+        # The one execution selector.  "slotted" = per-request events;
+        # "columnar" = struct-of-arrays bulk advance with one pump event
+        # per window (open-loop clients, refusals parked at the redirector
+        # as in the event lanes; unsupported features fall back to
+        # "slotted" and record why in ``lane_fallback``).
+        if lane not in ("slotted", "columnar"):
             raise ValueError(f"unknown lane {lane!r}")
         self.lane: str = lane
         self.lane_fallback: Optional[str] = None
@@ -262,8 +257,7 @@ class Scenario:
             self.lane_fallback = "health-checked L4 pools need per-flow events"
         switch_cls = ColumnarL4Switch if self.lane == "columnar" else L4Switch
         switch = switch_cls(
-            self.sim, name, self.access.names, servers, window=self.window,
-            fast_lane=self.lane != "scalar", **kw,
+            self.sim, name, self.access.names, servers, window=self.window, **kw,
         )
         daemon = L4Daemon(
             self.sim, f"{name}-daemon", switch, self.access, window=self.window,

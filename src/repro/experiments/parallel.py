@@ -118,8 +118,7 @@ def figure_kwargs(
     :func:`scenario_seed`-derived stream; the default reuses ``seed``
     verbatim, matching a serial ``for name: run_figN(seed=seed)`` loop.
     ``lane`` only reaches the figures whose entry point selects a lane
-    (fig6/fig9/fig10, and for fig9/fig10 the per-packet ``"scalar"``
-    switch path); ``None`` leaves them on their default, columnar.
+    (fig6/fig9/fig10); ``None`` leaves them on their default, columnar.
     ``shards`` only reaches the figures with a sharded world (fig6/fig9).
     """
     s = scenario_seed(seed, name) if partition_seeds else seed

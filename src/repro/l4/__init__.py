@@ -2,9 +2,10 @@
 
 A model of the paper's Linux Virtual Server-based prototype:
 
-- :mod:`repro.l4.packets` — TCP packet records (SYN/ACK/FIN flags, 4-tuple).
-- :mod:`repro.l4.nat` — the NAT rewrite table (destination rewriting on the
-  way in, source rewriting on the way out).
+- :mod:`repro.l4.packets` — flow records: one object per connection
+  (4-tuple, request, chosen server) instead of per-segment packets.
+- :mod:`repro.l4.nat` — the NAT rewrite table (client 4-tuple -> chosen
+  server).
 - :mod:`repro.l4.conntrack` — connection tracking: subsequent packets of an
   admitted connection follow the SYN's server choice, and client machines
   keep *affinity* to servers to the extent agreements allow (supports
@@ -15,15 +16,13 @@ A model of the paper's Linux Virtual Server-based prototype:
   solves the window LP (via the shared allocator), installs allocations.
 """
 
-from repro.l4.conntrack import ArenaConnTracker, ConnTracker
+from repro.l4.conntrack import ArenaConnTracker
 from repro.l4.daemon import L4Daemon
-from repro.l4.nat import ArenaNatTable, NatTable
-from repro.l4.packets import FlowRecord, TcpFlags, TcpPacket
+from repro.l4.nat import ArenaNatTable
+from repro.l4.packets import FlowRecord
 from repro.l4.switch import L4Switch, PortSpaceExhausted
 
 __all__ = [
-    "TcpPacket", "TcpFlags", "FlowRecord",
-    "NatTable", "ArenaNatTable",
-    "ConnTracker", "ArenaConnTracker",
+    "FlowRecord", "ArenaNatTable", "ArenaConnTracker",
     "L4Switch", "L4Daemon", "PortSpaceExhausted",
 ]

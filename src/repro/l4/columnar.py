@@ -3,7 +3,7 @@
 :class:`ColumnarL4Switch` keeps the real :class:`L4Switch` admission state
 — quota, per-server budgets/used/heap, EWMA demand, kernel SYN queues,
 the :class:`~repro.cluster.client.ParkedRequests` FIFOs — and replays the
-fast lane's per-flow decisions from columnar client batches inside the
+slotted lane's per-flow decisions from columnar client batches inside the
 engine pump, one Python step per *flow* but zero heap events, zero
 :class:`Request`/:class:`FlowRecord` objects and zero
 NAT/port/conntrack-ring bookkeeping on the hot path.
@@ -18,11 +18,11 @@ effect ``open_slot`` has on later decisions.
 
 Reinjection becomes data instead of events: the daemon's ``install`` still
 drains the SYN queues against next-window quota (so per-window admitted
-counts stay fixed at install time, like both other lanes), but the
-releases are recorded with their exact scalar-lane times
+counts stay fixed at install time, like the slotted lane), but the
+releases are recorded with their exact slotted-lane times
 ``now + (idx / n) * length`` and merged into the next pump's arrival
 stream.  A release at its install boundary fires *after* arrivals at that
-instant (the scalar reinjection event is scheduled at the boundary and so
+instant (the slotted reinjection pump is scheduled at the boundary and so
 carries the largest sequence number); all other releases precede
 equal-time arrivals.
 
@@ -48,10 +48,9 @@ __all__ = ["ColumnarL4Switch"]
 
 
 class ColumnarL4Switch(L4Switch):
-    """Fast-lane switch whose flow path is driven by a ColumnarEngine."""
+    """Switch whose flow path is driven by a ColumnarEngine."""
 
     def __init__(self, *args, **kwargs):
-        kwargs["fast_lane"] = True
         super().__init__(*args, **kwargs)
         self._columnar_engine = None
         # (release time, flow, at_install_boundary), ascending in time;
@@ -66,7 +65,7 @@ class ColumnarL4Switch(L4Switch):
 
     def _handle_flow(self, request, done=None):
         """``handle`` for one re-offered columnar flow (a ``_Pending``): the
-        fast lane's admission, with an admitted flow submitted to its
+        slotted lane's admission, with an admitted flow submitted to its
         server's lane at the boundary instant and affinity written
         directly; a refusal counts as a dropped SYN, as in the event lanes."""
         engine = self._columnar_engine
@@ -117,7 +116,7 @@ class ColumnarL4Switch(L4Switch):
             return
         length = self.window.length
         for idx, flow in enumerate(flows):
-            # Same float expression as both event lanes.
+            # Same float expression as the slotted lane.
             rel.append((now + (idx / n) * length, flow, idx == 0))
 
 

@@ -4,133 +4,35 @@ Two concerns from §4.2:
 
 1. *Connection affinity within a flow*: after a SYN is assigned a server,
    every subsequent packet of that connection must reach the same server
-   (handled with :class:`repro.l4.nat.NatTable` mappings keyed by 4-tuple;
-   this tracker owns their lifecycle and expiry).
+   (handled with :class:`repro.l4.nat.ArenaNatTable` mappings keyed by
+   4-tuple; this tracker owns their lifecycle and expiry).
 2. *Client-machine affinity across connections*: "our implementation
    maintains connection affinity between client machines and servers to
    the extent allowed by the sharing agreements", which makes
-   SSL-session-key reuse possible.  :meth:`ConnTracker.preferred_server`
-   remembers each (client, principal)'s last server so the switch can
-   keep routing there while the allocation still permits it.
+   SSL-session-key reuse possible.
+   :meth:`ArenaConnTracker.preferred_server` remembers each (client,
+   principal)'s last server so the switch can keep routing there while
+   the allocation still permits it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.l4.packets import FourTuple
 
-__all__ = ["ConnTracker", "ArenaConnTracker", "Connection"]
-
-
-@dataclass
-class Connection:
-    client_tuple: FourTuple
-    server: str
-    principal: str
-    created_at: float
-    last_seen: float
-    packets: int = 1
-    closed: bool = False
-
-
-class ConnTracker:
-    """Tracks live connections and per-(client, principal) server affinity."""
-
-    def __init__(self, idle_timeout: float = 60.0):
-        if idle_timeout <= 0:
-            raise ValueError("idle_timeout must be positive")
-        self.idle_timeout = float(idle_timeout)
-        self._conns: Dict[FourTuple, Connection] = {}
-        self._affinity: Dict[Tuple[str, str], str] = {}
-        # Read-only alias for hot-path membership tests (the switch's port
-        # allocator probes it directly, skipping a __contains__ frame).
-        self.live: Dict[FourTuple, Connection] = self._conns
-        self.expired = 0
-
-    def __len__(self) -> int:
-        return len(self._conns)
-
-    def __contains__(self, client_tuple: FourTuple) -> bool:
-        return client_tuple in self._conns
-
-    # -- connection lifecycle ----------------------------------------------
-
-    def open(
-        self, client_tuple: FourTuple, server: str, principal: str, now: float
-    ) -> Connection:
-        conn = Connection(
-            client_tuple=client_tuple, server=server, principal=principal,
-            created_at=now, last_seen=now,
-        )
-        self._conns[client_tuple] = conn
-        self._affinity[(client_tuple[0], principal)] = server
-        return conn
-
-    def touch(self, client_tuple: FourTuple, now: float) -> Optional[Connection]:
-        conn = self._conns.get(client_tuple)
-        if conn is not None:
-            conn.last_seen = now
-            conn.packets += 1
-        return conn
-
-    def close(self, client_tuple: FourTuple) -> Optional[Connection]:
-        """Remove a connection; returns it (or None if unknown) so callers
-        can gate companion-state teardown on whether state actually went."""
-        conn = self._conns.pop(client_tuple, None)
-        if conn is not None:
-            conn.closed = True
-        return conn
-
-    def lookup(self, client_tuple: FourTuple) -> Optional[Connection]:
-        return self._conns.get(client_tuple)
-
-    def expire(self, now: float) -> int:
-        """Drop idle connections; returns how many were expired."""
-        return len(self.expire_stale(now))
-
-    def expire_stale(self, now: float) -> List[FourTuple]:
-        """Drop idle connections and return their client tuples.
-
-        Callers owning companion tables keyed by the same tuples (the
-        switch's NAT table) must drop those entries too — conservation:
-        NAT rewrite entries stay equal to open conntrack flows.
-        """
-        stale = [
-            t for t, c in self._conns.items()
-            if now - c.last_seen > self.idle_timeout
-        ]
-        for t in stale:
-            del self._conns[t]
-        self.expired += len(stale)
-        return stale
-
-    # -- affinity -----------------------------------------------------------
-
-    def preferred_server(self, client_ip: str, principal: str) -> Optional[str]:
-        return self._affinity.get((client_ip, principal))
-
-    def forget_affinity(self, client_ip: str, principal: str) -> None:
-        self._affinity.pop((client_ip, principal), None)
+__all__ = ["ArenaConnTracker"]
 
 
 class ArenaConnTracker:
-    """Slotted :class:`ConnTracker` for the L4 fast lane.
+    """Live connections and per-(client, principal) server affinity.
 
-    Connections live in parallel slot arrays (no :class:`Connection`
-    object per flow) indexed through one ``tuple -> slot`` dict, with an
-    intrusive doubly-linked *expiry ring* threaded through the slots in
-    last-seen order.  Because simulated time is monotone and a touched
-    connection is relinked to the ring's tail, the ring head is always the
-    most idle flow — so :meth:`expire_stale` walks from the head and stops
-    at the first fresh entry: O(expired) instead of the scalar tracker's
-    O(live) full-table scan per sweep.
-
-    The public API matches :class:`ConnTracker` (``lookup``/``touch``
-    synthesize :class:`Connection` views on demand for the scalar packet
-    path and tests); the switch's flow path uses the slot operations
-    directly and never builds a view.
+    Connections live in parallel slot arrays (no object per flow) indexed
+    through one ``tuple -> slot`` dict, with an intrusive doubly-linked
+    *expiry ring* threaded through the slots in opening order.  Simulated
+    time is monotone, so the ring head is always the most idle flow and
+    :meth:`expire_stale` walks from the head and stops at the first fresh
+    entry: O(expired) instead of a scan over every live flow per sweep.
     """
 
     _NIL = -1
@@ -140,15 +42,14 @@ class ArenaConnTracker:
             raise ValueError("idle_timeout must be positive")
         self.idle_timeout = float(idle_timeout)
         self._index: Dict[FourTuple, int] = {}
-        # Read-only alias mirroring :attr:`ConnTracker.live`.
+        # Read-only alias for hot-path membership tests (the switch's port
+        # allocator probes it directly, skipping a __contains__ frame).
         self.live: Dict[FourTuple, int] = self._index
         # Parallel slot arrays; a slot on the free list holds stale values.
         self._tuples: List[Optional[FourTuple]] = []
         self._servers: List[str] = []
         self._principals: List[str] = []
-        self._created: List[float] = []
         self._last_seen: List[float] = []
-        self._packets: List[int] = []
         # Expiry ring: slot links ordered by last_seen (head = most idle).
         self._next: List[int] = []
         self._prev: List[int] = []
@@ -160,33 +61,6 @@ class ArenaConnTracker:
 
     def __len__(self) -> int:
         return len(self._index)
-
-    def __contains__(self, client_tuple: FourTuple) -> bool:
-        return client_tuple in self._index
-
-    @property
-    def _conns(self) -> Dict[FourTuple, Connection]:
-        """Dict view in ring (last-seen) order — scalar-compat for tests."""
-        out: Dict[FourTuple, Connection] = {}
-        slot = self._head
-        while slot != self._NIL:
-            tup = self._tuples[slot]
-            assert tup is not None
-            out[tup] = self._view(slot)
-            slot = self._next[slot]
-        return out
-
-    def _view(self, slot: int) -> Connection:
-        tup = self._tuples[slot]
-        assert tup is not None
-        return Connection(
-            client_tuple=tup,
-            server=self._servers[slot],
-            principal=self._principals[slot],
-            created_at=self._created[slot],
-            last_seen=self._last_seen[slot],
-            packets=self._packets[slot],
-        )
 
     # -- ring maintenance ---------------------------------------------------
 
@@ -215,24 +89,20 @@ class ArenaConnTracker:
     def open_slot(
         self, client_tuple: FourTuple, server: str, principal: str, now: float
     ) -> int:
-        """Fast-path open: record the flow, return its slot (no view)."""
+        """Record the flow and the client's affinity; return its slot."""
         free = self._free
         if free:
             slot = free.pop()
             self._tuples[slot] = client_tuple
             self._servers[slot] = server
             self._principals[slot] = principal
-            self._created[slot] = now
             self._last_seen[slot] = now
-            self._packets[slot] = 1
         else:
             slot = len(self._tuples)
             self._tuples.append(client_tuple)
             self._servers.append(server)
             self._principals.append(principal)
-            self._created.append(now)
             self._last_seen.append(now)
-            self._packets.append(1)
             self._next.append(self._NIL)
             self._prev.append(self._NIL)
         self._index[client_tuple] = slot
@@ -240,25 +110,9 @@ class ArenaConnTracker:
         self._affinity[(client_tuple[0], principal)] = server
         return slot
 
-    def open(
-        self, client_tuple: FourTuple, server: str, principal: str, now: float
-    ) -> Connection:
-        return self._view(self.open_slot(client_tuple, server, principal, now))
-
-    def touch(self, client_tuple: FourTuple, now: float) -> Optional[Connection]:
-        slot = self._index.get(client_tuple)
-        if slot is None:
-            return None
-        self._last_seen[slot] = now
-        self._packets[slot] += 1
-        # Relink at the tail: monotone `now` keeps the ring sorted.
-        self._unlink(slot)
-        self._link_tail(slot)
-        return self._view(slot)
-
     def close(self, client_tuple: FourTuple) -> bool:
-        """Remove a connection; truthy iff state was actually removed
-        (scalar-compat: :meth:`ConnTracker.close` returns the connection)."""
+        """Remove a connection; True iff state was actually removed, so
+        callers can gate companion-state teardown on it."""
         slot = self._index.pop(client_tuple, None)
         if slot is None:
             return False
@@ -267,24 +121,15 @@ class ArenaConnTracker:
         self._free.append(slot)
         return True
 
-    def lookup(self, client_tuple: FourTuple) -> Optional[Connection]:
-        slot = self._index.get(client_tuple)
-        return None if slot is None else self._view(slot)
-
-    def server_of(self, client_tuple: FourTuple) -> Optional[str]:
-        """Fast-path lookup of just the assigned server (no view build)."""
-        slot = self._index.get(client_tuple)
-        return None if slot is None else self._servers[slot]
-
-    def expire(self, now: float) -> int:
-        return len(self.expire_stale(now))
-
     def expire_stale(self, now: float) -> List[FourTuple]:
-        """Drop idle connections, walking the expiry ring from the head.
+        """Drop idle connections and return their client tuples, walking
+        the expiry ring from the head.
 
         Stops at the first fresh entry — the ring is last-seen-ordered
         (simulated time is monotone), so everything behind it is fresher.
-        Same caller contract as :meth:`ConnTracker.expire_stale`.
+        Callers owning companion tables keyed by the same tuples (the
+        switch's NAT table) must drop those entries too — conservation:
+        NAT rewrite entries stay equal to open conntrack flows.
         """
         stale: List[FourTuple] = []
         timeout = self.idle_timeout
@@ -311,6 +156,3 @@ class ArenaConnTracker:
 
     def preferred_server(self, client_ip: str, principal: str) -> Optional[str]:
         return self._affinity.get((client_ip, principal))
-
-    def forget_affinity(self, client_ip: str, principal: str) -> None:
-        self._affinity.pop((client_ip, principal), None)

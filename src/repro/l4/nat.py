@@ -3,150 +3,47 @@
 The paper's switch "rewrites the destination address and the port of the
 packet to those of the selected server, forwards the packet ..., and
 records current connection information"; responses are rewritten back so
-clients only ever see the virtual service address.  :class:`NatTable`
-implements exactly that pair of rewrites keyed on the client-side 4-tuple.
+clients only ever see the virtual service address.  :class:`ArenaNatTable`
+holds those mappings keyed on the client-side 4-tuple.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
-from repro.l4.packets import FourTuple, TcpPacket
+from repro.l4.packets import FourTuple
 
-__all__ = ["NatTable", "ArenaNatTable", "NatEntry"]
-
-
-@dataclass(frozen=True)
-class NatEntry:
-    virtual: Tuple[str, int]   # the advertised service address
-    server: Tuple[str, int]    # the chosen real server
-    created_at: float
-
-
-class NatTable:
-    """Bidirectional NAT mappings keyed by client-side 4-tuples."""
-
-    def __init__(self) -> None:
-        self._fwd: Dict[FourTuple, NatEntry] = {}
-        # Reverse index: (server_ip, server_port, client_ip, client_port)
-        # -> client-side tuple, so response rewriting is O(1).
-        self._rev: Dict[Tuple[str, int, str, int], FourTuple] = {}
-        # Read-only alias for hot-path membership tests (the switch's port
-        # allocator probes it directly, skipping a __contains__ frame).
-        self.live: Dict[FourTuple, NatEntry] = self._fwd
-        self.rewrites_in = 0
-        self.rewrites_out = 0
-
-    def __len__(self) -> int:
-        return len(self._fwd)
-
-    def __contains__(self, client_tuple: FourTuple) -> bool:
-        return client_tuple in self._fwd
-
-    def install(
-        self,
-        client_tuple: FourTuple,
-        server_ip: str,
-        server_port: int,
-        now: float,
-    ) -> NatEntry:
-        if client_tuple in self._fwd:
-            raise ValueError(f"mapping for {client_tuple} already exists")
-        entry = NatEntry(
-            virtual=(client_tuple[2], client_tuple[3]),
-            server=(server_ip, server_port),
-            created_at=now,
-        )
-        self._fwd[client_tuple] = entry
-        self._rev[(server_ip, server_port, client_tuple[0], client_tuple[1])] = client_tuple
-        return entry
-
-    def lookup(self, client_tuple: FourTuple) -> Optional[NatEntry]:
-        return self._fwd.get(client_tuple)
-
-    def remove(self, client_tuple: FourTuple) -> Optional[NatEntry]:
-        """Remove a mapping; returns it (or None) so callers can gate
-        follow-up teardown — e.g. ephemeral-port release — on whether the
-        mapping actually existed."""
-        entry = self._fwd.pop(client_tuple, None)
-        if entry is not None:
-            self._rev.pop(
-                (entry.server[0], entry.server[1], client_tuple[0], client_tuple[1]),
-                None,
-            )
-        return entry
-
-    def translate_in(self, pkt: TcpPacket) -> Optional[TcpPacket]:
-        """Client -> server rewrite; None if no mapping exists."""
-        entry = self._fwd.get(pkt.four_tuple)
-        if entry is None:
-            return None
-        self.rewrites_in += 1
-        return pkt.rewritten(*entry.server)
-
-    def translate_out(self, pkt: TcpPacket) -> Optional[TcpPacket]:
-        """Server -> client rewrite: restore the virtual source address.
-
-        ``pkt`` is addressed server -> client; the matching entry is found
-        through the reverse index on (server, client) addresses.
-        """
-        key = (pkt.src_ip, pkt.src_port, pkt.dst_ip, pkt.dst_port)
-        client_tuple = self._rev.get(key)
-        if client_tuple is None:
-            return None
-        entry = self._fwd[client_tuple]
-        self.rewrites_out += 1
-        return pkt.rewritten_source(*entry.virtual)
+__all__ = ["ArenaNatTable"]
 
 
 class ArenaNatTable:
-    """Slotted :class:`NatTable` for the L4 fast lane.
+    """NAT mappings in parallel slot arrays behind one ``tuple -> slot`` dict.
 
-    Mapping fields live in parallel slot arrays behind one
-    ``tuple -> slot`` dict (plus the same reverse index the scalar table
-    keeps for response rewriting), so installing a flow writes a few list
-    cells instead of constructing a :class:`NatEntry`.  The packet-facing
-    API (``translate_in``/``translate_out``/``lookup``) is scalar-compat —
-    views are synthesized on demand; the switch's flow path uses
-    :meth:`install_slot` and the counters directly and never builds one.
+    Installing a flow writes a few list cells instead of constructing an
+    entry object, and a removed mapping's slot is recycled.  The switch
+    completes each flow through its :class:`~repro.l4.packets.FlowRecord`,
+    so the response rewrite back to the virtual address is the
+    ``rewrites_out`` counter, not a reverse lookup.
     """
 
     def __init__(self) -> None:
         self._index: Dict[FourTuple, int] = {}
-        # Read-only alias mirroring :attr:`NatTable.live`.
+        # Read-only alias for hot-path membership tests (the switch's port
+        # allocator probes it directly, skipping a __contains__ frame).
         self.live: Dict[FourTuple, int] = self._index
         self._server_ip: List[str] = []
         self._server_port: List[int] = []
-        self._virtual_ip: List[str] = []
-        self._virtual_port: List[int] = []
-        self._created: List[float] = []
         self._free: List[int] = []
-        self._rev: Dict[Tuple[str, int, str, int], FourTuple] = {}
-        self.rewrites_in = 0
         self.rewrites_out = 0
 
     def __len__(self) -> int:
         return len(self._index)
 
-    def __contains__(self, client_tuple: FourTuple) -> bool:
-        return client_tuple in self._index
-
     def install_slot(
-        self,
-        client_tuple: FourTuple,
-        server_ip: str,
-        server_port: int,
-        now: float,
+        self, client_tuple: FourTuple, server_ip: str, server_port: int
     ) -> int:
-        """Fast-path install: record the mapping, return its slot.
-
-        The reverse (response-rewrite) index is *not* written here: flows
-        installed through the slot API complete through the switch's flow
-        record, which never response-SNATs a packet.  Only the
-        scalar-compat :meth:`install` pays for reverse-index maintenance,
-        keeping this path to two dict/list writes.
-        """
+        """Record the mapping ``client_tuple -> (server_ip, server_port)``
+        and return its slot."""
         if client_tuple in self._index:
             raise ValueError(f"mapping for {client_tuple} already exists")
         free = self._free
@@ -154,72 +51,18 @@ class ArenaNatTable:
             slot = free.pop()
             self._server_ip[slot] = server_ip
             self._server_port[slot] = server_port
-            self._virtual_ip[slot] = client_tuple[2]
-            self._virtual_port[slot] = client_tuple[3]
-            self._created[slot] = now
         else:
             slot = len(self._server_ip)
             self._server_ip.append(server_ip)
             self._server_port.append(server_port)
-            self._virtual_ip.append(client_tuple[2])
-            self._virtual_port.append(client_tuple[3])
-            self._created.append(now)
         self._index[client_tuple] = slot
         return slot
 
-    def install(
-        self,
-        client_tuple: FourTuple,
-        server_ip: str,
-        server_port: int,
-        now: float,
-    ) -> NatEntry:
-        slot = self.install_slot(client_tuple, server_ip, server_port, now)
-        self._rev[(server_ip, server_port, client_tuple[0], client_tuple[1])] = client_tuple
-        return self._view(slot)
-
-    def _view(self, slot: int) -> NatEntry:
-        return NatEntry(
-            virtual=(self._virtual_ip[slot], self._virtual_port[slot]),
-            server=(self._server_ip[slot], self._server_port[slot]),
-            created_at=self._created[slot],
-        )
-
-    def lookup(self, client_tuple: FourTuple) -> Optional[NatEntry]:
-        slot = self._index.get(client_tuple)
-        return None if slot is None else self._view(slot)
-
     def remove(self, client_tuple: FourTuple) -> bool:
-        """Remove a mapping; truthy iff one existed (scalar-compat with
-        :meth:`NatTable.remove`, which returns the entry)."""
+        """Remove a mapping; True iff one existed, so callers can gate
+        follow-up teardown — e.g. ephemeral-port release — on it."""
         slot = self._index.pop(client_tuple, None)
         if slot is None:
             return False
-        if self._rev:
-            self._rev.pop(
-                (self._server_ip[slot], self._server_port[slot],
-                 client_tuple[0], client_tuple[1]),
-                None,
-            )
         self._free.append(slot)
         return True
-
-    def translate_in(self, pkt: TcpPacket) -> Optional[TcpPacket]:
-        """Client -> server rewrite; None if no mapping exists."""
-        slot = self._index.get(pkt.four_tuple)
-        if slot is None:
-            return None
-        self.rewrites_in += 1
-        return pkt.rewritten(self._server_ip[slot], self._server_port[slot])
-
-    def translate_out(self, pkt: TcpPacket) -> Optional[TcpPacket]:
-        """Server -> client rewrite: restore the virtual source address."""
-        key = (pkt.src_ip, pkt.src_port, pkt.dst_ip, pkt.dst_port)
-        client_tuple = self._rev.get(key)
-        if client_tuple is None:
-            return None
-        slot = self._index[client_tuple]
-        self.rewrites_out += 1
-        return pkt.rewritten_source(
-            self._virtual_ip[slot], self._virtual_port[slot]
-        )

@@ -1,106 +1,39 @@
-"""TCP packet records for the Layer-4 switch model.
+"""Flow records for the Layer-4 switch model.
 
-Only what the redirector inspects is modelled: the 4-tuple, TCP flags and
-an opaque payload.  In the simulation the SYN of each connection carries
+Only what the switch inspects is modelled: the client 4-tuple and the
+connection's payload.  In the simulation the SYN of each connection carries
 the :class:`repro.cluster.request.Request` it initiates (the paper's
 switch likewise classifies on the connection-establishment packet; the
 request URL identifies the principal owning the target service).
 
-Two representations coexist:
-
-- :class:`TcpPacket` — one immutable record per segment; the scalar A/B
-  path builds a SYN, a rewritten SYN and a response packet per flow.
-- :class:`FlowRecord` — the fast lane's whole-flow object: SYN
-  classification, payload and response sizes ride in one slotted,
-  callable record that doubles as the server completion callback, so an
-  admitted flow costs one allocation instead of four packets plus a
-  closure.
+Each connection travels the switch as one :class:`FlowRecord`: SYN
+classification, payload and response sizes ride in one slotted, callable
+record that doubles as the server completion callback, so an admitted flow
+costs one allocation instead of a chain of segments plus a closure.
 """
 
 from __future__ import annotations
 
-import enum
-import itertools
-from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Optional, Tuple
 
 from repro.cluster.request import Request
 
-__all__ = ["TcpFlags", "TcpPacket", "FlowRecord", "FourTuple"]
+__all__ = ["FlowRecord", "FourTuple"]
 
 FourTuple = Tuple[str, int, str, int]
-
-_packet_ids = itertools.count(1)
-
-
-class TcpFlags(enum.Flag):
-    NONE = 0
-    SYN = enum.auto()
-    ACK = enum.auto()
-    FIN = enum.auto()
-    RST = enum.auto()
-
-
-@dataclass(frozen=True)
-class TcpPacket:
-    """One TCP segment.
-
-    ``request`` rides on the SYN only; data segments reference the
-    connection through their 4-tuple.
-    """
-
-    src_ip: str
-    src_port: int
-    dst_ip: str
-    dst_port: int
-    flags: TcpFlags = TcpFlags.NONE
-    payload_bytes: int = 0
-    request: Optional[Request] = None
-    packet_id: int = field(default_factory=lambda: next(_packet_ids))
-
-    def __post_init__(self) -> None:
-        for port in (self.src_port, self.dst_port):
-            if not 0 < port < 65536:
-                raise ValueError(f"invalid port {port}")
-        if self.payload_bytes < 0:
-            raise ValueError("payload must be non-negative")
-
-    @property
-    def is_syn(self) -> bool:
-        return bool(self.flags & TcpFlags.SYN) and not (self.flags & TcpFlags.ACK)
-
-    @property
-    def four_tuple(self) -> FourTuple:
-        return (self.src_ip, self.src_port, self.dst_ip, self.dst_port)
-
-    @property
-    def reverse_tuple(self) -> FourTuple:
-        return (self.dst_ip, self.dst_port, self.src_ip, self.src_port)
-
-    def rewritten(self, dst_ip: str, dst_port: int) -> "TcpPacket":
-        """Destination NAT: the switch's inbound rewrite."""
-        return replace(self, dst_ip=dst_ip, dst_port=dst_port)
-
-    def rewritten_source(self, src_ip: str, src_port: int) -> "TcpPacket":
-        """Source NAT: the switch's outbound (response) rewrite."""
-        return replace(self, src_ip=src_ip, src_port=src_port)
 
 
 class FlowRecord:
     """One admitted (or queued) flow, aggregated to a single object.
 
-    The scalar path materialises four :class:`TcpPacket` instances per
-    flow — the SYN, its DNAT rewrite, the response and its SNAT rewrite —
-    plus a per-flow closure to route the server completion back to the
-    switch.  A ``FlowRecord`` collapses all of that: the client 4-tuple,
-    the request (the SYN's payload), the chosen server and the response
-    size live in one ``__slots__`` object, and the record itself is the
-    server's ``done`` callback (``__call__`` forwards to the switch's
-    flow teardown), so admission allocates nothing else.
-
-    Only representation changes; the admission arithmetic (quota draws,
-    queue checks, server choice) is byte-for-byte the scalar path's, which
-    is what keeps the two lanes' traces bit-identical.
+    A TCP connection through a NAT switch is a SYN, its destination
+    rewrite, the response and its source rewrite, plus a per-flow closure
+    to route the server completion back to the switch.  A ``FlowRecord``
+    collapses all of that: the client 4-tuple, the request (the SYN's
+    payload), the chosen server and the response size live in one
+    ``__slots__`` object, and the record itself is the server's ``done``
+    callback (``__call__`` forwards to the switch's flow teardown), so
+    admission allocates nothing else.
     """
 
     __slots__ = ("switch", "request", "done", "tup", "server",

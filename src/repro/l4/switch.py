@@ -16,40 +16,29 @@ Packet path, as in the LVS-based prototype:
   table and forwarded to the recorded server; responses are rewritten back
   to the virtual address.
 
-For the experiments the switch also exposes the same ``handle(request)``
-admission API as the L7 redirector, wrapping each request into a SYN so the
-full packet path (NAT, conntrack, affinity, reinjection) is exercised.
-
-Two data-path lanes share the admission arithmetic:
-
-- the **scalar lane** (``fast_lane=False``) materialises every segment as
-  a :class:`TcpPacket`, uses the dict-based NAT/conntrack tables, and
-  schedules one engine event per reinjected SYN — the reference path;
-- the **fast lane** (``fast_lane=True``, default) carries each flow as a
-  single slotted :class:`FlowRecord`, stores state in the arena tables
-  (:class:`ArenaNatTable` / :class:`ArenaConnTracker`), drains each
-  window's reinjection queue through one coalesced pump event, and picks
-  servers from a precomputed best-slack heap.
-
-Quota draws, queue checks, tie-breakers and event times are identical in
-both lanes, so per-window admitted-rate traces are bit-identical — the
-``repro check --scenario fig9|fig10`` harness diffs the two lanes' SHA-256
-trace digests to enforce exactly that.
+For the experiments the switch exposes the same ``handle(request)``
+admission API as the L7 redirector.  Each connection travels the data path
+as one slotted :class:`FlowRecord` rather than as TCP segments: its state
+lives in the arena tables (:class:`ArenaNatTable` /
+:class:`ArenaConnTracker`), each window's reinjection queue drains through
+one coalesced pump event, and servers are picked from a precomputed
+best-slack heap.  The per-segment model of the same switch is kept in the
+test suite as a bit-exact oracle (``tests/l4/packet_oracle.py``).
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Callable, Deque, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.cluster.client import Decision, Defer, Drop, Held, ParkedRequests
 from repro.cluster.health import BackendHealthChecker
 from repro.cluster.request import Request
 from repro.cluster.server import Server
-from repro.l4.conntrack import ArenaConnTracker, ConnTracker
-from repro.l4.nat import ArenaNatTable, NatTable
-from repro.l4.packets import FlowRecord, FourTuple, TcpFlags, TcpPacket
+from repro.l4.conntrack import ArenaConnTracker
+from repro.l4.nat import ArenaNatTable
+from repro.l4.packets import FlowRecord, FourTuple
 from repro.scheduling.allocator import Allocation
 from repro.scheduling.queueing import ImplicitQuota
 from repro.scheduling.window import WindowConfig
@@ -88,7 +77,6 @@ class L4Switch:
         spread_reinjection: bool = True,
         smoothing: float = 0.7,
         health: Optional[BackendHealthChecker] = None,
-        fast_lane: bool = True,
     ):
         self.sim = sim
         self.name = name
@@ -100,7 +88,6 @@ class L4Switch:
         self.affinity_enabled = bool(affinity)
         self.spread_reinjection = bool(spread_reinjection)
         self.smoothing = float(smoothing)
-        self.fast_lane = bool(fast_lane)
         # Fault model: when a health checker is attached, NAT forwarding
         # only targets backends in rotation (down/draining ones are
         # skipped); without one, a crashed backend surfaces as drops.
@@ -114,21 +101,17 @@ class L4Switch:
             for srv in pool:
                 self._server_by_name[srv.name] = (owner, srv)
 
-        if self.fast_lane:
-            self.nat: Union[NatTable, ArenaNatTable] = ArenaNatTable()
-            self.conntrack: Union[ConnTracker, ArenaConnTracker] = ArenaConnTracker()
-            # Slot operations, pre-bound: the flow path calls these tens of
-            # thousands of times per simulated minute, and the attribute
-            # chain + bind per call is measurable there.
-            self._nat_install_slot = self.nat.install_slot
-            self._nat_remove = self.nat.remove
-            self._ct_open_slot = self.conntrack.open_slot
-            self._ct_close = self.conntrack.close
-        else:
-            self.nat = NatTable()
-            self.conntrack = ConnTracker()
+        self.nat = ArenaNatTable()
+        self.conntrack = ArenaConnTracker()
+        # Slot operations, pre-bound: the flow path calls these tens of
+        # thousands of times per simulated minute, and the attribute
+        # chain + bind per call is measurable there.
+        self._nat_install_slot = self.nat.install_slot
+        self._nat_remove = self.nat.remove
+        self._ct_open_slot = self.conntrack.open_slot
+        self._ct_close = self.conntrack.close
         # Live-tuple mappings, aliased for membership probes in the port
-        # allocator (both lanes): `tup in dict` with no method frame.
+        # allocator: `tup in dict` with no method frame.
         self._nat_live = self.nat.live
         self._ct_live = self.conntrack.live
         self.quota = ImplicitQuota(self.principals)
@@ -136,10 +119,7 @@ class L4Switch:
         # membership once per request, so keep a frozen set.
         self._principal_set = frozenset(self.principals)
         self._try_admit = self.quota.try_admit
-        # Scalar lane queues (pkt, done) pairs; the fast lane queues
-        # FlowRecords.  A switch only ever runs one lane, so the deques
-        # never mix item kinds.
-        self._syn_queues: Dict[str, Deque[Any]] = {
+        self._syn_queues: Dict[str, Deque[FlowRecord]] = {
             p: deque() for p in self.principals
         }
         self._wrr: Dict[str, SmoothWeightedRoundRobin] = {
@@ -166,9 +146,9 @@ class L4Switch:
         # has room — "to the extent allowed by the sharing agreements".
         self._server_budget: Dict[str, Dict[str, float]] = {p: {} for p in self.principals}
         self._server_used: Dict[str, Dict[str, float]] = {p: {} for p in self.principals}
-        # Fast lane: per-principal best-slack heap over the window's server
-        # budgets, entries (-slack, insertion_idx, name).  Rebuilt each
-        # install; revalidated lazily (see _pick_from_heap).
+        # Per-principal best-slack heap over the window's server budgets,
+        # entries (-slack, insertion_idx, name).  Rebuilt each install;
+        # revalidated lazily (see _pick_from_heap).
         self._slack_heap: Dict[str, List[Tuple[float, int, str]]] = {
             p: [] for p in self.principals
         }
@@ -206,11 +186,10 @@ class L4Switch:
                         budget[srv.name] = share * srv.capacity / cap_total + 1.0
             self._server_budget[p] = budget
             self._server_used[p] = {name: 0.0 for name in budget}
-            if self.fast_lane:
-                # used is all-zero here, so slack == budget exactly.
-                heap = [(-b, i, name) for i, (name, b) in enumerate(budget.items())]
-                heapq.heapify(heap)
-                self._slack_heap[p] = heap
+            # used is all-zero here, so slack == budget exactly.
+            heap = [(-b, i, name) for i, (name, b) in enumerate(budget.items())]
+            heapq.heapify(heap)
+            self._slack_heap[p] = heap
         self._end_window_accounting()
         self._schedule_reinjection()
         self.parked.reoffer(self.sim.now)
@@ -252,7 +231,7 @@ class L4Switch:
 
     def handle(self, request: Request, done: Optional[Callable[[Request], None]] = None) -> Decision:
         """Admission API used by :class:`repro.cluster.client.ClientMachine`:
-        wraps the request in a SYN and runs the packet path.
+        runs the request's connection through the flow path.
 
         A SYN lost to kernel-queue overflow is reported as :class:`Defer`:
         the client's TCP stack would retransmit the SYN after a timeout;
@@ -260,22 +239,7 @@ class L4Switch:
         """
         if request.principal not in self._principal_set:
             return Drop()
-        if self.fast_lane:
-            return self._handle_flow(request, done)
-        syn = TcpPacket(
-            src_ip=request.client_id,
-            src_port=self._free_port(request.client_id),
-            dst_ip=self.virtual_ip,
-            dst_port=self.virtual_port,
-            flags=TcpFlags.SYN,
-            request=request,
-        )
-        accepted = self.on_packet(syn, done=done)
-        return self._held if accepted else self._defer
-
-    def _free_port(self, client_ip: str) -> int:
-        """Next ephemeral port whose (client, port) tuple is not in use."""
-        return self._claim_tuple(client_ip)[1]
+        return self._handle_flow(request, done)
 
     def _claim_tuple(self, client_ip: str) -> FourTuple:
         """Allocate a free (client, port, vip, vport) tuple.
@@ -316,13 +280,13 @@ class L4Switch:
             free = self._free_ports[client_ip] = []
         free.append(port)
 
-    # -- fast lane (flow records) ------------------------------------------------
+    # -- flow path ------------------------------------------------------------------
 
     def _handle_flow(
         self, request: Request, done: Optional[Callable[[Request], None]]
     ) -> Decision:
-        """Fast-lane admission: same arithmetic as ``_on_syn``, one
-        :class:`FlowRecord` instead of per-segment packets."""
+        """Admit, queue or refuse one connection as a :class:`FlowRecord`:
+        quota first, then the bounded kernel SYN queue."""
         p = request.principal
         cost = request.cost
         self._arrivals[p] += cost
@@ -343,8 +307,10 @@ class L4Switch:
         return self._held
 
     def _admit_flow(self, flow: FlowRecord) -> bool:
-        """Mirror of ``_admit`` over a flow record: same server choice,
-        same submit time, no packet rewrites."""
+        """Pick a server, install the NAT mapping and connection, submit.
+
+        A backend that refuses the request (crashed or overflowed) tears
+        the flow back down so no NAT/conntrack state leaks."""
         tup = flow.tup
         self._pending_tuples.discard(tup)
         p = flow.request.principal
@@ -354,9 +320,8 @@ class L4Switch:
             self._release_port(tup[0], tup[1])
             return False
         srv = self._server_by_name[server][1]
-        now = self.sim.now
-        self._nat_install_slot(tup, server, self.virtual_port, now)
-        self._ct_open_slot(tup, server, p, now)
+        self._nat_install_slot(tup, server, self.virtual_port)
+        self._ct_open_slot(tup, server, p, self.sim.now)
         flow.server = server
         # The record itself is the completion callback — no closure.
         if not srv.submit(flow.request, done=flow):
@@ -369,12 +334,12 @@ class L4Switch:
         return True
 
     def _on_response_flow(self, flow: FlowRecord, request: Request) -> None:
-        """Server completed a fast-lane flow: tear down and report.
+        """Server completed a flow: tear down and report.
 
-        The scalar path builds a response packet and SNATs it through the
-        table; here the rewrite is a counter bump — gated, like the port
-        release, on the NAT mapping still existing (a FIN may already have
-        torn the flow down)."""
+        The response's source rewrite back to the virtual address is a
+        counter bump, gated, like the port release, on the NAT mapping
+        still existing (an idle sweep may already have torn the flow
+        down)."""
         tup = flow.tup
         flow.response_bytes = request.size_bytes
         self._ct_close(tup)
@@ -383,93 +348,6 @@ class L4Switch:
             self._release_port(tup[0], tup[1])
         if flow.done is not None:
             flow.done(request)
-
-    # -- packet path -----------------------------------------------------------------
-
-    def on_packet(self, pkt: TcpPacket, done: Optional[Callable] = None) -> bool:
-        """Process one inbound packet; returns False if it was dropped."""
-        if pkt.is_syn:
-            return self._on_syn(pkt, done)
-        # Data/FIN segment of an (expectedly) admitted connection.
-        conn = self.conntrack.touch(pkt.four_tuple, self.sim.now)
-        translated = self.nat.translate_in(pkt)
-        if conn is None or translated is None:
-            return False  # no state: the real switch would RST
-        if pkt.flags & TcpFlags.FIN:
-            # The port is NOT released here: the server completion for
-            # this flow may still be in flight and will reference the
-            # tuple; releasing now could hand it to a new flow first.
-            # The tuple becomes reusable through the cursor's own
-            # liveness check instead.
-            self.conntrack.close(pkt.four_tuple)
-            self.nat.remove(pkt.four_tuple)
-        return True
-
-    def _on_syn(self, pkt: TcpPacket, done: Optional[Callable]) -> bool:
-        request = pkt.request
-        if request is None or request.principal not in self.quota.principals:
-            return False
-        p = request.principal
-        self._arrivals[p] += request.cost
-        if self.quota.try_admit(p, cost=request.cost):
-            return self._admit(pkt, done)
-        q = self._syn_queues[p]
-        if len(q) >= self.max_syn_queue:
-            self.dropped[p] += 1
-            return False
-        q.append((pkt, done))
-        self._pending_tuples.add(pkt.four_tuple)
-        self.queued[p] += 1
-        return True
-
-    def _admit(self, pkt: TcpPacket, done: Optional[Callable]) -> bool:
-        request = pkt.request
-        assert request is not None
-        self._pending_tuples.discard(pkt.four_tuple)
-        p = request.principal
-        server = self._pick_server(p, pkt.src_ip)
-        if server is None:
-            self.dropped[p] += 1
-            self._release_port(pkt.src_ip, pkt.src_port)
-            return False
-        owner, srv = self._server_by_name[server]
-        self.nat.install(pkt.four_tuple, server, self.virtual_port, self.sim.now)
-        self.conntrack.open(pkt.four_tuple, server, p, self.sim.now)
-        rewritten = pkt.rewritten(server, self.virtual_port)
-        accepted = srv.submit(
-            rewritten.request,  # type: ignore[arg-type]
-            done=lambda req, t=pkt.four_tuple, d=done: self._on_response(req, t, d),
-        )
-        if not accepted:
-            # Backend refused (crashed or overflowed): tear the flow back
-            # down so no NAT/conntrack state leaks for a dead connection.
-            self.conntrack.close(pkt.four_tuple)
-            if self.nat.remove(pkt.four_tuple):
-                self._release_port(pkt.src_ip, pkt.src_port)
-            self.dropped[p] += 1
-            return False
-        self.admitted[p] += 1
-        return True
-
-    def _on_response(
-        self, request: Request, client_tuple, done: Optional[Callable]
-    ) -> None:
-        """Server completed: rewrite the response and tear down the flow."""
-        server_name = request.served_by or ""
-        resp = TcpPacket(
-            src_ip=server_name,
-            src_port=self.virtual_port,
-            dst_ip=client_tuple[0],
-            dst_port=client_tuple[1],
-            flags=TcpFlags.ACK | TcpFlags.FIN,
-            payload_bytes=request.size_bytes,
-        )
-        self.nat.translate_out(resp)  # restore the virtual source address
-        self.conntrack.close(client_tuple)
-        if self.nat.remove(client_tuple):
-            self._release_port(client_tuple[0], client_tuple[1])
-        if done is not None:
-            done(request)
 
     def _usable(self, name: str) -> bool:
         return self.health is None or self.health.is_healthy(name)
@@ -493,19 +371,9 @@ class L4Switch:
                     used[pref] = u + 1.0
                     self.affinity_hits += 1
                     return pref
-        if self.fast_lane:
-            best = self._pick_from_heap(principal, budget, used)
-        else:
-            # The server with the most remaining budget this window
-            # (deterministic proportional fill across the allocation).
-            best = None
-            best_slack = 0.0
-            for name, b in budget.items():
-                if not self._usable(name):
-                    continue
-                slack = b - used.get(name, 0.0)
-                if slack > best_slack:
-                    best, best_slack = name, slack
+        # The server with the most remaining budget this window
+        # (deterministic proportional fill across the allocation).
+        best = self._pick_from_heap(principal, budget, used)
         if best is None:
             # Every budget exhausted (demand burst within a window): spill
             # proportionally to the budgets rather than refuse.
@@ -530,7 +398,7 @@ class L4Switch:
         maximum; a stale top is corrected in place and the loop retried.
         Slack is always recomputed from ``budget``/``used`` — never by
         arithmetic on a previous slack — so the comparison keys are
-        bit-identical to the scalar scan's, and the ``insertion_idx``
+        bit-identical to a linear scan's, and the ``insertion_idx``
         tie-break reproduces its first-in-dict-order choice exactly.
         """
         heap = self._slack_heap.get(principal)
@@ -562,54 +430,34 @@ class L4Switch:
         """Kernel thread: reinject queued SYNs as the new window's quota
         allows, oldest first, optionally spread across the window.
 
-        Both lanes consume quota for every release *here*, at install
-        time, so the per-window admitted counts are fixed before any
-        reinjection fires.  The scalar lane then schedules one engine
-        event per SYN; the fast lane coalesces the whole batch into a
-        single pump event that re-arms itself along the same release
-        times — one outstanding heap entry instead of N.
+        Quota is consumed for every release *here*, at install time, so
+        the per-window admitted counts are fixed before any reinjection
+        fires.  The batch drains through a single pump event that re-arms
+        itself along the release times — one outstanding heap entry
+        instead of one per SYN.
         """
-        if self.fast_lane:
-            flows: List[FlowRecord] = []
-            for p in self.principals:
-                q = self._syn_queues[p]
-                while q:
-                    flow = q[0]
-                    if not self._try_admit(p, flow.request.cost):
-                        break
-                    q.popleft()
-                    self.reinjected[p] += 1
-                    flows.append(flow)
-            n = len(flows)
-            if not n:
-                return
-            if not self.spread_reinjection:
-                self.sim.schedule(0.0, self._pump_reinjection, flows, None, 0)
-                return
-            # Absolute release times, computed with the exact float
-            # expression the scalar lane uses (now + (idx / n) * length),
-            # so both lanes admit at bit-identical instants.
-            now = self.sim.now
-            length = self.window.length
-            times = [now + (idx / n) * length for idx in range(n)]
-            self.sim.schedule_at(times[0], self._pump_reinjection, flows, times, 0)
-            return
-        releases: List[Tuple[float, TcpPacket, Optional[Callable]]] = []
+        flows: List[FlowRecord] = []
         for p in self.principals:
             q = self._syn_queues[p]
             while q:
-                pkt, done = q[0]
-                req = pkt.request
-                assert req is not None
-                if not self.quota.try_admit(p, cost=req.cost):
+                flow = q[0]
+                if not self._try_admit(p, flow.request.cost):
                     break
                 q.popleft()
                 self.reinjected[p] += 1
-                releases.append((0.0, pkt, done))
-        n = len(releases)
-        for idx, (_, pkt, done) in enumerate(releases):
-            delay = (idx / n) * self.window.length if self.spread_reinjection and n else 0.0
-            self.sim.schedule(delay, self._reinject, pkt, done)
+                flows.append(flow)
+        n = len(flows)
+        if not n:
+            return
+        if not self.spread_reinjection:
+            self.sim.schedule(0.0, self._pump_reinjection, flows, None, 0)
+            return
+        # Absolute release times.  ColumnarL4Switch computes the same float
+        # expression, so both lanes admit at bit-identical instants.
+        now = self.sim.now
+        length = self.window.length
+        times = [now + (idx / n) * length for idx in range(n)]
+        self.sim.schedule_at(times[0], self._pump_reinjection, flows, times, 0)
 
     def _pump_reinjection(
         self,
@@ -617,8 +465,8 @@ class L4Switch:
         times: Optional[List[float]],
         i: int,
     ) -> None:
-        """Fast-lane kernel thread: admit every due release, then re-arm
-        once at the next release time (coalesced drain)."""
+        """Kernel thread: admit every due release, then re-arm once at
+        the next release time (coalesced drain)."""
         n = len(flows)
         if times is None:
             while i < n:
@@ -631,6 +479,3 @@ class L4Switch:
             i += 1
         if i < n:
             self.sim.schedule_at(times[i], self._pump_reinjection, flows, times, i)
-
-    def _reinject(self, pkt: TcpPacket, done: Optional[Callable]) -> None:
-        self._admit(pkt, done)

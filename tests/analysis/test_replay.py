@@ -1,11 +1,13 @@
 """Replay-determinism harness: digests agree across runs and with checks on."""
 
-from repro.analysis.replay import ReplayReport, fig6_replay
+import pytest
+
+from repro.analysis.replay import ReplayReport, figure_replay
 
 
 class TestFig6Replay:
     def test_bit_identical_with_and_without_checker(self):
-        rep = fig6_replay(duration_scale=0.02, seed=0, runs=2)
+        rep = figure_replay("fig6", duration_scale=0.02, seed=0, runs=2)
         assert rep.identical, rep.render()
         assert rep.checker_summary is not None
         assert rep.checker_summary["violations"] == 0
@@ -13,11 +15,15 @@ class TestFig6Replay:
         assert rep.ok
 
     def test_seed_changes_digest(self):
-        a = fig6_replay(duration_scale=0.02, seed=0, runs=1,
-                        with_invariants=True)
-        b = fig6_replay(duration_scale=0.02, seed=1, runs=1,
-                        with_invariants=True)
+        a = figure_replay("fig6", duration_scale=0.02, seed=0, runs=1,
+                          with_invariants=True)
+        b = figure_replay("fig6", duration_scale=0.02, seed=1, runs=1,
+                          with_invariants=True)
         assert a.digests[0] != b.digests[0]
+
+    def test_only_lane_selecting_figures(self):
+        with pytest.raises(ValueError, match="figure_replay supports"):
+            figure_replay("fig7")
 
 
 class TestReplayReport:

@@ -117,24 +117,28 @@ class TestScenario:
 
 class TestColumnarLane:
     def test_unknown_lane_rejected(self, fig6_graph):
-        with pytest.raises(ValueError):
-            Scenario(fig6_graph, lane="vectorised")
+        # "scalar" was the L4 switch's per-packet lane; it is a test oracle.
+        for lane in ("vectorised", "scalar"):
+            with pytest.raises(ValueError, match="unknown lane"):
+                Scenario(fig6_graph, lane=lane)
 
     def test_lane_resolution(self, fig6_graph):
-        assert Scenario(fig6_graph).lane == "slotted"
-        sc = Scenario(fig6_graph, lane="scalar")
-        assert sc.lane == "scalar" and sc.columnar is None
+        sc = Scenario(fig6_graph)
+        assert sc.lane == "slotted" and sc.columnar is None
         sc = Scenario(fig6_graph, lane="columnar")
         assert sc.lane == "columnar" and sc.columnar is not None
         with pytest.raises(ValueError):
             Scenario(fig6_graph, lane=None)
 
     def test_lane_alone_selects_the_l4_data_path(self, fig9_graph):
-        for lane, fast in (("scalar", False), ("slotted", True), ("columnar", True)):
+        from repro.l4.columnar import ColumnarL4Switch
+        from repro.l4.switch import L4Switch
+
+        for lane, cls in (("slotted", L4Switch), ("columnar", ColumnarL4Switch)):
             sc = Scenario(fig9_graph, lane=lane)
             sa = sc.server("SA", "A", 320.0)
             sb = sc.server("SB", "B", 320.0)
-            assert sc.l4("SW", {"A": sa, "B": sb}).fast_lane is fast
+            assert type(sc.l4("SW", {"A": sa, "B": sb})) is cls
 
     def test_trace_falls_back_to_slotted(self, fig6_graph):
         sc = Scenario(fig6_graph, lane="columnar", trace=True)

@@ -138,7 +138,7 @@ class TestLaneThreading:
         assert figure_kwargs("fig9", 0.3, 7, lane="columnar")["lane"] == "columnar"
         assert figure_kwargs("fig10", 0.3, 7, lane="columnar")["lane"] == "columnar"
         assert "lane" not in figure_kwargs("fig7", 0.3, 7, lane="columnar")
-        assert "lane" not in figure_kwargs("fig1d", 0.3, 7, lane="scalar")
+        assert "lane" not in figure_kwargs("fig1d", 0.3, 7, lane="slotted")
 
 
 class TestShardThreading:

@@ -270,7 +270,7 @@ class TestFigureIntegration:
 
     @pytest.mark.parametrize("run_fig", [run_fig6, run_fig9],
                              ids=["fig6", "fig9"])
-    @pytest.mark.parametrize("lane", ["scalar", "columnar"])
+    @pytest.mark.parametrize("lane", ["slotted", "columnar"])
     def test_lane_with_shards_rejected(self, run_fig, lane):
         # The sharded lane is its own execution model: asking for another
         # one as well used to be silently ignored.

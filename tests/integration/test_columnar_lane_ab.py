@@ -5,12 +5,13 @@ one engine event per window, so the contract is the strictest in the
 repo: on a figure's own world (retry pools on, refusals parked at the
 redirector), per-window admitted/refused/served series, every
 client/server counter and the combined SHA-256 digests must be
-*bit-identical* across all three lanes — scalar (the L4 switch on its
-per-packet path; the slotted code again where there is no L4 switch),
-slotted (per-request events) and columnar, which ``run_fig6`` /
-``run_fig9`` / ``run_fig10`` use by default.
-``repro check --scenario fig6 --scenario fig9`` enforces the same
-property in CI via :func:`repro.analysis.replay.columnar_replay`.
+*bit-identical* across three runs — the slotted lane (per-request
+events), the slotted lane with the L4 switch replaced by the per-packet
+oracle (the slotted run again where there is no L4 switch), and the
+columnar lane, which ``run_fig6`` / ``run_fig9`` / ``run_fig10`` use by
+default.  ``repro check --scenario fig6 --scenario fig9`` enforces the
+columnar/slotted half in CI via
+:func:`repro.analysis.replay.columnar_replay`.
 
 The batch-size invariance tests pin the structural argument: the gap
 chain is a seeded cumsum restarted from the last emitted tick, so the
@@ -21,8 +22,10 @@ unobservable.
 import numpy as np
 import pytest
 
+import repro.experiments.harness as harness
 from repro.analysis.replay import columnar_replay, scenario_digest
 from repro.experiments.figures import fig6_scenario, fig9_scenario
+from tests.l4.packet_oracle import PacketL4Switch
 
 SCALE = 0.05
 
@@ -38,15 +41,17 @@ def _series_equal(a, b):
 
 @pytest.mark.parametrize("build", [fig6_scenario, fig9_scenario],
                          ids=["fig6", "fig9"])
-def test_three_lanes_bit_identical(build):
+def test_three_lanes_bit_identical(build, monkeypatch):
     runs = {
         lane: build(duration_scale=SCALE, seed=0, lane=lane)[0]
-        for lane in ("scalar", "slotted", "columnar")
+        for lane in ("slotted", "columnar")
     }
+    monkeypatch.setattr(harness, "L4Switch", PacketL4Switch)
+    runs["packet"] = build(duration_scale=SCALE, seed=0, lane="slotted")[0]
     col = runs["columnar"]
     assert col.lane == "columnar" and col.lane_fallback is None
     assert col.columnar is not None and col.columnar.requests > 0
-    for other in ("scalar", "slotted"):
+    for other in ("packet", "slotted"):
         ref = runs[other]
         _series_equal(
             {k: col.meter.series(k) for k in col.meter.keys},
@@ -68,11 +73,9 @@ def test_three_lanes_bit_identical(build):
 @pytest.mark.parametrize("figure", ["fig6", "fig9", "fig10"])
 def test_columnar_replay_digests_identical(figure):
     """The CLI harness criterion itself: combined scenario + admission
-    digests match across scalar / slotted / columnar runs (fig6 has no L4
-    switch, so its "scalar" would be the slotted run twice and is left out)."""
+    digests match across slotted / columnar runs."""
     report = columnar_replay(figure=figure, duration_scale=SCALE, seed=0)
-    assert report.labels == (
-        ["scalar"] if figure != "fig6" else []) + ["slotted", "columnar"]
+    assert report.labels == ["slotted", "columnar"]
     assert report.meta["columnar_fallback"] is None
     assert report.meta["columnar_requests"] > 0
     assert report.identical, report.render()

@@ -1,41 +1,71 @@
-"""Acceptance A/B: the L4 flow-record fast lane is bit-identical.
+"""Acceptance A/B: the L4 flow path is bit-identical to the per-packet oracle.
 
-The L4 switch draws no randomness of its own — both lanes run the same
-quota arithmetic at the same event times — so the contract is strict:
-per-phase rates and the full per-window admitted-rate series must be
-*bit-identical* between the flow-record lane (``lane="slotted"``, the
-default) and the per-packet reference lane (``lane="scalar"``).  ``repro
-check --scenario fig9|fig10`` enforces the same property via SHA-256 trace
-digests in CI.
+The L4 switch draws no randomness of its own — the production flow path
+(:class:`~repro.l4.switch.L4Switch`) and the per-packet oracle
+(:class:`tests.l4.packet_oracle.PacketL4Switch`) run the same quota
+arithmetic at the same event times — so the contract is strict: per-phase
+rates, the full per-window series and the combined scenario + admission
+digests must be *bit-identical* when the oracle replaces the switch the
+slotted lane builds.
 """
 
 import numpy as np
 import pytest
 
-from repro.analysis.replay import l4_replay
-from repro.experiments.figures import run_fig9, run_fig10
+import repro.experiments.figures as figures
+import repro.experiments.harness as harness
+from repro.analysis.replay import combined_digest, figure_replay
+from tests.l4.packet_oracle import PacketL4Switch
 
 SCALE = 0.05
 
 
-@pytest.mark.parametrize("run_fig", [run_fig9, run_fig10],
-                         ids=["fig9", "fig10"])
-def test_l4_lanes_bit_identical(run_fig):
-    fast = run_fig(duration_scale=SCALE, lane="slotted")
-    scalar = run_fig(duration_scale=SCALE, lane="scalar")
-    assert fast.phases == scalar.phases
-    assert set(fast.series) == set(scalar.series)
+def _run_slotted(figure, monkeypatch, oracle):
+    """Run ``figure`` on the slotted lane, on the oracle switch if asked;
+    returns (its Scenario, its result)."""
+    worlds = []
+
+    class Recorded(harness.Scenario):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            worlds.append(self)
+
+    with monkeypatch.context() as m:
+        m.setattr(figures, "Scenario", Recorded)
+        if oracle:
+            m.setattr(harness, "L4Switch", PacketL4Switch)
+        result = figures.ALL_FIGURES[figure](duration_scale=SCALE,
+                                             lane="slotted")
+    (sc,) = worlds
+    switch_cls = PacketL4Switch if oracle else harness.L4Switch
+    assert [type(sw) for sw in sc.l4_switches.values()] == [switch_cls]
+    return sc, result
+
+
+@pytest.mark.parametrize("figure", ["fig9", "fig10"])
+def test_l4_lanes_bit_identical(figure, monkeypatch):
+    sc, fast = _run_slotted(figure, monkeypatch, oracle=False)
+    oracle_sc, oracle = _run_slotted(figure, monkeypatch, oracle=True)
+    assert fast.phases == oracle.phases
+    assert set(fast.series) == set(oracle.series)
     for key in fast.series:
         ft, fv = fast.series[key]
-        st, sv = scalar.series[key]
+        st, sv = oracle.series[key]
         assert np.array_equal(ft, st)
         assert np.array_equal(fv, sv)
+    assert combined_digest(sc) == combined_digest(oracle_sc)
 
 
-def test_l4_replay_digests_identical():
-    """The CLI harness criterion itself: combined scenario + admission
-    digests match across slotted / scalar / slotted-with-invariants runs."""
-    report = l4_replay(figure="fig9", duration_scale=SCALE, seed=0,
-                       runs=2, with_invariants=True)
+def test_l4_replay_digests_identical(monkeypatch):
+    """The CLI harness criterion itself: ``figure_replay`` digests match
+    across plain and invariant-checked runs, and the oracle lands on the
+    same digest with the invariant checker on."""
+    report = figure_replay(figure="fig9", duration_scale=SCALE, seed=0,
+                           runs=2, with_invariants=True)
     assert report.identical, report.render()
     assert report.ok, report.render()
+    monkeypatch.setattr(harness, "L4Switch", PacketL4Switch)
+    oracle = figure_replay(figure="fig9", duration_scale=SCALE, seed=0,
+                           runs=1, with_invariants=True)
+    assert oracle.ok, oracle.render()
+    assert set(oracle.digests) == set(report.digests)

@@ -18,6 +18,12 @@ At paper scale no server batch reaches the columnar drain's busy-period
 pass, so ``PINNED_COLUMNAR_LOAD`` pins the benchmark's 100x columnar world,
 where mixed batches of thousands of requests do, on both lanes.
 
+Beside each fig6-fig10 digest, ``PINNED_COSTS`` pins two deterministic
+costs of the run: events scheduled (``Simulator._seq``) and LP solves
+summed over every redirector's and daemon's allocator.  They were captured
+at the parent of the commit that made the L4 flow path the only one in
+production, on the default lanes and under ``REPRO_CHECK=1``.
+
 The sharded lane was pinned at the parent of the commit that made the
 shared-memory plane its only boundary transport: ``shards=1``, ``shards=4``
 and the four crash cells (recovery by respawn and by reassignment) must all
@@ -66,6 +72,17 @@ PINNED_L4 = {
 }
 
 # figure -> (ShardedResult.digest(), final_checkpoint_digest) at 4 replicas.
+# figure -> run mode -> (events scheduled, LP solves).  The mode is the
+# lane the figure ran on, "+check" when the invariant hooks were on: they
+# schedule events of their own, and under REPRO_CHECK=1 fig6/9/10 run slotted.
+PINNED_COSTS = {
+    "fig6": {"columnar": (1362, 134), "slotted+check": (11481, 134)},
+    "fig7": {"slotted": (5474, 32), "slotted+check": (5628, 32)},
+    "fig8": {"slotted": (6521, 85), "slotted+check": (6745, 85)},
+    "fig9": {"columnar": (405, 43), "slotted+check": (32399, 43)},
+    "fig10": {"columnar": (405, 87), "slotted+check": (33452, 87)},
+}
+
 PINNED_SHARDED = {
     "fig6": (
         "7679f693c4bb53f3cd6400baa8c556595eb29413cff2418892ee05db8489d315",
@@ -138,6 +155,16 @@ def _run_recorded(figure, monkeypatch, seed=0):
     return sc, result
 
 
+def _assert_pinned_costs(figure, sc):
+    mode = sc.lane + ("+check" if sc.invariants is not None else "")
+    solves = sum(
+        owner.allocator.lp_solves
+        for owners in (sc.l7_redirectors, sc.l4_daemons)
+        for owner in owners.values()
+    )
+    assert (sc.sim._seq, solves) == PINNED_COSTS[figure][mode], mode
+
+
 @pytest.mark.parametrize("figure", sorted(PINNED))
 def test_l7_figure_reproduces_parent_digests(figure, monkeypatch):
     sc, result = _run_recorded(figure, monkeypatch)
@@ -146,6 +173,7 @@ def test_l7_figure_reproduces_parent_digests(figure, monkeypatch):
     assert {
         name: admission_digest(red) for name, red in sc.l7_redirectors.items()
     } == admission
+    _assert_pinned_costs(figure, sc)
     assert result.figure == figure
 
 
@@ -157,6 +185,7 @@ def test_l4_figure_reproduces_parent_digests(figure, monkeypatch):
     assert {
         name: admission_digest(daemon) for name, daemon in sc.l4_daemons.items()
     } == admission
+    _assert_pinned_costs(figure, sc)
     assert result.figure == figure
 
 

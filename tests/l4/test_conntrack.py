@@ -1,6 +1,7 @@
 import pytest
 
-from repro.l4.conntrack import ArenaConnTracker, ConnTracker
+from repro.l4.conntrack import ArenaConnTracker
+from tests.l4.packet_oracle import ConnTracker
 
 TUP = ("C1", 12345, "10.0.0.1", 80)
 
@@ -82,43 +83,37 @@ def tracker_cls(request):
     return request.param
 
 
+def _open(ct, tup, server, principal, now):
+    """The oracle opens through ``open``, the production tracker through
+    ``open_slot``; everything else in this class is one shared API."""
+    (ct.open_slot if isinstance(ct, ArenaConnTracker) else ct.open)(
+        tup, server, principal, now)
+
+
 class TestTrackerApiParity:
-    """The arena tracker is a drop-in for the scalar one: every shared
-    API call must behave identically on both implementations."""
+    """The production tracker and the oracle's agree on every call the
+    switch makes: open, close, len, live, expire_stale and affinity."""
 
     def test_open_lookup_close(self, tracker_cls):
         ct = tracker_cls()
-        ct.open(TUP, server="srv-1", principal="A", now=0.0)
-        conn = ct.lookup(TUP)
-        assert (conn.server, conn.principal) == ("srv-1", "A")
-        assert TUP in ct and len(ct) == 1
+        _open(ct, TUP, "srv-1", "A", 0.0)
+        assert TUP in ct.live and len(ct) == 1
         assert ct.close(TUP)
-        assert ct.lookup(TUP) is None
-        assert TUP not in ct and len(ct) == 0
+        assert TUP not in ct.live and len(ct) == 0
 
     def test_close_unknown_is_falsy(self, tracker_cls):
         assert not tracker_cls().close(TUP)
 
-    def test_touch_updates(self, tracker_cls):
-        ct = tracker_cls()
-        ct.open(TUP, "srv-1", "A", now=0.0)
-        conn = ct.touch(TUP, now=5.0)
-        assert conn.last_seen == 5.0
-        assert conn.packets == 2
-        assert ct.touch(("C9", 1, "x", 2), now=5.0) is None
-
     def test_expiry_and_affinity(self, tracker_cls):
         ct = tracker_cls(idle_timeout=10.0)
-        ct.open(TUP, "srv-1", "A", now=0.0)
+        _open(ct, TUP, "srv-1", "A", 0.0)
         other = ("C2", 999, "10.0.0.1", 80)
-        ct.open(other, "srv-2", "A", now=0.0)
-        ct.touch(other, now=25.0)
+        _open(ct, other, "srv-2", "A", 25.0)
         assert ct.expire_stale(now=30.0) == [TUP]
         assert ct.expired == 1
-        assert ct.lookup(other) is not None
+        assert list(ct.live) == [other]
+        assert ct.preferred_server("C1", "A") == "srv-1"
         assert ct.preferred_server("C2", "A") == "srv-2"
-        ct.forget_affinity("C2", "A")
-        assert ct.preferred_server("C2", "A") is None
 
     def test_bad_timeout(self, tracker_cls):
         with pytest.raises(ValueError):
@@ -134,16 +129,19 @@ class TestArenaRing:
         ct.close(TUP)
         other = ("C2", 999, "10.0.0.1", 80)
         assert ct.open_slot(other, "srv-2", "A", now=1.0) == s0
-        assert ct.server_of(other) == "srv-2"
+        assert ct.live[other] == s0 and ct._servers[s0] == "srv-2"
 
     def test_ring_orders_by_last_seen(self):
-        ct = ArenaConnTracker()
+        # A closed flow leaves the ring and its slot is reused at the
+        # tail: expiry still returns flows in last-seen order.
+        ct = ArenaConnTracker(idle_timeout=10.0)
         tups = [("C1", 1000 + i, "10.0.0.1", 80) for i in range(4)]
-        for i, t in enumerate(tups):
-            ct.open(t, "srv-1", "A", now=float(i))
-        # Touching the oldest moves it behind every untouched flow.
-        ct.touch(tups[0], now=10.0)
-        assert list(ct._conns) == [tups[1], tups[2], tups[3], tups[0]]
+        for i, t in enumerate(tups[:3]):
+            ct.open_slot(t, "srv-1", "A", now=float(i))
+        ct.close(tups[0])
+        ct.open_slot(tups[3], "srv-1", "A", now=3.0)
+        assert ct.live[tups[3]] == 0
+        assert ct.expire_stale(now=20.0) == [tups[1], tups[2], tups[3]]
 
     def test_expire_walks_only_the_stale_prefix(self):
         # The ring is last-seen ordered, so the sweep must stop at the
@@ -151,19 +149,21 @@ class TestArenaRing:
         ct = ArenaConnTracker(idle_timeout=10.0)
         tups = [("C1", 1000 + i, "10.0.0.1", 80) for i in range(5)]
         for i, t in enumerate(tups):
-            ct.open(t, "srv-1", "A", now=float(i))
-        ct.touch(tups[0], now=50.0)   # resurrect the oldest
-        stale = ct.expire_stale(now=52.0)
-        assert stale == [tups[1], tups[2], tups[3], tups[4]]
-        assert list(ct._conns) == [tups[0]]
-        assert len(ct) == 1
+            ct.open_slot(t, "srv-1", "A", now=float(i))
+        # Stale by its own clock but behind a fresh flow: a full-table scan
+        # would expire it, the ring walk never reaches it.
+        ct._last_seen[ct.live[tups[4]]] = -100.0
+        stale = ct.expire_stale(now=12.5)
+        assert stale == [tups[0], tups[1], tups[2]]
+        assert list(ct.live) == [tups[3], tups[4]]
+        assert len(ct) == 2
 
     def test_expired_slots_are_recycled(self):
         ct = ArenaConnTracker(idle_timeout=1.0)
-        ct.open(TUP, "srv-1", "A", now=0.0)
+        ct.open_slot(TUP, "srv-1", "A", now=0.0)
         ct.expire_stale(now=5.0)
         other = ("C2", 999, "10.0.0.1", 80)
-        ct.open(other, "srv-2", "A", now=6.0)
+        ct.open_slot(other, "srv-2", "A", now=6.0)
         # Arena did not grow: the expired slot was reused.
         assert len(ct._tuples) == 1
 
@@ -172,7 +172,7 @@ class TestArenaRing:
         live = {}
         for i in range(500):
             tup = ("C1", 10_000 + i, "10.0.0.1", 80)
-            ct.open(tup, f"srv-{i % 3}", "A", now=float(i))
+            ct.open_slot(tup, f"srv-{i % 3}", "A", now=float(i))
             live[tup] = f"srv-{i % 3}"
             if i % 3 == 0:
                 victim = ("C1", 10_000 + i // 2, "10.0.0.1", 80)
@@ -181,7 +181,7 @@ class TestArenaRing:
                     del live[victim]
         assert len(ct) == len(live)
         for tup, server in live.items():
-            assert ct.server_of(tup) == server
+            assert ct._servers[ct.live[tup]] == server
         stale = ct.expire_stale(now=600.0)
         assert sorted(stale) == sorted(live)
         assert len(ct) == 0

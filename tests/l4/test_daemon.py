@@ -49,9 +49,9 @@ class TestDaemon:
     def test_conntrack_sweep_runs(self, fig9_graph):
         sim, switch, daemon, _ = _world(fig9_graph, conntrack_sweep=1.0)
         # Open a connection that never completes by bypassing the server:
-        switch.conntrack.open(("X", 1, "10.0.0.1", 80), "SA", "A", now=0.0)
+        switch.conntrack.open_slot(("X", 1, "10.0.0.1", 80), "SA", "A", now=0.0)
         sim.run(until=120.0)
-        assert switch.conntrack.lookup(("X", 1, "10.0.0.1", 80)) is None
+        assert ("X", 1, "10.0.0.1", 80) not in switch.conntrack.live
 
     def test_switch_survives_daemon_death(self, fig9_graph):
         """If the user-space daemon dies, the kernel switch keeps running

@@ -1,7 +1,8 @@
 import pytest
 
 from repro.cluster.request import Request
-from repro.l4.packets import FlowRecord, TcpFlags, TcpPacket
+from repro.l4.packets import FlowRecord
+from tests.l4.packet_oracle import TcpFlags, TcpPacket
 
 
 def _syn():
@@ -66,7 +67,7 @@ class _SwitchSpy:
 
 
 class TestFlowRecord:
-    """The fast lane's whole-flow record: one slotted object instead of a
+    """The switch's whole-flow record: one slotted object instead of a
     SYN + payload + response packet chain."""
 
     TUP = ("C1", 12345, "10.0.0.1", 80)
@@ -91,7 +92,7 @@ class TestFlowRecord:
 
     def test_record_is_the_completion_callback(self):
         # The server calls ``done(request)``; the record *is* ``done`` —
-        # no per-admission closure is allocated on the fast lane.
+        # no per-admission closure is allocated.
         spy = _SwitchSpy()
         req, flow = self._flow(spy)
         flow(req)

@@ -1,4 +1,5 @@
-"""L4 switch: packet path, kernel queues, reinjection, affinity."""
+"""L4 switch: flow path, kernel queues, reinjection, affinity, and its
+parity with the per-packet oracle."""
 
 import pytest
 
@@ -8,7 +9,7 @@ from repro.cluster.server import Server
 from repro.core.access import compute_access_levels
 from repro.experiments.harness import Scenario
 from repro.l4.switch import L4Switch, PortSpaceExhausted
-from repro.l4.packets import TcpFlags, TcpPacket
+from tests.l4.packet_oracle import PacketL4Switch, TcpFlags, TcpPacket
 from repro.scheduling.allocator import Allocation
 from repro.scheduling.window import WindowConfig
 from repro.sim.engine import Simulator
@@ -16,12 +17,12 @@ from repro.sim.engine import Simulator
 W = WindowConfig(0.1)
 
 
-def _world(fig9_graph, **kw):
+def _world(fig9_graph, cls=L4Switch, **kw):
     sim = Simulator()
     acc = compute_access_levels(fig9_graph)
     sa = Server(sim, "SA", 320.0, owner="A")
     sb = Server(sim, "SB", 320.0, owner="B")
-    switch = L4Switch(sim, "SW", acc.names, {"A": sa, "B": sb}, window=W, **kw)
+    switch = cls(sim, "SW", acc.names, {"A": sa, "B": sb}, window=W, **kw)
     return sim, acc, sa, sb, switch
 
 
@@ -104,25 +105,25 @@ class TestNatAndConntrack:
         assert len(switch.conntrack) == 0
 
     def test_data_packet_follows_connection(self, fig9_graph):
-        sim, _, _, _, switch = _world(fig9_graph)
+        sim, _, _, _, switch = _world(fig9_graph, cls=PacketL4Switch)
         switch.install(_alloc({"A": 10.0}, {"A": {"A": 32.0}}))
         req = _req("A")
         switch.handle(req)
-        tup = next(iter(switch.conntrack._conns))
+        tup = next(iter(switch.conntrack.live))
         data = TcpPacket(*tup, flags=TcpFlags.ACK, payload_bytes=100)
         assert switch.on_packet(data)
         assert switch.conntrack.lookup(tup).packets == 2
 
     def test_data_packet_without_state_rejected(self, fig9_graph):
-        _, _, _, _, switch = _world(fig9_graph)
+        _, _, _, _, switch = _world(fig9_graph, cls=PacketL4Switch)
         stray = TcpPacket("C9", 1111, "10.0.0.1", 80, flags=TcpFlags.ACK)
         assert not switch.on_packet(stray)
 
     def test_fin_tears_down(self, fig9_graph):
-        sim, _, _, _, switch = _world(fig9_graph)
+        sim, _, _, _, switch = _world(fig9_graph, cls=PacketL4Switch)
         switch.install(_alloc({"A": 10.0}, {"A": {"A": 32.0}}))
         switch.handle(_req("A"))
-        tup = next(iter(switch.conntrack._conns))
+        tup = next(iter(switch.conntrack.live))
         fin = TcpPacket(*tup, flags=TcpFlags.FIN)
         assert switch.on_packet(fin)
         assert switch.conntrack.lookup(tup) is None
@@ -202,16 +203,16 @@ class TestAffinityAndBudgets:
         hits_before = switch.affinity_hits
         switch.handle(_req("A", client="C1"))
         assert switch.affinity_hits == hits_before + 1
-        tup = next(iter(switch.conntrack._conns))
-        assert switch.conntrack.lookup(tup).server == pinned
+        ct = switch.conntrack
+        assert [ct._servers[slot] for slot in ct.live.values()] == [pinned]
 
 
 class TestLaneParity:
-    """The fast lane must be observationally identical to the scalar
-    lane: same counters, same completion order, same server picks."""
+    """The flow path must be observationally identical to the per-packet
+    oracle: same counters, same completion order, same server picks."""
 
-    def _drive(self, fig9_graph, fast_lane):
-        sim, _, sa, sb, switch = _world(fig9_graph, fast_lane=fast_lane)
+    def _drive(self, fig9_graph, cls):
+        sim, _, sa, sb, switch = _world(fig9_graph, cls=cls)
         done = []
         switch.install(_alloc({"A": 3.0, "B": 2.0},
                               {"A": {"A": 8.0, "B": 4.0},
@@ -232,23 +233,26 @@ class TestLaneParity:
             admitted=dict(switch.admitted), dropped=dict(switch.dropped),
             queued=dict(switch.queued), reinjected=dict(switch.reinjected),
             affinity_hits=switch.affinity_hits,
+            rewrites_out=switch.nat.rewrites_out,
             queue_lengths=switch.queue_lengths(),
             completed={"SA": sa.total_completed(), "SB": sb.total_completed()},
         )
         return counters, done
 
     def test_counters_and_trace_match_scalar(self, fig9_graph):
-        fast, fast_done = self._drive(fig9_graph, fast_lane=True)
-        scalar, scalar_done = self._drive(fig9_graph, fast_lane=False)
+        fast, fast_done = self._drive(fig9_graph, L4Switch)
+        scalar, scalar_done = self._drive(fig9_graph, PacketL4Switch)
+        assert fast["rewrites_out"] > 0
         assert fast == scalar
         assert fast_done == scalar_done
 
     def test_pick_server_heap_matches_scalar_scan(self, fig9_graph):
-        # The best-slack heap must reproduce the scalar lane's linear
-        # scan choice-for-choice, including the spill once every
-        # budget is exhausted.
-        _, _, _, _, fast = _world(fig9_graph, affinity=False, fast_lane=True)
-        _, _, _, _, scalar = _world(fig9_graph, affinity=False, fast_lane=False)
+        # The best-slack heap must reproduce the oracle's linear scan
+        # choice-for-choice, including the spill once every budget is
+        # exhausted.
+        _, _, _, _, fast = _world(fig9_graph, affinity=False)
+        _, _, _, _, scalar = _world(fig9_graph, cls=PacketL4Switch,
+                                    affinity=False)
         alloc = _alloc({"A": 6.0}, {"A": {"A": 5.0, "B": 3.0}})
         fast.install(alloc)
         scalar.install(alloc)
@@ -260,9 +264,9 @@ class TestLaneParity:
 
 
 class TestCoalescedReinjection:
-    def _queue_then_fund(self, fig9_graph, fast_lane, n=6):
+    def _queue_then_fund(self, fig9_graph, cls, n=6):
         sim, _, _, _, switch = _world(
-            fig9_graph, fast_lane=fast_lane, spread_reinjection=False
+            fig9_graph, cls=cls, spread_reinjection=False
         )
         switch.install(_alloc({"A": 0.0}, {"A": {"A": 32.0}}))
         for i in range(n):
@@ -272,14 +276,15 @@ class TestCoalescedReinjection:
         return sim, switch
 
     def test_fast_lane_drains_batch_through_one_event(self, fig9_graph):
-        sim, switch = self._queue_then_fund(fig9_graph, fast_lane=True)
+        sim, switch = self._queue_then_fund(fig9_graph, L4Switch)
         assert sim.pending == 1  # one pump event for the whole batch
         sim.run(until=1.0)
         assert switch.reinjected["A"] == 6
         assert switch.admitted["A"] == 6
 
     def test_scalar_lane_schedules_one_event_per_syn(self, fig9_graph):
-        sim, switch = self._queue_then_fund(fig9_graph, fast_lane=False)
+        # The per-packet oracle releases each SYN as its own event.
+        sim, switch = self._queue_then_fund(fig9_graph, PacketL4Switch)
         assert sim.pending == 6
         sim.run(until=1.0)
         assert switch.reinjected["A"] == 6
@@ -350,7 +355,7 @@ class TestPortSpace:
         # NAT/conntrack/pending state.
         _, _, _, _, switch = _world(fig9_graph)
         tup = switch._claim_tuple("C1")
-        switch.nat.install(tup, "SA", 80, now=0.0)   # tuple is live
+        switch.nat.install_slot(tup, "SA", 80)       # tuple is live
         switch._release_port(tup[0], tup[1])         # stray release
         assert switch._claim_tuple("C1") != tup
 
@@ -359,14 +364,14 @@ class TestParkedRequests:
     """SYN-queue overflow parks at the switch; ``install`` re-offers after
     the kernel thread has spent quota on the kernel queue."""
 
-    @pytest.mark.parametrize("fast_lane", [True, False])
-    def test_reinjection_then_parked(self, fig9_graph, fast_lane):
+    @pytest.mark.parametrize("flow_path", [True, False])
+    def test_reinjection_then_parked(self, fig9_graph, flow_path):
         import numpy as np
         from repro.cluster.client import START_SKEW, ClientMachine
 
         sim, _, _, _, switch = _world(
-            fig9_graph, max_syn_queue=2, fast_lane=fast_lane,
-            spread_reinjection=False,
+            fig9_graph, cls=L4Switch if flow_path else PacketL4Switch,
+            max_syn_queue=2, spread_reinjection=False,
         )
         weights = {"A": {"A": 32.0}}
         switch.install(_alloc({"A": 0.0}, weights))

@@ -68,22 +68,13 @@ class TestCommands:
         assert "fig7: ok" in out
         assert "|" in out and "* A" in out   # the terminal chart rendered
 
-    def test_figures_scalar_lane_runs_the_per_packet_path(self, capsys, monkeypatch):
-        from repro.l4.switch import L4Switch
-
-        lanes = []
-        init = L4Switch.__init__
-
-        def spy(self, *args, **kwargs):
-            init(self, *args, **kwargs)
-            lanes.append(self.fast_lane)
-
-        monkeypatch.setattr(L4Switch, "__init__", spy)
-        rc = main(["figures", "--only", "fig9", "--scale", "0.1",
-                   "--lane", "scalar"])
-        assert rc == 0
-        assert "fig9: ok" in capsys.readouterr().out
-        assert lanes == [False]
+    def test_figures_scalar_lane_is_a_usage_error(self, capsys):
+        # The per-packet L4 path is a test oracle, not a lane.
+        with pytest.raises(SystemExit) as exc:
+            main(["figures", "--only", "fig9", "--scale", "0.1",
+                  "--lane", "scalar"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'scalar'" in capsys.readouterr().err
 
     def test_figures_lane_with_shards_is_a_usage_error(self, capsys):
         # Naming the default lane conflicts with --shards as much as any.

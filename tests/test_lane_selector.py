@@ -1,7 +1,8 @@
 """``lane=`` is the only execution selector: the four A/B accelerator
 switches stay deleted everywhere above the component that owns one, and
-so do the sharded lane's transport and checkpoint-store knobs and the
-strict open-loop world variant the columnar lane once needed."""
+so do the sharded lane's transport and checkpoint-store knobs, the strict
+open-loop world variant the columnar lane once needed, and the L4
+switch's per-packet lane (now a test oracle)."""
 
 import inspect
 
@@ -12,6 +13,7 @@ from repro.cli import build_parser
 from repro.cluster.client import ClientMachine
 from repro.experiments import faultmatrix, figures, parallel, sharded
 from repro.experiments.harness import Scenario
+from repro.l4.columnar import ColumnarL4Switch
 from repro.l4.daemon import L4Daemon
 from repro.l4.switch import L4Switch
 from repro.l7.redirector import L7Redirector
@@ -32,10 +34,11 @@ SWITCHLESS = [
     parallel.figure_kwargs, parallel.run_figures_parallel,
     faultmatrix.fault_matrix_scenario, faultmatrix.run_fault_matrix,
     faultmatrix.run_crash_recovery_matrix,
-    replay.fig6_replay, replay.chaos_replay, replay.l4_replay,
+    replay.figure_replay, replay.chaos_replay,
     replay.columnar_replay, replay.sharded_replay,
     sharded.ShardedRunner, sharded.run_sharded, sharded.run_sharded_figure,
-    WindowAllocator, L7Redirector, L4Daemon, ClientMachine, Simulator,
+    WindowAllocator, L7Redirector, L4Daemon, L4Switch, ColumnarL4Switch,
+    ClientMachine, Simulator,
 ]
 
 
@@ -44,8 +47,9 @@ def _accepts(fn, name):
     if name in params:
         return True
     # A **kwargs catch-all is a pass-through in disguise.  run_faultmatrix's
-    # forwards to run_fault_matrix, which is checked by name above.
-    return fn is not figures.run_faultmatrix and any(
+    # forwards to run_fault_matrix and ColumnarL4Switch's to L4Switch,
+    # which are checked by name.
+    return fn not in (figures.run_faultmatrix, ColumnarL4Switch) and any(
         p.kind is p.VAR_KEYWORD for p in params.values()
     )
 
@@ -72,11 +76,9 @@ def test_scenario_takes_the_lane_and_nothing_else():
     (CommunityScheduler, "lp_cache"),
     (ProviderScheduler, "lp_cache"),
     (MultiResourceCommunityScheduler, "lp_cache"),
-    (L4Switch, "fast_lane"),
 ], ids=lambda v: getattr(v, "__name__", v))
 def test_component_level_switches_remain(owner, switch):
-    # Where the cache lives (raw solve counts for tests and ablations) and
-    # where the per-packet reference path lives.
+    # Where the cache lives (raw solve counts for tests and ablations).
     assert inspect.signature(owner).parameters[switch].default is True
 
 
@@ -102,6 +104,13 @@ def test_check_has_no_columnar_flag(capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("lane", ["scalar", "slotted", "columnar"])
+@pytest.mark.parametrize("lane", ["slotted", "columnar"])
 def test_parser_accepts_lane(lane):
     assert build_parser().parse_args(["figures", "--lane", lane]).lane == lane
+
+
+def test_parser_rejects_the_scalar_lane(capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["figures", "--lane", "scalar"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'scalar'" in capsys.readouterr().err
