@@ -1,14 +1,13 @@
-"""Columnar mega-scale lane: vectorized open-loop phases (third tier).
+"""Columnar lane: vectorized open-loop phases.
 
-The scalar lane pays one heap event and one Python object per request; the
-slotted fast lanes (PRs 2/5) cut the per-request constant but keep the
-event-per-request shape.  This lane removes it: each open-loop client's
-arrivals live as struct-of-arrays numpy columns (arrival time, principal
-code, cost, assigned server slot, completion time) and the whole window
-advances in one engine event — the :class:`ColumnarEngine` pump.
+The slotted lane pays one heap event per request.  This lane removes that
+shape: each open-loop client's arrivals live as struct-of-arrays numpy
+columns (arrival time, principal code, cost, assigned server slot,
+completion time) and the whole window advances in one engine event — the
+:class:`ColumnarEngine` pump.
 
 Determinism contract (the reason this lane can be digest-pinned against
-the other two):
+the slotted one):
 
 - **Draws** come from the same three spawned child generators as
   :class:`repro.cluster.workload.WorkloadStream` (``rng.spawn(3)``; the gap
@@ -32,12 +31,16 @@ the other two):
   Smaller mixed batches run a tight scalar loop.
 - **Ordering** at equal-time events follows the engine's sequence-number
   rules: the pump is scheduled before any other component (smallest
-  construction seq, re-armed first at every boundary by induction); equal
-  arrival times from different clients merge in the order their ticks were
-  scheduled, i.e. by the clients' previous ticks, back to the last instant
-  where the two chains differ (:meth:`ColumnarEngine.fires_first`); and
+  construction seq, re-armed first at every boundary by induction);
   completions/busy-time — whose effects are order-free (bin-keyed meters,
-  integer counters) — commit in per-server batches at the boundary.
+  integer counters) — commit in per-server batches at the boundary; and
+  every merge of column chunks (clients' arrivals into a redirector or
+  switch, groups' submissions into a server) goes through
+  :meth:`ColumnarEngine.merge`, the one place equal-time order is
+  decided: equal arrival times from different clients merge in the order
+  their ticks were scheduled, i.e. by the clients' previous ticks, back to
+  the last instant where the two chains differ
+  (:meth:`ColumnarEngine.fires_first`).
 - **Refusals park** exactly as :class:`ClientMachine`'s do: in event order,
   each refused request waits in its redirector's
   :class:`~repro.cluster.client.ParkedRequests` (the one refusal queue of
@@ -60,6 +63,7 @@ from __future__ import annotations
 import itertools
 import zlib
 from bisect import bisect_right
+from collections import defaultdict
 from functools import cmp_to_key
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -266,6 +270,25 @@ def _runs(pairs: List[int]):
             lo = i
         prev = i
     yield lo, prev + 1
+
+
+def _columns(rows: List[tuple]) -> tuple:
+    """The chunk of submission rows ``(t, cost, created, code, pcode)``;
+    costs None when every one is 1."""
+    ts, costs, created, cl, pr = zip(*rows)
+    c = np.asarray(costs)
+    return (
+        np.asarray(ts), c if bool(np.any(c != 1.0)) else None,
+        np.asarray(created), np.asarray(cl, dtype=np.int64),
+        np.asarray(pr, dtype=np.int64),
+    )
+
+
+def _select(chunk: tuple, sel) -> tuple:
+    """The entries ``sel`` (slice, mask or indices) of every column."""
+    ts, costs, created, cl, pr = chunk
+    return (ts[sel], None if costs is None else costs[sel], created[sel],
+            cl[sel], pr[sel])
 
 
 def _block(rate: float) -> int:
@@ -612,16 +635,9 @@ class _ServerLane:
         self._pco: Optional[np.ndarray] = None    # costs (None == all 1.0)
         self._busy_ptr = 0
 
-    def push(
-        self,
-        times: np.ndarray,
-        costs: Optional[np.ndarray],
-        created: np.ndarray,
-        clients: np.ndarray,
-        prins: np.ndarray,
-    ) -> None:
-        """Queue one group's submissions (already in event order)."""
-        self._push.append((times, costs, created, clients, prins))
+    def push(self, chunk: tuple) -> None:
+        """Queue one group's submissions (a chunk already in event order)."""
+        self._push.append(chunk)
 
     def submit(
         self, t: float, cost: float, created: float, code: int, pcode: int,
@@ -636,56 +652,12 @@ class _ServerLane:
 
     def advance(self, now: float) -> None:
         if self._boundary:
-            self._drain(*self._take_boundary())
+            self._drain(*_columns(self._boundary))
+            self._boundary = []
         if self._push:
-            self._drain(*self._merge_pushes())
+            self._drain(*self.engine.merge(self._push))
+            self._push = []
         self._commit(now)
-
-    def _take_boundary(self):
-        ts, costs, created, cl, pr = zip(*self._boundary)
-        self._boundary = []
-        c = np.asarray(costs)
-        return (
-            np.asarray(ts), c if bool(np.any(c != 1.0)) else None,
-            np.asarray(created), np.asarray(cl, dtype=np.int64),
-            np.asarray(pr, dtype=np.int64),
-        )
-
-    def _merge_pushes(self):
-        chunks = self._push
-        self._push = []
-        if len(chunks) == 1:
-            ts, costs, created, cl, pr = chunks[0]
-        else:
-            ts = np.concatenate([c[0] for c in chunks])
-            if any(c[1] is not None for c in chunks):
-                costs = np.concatenate([
-                    c[1] if c[1] is not None else np.ones(c[0].shape[0])
-                    for c in chunks
-                ])
-            else:
-                costs = None
-            created = np.concatenate([c[2] for c in chunks])
-            cl = np.concatenate([c[3] for c in chunks])
-            pr = np.concatenate([c[4] for c in chunks])
-            # Each chunk is in event order already; same-time submissions
-            # from different chunks interleave in the engine's firing order.
-            order = np.argsort(ts, kind="stable")
-            ts = ts[order]
-            if bool(np.any(ts[1:] == ts[:-1])):
-                src = np.repeat(np.arange(len(chunks)),
-                                [c[0].shape[0] for c in chunks])[order]
-                fix = self.engine.tie_order(
-                    ts, cl[order], src, created[order] == ts)
-                if fix is not None:
-                    order = order[fix]
-                    ts = ts[fix]
-            created = created[order]
-            cl = cl[order]
-            pr = pr[order]
-            if costs is not None:
-                costs = costs[order]
-        return ts, costs, created, cl, pr
 
     def _drain(self, ts, costs, created, cl, pr) -> None:
         srv = self.server
@@ -842,62 +814,26 @@ class _L7Group:
     ) -> None:
         red = self.red
         engine = self.engine
-        parts: List[np.ndarray] = []
-        codes: List[np.ndarray] = []
-        cost_parts: List[Optional[np.ndarray]] = []
-        total = 0
-        any_costs = False
-        for c in cs:
-            t, cost = c.take_until(hi, closed)
-            n = t.shape[0]
-            if not n:
-                continue
-            c.issued += n
-            parts.append(t)
-            codes.append(np.full(n, c._code, dtype=np.int64))
-            cost_parts.append(cost)
-            if cost is not None:
-                any_costs = True
-            total += n
-        if not total:
+        batch = engine.gather(cs, hi, closed)
+        if batch is None:
             return
-        engine.requests += total
-        if len(parts) == 1:
-            ts, cl = parts[0], codes[0]
-            costs = cost_parts[0]
-        else:
-            ts = np.concatenate(parts)
-            cl = np.concatenate(codes)
-            costs = None
-            if any_costs:
-                costs = np.concatenate([
-                    cp if cp is not None else np.ones(pp.shape[0])
-                    for cp, pp in zip(cost_parts, parts)
-                ])
-            order = engine.event_order(ts, cl)
-            ts = ts[order]
-            cl = cl[order]
-            if costs is not None:
-                costs = costs[order]
+        costs, cl = batch[1], batch[3]
+        total = cl.shape[0]
+        quota = red.quota
+        budget = quota._budget[p]
         # Demand estimate: one bulk add per window from a zeroed counter
         # equals the scalar's sequential `+= cost` chain (cumsum is
         # left-to-right; integer unit costs sum exactly).
         if costs is None:
             red._arrivals[p] += float(total)
-        else:
-            red._arrivals[p] += float(np.cumsum(costs)[-1])
-        quota = red.quota
-        budget = quota._budget[p]
-        if costs is None:
             n_adm = _unit_admit(budget, total)
             new_budget = budget - float(n_adm)
-            adm_t, adm_cl, adm_costs = ts[:n_adm], cl[:n_adm], None
-            refused = (ts[n_adm:], cl[n_adm:], None)
+            adm, ref = slice(n_adm), slice(n_adm, None)
         else:
-            mask, new_budget = _greedy_admit(budget, costs)
-            n_adm = int(np.count_nonzero(mask))
-            adm_t, adm_cl, adm_costs = ts[mask], cl[mask], costs[mask]
-            refused = (ts[~mask], cl[~mask], costs[~mask])
+            red._arrivals[p] += float(np.cumsum(costs)[-1])
+            adm, new_budget = _greedy_admit(budget, costs)
+            n_adm = int(np.count_nonzero(adm))
+            ref = ~adm
         quota._budget[p] = new_budget
         quota.admitted[p] += n_adm
         quota.rejected[p] += total - n_adm
@@ -906,21 +842,19 @@ class _L7Group:
             # handle()'s admitted-but-no-usable-server fallthrough.
             quota.rejected[p] += n_adm
             red.self_redirects[p] += total
-            engine.refuse(ts, cl, costs)
+            engine.refuse(batch)
             return
         red.admitted[p] += n_adm
         red.self_redirects[p] += total - n_adm
         if n_adm < total:
-            engine.refuse(*refused)
+            engine.refuse(_select(batch, ref))
         if n_adm:
+            admitted = _select(batch, adm)
             clients = engine.clients_by_code
-            for code, cnt in enumerate(np.bincount(adm_cl).tolist()):
+            for code, cnt in enumerate(np.bincount(admitted[3]).tolist()):
                 if cnt:
                     clients[code].admitted += cnt
-            engine.lane(srv).push(
-                adm_t, adm_costs, adm_t, adm_cl,
-                np.full(n_adm, engine.principal_code(p), dtype=np.int64),
-            )
+            engine.lane(srv).push(admitted)
 
     # -- general event-loop path ------------------------------------------
 
@@ -931,81 +865,36 @@ class _L7Group:
         events or Request objects."""
         red = self.red
         engine = self.engine
-        parts: List[np.ndarray] = []
-        codes: List[np.ndarray] = []
-        pcs: List[np.ndarray] = []
-        cost_parts: List[Optional[np.ndarray]] = []
-        any_costs = False
-        for c in self._order:
-            t, cost = c.take_until(hi, closed)
-            n = t.shape[0]
-            if not n:
-                continue
-            c.issued += n
-            parts.append(t)
-            codes.append(np.full(n, c._code, dtype=np.int64))
-            pcs.append(np.full(n, c._pcode, dtype=np.int64))
-            cost_parts.append(cost)
-            if cost is not None:
-                any_costs = True
-        if not parts:
+        batch = engine.gather(self._order, hi, closed)
+        if batch is None:
             return
-        ts = np.concatenate(parts)
-        cl = np.concatenate(codes)
-        pc = np.concatenate(pcs)
-        if any_costs:
-            costs = np.concatenate([
-                cp if cp is not None else np.ones(pp.shape[0])
-                for cp, pp in zip(cost_parts, parts)
-            ])
-        else:
-            costs = np.ones(ts.shape[0])
-        order = engine.event_order(ts, cl)
-        ts = ts[order]
-        cl = cl[order]
-        pc = pc[order]
-        costs = costs[order]
-        engine.requests += ts.shape[0]
+        ts, costs, _, cl, pc = batch
         quota = red.quota
         arrivals = red._arrivals
         clients = engine.clients_by_code
         names = engine.principal_names
-        subs: Dict[object, List[List]] = {}
+        subs: Dict[object, List[tuple]] = defaultdict(list)
         refused: List[int] = []
         for i, (t, code, pcode, cost) in enumerate(zip(
-            ts.tolist(), cl.tolist(), pc.tolist(), costs.tolist()
+            ts.tolist(), cl.tolist(), pc.tolist(),
+            itertools.repeat(1.0) if costs is None else costs.tolist(),
         )):
             p = names[pcode]
-            cli = clients[code]
             arrivals[p] += cost
             if quota.try_admit(p, cost=cost):
                 server = red._pick_server(p)
                 if server is not None:
                     red.admitted[p] += 1
-                    cli.admitted += 1
-                    rec = subs.get(id(server))
-                    if rec is None:
-                        rec = subs[id(server)] = [server, [], [], [], []]
-                    rec[1].append(t)
-                    rec[2].append(cost)
-                    rec[3].append(code)
-                    rec[4].append(pcode)
+                    clients[code].admitted += 1
+                    subs[server].append((t, cost, t, code, pcode))
                     continue
                 quota.rejected[p] += 1
             red.self_redirects[p] += 1
             refused.append(i)
         if refused:
-            engine.refuse(ts[refused], cl[refused],
-                          costs[refused] if any_costs else None)
-        for server, t_l, c_l, cl_l, pc_l in subs.values():
-            t_a = np.asarray(t_l)
-            engine.lane(server).push(
-                t_a,
-                np.asarray(c_l) if any_costs else None,
-                t_a,
-                np.asarray(cl_l, dtype=np.int64),
-                np.asarray(pc_l, dtype=np.int64),
-            )
+            engine.refuse(_select(batch, refused))
+        for server, rows in subs.items():
+            engine.lane(server).push(_columns(rows))
 
 
 class ColumnarEngine:
@@ -1067,13 +956,12 @@ class ColumnarEngine:
             ln = self._lanes[server.name] = _ServerLane(self, server)
         return ln
 
-    def refuse(
-        self, ts: np.ndarray, cl: np.ndarray, costs: Optional[np.ndarray],
-    ) -> None:
-        """Refused arrivals, in event order: ``ClientMachine._dispatch``'s
+    def refuse(self, chunk: tuple) -> None:
+        """Refused arrivals (a chunk, in event order): ``ClientMachine._dispatch``'s
         refusal path for each.  A request parks in its redirector's
         ParkedRequests while its client's pool has room and is dropped
         otherwise, so of each client's refusals the first ``room`` park."""
+        ts, costs, _, cl, _ = chunk
         clients = self.clients_by_code
         counts = np.bincount(cl)
         keep = []
@@ -1124,12 +1012,49 @@ class ColumnarEngine:
 
     # -- equal-time order ----------------------------------------------------
 
-    def event_order(self, ts: np.ndarray, cl: np.ndarray) -> np.ndarray:
-        """Permutation merging per-client blocks of arrivals (each
-        ascending, concatenated) into the engine's event order."""
+    def gather(
+        self, clients: List[ColumnarClient], hi: float, closed: bool,
+    ) -> Optional[tuple]:
+        """Every arrival of ``clients`` before ``hi`` (``take_until``), as
+        one chunk in firing order, counted as issued; None when there is
+        none.  Each client's arrivals are its own chunk, all of them ticks
+        (``created`` is the arrival time)."""
+        chunks = []
+        for c in clients:
+            t, cost = c.take_until(hi, closed)
+            n = t.shape[0]
+            if n:
+                c.issued += n
+                self.requests += n
+                chunks.append((t, cost, t, np.full(n, c._code, dtype=np.int64),
+                               np.full(n, c._pcode, dtype=np.int64)))
+        return self.merge(chunks) if chunks else None
+
+    def merge(self, chunks: List[tuple]) -> tuple:
+        """One chunk in the engine's firing order from ``chunks``, each a
+        column tuple ``(ts, costs, created, cl, pr)`` already in event
+        order (costs None: all 1).  The one place equal-time order is
+        decided: a stable sort on time, then :meth:`tie_order` over runs of
+        equal times, with an entry a tick of its client when it was created
+        at its own time (arrivals, not L4 releases)."""
+        if len(chunks) == 1:
+            return chunks[0]
+        costs = None
+        if any(c[1] is not None for c in chunks):
+            costs = np.concatenate([
+                np.ones(c[0].shape[0]) if c[1] is None else c[1] for c in chunks
+            ])
+        ts, created, cl, pr = (np.concatenate([c[i] for c in chunks])
+                               for i in (0, 2, 3, 4))
         order = np.argsort(ts, kind="stable")
-        fix = self.tie_order(ts[order], cl[order])
-        return order if fix is None else order[fix]
+        st = ts[order]
+        if bool(np.any(st[1:] == st[:-1])):
+            src = np.repeat(np.arange(len(chunks)),
+                            [c[0].shape[0] for c in chunks])
+            fix = self.tie_order(st, cl[order], src[order], created[order] == st)
+            if fix is not None:
+                order = order[fix]
+        return _select((ts, costs, created, cl, pr), order)
 
     def fires_first(self, c: int, d: int, t: float) -> bool:
         """Whether client ``c``'s tick at ``t`` fires before client ``d``'s,
@@ -1164,22 +1089,18 @@ class ColumnarEngine:
         return a._rank < b._rank
 
     def tie_order(
-        self, ts: np.ndarray, cl: np.ndarray,
-        src: Optional[np.ndarray] = None, tick: Optional[np.ndarray] = None,
+        self, ts: np.ndarray, cl: np.ndarray, src: np.ndarray, tick: np.ndarray,
     ) -> Optional[np.ndarray]:
-        """Permutation of ``ts`` (sorted, stably) putting each run of equal
-        times in firing order, or None when no run spans two sources.
+        """Permutation of ``ts`` (sorted, stably, with at least one run of
+        equal times) putting each run in firing order, or None when no run
+        spans two sources.
 
-        Entries of one source (``src``, default: the client code) keep
-        their relative order.  Two clients' ticks are ordered by
-        :meth:`fires_first`; an entry that is not its client's tick
-        (``tick`` False: an L4 release) falls back to client-code order.
+        Entries of one source (``src``: the chunk) keep their relative
+        order.  Two clients' ticks are ordered by :meth:`fires_first`; an
+        entry that is not its client's tick (``tick`` False: an L4 release)
+        falls back to client-code order.
         """
         same = ts[1:] == ts[:-1]
-        if not same.any():
-            return None
-        if src is None:
-            src = cl
         perm = np.arange(ts.shape[0])
         changed = False
         for lo, hi in _runs(np.flatnonzero(same).tolist()):
@@ -1190,7 +1111,7 @@ class ColumnarEngine:
             def before(x: int, y: int, t: float = t) -> int:
                 if src[x] == src[y]:
                     return x - y
-                if tick is None or (tick[x] and tick[y]):
+                if tick[x] and tick[y]:
                     return -1 if self.fires_first(int(cl[x]), int(cl[y]), t) else 1
                 return int(cl[x] - cl[y]) or x - y
 

@@ -37,11 +37,10 @@ a later event.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from collections import defaultdict
+from typing import Dict, List, Tuple
 
-import numpy as np
-
-from repro.cluster.columnar import _Pending
+from repro.cluster.columnar import _Pending, _columns, _select
 from repro.l4.switch import L4Switch
 
 __all__ = ["ColumnarL4Switch"]
@@ -145,79 +144,30 @@ class _L4Group:
     def advance(self, hi: float, closed: bool) -> None:
         sw = self.switch
         engine = self.engine
-        parts: List[np.ndarray] = []
-        codes: List[np.ndarray] = []
-        cost_parts: List[Optional[np.ndarray]] = []
-        any_costs = False
-        total = 0
-        for c in self._order:
-            t, cost = c.take_until(hi, closed)
-            n = t.shape[0]
-            if not n:
-                continue
-            c.issued += n
-            parts.append(t)
-            codes.append(np.full(n, c._code, dtype=np.int64))
-            cost_parts.append(cost)
-            if cost is not None:
-                any_costs = True
-            total += n
+        batch = engine.gather(self._order, hi, closed)
         releases = sw._columnar_releases
-        if not total and not releases:
-            return
-        engine.requests += total
-        if total:
-            ts = np.concatenate(parts) if len(parts) > 1 else parts[0]
-            cl = np.concatenate(codes) if len(codes) > 1 else codes[0]
-            if any_costs:
-                costs = np.concatenate([
-                    cp if cp is not None else np.ones(pp.shape[0])
-                    for cp, pp in zip(cost_parts, parts)
-                ]) if len(parts) > 1 else (
-                    cost_parts[0] if cost_parts[0] is not None
-                    else np.ones(parts[0].shape[0])
-                )
-            else:
-                costs = np.ones(total)
-            if len(parts) > 1:
-                order = engine.event_order(ts, cl)
-                ts = ts[order]
-                cl = cl[order]
-                costs = costs[order]
-            tl = ts.tolist()
-            cll = cl.tolist()
-            col = costs.tolist()
+        if batch is None:
+            if not releases:
+                return
+            tl = cll = col = []
         else:
-            tl = []
-            cll = []
-            col = []
+            tl = batch[0].tolist()
+            cll = batch[3].tolist()
+            col = [1.0] * len(tl) if batch[1] is None else batch[1].tolist()
         clients = engine.clients_by_code
         arrivals = sw._arrivals
         try_admit = sw._try_admit
         pick = sw._pick_server
-        by_name = sw._server_by_name
         affinity = sw.conntrack._affinity
         syn_queues = sw._syn_queues
         max_q = sw.max_syn_queue
         admitted = sw.admitted
         dropped = sw.dropped
         queued = sw.queued
-        # server name -> [server, times, costs, created, client codes,
-        # principal codes]; insertion (= first submission) order.
-        subs: dict = {}
+        # server name -> submission rows (t, cost, created, client code,
+        # principal code); insertion (= first submission) order.
+        subs: Dict[str, List[tuple]] = defaultdict(list)
         refused: List[int] = []  # arrival indices, for engine.refuse
-
-        def _submit(server: str, t: float, cost: float, created: float,
-                    code: int, pcode: int) -> None:
-            rec = subs.get(server)
-            if rec is None:
-                rec = subs[server] = [by_name[server][1], [], [], [], [], []]
-            rec[1].append(t)
-            rec[2].append(cost)
-            rec[3].append(created)
-            rec[4].append(code)
-            rec[5].append(pcode)
-
         na = len(tl)
         nrel = len(releases)
         ai = 0
@@ -248,8 +198,8 @@ class _L4Group:
                 else:
                     affinity[(cli.name, p)] = server
                     admitted[p] += 1
-                    _submit(server, rt, flow.cost, flow.created,
-                            flow.code, cli._pcode)
+                    subs[server].append((rt, flow.cost, flow.created,
+                                         flow.code, cli._pcode))
                 ri += 1
                 continue
             code = cll[ai]
@@ -266,7 +216,7 @@ class _L4Group:
                     affinity[(cli.name, p)] = server
                     admitted[p] += 1
                     cli.admitted += 1
-                    _submit(server, tl[ai], cost, tl[ai], code, cli._pcode)
+                    subs[server].append((tl[ai], cost, tl[ai], code, cli._pcode))
             else:
                 q = syn_queues[p]
                 if len(q) >= max_q:
@@ -280,16 +230,7 @@ class _L4Group:
         if ri:
             del releases[:ri]
         if refused:
-            engine.refuse(ts[refused], cl[refused],
-                          costs[refused] if any_costs else None)
-        for rec in subs.values():
-            srv, t_l, c_l, cr_l, cd_l, pc_l = rec
-            t_a = np.asarray(t_l)
-            c_a = np.asarray(c_l)
-            engine.lane(srv).push(
-                t_a,
-                c_a if bool(np.any(c_a != 1.0)) else None,
-                np.asarray(cr_l),
-                np.asarray(cd_l, dtype=np.int64),
-                np.asarray(pc_l, dtype=np.int64),
-            )
+            engine.refuse(_select(batch, refused))
+        by_name = sw._server_by_name
+        for server, rows in subs.items():
+            engine.lane(by_name[server][1]).push(_columns(rows))

@@ -57,22 +57,6 @@ class FlowRecord:
     def principal(self) -> str:
         return self.request.principal
 
-    @property
-    def src_ip(self) -> str:
-        return self.tup[0]
-
-    @property
-    def src_port(self) -> int:
-        return self.tup[1]
-
-    @property
-    def four_tuple(self) -> FourTuple:
-        return self.tup
-
-    @property
-    def payload_bytes(self) -> int:
-        return self.request.size_bytes
-
     def __call__(self, request: Request) -> None:
         """Server completion: the record *is* the ``done`` callback."""
         self.switch._on_response_flow(self, request)

@@ -5,8 +5,9 @@ The three-lane digest parity lives in
 digests do not: the one property ``ColumnarClient.take_until`` promises on
 its own (the window boundaries it is called with, the refill block size and
 the length of the gap prefix it scans are all unobservable), the
-response-time statistics, which no digest hashes, and the server drain
-against the scalar recurrence it replaces, bit for bit.
+response-time statistics, which no digest hashes, the event-order merge
+every gather and server drain goes through, and the server drain against
+the scalar recurrence it replaces, bit for bit.
 """
 
 import types
@@ -17,7 +18,10 @@ from hypothesis import given, settings, strategies as st
 
 import repro.cluster.columnar as columnar
 from repro.cluster.client import START_SKEW
-from repro.cluster.columnar import ColumnarClient, _ServerLane
+from repro.cluster.columnar import ColumnarClient, ColumnarEngine, _ServerLane
+from repro.scheduling.window import WindowConfig
+from repro.sim.engine import Simulator
+from repro.sim.monitor import RateMeter
 
 RATE = 100.0
 WINDOW = 0.1
@@ -113,6 +117,66 @@ def test_response_stats_match_the_slotted_lane():
         assert (col.mean, col.variance) == (ref.mean, ref.variance), name
         assert (col.min, col.max) == (ref.min, ref.max), name
         assert col.samples == ref.samples, name
+
+
+# -- the event-order merge -------------------------------------------------
+
+
+@st.composite
+def chunk_lists(draw):
+    """1-6 chunks ``(ts, costs, created, cl, pr)``, each ascending in time,
+    costs sometimes None, no time shared by two chunks (ties within one
+    chunk allowed).  ``cl`` is the chunk index, ``pr`` the entry's index
+    in the concatenation."""
+    k = draw(st.integers(1, 6))
+    times = draw(st.lists(st.floats(0.0, 1e3), min_size=k, max_size=40,
+                          unique=True))
+    owner = list(range(k)) + draw(st.lists(
+        st.integers(0, k - 1), min_size=len(times) - k,
+        max_size=len(times) - k))
+    reps = draw(st.lists(st.integers(1, 3), min_size=len(times),
+                         max_size=len(times)))
+    chunks, n = [], 0
+    for j in range(k):
+        ts = np.sort(np.repeat(
+            [t for t, o in zip(times, owner) if o == j],
+            [r for r, o in zip(reps, owner) if o == j]))
+        m = ts.shape[0]
+        costs = None if draw(st.booleans()) else np.asarray(
+            draw(st.lists(st.integers(1, 8), min_size=m, max_size=m)),
+            dtype=float)
+        created = ts - draw(st.sampled_from([0.0, 0.5]))
+        chunks.append((ts, costs, created, np.full(m, j, dtype=np.int64),
+                       np.arange(n, n + m, dtype=np.int64)))
+        n += m
+    return chunks
+
+
+@given(chunk_lists())
+@settings(max_examples=300, deadline=None)
+def test_merge_is_the_stable_time_merge(chunks):
+    engine = ColumnarEngine(Simulator(), WindowConfig(), RateMeter())
+    out = engine.merge(chunks)
+    if len(chunks) == 1:
+        assert out is chunks[0]
+    ts, costs, created, cl, pr = out
+    # A permutation of the input, sorted by time, each chunk in order.
+    assert sorted(pr.tolist()) == list(range(sum(c[0].shape[0] for c in chunks)))
+    assert bool(np.all(ts[1:] >= ts[:-1]))
+    for j in range(len(chunks)):
+        mine = pr[cl == j]
+        assert bool(np.all(mine[1:] > mine[:-1]))
+    # Every column is the stable argsort merge.
+    cat = [np.concatenate([c[i] for c in chunks]) for i in (0, 2, 3, 4)]
+    order = np.argsort(cat[0], kind="stable")
+    for got, want in zip((ts, created, cl, pr), cat):
+        assert np.array_equal(got, want[order])
+    if all(c[1] is None for c in chunks):
+        assert costs is None
+    else:
+        want = np.concatenate([
+            np.ones(c[0].shape[0]) if c[1] is None else c[1] for c in chunks])
+        assert np.array_equal(costs, want[order])
 
 
 # -- the server drain ------------------------------------------------------

@@ -113,29 +113,48 @@ def test_batch_size_invariance(batch):
     assert scenario_digest(run_with_batch(batch)) == reference
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_clients_opening_at_one_instant_fire_in_engine_order(seed):
-    """C1 and C2 (A, evenly spaced, one rate) both open at t = 6 s, so every
-    arrival of one ties with an arrival of the other.  The event lanes fire
-    equal-time ticks in scheduling order: each tick is scheduled by the
-    client's previous one, back to the idle ticks that re-armed both
-    clients for t = 6 s, whose order is their start skews' — not creation
-    order.  The columnar lane must merge them the same way."""
+def _one_instant_world(shape, seed, lane):
+    """C1 and C2 (A) open together at t = 6 s; C3 (B) runs throughout.
+
+    ``shape`` picks the columnar path that merges them: ``sole`` -- two
+    sole-server L7 redirectors (one principal's clients at a time);
+    ``pooled`` -- the same redirectors over a two-server pool (one
+    per-event walk over all clients); ``l4`` -- two L4 switches, whose
+    reinjection releases reach the shared server beside arrivals."""
     from repro.experiments.figures import _fig6_graph
     from repro.experiments.harness import Scenario
 
-    def world(lane):
-        sc = Scenario(_fig6_graph(320.0, 0.2, 0.8), seed=seed, lane=lane)
+    sc = Scenario(_fig6_graph(320.0, 0.2, 0.8), seed=seed, lane=lane)
+    if shape == "pooled":
+        pool = [sc.server("S1", "S", 160.0), sc.server("S2", "S", 160.0)]
+        r1 = sc.l7("R1", {"S": pool}, n_redirectors=2)
+        r2 = sc.l7("R2", {"S": pool}, n_redirectors=2)
+    else:
         server = sc.server("S", "S", 320.0)
-        r1 = sc.l7("R1", {"S": server}, n_redirectors=2)
-        r2 = sc.l7("R2", {"S": server}, n_redirectors=2)
-        sc.connect_tree(link_delay=0.005)
-        sc.client("C1", "A", r1, rate=135.0, windows=[(6.0, 12.0)])
-        sc.client("C2", "A", r1, rate=135.0, windows=[(6.0, 12.0)])
-        sc.client("C3", "B", r2, rate=135.0, windows=[(0.0, 12.0)])
-        sc.run(12.0)
-        return sc
+        make = sc.l4 if shape == "l4" else sc.l7
+        r1 = make("R1", {"S": server}, n_redirectors=2)
+        r2 = make("R2", {"S": server}, n_redirectors=2)
+    sc.connect_tree(link_delay=0.005)
+    sc.client("C1", "A", r1, rate=135.0, windows=[(6.0, 12.0)])
+    sc.client("C2", "A", r1, rate=135.0, windows=[(6.0, 12.0)])
+    sc.client("C3", "B", r2, rate=135.0, windows=[(0.0, 12.0)])
+    sc.run(12.0)
+    return sc
 
-    col = world("columnar")
+
+@pytest.mark.parametrize("shape,seed", [
+    # Today's world keeps its plain seed ids.
+    pytest.param(shape, seed, id=str(seed) if shape == "sole" else f"{shape}-{seed}")
+    for shape in ("sole", "pooled", "l4") for seed in range(4)
+])
+def test_clients_opening_at_one_instant_fire_in_engine_order(shape, seed):
+    """Every arrival of C1 ties with an arrival of C2.  The event lanes
+    fire equal-time ticks in scheduling order: each tick is scheduled by
+    the client's previous one, back to the idle ticks that re-armed both
+    clients for t = 6 s, whose order is their start skews' -- not creation
+    order.  The columnar lane must merge them the same way on every path
+    that gathers arrivals."""
+    col = _one_instant_world(shape, seed, "columnar")
     assert (col.lane, col.lane_fallback) == ("columnar", None)
-    assert scenario_digest(col) == scenario_digest(world("slotted"))
+    assert scenario_digest(col) == \
+        scenario_digest(_one_instant_world(shape, seed, "slotted"))

@@ -97,8 +97,8 @@ def branches(monkeypatch):
 
     refuse = ColumnarEngine.refuse
 
-    def spy_refuse(self, ts, cl, costs):
-        counts = np.bincount(cl)
+    def spy_refuse(self, chunk):
+        counts = np.bincount(chunk[3])
         for code in np.flatnonzero(counts).tolist():
             cli = self.clients_by_code[code]
             if counts[code] > cli.max_retry_pool - cli.parked:
@@ -107,7 +107,7 @@ def branches(monkeypatch):
             if (isinstance(red, ColumnarL4Switch)
                     and len(red._syn_queues[cli.principal]) >= red.max_syn_queue):
                 seen["queue_full"] += 1
-        return refuse(self, ts, cl, costs)
+        return refuse(self, chunk)
 
     offer = ColumnarClient._offer
 

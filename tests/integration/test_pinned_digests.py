@@ -23,6 +23,8 @@ costs of the run: events scheduled (``Simulator._seq``) and LP solves
 summed over every redirector's and daemon's allocator.  They were captured
 at the parent of the commit that made the L4 flow path the only one in
 production, on the default lanes and under ``REPRO_CHECK=1``.
+``PINNED_COLUMNAR_LOAD_COSTS`` pins the same two, plus the busy-period
+passes, beside the columnar load world's digests on both lanes.
 
 The sharded lane was pinned at the parent of the commit that made the
 shared-memory plane its only boundary transport: ``shards=1``, ``shards=4``
@@ -119,6 +121,16 @@ PINNED_COLUMNAR_LOAD = {
     1: "d8b99eac1e46e5aed7cdd39a7ddce3f92a2763eef09d8ac45c4600050c1b3e9c",
 }
 
+# seed -> lane -> (events scheduled, LP solves, busy-period passes) of the
+# same world, as PINNED_COSTS pins them beside the figures.  Captured at the
+# parent of the commit that merged every columnar gather through one
+# ColumnarEngine.merge; they catch a change that keeps the digest but
+# schedules, solves or drains more.
+PINNED_COLUMNAR_LOAD_COSTS = {
+    0: {"columnar": (139, 24, 8), "slotted": (94302, 24, 0)},
+    1: {"columnar": (139, 24, 7), "slotted": (94443, 24, 0)},
+}
+
 PINNED_FAULT_MATRIX = (
     "038a99cf5f49d0ddc20f7c461a9025dd951a7cbc63f7f46f89f534de550dcacd"
 )
@@ -155,14 +167,18 @@ def _run_recorded(figure, monkeypatch, seed=0):
     return sc, result
 
 
-def _assert_pinned_costs(figure, sc):
-    mode = sc.lane + ("+check" if sc.invariants is not None else "")
-    solves = sum(
+def _costs(sc):
+    """(events scheduled, LP solves over every redirector and daemon)."""
+    return sc.sim._seq, sum(
         owner.allocator.lp_solves
         for owners in (sc.l7_redirectors, sc.l4_daemons)
         for owner in owners.values()
     )
-    assert (sc.sim._seq, solves) == PINNED_COSTS[figure][mode], mode
+
+
+def _assert_pinned_costs(figure, sc):
+    mode = sc.lane + ("+check" if sc.invariants is not None else "")
+    assert _costs(sc) == PINNED_COSTS[figure][mode], mode
 
 
 @pytest.mark.parametrize("figure", sorted(PINNED))
@@ -245,13 +261,16 @@ def test_columnar_load_reproduces_parent_digests(seed, monkeypatch):
         return busy_pass(*args)
 
     monkeypatch.setattr(columnar, "_busy_pass", spy)
-    col = _columnar_load_world(seed, "columnar")
-    assert (col.lane, col.lane_fallback) == ("columnar", None)
-    # Mixed batches of >= 64 requests took the busy-period drain.
-    assert len(passes) >= 3 and min(passes) >= columnar._BUSY_MIN
-    assert scenario_digest(col) == PINNED_COLUMNAR_LOAD[seed]
-    assert scenario_digest(_columnar_load_world(seed, "slotted")) == \
-        PINNED_COLUMNAR_LOAD[seed]
+    for lane in ("columnar", "slotted"):
+        passes.clear()
+        sc = _columnar_load_world(seed, lane)
+        assert (sc.lane, sc.lane_fallback) == (lane, None)
+        assert scenario_digest(sc) == PINNED_COLUMNAR_LOAD[seed], lane
+        assert (*_costs(sc), len(passes)) == \
+            PINNED_COLUMNAR_LOAD_COSTS[seed][lane], lane
+        if lane == "columnar":
+            # Mixed batches of >= 64 requests took the busy-period drain.
+            assert min(passes) >= columnar._BUSY_MIN
 
 
 def test_fault_matrix_reproduces_parent_digest():

@@ -77,13 +77,9 @@ class TestFlowRecord:
                       size_bytes=4096)
         return req, FlowRecord(switch or _SwitchSpy(), req, None, self.TUP)
 
-    def test_mirrors_packet_accessors(self):
-        req, flow = self._flow()
+    def test_principal_comes_from_the_request(self):
+        _, flow = self._flow()
         assert flow.principal == "A"
-        assert flow.src_ip == "C1"
-        assert flow.src_port == 12345
-        assert flow.four_tuple == self.TUP
-        assert flow.payload_bytes == req.size_bytes
 
     def test_unassigned_until_admitted(self):
         _, flow = self._flow()
