@@ -25,6 +25,10 @@ at the parent of the commit that made the L4 flow path the only one in
 production, on the default lanes and under ``REPRO_CHECK=1``.
 ``PINNED_COLUMNAR_LOAD_COSTS`` pins the same two, plus the busy-period
 passes, beside the columnar load world's digests on both lanes.
+``PINNED_HANDLE_CALLS`` pins a third cost of the fig6-fig10 runs, the
+``L7Redirector.handle`` and ``L4Switch.handle`` calls; on the columnar lane
+they are the parked re-offers.  It was captured at the parent of the commit
+that gave both front ends one window loop (``EnforcementNode``).
 
 The sharded lane was pinned at the parent of the commit that made the
 shared-memory plane its only boundary transport: ``shards=1``, ``shards=4``
@@ -43,6 +47,8 @@ from repro.core.agreements import Agreement, AgreementGraph
 from repro.experiments.faultmatrix import run_crash_recovery_matrix
 from repro.experiments.harness import Scenario
 from repro.experiments.sharded import run_sharded
+from repro.l4.switch import L4Switch
+from repro.l7.redirector import L7Redirector
 
 PINNED = {
     "fig6": (
@@ -83,6 +89,16 @@ PINNED_COSTS = {
     "fig8": {"slotted": (6521, 85), "slotted+check": (6745, 85)},
     "fig9": {"columnar": (405, 43), "slotted+check": (32399, 43)},
     "fig10": {"columnar": (405, 87), "slotted+check": (33452, 87)},
+}
+
+# figure -> run mode (as PINNED_COSTS) -> (L7Redirector.handle calls,
+# L4Switch.handle calls), counted on the class so every instance is seen.
+PINNED_HANDLE_CALLS = {
+    "fig6": {"columnar": (2786, 0), "slotted+check": (8166, 0)},
+    "fig7": {"slotted": (5062, 0), "slotted+check": (5062, 0)},
+    "fig8": {"slotted": (4804, 0), "slotted+check": (4804, 0)},
+    "fig9": {"columnar": (0, 7090), "slotted+check": (0, 21029)},
+    "fig10": {"columnar": (0, 4707), "slotted+check": (0, 18646)},
 }
 
 PINNED_SHARDED = {
@@ -147,15 +163,28 @@ COLUMNAR_BY_DEFAULT = {"fig6", "fig9", "fig10"}
 
 
 def _run_recorded(figure, monkeypatch, seed=0):
-    """Run one figure at 1/20 scale; returns (its Scenario, its result)."""
+    """Run one figure at 1/20 scale; returns (its Scenario, its result).
+
+    The Scenario's ``handle_calls`` is the (L7, L4) ``handle`` call count.
+    """
     worlds = []
+    calls = [0, 0]
 
     class Recorded(figures.Scenario):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
+            self.handle_calls = calls
             worlds.append(self)
 
+    def spy(i, handle):
+        def counted(self, *args, **kwargs):
+            calls[i] += 1
+            return handle(self, *args, **kwargs)
+        return counted
+
     monkeypatch.setattr(figures, "Scenario", Recorded)
+    for i, cls in enumerate((L7Redirector, L4Switch)):
+        monkeypatch.setattr(cls, "handle", spy(i, cls.handle))
     result = figures.ALL_FIGURES[figure](duration_scale=0.05, seed=seed)
     (sc,) = worlds
     if figure in COLUMNAR_BY_DEFAULT:
@@ -179,6 +208,7 @@ def _costs(sc):
 def _assert_pinned_costs(figure, sc):
     mode = sc.lane + ("+check" if sc.invariants is not None else "")
     assert _costs(sc) == PINNED_COSTS[figure][mode], mode
+    assert tuple(sc.handle_calls) == PINNED_HANDLE_CALLS[figure][mode], mode
 
 
 @pytest.mark.parametrize("figure", sorted(PINNED))
