@@ -801,12 +801,7 @@ class _L7Group:
             return srv
         ok = self._fallback_ok.get(p)
         if ok is None:
-            i = red.access.index(p)
-            ok = any(
-                k in red.servers and red._w.MI[i, red.access.index(k)] > 1e-12
-                for k in red.principals
-            )
-            self._fallback_ok[p] = ok
+            ok = self._fallback_ok[p] = bool(red._fallback_owners(p))
         return srv if ok else None
 
     def _advance_fast(

@@ -19,7 +19,7 @@ from repro.cluster.request import Request
 from repro.cluster.server import Server
 from repro.scheduling.endpoint import endpoint_allocate
 from repro.scheduling.queueing import ImplicitQuota
-from repro.scheduling.window import WindowConfig
+from repro.scheduling.window import WindowConfig, roll_ewma
 from repro.sim.engine import Simulator
 
 __all__ = ["EndpointEnforcingServer"]
@@ -60,13 +60,7 @@ class EndpointEnforcingServer(Server):
     def _window_driver(self):
         while True:
             yield self.window.length
-            alpha = self.smoothing
-            for p in self._arrivals:
-                self.demand_estimate[p] = (
-                    alpha * self._arrivals[p]
-                    + (1 - alpha) * self.demand_estimate[p]
-                )
-                self._arrivals[p] = 0.0
+            roll_ewma(self.demand_estimate, self._arrivals, self.smoothing)
             alloc = endpoint_allocate(
                 self.demand_estimate, self.shares,
                 self.capacity * self.window.length,

@@ -102,16 +102,6 @@ class MultiResourceAccess:
             OI=self.OI[:, :, r].copy(),
         )
 
-    def request_capacity(
-        self, holder: str, owner: str, profile: Mapping[str, float],
-        include_optional: bool = False,
-    ) -> float:
-        """Requests/second ``holder`` may place on ``owner``'s server given
-        a per-request demand ``profile`` — the bottleneck across types."""
-        i, k = self.index(holder), self.index(owner)
-        ent = self.MI[i, k] + (self.OI[i, k] if include_optional else 0.0)
-        return bottleneck_rate(ent, profile, self.resources)
-
     def check_conservation(self, atol: float = 1e-6) -> None:
         np.testing.assert_allclose(self.MI.sum(axis=0), self.V, atol=atol)
         np.testing.assert_allclose(self.MI.sum(axis=1), self.MC, atol=atol)

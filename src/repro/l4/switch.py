@@ -41,7 +41,7 @@ from repro.l4.nat import ArenaNatTable
 from repro.l4.packets import FlowRecord, FourTuple
 from repro.scheduling.allocator import Allocation
 from repro.scheduling.queueing import ImplicitQuota
-from repro.scheduling.window import WindowConfig
+from repro.scheduling.window import WindowConfig, roll_ewma
 from repro.scheduling.wrr import SmoothWeightedRoundRobin
 from repro.sim.engine import Simulator
 
@@ -190,7 +190,8 @@ class L4Switch:
             heap = [(-b, i, name) for i, (name, b) in enumerate(budget.items())]
             heapq.heapify(heap)
             self._slack_heap[p] = heap
-        self._end_window_accounting()
+        # Rolled after the daemon's solve: its LP saw last window's estimate.
+        roll_ewma(self.demand_estimate, self._arrivals, self.smoothing)
         self._schedule_reinjection()
         self.parked.reoffer(self.sim.now)
 
@@ -218,14 +219,6 @@ class L4Switch:
             if self.nat.remove(tup):
                 self._release_port(tup[0], tup[1])
         return len(stale)
-
-    def _end_window_accounting(self) -> None:
-        alpha = self.smoothing
-        for p in self.principals:
-            self.demand_estimate[p] = (
-                alpha * self._arrivals[p] + (1.0 - alpha) * self.demand_estimate[p]
-            )
-            self._arrivals[p] = 0.0
 
     # -- client adapter ------------------------------------------------------------
 

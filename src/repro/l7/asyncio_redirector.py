@@ -28,7 +28,7 @@ from repro.l7.asyncio_origin import principal_from_path
 from repro.l7.http import HttpError, HttpResponse, parse_request
 from repro.scheduling.allocator import WindowAllocator
 from repro.scheduling.queueing import ImplicitQuota
-from repro.scheduling.window import WindowConfig
+from repro.scheduling.window import WindowConfig, roll_ewma
 from repro.scheduling.wrr import SmoothWeightedRoundRobin
 
 __all__ = ["AsyncRedirector", "AsyncCombiner"]
@@ -242,14 +242,9 @@ class AsyncRedirector:
     # -- scheduling ---------------------------------------------------------------
 
     async def _window_loop(self) -> None:
-        alpha = 0.7
         while True:
             await asyncio.sleep(self.window.length)
-            for p in self.principals:
-                self.demand_estimate[p] = (
-                    alpha * self._arrivals[p] + (1 - alpha) * self.demand_estimate[p]
-                )
-                self._arrivals[p] = 0.0
+            roll_ewma(self.demand_estimate, self._arrivals, 0.7)
             alloc = self.allocator.compute(self.local_demand())
             self.quota.new_window(alloc.quotas)
             for p, w in alloc.weights.items():

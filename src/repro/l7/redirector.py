@@ -1,15 +1,10 @@
 """Simulated Layer-7 HTTP redirector (paper §4.1).
 
-Every scheduling window (100 ms in all experiments) the redirector:
-
-1. finalises its local per-principal demand estimate (arrivals in the
-   previous window, lightly smoothed);
-2. delegates to :class:`repro.scheduling.allocator.WindowAllocator`, which
-   forms a consistent global demand estimate from the latest combining-tree
-   broadcast (or the conservative 1/R fallback when none has arrived),
-   solves the window LP, and scales the result to this node's local share;
-3. installs the result as per-principal admission quotas and per-server
-   forwarding weights.
+The redirector is an :class:`repro.scheduling.node.EnforcementNode`: every
+scheduling window (100 ms in all experiments) it smooths the window's
+arrivals into its demand estimate, solves the window LP through the node,
+and installs the result as per-principal admission quotas and per-server
+forwarding weights.
 
 Admission is the paper's *implicit queuing*: requests within quota are
 redirected (HTTP 302) to a server chosen by smooth weighted round-robin
@@ -32,27 +27,25 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
-import numpy as np
-
 from repro.cluster.client import Decision, Defer, Drop, Held, ParkedRequests, Redirect
 from repro.cluster.health import BackendHealthChecker
 from repro.cluster.request import Request
 from repro.cluster.server import Server
-from repro.coordination.protocol import AggregationNode
 from repro.core.access import AccessLevels
-from repro.scheduling.allocator import Allocation, WindowAllocator
+from repro.scheduling.allocator import Allocation
 from repro.scheduling.credits import CreditScheduler
+from repro.scheduling.node import EnforcementNode
 from repro.scheduling.queueing import ImplicitQuota, PrincipalQueues
-from repro.scheduling.window import WindowConfig
+from repro.scheduling.window import WindowConfig, roll_ewma
 from repro.scheduling.wrr import SmoothWeightedRoundRobin
 from repro.sim.engine import Simulator
-from repro.sim.monitor import RateMeter
 
 __all__ = ["L7Redirector"]
 
 
-class L7Redirector:
-    """One Layer-7 redirector node.
+class L7Redirector(EnforcementNode):
+    """One Layer-7 redirector: an enforcement node whose install is
+    admission quotas, WRR forwarding and the parked re-offers.
 
     Args:
         sim: simulation kernel.
@@ -90,10 +83,6 @@ class L7Redirector:
             raise ValueError(f"unknown queuing {queuing!r}")
         if not 0.0 < smoothing <= 1.0:
             raise ValueError("smoothing must be in (0, 1]")
-        self.sim = sim
-        self.name = name
-        self.access = access
-        self.window = window
         self.queuing = queuing
         self.smoothing = float(smoothing)
         # Fault model: route only to health-checked backends; degrade the
@@ -106,22 +95,7 @@ class L7Redirector:
         self.servers: Dict[str, List[Server]] = {}
         for owner, s in servers.items():
             self.servers[owner] = list(s) if isinstance(s, (list, tuple)) else [s]
-
-        self.allocator = WindowAllocator(
-            access,
-            window=window,
-            mode=mode,
-            prices=prices,
-            capacity=capacity,
-            n_redirectors=n_redirectors,
-            server_capacities={
-                owner: sum(s.capacity for s in pool)
-                for owner, pool in self.servers.items()
-            },
-            stale_after=stale_after,
-        )
         self.principals: Tuple[str, ...] = access.names
-        self._w = access.per_window(window.length)
 
         self.quota = ImplicitQuota(self.principals)
         self.credits = CreditScheduler({p: 0.0 for p in self.principals})
@@ -140,35 +114,11 @@ class L7Redirector:
         # Telemetry
         self.admitted: Dict[str, int] = {p: 0 for p in self.principals}
         self.self_redirects: Dict[str, int] = {p: 0 for p in self.principals}
-        self.last_allocation: Optional[Allocation] = None
-        # Per-window admitted/refused traces, binned at window width — the
-        # L7 analogue of L4Daemon.admission_meter, and the series the
-        # three-lane parity digests hash.  Window counts are deltas of the
-        # cumulative telemetry, snapshotted at each boundary *before* the
-        # new window's allocation work, so they are lane-neutral (the
-        # columnar pump fires first at every boundary, leaving exactly the
-        # state a scalar run would show this driver).
-        self.admission_meter = RateMeter(bin_width=window.length)
-        self._last_admitted: Dict[str, int] = dict(self.admitted)
-        self._last_refused: Dict[str, int] = dict(self.self_redirects)
 
-        sim.process(self._window_driver(), name=f"l7[{name}]")
-
-    # -- coordination ------------------------------------------------------
-
-    def attach(self, node: AggregationNode) -> None:
-        """Attach the combining-tree protocol node for this redirector."""
-        self.allocator.attach(node)
-
-    def set_access(self, access: AccessLevels) -> None:
-        """Adopt renegotiated access levels from the next window on."""
-        self.access = access
-        self._w = access.per_window(self.window.length)
-        self.allocator.set_access(access)
-
-    @property
-    def used_fallback_windows(self) -> int:
-        return self.allocator.fallback_windows
+        super().__init__(
+            sim, name, access, self.servers, self.admitted, self.self_redirects,
+            window, mode, prices, capacity, n_redirectors, stale_after,
+        )
 
     # -- fault model -------------------------------------------------------
 
@@ -190,29 +140,15 @@ class L7Redirector:
             return {p: float(v) for p, v in self.queues.lengths().items()}
         return dict(self.demand_estimate)
 
-    # -- window machinery ----------------------------------------------------
+    # -- window hooks ----------------------------------------------------------
 
-    def _window_driver(self):
-        while True:
-            yield self.window.length
-            self._end_window()
+    def window_demand(self) -> Dict[str, float]:
+        roll_ewma(self.demand_estimate, self._arrivals, self.smoothing)
+        return self.local_demand()
 
-    def _end_window(self) -> None:
-        self._account_window()
-        alpha = self.smoothing
-        for p in self.principals:
-            self.demand_estimate[p] = (
-                alpha * self._arrivals[p] + (1.0 - alpha) * self.demand_estimate[p]
-            )
-            self._arrivals[p] = 0.0
-        alloc = self.allocator.compute(self.local_demand(), now=self.sim.now)
-        self.last_allocation = alloc
-        self._install(alloc)
-        self.parked.reoffer(self.sim.now)
-        if self.queuing == "explicit":
-            self._release_held(alloc)
-
-    def _install(self, alloc: Allocation) -> None:
+    def install(self, alloc: Allocation) -> None:
+        """Quotas (or credit rates) and WRR weights for the next window, then
+        the parked re-offers and, under explicit queuing, the held release."""
         if self.queuing == "credits":
             for p, q in alloc.quotas.items():
                 self.credits.set_rate(p, q / self.window.length, self.sim.now)
@@ -223,28 +159,9 @@ class L7Redirector:
             self._wrr[p].set_weights(
                 {owner: v for owner, v in w.items() if owner in self.servers}
             )
-
-    def _account_window(self) -> None:
-        t_mid = self.sim.now - self.window.length / 2.0
-        for p in self.principals:
-            adm = self.admitted[p]
-            ref = self.self_redirects[p]
-            d_adm = adm - self._last_admitted[p]
-            d_ref = ref - self._last_refused[p]
-            self._last_admitted[p] = adm
-            self._last_refused[p] = ref
-            # Zero-weight records keep every window in the series: the
-            # trace's shape is part of the parity digest.
-            self.admission_meter.record(f"admitted:{p}", t_mid, weight=d_adm)
-            self.admission_meter.record(f"refused:{p}", t_mid, weight=d_ref)
-
-    def admitted_series(self, principal: str) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-window admitted counts as (window-midpoint times, rates)."""
-        return self.admission_meter.series(f"admitted:{principal}")
-
-    def refused_series(self, principal: str) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-window self-redirect counts, same shape as admitted."""
-        return self.admission_meter.series(f"refused:{principal}")
+        self.parked.reoffer(self.sim.now)
+        if self.queuing == "explicit":
+            self._release_held(alloc)
 
     # -- request path -------------------------------------------------------------
 
@@ -277,13 +194,8 @@ class L7Redirector:
     def _pick_server(self, principal: str) -> Optional[Server]:
         owner = self._wrr[principal].next()
         if owner is None:
-            # No LP weights yet (e.g. first window): fall back to any owner
-            # this principal holds a mandatory entitlement on.
-            i = self.access.index(principal)
-            owners = [
-                k for k in self.principals
-                if k in self.servers and self._w.MI[i, self.access.index(k)] > 1e-12
-            ]
+            # No LP weights yet (e.g. first window).
+            owners = self._fallback_owners(principal)
             if not owners:
                 return None
             owner = owners[0]
@@ -298,6 +210,15 @@ class L7Redirector:
                 if server is not None:
                     return server
         return None
+
+    def _fallback_owners(self, principal: str) -> List[str]:
+        """Owners with servers here on which ``principal`` holds a mandatory
+        entitlement (per window, as the LP sees it), in principal order."""
+        i, length = self.access.index(principal), self.window.length
+        return [
+            k for k in self.principals if k in self.servers
+            and self.access.MI[i, self.access.index(k)] * length > 1e-12
+        ]
 
     def _pool_pick(self, owner: str) -> Optional[Server]:
         """Pick within one owner's pool, honouring backend health."""

@@ -13,6 +13,8 @@
   against: independent per-server enforcement (Fig 1).
 - :mod:`repro.scheduling.wrr` — smooth weighted round-robin used to spread
   a principal's admitted requests across servers per the LP allocation.
+- :mod:`repro.scheduling.node` — the per-window loop (account, solve,
+  install) that the L7 redirector and the L4 daemon both subclass.
 """
 
 from repro.scheduling.allocator import Allocation, WindowAllocator
@@ -24,6 +26,7 @@ from repro.scheduling.multiresource import (
     MultiResourceCommunityScheduler,
     MultiResourceSchedule,
 )
+from repro.scheduling.node import EnforcementNode
 from repro.scheduling.provider import ProviderSchedule, ProviderScheduler
 from repro.scheduling.queueing import ImplicitQuota, PrincipalQueues
 from repro.scheduling.window import WindowConfig
@@ -33,6 +36,7 @@ __all__ = [
     "WindowConfig",
     "WindowAllocator",
     "Allocation",
+    "EnforcementNode",
     "CommunityScheduler",
     "CommunitySchedule",
     "ProviderScheduler",

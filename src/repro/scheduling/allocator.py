@@ -67,7 +67,6 @@ class WindowAllocator:
         prices: Optional[Mapping[str, float]] = None,
         capacity: Optional[float] = None,
         n_redirectors: int = 1,
-        server_owners: Optional[List[str]] = None,
         server_capacities: Optional[Mapping[str, float]] = None,
         cache_tolerance: float = 0.05,
         stale_after: Optional[float] = None,

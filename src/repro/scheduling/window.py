@@ -8,8 +8,17 @@ window length to get per-window request budgets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Dict
 
-__all__ = ["WindowConfig"]
+__all__ = ["WindowConfig", "roll_ewma"]
+
+
+def roll_ewma(estimate: Dict[str, float], arrivals: Dict[str, float], alpha: float) -> None:
+    """Close a window's demand estimate: fold each principal's arrivals
+    into its EWMA (``alpha`` on the newest window) and zero the arrivals."""
+    for p in arrivals:
+        estimate[p] = alpha * arrivals[p] + (1.0 - alpha) * estimate[p]
+        arrivals[p] = 0.0
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ from repro.cluster.server import Server
 from repro.core.access import compute_access_levels
 from repro.l4.daemon import L4Daemon
 from repro.l4.switch import L4Switch
+from repro.l7.redirector import L7Redirector
 from repro.scheduling.window import WindowConfig
 from repro.sim.engine import Simulator
 
@@ -80,49 +81,51 @@ class TestDaemon:
 
 
 class TestAdmissionAccounting:
-    """Satellite: per-window admitted/refused streams recorded by the
-    daemon via RateMeter bins + StreamingStats, one sample per window."""
+    """Per-window admitted/refused streams recorded by the enforcement node
+    via RateMeter bins, one sample per window, for both front ends: the L4
+    daemon over its switch and the L7 redirector."""
 
-    def _run(self, fig9_graph, until=2.05):
-        sim, switch, daemon, _ = _world(fig9_graph)
-        ClientMachine(sim, "C1", "A", switch, rate=400.0, rng=np.random.default_rng(6))
-        ClientMachine(sim, "C3", "B", switch, rate=200.0, rng=np.random.default_rng(7))
-        sim.run(until=until)
-        return switch, daemon
+    @pytest.fixture(params=["l4", "l7"])
+    def ran(self, request, fig9_graph):
+        """(node, its live admitted and refused counters) after 2.05 s."""
+        if request.param == "l4":
+            sim, front, node, _ = _world(fig9_graph)
+            counters = (front.admitted, front.dropped)
+        else:
+            sim = Simulator()
+            servers = {"A": Server(sim, "SA", 320.0, owner="A"),
+                       "B": Server(sim, "SB", 320.0, owner="B")}
+            front = node = L7Redirector(
+                sim, "R", compute_access_levels(fig9_graph), servers, window=W)
+            counters = (front.admitted, front.self_redirects)
+        ClientMachine(sim, "C1", "A", front, rate=400.0, rng=np.random.default_rng(6))
+        ClientMachine(sim, "C3", "B", front, rate=200.0, rng=np.random.default_rng(7))
+        sim.run(until=2.05)
+        return node, counters
 
-    def test_meter_totals_match_switch_counters(self, fig9_graph):
-        switch, daemon = self._run(fig9_graph)
+    def test_meter_totals_match_switch_counters(self, ran):
+        node, (admitted, refused) = ran
         for p in ("A", "B"):
             # The meter accumulates exactly the deltas the accounting
             # snapshots consumed, so its total equals the last snapshot;
-            # the live switch counter may only be ahead by the part-window
-            # of traffic not yet accounted.
-            assert daemon.admission_meter.total(f"admitted:{p}") == (
-                pytest.approx(daemon._last_admitted[p])
+            # the live counter may only be ahead by the part-window of
+            # traffic not yet accounted.
+            assert node.admission_meter.total(f"admitted:{p}") == (
+                pytest.approx(node._last_admitted[p])
             )
-            assert daemon.admission_meter.total(f"refused:{p}") == (
-                pytest.approx(daemon._last_dropped[p])
+            assert node.admission_meter.total(f"refused:{p}") == (
+                pytest.approx(node._last_refused[p])
             )
-            assert daemon._last_admitted[p] <= switch.admitted[p]
-            assert daemon._last_dropped[p] <= switch.dropped[p]
+            assert node._last_admitted[p] <= admitted[p]
+            assert node._last_refused[p] <= refused[p]
 
-    def test_one_sample_per_window(self, fig9_graph):
-        switch, daemon = self._run(fig9_graph)
-        assert daemon.windows == 20
+    def test_one_sample_per_window(self, ran):
+        node, _ = ran
+        assert node.windows == 20
         for p in ("A", "B"):
-            assert daemon.admitted_stats[p].count == daemon.windows
-            assert daemon.refused_stats[p].count == daemon.windows
-            times, rates = daemon.admitted_series(p)
+            times, rates = node.admitted_series(p)
             # Zero-weight windows still land a bin, so the series has one
             # point per elapsed window even when a principal was idle.
-            assert len(times) == len(rates) == daemon.windows
-            rt, rr = daemon.refused_series(p)
-            assert len(rt) == len(rr) == daemon.windows
-
-    def test_mean_rate_consistent_with_totals(self, fig9_graph):
-        switch, daemon = self._run(fig9_graph)
-        for p in ("A", "B"):
-            stats = daemon.admitted_stats[p]
-            assert stats.mean * stats.count == pytest.approx(
-                daemon._last_admitted[p]
-            )
+            assert len(times) == len(rates) == node.windows
+            rt, rr = node.refused_series(p)
+            assert len(rt) == len(rr) == node.windows
