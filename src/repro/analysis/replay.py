@@ -117,17 +117,16 @@ class ReplayReport:
         return "\n".join(lines)
 
 
-def _figure_builder(figure: str, caller: str) -> Callable[..., Any]:
-    from repro.experiments.figures import (
-        fig6_scenario, fig9_scenario, fig10_scenario,
-    )
+def _figure_scenario(
+    figure: str, caller: str, duration_scale: float, seed: int,
+    check_invariants: Optional[bool], lane: str = "slotted",
+) -> Any:
+    """Build and run a registered figure's world on ``lane``."""
+    from repro.experiments.figures import WORLDS
 
-    builders = {
-        "fig6": fig6_scenario, "fig9": fig9_scenario, "fig10": fig10_scenario,
-    }
-    if figure not in builders:
-        raise ValueError(f"{caller} supports {sorted(builders)}, not {figure!r}")
-    return builders[figure]
+    if figure not in WORLDS:
+        raise ValueError(f"{caller} supports {list(WORLDS)}, not {figure!r}")
+    return WORLDS[figure](duration_scale, seed).scenario(lane, check_invariants)
 
 
 def combined_digest(sc: Any) -> Tuple[str, Dict[str, str]]:
@@ -184,21 +183,19 @@ def figure_replay(
     runs: int = 2,
     with_invariants: bool = True,
 ) -> ReplayReport:
-    """Run fig6, fig9 or fig10 ``runs`` times (plus one checked run) and diff.
+    """Run a §5 figure ``runs`` times (plus one checked run) and diff.
 
-    fig6 exercises the full L7 stack the determinism contract covers: RNG
-    workload streams, the event kernel, two L7 redirectors, the combining
-    tree and the window LP; fig9 and fig10 put the L4 switch and its
-    daemon in the loop.  Every run is on the slotted oracle lane, and
+    fig6-fig8 exercise the full L7 stack the determinism contract covers:
+    RNG workload streams, the event kernel, two L7 redirectors, the
+    combining tree and the window LP; fig9 and fig10 put the L4 switch and
+    its daemon in the loop.  Every run is on the slotted oracle lane, and
     each digest is :func:`combined_digest`: the full scenario digest plus
     every redirector's and daemon's per-window admitted/refused traces.
     """
-    build = _figure_builder(figure, "figure_replay")
     return _replay(
         figure,
-        lambda check: build(
-            duration_scale=duration_scale, seed=seed, check_invariants=check,
-        )[0],
+        lambda check: _figure_scenario(
+            figure, "figure_replay", duration_scale, seed, check),
         lambda sc: combined_digest(sc)[0],
         runs, with_invariants,
         {"duration_scale": duration_scale, "seed": seed},
@@ -247,20 +244,16 @@ def columnar_replay(
 
     Both lanes run the figure's own world — retry pools on, refused
     requests parked at the redirector and re-offered at each install.
-    IDENTICAL means the columnar lane, which ``run_fig6`` / ``run_fig9`` /
-    ``run_fig10`` use by default, reproduces the slotted oracle
-    bit-for-bit.
+    IDENTICAL means the columnar lane, the default of fig6, fig9 and
+    fig10, reproduces the slotted oracle bit-for-bit.
     """
-    build = _figure_builder(figure, "columnar_replay")
     digests: List[str] = []
     labels: List[str] = []
     adm_digests: Dict[str, str] = {}
     meta: Dict[str, Any] = {"duration_scale": duration_scale, "seed": seed}
     for lane in ("slotted", "columnar"):
-        sc, _ = build(
-            duration_scale=duration_scale, seed=seed,
-            check_invariants=False, lane=lane,
-        )
+        sc = _figure_scenario(figure, "columnar_replay", duration_scale,
+                              seed, False, lane)
         if lane == "columnar":
             meta["columnar_fallback"] = sc.lane_fallback
             meta["columnar_requests"] = (

@@ -15,10 +15,11 @@
 an agreement graph given on the command line; ``baseline`` compares
 coordinated enforcement against a WRR front end; ``check`` replays one
 or more scenarios and compares trace digests, with
-the runtime invariant checker on the final run — for fig6/fig9/fig10 it
+the runtime invariant checker on the final run — for the §5 figures it
 also diffs the columnar lane against the slotted oracle — and
 ``check --shards N`` instead proves the sharded lane's window-epoch
-barrier parity (``shards=1`` vs ``shards=N`` digests on fig6/fig9; a
+barrier parity (``shards=1`` vs ``shards=N`` digests on the sharded
+worlds; a
 ``shards=N`` run that fell back inline for want of shared memory reads
 DIVERGED, never vacuously IDENTICAL), and ``--with-crashes`` additionally kills workers mid-run (exception and
 SIGKILL deaths, plus a forced shard retirement) and requires the
@@ -49,6 +50,10 @@ __all__ = ["main", "build_parser", "parse_graph_spec"]
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.experiments.figures import WORLDS
+    from repro.experiments.sharded import SHARDED_WORLDS
+
+    sharded = "/".join(SHARDED_WORLDS)
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduction of 'Enforcing Resource Sharing Agreements "
@@ -66,13 +71,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="render each figure's rate series as a terminal chart")
     p_fig.add_argument("--lane", type=str, default=None,
                        choices=["slotted", "columnar"],
-                       help="execution lane for fig6/fig9/fig10: columnar "
-                            "(the default; whole windows advanced as numpy "
-                            "columns) or slotted (one event per request, the "
-                            "oracle repro check diffs against).  Both "
-                            "produce bit-identical traces; not with --shards")
+                       help="execution lane for the §5 figures: columnar "
+                            "(whole windows advanced as numpy columns) or "
+                            "slotted (one event per request, the oracle "
+                            "repro check diffs against); default: each "
+                            "figure's own.  Both produce bit-identical "
+                            "traces; not with --shards")
     p_fig.add_argument("--shards", type=int, default=0, metavar="R",
-                       help="run fig6/fig9 on the sharded lane with R "
+                       help=f"run {sharded} on the sharded lane with R "
                             "worker processes synchronised at window-epoch "
                             "barriers (digests are independent of R)")
     p_fig.add_argument("--jobs", type=int, default=1,
@@ -109,13 +115,13 @@ def build_parser() -> argparse.ArgumentParser:
         "check", help="replay-determinism harness with runtime invariants"
     )
     p_chk.add_argument("--scenario", type=str, action="append", default=None,
-                       choices=["fig6", "faultmatrix", "fig9", "fig10"],
+                       choices=[*WORLDS, "faultmatrix"],
                        help="scenario to replay; repeatable (default: fig6). "
-                            "fig6 covers the full stack, fig9/fig10 the L4 "
-                            "switch; faultmatrix adds fault injection, "
-                            "failure detection and tree healing; the figure "
-                            "scenarios also diff the columnar lane against "
-                            "the slotted oracle")
+                            "The L7 figures cover the full stack, the L4 "
+                            "ones the switch; faultmatrix adds fault "
+                            "injection, failure detection and tree healing; "
+                            "the figure scenarios also diff the columnar "
+                            "lane against the slotted oracle")
     p_chk.add_argument("--scale", type=float, default=0.05,
                        help="phase-duration scale for each replay run")
     p_chk.add_argument("--seed", type=int, default=0)
@@ -128,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_chk.add_argument("--shards", type=int, default=0, metavar="R",
                        help="shard-parity mode: run each scenario's sharded "
                             "world with shards=1 and shards=R and require "
-                            "bit-identical digests (fig6/fig9 only; skips "
+                            f"bit-identical digests ({sharded} only; skips "
                             "the ordinary replay diff)")
     p_chk.add_argument("--with-crashes", action="store_true",
                        help="with --shards: also run the crash-recovery "
@@ -166,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "the canonical exc+SIGKILL matrix) and require "
                               "digest parity with the unfaulted shards=1 run")
     p_chaos.add_argument("--figure", type=str, default="fig6",
-                         choices=["fig6", "fig9"],
+                         choices=list(SHARDED_WORLDS),
                          help="sharded world for --shards mode")
     return parser
 
@@ -203,7 +209,7 @@ def parse_graph_spec(tokens: List[str]) -> AgreementGraph:
 
 def _cmd_figures(args) -> int:
     from repro.experiments.figures import ALL_FIGURES
-    from repro.experiments.parallel import figure_kwargs, run_figures_parallel
+    from repro.experiments.parallel import run_figures_parallel
 
     if getattr(args, "check_invariants", False):
         # Env (not a kwarg) so fork-based parallel workers inherit it.
@@ -212,21 +218,12 @@ def _cmd_figures(args) -> int:
         os.environ["REPRO_CHECK"] = "1"
     wanted = [f.strip() for f in args.only.split(",") if f.strip()] or list(ALL_FIGURES)
     failures = 0
-    known = [n for n in wanted if n in ALL_FIGURES]
-    lane = getattr(args, "lane", None)
-    shards = getattr(args, "shards", 0) or None
-    jobs = max(1, getattr(args, "jobs", 1))
-    if jobs > 1:
-        results = dict(run_figures_parallel(
-            known, scale=args.scale, seed=args.seed, jobs=jobs,
-            lane=lane, shards=shards,
-        ))
-    else:
-        results = {
-            n: ALL_FIGURES[n](**figure_kwargs(n, args.scale, args.seed,
-                                              lane=lane, shards=shards))
-            for n in known
-        }
+    results = dict(run_figures_parallel(
+        [n for n in wanted if n in ALL_FIGURES], scale=args.scale,
+        seed=args.seed, jobs=max(1, getattr(args, "jobs", 1)),
+        lane=getattr(args, "lane", None),
+        shards=getattr(args, "shards", 0) or None,
+    ))
     for name in wanted:
         result = results.get(name)
         if result is None:
@@ -313,10 +310,6 @@ def _cmd_check(args) -> int:
     if getattr(args, "shards", 0):
         # Shard-parity mode: prove the window-epoch barrier moves no bits.
         for scenario in scenarios:
-            if scenario not in ("fig6", "fig9"):
-                raise ValueError(
-                    f"--shards supports fig6/fig9 worlds, not {scenario!r}"
-                )
             report = sharded_replay(
                 figure=scenario, duration_scale=args.scale, seed=args.seed,
                 shards=args.shards,

@@ -566,6 +566,11 @@ class ColumnarClient:
         if t is None:
             self._fired = _EMPTY
             return _EMPTY, None
+        if t == hi:
+            # A tick due at the boundary was scheduled by a tick fired in an
+            # earlier take, before the boundary's own events were: the event
+            # lanes fire it first, in the window that ends here.
+            closed = True
         stream = self.stream
         out: List[np.ndarray] = []
         fired: List[np.ndarray] = []

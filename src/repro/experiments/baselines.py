@@ -17,7 +17,6 @@ from typing import Callable, Dict, List, Mapping, Optional, Union
 from repro.cluster.client import Decision, Drop, Redirect
 from repro.cluster.request import Request
 from repro.cluster.server import Server
-from repro.core.agreements import Agreement, AgreementGraph
 from repro.experiments.harness import Scenario
 from repro.scheduling.wrr import SmoothWeightedRoundRobin
 from repro.sim.engine import Simulator
@@ -103,20 +102,14 @@ def run_enforcement_comparison(
     B fully; capacity-weighted WRR splits by offered load and squeezes B
     to ~a quarter of the server.
     """
-    def build():
-        g = AgreementGraph()
-        g.add_principal("S", capacity=320.0)
-        g.add_principal("A")
-        g.add_principal("B")
-        g.add_agreement(Agreement("S", "A", 0.2, 1.0))
-        g.add_agreement(Agreement("S", "B", 0.8, 1.0))
-        return g
+    from repro.core.access import compute_access_levels
+    from repro.experiments.figures import fig6_world
 
     demands = {"A": 405.0, "B": 135.0}
     settle = min(10.0, duration / 3.0)
 
     def drive(kind: str) -> Dict[str, float]:
-        sc = Scenario(build(), seed=seed)
+        sc = Scenario(fig6_world().graph(), seed=seed)
         srv = sc.server("S", "S", 320.0)
         if kind == "coordinated":
             red = sc.l7("R", {"S": srv})
@@ -129,10 +122,7 @@ def run_enforcement_comparison(
             p: sc.meter.mean_rate(p, settle, duration) for p in demands
         }
 
-    g = build()
-    from repro.core.access import compute_access_levels
-
-    access = compute_access_levels(g)
+    access = compute_access_levels(fig6_world().graph())
     return BaselineComparison(
         coordinated=drive("coordinated"),
         passthrough=drive("passthrough"),

@@ -1,9 +1,13 @@
 """Per-figure experiment definitions (paper §1 Fig 1, §2.3 Fig 3, §5 Figs 6-10).
 
-Each ``run_figN`` builds the paper's exact scenario — same agreements, same
+Each §5 figure is written once, as a :class:`FigureWorld` record returned
+by ``figN_world``: the paper's exact scenario — same agreements, same
 server capacities, same client counts and per-client rate limits, same
-phase timeline — executes it on the simulated testbed, and returns the
-measured per-phase service rates next to the values the paper reports.
+phase timeline — with the rates the paper reports for each phase.
+:meth:`FigureWorld.scenario` builds and runs it on the simulated testbed,
+:func:`run_figure` measures it, and the sharded lane derives its own world
+from the same record (:func:`repro.experiments.sharded.shard_world`).
+:data:`WORLDS` is the registry every caller reads the figure names from.
 
 ``duration_scale`` shortens every phase proportionally (tests and
 benchmarks use ~0.2-0.4; 1.0 is the paper's full timeline).
@@ -12,7 +16,7 @@ benchmarks use ~0.2-0.4; 1.0 is the paper's full timeline).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from repro.core.agreements import Agreement, AgreementGraph
 from repro.core.tickets import TicketKind
@@ -21,12 +25,13 @@ from repro.experiments.harness import FigureResult, PhaseExpectation, Scenario
 from repro.scheduling.community import CommunityScheduler
 from repro.scheduling.endpoint import endpoint_allocate
 from repro.scheduling.window import WindowConfig
-from repro.sim.monitor import PhaseStats
 
 __all__ = [
     "run_fig1", "run_fig1_distributed", "run_fig3", "run_fig6", "run_fig7",
-    "run_fig8", "run_fig9", "run_fig10", "fig6_scenario", "fig9_scenario",
-    "fig10_scenario", "ALL_FIGURES", "Fig1Result", "Fig3Result",
+    "run_fig8", "run_fig9", "run_fig10", "run_figure", "fig6_world",
+    "fig7_world", "fig8_world", "fig9_world", "fig10_world", "FigureWorld",
+    "NodeSpec", "ClientSpec", "WORLDS", "ALL_FIGURES", "Fig1Result",
+    "Fig3Result",
 ]
 
 
@@ -58,6 +63,20 @@ class Fig1Result:
         )
 
 
+def _fig1_graph() -> AgreementGraph:
+    """Servers S1 and S2 (50 req/s each), each granting A [0.2, 1] and
+    B [0.8, 1]."""
+    g = AgreementGraph()
+    g.add_principal("S1", capacity=50.0)
+    g.add_principal("S2", capacity=50.0)
+    g.add_principal("A")
+    g.add_principal("B")
+    for server in ("S1", "S2"):
+        g.add_agreement(Agreement(server, "A", 0.2, 1.0))
+        g.add_agreement(Agreement(server, "B", 0.8, 1.0))
+    return g
+
+
 def run_fig1() -> Fig1Result:
     """Fig 1: redirectors R1/R2 see loads (A20,B20)/(A20,B60), bias their
     forwarding 75/25 to servers S1/S2 (50 req/s each); A has 20% and B 80%
@@ -75,17 +94,9 @@ def run_fig1() -> Fig1Result:
     endpoint = {p: a1[p] + a2[p] for p in shares}
 
     # Coordinated: one community LP over the aggregate demand and servers.
-    g = AgreementGraph()
-    g.add_principal("S1", capacity=50.0)
-    g.add_principal("S2", capacity=50.0)
-    g.add_principal("A")
-    g.add_principal("B")
-    for server in ("S1", "S2"):
-        g.add_agreement(Agreement(server, "A", 0.2, 1.0))
-        g.add_agreement(Agreement(server, "B", 0.8, 1.0))
     from repro.core.access import compute_access_levels
 
-    access = compute_access_levels(g)
+    access = compute_access_levels(_fig1_graph())
     sched = CommunityScheduler(access, WindowConfig(1.0))
     plan = sched.schedule(
         {"A": r1_load["A"] + r2_load["A"], "B": r1_load["B"] + r2_load["B"]}
@@ -145,15 +156,7 @@ def run_fig1_distributed(duration: float = 30.0, seed: int = 0) -> Fig1Result:
     }
 
     # --- coordinated enforcement -------------------------------------------
-    g2 = AgreementGraph()
-    g2.add_principal("S1", capacity=50.0)
-    g2.add_principal("S2", capacity=50.0)
-    g2.add_principal("A")
-    g2.add_principal("B")
-    for server in ("S1", "S2"):
-        g2.add_agreement(Agreement(server, "A", 0.2, 1.0))
-        g2.add_agreement(Agreement(server, "B", 0.8, 1.0))
-    sc2 = Scenario(g2, seed=seed)
+    sc2 = Scenario(_fig1_graph(), seed=seed)
     cs1 = sc2.server("S1", "S1", 50.0)
     cs2 = sc2.server("S2", "S2", 50.0)
     cr1 = sc2.l7("R1", {"S1": cs1, "S2": cs2}, n_redirectors=2)
@@ -222,173 +225,248 @@ def run_fig3() -> Fig3Result:
     )
 
 
-# The lane run_fig6 / run_fig9 / run_fig10 run when the caller names none.
-# Every lane lands on the same digests; slotted is the oracle repro check
-# diffs it against.
-DEFAULT_LANE = "columnar"
-
-# Paper-reported phase rates of the two figures every lane reproduces
-# (event lanes here, the sharded lane in experiments/sharded.py): phase i
-# spans [(i-1)·T, i·T) with T = 100 s × duration_scale.
-PAPER_PHASES = {
-    "fig6": (
-        PhaseExpectation("phase1", {"A": 185.0, "B": 135.0}),
-        PhaseExpectation("phase2", {"A": 270.0, "B": 0.0}),
-        PhaseExpectation("phase3", {"A": 185.0, "B": 135.0}),
-    ),
-    "fig9": (
-        PhaseExpectation("phase1", {"A": 480.0, "B": 160.0}),
-        PhaseExpectation("phase2", {"A": 0.0, "B": 320.0}),
-        PhaseExpectation("phase3", {"A": 400.0, "B": 240.0}),
-        PhaseExpectation("phase4", {"A": 0.0, "B": 320.0}),
-    ),
-}
-
-
-def paper_phases(
-    figure: str, T: float
-) -> Tuple[List[Tuple[str, float, float]], List[PhaseExpectation], float]:
-    """``(phases, expected, settle)`` for fig6/fig9 at phase length ``T``."""
-    expected = list(PAPER_PHASES[figure])
-    phases = [(e.phase, i * T, (i + 1) * T) for i, e in enumerate(expected)]
-    return phases, expected, min(5.0, T * 0.2)
-
-
 # ---------------------------------------------------------------------------
-# Fig 6 — L7: sharing agreements in a service-provider context
+# §5 — Figs 6-10: one world record per figure
 # ---------------------------------------------------------------------------
 
-def _run_sharded(
-    figure: str, duration_scale: float, seed: int, lane: Optional[str],
-    shards: int,
-) -> FigureResult:
-    """Route ``run_fig6`` / ``run_fig9`` to the sharded lane; a lane the
-    caller chose is an error, since the sharded lane is its own."""
-    if lane is not None:
-        raise ValueError(
-            f"lane={lane!r} and shards={shards} select different execution "
-            "lanes; give one or the other"
-        )
-    from repro.experiments.sharded import run_sharded_figure
 
-    return run_sharded_figure(figure, duration_scale=duration_scale,
-                              seed=seed, shards=shards)
+@dataclass(frozen=True)
+class ClientSpec:
+    """An open-loop client: ``rate`` req/s of ``principal`` offered to the
+    front end ``node`` while inside one of ``windows`` (None: the whole
+    run); ``options`` are further :meth:`Scenario.client` arguments."""
+
+    name: str
+    principal: str
+    node: str
+    rate: float
+    windows: Optional[Tuple[Tuple[float, float], ...]] = None
+    options: Mapping[str, Any] = field(default_factory=dict)
 
 
-def _on_lane(build, duration_scale: float, seed: int, lane: Optional[str]):
-    """Build and run a fig6/fig9/fig10 world on ``lane`` (:data:`DEFAULT_LANE`
-    when the caller named none); returns ``(scenario, phase_length)``."""
-    return build(duration_scale, seed,
-                 lane=DEFAULT_LANE if lane is None else lane)
+@dataclass(frozen=True)
+class NodeSpec:
+    """A front end, built by the :class:`Scenario` method ``kind`` (``"l7"``
+    or ``"l4"``) over ``pools`` — each owner's servers, by name — with
+    ``options`` as its further arguments."""
+
+    name: str
+    kind: str
+    pools: Mapping[str, Tuple[str, ...]]
+    options: Mapping[str, Any] = field(default_factory=dict)
 
 
-def _fig6_graph(capacity: float, a_lb: float, b_lb: float) -> AgreementGraph:
-    g = AgreementGraph()
-    g.add_principal("S", capacity=capacity)
-    g.add_principal("A")
-    g.add_principal("B")
-    g.add_agreement(Agreement("S", "A", a_lb, 1.0))
-    g.add_agreement(Agreement("S", "B", b_lb, 1.0))
-    return g
+@dataclass(frozen=True)
+class FigureWorld:
+    """One §5 figure, whole: the world it simulates and what the paper
+    reports for it.
 
-
-def fig6_scenario(
-    duration_scale: float = 1.0, seed: int = 0,
-    check_invariants: Optional[bool] = None,
-    lane: str = "slotted",
-) -> Tuple[Scenario, float]:
-    """Build and run the fig6 world; returns ``(scenario, phase_length)``.
-
-    Shared between :func:`run_fig6` and the replay-determinism harness
-    (:mod:`repro.analysis.replay`), which replays *this exact scenario*
-    twice — plus once with ``check_invariants=True`` — and compares trace
-    digests, and diffs it across lanes.
+    ``principals`` are the agreement graph's ``(name, capacity)`` pairs in
+    declaration order and ``servers`` its ``(name, owner, capacity)``
+    machines.  ``tree`` holds the :meth:`Scenario.connect_tree` arguments
+    of the combining tree over every node (None: no tree).  The phases are
+    measured after ``settle`` seconds each, on the principals the clients
+    send for (:attr:`keys`), against ``expected``.  ``lane`` is where
+    :func:`run_figure` runs the world when the caller names none;
+    ``sharded`` says the world also runs on the sharded lane
+    (:func:`repro.experiments.sharded.shard_world`).
     """
-    T = 100.0 * duration_scale
-    sc = Scenario(_fig6_graph(320.0, 0.2, 0.8), seed=seed,
-                  check_invariants=check_invariants, lane=lane)
-    server = sc.server("S", "S", 320.0)
-    r1 = sc.l7("R1", {"S": server}, n_redirectors=2)
-    r2 = sc.l7("R2", {"S": server}, n_redirectors=2)
-    sc.connect_tree(link_delay=0.005)
-    a_windows = [(0.0, 3 * T)]
-    b_windows = [(0.0, T), (2 * T, 3 * T)]
-    sc.client("C1", "A", r1, rate=135.0, windows=a_windows)
-    sc.client("C2", "A", r1, rate=135.0, windows=a_windows)
-    sc.client("C3", "B", r2, rate=135.0, windows=b_windows)
-    sc.run(3 * T)
-    return sc, T
+
+    figure: str
+    title: str
+    principals: Tuple[Tuple[str, float], ...]
+    agreements: Tuple[Agreement, ...]
+    servers: Tuple[Tuple[str, str, float], ...]
+    nodes: Tuple[NodeSpec, ...]
+    clients: Tuple[ClientSpec, ...]
+    horizon: float
+    phases: Tuple[Tuple[str, float, float], ...]
+    expected: Tuple[PhaseExpectation, ...]
+    settle: float
+    seed: int = 0
+    tree: Optional[Mapping[str, Any]] = None
+    bin_width: float = 1.0
+    lane: str = "columnar"
+    sharded: bool = False
+    notes: str = ""
+
+    @property
+    def keys(self) -> Tuple[str, ...]:
+        """The principals the clients send for, in first-seen order."""
+        return tuple(dict.fromkeys(c.principal for c in self.clients))
+
+    def graph(self, replicas: int = 1, load_scale: float = 1.0) -> AgreementGraph:
+        """The agreement graph, every capacity × ``replicas`` × ``load_scale``."""
+        g = AgreementGraph()
+        for name, capacity in self.principals:
+            g.add_principal(name, capacity=capacity * replicas * load_scale)
+        for agreement in self.agreements:
+            g.add_agreement(agreement)
+        return g
+
+    def scenario(
+        self, lane: Optional[str] = None, check_invariants: Optional[bool] = None,
+    ) -> Scenario:
+        """Build this world on ``lane`` (the record's own when None), run it
+        to the horizon and return the finished :class:`Scenario`."""
+        sc = Scenario(self.graph(), seed=self.seed, bin_width=self.bin_width,
+                      check_invariants=check_invariants,
+                      lane=self.lane if lane is None else lane)
+        servers = {name: sc.server(name, owner, capacity)
+                   for name, owner, capacity in self.servers}
+        nodes = {
+            node.name: getattr(sc, node.kind)(
+                node.name,
+                {owner: [servers[s] for s in names]
+                 for owner, names in node.pools.items()},
+                **node.options,
+            )
+            for node in self.nodes
+        }
+        if self.tree is not None:
+            sc.connect_tree(**self.tree)
+        for c in self.clients:
+            sc.client(c.name, c.principal, nodes[c.node], rate=c.rate,
+                      windows=c.windows, **c.options)
+        sc.run(self.horizon)
+        return sc
 
 
-def run_fig6(
-    duration_scale: float = 1.0, seed: int = 0, lane: Optional[str] = None,
-    shards: Optional[int] = None,
+def run_figure(
+    world: FigureWorld, lane: Optional[str] = None, shards: Optional[int] = None,
 ) -> FigureResult:
-    """Fig 6: V=320; A [0.2,1] with two 135 req/s clients at R1; B [0.8,1]
-    with one client at R2.  Three phases: both active / only A / both.
+    """Run a figure's world and measure its phases against the paper.
 
-    ``lane`` defaults to ``"columnar"`` (:data:`DEFAULT_LANE`); every lane
-    produces the same digests, and ``repro check`` diffs them against the
-    slotted oracle.  ``shards`` routes to the sharded lane (one worker
+    ``lane`` defaults to the record's; every lane produces the same
+    digests, and ``repro check`` diffs them against the slotted oracle.
+    ``shards`` routes a sharded world to the sharded lane (one worker
     process per shard, window-epoch barriers — see
-    :mod:`repro.experiments.sharded`); results there are digest-identical
-    for every shard count.  The sharded lane is its own execution model,
-    so ``shards`` with an explicit ``lane`` is an error.
+    :mod:`repro.experiments.sharded`), digest-identical for every shard
+    count.  The sharded lane is its own execution model, so ``shards``
+    with an explicit ``lane`` is an error.
     """
+    title, notes = world.title, world.notes
     if shards is not None and shards > 0:
-        return _run_sharded("fig6", duration_scale, seed, lane, shards)
-    sc, T = _on_lane(fig6_scenario, duration_scale, seed, lane)
-    phases, expected, settle = paper_phases("fig6", T)
+        if lane is not None:
+            raise ValueError(
+                f"lane={lane!r} and shards={shards} select different execution "
+                "lanes; give one or the other"
+            )
+        from repro.experiments.sharded import ShardedRunner, shard_world
+
+        run = ShardedRunner(shard_world(world), shards=shards).run()
+        title += " (sharded lane)"
+        notes = (f"sharded lane: shards={run.shards}, "
+                 f"data plane {run.data_plane}, "
+                 f"{run.n_windows} window epochs, "
+                 f"{run.lp_solves} LP solves ({run.cache_hits} cache hits), "
+                 f"{len(run.restarts)} restarts, "
+                 f"{len(run.reassignments)} reassignments")
+    else:
+        run = world.scenario(lane)
+    keys = list(world.keys)
     return FigureResult(
+        figure=world.figure,
+        title=title,
+        phases=run.phase_rates(list(world.phases), keys=keys, settle=world.settle),
+        expected=list(world.expected),
+        series=run.series(keys),
+        notes=notes,
+    )
+
+
+def _phases(T: float, *expected: PhaseExpectation) -> Dict[str, object]:
+    """Phase i of ``expected`` spans [i·T, (i+1)·T), measured after
+    min(5 s, T/5)."""
+    return dict(
+        phases=tuple((e.phase, i * T, (i + 1) * T) for i, e in enumerate(expected)),
+        expected=expected,
+        settle=min(5.0, T * 0.2),
+    )
+
+
+def _l7_world(
+    capacity: float, a_lb: float, b_lb: float,
+    a_windows: Optional[Tuple[Tuple[float, float], ...]],
+    b_windows: Optional[Tuple[Tuple[float, float], ...]],
+) -> Dict[str, object]:
+    """What figs 6-8 share: one server S of ``capacity``, whose owner grants
+    A [a_lb, 1] and B [b_lb, 1], behind redirectors R1 and R2; two 135
+    req/s clients of A at R1, one of B at R2."""
+    return dict(
+        principals=(("S", capacity), ("A", 0.0), ("B", 0.0)),
+        agreements=(Agreement("S", "A", a_lb, 1.0),
+                    Agreement("S", "B", b_lb, 1.0)),
+        servers=(("S", "S", capacity),),
+        nodes=tuple(NodeSpec(r, "l7", {"S": ("S",)}, {"n_redirectors": 2})
+                    for r in ("R1", "R2")),
+        clients=(
+            ClientSpec("C1", "A", "R1", 135.0, a_windows),
+            ClientSpec("C2", "A", "R1", 135.0, a_windows),
+            ClientSpec("C3", "B", "R2", 135.0, b_windows),
+        ),
+    )
+
+
+def _l4_clients(T: float) -> Tuple[ClientSpec, ...]:
+    """Figs 9-10's timeline: A has two 400 req/s clients, then none, then
+    one, then none; B one throughout; all through switch SW."""
+    return (
+        ClientSpec("C1", "A", "SW", 400.0, ((0.0, T), (2 * T, 3 * T))),
+        ClientSpec("C2", "A", "SW", 400.0, ((0.0, T),)),
+        ClientSpec("C3", "B", "SW", 400.0, ((0.0, 4 * T),)),
+    )
+
+
+def fig6_world(duration_scale: float = 1.0, seed: int = 0) -> FigureWorld:
+    """Fig 6 — L7, a service-provider context: V=320; A [0.2,1] with two
+    135 req/s clients at R1; B [0.8,1] with one client at R2.  Three
+    phases: both active / only A / both."""
+    T = 100.0 * duration_scale
+    return FigureWorld(
         figure="fig6",
         title="L7: agreements respected in a service-provider context",
-        phases=sc.phase_rates(phases, keys=["A", "B"], settle=settle),
-        expected=expected,
-        series=sc.series(["A", "B"]),
+        **_l7_world(320.0, 0.2, 0.8, ((0.0, 3 * T),), ((0.0, T), (2 * T, 3 * T))),
+        tree={"link_delay": 0.005},
+        horizon=3 * T,
+        **_phases(
+            T,
+            PhaseExpectation("phase1", {"A": 185.0, "B": 135.0}),
+            PhaseExpectation("phase2", {"A": 270.0, "B": 0.0}),
+            PhaseExpectation("phase3", {"A": 185.0, "B": 135.0}),
+        ),
+        seed=seed,
+        sharded=True,
         notes="Paper: phase1 ~ (A 190, B 135); phase2 A 270 (client-limited).",
     )
 
 
-# ---------------------------------------------------------------------------
-# Fig 7 — L7: optimisation of the community metric
-# ---------------------------------------------------------------------------
-
-def run_fig7(duration_scale: float = 1.0, seed: int = 0) -> FigureResult:
-    """Fig 7: V=250; both A and B have [0.2,1]; A has two clients, B one.
-    The community objective serves A at twice B's rate."""
+def fig7_world(duration_scale: float = 1.0, seed: int = 0) -> FigureWorld:
+    """Fig 7 — L7, the community metric: V=250; both A and B have [0.2,1];
+    A has two clients, B one.  The community objective serves A at twice
+    B's rate."""
     T = 150.0 * duration_scale
-    sc = Scenario(_fig6_graph(250.0, 0.2, 0.2), seed=seed)
-    server = sc.server("S", "S", 250.0)
-    r1 = sc.l7("R1", {"S": server}, n_redirectors=2)
-    r2 = sc.l7("R2", {"S": server}, n_redirectors=2)
-    sc.connect_tree(link_delay=0.005)
-    sc.client("C1", "A", r1, rate=135.0)
-    sc.client("C2", "A", r1, rate=135.0)
-    sc.client("C3", "B", r2, rate=135.0)
-    sc.run(T)
-    settle = min(5.0, T * 0.2)
-    phases = [("steady", 0.0, T)]
-    return FigureResult(
+    return FigureWorld(
         figure="fig7",
         title="L7: global response time minimised (A served at 2x B)",
-        phases=sc.phase_rates(phases, keys=["A", "B"], settle=settle),
-        expected=[PhaseExpectation("steady", {"A": 166.7, "B": 83.3})],
-        series=sc.series(["A", "B"]),
+        **_l7_world(250.0, 0.2, 0.2, None, None),
+        tree={"link_delay": 0.005},
+        horizon=T,
+        **_phases(T, PhaseExpectation("steady", {"A": 166.7, "B": 83.3})),
+        seed=seed,
+        lane="slotted",
         notes="Optional capacity follows offered load 2:1 after guarantees.",
     )
 
 
-# ---------------------------------------------------------------------------
-# Fig 8 — impact of network delay on the combining tree
-# ---------------------------------------------------------------------------
-
-def run_fig8(
+def fig8_world(
     duration_scale: float = 1.0, seed: int = 0, lag: Optional[float] = None,
-) -> FigureResult:
-    """Fig 8: V=320; A [0.8,1] (two clients at R1), B [0.2,1] (one at R2);
-    combining-tree broadcasts lag by ~``lag`` seconds.  Reproduces the
-    conservative half-mandatory start, the ~lag-long competition transient
-    when A appears, and convergence to the agreed (A 255, B 65) split.
+) -> FigureWorld:
+    """Fig 8 — network delay on the combining tree: V=320; A [0.8,1] (two
+    clients at R1), B [0.2,1] (one at R2); tree broadcasts lag by ~``lag``
+    seconds.  Reproduces the conservative half-mandatory start, the
+    ~lag-long competition transient when A appears, and convergence to
+    the agreed (A 255, B 65) split.
 
     ``lag`` defaults to the paper's 10 s, clamped so scaled-down runs keep
     a steady phase after the transient.
@@ -398,47 +476,44 @@ def run_fig8(
     T3 = 60.0 * duration_scale   # B alone again
     if lag is None:
         lag = min(10.0, 0.5 * T1)
-    # Fine measurement bins: phase boundaries sit at the information lag,
-    # which rarely aligns with 1 s bins, and the post-lag surge must not
-    # smear into the conservative phase's mean.
-    sc = Scenario(_fig8_graph(), seed=seed, bin_width=0.2)
-    server = sc.server("S", "S", 320.0)
-    r1 = sc.l7("R1", {"S": server}, n_redirectors=2)
-    r2 = sc.l7("R2", {"S": server}, n_redirectors=2)
-    # Dedicated aggregator root so both redirectors see the same up+down
-    # latency: reports take lag/2 up, broadcasts lag/2 down.
-    sc.connect_tree(link_delay=lag / 2.0, extra_root=True)
-    t_a0, t_a1 = T1, T1 + T2
     if lag >= 0.7 * T1:
         raise ValueError(
             f"lag {lag}s leaves no steady phase within T1={T1}s; "
             "increase duration_scale or reduce lag"
         )
-    sc.client("C1", "A", r1, rate=135.0, windows=[(t_a0, t_a1)])
-    sc.client("C2", "A", r1, rate=135.0, windows=[(t_a0, t_a1)])
-    sc.client("C3", "B", r2, rate=135.0, windows=[(0.0, T1 + T2 + T3)])
-    sc.run(T1 + T2 + T3)
+    t_a0, t_a1 = T1, T1 + T2
+    end = T1 + T2 + T3
     # Post-lag settle, scaled so short runs keep non-empty steady phases.
     settle = min(5.0, 0.25 * (T1 - lag))
-    phases = [
-        ("p1_conservative", 0.0, lag),
-        ("p2_full", lag + settle, T1),
-        ("p3_compete", t_a0, t_a0 + lag),
-        ("p4_agreed", t_a0 + lag + settle, t_a1),
-        ("p5_transition", t_a1, t_a1 + lag),
-        ("p6_full", t_a1 + lag + settle, T1 + T2 + T3),
-    ]
-    return FigureResult(
+    return FigureWorld(
         figure="fig8",
         title="L7: graceful behaviour under combining-tree delay",
-        phases=sc.phase_rates(phases, keys=["A", "B"], settle=0.0),
-        expected=[
+        **_l7_world(320.0, 0.8, 0.2, ((t_a0, t_a1),), ((0.0, end),)),
+        # Dedicated aggregator root so both redirectors see the same up+down
+        # latency: reports take lag/2 up, broadcasts lag/2 down.
+        tree={"link_delay": lag / 2.0, "extra_root": True},
+        horizon=end,
+        phases=(
+            ("p1_conservative", 0.0, lag),
+            ("p2_full", lag + settle, T1),
+            ("p3_compete", t_a0, t_a0 + lag),
+            ("p4_agreed", t_a0 + lag + settle, t_a1),
+            ("p5_transition", t_a1, t_a1 + lag),
+            ("p6_full", t_a1 + lag + settle, end),
+        ),
+        expected=(
             PhaseExpectation("p1_conservative", {"B": 32.0}, tolerance=0.35),
             PhaseExpectation("p2_full", {"B": 135.0}),
             PhaseExpectation("p4_agreed", {"A": 255.0, "B": 65.0}, tolerance=0.2),
             PhaseExpectation("p6_full", {"B": 135.0}),
-        ],
-        series=sc.series(["A", "B"]),
+        ),
+        settle=0.0,
+        seed=seed,
+        # Fine measurement bins: phase boundaries sit at the information
+        # lag, which rarely aligns with 1 s bins, and the post-lag surge
+        # must not smear into the conservative phase's mean.
+        bin_width=0.2,
+        lane="slotted",
         notes=(
             "p3/p5 are the ~lag-long transients where stale information lets "
             "requests compete; the paper reports the same shape."
@@ -446,142 +521,118 @@ def run_fig8(
     )
 
 
-def _fig8_graph() -> AgreementGraph:
-    g = AgreementGraph()
-    g.add_principal("S", capacity=320.0)
-    g.add_principal("A")
-    g.add_principal("B")
-    g.add_agreement(Agreement("S", "A", 0.8, 1.0))
-    g.add_agreement(Agreement("S", "B", 0.2, 1.0))
-    return g
-
-
-# ---------------------------------------------------------------------------
-# Fig 9 — L4: sharing agreements in a community context
-# ---------------------------------------------------------------------------
-
-def fig9_scenario(
-    duration_scale: float = 1.0, seed: int = 0,
-    check_invariants: Optional[bool] = None,
-    lane: str = "slotted",
-) -> Tuple[Scenario, float]:
-    """Build and run the fig9 world; returns ``(scenario, phase_length)``.
-
-    Shared between :func:`run_fig9` and the replay harness
-    (:mod:`repro.analysis.replay`), which replays *this exact scenario*
-    and diffs the per-window admitted-rate trace digests across runs and
-    across lanes — ``lane="columnar"`` must be bit-identical to
-    ``lane="slotted"``.
-    """
+def fig9_world(duration_scale: float = 1.0, seed: int = 0) -> FigureWorld:
+    """Fig 9 — L4, a community context: A and B each own a 320 req/s
+    server; B grants A [0.5, 0.5].  Four phases: A 2 clients / none /
+    1 client / none, B always one client; all clients 400 req/s through
+    one L4 switch."""
     T = 100.0 * duration_scale
-    g = AgreementGraph()
-    g.add_principal("A", capacity=320.0)
-    g.add_principal("B", capacity=320.0)
-    g.add_agreement(Agreement("B", "A", 0.5, 0.5))
-    sc = Scenario(g, seed=seed, check_invariants=check_invariants, lane=lane)
-    sa = sc.server("SA", "A", 320.0)
-    sb = sc.server("SB", "B", 320.0)
-    switch = sc.l4("SW", {"A": sa, "B": sb})
-    sc.client("C1", "A", switch, rate=400.0, windows=[(0, T), (2 * T, 3 * T)])
-    sc.client("C2", "A", switch, rate=400.0, windows=[(0, T)])
-    sc.client("C3", "B", switch, rate=400.0, windows=[(0, 4 * T)])
-    sc.run(4 * T)
-    return sc, T
+    return FigureWorld(
+        figure="fig9",
+        title="L4: agreements respected in a community context",
+        principals=(("A", 320.0), ("B", 320.0)),
+        agreements=(Agreement("B", "A", 0.5, 0.5),),
+        servers=(("SA", "A", 320.0), ("SB", "B", 320.0)),
+        nodes=(NodeSpec("SW", "l4", {"A": ("SA",), "B": ("SB",)}),),
+        clients=_l4_clients(T),
+        horizon=4 * T,
+        **_phases(
+            T,
+            PhaseExpectation("phase1", {"A": 480.0, "B": 160.0}),
+            PhaseExpectation("phase2", {"A": 0.0, "B": 320.0}),
+            PhaseExpectation("phase3", {"A": 400.0, "B": 240.0}),
+            PhaseExpectation("phase4", {"A": 0.0, "B": 320.0}),
+        ),
+        seed=seed,
+        sharded=True,
+        notes="Phase 3: A limited to ~400 by the single client machine.",
+    )
+
+
+def fig10_world(duration_scale: float = 1.0, seed: int = 0) -> FigureWorld:
+    """Fig 10 — L4, provider income: a provider with two 320 req/s servers;
+    A [0.8,1] pays more than B [0.2,1].  Same client timeline as Fig 9;
+    the provider admits the highest payer first while honouring B's
+    mandatory floor."""
+    T = 100.0 * duration_scale
+    return FigureWorld(
+        figure="fig10",
+        title="L4: provider income maximised",
+        principals=(("P", 640.0), ("A", 0.0), ("B", 0.0)),
+        agreements=(Agreement("P", "A", 0.8, 1.0), Agreement("P", "B", 0.2, 1.0)),
+        servers=(("S1", "P", 320.0), ("S2", "P", 320.0)),
+        nodes=(NodeSpec("SW", "l4", {"P": ("S1", "S2")},
+                        {"mode": "provider", "prices": {"A": 2.0, "B": 1.0}}),),
+        clients=_l4_clients(T),
+        horizon=4 * T,
+        **_phases(
+            T,
+            PhaseExpectation("phase1", {"A": 512.0, "B": 128.0}),
+            PhaseExpectation("phase2", {"A": 0.0, "B": 400.0}),
+            PhaseExpectation("phase3", {"A": 400.0, "B": 240.0}),
+            PhaseExpectation("phase4", {"A": 0.0, "B": 400.0}),
+        ),
+        seed=seed,
+        notes="B held to its mandatory 128 while A (higher price) is active.",
+    )
+
+
+# The §5 figures, by name: the one place that says which exist.
+WORLDS: Dict[str, Callable[..., FigureWorld]] = {
+    "fig6": fig6_world,
+    "fig7": fig7_world,
+    "fig8": fig8_world,
+    "fig9": fig9_world,
+    "fig10": fig10_world,
+}
+
+
+def run_fig6(
+    duration_scale: float = 1.0, seed: int = 0, lane: Optional[str] = None,
+    shards: Optional[int] = None,
+) -> FigureResult:
+    """:func:`fig6_world` through :func:`run_figure`."""
+    return run_figure(fig6_world(duration_scale, seed), lane, shards)
+
+
+def run_fig7(
+    duration_scale: float = 1.0, seed: int = 0, lane: Optional[str] = None,
+) -> FigureResult:
+    """:func:`fig7_world` through :func:`run_figure`."""
+    return run_figure(fig7_world(duration_scale, seed), lane)
+
+
+def run_fig8(
+    duration_scale: float = 1.0, seed: int = 0, lag: Optional[float] = None,
+    lane: Optional[str] = None,
+) -> FigureResult:
+    """:func:`fig8_world` through :func:`run_figure`."""
+    return run_figure(fig8_world(duration_scale, seed, lag), lane)
 
 
 def run_fig9(
     duration_scale: float = 1.0, seed: int = 0, lane: Optional[str] = None,
     shards: Optional[int] = None,
 ) -> FigureResult:
-    """Fig 9: A and B each own a 320 req/s server; B grants A [0.5, 0.5].
-    Four phases: A 2 clients / none / 1 client / none, B always one client;
-    all clients 400 req/s through one L4 switch.
-
-    ``lane`` and ``shards`` as in :func:`run_fig6`.
-    """
-    if shards is not None and shards > 0:
-        return _run_sharded("fig9", duration_scale, seed, lane, shards)
-    sc, T = _on_lane(fig9_scenario, duration_scale, seed, lane)
-    phases, expected, settle = paper_phases("fig9", T)
-    return FigureResult(
-        figure="fig9",
-        title="L4: agreements respected in a community context",
-        phases=sc.phase_rates(phases, keys=["A", "B"], settle=settle),
-        expected=expected,
-        series=sc.series(["A", "B"]),
-        notes="Phase 3: A limited to ~400 by the single client machine.",
-    )
-
-
-# ---------------------------------------------------------------------------
-# Fig 10 — L4: maximisation of service-provider income
-# ---------------------------------------------------------------------------
-
-def fig10_scenario(
-    duration_scale: float = 1.0, seed: int = 0,
-    check_invariants: Optional[bool] = None,
-    lane: str = "slotted",
-) -> Tuple[Scenario, float]:
-    """Build and run the fig10 world; returns ``(scenario, phase_length)``.
-
-    Shared between :func:`run_fig10` and the replay harness, like
-    :func:`fig9_scenario` (provider/price mode variant —
-    the columnar lane replays admission against the live switch, so the
-    provider's price-ordered picks are exercised identically).
-    """
-    T = 100.0 * duration_scale
-    g = AgreementGraph()
-    g.add_principal("P", capacity=640.0)
-    g.add_principal("A")
-    g.add_principal("B")
-    g.add_agreement(Agreement("P", "A", 0.8, 1.0))
-    g.add_agreement(Agreement("P", "B", 0.2, 1.0))
-    sc = Scenario(g, seed=seed, check_invariants=check_invariants, lane=lane)
-    s1 = sc.server("S1", "P", 320.0)
-    s2 = sc.server("S2", "P", 320.0)
-    switch = sc.l4(
-        "SW", {"P": [s1, s2]}, mode="provider", prices={"A": 2.0, "B": 1.0},
-    )
-    sc.client("C1", "A", switch, rate=400.0, windows=[(0, T), (2 * T, 3 * T)])
-    sc.client("C2", "A", switch, rate=400.0, windows=[(0, T)])
-    sc.client("C3", "B", switch, rate=400.0, windows=[(0, 4 * T)])
-    sc.run(4 * T)
-    return sc, T
+    """:func:`fig9_world` through :func:`run_figure`."""
+    return run_figure(fig9_world(duration_scale, seed), lane, shards)
 
 
 def run_fig10(
     duration_scale: float = 1.0, seed: int = 0, lane: Optional[str] = None,
 ) -> FigureResult:
-    """Fig 10: provider with two 320 req/s servers; A [0.8,1] pays more than
-    B [0.2,1].  Same client timeline as Fig 9; the provider admits the
-    highest payer first while honouring B's mandatory floor.  ``lane`` as
-    in :func:`run_fig6`."""
-    sc, T = _on_lane(fig10_scenario, duration_scale, seed, lane)
-    settle = min(5.0, T * 0.2)
-    phases = [
-        ("phase1", 0.0, T), ("phase2", T, 2 * T),
-        ("phase3", 2 * T, 3 * T), ("phase4", 3 * T, 4 * T),
-    ]
-    return FigureResult(
-        figure="fig10",
-        title="L4: provider income maximised",
-        phases=sc.phase_rates(phases, keys=["A", "B"], settle=settle),
-        expected=[
-            PhaseExpectation("phase1", {"A": 512.0, "B": 128.0}),
-            PhaseExpectation("phase2", {"A": 0.0, "B": 400.0}),
-            PhaseExpectation("phase3", {"A": 400.0, "B": 240.0}),
-            PhaseExpectation("phase4", {"A": 0.0, "B": 400.0}),
-        ],
-        series=sc.series(["A", "B"]),
-        notes="B held to its mandatory 128 while A (higher price) is active.",
-    )
+    """:func:`fig10_world` through :func:`run_figure`."""
+    return run_figure(fig10_world(duration_scale, seed), lane)
 
 
-def run_faultmatrix(**kw) -> FigureResult:
+def run_faultmatrix(
+    duration_scale: float = 1.0, seed: int = 0,
+    check_invariants: Optional[bool] = None,
+) -> FigureResult:
     """Fault-matrix (partition → degrade → heal); see experiments.faultmatrix."""
     from repro.experiments.faultmatrix import run_fault_matrix
 
-    return run_fault_matrix(**kw)
+    return run_fault_matrix(duration_scale, seed, check_invariants)
 
 
 ALL_FIGURES = {

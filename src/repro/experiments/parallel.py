@@ -20,6 +20,7 @@ Two pieces make that hold:
 
 from __future__ import annotations
 
+import inspect
 import multiprocessing as mp
 import os
 import zlib
@@ -112,26 +113,27 @@ def figure_kwargs(
     lane: Optional[str] = None,
     shards: Optional[int] = None,
 ) -> Dict[str, Any]:
-    """Keyword arguments for one ``run_figN`` entry point.
+    """Keyword arguments for one ``ALL_FIGURES`` entry point: those of
+    ``duration_scale``, ``duration`` (fig1d's, ``max(20, 100 × scale)``),
+    ``seed``, ``lane`` and — when given — ``shards`` its signature takes.
 
     ``partition_seeds=True`` gives every figure its own
     :func:`scenario_seed`-derived stream; the default reuses ``seed``
     verbatim, matching a serial ``for name: run_figN(seed=seed)`` loop.
-    ``lane`` only reaches the figures whose entry point selects a lane
-    (fig6/fig9/fig10); ``None`` leaves them on their default, columnar.
-    ``shards`` only reaches the figures with a sharded world (fig6/fig9).
+    ``lane=None`` leaves each figure on its record's default lane.
     """
-    s = scenario_seed(seed, name) if partition_seeds else seed
-    if name in ("fig1", "fig3"):
-        return {}
-    if name == "fig1d":
-        return {"duration": max(20.0, 100.0 * scale), "seed": s}
-    kwargs: Dict[str, Any] = {"duration_scale": scale, "seed": s}
-    if name in ("fig6", "fig9", "fig10"):
-        kwargs["lane"] = lane
-    if shards is not None and name in ("fig6", "fig9"):
-        kwargs["shards"] = shards
-    return kwargs
+    from repro.experiments.figures import ALL_FIGURES
+
+    offered: Dict[str, Any] = {
+        "duration_scale": scale,
+        "duration": max(20.0, 100.0 * scale),
+        "seed": scenario_seed(seed, name) if partition_seeds else seed,
+        "lane": lane,
+    }
+    if shards is not None:
+        offered["shards"] = shards
+    takes = inspect.signature(ALL_FIGURES[name]).parameters
+    return {k: v for k, v in offered.items() if k in takes}
 
 
 def _figure_task(task: Tuple[str, Dict[str, Any]]) -> Tuple[str, Any]:

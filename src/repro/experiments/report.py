@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List
+from typing import Iterable, List, Optional
 
 from repro.experiments.figures import ALL_FIGURES, Fig1Result, Fig3Result
 from repro.experiments.harness import FigureResult
+from repro.experiments.parallel import figure_kwargs
 
 __all__ = ["render_result", "render_all"]
 
@@ -67,26 +68,20 @@ def render_result(result) -> str:
 
 def render_all(
     duration_scale: float = 1.0,
-    figures: Iterable[str] = (
-        "fig1", "fig1d", "fig3", "fig6", "fig7", "fig8", "fig9", "fig10",
-    ),
+    figures: Optional[Iterable[str]] = None,
     seed: int = 0,
 ) -> str:
-    """Run every requested figure and render one combined report."""
+    """Run every requested figure (default: all of ``ALL_FIGURES``) and
+    render one combined report."""
     parts: List[str] = ["# Experiment report (paper vs measured)", ""]
-    for name in figures:
-        fn: Callable = ALL_FIGURES[name]
-        if name in ("fig1", "fig3"):
-            result = fn()
-        elif name == "fig1d":
-            result = fn(duration=max(20.0, 100.0 * duration_scale), seed=seed)
+    for name in ALL_FIGURES if figures is None else figures:
+        if name == "fig1d":
             parts.append(
                 "*(fig1d is Fig 1 as a full simulation: biased pass-through "
                 "redirectors in front of independently enforcing servers, "
                 "versus coordinated L7 redirectors — same demand, real "
                 "clients and windows.)*\n"
             )
-        else:
-            result = fn(duration_scale=duration_scale, seed=seed)
+        result = ALL_FIGURES[name](**figure_kwargs(name, duration_scale, seed))
         parts.append(render_result(result))
     return "\n".join(parts)

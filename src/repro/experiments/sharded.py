@@ -81,7 +81,7 @@ import os
 import pickle
 import signal
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -105,8 +105,8 @@ from repro.coordination.checkpoint import (
 )
 from repro.coordination.shm import PlaneSpec, ShmDataPlane, ShmUnavailable
 from repro.core.access import compute_access_levels
-from repro.core.agreements import Agreement, AgreementGraph
-from repro.experiments.harness import FigureResult
+from repro.core.agreements import AgreementGraph
+from repro.experiments.figures import WORLDS, ClientSpec, FigureWorld
 from repro.faults.plan import SHARD_REVOKE_MODES, FaultPlan, FaultPlanError, ShardRevoke
 from repro.scheduling.allocator import WindowAllocator
 from repro.scheduling.window import WindowConfig
@@ -114,18 +114,15 @@ from repro.sim.monitor import PhaseStats
 from repro.sim.rng import RngStreams
 
 __all__ = [
-    "ShardClient",
     "ShardCluster",
     "ShardedWorld",
     "ShardFault",
     "ShardedResult",
     "ShardedRunner",
     "shard_faults_from_plan",
-    "sharded_fig6_world",
-    "sharded_fig9_world",
+    "shard_world",
     "SHARDED_WORLDS",
     "run_sharded",
-    "run_sharded_figure",
 ]
 
 _LOG = logging.getLogger("repro.sharded")
@@ -138,42 +135,32 @@ _FAULT_ENV = "REPRO_SHARD_FAULT"
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ShardClient:
-    """Open-loop Poisson source bound to one cluster.
-
-    ``windows`` lists (start, end) activity intervals in seconds; ``None``
-    means always active.  Arrival counts per scheduling window are Poisson
-    with mean ``rate × overlap(window, activity)``, drawn from the owning
-    cluster's substream in declaration order.
-    """
-
-    name: str
-    principal: str
-    rate: float
-    windows: Optional[Tuple[Tuple[float, float], ...]] = None
-
-    def overlap(self, t0: float, t1: float) -> float:
-        """Active seconds inside [t0, t1)."""
-        if self.windows is None:
-            return t1 - t0
-        total = 0.0
-        for a, b in self.windows:
-            total += max(0.0, min(b, t1) - max(a, t0))
-        return total
+def _overlap(windows: Optional[Tuple[Tuple[float, float], ...]],
+             t0: float, t1: float) -> float:
+    """Active seconds inside [t0, t1) of a client active in ``windows``
+    (None: always)."""
+    if windows is None:
+        return t1 - t0
+    total = 0.0
+    for a, b in windows:
+        total += max(0.0, min(b, t1) - max(a, t0))
+    return total
 
 
 @dataclass(frozen=True)
 class ShardCluster:
     """One cluster: a redirector's worth of clients plus a local server.
 
+    Each client is an open-loop Poisson source: its arrivals per
+    scheduling window are Poisson with mean ``rate × active seconds``,
+    drawn from the cluster's substream in declaration order.
     ``capacity`` (req/s) drives the response-time observer — a constant-
     service Lindley recursion over the cluster's admitted requests.  It
     does not gate admission; quotas do.
     """
 
     name: str
-    clients: Tuple[ShardClient, ...]
+    clients: Tuple[ClientSpec, ...]
     capacity: float
 
 
@@ -358,7 +345,7 @@ class _ClusterState:
         t0, t1 = k * w, (k + 1) * w
         demand = {p: 0 for p in self.principals}
         for client in self.spec.clients:
-            active = client.overlap(t0, t1)
+            active = _overlap(client.windows, t0, t1)
             if active > 0.0:
                 demand[client.principal] += int(
                     self.rng.poisson(client.rate * active)
@@ -1153,100 +1140,63 @@ class ShardedRunner:
 
 
 # ---------------------------------------------------------------------------
-# World builders (fig6/fig9-shaped, with replica and load knobs)
+# Worlds: derived from the figures' records, with replica and load knobs
 # ---------------------------------------------------------------------------
 
 
-def sharded_fig6_world(
-    duration_scale: float = 1.0,
-    seed: int = 0,
-    replicas: int = 1,
-    load_scale: float = 1.0,
+def shard_world(
+    world: FigureWorld, replicas: int = 1, load_scale: float = 1.0,
 ) -> ShardedWorld:
-    """The fig6 world for the sharded lane: V=320·R·s; A [0.2,1] with two
-    135·s req/s clients per R1 cluster, B [0.8,1] with one per R2 cluster.
+    """A §5 figure's world on the sharded lane.
 
-    ``replicas`` stamps out R independent (R1, R2) cluster pairs against a
-    proportionally larger server principal — the fixed per-cluster-load
-    scaling axis the shard bench sweeps; ``load_scale`` multiplies every
-    client rate and capacity together, holding the LP's shape constant.
+    Each front-end node becomes one :class:`ShardCluster` per replica
+    (``[i]``-tagged names when ``replicas`` > 1) holding that node's
+    clients, with the summed capacity of the node's servers.
+    ``replicas`` stamps out R independent copies against a proportionally
+    larger agreement graph — the fixed per-cluster-load scaling axis the
+    shard bench sweeps; ``load_scale`` multiplies every client rate and
+    capacity together, holding the LP's shape constant.
     """
-    T = 100.0 * duration_scale
-    a_windows = ((0.0, 3 * T),)
-    b_windows = ((0.0, T), (2 * T, 3 * T))
+    if not world.sharded:
+        raise ValueError(
+            f"sharded lane supports {sorted(SHARDED_WORLDS)}, not {world.figure!r}"
+        )
+    capacity = {name: cap for name, _owner, cap in world.servers}
     clusters: List[ShardCluster] = []
     for i in range(replicas):
         tag = f"[{i}]" if replicas > 1 else ""
-        clusters.append(ShardCluster(
-            name=f"R1{tag}",
-            clients=(
-                ShardClient(f"C1{tag}", "A", 135.0 * load_scale, a_windows),
-                ShardClient(f"C2{tag}", "A", 135.0 * load_scale, a_windows),
-            ),
-            capacity=320.0 * load_scale,
-        ))
-        clusters.append(ShardCluster(
-            name=f"R2{tag}",
-            clients=(
-                ShardClient(f"C3{tag}", "B", 135.0 * load_scale, b_windows),
-            ),
-            capacity=320.0 * load_scale,
-        ))
-    g = AgreementGraph()
-    g.add_principal("S", capacity=320.0 * replicas * load_scale)
-    g.add_principal("A")
-    g.add_principal("B")
-    g.add_agreement(Agreement("S", "A", 0.2, 1.0))
-    g.add_agreement(Agreement("S", "B", 0.8, 1.0))
+        for node in world.nodes:
+            clusters.append(ShardCluster(
+                name=f"{node.name}{tag}",
+                clients=tuple(
+                    replace(c, name=f"{c.name}{tag}", rate=c.rate * load_scale)
+                    for c in world.clients if c.node == node.name
+                ),
+                capacity=sum(capacity[s] for names in node.pools.values()
+                             for s in names) * load_scale,
+            ))
     return ShardedWorld(
-        name="fig6",
+        name=world.figure,
         clusters=tuple(clusters),
-        principals=("A", "B"),
-        duration=3 * T,
-        seed=seed,
-        graph=g,
+        principals=world.keys,
+        duration=world.horizon,
+        seed=world.seed,
+        graph=world.graph(replicas, load_scale),
     )
 
 
-def sharded_fig9_world(
-    duration_scale: float = 1.0,
-    seed: int = 0,
-    replicas: int = 1,
-    load_scale: float = 1.0,
+def _registry_world(
+    build: Any, duration_scale: float = 1.0, seed: int = 0,
+    replicas: int = 1, load_scale: float = 1.0,
 ) -> ShardedWorld:
-    """The fig9 world: A and B each own 320·R·s req/s; B grants A [0.5,0.5];
-    per replica one switch cluster with the paper's three 400·s clients."""
-    T = 100.0 * duration_scale
-    clusters: List[ShardCluster] = []
-    for i in range(replicas):
-        tag = f"[{i}]" if replicas > 1 else ""
-        clusters.append(ShardCluster(
-            name=f"SW{tag}",
-            clients=(
-                ShardClient(f"C1{tag}", "A", 400.0 * load_scale,
-                            ((0.0, T), (2 * T, 3 * T))),
-                ShardClient(f"C2{tag}", "A", 400.0 * load_scale, ((0.0, T),)),
-                ShardClient(f"C3{tag}", "B", 400.0 * load_scale, ((0.0, 4 * T),)),
-            ),
-            capacity=640.0 * load_scale,
-        ))
-    g = AgreementGraph()
-    g.add_principal("A", capacity=320.0 * replicas * load_scale)
-    g.add_principal("B", capacity=320.0 * replicas * load_scale)
-    g.add_agreement(Agreement("B", "A", 0.5, 0.5))
-    return ShardedWorld(
-        name="fig9",
-        clusters=tuple(clusters),
-        principals=("A", "B"),
-        duration=4 * T,
-        seed=seed,
-        graph=g,
-    )
+    return shard_world(build(duration_scale, seed), replicas, load_scale)
 
 
+# name -> (duration_scale, seed, replicas, load_scale) -> ShardedWorld, for
+# every registered figure whose record says it runs sharded.
 SHARDED_WORLDS = {
-    "fig6": sharded_fig6_world,
-    "fig9": sharded_fig9_world,
+    name: partial(_registry_world, build)
+    for name, build in WORLDS.items() if build().sharded
 }
 
 
@@ -1281,36 +1231,3 @@ def run_sharded(
                            epoch_timeout=epoch_timeout,
                            recovery=recovery, faults=faults)
     return runner.run()
-
-
-def run_sharded_figure(
-    figure: str,
-    duration_scale: float = 1.0,
-    seed: int = 0,
-    shards: int = 1,
-) -> FigureResult:
-    """Run fig6/fig9 on the sharded lane, returning a FigureResult.
-
-    The phase expectations are the event-lane ones: the sharded lane is a
-    different execution model over the same LP and the same offered load,
-    so the paper's phase rates must still come out.
-    """
-    from repro.experiments.figures import paper_phases
-
-    res = run_sharded(figure, duration_scale=duration_scale, seed=seed,
-                      shards=shards)
-    phases, expected, settle = paper_phases(figure, 100.0 * duration_scale)
-    return FigureResult(
-        figure=figure,
-        title=f"{'L7' if figure == 'fig6' else 'L4'}: agreements respected "
-              f"(sharded lane)",
-        phases=res.phase_rates(phases, keys=["A", "B"], settle=settle),
-        expected=expected,
-        series=res.series(["A", "B"]),
-        notes=f"sharded lane: shards={res.shards}, "
-              f"data plane {res.data_plane}, "
-              f"{res.n_windows} window epochs, "
-              f"{res.lp_solves} LP solves ({res.cache_hits} cache hits), "
-              f"{len(res.restarts)} restarts, "
-              f"{len(res.reassignments)} reassignments",
-    )

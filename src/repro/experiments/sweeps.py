@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.agreements import Agreement, AgreementGraph
+from repro.experiments.figures import fig6_world
 from repro.experiments.harness import Scenario
 from repro.experiments.parallel import parallel_map
 from repro.scheduling.window import WindowConfig
@@ -46,16 +46,6 @@ class SweepPoint:
     extra: Dict[str, float] = field(default_factory=dict)
 
 
-def _graph() -> AgreementGraph:
-    g = AgreementGraph()
-    g.add_principal("S", capacity=320.0)
-    g.add_principal("A")
-    g.add_principal("B")
-    g.add_agreement(Agreement("S", "A", 0.2, 1.0))
-    g.add_agreement(Agreement("S", "B", 0.8, 1.0))
-    return g
-
-
 def _measure(sc: Scenario, duration: float, settle: float) -> Dict[str, float]:
     sc.run(duration)
     return {
@@ -76,7 +66,7 @@ def _point(knob: float, rates: Dict[str, float], **extra) -> SweepPoint:
 
 def _window_point(task: Tuple[float, float, int]) -> SweepPoint:
     wl, duration, seed = task
-    sc = Scenario(_graph(), window=WindowConfig(wl), seed=seed)
+    sc = Scenario(fig6_world().graph(), window=WindowConfig(wl), seed=seed)
     srv = sc.server("S", "S", 320.0)
     red = sc.l7("R", {"S": srv})
     sc.client("CA", "A", red, rate=405.0)
@@ -99,7 +89,7 @@ def sweep_window(
 
 def _delay_point(task: Tuple[float, float, int]) -> SweepPoint:
     d, duration, seed = task
-    sc = Scenario(_graph(), seed=seed)
+    sc = Scenario(fig6_world().graph(), seed=seed)
     srv = sc.server("S", "S", 320.0)
     r1 = sc.l7("R1", {"S": srv}, n_redirectors=2)
     r2 = sc.l7("R2", {"S": srv}, n_redirectors=2)
@@ -131,7 +121,7 @@ def sweep_delay(
 
 def _redirectors_point(task: Tuple[int, float, int]) -> SweepPoint:
     n, duration, seed = task
-    sc = Scenario(_graph(), seed=seed)
+    sc = Scenario(fig6_world().graph(), seed=seed)
     srv = sc.server("S", "S", 320.0)
     reds = [sc.l7(f"R{i}", {"S": srv}, n_redirectors=n) for i in range(n)]
     if n > 1:
@@ -162,7 +152,7 @@ def sweep_redirectors(
 
 def _cache_point(task: Tuple[float, float, int]) -> SweepPoint:
     tol, duration, seed = task
-    sc = Scenario(_graph(), seed=seed)
+    sc = Scenario(fig6_world().graph(), seed=seed)
     srv = sc.server("S", "S", 320.0)
     red = sc.l7("R", {"S": srv})
     red.allocator.cache_tolerance = tol

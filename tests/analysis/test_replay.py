@@ -23,7 +23,7 @@ class TestFig6Replay:
 
     def test_only_lane_selecting_figures(self):
         with pytest.raises(ValueError, match="figure_replay supports"):
-            figure_replay("fig7")
+            figure_replay("fig1")
 
 
 class TestReplayReport:

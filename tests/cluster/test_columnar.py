@@ -104,10 +104,10 @@ def test_response_stats_match_the_slotted_lane():
     # on the slotted lane, one `update_many` per window on the columnar one.
     # (With several servers the columnar lane commits per server, the order
     # differs, and only count / min / max are comparable.)
-    from repro.experiments.figures import fig6_scenario
+    from repro.experiments.figures import fig6_world
 
     runs = {
-        lane: fig6_scenario(duration_scale=0.05, seed=0, lane=lane)[0]
+        lane: fig6_world(0.05, 0).scenario(lane)
         for lane in ("slotted", "columnar")
     }
     assert runs["columnar"].lane == "columnar"

@@ -144,7 +144,7 @@ class TestFailureModes:
         from repro.experiments import sharded
 
         monkeypatch.setattr(sharded, "_shard_worker_main", _stuck_worker)
-        world = sharded.sharded_fig6_world(duration_scale=0.02, replicas=2)
+        world = sharded.SHARDED_WORLDS["fig6"](duration_scale=0.02, replicas=2)
         runner = sharded.ShardedRunner(world, shards=2, epoch_timeout=0.2,
                                        recovery=None)
         with pytest.raises(ShardWorkerError, match="no boundary publication"):

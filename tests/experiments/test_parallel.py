@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.experiments.figures import WORLDS
 from repro.experiments.parallel import (
     default_jobs,
     figure_kwargs,
@@ -95,12 +96,17 @@ class TestFigureBatch:
 
     def test_kwargs_shapes(self):
         assert figure_kwargs("fig1", 0.3, 7) == {}
-        # No lane named: the entry point runs its default, columnar.
+        # No lane named: the entry point runs its record's default.
         assert figure_kwargs("fig6", 0.3, 7) == {
             "duration_scale": 0.3, "seed": 7, "lane": None,
         }
         assert figure_kwargs("fig9", 0.3, 7, lane="slotted")["lane"] == "slotted"
-        assert figure_kwargs("fig7", 0.3, 7) == {"duration_scale": 0.3, "seed": 7}
+        assert figure_kwargs("fig7", 0.3, 7) == {
+            "duration_scale": 0.3, "seed": 7, "lane": None,
+        }
+        assert figure_kwargs("faultmatrix", 0.3, 7) == {
+            "duration_scale": 0.3, "seed": 7,
+        }
         assert figure_kwargs("fig1d", 0.3, 7)["duration"] == pytest.approx(30.0)
 
     def test_partitioned_seeds_differ(self):
@@ -134,11 +140,11 @@ class TestSweepJobs:
 
 class TestLaneThreading:
     def test_lane_reaches_columnar_capable_figures_only(self):
-        assert figure_kwargs("fig6", 0.3, 7, lane="columnar")["lane"] == "columnar"
-        assert figure_kwargs("fig9", 0.3, 7, lane="columnar")["lane"] == "columnar"
-        assert figure_kwargs("fig10", 0.3, 7, lane="columnar")["lane"] == "columnar"
-        assert "lane" not in figure_kwargs("fig7", 0.3, 7, lane="columnar")
+        # Every §5 figure selects a lane; fig1d and the fault matrix do not.
+        for name in WORLDS:
+            assert figure_kwargs(name, 0.3, 7, lane="columnar")["lane"] == "columnar"
         assert "lane" not in figure_kwargs("fig1d", 0.3, 7, lane="slotted")
+        assert "lane" not in figure_kwargs("faultmatrix", 0.3, 7, lane="slotted")
 
 
 class TestShardThreading:

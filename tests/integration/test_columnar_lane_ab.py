@@ -24,7 +24,7 @@ import pytest
 
 import repro.experiments.harness as harness
 from repro.analysis.replay import columnar_replay, scenario_digest
-from repro.experiments.figures import fig6_scenario, fig9_scenario
+from repro.experiments.figures import WORLDS, fig6_world, fig9_world
 from tests.l4.packet_oracle import PacketL4Switch
 
 SCALE = 0.05
@@ -39,15 +39,14 @@ def _series_equal(a, b):
         assert np.array_equal(av, bv), key
 
 
-@pytest.mark.parametrize("build", [fig6_scenario, fig9_scenario],
+@pytest.mark.parametrize("build", [fig6_world, fig9_world],
                          ids=["fig6", "fig9"])
 def test_three_lanes_bit_identical(build, monkeypatch):
     runs = {
-        lane: build(duration_scale=SCALE, seed=0, lane=lane)[0]
-        for lane in ("slotted", "columnar")
+        lane: build(SCALE, 0).scenario(lane) for lane in ("slotted", "columnar")
     }
     monkeypatch.setattr(harness, "L4Switch", PacketL4Switch)
-    runs["packet"] = build(duration_scale=SCALE, seed=0, lane="slotted")[0]
+    runs["packet"] = build(SCALE, 0).scenario("slotted")
     col = runs["columnar"]
     assert col.lane == "columnar" and col.lane_fallback is None
     assert col.columnar is not None and col.columnar.requests > 0
@@ -70,7 +69,7 @@ def test_three_lanes_bit_identical(build, monkeypatch):
         assert scenario_digest(col) == scenario_digest(ref), other
 
 
-@pytest.mark.parametrize("figure", ["fig6", "fig9", "fig10"])
+@pytest.mark.parametrize("figure", list(WORLDS))
 def test_columnar_replay_digests_identical(figure):
     """The CLI harness criterion itself: combined scenario + admission
     digests match across slotted / columnar runs."""
@@ -89,15 +88,13 @@ def test_batch_size_invariance(batch):
     the default's (one second of arrivals, here 1,024) digest bit-for-bit
     (1<<22 covers any phase whole)."""
     def run(b):
-        sc, _ = fig6_scenario(duration_scale=SCALE, seed=0, lane="columnar")
-        return sc
+        return fig6_world(SCALE, 0).scenario("columnar")
 
     def run_with_batch(b):
-        from repro.experiments.figures import _fig6_graph
         from repro.experiments.harness import Scenario
 
         T = 100.0 * SCALE
-        sc = Scenario(_fig6_graph(320.0, 0.2, 0.8), seed=0, lane="columnar")
+        sc = Scenario(fig6_world(SCALE).graph(), seed=0, lane="columnar")
         server = sc.server("S", "S", 320.0)
         r1 = sc.l7("R1", {"S": server}, n_redirectors=2)
         r2 = sc.l7("R2", {"S": server}, n_redirectors=2)
@@ -121,10 +118,9 @@ def _one_instant_world(shape, seed, lane):
     ``pooled`` -- the same redirectors over a two-server pool (one
     per-event walk over all clients); ``l4`` -- two L4 switches, whose
     reinjection releases reach the shared server beside arrivals."""
-    from repro.experiments.figures import _fig6_graph
     from repro.experiments.harness import Scenario
 
-    sc = Scenario(_fig6_graph(320.0, 0.2, 0.8), seed=seed, lane=lane)
+    sc = Scenario(fig6_world().graph(), seed=seed, lane=lane)
     if shape == "pooled":
         pool = [sc.server("S1", "S", 160.0), sc.server("S2", "S", 160.0)]
         r1 = sc.l7("R1", {"S": pool}, n_redirectors=2)

@@ -14,7 +14,7 @@ import repro.scheduling.community as community
 from repro.analysis.invariants import InvariantChecker
 from repro.core.access import compute_access_levels
 from repro.core.agreements import Agreement, AgreementGraph
-from repro.experiments.figures import fig6_scenario
+from repro.experiments.figures import fig6_world
 from repro.lp import Model, Status, solve
 from repro.lp.oracle import scipy_available, solve_scipy
 from repro.scheduling.community import CommunityScheduler
@@ -197,7 +197,7 @@ class TestInTheLoop:
             return solution
 
         monkeypatch.setattr(community, "solve", spy)
-        sc, _ = fig6_scenario(duration_scale=0.05, seed=0)
+        sc = fig6_world(0.05, 0).scenario("slotted")
         solves = sum(r.allocator.scheduler.lp_solves for r in sc.l7_redirectors.values())
         assert len(warm) == solves > 100
         # Cold: each redirector's first two solves (empty basis, then the
@@ -215,7 +215,7 @@ class TestInTheLoop:
             check(self, program, solution)
 
         monkeypatch.setattr(InvariantChecker, "check_lp_solution", counting)
-        sc, _ = fig6_scenario(duration_scale=0.02, seed=0, check_invariants=True)
+        sc = fig6_world(0.02, 0).scenario("slotted", check_invariants=True)
         solves = sum(r.allocator.scheduler.lp_solves for r in sc.l7_redirectors.values())
         assert len(audited) == solves > 0
         assert set(audited) == {"community"}

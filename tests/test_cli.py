@@ -91,18 +91,39 @@ class TestCommands:
         from repro.experiments import sharded
 
         runs = []
-        run = sharded.run_sharded_figure
 
-        def spy(figure, **kwargs):
-            runs.append((figure, kwargs["shards"]))
-            return run(figure, **kwargs)
+        class Spy(sharded.ShardedRunner):
+            def __init__(self, world, shards=1, **kwargs):
+                runs.append((world.name, shards))
+                super().__init__(world, shards=shards, **kwargs)
 
-        monkeypatch.setattr(sharded, "run_sharded_figure", spy)
+        monkeypatch.setattr(sharded, "ShardedRunner", Spy)
         rc = main(["figures", "--only", "fig6", "--scale", "0.05",
                    "--shards", "2"])
         assert rc == 0
         assert "fig6: ok" in capsys.readouterr().out
         assert runs == [("fig6", 2)]
+
+    @pytest.mark.parametrize("lane", ["columnar", "slotted"])
+    @pytest.mark.parametrize("figure", ["fig7", "fig8"])
+    def test_figures_lane_is_the_lane_that_ran(self, figure, lane, capsys,
+                                               monkeypatch):
+        # --lane once reached fig6/fig9/fig10 only: fig7 and fig8 ran
+        # slotted whatever was asked for.
+        from repro.experiments import figures
+
+        monkeypatch.delenv("REPRO_CHECK", raising=False)
+        ran = []
+
+        class Spy(figures.Scenario):
+            def run(self, duration):
+                ran.append(self.lane)
+                super().run(duration)
+
+        monkeypatch.setattr(figures, "Scenario", Spy)
+        main(["figures", "--only", figure, "--scale", "0.05", "--lane", lane])
+        assert f"{figure}: " in capsys.readouterr().out
+        assert ran == [lane]
 
     def test_baseline(self, capsys):
         rc = main(["baseline", "--duration", "8"])

@@ -30,13 +30,13 @@ GONE = {"lp_cache", "fast_periodic", "fast_lane", "l4_fast_lane",
 SWITCHLESS = [
     Scenario,
     *figures.ALL_FIGURES.values(),
-    figures.fig6_scenario, figures.fig9_scenario, figures.fig10_scenario,
+    *figures.WORLDS.values(), figures.FigureWorld.scenario, figures.run_figure,
     parallel.figure_kwargs, parallel.run_figures_parallel,
     faultmatrix.fault_matrix_scenario, faultmatrix.run_fault_matrix,
     faultmatrix.run_crash_recovery_matrix,
     replay.figure_replay, replay.chaos_replay,
     replay.columnar_replay, replay.sharded_replay,
-    sharded.ShardedRunner, sharded.run_sharded, sharded.run_sharded_figure,
+    sharded.ShardedRunner, sharded.run_sharded, sharded.shard_world,
     WindowAllocator, L7Redirector, L4Daemon, L4Switch, ColumnarL4Switch,
     ClientMachine, Simulator,
 ]
@@ -46,10 +46,9 @@ def _accepts(fn, name):
     params = inspect.signature(fn).parameters
     if name in params:
         return True
-    # A **kwargs catch-all is a pass-through in disguise.  run_faultmatrix's
-    # forwards to run_fault_matrix and ColumnarL4Switch's to L4Switch,
-    # which are checked by name.
-    return fn not in (figures.run_faultmatrix, ColumnarL4Switch) and any(
+    # A **kwargs catch-all is a pass-through in disguise.
+    # ColumnarL4Switch's forwards to L4Switch, which is checked by name.
+    return fn is not ColumnarL4Switch and any(
         p.kind is p.VAR_KEYWORD for p in params.values()
     )
 
@@ -62,6 +61,12 @@ def test_accelerator_switches_are_gone(fn):
     # benchmark passes it, and anything else is a ValueError.
     gone = GONE - {"transport"} if fn is sharded.run_sharded else GONE
     assert not [name for name in sorted(gone) if _accepts(fn, name)]
+
+
+@pytest.mark.parametrize("name", list(figures.WORLDS))
+def test_every_figure_runner_takes_the_lane(name):
+    # The registry's figures all select a lane, fig7 and fig8 included.
+    assert "lane" in inspect.signature(figures.ALL_FIGURES[name]).parameters
 
 
 def test_scenario_takes_the_lane_and_nothing_else():
