@@ -244,8 +244,8 @@ def columnar_replay(
 
     Both lanes run the figure's own world — retry pools on, refused
     requests parked at the redirector and re-offered at each install.
-    IDENTICAL means the columnar lane, the default of fig6, fig9 and
-    fig10, reproduces the slotted oracle bit-for-bit.
+    IDENTICAL means the columnar lane, the default of every figure but
+    fig8, reproduces the slotted oracle bit-for-bit.
     """
     digests: List[str] = []
     labels: List[str] = []

@@ -50,10 +50,9 @@ __all__ = ["main", "build_parser", "parse_graph_spec"]
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from repro.experiments.figures import WORLDS
-    from repro.experiments.sharded import SHARDED_WORLDS
-
-    sharded = "/".join(SHARDED_WORLDS)
+    # Figure names are checked against the world registry when a command
+    # runs (_check_figure_names), so building the parser imports no
+    # experiment module.
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduction of 'Enforcing Resource Sharing Agreements "
@@ -78,9 +77,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "figure's own.  Both produce bit-identical "
                             "traces; not with --shards")
     p_fig.add_argument("--shards", type=int, default=0, metavar="R",
-                       help=f"run {sharded} on the sharded lane with R "
-                            "worker processes synchronised at window-epoch "
-                            "barriers (digests are independent of R)")
+                       help="run the sharded figures on the sharded lane "
+                            "with R worker processes synchronised at "
+                            "window-epoch barriers (digests are independent "
+                            "of R)")
     p_fig.add_argument("--jobs", type=int, default=1,
                        help="worker processes for the figure batch "
                             "(results are independent of this)")
@@ -115,8 +115,8 @@ def build_parser() -> argparse.ArgumentParser:
         "check", help="replay-determinism harness with runtime invariants"
     )
     p_chk.add_argument("--scenario", type=str, action="append", default=None,
-                       choices=[*WORLDS, "faultmatrix"],
-                       help="scenario to replay; repeatable (default: fig6). "
+                       help="scenario to replay, a §5 figure or "
+                            "faultmatrix; repeatable (default: fig6). "
                             "The L7 figures cover the full stack, the L4 "
                             "ones the switch; faultmatrix adds fault "
                             "injection, failure detection and tree healing; "
@@ -134,8 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_chk.add_argument("--shards", type=int, default=0, metavar="R",
                        help="shard-parity mode: run each scenario's sharded "
                             "world with shards=1 and shards=R and require "
-                            f"bit-identical digests ({sharded} only; skips "
-                            "the ordinary replay diff)")
+                            "bit-identical digests (sharded figures only; "
+                            "skips the ordinary replay diff)")
     p_chk.add_argument("--with-crashes", action="store_true",
                        help="with --shards: also run the crash-recovery "
                             "paths — worker deaths (exception and SIGKILL "
@@ -172,8 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "the canonical exc+SIGKILL matrix) and require "
                               "digest parity with the unfaulted shards=1 run")
     p_chaos.add_argument("--figure", type=str, default="fig6",
-                         choices=list(SHARDED_WORLDS),
-                         help="sharded world for --shards mode")
+                         help="sharded figure for --shards mode")
     return parser
 
 
@@ -503,8 +502,32 @@ def _cmd_chaos(args) -> int:
     return 1 if failures else 0
 
 
+def _check_figure_names(parser: argparse.ArgumentParser, args) -> None:
+    """The argparse choices of ``check --scenario`` and ``chaos --figure``,
+    read from the world registry only by the commands that take them: an
+    unknown name is a usage error (exit 2), as any invalid choice is."""
+    if args.command == "check":
+        from repro.experiments.figures import WORLDS
+
+        option, names, valid = "--scenario", args.scenario or [], [
+            *WORLDS, "faultmatrix"]
+    elif args.command == "chaos":
+        from repro.experiments.sharded import SHARDED_WORLDS
+
+        option, names, valid = "--figure", [args.figure], list(SHARDED_WORLDS)
+    else:
+        return
+    for name in names:
+        if name not in valid:
+            parser.error(
+                f"argument {option}: invalid choice: {name!r} "
+                f"(choose from {', '.join(map(repr, valid))})")
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    _check_figure_names(parser, args)
     handlers = {
         "figures": _cmd_figures,
         "report": _cmd_report,

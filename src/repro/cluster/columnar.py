@@ -29,11 +29,21 @@ the slotted one):
   starts in max-plus, replay the scalar adds down each period, keep the
   prefix whose starts the replayed values confirm, restart after it).
   Smaller mixed batches run a tight scalar loop.
+- **Commits are grouped freely.**  Nothing reads a server's completions
+  during an open-loop run (admission sees demand and queue lengths), so
+  each server lane queues its merged submissions and all lanes serve and
+  commit together only once ``_DRAIN_BLOCK`` requests are queued, and at
+  the run's end — inside ``Simulator.run``, at the last pump before the
+  horizon ``Scenario.run`` hands the engine, then at ``flush``.  No result
+  can tell the grouping: the service recurrence is exact for any batch,
+  ``busy_time`` is a seeded cumsum, meter bins and counters add integers
+  (request costs are integers), and each client's response times are
+  folded in the order per-window commits give them — by commit instant,
+  then lane, then service order — into :class:`StreamingStats`, whose
+  moments are blocked by global observation index.
 - **Ordering** at equal-time events follows the engine's sequence-number
   rules: the pump is scheduled before any other component (smallest
-  construction seq, re-armed first at every boundary by induction);
-  completions/busy-time — whose effects are order-free (bin-keyed meters,
-  integer counters) — commit in per-server batches at the boundary; and
+  construction seq, re-armed first at every boundary by induction); and
   every merge of column chunks (clients' arrivals into a redirector or
   switch, groups' submissions into a server) goes through
   :meth:`ColumnarEngine.merge`, the one place equal-time order is
@@ -134,6 +144,11 @@ def _greedy_admit(budget: float, costs: np.ndarray) -> Tuple[np.ndarray, float]:
 # Mixed batches shorter than this keep the scalar loop: below it the
 # busy-period pass's fixed cost (a few dozen array calls) is not repaid.
 _BUSY_MIN = 64
+# Requests the server lanes queue, over all of them, before they serve and
+# commit together (and at the run's end, whatever is queued).  No result
+# depends on the grouping (see _ServerLane), so the size only trades the
+# per-drain array calls against the queue's memory.
+_DRAIN_BLOCK = 1024
 # Chain positions the busy-period pass replays in lock step (one gather-add
 # per depth over every chain still running); longer chains finish with one
 # seeded cumsum each.
@@ -284,6 +299,20 @@ def _columns(rows: List[tuple]) -> tuple:
     )
 
 
+def _concat(chunks: List[tuple]) -> tuple:
+    """The chunks' columns end to end (costs None when every one's is)."""
+    if len(chunks) == 1:
+        return chunks[0]
+    costs = None
+    if any(c[1] is not None for c in chunks):
+        costs = np.concatenate([
+            np.ones(c[0].shape[0]) if c[1] is None else c[1] for c in chunks
+        ])
+    ts, created, cl, pr = (np.concatenate([c[i] for c in chunks])
+                           for i in (0, 2, 3, 4))
+    return ts, costs, created, cl, pr
+
+
 def _select(chunk: tuple, sel) -> tuple:
     """The entries ``sel`` (slice, mask or indices) of every column."""
     ts, costs, created, cl, pr = chunk
@@ -411,7 +440,7 @@ class ColumnarClient:
     redirector's ``install`` re-offers them through :meth:`_offer`.
     """
 
-    # Completions are committed per window by the server lanes, not by a
+    # Completions are committed in blocks by the server lanes, not by a
     # per-request callback; ParkedRequests.reoffer passes this through.
     _on_done = None
 
@@ -617,11 +646,19 @@ class ColumnarClient:
 
 
 class _ServerLane:
-    """Per-server columnar drain: exact Lindley recurrence over batches."""
+    """Per-server columnar drain: exact Lindley recurrence over batches.
+
+    Each pump merges the window's submissions into firing order — it must,
+    since :meth:`ColumnarEngine.merge` reads the clients' firing-chain
+    state of that window — and queues them; the engine has every lane
+    serve its queue and commit together once ``_DRAIN_BLOCK`` requests are
+    queued over all lanes, and at the run's end.  Why no result can tell
+    the grouping: "Commits are grouped freely" in the module docstring.
+    """
 
     __slots__ = (
         "engine", "server",
-        "free_at", "_push", "_boundary",
+        "free_at", "_push", "_boundary", "_queue", "_queued",
         "_pf", "_ps", "_psv", "_pcl", "_ppr", "_pcr", "_pco", "_busy_ptr",
     )
 
@@ -631,6 +668,8 @@ class _ServerLane:
         self.free_at = _NEG_INF
         self._push: List[tuple] = []
         self._boundary: List[tuple] = []
+        self._queue: List[tuple] = []   # merged chunks not yet served
+        self._queued = 0
         self._pf = _EMPTY          # completion times (nondecreasing)
         self._ps = _EMPTY          # service-start times (nondecreasing)
         self._psv = _EMPTY         # service durations
@@ -652,17 +691,35 @@ class _ServerLane:
         It follows everything pushed before the boundary and precedes
         everything pushed next — arrivals and reinjection releases at the
         boundary instant included, which the event lanes fire as later
-        events — so these drain on their own, in call order, first."""
+        events — so these queue on their own, in call order, first."""
         self._boundary.append((t, cost, created, code, pcode))
 
-    def advance(self, now: float) -> None:
+    @property
+    def backlog(self) -> int:
+        """Requests submitted to this lane and not yet served."""
+        return (self._queued + len(self._boundary)
+                + sum(c[0].shape[0] for c in self._push))
+
+    def advance(self, now: float, drain: bool) -> None:
+        """Queue this window's submissions — the boundary re-offers, then
+        the pushes merged into firing order — and, when ``drain``, serve
+        the queue and commit every completion up to ``now``."""
         if self._boundary:
-            self._drain(*_columns(self._boundary))
+            self._enqueue(_columns(self._boundary))
             self._boundary = []
         if self._push:
-            self._drain(*self.engine.merge(self._push))
+            self._enqueue(self.engine.merge(self._push))
             self._push = []
-        self._commit(now)
+        if drain:
+            if self._queue:
+                self._drain(*_concat(self._queue))
+                self._queue = []
+                self._queued = 0
+            self._commit(now)
+
+    def _enqueue(self, chunk: tuple) -> None:
+        self._queue.append(chunk)
+        self._queued += chunk[0].shape[0]
 
     def _drain(self, ts, costs, created, cl, pr) -> None:
         srv = self.server
@@ -695,6 +752,9 @@ class _ServerLane:
             self._pco = costs
 
     def _commit(self, now: float) -> None:
+        """Account every completion up to ``now``: busy time, the server's
+        ledger and the meters here; the clients' counters and response
+        times go to the engine, which folds all lanes' at once."""
         pf = self._pf
         if not pf.shape[0]:
             return
@@ -716,17 +776,15 @@ class _ServerLane:
         Fc = pf[:k]
         clc = self._pcl[:k]
         prc = self._ppr[:k]
-        crc = self._pcr[:k]
         coc = self._pco[:k] if self._pco is not None else None
         meter.record_many(f"server:{srv.name}", Fc)
         completed = srv.completed
+        engine._done.append((Fc, self._pcr[:k], clc))
+        # A request's principal is its client's, so the principals present
+        # follow from the client codes; one present needs no masks.
         clients = engine.clients_by_code
-        # One bincount over client codes finds who completed; a request's
-        # principal is its client's, so the principals present follow from
-        # it.  A window with a single code present needs no masks.
-        counts = np.bincount(clc)
-        codes = np.flatnonzero(counts).tolist()
-        pcodes = sorted({clients[code]._pcode for code in codes})
+        pcodes = sorted({clients[code]._pcode
+                         for code in np.flatnonzero(np.bincount(clc)).tolist()})
         for pcode in pcodes:
             pname = engine.principal_names[pcode]
             if len(pcodes) == 1:
@@ -738,14 +796,6 @@ class _ServerLane:
             completed[pname] = completed.get(pname, 0) + int(tp.shape[0])
             meter.record_many(pname, tp)
             meter.record_many(f"units:{pname}", tp, weights=wts)
-        for code in codes:
-            cli = clients[code]
-            cli.completed += int(counts[code])
-            if len(codes) == 1:
-                cli.response_stats.update_many(Fc - crc)
-            else:
-                m = clc == code
-                cli.response_stats.update_many(Fc[m] - crc[m])
         self._pf = pf[k:]
         self._ps = self._ps[k:]
         self._psv = self._psv[k:]
@@ -919,6 +969,14 @@ class ColumnarEngine:
         self._group_of: Dict[int, object] = {}
         self._lanes: Dict[str, _ServerLane] = {}
         self.requests = 0
+        # End of the run in progress (``Scenario.run`` sets it): the pump
+        # whose next boundary lies beyond it drains every lane's queue.
+        self.horizon: Optional[float] = None
+        # Commit instants since the last drain (one per pump, and the
+        # flush), and the lanes' committed (completion, created, client
+        # code) columns awaiting _fold_responses.
+        self._pumps: List[float] = []
+        self._done: List[tuple] = []
         self._flushed_to: Optional[float] = None
         sim.schedule(window.length, self._pump)
 
@@ -986,11 +1044,14 @@ class ColumnarEngine:
 
     def _pump(self) -> None:
         now = self.sim.now
-        self._advance(now, closed=False)
-        self.sim.schedule(self.window.length, self._pump)
+        length = self.window.length
+        last = self.horizon is not None and now + length > self.horizon
+        self._advance(now, closed=False, last=last)
+        self.sim.schedule(length, self._pump)
 
     def flush(self, until: float) -> None:
-        """Commit the final partial window.
+        """Advance the final partial window and serve and commit every
+        lane's queue.
 
         Boundaries accumulate as ``fl(b + W)`` and drift above exact
         multiples, so the last pump usually lies *beyond* the run horizon;
@@ -1001,14 +1062,47 @@ class ColumnarEngine:
         if self._flushed_to == until:
             return
         self._flushed_to = until
-        self._advance(until, closed=True)
+        self._advance(until, closed=True, last=True)
 
-    def _advance(self, hi: float, closed: bool) -> None:
+    def _advance(self, hi: float, closed: bool, last: bool) -> None:
         for group in self._groups:
             group.advance(hi, closed)
-        for lane in self._lanes.values():
-            lane.advance(hi)
+        lanes = self._lanes.values()
+        self._pumps.append(hi)
+        drain = last or sum(ln.backlog for ln in lanes) >= _DRAIN_BLOCK
+        for lane in lanes:
+            lane.advance(hi, drain)
+        if drain:
+            self._fold_responses()
         self._roll_ticks()
+
+    def _fold_responses(self) -> None:
+        """Count the completions the lanes just committed at their clients
+        and fold their response times into the clients' stats, in the order
+        per-window commits produce: by the first commit instant at or after
+        the completion, then by lane, then in service order.  The stats'
+        moments and reservoir depend on that order, so it must not depend
+        on when the lanes drained."""
+        done, self._done = self._done, []
+        pumps, self._pumps = self._pumps, []
+        if not done:
+            return
+        if len(done) == 1:
+            fin, created, cl = done[0]
+            rt = fin - created
+        else:
+            fin, created, cl = (np.concatenate([d[i] for d in done])
+                                for i in range(3))
+            order = np.argsort(np.searchsorted(pumps, fin), kind="stable")
+            rt, cl = (fin - created)[order], cl[order]
+        clients = self.clients_by_code
+        counts = np.bincount(cl)
+        codes = np.flatnonzero(counts).tolist()
+        for code in codes:
+            cli = clients[code]
+            cli.completed += int(counts[code])
+            cli.response_stats.update_many(
+                rt if len(codes) == 1 else rt[cl == code])
 
     # -- equal-time order ----------------------------------------------------
 
@@ -1039,13 +1133,7 @@ class ColumnarEngine:
         at its own time (arrivals, not L4 releases)."""
         if len(chunks) == 1:
             return chunks[0]
-        costs = None
-        if any(c[1] is not None for c in chunks):
-            costs = np.concatenate([
-                np.ones(c[0].shape[0]) if c[1] is None else c[1] for c in chunks
-            ])
-        ts, created, cl, pr = (np.concatenate([c[i] for c in chunks])
-                               for i in (0, 2, 3, 4))
+        ts, costs, created, cl, pr = _concat(chunks)
         order = np.argsort(ts, kind="stable")
         st = ts[order]
         if bool(np.any(st[1:] == st[:-1])):

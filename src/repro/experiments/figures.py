@@ -454,7 +454,6 @@ def fig7_world(duration_scale: float = 1.0, seed: int = 0) -> FigureWorld:
         horizon=T,
         **_phases(T, PhaseExpectation("steady", {"A": 166.7, "B": 83.3})),
         seed=seed,
-        lane="slotted",
         notes="Optional capacity follows offered load 2:1 after guarantees.",
     )
 

@@ -417,6 +417,10 @@ class Scenario:
 
     def run(self, duration: float) -> None:
         if self.invariants is None:
+            if self.columnar is not None:
+                # The last pump inside the run drains the server lanes'
+                # queues, so their work is part of the run.
+                self.columnar.horizon = duration
             self.sim.run(until=duration)
             if self.columnar is not None:
                 # Commit the final partial window (boundary drift means the

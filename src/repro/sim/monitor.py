@@ -100,7 +100,11 @@ class RateMeter:
         bins = self._bins.get(key, {})
         w = self.bin_width
         total = 0.0
-        for i, v in bins.items():
+        # In bin order, not insertion order: the columnar lane commits
+        # completions in blocks, server by server, so a bin can be created
+        # after a later one, and prorated (non-integer) terms must be added
+        # in the same order whatever the grouping.
+        for i, v in sorted(bins.items()):
             b0, b1 = i * w, (i + 1) * w
             overlap = min(b1, t1) - max(b0, t0)
             if overlap <= 0:

@@ -13,12 +13,14 @@ the parents of the commits that compiled the window LP (fig6/7/8) and that
 made ``lane=`` the only execution selector (fig9/10, fault matrix, fig1).
 
 fig6, fig9 and fig10 have run on the columnar lane by default since the
-commit that let it park refused requests; their constants did not move.
-fig7 and fig8 default to slotted and run here on columnar as well, against
-the same constants.
-At paper scale no server batch reaches the columnar drain's busy-period
-pass, so ``PINNED_COLUMNAR_LOAD`` pins the benchmark's 100x columnar world,
-where mixed batches of thousands of requests do, on both lanes.
+commit that let it park refused requests, fig7 since the commit that made
+the server lanes drain in request blocks; their constants did not move.
+fig7 runs here on slotted as well, and fig8, which defaults to slotted, on
+columnar, against the same constants.
+The columnar server lanes drain in blocks of about a thousand requests,
+so the figures' drains reach the busy-period pass as well;
+``PINNED_COLUMNAR_LOAD`` pins the benchmark's 100x columnar world, whose
+every window is a mixed batch of thousands of requests, on both lanes.
 
 Beside each fig6-fig10 digest, ``PINNED_COSTS`` pins two deterministic
 costs of the run: events scheduled (``Simulator._seq``) and LP solves
@@ -31,6 +33,9 @@ passes, beside the columnar load world's digests on both lanes.
 ``L7Redirector.handle`` and ``L4Switch.handle`` calls; on the columnar lane
 they are the parked re-offers.  It was captured at the parent of the commit
 that gave both front ends one window loop (``EnforcementNode``).
+``PINNED_METER_CALLS`` pins a fourth on the columnar lane, the
+``RateMeter.record_many`` calls: the server lanes commit completions once
+per drained block of requests, not once per window.
 
 The sharded lane was pinned at the parent of the commit that made the
 shared-memory plane its only boundary transport: ``shards=1``, ``shards=4``
@@ -51,6 +56,7 @@ from repro.experiments.harness import Scenario
 from repro.experiments.sharded import run_sharded
 from repro.l4.switch import L4Switch
 from repro.l7.redirector import L7Redirector
+from repro.sim.monitor import RateMeter
 
 PINNED = {
     "fig6": (
@@ -105,6 +111,14 @@ PINNED_HANDLE_CALLS = {
              "slotted+check": (4804, 0)},
     "fig9": {"columnar": (0, 7090), "slotted+check": (0, 21029)},
     "fig10": {"columnar": (0, 4707), "slotted+check": (0, 18646)},
+}
+
+# figure -> RateMeter.record_many calls of its columnar run, counted on the
+# class.  Captured at the commit that made the server lanes drain in blocks
+# of _DRAIN_BLOCK requests; committing every window made 647, 370, 437,
+# 1118 and 1612 calls.
+PINNED_METER_CALLS = {
+    "fig6": 25, "fig7": 10, "fig8": 13, "fig9": 73, "fig10": 104,
 }
 
 PINNED_SHARDED = {
@@ -167,15 +181,18 @@ def _run_recorded(figure, monkeypatch, seed=0, lane=None):
     """Run one figure at 1/20 scale on ``lane`` (its record's default when
     None); returns (its Scenario, its result).
 
-    The Scenario's ``handle_calls`` is the (L7, L4) ``handle`` call count.
+    The Scenario's ``handle_calls`` is the (L7, L4) ``handle`` call count,
+    its ``meter_calls`` the ``RateMeter.record_many`` call count.
     """
     worlds = []
     calls = [0, 0]
+    meter_calls = [0]
 
     class Recorded(figures.Scenario):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             self.handle_calls = calls
+            self.meter_calls = meter_calls
             worlds.append(self)
 
     def spy(i, handle):
@@ -187,6 +204,13 @@ def _run_recorded(figure, monkeypatch, seed=0, lane=None):
     monkeypatch.setattr(figures, "Scenario", Recorded)
     for i, cls in enumerate((L7Redirector, L4Switch)):
         monkeypatch.setattr(cls, "handle", spy(i, cls.handle))
+    record_many = RateMeter.record_many
+
+    def counted_record_many(self, *args, **kwargs):
+        meter_calls[0] += 1
+        return record_many(self, *args, **kwargs)
+
+    monkeypatch.setattr(RateMeter, "record_many", counted_record_many)
     result = figures.ALL_FIGURES[figure](duration_scale=0.05, seed=seed,
                                          lane=lane)
     (sc,) = worlds
@@ -212,33 +236,42 @@ def _assert_pinned_costs(figure, sc):
     mode = sc.lane + ("+check" if sc.invariants is not None else "")
     assert _costs(sc) == PINNED_COSTS[figure][mode], mode
     assert tuple(sc.handle_calls) == PINNED_HANDLE_CALLS[figure][mode], mode
+    if mode == "columnar":
+        assert sc.meter_calls[0] == PINNED_METER_CALLS[figure]
+
+
+def _assert_pinned_l7(figure, sc, result):
+    world, admission = PINNED[figure]
+    assert scenario_digest(sc) == world
+    assert {
+        name: admission_digest(red) for name, red in sc.l7_redirectors.items()
+    } == admission
+    _assert_pinned_costs(figure, sc)
+    assert result.figure == figure
 
 
 @pytest.mark.parametrize("figure", sorted(PINNED))
 def test_l7_figure_reproduces_parent_digests(figure, monkeypatch):
     sc, result = _run_recorded(figure, monkeypatch)
-    world, admission = PINNED[figure]
-    assert scenario_digest(sc) == world
-    assert {
-        name: admission_digest(red) for name, red in sc.l7_redirectors.items()
-    } == admission
-    _assert_pinned_costs(figure, sc)
-    assert result.figure == figure
+    _assert_pinned_l7(figure, sc, result)
 
 
-@pytest.mark.parametrize("figure", ["fig7", "fig8"])
+@pytest.mark.parametrize("figure", ["fig8"])
 def test_slotted_default_figure_reproduces_parent_digests_on_columnar(
         figure, monkeypatch):
     # The constants were captured on the slotted lane; columnar must land
     # on the same bits, at the costs of its own PINNED_COSTS row.
     sc, result = _run_recorded(figure, monkeypatch, lane="columnar")
-    world, admission = PINNED[figure]
-    assert scenario_digest(sc) == world
-    assert {
-        name: admission_digest(red) for name, red in sc.l7_redirectors.items()
-    } == admission
-    _assert_pinned_costs(figure, sc)
-    assert result.figure == figure
+    _assert_pinned_l7(figure, sc, result)
+
+
+@pytest.mark.parametrize("figure", ["fig7"])
+def test_columnar_default_figure_reproduces_parent_digests_on_slotted(
+        figure, monkeypatch):
+    # The record's default lane moved to columnar under these constants;
+    # the slotted oracle must still land on them, at its own costs.
+    sc, result = _run_recorded(figure, monkeypatch, lane="slotted")
+    _assert_pinned_l7(figure, sc, result)
 
 
 @pytest.mark.parametrize("figure", sorted(PINNED_L4))

@@ -34,6 +34,16 @@ class TestRateMeter:
         assert m.total("A", 0, 10) == pytest.approx(100)
         assert m.mean_rate("A", 0.0, 10.0) == pytest.approx(10.0)
 
+    def test_total_ignores_the_order_bins_were_created(self):
+        # Two prorated edge bins and a whole one: added in creation order,
+        # (2, 0, 1) would round differently from (0, 1, 2).
+        first, later = RateMeter(1.0), RateMeter(1.0)
+        for t, w in ((0.5, 1.0), (1.5, 1.0), (2.5, 10.0)):
+            first.record("A", t, weight=w)
+        for t, w in ((2.5, 10.0), (0.5, 1.0), (1.5, 1.0)):
+            later.record("A", t, weight=w)
+        assert later.total("A", 0.3, 2.7) == first.total("A", 0.3, 2.7)
+
     def test_weights(self):
         m = RateMeter(1.0)
         m.record("A", 0.2, weight=2.5)

@@ -1,8 +1,15 @@
 """CLI entry point."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main, parse_graph_spec
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestParseGraphSpec:
@@ -25,6 +32,29 @@ class TestParseGraphSpec:
     def test_malformed_principal(self):
         with pytest.raises(ValueError):
             parse_graph_spec(["A:1:2:3"])
+
+
+def test_build_parser_imports_no_experiment():
+    # Every command builds the parser; the simulation stack is imported only
+    # by the commands that run it.
+    code = ("import sys; from repro.cli import build_parser; build_parser(); "
+            "print('repro.experiments.harness' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["check", "--scenario", "fig6", "--scenario", "fig99"], "--scenario"),
+    (["chaos", "--shards", "2", "--figure", "fig7"], "--figure"),
+])
+def test_unknown_figure_name_is_a_usage_error(argv, option, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {option}: invalid choice" in capsys.readouterr().err
 
 
 class TestCommands:
