@@ -24,7 +24,7 @@ barrier epoch:
    is an integer count far below 2^53, so packing clusters into shards
    cannot move a bit — solves the window LP via the shared
    :class:`~repro.scheduling.allocator.WindowAllocator` (reusing its
-   SolveCache), and releases everyone into window k+1.
+   plans), and releases everyone into window k+1.
 
 The parent is the sole owner of run history (the per-window series live
 in the parent, never the workers), so a worker holds nothing but its

@@ -16,7 +16,7 @@ the test oracle the simplex is cross-validated against; nothing at run time
 imports scipy.
 """
 
-from repro.lp.cache import SolveCache, structural_fingerprint
+from repro.lp.cache import SolveCache
 from repro.lp.model import Constraint, LinExpr, Model, Sense, Status, Solution, Var
 from repro.lp.program import Program
 from repro.lp.solver import solve
@@ -31,6 +31,5 @@ __all__ = [
     "Solution",
     "Program",
     "SolveCache",
-    "structural_fingerprint",
     "solve",
 ]

@@ -1,22 +1,14 @@
-"""LP solve cache keyed on model structure plus a quantized demand vector.
+"""Bounded LRU of solved window plans, keyed on the exact demand vector.
 
-The window schedulers rebuild near-identical LPs every 100 ms: the model
-*structure* (which variables exist, which coefficients appear) is a pure
-function of the agreement graph and the scheduler's configuration, while
-only the right-hand side — queue lengths / demand estimates — moves between
-windows.  :class:`SolveCache` exploits that split:
-
-- a *structural fingerprint* (hash of the configuration-derived arrays,
-  computed once per scheduler) identifies the LP family;
-- the per-window demand vector, optionally quantized, completes the key.
-
-With ``quantum == 0`` (the default) a hit requires the demand vector to
-repeat **exactly**, so the cached plan is bit-identical to what a fresh
-solve would produce — enabling the cache never changes results, it only
-skips redundant work.  A positive ``quantum`` buckets each demand component
-to the nearest multiple, trading a bounded allocation error for a much
-higher hit rate under jittery load (useful for capacity planning sweeps,
-not for the reproduction figures).
+Between adjacent windows the demand estimate often repeats exactly (a
+plateau, an idle principal, a phase that returns to an earlier load).
+:class:`repro.scheduling.allocator.WindowAllocator` keeps one
+:class:`SolveCache` per compiled scheduler and looks a window's estimate up
+before solving.  A hit requires the key to repeat **exactly**; it returns
+the plan first solved for that demand and skips the solve, leaving the
+warm-start basis where it was.  A re-solve from another basis reaches the
+same optimum, bit for bit on Fig 6/7/9 at 1/20 scale but in general only up
+to float64 rounding (the plan-cache A/B tests under ``tests/integration``).
 
 Entries are kept in LRU order with a bounded size so long simulations with
 many distinct demand plateaus cannot grow the cache without bound.
@@ -24,52 +16,25 @@ many distinct demand plateaus cannot grow the cache without bound.
 
 from __future__ import annotations
 
-import hashlib
 from collections import OrderedDict
-from typing import Any, Hashable, Iterable, Optional, Tuple
+from typing import Any, Hashable, Optional
 
-import numpy as np
-
-__all__ = ["SolveCache", "structural_fingerprint"]
-
-
-def structural_fingerprint(*parts: Any) -> str:
-    """Stable hash of heterogeneous structural data (arrays, scalars, str).
-
-    numpy arrays contribute their raw bytes and shape; everything else its
-    ``repr``.  Suitable as the structure half of a :class:`SolveCache` key.
-    """
-    h = hashlib.blake2b(digest_size=16)
-    for part in parts:
-        if isinstance(part, np.ndarray):
-            h.update(b"ndarray")
-            h.update(str(part.shape).encode())
-            h.update(np.ascontiguousarray(part).tobytes())
-        else:
-            h.update(repr(part).encode())
-        h.update(b"\x00")
-    return h.hexdigest()
+__all__ = ["SolveCache"]
 
 
 class SolveCache:
-    """Bounded LRU cache of LP plans keyed on structure + demand.
+    """Bounded LRU cache of LP plans with hit and miss counters.
 
     Args:
         maxsize: maximum number of retained plans (LRU eviction).
-        quantum: demand quantization step.  ``0`` means exact-match keys
-            (bit-identical reuse); ``q > 0`` buckets each demand component
-            to the nearest multiple of ``q``.
     """
 
-    __slots__ = ("maxsize", "quantum", "hits", "misses", "evictions", "_store")
+    __slots__ = ("maxsize", "hits", "misses", "evictions", "_store")
 
-    def __init__(self, maxsize: int = 256, quantum: float = 0.0):
+    def __init__(self, maxsize: int = 256):
         if maxsize <= 0:
             raise ValueError("maxsize must be positive")
-        if quantum < 0:
-            raise ValueError("quantum must be >= 0")
         self.maxsize = int(maxsize)
-        self.quantum = float(quantum)
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -77,29 +42,6 @@ class SolveCache:
 
     def __len__(self) -> int:
         return len(self._store)
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def key(
-        self,
-        fingerprint: str,
-        demand: Iterable[float],
-        tag: Hashable = None,
-    ) -> Tuple:
-        """Build a cache key from the structural fingerprint, the per-window
-        demand vector and an optional extra discriminator (e.g. locality
-        caps)."""
-        q = self.quantum
-        if q > 0.0:
-            vec: Tuple = tuple(int(round(float(d) / q)) for d in demand)
-        else:
-            if isinstance(demand, np.ndarray):
-                demand = demand.tolist()
-            vec = tuple(map(float, demand))
-        return (fingerprint, vec, tag)
 
     def get(self, key: Hashable) -> Optional[Any]:
         """Return the cached plan for ``key`` (refreshing LRU order)."""
@@ -117,6 +59,3 @@ class SolveCache:
         if len(self._store) > self.maxsize:
             self._store.popitem(last=False)
             self.evictions += 1
-
-    def clear(self) -> None:
-        self._store.clear()

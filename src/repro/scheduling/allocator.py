@@ -30,6 +30,7 @@ from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.coordination.protocol import AggregationNode
 from repro.core.access import AccessLevels
+from repro.lp import SolveCache
 from repro.scheduling.community import CommunityScheduler
 from repro.scheduling.provider import ProviderScheduler
 from repro.scheduling.window import WindowConfig
@@ -99,14 +100,6 @@ class WindowAllocator:
         # window, so the reuse error is bounded by the estimate drift —
         # at most cache_tolerance, transiently.
         self.cache_tolerance = float(cache_tolerance)
-        self._cached_est: Optional[Dict[str, float]] = None
-        # The solved plan in the form compute() consumes: requests served
-        # per principal (in ``principals`` order) and forwarding weights.
-        self._cached_plan: Optional[Tuple[List[float], Dict[str, Dict[str, float]]]] = None
-        # The tolerance cache above reuses a plan for *nearby* demand; the
-        # scheduler's own exact-match SolveCache dedups repeats of
-        # identical demand with bit-identical results.
-
         self._build_scheduler()
 
     def _build_scheduler(self) -> None:
@@ -114,6 +107,16 @@ class WindowAllocator:
         and with it everything compute() needs that only they determine."""
         access = self.access
         names = access.names
+        # Plan reuse, dropped with the levels it was solved for.  The
+        # tolerance rule reuses the last plan for *nearby* demand; behind
+        # it an exact-match LRU, keyed on the estimate in ``principals``
+        # order, returns the plan first solved for a repeated estimate and
+        # leaves the warm-start basis as it was.  Both hold the plan in the
+        # form compute() consumes: requests served per principal
+        # (``principals`` order) and forwarding weights.
+        self._cached_est: Optional[Dict[str, float]] = None
+        self._cached_plan: Optional[Tuple[List[float], Dict[str, Dict[str, float]]]] = None
+        self._plans = SolveCache()
         # No global information: 1/R of the mandatory entitlements.
         share = 1.0 / self.n_redirectors
         self._fallback_quota = [float(mc) * share for mc in self._w.MC]
@@ -157,7 +160,6 @@ class WindowAllocator:
             raise ValueError("renegotiated levels must cover the same principals")
         self.access = access
         self._w = access.per_window(self.window.length)
-        self.invalidate_cache()
         self._build_scheduler()
 
     # -- global estimate -----------------------------------------------------
@@ -219,8 +221,9 @@ class WindowAllocator:
     def _solve(
         self, global_est: Dict[str, float]
     ) -> Tuple[List[float], Dict[str, Dict[str, float]]]:
-        """LP solve with a relative-tolerance reuse cache; returns the plan
-        as ``(served per principal, forwarding weights)``."""
+        """The window's plan as ``(served per principal, forwarding
+        weights)``: reused within tolerance, else an exact repeat, else
+        solved."""
         if self._cached_plan is not None and self.cache_tolerance > 0:
             tol = self.cache_tolerance
             cached = self._cached_est
@@ -232,26 +235,27 @@ class WindowAllocator:
                 self.cache_hits += 1
                 return self._cached_plan
         self.lp_solves += 1
-        plan = self.scheduler.schedule(global_est)
         names = self.principals
-        if self.mode == "community":
-            # Row sums and forwarding weights once per solved plan, not per
-            # principal per window the plan is reused for.
-            served = [float(row.sum()) for row in plan.x]
-            weights = {
-                p: {k: float(v) for k, v in zip(names, row) if v > 1e-9}
-                for p, row in zip(names, plan.x)
-            }
-        else:
-            served = [plan.x.get(p, 0.0) for p in names]
-            weights = self._provider_weights
+        key = tuple(global_est.get(p, 0.0) for p in names)
+        found = self._plans.get(key)
+        if found is None:
+            plan = self.scheduler.schedule(global_est)
+            if self.mode == "community":
+                # Row sums and forwarding weights once per solved plan, not
+                # per principal per window the plan is reused for.
+                served = [float(row.sum()) for row in plan.x]
+                weights = {
+                    p: {k: float(v) for k, v in zip(names, row) if v > 1e-9}
+                    for p, row in zip(names, plan.x)
+                }
+            else:
+                served = [plan.x.get(p, 0.0) for p in names]
+                weights = self._provider_weights
+            found = (served, weights)
+            self._plans.put(key, found)
         self._cached_est = dict(global_est)
-        self._cached_plan = (served, weights)
-        return self._cached_plan
-
-    def invalidate_cache(self) -> None:
-        self._cached_est = None
-        self._cached_plan = None
+        self._cached_plan = found
+        return found
 
     def _conservative(
         self, local: Mapping[str, float]

@@ -37,7 +37,7 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.core.access import AccessLevels
-from repro.lp import Model, Solution, solve, structural_fingerprint
+from repro.lp import Model, Solution, solve
 from repro.scheduling.compiled import CompiledWindowLP
 from repro.scheduling.window import WindowConfig
 
@@ -109,9 +109,6 @@ class CommunityScheduler(CompiledWindowLP):
         window: scheduling window; access levels are scaled by its length.
         enforce_lower_bounds: when False, mandatory lower bounds become
             advisory (useful for ablations).
-        lp_cache: memoise solves on the exact demand vector.  Steady-state
-            traffic re-presents identical windows, so a hit returns the
-            bit-identical schedule a fresh solve would have produced.
         warm_start: start each solve from the previous window's optimal
             basis (False: always the cold two-phase path).
     """
@@ -122,7 +119,6 @@ class CommunityScheduler(CompiledWindowLP):
         window: WindowConfig = WindowConfig(),
         enforce_lower_bounds: bool = True,
         pairwise_lower_bounds: bool = False,
-        lp_cache: bool = True,
         warm_start: bool = True,
     ):
         self.access = access
@@ -153,14 +149,7 @@ class CommunityScheduler(CompiledWindowLP):
         ]
         m.maximize(theta)
 
-        prog = self._compile(
-            m,
-            structural_fingerprint(
-                "community", names, w.MI, w.OI, w.MC, w.V,
-                window.length, enforce_lower_bounds, pairwise_lower_bounds,
-            ),
-            lp_cache, warm_start,
-        )
+        prog = self._compile(m, warm_start)
         self._bind(xs, queue_rows)
         self._capacity_rows = prog.rows(capacity)
         self._MC = w.MC[self._holders]
@@ -189,13 +178,6 @@ class CommunityScheduler(CompiledWindowLP):
             raise ValueError("queue lengths must be non-negative")
         caps = _as_vector(names, locality_caps) if locality_caps is not None else None
 
-        key, hit = self._lookup(q, tag=tuple(caps) if caps is not None else None)
-        if hit is not None:
-            xmat, theta_v, sol = hit
-            return CommunitySchedule(
-                names=names, x=xmat.copy(), theta=theta_v, solution=sol
-            )
-
         prog = self.program
         self._write_queues(q, self._MC)
         if self._pairwise is not None:
@@ -215,7 +197,6 @@ class CommunityScheduler(CompiledWindowLP):
             "; agreement structure is inconsistent with the queue state",
         )
         xmat, theta_v = self._matrix(sol, len(names))
-        self._store(key, (xmat.copy(), theta_v, sol))
         return CommunitySchedule(
             names=names, x=xmat, theta=theta_v, solution=sol
         )

@@ -6,8 +6,9 @@ A scheduler writes its LP once, at construction, in the
 empty queue keeps its rows as ``0 <= 0`` instead of dropping them — so the
 basis of one window always fits the next.  Per window the scheduler writes
 the few entries that moved through the program's handles and calls
-:meth:`_solve`; this class keeps the exact-match :class:`~repro.lp.SolveCache`,
-the warm-start basis and the solve counters in one place.
+:meth:`_solve`; this class keeps the warm-start basis and the solve counters
+in one place.  Every call solves: reusing a plan for a repeated demand is the
+caller's policy (:class:`repro.scheduling.allocator.WindowAllocator`).
 
 ``schedule`` itself stays on each scheduler class, and each passes its own
 module's ``solve`` binding into :meth:`_solve`: ``benchmarks/e2e`` times the
@@ -16,44 +17,27 @@ layers by patching exactly those names from outside.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
-from repro.lp import Constraint, Model, Program, Solution, SolveCache, Var
+from repro.lp import Constraint, Model, Program, Solution, Var
 
 __all__ = ["CompiledWindowLP"]
 
 
 class CompiledWindowLP:
-    """Mixin: one compiled program, its cache, basis and counters."""
+    """Mixin: one compiled program, its basis and counters."""
 
     program: Program
 
-    def _compile(
-        self, model: Model, fingerprint: str, lp_cache: bool, warm_start: bool
-    ) -> Program:
+    def _compile(self, model: Model, warm_start: bool) -> Program:
         self.program = model.lower()
         self.warm_start = warm_start
         self.lp_solves = 0
-        self.cache_hits = 0
         self.lp_iterations = 0
         self._basis = None
-        self._cache: Optional[SolveCache] = SolveCache() if lp_cache else None
-        self._fp = fingerprint
         return self.program
-
-    def _lookup(
-        self, demand: Sequence[float], tag: Hashable = None
-    ) -> Tuple[Optional[Tuple], Optional[Any]]:
-        """``(cache key, cached plan)``; both None with the cache off."""
-        if self._cache is None:
-            return None, None
-        key = self._cache.key(self._fp, demand, tag=tag)
-        hit = self._cache.get(key)
-        if hit is not None:
-            self.cache_hits += 1
-        return key, hit
 
     def _solve(
         self, solve: Callable[..., Solution], what: str, hint: str = ""
@@ -69,10 +53,6 @@ class CompiledWindowLP:
         if not sol.optimal:
             raise RuntimeError(f"{what} {sol.status.value}{hint}")
         return sol
-
-    def _store(self, key: Optional[Tuple], plan: Any) -> None:
-        if key is not None:
-            self._cache.put(key, plan)
 
     # -- the max-min-theta programs (community, multi-resource) ------------
 

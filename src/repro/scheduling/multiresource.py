@@ -29,7 +29,7 @@ from typing import Dict, Mapping, Tuple
 import numpy as np
 
 from repro.core.multiresource import MultiResourceAccess, bottleneck_rate
-from repro.lp import Model, Solution, solve, structural_fingerprint
+from repro.lp import Model, Solution, solve
 from repro.scheduling.compiled import CompiledWindowLP
 from repro.scheduling.window import WindowConfig
 
@@ -78,7 +78,6 @@ class MultiResourceCommunityScheduler(CompiledWindowLP):
         access: MultiResourceAccess,
         profiles: Mapping[str, Mapping[str, float]],
         window: WindowConfig = WindowConfig(),
-        lp_cache: bool = True,
         warm_start: bool = True,
     ):
         self.access = access
@@ -125,17 +124,7 @@ class MultiResourceCommunityScheduler(CompiledWindowLP):
                     m.add(sum(terms) <= float(self._Vw[k, r]))
         m.maximize(theta)
 
-        self._compile(
-            m,
-            structural_fingerprint(
-                "multiresource", names, resources,
-                self._MIw, self._OIw, self._Vw,
-                tuple(sorted((p, tuple(sorted(prof.items())))
-                             for p, prof in self.profiles.items())),
-                window.length,
-            ),
-            lp_cache, warm_start,
-        )
+        self._compile(m, warm_start)
         self._bind(xs, queue_rows)
         self._guaranteed = np.array(
             [self.guaranteed_requests(names[i]) for i in self._holders]
@@ -162,18 +151,9 @@ class MultiResourceCommunityScheduler(CompiledWindowLP):
         if (q < 0).any():
             raise ValueError("queue lengths must be non-negative")
 
-        key, hit = self._lookup(q)
-        if hit is not None:
-            xmat, theta_v, sol = hit
-            return MultiResourceSchedule(
-                names=names, resources=resources, x=xmat.copy(),
-                theta=theta_v, solution=sol,
-            )
-
         self._write_queues(q, self._guaranteed)
         sol = self._solve(solve, "multi-resource LP")
         xmat, theta_v = self._matrix(sol, len(names))
-        self._store(key, (xmat.copy(), theta_v, sol))
         return MultiResourceSchedule(
             names=names, resources=resources, x=xmat,
             theta=theta_v, solution=sol,

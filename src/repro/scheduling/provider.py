@@ -23,7 +23,7 @@ from typing import Dict, Mapping, Optional, Tuple
 import numpy as np
 
 from repro.core.access import AccessLevels
-from repro.lp import Model, Solution, Status, solve, structural_fingerprint
+from repro.lp import Model, Solution, Status, solve
 from repro.scheduling.compiled import CompiledWindowLP
 from repro.scheduling.window import WindowConfig
 
@@ -62,8 +62,6 @@ class ProviderScheduler(CompiledWindowLP):
         capacity: the provider's total server capacity ``V_s`` in req/s.
             Defaults to the sum of capacities in ``access``.
         window: scheduling window.
-        lp_cache: memoise solves on the exact demand vector (bit-identical
-            results; see :class:`repro.lp.SolveCache`).
         warm_start: start each solve from the previous window's optimal
             basis (False: always the cold two-phase path).
     """
@@ -74,7 +72,6 @@ class ProviderScheduler(CompiledWindowLP):
         prices: Mapping[str, float],
         capacity: Optional[float] = None,
         window: WindowConfig = WindowConfig(),
-        lp_cache: bool = True,
         warm_start: bool = True,
     ):
         self.access = access
@@ -107,14 +104,7 @@ class ProviderScheduler(CompiledWindowLP):
                 float(p) * (v - float(mc))
                 for p, v, mc in zip(self._price, xs, self._mc)
             ))
-        prog = self._compile(
-            m,
-            structural_fingerprint(
-                "provider", self.customers, w.MC, w.OC,
-                tuple(sorted(self.prices.items())), self._vs, window.length,
-            ),
-            lp_cache, warm_start,
-        )
+        prog = self._compile(m, warm_start)
         self._xcols = prog.cols(xs)
 
     def schedule(self, queue_lengths: Mapping[str, float]) -> ProviderSchedule:
@@ -124,12 +114,6 @@ class ProviderScheduler(CompiledWindowLP):
         n = np.array([float(queue_lengths.get(name, 0.0)) for name in customers])
         if (n < 0).any():
             raise ValueError("queue lengths must be non-negative")
-        key, hit = self._lookup(n)
-        if hit is not None:
-            x, income, sol = hit
-            return ProviderSchedule(
-                customers=customers, x=dict(x), income=income, solution=sol
-            )
         # As in the community model the mandatory floor shrinks to the
         # demand; a customer with (next to) nothing queued is pinned to 0.
         hi = np.minimum(self._mc + self._oc, n)
@@ -148,7 +132,6 @@ class ProviderScheduler(CompiledWindowLP):
         x = dict(zip(customers, admitted.tolist()))
         # Income counts the customers in play this window only.
         income = float(self._price[live] @ (admitted - self._mc)[live])
-        self._store(key, (dict(x), income, sol))
         return ProviderSchedule(
             customers=customers, x=x, income=income, solution=sol
         )

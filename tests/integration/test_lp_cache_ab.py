@@ -1,22 +1,26 @@
 """Acceptance A/B: the perf machinery must not change a single result.
 
-The exact-match LP solve cache and the event kernel's ``PeriodicTimer`` are
-pure accelerators.  Neither has a switch above the component that owns it,
-so whole figures are A/B'd by patching the reference in from here — a
-``SolveCache`` whose lookups never hit, and the generator-process oracle of
-``tests/sim/test_engine.py`` over ``Simulator.every`` — and the cache switch
-itself where it lives, on the scheduler constructor.
+The window allocator's exact-match plan cache and the event kernel's
+``PeriodicTimer`` are pure accelerators with no switch, so they are A/B'd
+by patching the reference in from here — a ``SolveCache`` whose lookups
+never hit, and the generator-process oracle of ``tests/sim/test_engine.py``
+over ``Simulator.every`` — on whole figures, and the plan cache also on one
+allocator over revisited estimates.
 """
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.access import compute_access_levels
+from repro.core.agreements import Agreement, AgreementGraph
 from repro.experiments.figures import run_fig6, run_fig7, run_fig9
 from repro.lp import SolveCache
-from repro.scheduling.community import CommunityScheduler
+from repro.scheduling.allocator import WindowAllocator
 from repro.scheduling.window import WindowConfig
 from repro.sim.engine import Simulator
 from tests.sim.test_engine import generator_every
@@ -40,9 +44,14 @@ def _flatten(obj):
     return obj
 
 
+def _miss(self, key):
+    """``SolveCache.get`` that never hits: every window is solved."""
+    self.misses += 1
+    return None
+
+
 def _never_hit(monkeypatch):
-    """The cache with its lookups disabled: every window is solved."""
-    monkeypatch.setattr(SolveCache, "get", lambda self, key: None)
+    monkeypatch.setattr(SolveCache, "get", _miss)
 
 
 @pytest.mark.parametrize("run_fig", [run_fig6, run_fig7, run_fig9],
@@ -55,26 +64,113 @@ def test_lp_cache_bit_identical(run_fig, monkeypatch):
 
 
 # Per-window queue lengths (A, B): both active, B idle, overload, empty —
-# each revisited, so the cached scheduler answers from its cache while the
-# uncached one re-solves from whatever basis the last window left.
+# each revisited, so the cached allocator answers from its plan cache while
+# the uncached one re-solves from whatever basis the last window left.
 QUEUES = [
     (27.0, 13.5), (27.0, 0.0), (27.0, 13.5), (31.5, 13.5), (80.0, 40.0),
     (27.0, 0.0), (0.0, 0.0), (31.5, 13.5), (80.0, 40.0), (27.0, 13.5),
 ]
+# A small pool per principal, so drawn sequences revisit estimates.
+_A = sorted({a for a, _ in QUEUES})
+_B = sorted({b for _, b in QUEUES})
 
 
-def test_scheduler_lp_cache_bit_identical(fig6_graph):
-    """The switch itself, where it lives: ``lp_cache=`` on the scheduler."""
-    access = compute_access_levels(fig6_graph)
-    cached = CommunityScheduler(access, WindowConfig(0.1), lp_cache=True)
-    plain = CommunityScheduler(access, WindowConfig(0.1), lp_cache=False)
-    for a, b in QUEUES:
-        on = cached.schedule({"A": a, "B": b})
-        off = plain.schedule({"A": a, "B": b})
-        assert on.theta == off.theta
-        assert on.x.tobytes() == off.x.tobytes()
-    assert cached.cache_hits == len(QUEUES) - len(set(QUEUES))
-    assert plain.cache_hits == 0 and plain.lp_solves == len(QUEUES)
+def _allocator(mode):
+    """The fig6 graph in community mode; one provider selling to A and B
+    in provider mode.  The tolerance rule is off: every window reaches the
+    exact-match plan cache."""
+    g = AgreementGraph()
+    if mode == "community":
+        g.add_principal("S", capacity=320.0)
+        g.add_principal("A")
+        g.add_principal("B")
+        g.add_agreement(Agreement("S", "A", 0.2, 1.0))
+        g.add_agreement(Agreement("S", "B", 0.8, 1.0))
+        prices = None
+    else:
+        g.add_principal("P", capacity=640.0)
+        g.add_principal("A")
+        g.add_principal("B")
+        g.add_agreement(Agreement("P", "A", 0.8, 1.0))
+        g.add_agreement(Agreement("P", "B", 0.2, 1.0))
+        prices = {"A": 2.0, "B": 1.0}
+    return WindowAllocator(
+        compute_access_levels(g), WindowConfig(0.1), mode=mode,
+        prices=prices, cache_tolerance=0.0,
+    )
+
+
+def _run(alloc, seq):
+    """Every window's quotas and weights (local demand is the estimate)."""
+    out = []
+    for a, b in seq:
+        got = alloc.compute({"A": a, "B": b})
+        out.append((got.quotas, got.weights))
+    return out
+
+
+def _bits(plans):
+    return [
+        ({p: q.hex() for p, q in quotas.items()},
+         {p: {k: v.hex() for k, v in w.items()} for p, w in weights.items()})
+        for quotas, weights in plans
+    ]
+
+
+def _a_b(mode, seq):
+    """The plans over ``seq`` of an allocator and of one whose lookups
+    never hit, with the hit and miss counts and the tolerance counters
+    checked."""
+    cached = _allocator(mode)
+    on = _run(cached, seq)
+    with mock.patch.object(SolveCache, "get", _miss):
+        plain = _allocator(mode)
+        off = _run(plain, seq)
+    distinct = len(set(seq))
+    assert (cached._plans.hits, cached._plans.misses) == (len(seq) - distinct, distinct)
+    assert (plain._plans.hits, plain._plans.misses) == (0, len(seq))
+    # Every window passed the (disabled) tolerance rule; none was reused by it.
+    for alloc in (cached, plain):
+        assert (alloc.lp_solves, alloc.cache_hits) == (len(seq), 0)
+    return on, off
+
+
+MODES = ["community", "provider"]
+
+
+@pytest.mark.parametrize("mode, seq", [
+    *(pytest.param(mode, QUEUES, id=f"{mode}-revisits") for mode in MODES),
+    # A warm re-solve of the estimate just solved lands on the same vertex
+    # with other last bits (A's quota ...9cp+2 against ...9ep+2), so the
+    # cache is result-neutral only up to float64 rounding.
+    pytest.param("community", [(31.5, 40.0)] * 2, id="community-repeat",
+                 marks=pytest.mark.xfail(strict=True, reason=(
+                     "warm re-solve rounds differently from the first solve"))),
+])
+def test_allocator_plan_cache_bit_identical(mode, seq):
+    """Plan reuse where it lives: the allocator's exact-match cache against
+    the same allocator with every lookup missing, bit for bit."""
+    on, off = _a_b(mode, seq)
+    assert _bits(on) == _bits(off)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@given(seq=st.lists(st.tuples(st.sampled_from(_A), st.sampled_from(_B)),
+                    min_size=1, max_size=12))
+@settings(max_examples=40, deadline=None)
+def test_allocator_plan_cache_property(mode, seq):
+    on, off = _a_b(mode, seq)
+    # A hit returns, bit for bit, the plan first solved for that estimate.
+    first = {}
+    for est, plan in zip(seq, _bits(on)):
+        assert first.setdefault(est, plan) == plan
+    # A re-solve, from whatever basis the last window left, reaches the same
+    # plan up to float64 rounding (the test above pins a case that differs).
+    for (q_on, w_on), (q_off, w_off) in zip(on, off):
+        assert q_on == pytest.approx(q_off, rel=1e-12, abs=1e-12)
+        assert w_on.keys() == w_off.keys()
+        for p in w_on:
+            assert w_on[p] == pytest.approx(w_off[p], rel=1e-12, abs=1e-12)
 
 
 @pytest.mark.parametrize("run_fig", [run_fig6, run_fig9],

@@ -38,7 +38,7 @@ def _instance(seed: int):
 def test_backends_agree_on_community_lp(seed):
     access, demand = _instance(seed)
     sched = CommunityScheduler(
-        access, WindowConfig(0.1), lp_cache=False, warm_start=False
+        access, WindowConfig(0.1), warm_start=False
     )
     theta = sched.schedule(demand).theta
     # The oracle solves the very program the scheduler patched and solved.
@@ -58,9 +58,9 @@ def test_warm_started_resolves_match_cold(seed):
         for _ in range(5)
     ]
     warm = CommunityScheduler(access, WindowConfig(0.1),
-                              lp_cache=False, warm_start=True)
+                              warm_start=True)
     cold = CommunityScheduler(access, WindowConfig(0.1),
-                              lp_cache=False, warm_start=False)
+                              warm_start=False)
     for q in seq:
         tw = warm.schedule(q).theta
         tc = cold.schedule(q).theta
@@ -74,7 +74,7 @@ def test_warm_start_engages_on_steady_drift():
     """On a gently shifted RHS the previous basis is actually reused."""
     access, demand = _instance(7)
     sched = CommunityScheduler(access, WindowConfig(0.1),
-                               lp_cache=False, warm_start=True)
+                               warm_start=True)
     sched.schedule(demand)
     bumped = {p: d * 1.01 for p, d in demand.items()}
     plan = sched.schedule(bumped)

@@ -1,53 +1,21 @@
-"""SolveCache and structural fingerprint behaviour."""
+"""SolveCache behaviour: an exact-key LRU with hit and miss counters."""
 
-import numpy as np
 import pytest
 
-from repro.lp import SolveCache, structural_fingerprint
-
-
-def test_fingerprint_stable_and_sensitive():
-    A = np.arange(6, dtype=float).reshape(2, 3)
-    f1 = structural_fingerprint("tag", A, 0.1)
-    f2 = structural_fingerprint("tag", A.copy(), 0.1)
-    assert f1 == f2
-    assert f1 != structural_fingerprint("tag", A + 1e-9, 0.1)
-    assert f1 != structural_fingerprint("other", A, 0.1)
-    # Shape participates: a reshape of the same bytes is a different model.
-    assert f1 != structural_fingerprint("tag", A.reshape(3, 2), 0.1)
+from repro.lp import SolveCache
 
 
 def test_exact_keys_hit_only_on_identical_demand():
     c = SolveCache()
-    fp = structural_fingerprint("m")
-    k1 = c.key(fp, np.array([1.0, 2.0]))
-    k2 = c.key(fp, np.array([1.0, 2.0]))
-    k3 = c.key(fp, np.array([1.0, 2.0 + 1e-12]))
-    assert k1 == k2 != k3
-    c.put(k1, "plan")
-    assert c.get(k2) == "plan"
-    assert c.get(k3) is None
+    c.put((1.0, 2.0), "plan")
+    assert c.get((1.0, 2.0)) == "plan"
+    assert c.get((1.0, 2.0 + 1e-12)) is None
     assert (c.hits, c.misses) == (1, 1)
-
-
-def test_quantized_keys_bucket_nearby_demand():
-    c = SolveCache(quantum=0.5)
-    fp = structural_fingerprint("m")
-    assert c.key(fp, np.array([10.1])) == c.key(fp, np.array([9.9]))
-    assert c.key(fp, np.array([10.1])) != c.key(fp, np.array([10.6]))
-
-
-def test_tag_partitions_the_keyspace():
-    c = SolveCache()
-    fp = structural_fingerprint("m")
-    d = np.array([3.0])
-    assert c.key(fp, d) != c.key(fp, d, tag=("caps", 5.0))
 
 
 def test_lru_eviction_and_counters():
     c = SolveCache(maxsize=2)
-    fp = structural_fingerprint("m")
-    keys = [c.key(fp, np.array([float(i)])) for i in range(3)]
+    keys = [(float(i),) for i in range(3)]
     c.put(keys[0], 0)
     c.put(keys[1], 1)
     assert c.get(keys[0]) == 0          # refresh 0: now 1 is the LRU entry
@@ -56,11 +24,9 @@ def test_lru_eviction_and_counters():
     assert c.get(keys[0]) == 0 and c.get(keys[2]) == 2
     assert c.evictions == 1
     assert len(c) == 2
-    assert 0.0 < c.hit_rate < 1.0
-    c.clear()
-    assert len(c) == 0
+    assert (c.hits, c.misses) == (3, 1)
 
 
-def test_negative_quantum_rejected():
+def test_non_positive_maxsize_rejected():
     with pytest.raises(ValueError):
-        SolveCache(quantum=-0.1)
+        SolveCache(maxsize=0)

@@ -153,6 +153,18 @@ class TestSolveCache:
         alloc.compute({"A": 27.0, "B": 13.5})
         assert alloc.lp_solves == 2
 
+    def test_set_access_drops_exact_repeats(self, fig6_graph):
+        # The exact-match plan cache goes with the levels it was solved
+        # for: a repeat of an old estimate is solved against the new ones.
+        acc = compute_access_levels(fig6_graph)
+        alloc = WindowAllocator(acc, W)
+        est = {"A": 27.0, "B": 13.5}
+        before = alloc.compute(est)
+        alloc.set_access(acc.scaled(0.5))
+        after = alloc.compute(est)
+        fresh = WindowAllocator(acc.scaled(0.5), W).compute(est)
+        assert after.quotas == fresh.quotas != before.quotas
+
 
 class TestProviderMode:
     def test_provider_quotas(self):

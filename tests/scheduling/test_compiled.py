@@ -96,8 +96,8 @@ class TestCommunityProgram:
         g, qs = world
         access = compute_access_levels(g)
         w = access.per_window(W.length)
-        sched = CommunityScheduler(access, W, lp_cache=False)
-        cold = CommunityScheduler(access, W, lp_cache=False, warm_start=False)
+        sched = CommunityScheduler(access, W)
+        cold = CommunityScheduler(access, W, warm_start=False)
         for q in qs:        # later windows solve the *re-patched* program, warm
             plan = sched.schedule(q)
             fresh, theta, rows = _fresh_community_model(access, q)
@@ -120,7 +120,7 @@ class TestCommunityProgram:
             assert np.all(plan.x <= w.MI + w.OI + 1e-9)
 
     def test_idle_principal_keeps_the_shape_and_the_basis(self, fig6_graph):
-        sched = CommunityScheduler(compute_access_levels(fig6_graph), W, lp_cache=False)
+        sched = CommunityScheduler(compute_access_levels(fig6_graph), W)
         shape = sched.program.A.shape
         both = sched.schedule({"A": 27.0, "B": 13.5})
         only_a = sched.schedule({"A": 27.0, "B": 0.0})     # B's rows: 0 <= 0
@@ -133,7 +133,7 @@ class TestCommunityProgram:
 
     def test_pairwise_lower_bounds_are_repatched(self, fig9_graph):
         access = compute_access_levels(fig9_graph)
-        sched = CommunityScheduler(access, W, pairwise_lower_bounds=True, lp_cache=False)
+        sched = CommunityScheduler(access, W, pairwise_lower_bounds=True)
         full = sched.schedule({"A": 80.0, "B": 40.0})
         assert full.assignments("A")["B"] >= 16.0 - 1e-6
         # A's queue at a quarter of its mandatory 48: the pairwise floor
@@ -156,7 +156,7 @@ class TestProviderProgram:
         access = compute_access_levels(g)
         w = access.per_window(W.length)
         prices = {"A": 2.0, "B": 1.0}
-        sched = ProviderScheduler(access, prices, window=W, lp_cache=False)
+        sched = ProviderScheduler(access, prices, window=W)
         for q in (q1, q2):
             demand = dict(zip("AB", q))
             plan = sched.schedule(demand)

@@ -1,5 +1,6 @@
 """``lane=`` is the only execution selector: the four A/B accelerator
-switches stay deleted everywhere above the component that owns one, and
+switches stay deleted everywhere (the schedulers' ``lp_cache=`` too: plan
+reuse is the window allocator's policy, with no switch), and
 so do the sharded lane's transport and checkpoint-store knobs, the strict
 open-loop world variant the columnar lane once needed, and the L4
 switch's per-packet lane (now a test oracle)."""
@@ -39,6 +40,7 @@ SWITCHLESS = [
     sharded.ShardedRunner, sharded.run_sharded, sharded.shard_world,
     WindowAllocator, L7Redirector, L4Daemon, L4Switch, ColumnarL4Switch,
     ClientMachine, Simulator,
+    CommunityScheduler, ProviderScheduler, MultiResourceCommunityScheduler,
 ]
 
 
@@ -75,16 +77,6 @@ def test_scenario_takes_the_lane_and_nothing_else():
         "lane",
     ]
     assert inspect.signature(Scenario).parameters["lane"].default == "slotted"
-
-
-@pytest.mark.parametrize("owner, switch", [
-    (CommunityScheduler, "lp_cache"),
-    (ProviderScheduler, "lp_cache"),
-    (MultiResourceCommunityScheduler, "lp_cache"),
-], ids=lambda v: getattr(v, "__name__", v))
-def test_component_level_switches_remain(owner, switch):
-    # Where the cache lives (raw solve counts for tests and ablations).
-    assert inspect.signature(owner).parameters[switch].default is True
 
 
 @pytest.mark.parametrize("flag", [
