@@ -19,7 +19,7 @@ from repro.analysis.replay import combined_digest
 from repro.experiments.figures import WORLDS as FIGURES
 from tests.integration.test_columnar_parking import WORLDS as PARKING
 from tests.integration.test_lane_fuzz import worlds as random_worlds
-from tests.integration.test_pinned_digests import _columnar_load_world
+from tests.integration.recorded import columnar_load_world
 
 BLOCKS = (1, 7, 64, 10**9)
 
@@ -66,7 +66,7 @@ BUILDERS = {
     **{f"parking-{w}": (lambda w=w: PARKING[w]("columnar", 0, 0.05))
        for w in sorted(PARKING)},
     **{name: _figure(name) for name in ("fig6", "fig9", "fig10")},
-    "columnar-load": lambda: _columnar_load_world(0, "columnar"),
+    "columnar-load": lambda: columnar_load_world(0, "columnar"),
 }
 
 

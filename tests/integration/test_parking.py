@@ -10,11 +10,11 @@ import pytest
 
 from repro.analysis.replay import scenario_digest
 from repro.cluster.client import START_SKEW
-from tests.integration.test_pinned_digests import _run_recorded
+from tests.integration.recorded import figure_scenario
 
 
-def test_fig7_two_clients_of_one_principal_are_admitted_alike(monkeypatch):
-    sc, result = _run_recorded("fig7", monkeypatch)
+def test_fig7_two_clients_of_one_principal_are_admitted_alike():
+    sc, result = figure_scenario("fig7")
     c1, c2 = sc.clients["C1"], sc.clients["C2"]
     # A per-client re-offer starved one of them 5:1; a shared FIFO cannot:
     # equal within 1 % beyond the head start the start skew gives one of them.
@@ -33,8 +33,8 @@ def test_fig7_two_clients_of_one_principal_are_admitted_alike(monkeypatch):
 
 
 @pytest.mark.parametrize("figure", ["fig7", "fig9", "fig10"])
-def test_seed_changes_digest(figure, monkeypatch):
+def test_seed_changes_digest(figure):
     # fig6's twin is tests/analysis/test_replay.py::test_seed_changes_digest.
-    a, _ = _run_recorded(figure, monkeypatch, seed=0)
-    b, _ = _run_recorded(figure, monkeypatch, seed=1)
+    a, _ = figure_scenario(figure, seed=0)
+    b, _ = figure_scenario(figure, seed=1)
     assert scenario_digest(a) != scenario_digest(b)

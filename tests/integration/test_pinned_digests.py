@@ -22,20 +22,9 @@ so the figures' drains reach the busy-period pass as well;
 ``PINNED_COLUMNAR_LOAD`` pins the benchmark's 100x columnar world, whose
 every window is a mixed batch of thousands of requests, on both lanes.
 
-Beside each fig6-fig10 digest, ``PINNED_COSTS`` pins two deterministic
-costs of the run: events scheduled (``Simulator._seq``) and LP solves
-summed over every redirector's and daemon's allocator.  They were captured
-at the parent of the commit that made the L4 flow path the only one in
-production, on the default lanes and under ``REPRO_CHECK=1``.
-``PINNED_COLUMNAR_LOAD_COSTS`` pins the same two, plus the busy-period
-passes, beside the columnar load world's digests on both lanes.
-``PINNED_HANDLE_CALLS`` pins a third cost of the fig6-fig10 runs, the
-``L7Redirector.handle`` and ``L4Switch.handle`` calls; on the columnar lane
-they are the parked re-offers.  It was captured at the parent of the commit
-that gave both front ends one window loop (``EnforcementNode``).
-``PINNED_METER_CALLS`` pins a fourth on the columnar lane, the
-``RateMeter.record_many`` calls: the server lanes commit completions once
-per drained block of requests, not once per window.
+What each of those runs cost (events, plans, handle and meter calls) is
+pinned in ``tests/integration/test_cost_budgets.py``, against the same
+recorded runs (``tests/integration/recorded.py``).
 
 The sharded lane was pinned at the parent of the commit that made the
 shared-memory plane its only boundary transport: ``shards=1``, ``shards=4``
@@ -45,18 +34,11 @@ land on the digests the inline path produced there.
 
 import pytest
 
-import repro.cluster.columnar as columnar
 import repro.experiments.figures as figures
-from repro.analysis.replay import (
-    admission_digest, chaos_replay, scenario_digest,
-)
-from repro.core.agreements import Agreement, AgreementGraph
+from repro.analysis.replay import chaos_replay
 from repro.experiments.faultmatrix import run_crash_recovery_matrix
-from repro.experiments.harness import Scenario
 from repro.experiments.sharded import run_sharded
-from repro.l4.switch import L4Switch
-from repro.l7.redirector import L7Redirector
-from repro.sim.monitor import RateMeter
+from tests.integration.recorded import columnar_load_run, figure_run
 
 PINNED = {
     "fig6": (
@@ -88,39 +70,6 @@ PINNED_L4 = {
 }
 
 # figure -> (ShardedResult.digest(), final_checkpoint_digest) at 4 replicas.
-# figure -> run mode -> (events scheduled, LP solves).  The mode is the
-# lane the figure ran on, "+check" when the invariant hooks were on: they
-# schedule events of their own, and under REPRO_CHECK=1 fig6/9/10 run slotted.
-PINNED_COSTS = {
-    "fig6": {"columnar": (1362, 134), "slotted+check": (11481, 134)},
-    "fig7": {"columnar": (687, 32), "slotted": (5474, 32),
-             "slotted+check": (5628, 32)},
-    "fig8": {"columnar": (1432, 85), "slotted": (6521, 85),
-             "slotted+check": (6745, 85)},
-    "fig9": {"columnar": (405, 43), "slotted+check": (32399, 43)},
-    "fig10": {"columnar": (405, 87), "slotted+check": (33452, 87)},
-}
-
-# figure -> run mode (as PINNED_COSTS) -> (L7Redirector.handle calls,
-# L4Switch.handle calls), counted on the class so every instance is seen.
-PINNED_HANDLE_CALLS = {
-    "fig6": {"columnar": (2786, 0), "slotted+check": (8166, 0)},
-    "fig7": {"columnar": (2043, 0), "slotted": (5062, 0),
-             "slotted+check": (5062, 0)},
-    "fig8": {"columnar": (1979, 0), "slotted": (4804, 0),
-             "slotted+check": (4804, 0)},
-    "fig9": {"columnar": (0, 7090), "slotted+check": (0, 21029)},
-    "fig10": {"columnar": (0, 4707), "slotted+check": (0, 18646)},
-}
-
-# figure -> RateMeter.record_many calls of its columnar run, counted on the
-# class.  Captured at the commit that made the server lanes drain in blocks
-# of _DRAIN_BLOCK requests; committing every window made 647, 370, 437,
-# 1118 and 1612 calls.
-PINNED_METER_CALLS = {
-    "fig6": 25, "fig7": 10, "fig8": 13, "fig9": 73, "fig10": 104,
-}
-
 PINNED_SHARDED = {
     "fig6": (
         "7679f693c4bb53f3cd6400baa8c556595eb29413cff2418892ee05db8489d315",
@@ -157,16 +106,6 @@ PINNED_COLUMNAR_LOAD = {
     1: "d8b99eac1e46e5aed7cdd39a7ddce3f92a2763eef09d8ac45c4600050c1b3e9c",
 }
 
-# seed -> lane -> (events scheduled, LP solves, busy-period passes) of the
-# same world, as PINNED_COSTS pins them beside the figures.  Captured at the
-# parent of the commit that merged every columnar gather through one
-# ColumnarEngine.merge; they catch a change that keeps the digest but
-# schedules, solves or drains more.
-PINNED_COLUMNAR_LOAD_COSTS = {
-    0: {"columnar": (139, 24, 8), "slotted": (94302, 24, 0)},
-    1: {"columnar": (139, 24, 7), "slotted": (94443, 24, 0)},
-}
-
 PINNED_FAULT_MATRIX = (
     "038a99cf5f49d0ddc20f7c461a9025dd951a7cbc63f7f46f89f534de550dcacd"
 )
@@ -177,113 +116,44 @@ PINNED_FIG1D = {
 }
 
 
-def _run_recorded(figure, monkeypatch, seed=0, lane=None):
-    """Run one figure at 1/20 scale on ``lane`` (its record's default when
-    None); returns (its Scenario, its result).
-
-    The Scenario's ``handle_calls`` is the (L7, L4) ``handle`` call count,
-    its ``meter_calls`` the ``RateMeter.record_many`` call count.
-    """
-    worlds = []
-    calls = [0, 0]
-    meter_calls = [0]
-
-    class Recorded(figures.Scenario):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            self.handle_calls = calls
-            self.meter_calls = meter_calls
-            worlds.append(self)
-
-    def spy(i, handle):
-        def counted(self, *args, **kwargs):
-            calls[i] += 1
-            return handle(self, *args, **kwargs)
-        return counted
-
-    monkeypatch.setattr(figures, "Scenario", Recorded)
-    for i, cls in enumerate((L7Redirector, L4Switch)):
-        monkeypatch.setattr(cls, "handle", spy(i, cls.handle))
-    record_many = RateMeter.record_many
-
-    def counted_record_many(self, *args, **kwargs):
-        meter_calls[0] += 1
-        return record_many(self, *args, **kwargs)
-
-    monkeypatch.setattr(RateMeter, "record_many", counted_record_many)
-    result = figures.ALL_FIGURES[figure](duration_scale=0.05, seed=seed,
-                                         lane=lane)
-    (sc,) = worlds
+def _assert_pinned(figure, pinned, lane=None):
+    """``figure``'s shared recorded run (tests/integration/recorded.py)
+    against its world and admission digests."""
+    run = figure_run(figure, lane)
     if (lane or figures.WORLDS[figure]().lane) == "columnar":
         # Under REPRO_CHECK=1 the invariant hooks run the same world on the
         # event path, against the same constants.
-        assert (sc.lane, sc.lane_fallback) == (
-            ("columnar", None) if sc.invariants is None
-            else ("slotted", "invariant hooks need per-request events"))
-    return sc, result
-
-
-def _costs(sc):
-    """(events scheduled, LP solves over every redirector and daemon)."""
-    return sc.sim._seq, sum(
-        owner.allocator.lp_solves
-        for owners in (sc.l7_redirectors, sc.l4_daemons)
-        for owner in owners.values()
-    )
-
-
-def _assert_pinned_costs(figure, sc):
-    mode = sc.lane + ("+check" if sc.invariants is not None else "")
-    assert _costs(sc) == PINNED_COSTS[figure][mode], mode
-    assert tuple(sc.handle_calls) == PINNED_HANDLE_CALLS[figure][mode], mode
-    if mode == "columnar":
-        assert sc.meter_calls[0] == PINNED_METER_CALLS[figure]
-
-
-def _assert_pinned_l7(figure, sc, result):
-    world, admission = PINNED[figure]
-    assert scenario_digest(sc) == world
-    assert {
-        name: admission_digest(red) for name, red in sc.l7_redirectors.items()
-    } == admission
-    _assert_pinned_costs(figure, sc)
-    assert result.figure == figure
+        assert (run.mode, run.lane_fallback) == (
+            ("columnar", None) if run.mode == "columnar"
+            else ("slotted+check", "invariant hooks need per-request events"))
+    world, admission = pinned[figure]
+    assert run.digest == world
+    assert run.admission == admission
+    assert run.figure == figure
 
 
 @pytest.mark.parametrize("figure", sorted(PINNED))
-def test_l7_figure_reproduces_parent_digests(figure, monkeypatch):
-    sc, result = _run_recorded(figure, monkeypatch)
-    _assert_pinned_l7(figure, sc, result)
+def test_l7_figure_reproduces_parent_digests(figure):
+    _assert_pinned(figure, PINNED)
 
 
 @pytest.mark.parametrize("figure", ["fig8"])
-def test_slotted_default_figure_reproduces_parent_digests_on_columnar(
-        figure, monkeypatch):
+def test_slotted_default_figure_reproduces_parent_digests_on_columnar(figure):
     # The constants were captured on the slotted lane; columnar must land
-    # on the same bits, at the costs of its own PINNED_COSTS row.
-    sc, result = _run_recorded(figure, monkeypatch, lane="columnar")
-    _assert_pinned_l7(figure, sc, result)
+    # on the same bits.
+    _assert_pinned(figure, PINNED, lane="columnar")
 
 
 @pytest.mark.parametrize("figure", ["fig7"])
-def test_columnar_default_figure_reproduces_parent_digests_on_slotted(
-        figure, monkeypatch):
+def test_columnar_default_figure_reproduces_parent_digests_on_slotted(figure):
     # The record's default lane moved to columnar under these constants;
-    # the slotted oracle must still land on them, at its own costs.
-    sc, result = _run_recorded(figure, monkeypatch, lane="slotted")
-    _assert_pinned_l7(figure, sc, result)
+    # the slotted oracle must still land on them.
+    _assert_pinned(figure, PINNED, lane="slotted")
 
 
 @pytest.mark.parametrize("figure", sorted(PINNED_L4))
-def test_l4_figure_reproduces_parent_digests(figure, monkeypatch):
-    sc, result = _run_recorded(figure, monkeypatch)
-    world, admission = PINNED_L4[figure]
-    assert scenario_digest(sc) == world
-    assert {
-        name: admission_digest(daemon) for name, daemon in sc.l4_daemons.items()
-    } == admission
-    _assert_pinned_costs(figure, sc)
-    assert result.figure == figure
+def test_l4_figure_reproduces_parent_digests(figure):
+    _assert_pinned(figure, PINNED_L4)
 
 
 @pytest.mark.parametrize("figure", sorted(PINNED_SHARDED))
@@ -312,46 +182,12 @@ def test_sharded_load_reproduces_parent_digests(figure, shards):
     assert res.data_plane == ("inline" if shards == 1 else "shm")
 
 
-def _columnar_load_world(seed, lane, T=0.5):
-    g = AgreementGraph()
-    g.add_principal("S", capacity=32_000.0)
-    g.add_principal("A")
-    g.add_principal("B")
-    g.add_agreement(Agreement("S", "A", 0.2, 1.0))
-    g.add_agreement(Agreement("S", "B", 0.8, 1.0))
-    sc = Scenario(g, seed=seed, lane=lane)
-    server = sc.server("S", "S", 32_000.0)
-    r1 = sc.l7("R1", {"S": server}, n_redirectors=2)
-    r2 = sc.l7("R2", {"S": server}, n_redirectors=2)
-    sc.connect_tree(link_delay=0.005)
-    sc.client("C1", "A", r1, rate=27_000.0, windows=[(0.0, 3 * T)],
-              max_retry_pool=0, jitter=0.4)
-    sc.client("C2", "B", r2, rate=13_500.0,
-              windows=[(0.0, T), (2 * T, 3 * T)], max_retry_pool=0, jitter=0.4)
-    sc.run(3 * T)
-    return sc
-
-
 @pytest.mark.parametrize("seed", sorted(PINNED_COLUMNAR_LOAD))
-def test_columnar_load_reproduces_parent_digests(seed, monkeypatch):
-    passes = []
-    busy_pass = columnar._busy_pass
-
-    def spy(*args):
-        passes.append(args[0].shape[0])
-        return busy_pass(*args)
-
-    monkeypatch.setattr(columnar, "_busy_pass", spy)
+def test_columnar_load_reproduces_parent_digests(seed):
     for lane in ("columnar", "slotted"):
-        passes.clear()
-        sc = _columnar_load_world(seed, lane)
-        assert (sc.lane, sc.lane_fallback) == (lane, None)
-        assert scenario_digest(sc) == PINNED_COLUMNAR_LOAD[seed], lane
-        assert (*_costs(sc), len(passes)) == \
-            PINNED_COLUMNAR_LOAD_COSTS[seed][lane], lane
-        if lane == "columnar":
-            # Mixed batches of >= 64 requests took the busy-period drain.
-            assert min(passes) >= columnar._BUSY_MIN
+        run = columnar_load_run(seed, lane)
+        assert (run.mode, run.lane_fallback) == (lane, None)
+        assert run.digest == PINNED_COLUMNAR_LOAD[seed], lane
 
 
 def test_fault_matrix_reproduces_parent_digest():
