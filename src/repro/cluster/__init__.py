@@ -8,14 +8,11 @@
   PC ~ 320 req/s in the paper) with FIFO service and saturation.
 - :mod:`repro.cluster.client` — WebBench-like client machines: rate-capped
   generators that honour redirects and retry on self-redirection.
-- :mod:`repro.cluster.phases` — experiment phase schedules (clients
-  starting/stopping), as in every figure of §5.
 """
 
 from repro.cluster.client import ClientMachine
 from repro.cluster.containers import ContainerServer, StreamHandle
 from repro.cluster.endpoint_server import EndpointEnforcingServer
-from repro.cluster.phases import PhaseSchedule
 from repro.cluster.request import Request
 from repro.cluster.server import Server
 from repro.cluster.workload import ReplySizeSampler, RequestMix, WorkloadStream
@@ -27,7 +24,6 @@ __all__ = [
     "EndpointEnforcingServer",
     "StreamHandle",
     "ClientMachine",
-    "PhaseSchedule",
     "ReplySizeSampler",
     "RequestMix",
     "WorkloadStream",

@@ -11,9 +11,8 @@ window (§3.1.2).  One solver runs them:
   simplex with Bland's rule and warm starts (numpy only, deterministic);
 - :func:`repro.lp.solve` — lower if needed, solve, audit.
 
-:mod:`repro.lp.oracle` (:func:`scipy.optimize.linprog`, imported lazily) is
-the test oracle the simplex is cross-validated against; nothing at run time
-imports scipy.
+The simplex is cross-validated against :func:`scipy.optimize.linprog` by a
+test oracle (``tests/lp/oracle.py``); nothing at run time imports scipy.
 """
 
 from repro.lp.cache import SolveCache

@@ -32,8 +32,8 @@ relative to the magnitude of the row or bound it is measured against, so a
 row of 1e-7-sized coefficients is held to the same relative standard as a
 row of ones, and the returned point is clipped into its box.
 
-Cross-validated against scipy's HiGHS (:mod:`repro.lp.oracle`) on random
-boxed LPs in ``tests/lp/``.
+Cross-validated against scipy's HiGHS (the test oracle ``tests/lp/oracle.py``)
+on random boxed LPs in ``tests/lp/``.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Test oracle: the same LP through :func:`scipy.optimize.linprog` (HiGHS).
 
-Not on any runtime path — scipy is imported inside :func:`solve_scipy` only,
-so the library runs with numpy alone.  Tests hold the bounded simplex to
+It lives under ``tests/``, not in the package, and imports scipy inside
+:func:`solve_scipy` only, so the library runs with numpy alone.  Tests hold the bounded simplex to
 this on random LPs and on the schedulers' compiled window programs.
 """
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.access import compute_access_levels
 from repro.experiments.scaling import random_community
-from repro.lp.oracle import scipy_available, solve_scipy
+from tests.lp.oracle import scipy_available, solve_scipy
 from repro.scheduling.community import CommunityScheduler
 from repro.scheduling.window import WindowConfig
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.lp import Model, Status, solve
-from repro.lp.oracle import scipy_available, solve_scipy
+from tests.lp.oracle import scipy_available, solve_scipy
 
 
 class TestBasicCases:

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.lp import Model, Program, Status, solve
 from repro.lp.bounded_simplex import bounded_simplex
-from repro.lp.oracle import scipy_available, solve_scipy
+from tests.lp.oracle import scipy_available, solve_scipy
 
 
 class TestBasicCases:

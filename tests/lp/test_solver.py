@@ -4,7 +4,7 @@ import sys
 import pytest
 
 from repro.lp import Model, solve
-from repro.lp.oracle import scipy_available, solve_scipy
+from tests.lp.oracle import scipy_available, solve_scipy
 
 
 def _toy():

@@ -142,7 +142,7 @@ class TestMechanics:
         assert s.served("A") / 27.0 == pytest.approx(s.served("B") / 13.5, rel=1e-6)
 
     def test_simplex_backend_agrees_with_scipy(self, fig6_sched):
-        from repro.lp.oracle import solve_scipy
+        from tests.lp.oracle import solve_scipy
 
         s1 = fig6_sched.schedule({"A": 27.0, "B": 13.5})
         # The oracle on the compiled program, as patched for this window.

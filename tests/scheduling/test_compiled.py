@@ -16,7 +16,7 @@ from repro.core.access import compute_access_levels
 from repro.core.agreements import Agreement, AgreementGraph
 from repro.experiments.figures import fig6_world
 from repro.lp import Model, Status, solve
-from repro.lp.oracle import scipy_available, solve_scipy
+from tests.lp.oracle import scipy_available, solve_scipy
 from repro.scheduling.community import CommunityScheduler
 from repro.scheduling.provider import ProviderScheduler
 from repro.scheduling.window import WindowConfig

@@ -149,7 +149,7 @@ class TestScheduling:
     def test_backends_agree(self):
         acc = _shared_server()
         profiles = {"A": {"cpu": 2.0, "net": 0.5}, "B": {"cpu": 0.5, "net": 2.0}}
-        from repro.lp.oracle import solve_scipy
+        from tests.lp.oracle import solve_scipy
 
         sched = MultiResourceCommunityScheduler(acc, profiles, W)
         s1 = sched.schedule({"A": 80.0, "B": 120.0})

@@ -108,7 +108,7 @@ class TestMechanics:
         assert r.admitted("A") <= 5.0 + 1e-9  # 50% of 100/s in a 0.1s window
 
     def test_simplex_backend_agrees(self, fig10_sched):
-        from repro.lp.oracle import solve_scipy
+        from tests.lp.oracle import solve_scipy
 
         r1 = fig10_sched.schedule({"A": 80.0, "B": 40.0})
         # The oracle on the compiled program, as patched for this window.
