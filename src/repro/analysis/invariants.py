@@ -15,7 +15,9 @@ checks that the accounting underneath cannot be wrong, window by window:
   flows (installed together, removed together, expired together).
 - **Parking**: ``issued == admitted + dropped + parked`` per open-loop
   client, and a redirector holds exactly what its clients count as parked.
-- **LP**: every accepted LP solution is primal-feasible within ``eps``.
+- **LP**: every accepted LP solution is primal-feasible within ``eps``
+  (a post-solve hook for callers of :func:`repro.lp.solve`; the window
+  loop's plans are closed-form and solve no LP).
 
 Checks are attached by :class:`repro.experiments.harness.Scenario` when
 ``check_invariants=True`` (or the ``REPRO_CHECK`` environment variable is

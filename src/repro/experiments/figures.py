@@ -359,7 +359,7 @@ def run_figure(
         notes = (f"sharded lane: shards={run.shards}, "
                  f"data plane {run.data_plane}, "
                  f"{run.n_windows} window epochs, "
-                 f"{run.lp_solves} LP solves ({run.cache_hits} cache hits), "
+                 f"{run.lp_solves} window plans, "
                  f"{len(run.restarts)} restarts, "
                  f"{len(run.reassignments)} reassignments")
     else:

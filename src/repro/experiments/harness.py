@@ -427,15 +427,7 @@ class Scenario:
                 # last pump usually lies beyond the horizon).
                 self.columnar.flush(duration)
             return
-        # Audit every LP solve for primal feasibility while this scenario
-        # runs; the hook is process-global, so scope it to the run.
-        from repro.lp import solver as lp_solver
-
-        lp_solver.set_feasibility_check(self.invariants.check_lp_solution)
-        try:
-            self.sim.run(until=duration)
-        finally:
-            lp_solver.set_feasibility_check(None)
+        self.sim.run(until=duration)
 
     def phase_rates(
         self,

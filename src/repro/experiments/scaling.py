@@ -6,7 +6,7 @@ agreements; this latter number is expected to be small."  This module
 measures what happens when it is not small: communities of up to dozens of
 principals sharing several servers through one redirector, reporting
 
-- wall-clock LP cost per scheduling window,
+- wall-clock allocation cost per scheduling window (closed-form plan),
 - guarantee satisfaction (fraction of principals at >= their effective
   mandatory level),
 - aggregate throughput against capacity (work conservation).
@@ -31,13 +31,12 @@ __all__ = ["ScalingPoint", "random_community", "run_scaling_point", "run_scaling
 @dataclass
 class ScalingPoint:
     n_principals: int
-    lp_ms_mean: float
-    lp_ms_p95: float
+    plan_ms_mean: float
+    plan_ms_p95: float
     guarantee_satisfaction: float     # fraction of principals meeting floors
     throughput: float                 # aggregate req/s
     capacity: float
-    solves: int
-    cache_hits: int
+    plans: int
     extra: Dict[str, float] = field(default_factory=dict)
 
 
@@ -82,18 +81,17 @@ def run_scaling_point(
         if g.principal(name).capacity > 0
     }
     red = sc.l7("R", server_objs)
-    red.allocator.cache_tolerance = 0.0   # measure the honest solve cost
 
-    # Time every LP solve.
-    lp_times: List[float] = []
+    # Time every window's allocation.
+    plan_times: List[float] = []
     inner = red.allocator.compute
 
-    # Wall-clock here times the *solver*, not simulated behaviour: the
+    # Wall-clock here times the *plan*, not simulated behaviour: the
     # measured milliseconds never feed back into the event stream.
     def timed(local, now=None):
         t0 = time.perf_counter()  # simlint: disable=SIM001
         out = inner(local, now=now)
-        lp_times.append((time.perf_counter() - t0) * 1000.0)  # simlint: disable=SIM001
+        plan_times.append((time.perf_counter() - t0) * 1000.0)  # simlint: disable=SIM001
         return out
 
     red.allocator.compute = timed  # type: ignore[assignment]
@@ -122,16 +120,15 @@ def run_scaling_point(
         if measured >= 0.85 * floor:
             satisfied += 1
     capacity = float(sum(g.principal(p).capacity for p in g.names))
-    times = np.asarray(lp_times) if lp_times else np.zeros(1)
+    times = np.asarray(plan_times) if plan_times else np.zeros(1)
     return ScalingPoint(
         n_principals=n,
-        lp_ms_mean=float(times.mean()),
-        lp_ms_p95=float(np.percentile(times, 95)),
+        plan_ms_mean=float(times.mean()),
+        plan_ms_p95=float(np.percentile(times, 95)),
         guarantee_satisfaction=satisfied / considered if considered else 1.0,
         throughput=total,
         capacity=capacity,
-        solves=red.allocator.lp_solves,
-        cache_hits=red.allocator.cache_hits,
+        plans=red.allocator.plans_computed,
     )
 
 

@@ -571,6 +571,8 @@ class ShardedResult:
     clock: Dict[str, float]
     global_demand: Dict[str, np.ndarray]
     frac: Dict[str, np.ndarray]     # -1.0 sentinel on conservative windows
+    # Plans the parent's allocator computed, and 0: no plan is reused.  The
+    # names stay because benchmarks/e2e/workloads.py reads them.
     lp_solves: int = 0
     cache_hits: int = 0
     fallback_windows: int = 0
@@ -931,8 +933,7 @@ class ShardedRunner:
             clock={n: ck.clock for n, ck in final.items()},
             global_demand=dict(zip(principals, gdemand)),
             frac=dict(zip(principals, frac_hist)),
-            lp_solves=self.allocator.lp_solves,
-            cache_hits=self.allocator.cache_hits,
+            lp_solves=self.allocator.plans_computed,
             fallback_windows=fallback_windows,
             restarts=list(self.restarts),
             reassignments=list(self.reassignments),

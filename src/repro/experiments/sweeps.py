@@ -7,8 +7,7 @@ sweeping one knob, and report enforcement quality per point:
 
 - ``sweep_window``      window length vs enforcement error,
 - ``sweep_delay``       combining-tree delay vs convergence time,
-- ``sweep_redirectors`` redirector count vs enforcement error and traffic,
-- ``sweep_cache``       LP reuse tolerance vs error and solve count.
+- ``sweep_redirectors`` redirector count vs enforcement error and traffic.
 
 Every sweep takes ``jobs``: points are independent simulations, so they
 run through :func:`repro.experiments.parallel.parallel_map`.  Each point
@@ -31,7 +30,6 @@ __all__ = [
     "sweep_window",
     "sweep_delay",
     "sweep_redirectors",
-    "sweep_cache",
 ]
 
 
@@ -147,32 +145,4 @@ def sweep_redirectors(
     """
     return parallel_map(
         _redirectors_point, [(n, duration, seed) for n in counts], jobs=jobs
-    )
-
-
-def _cache_point(task: Tuple[float, float, int]) -> SweepPoint:
-    tol, duration, seed = task
-    sc = Scenario(fig6_world().graph(), seed=seed)
-    srv = sc.server("S", "S", 320.0)
-    red = sc.l7("R", {"S": srv})
-    red.allocator.cache_tolerance = tol
-    sc.client("CA", "A", red, rate=405.0)
-    sc.client("CB", "B", red, rate=135.0)
-    rates = _measure(sc, duration, settle=5.0)
-    return _point(
-        tol, rates,
-        lp_solves=float(red.allocator.lp_solves),
-        cache_hits=float(red.allocator.cache_hits),
-    )
-
-
-def sweep_cache(
-    tolerances: Sequence[float] = (0.0, 0.02, 0.05, 0.1, 0.25),
-    duration: float = 25.0,
-    seed: int = 0,
-    jobs: Optional[int] = 1,
-) -> List[SweepPoint]:
-    """Enforcement error and LP solve count vs the allocator reuse cache."""
-    return parallel_map(
-        _cache_point, [(tol, duration, seed) for tol in tolerances], jobs=jobs
     )

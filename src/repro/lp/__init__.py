@@ -8,14 +8,13 @@ window (§3.1.2).  One solver runs them:
 - :mod:`repro.lp.program` — a model lowered *once* to standard-form arrays,
   with handles to the few entries a scheduler rewrites per window;
 - :mod:`repro.lp.bounded_simplex` — a from-scratch bounded-variable revised
-  simplex with Bland's rule and warm starts (numpy only, deterministic);
+  simplex with Bland's rule (numpy only, deterministic);
 - :func:`repro.lp.solve` — lower if needed, solve, audit.
 
 The simplex is cross-validated against :func:`scipy.optimize.linprog` by a
 test oracle (``tests/lp/oracle.py``); nothing at run time imports scipy.
 """
 
-from repro.lp.cache import SolveCache
 from repro.lp.model import Constraint, LinExpr, Model, Sense, Status, Solution, Var
 from repro.lp.program import Program
 from repro.lp.solver import solve
@@ -29,6 +28,5 @@ __all__ = [
     "Status",
     "Solution",
     "Program",
-    "SolveCache",
     "solve",
 ]

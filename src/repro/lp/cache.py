@@ -1,14 +1,9 @@
-"""Bounded LRU of solved window plans, keyed on the exact demand vector.
+"""Bounded LRU of solved plans, keyed on the exact demand vector.
 
-Between adjacent windows the demand estimate often repeats exactly (a
-plateau, an idle principal, a phase that returns to an earlier load).
-:class:`repro.scheduling.allocator.WindowAllocator` keeps one
-:class:`SolveCache` per compiled scheduler and looks a window's estimate up
-before solving.  A hit requires the key to repeat **exactly**; it returns
-the plan first solved for that demand and skips the solve, leaving the
-warm-start basis where it was.  A re-solve from another basis reaches the
-same optimum, bit for bit on Fig 6/7/9 at 1/20 scale but in general only up
-to float64 rounding (the plan-cache A/B tests under ``tests/integration``).
+Nothing on the run path uses it: :class:`repro.scheduling.allocator.WindowAllocator`
+computes an exact plan every window in closed form and reuses none.  It stays
+because the benchmark's tracer (``benchmarks/e2e/tracing.py``) binds
+``SolveCache.get``; its counters read zero there.
 
 Entries are kept in LRU order with a bounded size so long simulations with
 many distinct demand plateaus cannot grow the cache without bound.

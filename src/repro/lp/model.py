@@ -200,11 +200,6 @@ class Solution:
     _vars: List["Var"] = field(default_factory=list)
     iterations: int = 0
     backend: str = ""   # "bounded" from repro.lp.solve, "scipy" from the oracle
-    # Warm-start bookkeeping: the optimal basis of this solve, reusable as
-    # ``warm_start`` for a re-solve of the patched program, and whether this
-    # solve itself started from a supplied basis.
-    basis: Optional[Tuple] = None
-    warm_started: bool = False
 
     @property
     def optimal(self) -> bool:

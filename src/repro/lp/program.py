@@ -41,8 +41,7 @@ class Program:
 
     Built from the ``Model.to_arrays()`` tuple; ``model`` (optional) ties the
     arrays back to DSL names for :meth:`rows` and :meth:`solution_from_x`.
-    The shape never changes after construction, so a basis returned by one
-    solve always fits the next.
+    The shape never changes after construction.
     """
 
     __slots__ = ("model", "nv", "m_ub", "A", "b", "lo", "up", "cost", "_where")

@@ -2,15 +2,18 @@
 
 Both prototypes (the Layer-7 redirector and the Layer-4 daemon) perform the
 same per-window computation (paper §3.2): form a globally consistent demand
-estimate from the latest combining-tree broadcast, solve the window LP on
-it, and scale the resulting allocation to this node's local share
+estimate from the latest combining-tree broadcast, plan the window on it,
+and scale the resulting allocation to this node's local share
 (``x_i * local_i / global_i``).  :class:`WindowAllocator` packages that
 computation so the two network layers only differ in admission mechanics.
+
+Each window's plan is the window LP's exact optimum for its estimate in
+closed form (``CommunityPlan``, ``ProviderPlan``); none is reused.
 
 Snapshot consistency: the broadcast aggregate is a past-round snapshot; the
 allocator substitutes this node's own round-r contribution with its current
 local vector (``global - local_then + local_now``) so the fraction applied
-locally matches the data the LP saw.  When no broadcast has ever arrived,
+locally matches the data the plan saw.  When no broadcast has ever arrived,
 it falls back to the conservative ``1/R`` split of mandatory entitlements —
 the behaviour visible in the paper's Fig 8 phase 1, where a redirector with
 no global information uses only half of its principal's mandatory tickets.
@@ -30,9 +33,8 @@ from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.coordination.protocol import AggregationNode
 from repro.core.access import AccessLevels
-from repro.lp import SolveCache
-from repro.scheduling.community import CommunityScheduler
-from repro.scheduling.provider import ProviderScheduler
+from repro.scheduling.community import CommunityPlan
+from repro.scheduling.provider import ProviderPlan
 from repro.scheduling.window import WindowConfig
 
 __all__ = ["WindowAllocator", "Allocation"]
@@ -69,13 +71,10 @@ class WindowAllocator:
         capacity: Optional[float] = None,
         n_redirectors: int = 1,
         server_capacities: Optional[Mapping[str, float]] = None,
-        cache_tolerance: float = 0.05,
         stale_after: Optional[float] = None,
     ):
         if mode not in ("community", "provider"):
             raise ValueError(f"unknown mode {mode!r}")
-        if cache_tolerance < 0:
-            raise ValueError("cache_tolerance must be >= 0")
         self.access = access
         self.window = window
         self.mode = mode
@@ -85,38 +84,19 @@ class WindowAllocator:
         if stale_after is not None and stale_after <= 0:
             raise ValueError("stale_after must be positive (or None to disable)")
         self.stale_after = stale_after
-        self.lp_solves = 0
-        self.cache_hits = 0
+        self.plans_computed = 0
         self.fallback_windows = 0
         self.degraded_windows = 0
         self._server_capacities = dict(server_capacities or {})
         self._prices = dict(prices or {})
         self._capacity = capacity
-        # Demand barely moves between adjacent 100 ms windows in steady
-        # state; re-solving a near-identical LP dominates simulation cost.
-        # A solve is reused while every principal's global estimate stays
-        # within cache_tolerance (relative) of the solved one (0 disables).
-        # Quotas are still rescaled by the *fresh* local share every
-        # window, so the reuse error is bounded by the estimate drift —
-        # at most cache_tolerance, transiently.
-        self.cache_tolerance = float(cache_tolerance)
-        self._build_scheduler()
+        self._build_plan()
 
-    def _build_scheduler(self) -> None:
-        """(Re)compile the window program for the current access levels,
-        and with it everything compute() needs that only they determine."""
+    def _build_plan(self) -> None:
+        """Set up the closed-form plan for the current access levels, and
+        with it everything compute() needs that only they determine."""
         access = self.access
         names = access.names
-        # Plan reuse, dropped with the levels it was solved for.  The
-        # tolerance rule reuses the last plan for *nearby* demand; behind
-        # it an exact-match LRU, keyed on the estimate in ``principals``
-        # order, returns the plan first solved for a repeated estimate and
-        # leaves the warm-start basis as it was.  Both hold the plan in the
-        # form compute() consumes: requests served per principal
-        # (``principals`` order) and forwarding weights.
-        self._cached_est: Optional[Dict[str, float]] = None
-        self._cached_plan: Optional[Tuple[List[float], Dict[str, Dict[str, float]]]] = None
-        self._plans = SolveCache()
         # No global information: 1/R of the mandatory entitlements.
         share = 1.0 / self.n_redirectors
         self._fallback_quota = [float(mc) * share for mc in self._w.MC]
@@ -124,17 +104,24 @@ class WindowAllocator:
             p: {k: float(v) for k, v in zip(names, row) if v > 1e-12}
             for p, row in zip(names, self._w.MI)
         }
-        self.scheduler: Union[CommunityScheduler, ProviderScheduler]
+        self.plan: Union[CommunityPlan, ProviderPlan]
         if self.mode == "community":
-            self.scheduler = CommunityScheduler(access, self.window)
+            self.plan = CommunityPlan(access, self.window)
+            # Per holder, the owner name behind each of its edges; the
+            # others forward nowhere.
+            self._no_weights = {p: {} for p in names}
+            self._edge_owners = [
+                (names[i], [names[self.plan.owners[k]] for k, _ in edges])
+                for i, edges in zip(self.plan.holders, self.plan.edges)
+            ]
         else:
-            self.scheduler = ProviderScheduler(
+            self.plan = ProviderPlan(
                 access, self._prices, capacity=self._capacity,
                 window=self.window,
             )
             # A defaulted capacity is resolved once: renegotiated access
             # levels do not move it.
-            self._capacity = self.scheduler.capacity
+            self._capacity = self.plan.capacity
             # Provider mode spreads every customer over the provider's pools.
             cap = self._server_capacities or {
                 name: float(access.V[access.index(name)])
@@ -154,13 +141,13 @@ class WindowAllocator:
         """Swap in renegotiated access levels (dynamic agreements, §2.2).
 
         Suitable as a :class:`repro.core.dynamic.DynamicAccessManager`
-        subscriber; takes effect from the next window's LP solve.
+        subscriber; takes effect from the next window's plan.
         """
         if access.names != self.access.names:
             raise ValueError("renegotiated levels must cover the same principals")
         self.access = access
         self._w = access.per_window(self.window.length)
-        self._build_scheduler()
+        self._build_plan()
 
     # -- global estimate -----------------------------------------------------
 
@@ -207,7 +194,7 @@ class WindowAllocator:
                 *self._conservative(local), global_estimate=global_est,
                 used_fallback=True,
             )
-        served, weights = self._solve(global_est)
+        served, weights = self._plan(global_est)
         quotas: Dict[str, float] = {}
         for p, total in zip(self.principals, served):
             g = global_est.get(p, 0.0)
@@ -218,44 +205,22 @@ class WindowAllocator:
             used_fallback=False,
         )
 
-    def _solve(
+    def _plan(
         self, global_est: Dict[str, float]
     ) -> Tuple[List[float], Dict[str, Dict[str, float]]]:
-        """The window's plan as ``(served per principal, forwarding
-        weights)``: reused within tolerance, else an exact repeat, else
-        solved."""
-        if self._cached_plan is not None and self.cache_tolerance > 0:
-            tol = self.cache_tolerance
-            cached = self._cached_est
-            if all(
-                abs(global_est.get(p, 0.0) - cached.get(p, 0.0))
-                <= tol * max(global_est.get(p, 0.0), cached.get(p, 0.0), 1.0)
-                for p in self.principals
-            ):
-                self.cache_hits += 1
-                return self._cached_plan
-        self.lp_solves += 1
+        """The window's exact plan as ``(served per principal, forwarding
+        weights)``: a function of the estimate alone, computed every
+        window."""
+        self.plans_computed += 1
         names = self.principals
-        key = tuple(global_est.get(p, 0.0) for p in names)
-        found = self._plans.get(key)
-        if found is None:
-            plan = self.scheduler.schedule(global_est)
-            if self.mode == "community":
-                # Row sums and forwarding weights once per solved plan, not
-                # per principal per window the plan is reused for.
-                served = [float(row.sum()) for row in plan.x]
-                weights = {
-                    p: {k: float(v) for k, v in zip(names, row) if v > 1e-9}
-                    for p, row in zip(names, plan.x)
-                }
-            else:
-                served = [plan.x.get(p, 0.0) for p in names]
-                weights = self._provider_weights
-            found = (served, weights)
-            self._plans.put(key, found)
-        self._cached_est = dict(global_est)
-        self._cached_plan = found
-        return found
+        if self.mode == "provider":
+            admitted, _ = self.plan(global_est)
+            return [admitted.get(p, 0.0) for p in names], self._provider_weights
+        _, served, flows = self.plan([global_est.get(p, 0.0) for p in names])
+        weights = dict(self._no_weights)
+        for (p, owners), row in zip(self._edge_owners, flows):
+            weights[p] = {k: v for k, v in zip(owners, row) if v > 1e-9}
+        return served, weights
 
     def _conservative(
         self, local: Mapping[str, float]

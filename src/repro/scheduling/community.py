@@ -27,12 +27,25 @@ literal form remains available via ``pairwise_lower_bounds=True``):
 2. Rather than dropping the lower bound entirely when ``n_i < MC_i``, it
    shrinks to the demand: a principal offering less than its mandatory
    level is served in full (Fig 6 phase 1).
+
+:class:`CommunityPlan`, which every window runs, is the same optimum in
+closed form.  The principal -> server network is bipartite (Bonald &
+Comte's class-server structure): principal i's bound
+``max(theta * n_i, min(n_i, MC_i))`` routes over edges ``[0, MI_ik + OI_ik]``
+into servers of capacity ``V_k`` (``fmin(V_k, c_k)`` with locality caps).
+The bounds grow with theta, so minimum cuts are nested and discrete Newton
+over them (max-flow, minimum cut, solve its piecewise-linear equation)
+takes at most one step per principal.  Service above the bounds, which the
+LP leaves to its vertex, goes by progressive filling: a tight cut keeps its
+bounds while theta rises for the rest.  ``x`` is the final max-flow (own
+server first, then index order, then shortest augmenting paths), so the
+plan is a function of the queue lengths alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -41,7 +54,7 @@ from repro.lp import Model, Solution, solve
 from repro.scheduling.compiled import CompiledWindowLP
 from repro.scheduling.window import WindowConfig
 
-__all__ = ["CommunityScheduler", "CommunitySchedule"]
+__all__ = ["CommunityScheduler", "CommunitySchedule", "CommunityPlan"]
 
 QueueLengths = Union[Mapping[str, float], Sequence[float], np.ndarray]
 
@@ -109,8 +122,6 @@ class CommunityScheduler(CompiledWindowLP):
         window: scheduling window; access levels are scaled by its length.
         enforce_lower_bounds: when False, mandatory lower bounds become
             advisory (useful for ablations).
-        warm_start: start each solve from the previous window's optimal
-            basis (False: always the cold two-phase path).
     """
 
     def __init__(
@@ -119,7 +130,6 @@ class CommunityScheduler(CompiledWindowLP):
         window: WindowConfig = WindowConfig(),
         enforce_lower_bounds: bool = True,
         pairwise_lower_bounds: bool = False,
-        warm_start: bool = True,
     ):
         self.access = access
         self.window = window
@@ -149,7 +159,7 @@ class CommunityScheduler(CompiledWindowLP):
         ]
         m.maximize(theta)
 
-        prog = self._compile(m, warm_start)
+        prog = self._compile(m)
         self._bind(xs, queue_rows)
         self._capacity_rows = prog.rows(capacity)
         self._MC = w.MC[self._holders]
@@ -200,3 +210,202 @@ class CommunityScheduler(CompiledWindowLP):
         return CommunitySchedule(
             names=names, x=xmat, theta=theta_v, solution=sol
         )
+
+
+class CommunityPlan:
+    """The community LP's optimum in closed form (see the module docstring).
+
+    Built once per access levels; calling it with one window's global queue
+    lengths (requests, in ``names`` order) and optional per-principal
+    locality caps returns ``(theta, served, flows)``: theta*, the requests
+    served per principal (``names`` order) and, per principal in
+    ``holders``, the requests it sends over each of its ``edges``.
+    """
+
+    def __init__(
+        self,
+        access: AccessLevels,
+        window: WindowConfig = WindowConfig(),
+        enforce_lower_bounds: bool = True,
+    ):
+        w = access.per_window(window.length)
+        box = w.MI + w.OI
+        self.names = access.names
+        n = len(self.names)
+        self.holders = [i for i in range(n) if (box[i] > 1e-12).any()]
+        self.owners = [k for k in range(n) if (box[:, k] > 1e-12).any()]
+        at = {k: j for j, k in enumerate(self.owners)}
+        # Per holder, (owner position, box) of each server it may use: its
+        # own first, the others in index order.
+        self.edges = [
+            [(at[k], float(box[i, k]))
+             for k in sorted(self.owners, key=lambda k: (k != i, k))
+             if box[i, k] > 1e-12]
+            for i in self.holders
+        ]
+        self._into: List[List[Tuple[int, int]]] = [[] for _ in self.owners]
+        for h, edges in enumerate(self.edges):
+            for e, (k, _) in enumerate(edges):
+                self._into[k].append((h, e))
+        self._V = [float(w.V[k]) for k in self.owners]
+        self._MC = [float(w.MC[i]) if enforce_lower_bounds else 0.0
+                    for i in self.holders]
+
+    def __call__(
+        self, queues: Sequence[float], locality_caps: Optional[Sequence[float]] = None
+    ) -> Tuple[float, List[float], List[List[float]]]:
+        V = self._V if locality_caps is None else [
+            float(np.fmin(v, locality_caps[k])) for v, k in zip(self._V, self.owners)
+        ]
+        q, floor = [], []
+        # A principal's served total once settled; idle ones at 0.
+        fixed: List[Optional[float]] = []
+        for i, mc in zip(self.holders, self._MC):
+            n = float(queues[i])
+            f = n if n < mc else mc
+            q.append(n)
+            floor.append(f if f > 1e-12 else 0.0)
+            fixed.append(None if n > 1e-12 else 0.0)
+        eps = 1e-12 * max(1.0, *V, *q)
+        theta_star = None
+        while True:
+            theta, d, flows, load, cut = self._level(q, floor, fixed, V, eps)
+            if theta_star is None:
+                theta_star = theta
+            free = [h for h, f in enumerate(fixed) if f is None]
+            if theta >= 1.0 or not free:
+                break
+            # Progressive filling: who cannot grow any more keeps its bound
+            # (all of the tight cut, and whoever else has no residual path
+            # to a server with room).
+            stuck = [h for h in cut if fixed[h] is None]
+            if len(stuck) < len(free):
+                stuck = [h for h in free
+                         if self._path(h, flows, load, V, eps)[0] is None] or stuck
+            for h in stuck:
+                fixed[h] = d[h]
+            if len(stuck) == len(free):
+                break
+        served = [0.0] * len(self.names)
+        for h, i in enumerate(self.holders):
+            served[i] = d[h]
+        return theta_star, served, flows
+
+    def _level(self, q, floor, fixed, V, eps):
+        """Discrete Newton for the largest theta <= 1 at which the bounds
+        route: ``(theta, bounds, flows, load, last cut)``.  The first step
+        takes the cut of every principal with work."""
+        cut = [h for h, f in enumerate(fixed) if f is None or f > 0.0]
+        theta = self._root(cut, q, floor, fixed, V, 1.0, eps)
+        while True:
+            d = [f if f is not None else theta * n if theta * n > fl else fl
+                 for n, fl, f in zip(q, floor, fixed)]
+            flows, load, short_cut = self._route(d, V, eps)
+            if not short_cut:
+                return theta, d, flows, load, cut
+            cut = short_cut
+            t = self._root(cut, q, floor, fixed, V, theta, eps)
+            if t >= theta:      # rounding: the cut is tight at theta already
+                return theta, d, flows, load, cut
+            theta = t
+
+    def _route(self, d, V, eps):
+        """Max-flow of the bounds ``d``: greedy over each principal's edges,
+        then shortest augmenting paths.  Returns ``(flows, server load,
+        cut)``; the cut is empty when every bound routes, else it holds the
+        principals a residual path reaches from those left short, the
+        source side of a minimum cut."""
+        edges = self.edges
+        load = [0.0] * len(V)
+        flows, short = [], []
+        for h, need in enumerate(d):
+            row = [0.0] * len(edges[h])
+            e = 0
+            for k, u in edges[h]:
+                if need <= 0.0:
+                    break
+                f = V[k] - load[k]
+                f = need if need < f and need < u else u if u < f else f
+                if f > 0.0:
+                    row[e] = f
+                    load[k] += f
+                    need -= f
+                e += 1
+            flows.append(row)
+            if need > eps:
+                short.append((h, need))
+        cut = set()
+        for h, need in short:
+            while need > eps:
+                k_end, steps = self._path(h, flows, load, V, eps)
+                if k_end is None:
+                    cut.update(steps)
+                    break
+                b = min(need, V[k_end] - load[k_end],
+                        *(edges[g][e][1] - flows[g][e] if fwd else flows[g][e]
+                          for g, e, fwd in steps))
+                for g, e, fwd in steps:
+                    flows[g][e] += b if fwd else -b
+                load[k_end] += b
+                need -= b
+        return flows, load, sorted(cut)
+
+    def _path(self, h, flows, load, V, eps):
+        """Shortest residual path from holder ``h`` to a server with room:
+        ``(that server, [(holder, edge, forward?), ...])``, or ``(None, the
+        holders it reaches)``."""
+        edges, into = self.edges, self._into
+        came_k: Dict[int, Tuple[int, int]] = {}     # server <- (holder, edge)
+        came_h: Dict[int, Optional[Tuple[int, int]]] = {h: None}
+        queue = [h]
+        for g in queue:
+            for e, (k, u) in enumerate(edges[g]):
+                if k in came_k or u - flows[g][e] <= eps:
+                    continue
+                came_k[k] = (g, e)
+                if V[k] - load[k] > eps:
+                    steps, at = [], k
+                    while True:
+                        g2, e2 = came_k[at]
+                        steps.append((g2, e2, True))
+                        back = came_h[g2]
+                        if back is None:
+                            return k, steps
+                        at, e3 = back
+                        steps.append((g2, e3, False))
+                for g2, e2 in into[k]:
+                    if g2 not in came_h and flows[g2][e2] > eps:
+                        came_h[g2] = (k, e2)
+                        queue.append(g2)
+        return None, queue
+
+    def _root(self, cut, q, floor, fixed, V, theta, eps):
+        """The largest theta' <= theta at which the cut's bounds fit its
+        capacity ``sum_k min(V_k, sum_{i in cut} box_ik)``: Newton on the
+        convex piecewise-linear sum of ``max(theta * n_i, floor_i)``."""
+        into_cut = [0.0] * len(V)
+        room, free = 0.0, []
+        for h in cut:
+            for k, u in self.edges[h]:
+                into_cut[k] += u
+            if fixed[h] is None:
+                free.append(h)
+            else:
+                room -= fixed[h]
+        for v, c in zip(V, into_cut):
+            room += v if v < c else c
+        t = theta
+        while sum([t * q[h] if t * q[h] > floor[h] else floor[h]
+                   for h in free]) > room + eps:
+            slope = const = 0.0
+            for h in free:
+                if t * q[h] >= floor[h]:
+                    slope += q[h]
+                else:
+                    const += floor[h]
+            if slope <= 0.0 or t == 0.0:
+                raise RuntimeError(
+                    "community LP infeasible; agreement structure is "
+                    "inconsistent with the queue state")
+            t = max(0.0, (room - const) / slope)
+        return t

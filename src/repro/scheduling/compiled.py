@@ -3,12 +3,13 @@
 A scheduler writes its LP once, at construction, in the
 :class:`repro.lp.Model` DSL; :meth:`CompiledWindowLP._compile` lowers it to a
 :class:`repro.lp.Program` whose *shape never changes* — a principal with an
-empty queue keeps its rows as ``0 <= 0`` instead of dropping them — so the
-basis of one window always fits the next.  Per window the scheduler writes
-the few entries that moved through the program's handles and calls
-:meth:`_solve`; this class keeps the warm-start basis and the solve counters
-in one place.  Every call solves: reusing a plan for a repeated demand is the
-caller's policy (:class:`repro.scheduling.allocator.WindowAllocator`).
+empty queue keeps its rows as ``0 <= 0`` instead of dropping them.  Per
+window the scheduler writes the few entries that moved through the
+program's handles and calls :meth:`_solve`, which solves from scratch and
+keeps the solve counters.  The window loop itself runs the closed-form
+plans (:class:`repro.scheduling.community.CommunityPlan`,
+:class:`repro.scheduling.provider.ProviderPlan`); these programs are their
+oracle, and the only form of the pairwise-bound and multi-resource variants.
 
 ``schedule`` itself stays on each scheduler class, and each passes its own
 module's ``solve`` binding into :meth:`_solve`: ``benchmarks/e2e`` times the
@@ -27,29 +28,21 @@ __all__ = ["CompiledWindowLP"]
 
 
 class CompiledWindowLP:
-    """Mixin: one compiled program, its basis and counters."""
+    """Mixin: one compiled program and its counters."""
 
     program: Program
 
-    def _compile(self, model: Model, warm_start: bool) -> Program:
+    def _compile(self, model: Model) -> Program:
         self.program = model.lower()
-        self.warm_start = warm_start
         self.lp_solves = 0
-        self.lp_iterations = 0
-        self._basis = None
         return self.program
 
     def _solve(
         self, solve: Callable[..., Solution], what: str, hint: str = ""
     ) -> Solution:
-        """Solve the program as patched, from the previous window's basis."""
-        sol = solve(
-            self.program, warm_start=self._basis if self.warm_start else None
-        )
+        """Solve the program as patched."""
+        sol = solve(self.program)
         self.lp_solves += 1
-        self.lp_iterations += int(sol.iterations)
-        if sol.basis is not None:
-            self._basis = sol.basis
         if not sol.optimal:
             raise RuntimeError(f"{what} {sol.status.value}{hint}")
         return sol

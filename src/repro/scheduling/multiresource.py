@@ -78,7 +78,6 @@ class MultiResourceCommunityScheduler(CompiledWindowLP):
         access: MultiResourceAccess,
         profiles: Mapping[str, Mapping[str, float]],
         window: WindowConfig = WindowConfig(),
-        warm_start: bool = True,
     ):
         self.access = access
         self.window = window
@@ -124,7 +123,7 @@ class MultiResourceCommunityScheduler(CompiledWindowLP):
                     m.add(sum(terms) <= float(self._Vw[k, r]))
         m.maximize(theta)
 
-        self._compile(m, warm_start)
+        self._compile(m)
         self._bind(xs, queue_rows)
         self._guaranteed = np.array(
             [self.guaranteed_requests(names[i]) for i in self._holders]

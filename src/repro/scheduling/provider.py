@@ -13,12 +13,18 @@ As in the community model, the mandatory lower bound shrinks to the demand
 (``x_i >= min(n_i, MC_i)``) when a queue is below its mandatory level, so a
 customer's sub-mandatory load is always served in full while the surplus
 goes to the highest payer (the paper's Fig 10 behaviour).
+
+:class:`ProviderPlan`, which every window runs, is the same optimum in
+closed form: ``min(n_i, MC_i)`` each, then the rest of ``V_s`` by
+descending price, each customer up to ``min(n_i, MC_i + OC_i)``.  One price
+level splits its share in proportion to headroom, where the LP leaves the
+choice to its vertex (zero prices included: the plan is work-conserving).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -27,7 +33,7 @@ from repro.lp import Model, Solution, Status, solve
 from repro.scheduling.compiled import CompiledWindowLP
 from repro.scheduling.window import WindowConfig
 
-__all__ = ["ProviderScheduler", "ProviderSchedule"]
+__all__ = ["ProviderScheduler", "ProviderSchedule", "ProviderPlan"]
 
 
 @dataclass
@@ -46,13 +52,8 @@ class ProviderSchedule:
         return sum(self.x.values())
 
 
-class ProviderScheduler(CompiledWindowLP):
-    """Compiles the provider-income LP once and re-solves it each window.
-
-    One variable per customer, one capacity row and the price objective are
-    fixed by the agreements; per window only the demand-clipped bounds
-    ``min(n_i, MC_i) <= x_i <= min(n_i, MC_i + OC_i)`` are rewritten (an
-    idle customer's variable is pinned to ``[0, 0]``).
+class ProviderPlan:
+    """The provider LP's optimum in closed form (see the module docstring).
 
     Args:
         access: per-second access levels; customer entitlements must stem
@@ -62,8 +63,9 @@ class ProviderScheduler(CompiledWindowLP):
         capacity: the provider's total server capacity ``V_s`` in req/s.
             Defaults to the sum of capacities in ``access``.
         window: scheduling window.
-        warm_start: start each solve from the previous window's optimal
-            basis (False: always the cold two-phase path).
+
+    Calling it with one window's global queue lengths returns ``(admitted
+    per customer, income)``.
     """
 
     def __init__(
@@ -72,7 +74,6 @@ class ProviderScheduler(CompiledWindowLP):
         prices: Mapping[str, float],
         capacity: Optional[float] = None,
         window: WindowConfig = WindowConfig(),
-        warm_start: bool = True,
     ):
         self.access = access
         self.window = window
@@ -95,7 +96,65 @@ class ProviderScheduler(CompiledWindowLP):
         self._mc = w.MC[idx]
         self._oc = w.OC[idx]
         self._price = np.array([self.prices.get(name, 0.0) for name in self.customers])
+        self._floor = self._mc.tolist()
+        self._top = (self._mc + self._oc).tolist()
+        self._pay = self._price.tolist()
+        levels: Dict[float, List[int]] = {}
+        for j, p in enumerate(self._pay):
+            levels.setdefault(p, []).append(j)
+        # Customer positions per price, highest price first.
+        self._levels = [levels[p] for p in sorted(levels, reverse=True)]
 
+    def __call__(
+        self, queue_lengths: Mapping[str, float]
+    ) -> Tuple[Dict[str, float], float]:
+        hi = [min(top, float(queue_lengths.get(name, 0.0)))
+              for top, name in zip(self._top, self.customers)]
+        hi = [h if h > 1e-12 else 0.0 for h in hi]
+        x = [min(mc, h) for mc, h in zip(self._floor, hi)]
+        rest = self._vs - sum(x)
+        if rest < -1e-9 * max(1.0, self._vs):
+            raise RuntimeError("provider LP infeasible")
+        for level in self._levels:
+            if rest <= 0.0:
+                break
+            head = sum(hi[j] - x[j] for j in level)
+            if head <= 0.0:
+                continue
+            if head <= rest:
+                for j in level:
+                    x[j] = hi[j]
+                rest -= head
+            else:
+                share = rest / head
+                for j in level:
+                    x[j] += (hi[j] - x[j]) * share
+                rest = 0.0
+        # Income counts the customers in play this window only.
+        income = float(sum(p * (xj - mc) for p, xj, mc, h in zip(
+            self._pay, x, self._floor, hi) if h > 0.0))
+        return dict(zip(self.customers, x)), income
+
+
+class ProviderScheduler(ProviderPlan, CompiledWindowLP):
+    """Compiles the provider-income LP once and re-solves it each window.
+
+    One variable per customer, one capacity row and the price objective are
+    fixed by the agreements; per window only the demand-clipped bounds
+    ``min(n_i, MC_i) <= x_i <= min(n_i, MC_i + OC_i)`` are rewritten (an
+    idle customer's variable is pinned to ``[0, 0]``).  Takes
+    :class:`ProviderPlan`'s arguments and shares its customers, prices and
+    ``V_s``.
+    """
+
+    def __init__(
+        self,
+        access: AccessLevels,
+        prices: Mapping[str, float],
+        capacity: Optional[float] = None,
+        window: WindowConfig = WindowConfig(),
+    ):
+        super().__init__(access, prices, capacity, window)
         m = Model("provider")
         xs = [m.var(f"x_{name}") for name in self.customers]
         if xs:
@@ -104,7 +163,7 @@ class ProviderScheduler(CompiledWindowLP):
                 float(p) * (v - float(mc))
                 for p, v, mc in zip(self._price, xs, self._mc)
             ))
-        prog = self._compile(m, warm_start)
+        prog = self._compile(m)
         self._xcols = prog.cols(xs)
 
     def schedule(self, queue_lengths: Mapping[str, float]) -> ProviderSchedule:

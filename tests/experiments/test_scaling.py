@@ -36,8 +36,8 @@ class TestScalingPoint:
     def test_metrics_populated(self):
         p = run_scaling_point(8, seed=0, duration=6.0)
         assert p.n_principals == 8
-        assert p.solves > 0
-        assert p.lp_ms_mean > 0.0
+        assert p.plans > 0
+        assert p.plan_ms_mean > 0.0
         assert 0.0 <= p.guarantee_satisfaction <= 1.0
         assert p.throughput <= p.capacity * 1.05
 

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.experiments.sweeps import (
-    sweep_cache,
     sweep_delay,
     sweep_redirectors,
     sweep_window,
@@ -22,12 +21,6 @@ class TestSweeps:
         points = sweep_redirectors(counts=(1, 4), duration=10.0)
         assert points[0].extra["messages_per_round"] == pytest.approx(0.0, abs=0.1)
         assert points[1].extra["messages_per_round"] == pytest.approx(6.0, rel=0.3)
-
-    def test_cache_sweep_counts(self):
-        points = sweep_cache(tolerances=(0.0, 0.25), duration=10.0)
-        assert points[0].extra["cache_hits"] == 0.0
-        assert points[1].extra["cache_hits"] > 0.0
-        assert points[1].extra["lp_solves"] < points[0].extra["lp_solves"]
 
 
 class TestSweepConclusions:
@@ -48,8 +41,3 @@ class TestSweepConclusions:
     def test_redirectors(self):
         points = sweep_redirectors(counts=(1, 2, 4), duration=25.0)
         assert all(p.enforcement_error < 0.1 for p in points)
-
-    def test_cache_tolerance(self):
-        points = sweep_cache(tolerances=(0.0, 0.05, 0.25), duration=20.0)
-        assert all(p.enforcement_error < 0.1 for p in points)
-        assert points[-1].extra["lp_solves"] < 0.5 * points[0].extra["lp_solves"]

@@ -14,6 +14,7 @@ from unittest import mock
 
 import repro.cluster.columnar as columnar
 import repro.experiments.figures as figures
+import repro.lp.solver as lp_solver
 from repro.analysis.invariants import check_enabled
 from repro.analysis.replay import admission_digest, scenario_digest
 from repro.core.agreements import Agreement, AgreementGraph
@@ -32,6 +33,7 @@ class Record:
     digest: str                    # scenario_digest
     admission: Dict[str, str]      # node name -> admission_digest
     costs: Tuple[int, int]         # (events scheduled, plans over all nodes)
+    lp_solves: int                 # simplex solves, through any solve binding
     handle_calls: Tuple[int, int]  # (L7Redirector.handle, L4Switch.handle)
     meter_calls: int               # RateMeter.record_many
     busy_passes: int               # columnar._busy_pass calls
@@ -42,7 +44,7 @@ class Record:
 def costs(sc) -> Tuple[int, int]:
     """(events scheduled, plans computed over every redirector and daemon)."""
     return sc.sim._seq, sum(
-        owner.allocator.lp_solves
+        owner.allocator.plans_computed
         for owners in (sc.l7_redirectors, sc.l4_daemons)
         for owner in owners.values()
     )
@@ -61,7 +63,7 @@ def _counted(owner, name, counter, index):
 def _record(build) -> Tuple[Record, object]:
     """Run ``build()`` (it returns ``(Scenario, result or None)``) with the
     handle, meter and busy-pass spies on."""
-    calls = [0, 0, 0]
+    calls = [0, 0, 0, 0]
     batches = []
     busy_pass = columnar._busy_pass
 
@@ -72,6 +74,7 @@ def _record(build) -> Tuple[Record, object]:
     with _counted(L7Redirector, "handle", calls, 0), \
             _counted(L4Switch, "handle", calls, 1), \
             _counted(RateMeter, "record_many", calls, 2), \
+            _counted(lp_solver, "bounded_simplex", calls, 3), \
             mock.patch.object(columnar, "_busy_pass", spy):
         sc, result = build()
     owners = {**sc.l7_redirectors, **sc.l4_daemons}
@@ -81,6 +84,7 @@ def _record(build) -> Tuple[Record, object]:
         digest=scenario_digest(sc),
         admission={name: admission_digest(o) for name, o in owners.items()},
         costs=costs(sc),
+        lp_solves=calls[3],
         handle_calls=(calls[0], calls[1]),
         meter_calls=calls[2],
         busy_passes=len(batches),

@@ -12,6 +12,12 @@ one through the event heap — a change of simulated behaviour by design
 the parents of the commits that compiled the window LP (fig6/7/8) and that
 made ``lane=`` the only execution selector (fig9/10, fault matrix, fig1).
 
+Every figure constant but fig10's, and the sharded and columnar-load
+constants, moved once more at the commit that made each window's plan the
+exact optimum for its estimate, computed in closed form with no plan
+reused (CHANGES.md lists old -> new); fig10, the fault matrix and fig1d
+held.
+
 fig6, fig9 and fig10 have run on the columnar lane by default since the
 commit that let it park refused requests, fig7 since the commit that made
 the server lanes drain in request blocks; their constants did not move.
@@ -42,26 +48,26 @@ from tests.integration.recorded import columnar_load_run, figure_run
 
 PINNED = {
     "fig6": (
-        "7143835c10feb6b8444c9df230443934f15093779576e733db50a03820974228",
-        {"R1": "9111c6490487105bfe40626b4569984dec97cee73bdb6c8d424ed89acd2548d1",
-         "R2": "b7ffd25bf289e829a7f5eb19f849309a6440864a639f4262d6fa4e3327d340da"},
+        "3f4f1761218ec9fa9d17d723b80a71e92269d0b33ef08be589104fbce148effe",
+        {"R1": "f20991dfe52812c893ab4063e09b108df6a09468dab5329e297506d18b43840e",
+         "R2": "1575e0607fcbae554719bcc0a486327fabf6dac0d2ee6208e78db5a79ea4acac"},
     ),
     "fig7": (
-        "25fdb3d783d9458f4cb43b0d823ab901c31d58213297ae76cf7b7f21d79391f8",
-        {"R1": "92afb60680c7e113a3d3a767785af1a7b1846b8f62bc32156f149b322744df47",
-         "R2": "b6a93bfc451f0ade707c083280aa39923bb4cd4907e940663297e588c063bfe1"},
+        "b02acf5272d65ef056f78ea86ec2aa1300fb41de911c7ffab1801049667f96fa",
+        {"R1": "75d9f52f224433251794345edb1b755430032f0f0c73ebe6e42081ecb9521d09",
+         "R2": "b1b0676ce1028fc2bda3d81a22eb49d9a224809417091e1edefa2afdffa54d09"},
     ),
     "fig8": (
-        "7db85863f06e605808061672f4a0548d198344d4683a818819a360d1bfdfeeaa",
+        "a21cf3fa0ff62c91218f2b3ffa6b536a7ef986f50743b8000d1dd50cb1780838",
         {"R1": "9ad5985782def67f63a8209546ab0d03bf684c7853d1e2dbf02d0b68a599c330",
-         "R2": "7e9154b3f864557e357c74756f3ad654816953fb5fa9ef9500bb8cec96afd2cc"},
+         "R2": "49afa335b3b5432f11aff53c183d396fb728ce759fd3be528d4760b84d2e8826"},
     ),
 }
 
 PINNED_L4 = {
     "fig9": (
-        "322da75164e94b87535ea329040cab53cc195f396decad5c48cf10d9e247c423",
-        {"SW": "ccb30099eb00b10f827cf48ef92caab5b0bd43ca4ec1362714dfe71f869b67c9"},
+        "9e0d1f4f6f4d5dce75227631e3a46f34efb6ad7bb8433d3b61ae6150c8a7ed15",
+        {"SW": "14d1a39d7342e954886be98a80bfc415c2f7f36cdb7f44a64e9b46252a64a82c"},
     ),
     "fig10": (
         "7f5d988ca6bfa9a992b7d0604b48fd0c49e9b732ad9ff968dcaedf34fdf1367e",
@@ -72,12 +78,12 @@ PINNED_L4 = {
 # figure -> (ShardedResult.digest(), final_checkpoint_digest) at 4 replicas.
 PINNED_SHARDED = {
     "fig6": (
-        "7679f693c4bb53f3cd6400baa8c556595eb29413cff2418892ee05db8489d315",
-        "dbb9d2e15b8cf759869ce6efaaff74bf9dcf05f72ad5d5ab882848ea9c4b389b",
+        "c7bd5258f61e203c04773fec7e8cff01143b48e41ba78b4c0522b750d2bb7f1d",
+        "d90ee009b88734ca4a064e1021a73d4687ba1fbf178cbf497d90c04a0ce00f03",
     ),
     "fig9": (
-        "d99641ae642bf11b7334088694d08bc56a706d5dafef3016066bc0a585b65f4d",
-        "fe967f5bf6f9d2b53e18485e8f2b0b807426e847d91eb7c408059cb9cd8c1c0b",
+        "3d51e2445b81482c0fa24babc587bc29091e6cb78542cda18cd210cd9f27504c",
+        "a665dd83be4b88f804a30a3092548a7f49549578f34efee6c0437896f4e42150",
     ),
 }
 
@@ -87,12 +93,12 @@ PINNED_SHARDED = {
 # columnar, which must leave them alone.
 PINNED_SHARDED_LOAD = {
     "fig6": (
-        "eec910838de86f2d8540165de961b88e0e4c1cc64d6f3b60d829129edfe7edfa",
-        "f536098998a6767e161a940e43718ea4b223373eaf4639cd38b83fe163566977",
+        "04d524bb63bf2333d616d7343ffbab6903ea791fb2ab42ee8437561822ae890f",
+        "f80a841b3d8ba602af62984b98efa799a6d2a6baa4aeda951675dc0dac26cb13",
     ),
     "fig9": (
-        "c8c7ea366d8c23227444ac162325761695cc085c9e9cc7640bdc46c9d20c0d27",
-        "2ee6c016d6bf505bda6f311136dd0618a94391ed80294488bee497909000efb3",
+        "930ae848046559d8b2bc0bea2cada4a79e80a7890ae39f1063c5e0c5e108fc10",
+        "3ddbe3ace0a193fe52dad30d024ac723009d5b9cb8763de298194d6d8247b076",
     ),
 }
 
@@ -102,8 +108,8 @@ PINNED_SHARDED_LOAD = {
 # mixed busy/idle batches take the busy-period drain rather than the scalar
 # loop.  Captured before that drain existed; both lanes must land on them.
 PINNED_COLUMNAR_LOAD = {
-    0: "a490a4dcda25e96ae1d8422dba556721858860033748d08a55f13a4018da0589",
-    1: "d8b99eac1e46e5aed7cdd39a7ddce3f92a2763eef09d8ac45c4600050c1b3e9c",
+    0: "9035da7f1c37b851560d164a15ed9fdc0b5415a71915aa52aaaef6732a8c7933",
+    1: "5adb0a7584bae4d2df11b0995834faf0591dd1f125837bea8efe5e7f35d901b9",
 }
 
 PINNED_FAULT_MATRIX = (

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.lp import SolveCache
+from repro.lp.cache import SolveCache
 
 
 def test_exact_keys_hit_only_on_identical_demand():

@@ -6,7 +6,7 @@ from repro.coordination.aggregation import VectorAggregate
 from repro.coordination.protocol import GlobalView
 from repro.core.access import compute_access_levels
 from repro.scheduling.allocator import WindowAllocator
-from repro.scheduling.window import WindowConfig
+from repro.scheduling.window import WindowConfig, roll_ewma
 
 W = WindowConfig(0.1)
 
@@ -106,56 +106,27 @@ class TestLocalScaling:
         assert 0.9 <= served_fraction <= 1.0
 
 
-class TestSolveCache:
-    def test_stable_demand_reuses_solve(self, fig6_graph):
+class TestExactPlans:
+    def test_every_window_is_planned(self, fig6_graph):
         alloc = WindowAllocator(compute_access_levels(fig6_graph), W)
-        alloc.compute({"A": 27.0, "B": 13.5})
         for _ in range(5):
-            alloc.compute({"A": 27.2, "B": 13.4})   # within 5%
-        assert alloc.lp_solves == 1
-        assert alloc.cache_hits == 5
+            alloc.compute({"A": 27.2, "B": 13.4})
+        assert alloc.plans_computed == 5
 
-    def test_demand_shift_invalidates(self, fig6_graph):
-        alloc = WindowAllocator(compute_access_levels(fig6_graph), W)
-        alloc.compute({"A": 27.0, "B": 13.5})
-        alloc.compute({"A": 40.0, "B": 13.5})       # A moved 48%
-        assert alloc.lp_solves == 2
-
-    def test_cached_plan_rescaled_by_fresh_local(self, fig6_graph):
-        # Same global estimate, different local share: quotas must differ
-        # even on a cache hit.
-        alloc = WindowAllocator(compute_access_levels(fig6_graph), W)
-        a1 = alloc.compute({"A": 27.0, "B": 13.5})
-        a2 = alloc.compute({"A": 27.0, "B": 13.5})
-        assert alloc.cache_hits == 1
-        assert a1.quotas == pytest.approx(a2.quotas)
-
-    def test_zero_tolerance_disables(self, fig6_graph):
+    def test_plan_rescaled_by_fresh_local(self, fig6_graph):
+        # Same global estimate, different local share: quotas must differ.
         alloc = WindowAllocator(
-            compute_access_levels(fig6_graph), W, cache_tolerance=0.0
-        )
-        alloc.compute({"A": 27.0, "B": 13.5})
-        alloc.compute({"A": 27.0, "B": 13.5})
-        assert alloc.lp_solves == 2
-        assert alloc.cache_hits == 0
+            compute_access_levels(fig6_graph), W, n_redirectors=2)
+        alloc.attach(FakeNode(_view({"A": 27.0, "B": 13.5},
+                                    local_then={"A": 13.5, "B": 13.5})))
+        half = alloc.compute({"A": 13.5, "B": 13.5})
+        alloc.attach(FakeNode(_view({"A": 27.0, "B": 13.5},
+                                    local_then={"A": 27.0, "B": 13.5})))
+        whole = alloc.compute({"A": 27.0, "B": 13.5})
+        assert half.global_estimate == whole.global_estimate
+        assert half.quotas["A"] == pytest.approx(whole.quotas["A"] / 2)
 
-    def test_negative_tolerance_rejected(self, fig6_graph):
-        with pytest.raises(ValueError):
-            WindowAllocator(
-                compute_access_levels(fig6_graph), W, cache_tolerance=-1.0
-            )
-
-    def test_set_access_invalidates(self, fig6_graph):
-        acc = compute_access_levels(fig6_graph)
-        alloc = WindowAllocator(acc, W)
-        alloc.compute({"A": 27.0, "B": 13.5})
-        alloc.set_access(acc.scaled(1.0))
-        alloc.compute({"A": 27.0, "B": 13.5})
-        assert alloc.lp_solves == 2
-
-    def test_set_access_drops_exact_repeats(self, fig6_graph):
-        # The exact-match plan cache goes with the levels it was solved
-        # for: a repeat of an old estimate is solved against the new ones.
+    def test_set_access_replans(self, fig6_graph):
         acc = compute_access_levels(fig6_graph)
         alloc = WindowAllocator(acc, W)
         est = {"A": 27.0, "B": 13.5}
@@ -164,6 +135,20 @@ class TestSolveCache:
         after = alloc.compute(est)
         fresh = WindowAllocator(acc.scaled(0.5), W).compute(est)
         assert after.quotas == fresh.quotas != before.quotas
+
+    def test_fig9_phase3_b_gets_its_full_share(self, fig9_graph):
+        """Fig 9 phase 3: A's EWMA falls 40.97 -> 40 at 40 arrivals per
+        window while B's stays at 40.  A is capped by its own demand, so
+        once its estimate settles B gets the rest of the 64 requests per
+        window, 24 (240 req/s), exactly; a plan reused from A's 40.97 held
+        B at 23.03."""
+        alloc = WindowAllocator(compute_access_levels(fig9_graph), W)
+        est = {"A": 40.97, "B": 40.0}
+        for _ in range(40):
+            got = alloc.compute(est)
+            roll_ewma(est, {"A": 40.0, "B": 40.0}, 0.7)
+        assert est["A"] == 40.0
+        assert got.quotas == {"A": 40.0, "B": 24.0}
 
 
 class TestProviderMode:
