@@ -222,12 +222,7 @@ class CommunityPlan:
     ``holders``, the requests it sends over each of its ``edges``.
     """
 
-    def __init__(
-        self,
-        access: AccessLevels,
-        window: WindowConfig = WindowConfig(),
-        enforce_lower_bounds: bool = True,
-    ):
+    def __init__(self, access: AccessLevels, window: WindowConfig = WindowConfig()):
         w = access.per_window(window.length)
         box = w.MI + w.OI
         self.names = access.names
@@ -248,8 +243,7 @@ class CommunityPlan:
             for e, (k, _) in enumerate(edges):
                 self._into[k].append((h, e))
         self._V = [float(w.V[k]) for k in self.owners]
-        self._MC = [float(w.MC[i]) if enforce_lower_bounds else 0.0
-                    for i in self.holders]
+        self._MC = [float(w.MC[i]) for i in self.holders]
 
     def __call__(
         self, queues: Sequence[float], locality_caps: Optional[Sequence[float]] = None
