@@ -42,8 +42,13 @@ import pytest
 
 import repro.experiments.figures as figures
 from repro.analysis.replay import chaos_replay
+from repro.experiments.baselines import run_enforcement_comparison
 from repro.experiments.faultmatrix import run_crash_recovery_matrix
+from repro.experiments.scaling import run_scaling_point
 from repro.experiments.sharded import run_sharded
+from repro.experiments.sweeps import (
+    sweep_delay, sweep_redirectors, sweep_window,
+)
 from tests.integration.recorded import columnar_load_run, figure_run
 
 PINNED = {
@@ -119,6 +124,41 @@ PINNED_FAULT_MATRIX = (
 PINNED_FIG1D = {
     "endpoint": {"A": "0x1.cd9999999999ap+4", "B": "0x1.149999999999ap+6"},
     "coordinated": {"A": "0x1.4000000000000p+4", "B": "0x1.4000000000000p+6"},
+}
+
+# The sweeps, the WRR baseline and the scaling study, recorded at the parent
+# of the commit that derived their worlds from the figure records.
+# sweep -> one (a_rate, b_rate, extra) per point.
+PINNED_SWEEPS = {
+    "window": [
+        ("0x1.7200000000000p+7", "0x1.0d9999999999ap+7", {}),
+        ("0x1.7200000000000p+7", "0x1.0d9999999999ap+7", {}),
+    ],
+    "delay": [
+        ("0x1.7200000000000p+7", "0x1.0e00000000000p+7",
+         {"ramp_b": "0x1.0b00000000000p+7"}),
+        ("0x1.7200000000000p+7", "0x1.0dccccccccccdp+7",
+         {"ramp_b": "0x1.0b00000000000p+7"}),
+    ],
+    "redirectors": [
+        ("0x1.7200000000000p+7", "0x1.0d00000000000p+7",
+         {"messages_per_round": "0x0.0p+0"}),
+        ("0x1.7100000000000p+7", "0x1.0e00000000000p+7",
+         {"messages_per_round": "0x1.8147ae147ae14p+2"}),
+    ],
+}
+
+PINNED_BASELINE = {
+    "coordinated": {"A": "0x1.7200000000000p+7", "B": "0x1.0dd999999999ap+7"},
+    "passthrough": {"A": "0x1.e000000000001p+7", "B": "0x1.4000000000000p+6"},
+}
+
+# run_scaling_point(8, seed=0, duration=6); the plan_ms_* fields are wall
+# clock and stay out.
+PINNED_SCALING = {
+    "throughput": "0x1.1800000000000p+9",
+    "guarantee_satisfaction": "0x1.0000000000000p+0",
+    "plans": 60,
 }
 
 
@@ -207,3 +247,34 @@ def test_fig1_distributed_reproduces_parent_rates():
         "endpoint": {p: r.hex() for p, r in result.endpoint.items()},
         "coordinated": {p: r.hex() for p, r in result.coordinated.items()},
     } == PINNED_FIG1D
+
+
+def test_sweeps_reproduce_parent_rates():
+    points = {
+        "window": sweep_window((0.05, 0.1), 10),
+        # A 10 s run leaves nothing after the delay sweep's 10 s settle.
+        "delay": sweep_delay((0.005, 0.5), 20),
+        "redirectors": sweep_redirectors((1, 4), 10),
+    }
+    assert {
+        sweep: [(p.a_rate.hex(), p.b_rate.hex(),
+                 {k: v.hex() for k, v in p.extra.items()}) for p in pts]
+        for sweep, pts in points.items()
+    } == PINNED_SWEEPS
+
+
+def test_baseline_reproduces_parent_rates():
+    result = run_enforcement_comparison(duration=20, seed=1)
+    assert {
+        "coordinated": {p: r.hex() for p, r in result.coordinated.items()},
+        "passthrough": {p: r.hex() for p, r in result.passthrough.items()},
+    } == PINNED_BASELINE
+
+
+def test_scaling_point_reproduces_parent_values():
+    point = run_scaling_point(8, seed=0, duration=6)
+    assert {
+        "throughput": point.throughput.hex(),
+        "guarantee_satisfaction": point.guarantee_satisfaction.hex(),
+        "plans": point.plans,
+    } == PINNED_SCALING
