@@ -155,14 +155,16 @@ class ProviderScheduler(ProviderPlan, CompiledWindowLP):
         window: WindowConfig = WindowConfig(),
     ):
         super().__init__(access, prices, capacity, window)
+        self.lp_solves = 0
+        if not self.customers:
+            return  # nothing to sell: schedule() returns the empty plan
         m = Model("provider")
         xs = [m.var(f"x_{name}") for name in self.customers]
-        if xs:
-            m.add(sum(xs) <= self._vs)
-            m.maximize(sum(
-                float(p) * (v - float(mc))
-                for p, v, mc in zip(self._price, xs, self._mc)
-            ))
+        m.add(sum(xs) <= self._vs)
+        m.maximize(sum(
+            float(p) * (v - float(mc))
+            for p, v, mc in zip(self._price, xs, self._mc)
+        ))
         prog = self._compile(m)
         self._xcols = prog.cols(xs)
 
