@@ -218,20 +218,22 @@ def chaos_replay(
     fault handling is part of the determinism envelope, not an exception
     to it.  Each digest is :func:`scenario_digest`.
     """
-    from repro.experiments.faultmatrix import fault_matrix_scenario
+    from repro.experiments.faultmatrix import arm_liveness, fault_matrix_world
 
-    meta: Dict[str, Any] = {"duration_scale": duration_scale, "seed": seed}
+    world = fault_matrix_world(duration_scale, seed, plan)
+    assert world.faults is not None
 
     def build(check: bool) -> Any:
-        sc, injector, _ = fault_matrix_scenario(
-            duration_scale=duration_scale, seed=seed,
-            check_invariants=check, plan=plan,
-        )
-        meta["plan_digest"] = injector.plan.digest()
+        sc = world.build(check_invariants=check)
+        if plan is None:
+            arm_liveness(sc, world)
+        sc.run(world.horizon)
         return sc
 
-    return _replay("faultmatrix", build, scenario_digest, runs,
-                   with_invariants, meta)
+    return _replay("faultmatrix", build, scenario_digest, runs, with_invariants, {
+        "duration_scale": duration_scale, "seed": seed,
+        "plan_digest": world.faults.digest(),
+    })
 
 
 def columnar_replay(

@@ -11,13 +11,12 @@ the coordinated scheduler on the same workload.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Mapping, Optional, Union
 
 from repro.cluster.client import Decision, Drop, Redirect
 from repro.cluster.request import Request
 from repro.cluster.server import Server
-from repro.experiments.harness import Scenario
 from repro.scheduling.wrr import SmoothWeightedRoundRobin
 from repro.sim.engine import Simulator
 
@@ -100,32 +99,20 @@ def run_enforcement_comparison(
     A floods at 405 req/s against a 20% guarantee; B offers 135 req/s
     against an 80% guarantee (256 req/s).  Coordinated enforcement serves
     B fully; capacity-weighted WRR splits by offered load and squeezes B
-    to ~a quarter of the server.
+    to ~a quarter of the server.  Both run
+    :func:`repro.experiments.sweeps.contended_world`, the second with the
+    redirector swapped for a :class:`PassthroughRedirector`.
     """
     from repro.core.access import compute_access_levels
-    from repro.experiments.figures import fig6_world
+    from repro.experiments.figures import run_figure
+    from repro.experiments.sweeps import contended_world
 
-    demands = {"A": 405.0, "B": 135.0}
-    settle = min(10.0, duration / 3.0)
-
-    def drive(kind: str) -> Dict[str, float]:
-        sc = Scenario(fig6_world().graph(), seed=seed)
-        srv = sc.server("S", "S", 320.0)
-        if kind == "coordinated":
-            red = sc.l7("R", {"S": srv})
-        else:
-            red = PassthroughRedirector(sc.sim, "R", {"S": srv})
-        for p, rate in demands.items():
-            sc.client(f"C{p}", p, red, rate=rate)
-        sc.run(duration)
-        return {
-            p: sc.meter.mean_rate(p, settle, duration) for p in demands
-        }
-
-    access = compute_access_levels(fig6_world().graph())
+    world = contended_world(duration, min(10.0, duration / 3.0), seed)
+    wrr = replace(world, nodes=tuple(replace(n, kind="passthrough") for n in world.nodes))
+    access = compute_access_levels(world.graph())
     return BaselineComparison(
-        coordinated=drive("coordinated"),
-        passthrough=drive("passthrough"),
-        guarantees={p: access.mandatory(p) for p in demands},
-        demands=demands,
+        coordinated=run_figure(world).phases[0].rates,
+        passthrough=run_figure(wrr).phases[0].rates,
+        guarantees={p: access.mandatory(p) for p in world.keys},
+        demands={c.principal: c.rate for c in world.clients},
     )

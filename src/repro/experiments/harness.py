@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import gc
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -34,6 +34,9 @@ from repro.sim.engine import Simulator
 from repro.sim.monitor import PhaseStats, RateMeter, summarize_phases
 from repro.sim.rng import RngStreams
 from repro.sim.trace import Tracer
+
+if TYPE_CHECKING:
+    from repro.faults.inject import FaultInjector
 
 __all__ = ["Scenario", "FigureResult", "PhaseExpectation"]
 
@@ -154,6 +157,7 @@ class Scenario:
         self.l4_switches: Dict[str, L4Switch] = {}
         self.l4_daemons: Dict[str, L4Daemon] = {}
         self.clients: Dict[str, ClientMachine] = {}
+        self.injector: Optional[FaultInjector] = None  # FigureWorld.build sets it
         self._tree_built = False
 
     # -- components -------------------------------------------------------
@@ -183,6 +187,12 @@ class Scenario:
         if self.invariants is not None:
             self.invariants.watch_server(self.sim, srv, self.window.length)
         return srv
+
+    def passthrough(self, name: str, pools, weights: Optional[Mapping[str, float]] = None):
+        """The §6 baseline front end: admit all, spread load by WRR."""
+        from repro.experiments.baselines import PassthroughRedirector
+
+        return PassthroughRedirector(self.sim, name, pools, weights=weights)
 
     def _on_complete(self, request, server) -> None:
         self.meter.record(request.principal, self.sim.now)

@@ -1162,7 +1162,7 @@ def shard_world(
         raise ValueError(
             f"sharded lane supports {sorted(SHARDED_WORLDS)}, not {world.figure!r}"
         )
-    capacity = {name: cap for name, _owner, cap in world.servers}
+    capacity = {name: cap for name, _owner, cap, *_ in world.servers}
     clusters: List[ShardCluster] = []
     for i in range(replicas):
         tag = f"[{i}]" if replicas > 1 else ""

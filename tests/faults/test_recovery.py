@@ -12,7 +12,7 @@ from repro.coordination.protocol import GlobalView
 from repro.experiments.faultmatrix import (
     CONSERVATIVE_B,
     K_WINDOWS,
-    fault_matrix_scenario,
+    fault_matrix_world,
     run_fault_matrix,
 )
 from repro.experiments.harness import Scenario
@@ -45,7 +45,10 @@ class TestFaultMatrix:
         assert "rejoins=1" in result.notes
 
     def test_partitioned_redirector_counts_degraded_windows(self):
-        sc, _, (t1, t2, end) = fault_matrix_scenario(duration_scale=0.4)
+        world = fault_matrix_world(duration_scale=0.4)
+        sc = world.scenario()
+        (partition,) = world.faults.events
+        t1, t2 = partition.at, partition.until
         degraded = sc.l7_redirectors["R2"].allocator.degraded_windows
         # Windows are 0.1 s; the view goes stale ~1 s into the partition.
         assert degraded * sc.window.length > 0.5 * (t2 - t1 - 2.0)
@@ -145,6 +148,6 @@ class TestChaosReplay:
         assert report.meta["plan_digest"]
 
     def test_digest_covers_fault_ledgers(self):
-        sc1, _, _ = fault_matrix_scenario(duration_scale=0.4)
-        sc2, _, _ = fault_matrix_scenario(duration_scale=0.4, seed=1)
+        sc1 = fault_matrix_world(duration_scale=0.4).scenario()
+        sc2 = fault_matrix_world(duration_scale=0.4, seed=1).scenario()
         assert scenario_digest(sc1) != scenario_digest(sc2)

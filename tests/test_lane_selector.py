@@ -31,9 +31,10 @@ GONE = {"lp_cache", "fast_periodic", "fast_lane", "l4_fast_lane",
 SWITCHLESS = [
     Scenario,
     *figures.ALL_FIGURES.values(),
-    *figures.WORLDS.values(), figures.FigureWorld.scenario, figures.run_figure,
+    *figures.WORLDS.values(), figures.FigureWorld.build,
+    figures.FigureWorld.scenario, figures.run_figure,
     parallel.figure_kwargs, parallel.run_figures_parallel,
-    faultmatrix.fault_matrix_scenario, faultmatrix.run_fault_matrix,
+    faultmatrix.fault_matrix_world, faultmatrix.run_fault_matrix,
     faultmatrix.run_crash_recovery_matrix,
     replay.figure_replay, replay.chaos_replay,
     replay.columnar_replay, replay.sharded_replay,
