@@ -1,7 +1,8 @@
 """Runtime determinism and conservation tooling.
 
 The reproduction's headline claim — bit-identical figures across
-``--jobs``, ``--lane`` and ``--shards`` — rests on two contracts:
+``--jobs``, ``--shards`` and the slotted and columnar lanes — rests on
+two contracts:
 
 - **Determinism**: no wall-clock reads, no unseeded randomness, no
   iteration order drawn from unordered collections, total-order heap

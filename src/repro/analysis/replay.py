@@ -2,8 +2,8 @@
 
 Runs a scenario from scratch N times and compares SHA-256 digests of
 everything observable — completion series, per-server ledgers, client
-counters, trace events.  Two runs with the same arguments must produce
-identical digests; a third run with the invariant checker enabled must
+counters, per-window admission series.  Two runs with the same arguments
+must produce identical digests; a third run with the invariant checker enabled must
 *also* produce the same digest, proving the checker is read-only.
 
 Digests hash exact float bytes (``ndarray.tobytes`` / ``float.hex``), so
@@ -39,10 +39,9 @@ def scenario_digest(sc: Any) -> str:
     """SHA-256 over a finished Scenario's observable state.
 
     Covers the completion meter (every key's exact time/rate series),
-    per-server completion ledgers, drop counters and busy time, client
-    completion counts, and — when tracing was on — every trace event.
-    Keys are visited in sorted order so the digest does not depend on
-    construction order bookkeeping.
+    per-server completion ledgers, drop counters and busy time, and
+    client completion counts.  Keys are visited in sorted order so the
+    digest does not depend on construction order bookkeeping.
     """
     h = hashlib.sha256()
     _hash_meter(h, sc.meter)
@@ -59,9 +58,6 @@ def scenario_digest(sc: Any) -> str:
     for name in sorted(sc.clients):
         client = sc.clients[name]
         h.update(f"{name}:{client.completed}".encode("utf-8"))
-    if getattr(sc, "tracer", None) is not None:
-        for event in sc.tracer.iter():
-            h.update(repr(event).encode("utf-8"))
     return h.hexdigest()
 
 
@@ -246,8 +242,8 @@ def columnar_replay(
 
     Both lanes run the figure's own world — retry pools on, refused
     requests parked at the redirector and re-offered at each install.
-    IDENTICAL means the columnar lane, the default of every figure but
-    fig8, reproduces the slotted oracle bit-for-bit.
+    IDENTICAL means the columnar lane, every figure's default, reproduces
+    the slotted oracle bit-for-bit.
     """
     digests: List[str] = []
     labels: List[str] = []

@@ -3,7 +3,6 @@
 ::
 
     python -m repro figures [--scale 0.3] [--seed 0] [--only fig6,fig9]
-                            [--lane columnar|slotted]
     python -m repro report  [--scale 0.5] [-o EXPERIMENTS.md]
     python -m repro inspect A:1000 B:1500 C A-B:0.4:0.6 B-C:0.6:1.0
     python -m repro baseline [--duration 20]
@@ -68,14 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated figure ids (default: all)")
     p_fig.add_argument("--plot", action="store_true",
                        help="render each figure's rate series as a terminal chart")
-    p_fig.add_argument("--lane", type=str, default=None,
-                       choices=["slotted", "columnar"],
-                       help="execution lane for the §5 figures: columnar "
-                            "(whole windows advanced as numpy columns) or "
-                            "slotted (one event per request, the oracle "
-                            "repro check diffs against); default: each "
-                            "figure's own.  Both produce bit-identical "
-                            "traces; not with --shards")
     p_fig.add_argument("--shards", type=int, default=0, metavar="R",
                        help="run the sharded figures on the sharded lane "
                             "with R worker processes synchronised at "
@@ -220,7 +211,6 @@ def _cmd_figures(args) -> int:
     results = dict(run_figures_parallel(
         [n for n in wanted if n in ALL_FIGURES], scale=args.scale,
         seed=args.seed, jobs=max(1, getattr(args, "jobs", 1)),
-        lane=getattr(args, "lane", None),
         shards=getattr(args, "shards", 0) or None,
     ))
     for name in wanted:

@@ -62,8 +62,10 @@ the slotted one):
   a function of its arrivals, its quotas and the FIFO it inherited.
 
 Scope: open-loop clients.  Closed-loop clients, response callbacks,
-faults/health checks, explicit/credit queuing and tracing fall back to the
-slotted lane (see ``Scenario``).  Request costs are integers by
+server and redirector crashes, health checks, explicit/credit queuing and
+front ends other than L7 redirectors and L4 switches need per-request
+events: asking for them on this lane raises :class:`LaneError` (see
+``Scenario``).  Request costs are integers by
 construction (``max(1, round(size/unit))``), which several exactness
 arguments above rely on.
 """
@@ -89,7 +91,17 @@ from repro.sim.engine import Simulator
 from repro.sim.monitor import RateMeter
 from repro.sim.stats import StreamingStats
 
-__all__ = ["ColumnarClient", "ColumnarEngine", "ColumnarStream"]
+__all__ = ["ColumnarClient", "ColumnarEngine", "ColumnarStream", "LaneError"]
+
+
+class LaneError(ValueError):
+    """A component of a world cannot run on the lane the world names."""
+
+    def __init__(self, component: str, reason: str) -> None:
+        super().__init__(f"{component} cannot run on the columnar lane: {reason}")
+        self.component = component
+        self.reason = reason
+
 
 _EMPTY = np.empty(0, dtype=float)
 _NEG_INF = float("-inf")

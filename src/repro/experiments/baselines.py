@@ -108,7 +108,9 @@ def run_enforcement_comparison(
     from repro.experiments.sweeps import contended_world
 
     world = contended_world(duration, min(10.0, duration / 3.0), seed)
-    wrr = replace(world, nodes=tuple(replace(n, kind="passthrough") for n in world.nodes))
+    # A pass-through front end has no columnar form.
+    wrr = replace(world, nodes=tuple(replace(n, kind="passthrough") for n in world.nodes),
+                  lane="slotted")
     access = compute_access_levels(world.graph())
     return BaselineComparison(
         coordinated=run_figure(world).phases[0].rates,

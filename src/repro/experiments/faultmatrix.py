@@ -92,6 +92,7 @@ def fault_matrix_world(
             PhaseExpectation("p3_recovered", dict(AGREED)),
         ),
         bin_width=0.5,
+        # Its plans may crash servers and redirectors: per-request events.
         lane="slotted",
         notes=f"partition [{t1:.0f}s, {t2:.0f}s): R2 cut from the tree",
     )

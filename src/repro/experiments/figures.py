@@ -125,7 +125,6 @@ def fig1_world(duration: float = 30.0, seed: int = 0) -> FigureWorld:
         horizon=duration,
         phases=(("steady", duration / 3.0, duration),),
         seed=seed,
-        lane="slotted",
     )
 
 
@@ -155,6 +154,8 @@ def run_fig1_distributed(duration: float = 30.0, seed: int = 0) -> Fig1Result:
         # at 0.1 s their per-window quotas here would round to ~2 requests
         # and the rounding noise, not the policy, would dominate.
         window=WindowConfig(0.5),
+        # Pass-through front ends and end-point servers have no columnar form.
+        lane="slotted",
     )
     return Fig1Result(endpoint=run_figure(endpoint).phases[0].rates,
                       coordinated=run_figure(world).phases[0].rates,
@@ -271,9 +272,12 @@ class FigureWorld:
     scheduling window and ``faults`` a plan injected into the built world
     (None: no faults).  The phases are measured after ``settle`` seconds
     each, on the principals the clients send for (:attr:`keys`), against
-    ``expected``.  ``lane`` is where :func:`run_figure` runs the world
-    when the caller names none; ``sharded`` says the world also runs on
-    the sharded lane (:func:`repro.experiments.sharded.shard_world`).
+    ``expected``.  ``lane`` is where the world runs: ``"columnar"`` unless
+    a component needs per-request events, in which case the record says
+    ``"slotted"`` and why (the slotted lane is otherwise the oracle that
+    ``repro check`` and the tests reach through :meth:`build`);
+    ``sharded`` says the world also runs on the sharded lane
+    (:func:`repro.experiments.sharded.shard_world`).
     """
 
     figure: str
@@ -361,25 +365,16 @@ class FigureWorld:
         )
 
 
-def run_figure(
-    world: FigureWorld, lane: Optional[str] = None, shards: Optional[int] = None,
-) -> FigureResult:
-    """Run a figure's world and measure its phases against the paper.
+def run_figure(world: FigureWorld, shards: Optional[int] = None) -> FigureResult:
+    """Run a figure's world on its record's lane and measure its phases
+    against the paper.
 
-    ``lane`` defaults to the record's; every lane produces the same
-    digests, and ``repro check`` diffs them against the slotted oracle.
-    ``shards`` routes a sharded world to the sharded lane (one worker
-    process per shard, window-epoch barriers — see
+    ``shards`` routes a sharded world to the sharded lane instead (one
+    worker process per shard, window-epoch barriers — see
     :mod:`repro.experiments.sharded`), digest-identical for every shard
-    count.  The sharded lane is its own execution model, so ``shards``
-    with an explicit ``lane`` is an error.
+    count.
     """
     if shards is not None and shards > 0:
-        if lane is not None:
-            raise ValueError(
-                f"lane={lane!r} and shards={shards} select different execution "
-                "lanes; give one or the other"
-            )
         from repro.experiments.sharded import ShardedRunner, shard_world
 
         run = ShardedRunner(shard_world(world), shards=shards).run()
@@ -392,7 +387,7 @@ def run_figure(
                    f"{len(run.restarts)} restarts, "
                    f"{len(run.reassignments)} reassignments"))
         return world.measure(run)
-    return world.measure(world.scenario(lane))
+    return world.measure(world.scenario())
 
 
 def _phases(T: float, *expected: PhaseExpectation) -> Dict[str, object]:
@@ -531,7 +526,6 @@ def fig8_world(
         # lag, which rarely aligns with 1 s bins, and the post-lag surge
         # must not smear into the conservative phase's mean.
         bin_width=0.2,
-        lane="slotted",
         notes=(
             "p3/p5 are the ~lag-long transients where stale information lets "
             "requests compete; the paper reports the same shape."
@@ -606,41 +600,34 @@ WORLDS: Dict[str, Callable[..., FigureWorld]] = {
 
 
 def run_fig6(
-    duration_scale: float = 1.0, seed: int = 0, lane: Optional[str] = None,
-    shards: Optional[int] = None,
+    duration_scale: float = 1.0, seed: int = 0, shards: Optional[int] = None,
 ) -> FigureResult:
     """:func:`fig6_world` through :func:`run_figure`."""
-    return run_figure(fig6_world(duration_scale, seed), lane, shards)
+    return run_figure(fig6_world(duration_scale, seed), shards)
 
 
-def run_fig7(
-    duration_scale: float = 1.0, seed: int = 0, lane: Optional[str] = None,
-) -> FigureResult:
+def run_fig7(duration_scale: float = 1.0, seed: int = 0) -> FigureResult:
     """:func:`fig7_world` through :func:`run_figure`."""
-    return run_figure(fig7_world(duration_scale, seed), lane)
+    return run_figure(fig7_world(duration_scale, seed))
 
 
 def run_fig8(
     duration_scale: float = 1.0, seed: int = 0, lag: Optional[float] = None,
-    lane: Optional[str] = None,
 ) -> FigureResult:
     """:func:`fig8_world` through :func:`run_figure`."""
-    return run_figure(fig8_world(duration_scale, seed, lag), lane)
+    return run_figure(fig8_world(duration_scale, seed, lag))
 
 
 def run_fig9(
-    duration_scale: float = 1.0, seed: int = 0, lane: Optional[str] = None,
-    shards: Optional[int] = None,
+    duration_scale: float = 1.0, seed: int = 0, shards: Optional[int] = None,
 ) -> FigureResult:
     """:func:`fig9_world` through :func:`run_figure`."""
-    return run_figure(fig9_world(duration_scale, seed), lane, shards)
+    return run_figure(fig9_world(duration_scale, seed), shards)
 
 
-def run_fig10(
-    duration_scale: float = 1.0, seed: int = 0, lane: Optional[str] = None,
-) -> FigureResult:
+def run_fig10(duration_scale: float = 1.0, seed: int = 0) -> FigureResult:
     """:func:`fig10_world` through :func:`run_figure`."""
-    return run_figure(fig10_world(duration_scale, seed), lane)
+    return run_figure(fig10_world(duration_scale, seed))
 
 
 def run_faultmatrix(

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.analysis.invariants import InvariantChecker, check_enabled
 from repro.cluster.client import ClientMachine
-from repro.cluster.columnar import ColumnarClient, ColumnarEngine
+from repro.cluster.columnar import ColumnarClient, ColumnarEngine, LaneError
 from repro.cluster.server import Server
 from repro.coordination.membership import ResilientTree
 from repro.coordination.messages import MessageCounter
@@ -33,12 +33,11 @@ from repro.scheduling.window import WindowConfig
 from repro.sim.engine import Simulator
 from repro.sim.monitor import PhaseStats, RateMeter, summarize_phases
 from repro.sim.rng import RngStreams
-from repro.sim.trace import Tracer
 
 if TYPE_CHECKING:
     from repro.faults.inject import FaultInjector
 
-__all__ = ["Scenario", "FigureResult", "PhaseExpectation"]
+__all__ = ["Scenario", "FigureResult", "PhaseExpectation", "LaneError"]
 
 
 @dataclass
@@ -99,7 +98,6 @@ class Scenario:
         window: WindowConfig = WindowConfig(0.1),
         seed: int = 0,
         bin_width: float = 1.0,
-        trace: bool = False,
         check_invariants: Optional[bool] = None,
         lane: str = "slotted",
     ):
@@ -110,8 +108,9 @@ class Scenario:
         # The one execution selector.  "slotted" = per-request events;
         # "columnar" = struct-of-arrays bulk advance with one pump event
         # per window (open-loop clients, refusals parked at the redirector
-        # as in the event lanes; unsupported features fall back to
-        # "slotted" and record why in ``lane_fallback``).
+        # as in the event lanes).  A component that needs per-request
+        # events raises LaneError on "columnar"; only the invariant hooks
+        # still demote the run to "slotted", recorded in ``lane_fallback``.
         if lane not in ("slotted", "columnar"):
             raise ValueError(f"unknown lane {lane!r}")
         self.lane: str = lane
@@ -120,7 +119,6 @@ class Scenario:
         self.streams = RngStreams(seed)
         self.meter = RateMeter(bin_width)
         self.counter = MessageCounter()
-        self.tracer = Tracer() if trace else None
         # Runtime conservation checks (repro.analysis.invariants).  None
         # when off, and the hooks are only ever installed when on, so the
         # disabled hot path is byte-for-byte the unchecked one.
@@ -144,10 +142,7 @@ class Scenario:
         # (fires first at every window boundary — see ColumnarEngine).
         self.columnar: Optional[ColumnarEngine] = None
         if self.lane == "columnar":
-            if trace:
-                self.lane = "slotted"
-                self.lane_fallback = "tracing needs per-request events"
-            elif self.invariants is not None:
+            if self.invariants is not None:
                 self.lane = "slotted"
                 self.lane_fallback = "invariant hooks need per-request events"
             else:
@@ -205,38 +200,18 @@ class Scenario:
                               weight=request.cost)
         else:
             self.meter.record(f"units:{request.principal}", self.sim.now)
-        if self.tracer is not None:
-            self.tracer.record(
-                self.sim.now, "completion",
-                principal=request.principal, server=server.name,
-                response_time=request.response_time, attempts=request.attempts,
-            )
 
     def _register_node(
         self, name: str, node: EnforcementNode, capacity: Optional[float] = None
     ) -> None:
-        """Trace every window's allocation of an enforcement node and audit
-        it against ``capacity`` (requests/second; None = the community's
-        total physical capacity)."""
-        allocator = node.allocator
-        if self.tracer is not None:
-            inner = allocator.compute
-
-            def traced(local, now=None):
-                alloc = inner(local, now=now)
-                self.tracer.record(
-                    self.sim.now, "allocation", node=name,
-                    quotas=dict(alloc.quotas), fallback=alloc.used_fallback,
-                    global_estimate=dict(alloc.global_estimate),
-                )
-                return alloc
-
-            allocator.compute = traced
+        """Audit every window's allocation of an enforcement node against
+        ``capacity`` (requests/second; None = the community's total
+        physical capacity) when the invariant hooks are on."""
         if self.invariants is not None:
             if capacity is None:
                 capacity = float(self.access.V.sum())
             self.invariants.watch_allocator(
-                name, allocator, capacity * self.window.length)
+                name, node.allocator, capacity * self.window.length)
 
     def l7(
         self,
@@ -265,8 +240,8 @@ class Scenario:
     ) -> L4Switch:
         if self.lane == "columnar" and kw.get("health") is not None:
             # Health-checked pools need the checker's event-path probes.
-            self.lane = "slotted"
-            self.lane_fallback = "health-checked L4 pools need per-flow events"
+            raise LaneError(f"L4 switch {name!r}",
+                            "health-checked L4 pools need per-flow events")
         switch_cls = ColumnarL4Switch if self.lane == "columnar" else L4Switch
         switch = switch_cls(
             self.sim, name, self.access.names, servers, window=self.window, **kw,
@@ -292,31 +267,22 @@ class Scenario:
         windows: Optional[Sequence[Tuple[float, float]]] = None,
         **kw,
     ) -> Union[ClientMachine, ColumnarClient]:
-        if self.lane == "columnar":
+        if self.columnar is not None:
             reason = self._columnar_unsupported(redirector, kw)
-            if reason is None:
-                ckw = dict(kw)
-                for drop in ("users", "think", "stream_chunk"):
-                    ckw.pop(drop, None)
-                client = ColumnarClient(
-                    self.sim, name, principal, redirector, rate,
-                    rng=self.streams.get(f"client:{name}"),
-                    active_windows=list(windows) if windows is not None else None,
-                    **ckw,
-                )
-                assert self.columnar is not None
-                self.columnar.register(client)
-                self.clients[name] = client
-                return client
-            if self.columnar is not None and self.columnar.clients_by_code:
-                # Mixed lanes on one run would break the pump's window
-                # accounting; by now it is too late to demote cleanly.
-                raise ValueError(
-                    f"client {name!r} cannot join the columnar lane "
-                    f"({reason}) after columnar clients were built"
-                )
-            self.lane = "slotted"
-            self.lane_fallback = reason
+            if reason is not None:
+                raise LaneError(f"client {name!r}", reason)
+            ckw = dict(kw)
+            for drop in ("users", "think", "stream_chunk"):
+                ckw.pop(drop, None)
+            client = ColumnarClient(
+                self.sim, name, principal, redirector, rate,
+                rng=self.streams.get(f"client:{name}"),
+                active_windows=list(windows) if windows is not None else None,
+                **ckw,
+            )
+            self.columnar.register(client)
+            self.clients[name] = client
+            return client
         kw.pop("batch", None)  # ColumnarClient-only knob
         client = ClientMachine(
             self.sim, name, principal, redirector, rate,

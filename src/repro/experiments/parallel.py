@@ -110,17 +110,15 @@ def figure_kwargs(
     scale: float,
     seed: int,
     partition_seeds: bool = False,
-    lane: Optional[str] = None,
     shards: Optional[int] = None,
 ) -> Dict[str, Any]:
     """Keyword arguments for one ``ALL_FIGURES`` entry point: those of
     ``duration_scale``, ``duration`` (fig1d's, ``max(20, 100 × scale)``),
-    ``seed``, ``lane`` and — when given — ``shards`` its signature takes.
+    ``seed`` and — when given — ``shards`` its signature takes.
 
     ``partition_seeds=True`` gives every figure its own
     :func:`scenario_seed`-derived stream; the default reuses ``seed``
     verbatim, matching a serial ``for name: run_figN(seed=seed)`` loop.
-    ``lane=None`` leaves each figure on its record's default lane.
     """
     from repro.experiments.figures import ALL_FIGURES
 
@@ -128,7 +126,6 @@ def figure_kwargs(
         "duration_scale": scale,
         "duration": max(20.0, 100.0 * scale),
         "seed": scenario_seed(seed, name) if partition_seeds else seed,
-        "lane": lane,
     }
     if shards is not None:
         offered["shards"] = shards
@@ -149,7 +146,6 @@ def run_figures_parallel(
     seed: int = 0,
     jobs: Optional[int] = None,
     partition_seeds: bool = False,
-    lane: Optional[str] = None,
     shards: Optional[int] = None,
 ) -> List[Tuple[str, Any]]:
     """Run paper figures across worker processes.
@@ -167,7 +163,7 @@ def run_figures_parallel(
     if unknown:
         raise KeyError(f"unknown figures {unknown}; have {list(ALL_FIGURES)}")
     tasks = [
-        (n, figure_kwargs(n, scale, seed, partition_seeds, lane, shards))
+        (n, figure_kwargs(n, scale, seed, partition_seeds, shards))
         for n in wanted
     ]
     pooled = iter(parallel_map(

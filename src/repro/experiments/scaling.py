@@ -91,7 +91,6 @@ def scaling_world(
         horizon=duration,
         phases=(("steady", duration / 3.0, duration),),
         seed=seed,
-        lane="slotted",
     )
 
 

@@ -61,10 +61,9 @@ the parent's loads.  Where shared memory is unavailable the runner runs
 the ``shards=1`` inline path instead — bit-identical by the contract
 above — and records why in ``ShardedResult.transport_fallback``.
 
-Deterministic crash hooks for tests and chaos runs: the
-``REPRO_SHARD_FAULT`` env var (or the ``faults=`` argument, or a
-:class:`~repro.faults.plan.FaultPlan` with ``revoke_shard`` events via
-:func:`shard_faults_from_plan`) holds comma-separated
+Deterministic crash hooks for tests and chaos runs: the ``faults=``
+argument (or a :class:`~repro.faults.plan.FaultPlan` with
+``revoke_shard`` events via :func:`shard_faults_from_plan`) holds
 ``<shard>:<epoch>[:<mode>]`` tokens; ``mode`` is ``exit`` (hard
 ``os._exit``, the default), ``exc`` (clean in-worker exception shipped as
 a :class:`WorkerFailure`), or ``kill`` (SIGKILL — nothing in the worker
@@ -126,8 +125,6 @@ __all__ = [
 ]
 
 _LOG = logging.getLogger("repro.sharded")
-
-_FAULT_ENV = "REPRO_SHARD_FAULT"
 
 
 # ---------------------------------------------------------------------------
@@ -699,10 +696,7 @@ class ShardedRunner:
     reassignment to survivors beyond it.  ``recovery=None`` restores the
     PR 7 fail-stop behaviour (first :class:`ShardWorkerError` aborts).
     ``faults`` schedules deterministic worker deaths
-    (``"shard:epoch[:mode]"`` entries, strictly validated); when omitted,
-    the ``REPRO_SHARD_FAULT`` env var is consulted with the same syntax
-    (tolerantly: tokens for out-of-range shards are ignored, so one env
-    setting can target a specific matrix cell).
+    (``"shard:epoch[:mode]"`` entries, strictly validated).
     """
 
     def __init__(
@@ -734,7 +728,6 @@ class ShardedRunner:
             for p in world.principals
         }
         self._ordered = sorted(world.clusters, key=lambda c: c.name)
-        self._explicit_faults = faults is not None
         self._fault_specs = self._bind_faults(faults)
         # fork inherits the imported modules cheaply; spawn works the same
         # because workers rebuild everything from the pickled task (but
@@ -761,30 +754,21 @@ class ShardedRunner:
         self, faults: Optional[Sequence[Any]]
     ) -> Dict[int, Tuple[ShardFault, ...]]:
         specs: Dict[int, List[ShardFault]] = {i: [] for i in range(self.shards)}
-        if faults is not None:
-            for entry in faults:
-                parsed = _parse_fault_entry(entry)
-                if parsed is None:
-                    raise FaultPlanError(
-                        f"malformed shard fault spec {entry!r} "
-                        f"(want 'shard:epoch[:mode]', mode in "
-                        f"{SHARD_REVOKE_MODES})"
-                    )
-                shard, fault = parsed
-                if not 0 <= shard < self.shards:
-                    raise FaultPlanError(
-                        f"shard fault {entry!r}: shard {shard} out of range "
-                        f"for a {self.shards}-shard run"
-                    )
-                specs[shard].append(fault)
-        else:
-            for tok in os.environ.get(_FAULT_ENV, "").split(","):
-                parsed = _parse_fault_entry(tok.strip())
-                if parsed is None:
-                    continue
-                shard, fault = parsed
-                if 0 <= shard < self.shards:
-                    specs[shard].append(fault)
+        for entry in faults or ():
+            parsed = _parse_fault_entry(entry)
+            if parsed is None:
+                raise FaultPlanError(
+                    f"malformed shard fault spec {entry!r} "
+                    f"(want 'shard:epoch[:mode]', mode in "
+                    f"{SHARD_REVOKE_MODES})"
+                )
+            shard, fault = parsed
+            if not 0 <= shard < self.shards:
+                raise FaultPlanError(
+                    f"shard fault {entry!r}: shard {shard} out of range "
+                    f"for a {self.shards}-shard run"
+                )
+            specs[shard].append(fault)
         return {shard: tuple(fl) for shard, fl in specs.items()}
 
     # -- task construction --------------------------------------------------
@@ -825,9 +809,8 @@ class ShardedRunner:
         """The run's data plane, or ``None`` to run inline.
 
         Faults need worker processes: on a run that executes inline
-        (``shards=1``, or no shared memory here) an explicit ``faults=``
-        schedule raises :class:`ShmUnavailable` instead of silently not
-        firing; ``REPRO_SHARD_FAULT`` faults only warn on the fallback.
+        (``shards=1``, or no shared memory here) a ``faults=`` schedule
+        raises :class:`ShmUnavailable` instead of silently not firing.
         """
         reason = f"a {self.shards}-shard run executes inline"
         if self.shards > 1:
@@ -842,19 +825,14 @@ class ShardedRunner:
         unfired = sorted(f"{shard}:{f.epoch}:{f.mode}"
                          for shard, fl in self._fault_specs.items()
                          for f in fl)
-        if unfired and self._explicit_faults:
+        if unfired:
             raise ShmUnavailable(
                 f"{reason}; faults {unfired} need worker processes and "
                 f"would not fire on the inline path"
             )
         if self.transport_fallback is not None:
-            _LOG.warning(
-                "shm data plane unavailable, running shards=%d inline%s: %s",
-                self.shards,
-                f" ({_FAULT_ENV} faults {unfired} will not fire)"
-                if unfired else "",
-                reason,
-            )
+            _LOG.warning("shm data plane unavailable, running shards=%d inline: %s",
+                         self.shards, reason)
         return None
 
     def run(self) -> ShardedResult:

@@ -60,7 +60,6 @@ def contended_world(duration: float, settle: float, seed: int = 0) -> FigureWorl
         phases=(("steady", settle, duration),),
         expected=(),
         settle=0.0,
-        lane="slotted",
         sharded=False,
     )
 

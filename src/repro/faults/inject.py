@@ -12,6 +12,9 @@ changes on the scenario's components:
   partition);
 - crashes call the target's own ``crash``/``restart`` (protocol node,
   server, redirector), routing through the membership layer when present.
+  The columnar lane never asks a server or redirector whether it is
+  alive, so a plan that crashes one raises :class:`LaneError` there
+  instead of running as if nothing had failed.
 
 The injector itself draws no randomness: every event fires at its planned
 time via ``sim.schedule_at``, and the stochastic impairments it configures
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro.cluster.columnar import LaneError
 from repro.faults.plan import (
     FaultPlan,
     FaultPlanError,
@@ -57,6 +61,13 @@ class FaultInjector:
                     "revoke_shard targets the sharded execution lane; "
                     "run this plan via `repro chaos --shards R`"
                 )
+            if getattr(scenario, "columnar", None) is not None:
+                if isinstance(ev, ServerCrash):
+                    raise LaneError(f"crash of server {ev.server!r}",
+                                    "crashed servers need per-request events")
+                if isinstance(ev, RedirectorCrash):
+                    raise LaneError(f"crash of redirector {ev.redirector!r}",
+                                    "crashed redirectors need per-request events")
         if not getattr(scenario, "_tree_built", False) and any(
             isinstance(ev, (LinkDegrade, PartitionFault, NodeCrash))
             for ev in plan.events

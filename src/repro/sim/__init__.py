@@ -20,7 +20,6 @@ from repro.sim.monitor import PhaseStats, RateMeter, TimeSeries
 from repro.sim.network import Link, Endpoint
 from repro.sim.rng import RngStreams
 from repro.sim.stats import StreamingStats
-from repro.sim.trace import Tracer
 
 __all__ = [
     "Simulator",
@@ -36,5 +35,4 @@ __all__ = [
     "PhaseStats",
     "RngStreams",
     "StreamingStats",
-    "Tracer",
 ]

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
-from repro.experiments.harness import FigureResult, PhaseExpectation, Scenario
+from repro.cluster.health import BackendHealthChecker
+from repro.experiments.harness import (
+    FigureResult, LaneError, PhaseExpectation, Scenario,
+)
 from repro.sim.monitor import PhaseStats
 
 
@@ -140,26 +143,56 @@ class TestColumnarLane:
             sb = sc.server("SB", "B", 320.0)
             assert type(sc.l4("SW", {"A": sa, "B": sb})) is cls
 
-    def test_trace_falls_back_to_slotted(self, fig6_graph):
-        sc = Scenario(fig6_graph, lane="columnar", trace=True)
-        assert sc.lane == "slotted"
-        assert sc.columnar is None
-        assert "per-request events" in sc.lane_fallback
-
     def test_invariants_fall_back_to_slotted(self, fig6_graph):
+        # The one demotion left: the invariant hooks audit per-request
+        # events until they run over per-window columns.
         sc = Scenario(fig6_graph, lane="columnar", check_invariants=True)
         assert sc.lane == "slotted"
         assert sc.columnar is None
+        assert sc.lane_fallback == "invariant hooks need per-request events"
 
-    def test_unsupported_client_demotes_before_any_columnar_client(
-        self, fig6_graph,
-    ):
+    @pytest.mark.parametrize("kw, reason", [
+        ({"mode": "closed", "users": 4}, "closed-loop"),
+        ({"on_response": print}, "on_response"),
+    ], ids=["closed-loop", "on_response"])
+    def test_client_raises_lane_error(self, fig6_graph, kw, reason):
         sc = Scenario(fig6_graph, lane="columnar")
         srv = sc.server("S", "S", 320.0)
         r1 = sc.l7("R1", {"S": srv})
-        sc.client("C1", "A", r1, rate=50.0, mode="closed", users=4)
-        assert sc.lane == "slotted"
-        assert "closed-loop" in sc.lane_fallback
+        with pytest.raises(LaneError) as exc:
+            sc.client("C1", "A", r1, rate=50.0, **kw)
+        assert exc.value.component == "client 'C1'"
+        assert reason in exc.value.reason
+        assert (sc.lane, sc.lane_fallback) == ("columnar", None)
+
+    @pytest.mark.parametrize("health, queuing, reason", [
+        (False, "explicit", "'explicit' queuing"),
+        (True, "implicit", "health-checked pools"),
+    ], ids=["explicit-queuing", "health-checked"])
+    def test_l7_pool_raises_lane_error(
+        self, fig6_graph, health, queuing, reason,
+    ):
+        sc = Scenario(fig6_graph, lane="columnar")
+        srv = sc.server("S", "S", 320.0)
+        checker = BackendHealthChecker(sc.sim, [srv]) if health else None
+        r1 = sc.l7("R1", {"S": srv}, queuing=queuing, health=checker)
+        with pytest.raises(LaneError, match=reason):
+            sc.client("C1", "A", r1, rate=50.0)
+
+    def test_passthrough_raises_lane_error(self, fig6_graph):
+        sc = Scenario(fig6_graph, lane="columnar")
+        srv = sc.server("S", "S", 320.0)
+        front = sc.passthrough("W", {"S": [srv]})
+        with pytest.raises(LaneError, match="redirector type"):
+            sc.client("C1", "A", front, rate=50.0)
+
+    def test_l4_health_check_raises_lane_error(self, fig9_graph):
+        sc = Scenario(fig9_graph, lane="columnar")
+        sa = sc.server("SA", "A", 320.0)
+        sb = sc.server("SB", "B", 320.0)
+        health = BackendHealthChecker(sc.sim, [sa, sb])
+        with pytest.raises(LaneError, match="L4 switch 'SW'.*health-checked"):
+            sc.l4("SW", {"A": sa, "B": sb}, health=health)
 
     def test_unsupported_client_after_columnar_client_raises(
         self, fig6_graph,
@@ -169,7 +202,7 @@ class TestColumnarLane:
         r1 = sc.l7("R1", {"S": srv})
         sc.client("C1", "A", r1, rate=50.0, max_retry_pool=0)
         assert sc.lane == "columnar"
-        with pytest.raises(ValueError):
+        with pytest.raises(LaneError):
             sc.client("C2", "B", r1, rate=50.0, mode="closed", users=4)
 
     def test_columnar_run_counts_requests(self, fig6_graph):

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.experiments.faultmatrix import fault_matrix_world
 from repro.experiments.figures import WORLDS
 from repro.experiments.parallel import (
     default_jobs,
@@ -96,14 +97,11 @@ class TestFigureBatch:
 
     def test_kwargs_shapes(self):
         assert figure_kwargs("fig1", 0.3, 7) == {}
-        # No lane named: the entry point runs its record's default.
-        assert figure_kwargs("fig6", 0.3, 7) == {
-            "duration_scale": 0.3, "seed": 7, "lane": None,
-        }
-        assert figure_kwargs("fig9", 0.3, 7, lane="slotted")["lane"] == "slotted"
-        assert figure_kwargs("fig7", 0.3, 7) == {
-            "duration_scale": 0.3, "seed": 7, "lane": None,
-        }
+        # No lane: every entry point runs its record's.
+        for name in WORLDS:
+            assert figure_kwargs(name, 0.3, 7) == {
+                "duration_scale": 0.3, "seed": 7,
+            }
         assert figure_kwargs("faultmatrix", 0.3, 7) == {
             "duration_scale": 0.3, "seed": 7,
         }
@@ -140,11 +138,14 @@ class TestSweepJobs:
 
 class TestLaneThreading:
     def test_lane_reaches_columnar_capable_figures_only(self):
-        # Every §5 figure selects a lane; fig1d and the fault matrix do not.
+        # The lane reaches a run through its record alone: every §5 world
+        # says columnar, the fault matrix (crash plans) says slotted, and
+        # no figure's kwargs carry a lane.
         for name in WORLDS:
-            assert figure_kwargs(name, 0.3, 7, lane="columnar")["lane"] == "columnar"
-        assert "lane" not in figure_kwargs("fig1d", 0.3, 7, lane="slotted")
-        assert "lane" not in figure_kwargs("faultmatrix", 0.3, 7, lane="slotted")
+            assert WORLDS[name]().lane == "columnar"
+        assert fault_matrix_world().lane == "slotted"
+        for name in (*WORLDS, "fig1d", "faultmatrix"):
+            assert "lane" not in figure_kwargs(name, 0.3, 7)
 
 
 class TestShardThreading:

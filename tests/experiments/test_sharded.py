@@ -230,12 +230,6 @@ class TestInlineFallback:
             run_sharded("fig9", duration_scale=SCALE, shards=4, replicas=1,
                         faults=["0:2:kill"])
 
-    def test_env_faults_only_warn(self, no_shm, monkeypatch, caplog):
-        monkeypatch.setenv("REPRO_SHARD_FAULT", "0:1")
-        with caplog.at_level("WARNING", logger="repro.sharded"):
-            assert digest("fig6", 2) == digest("fig6", 1)
-        assert "will not fire" in caplog.text
-
     def test_parity_report_marks_a_comparison_that_ran_inline(self, no_shm):
         from repro.analysis.replay import sharded_replay
 
@@ -274,22 +268,21 @@ class TestFigureIntegration:
                              ids=["fig6", "fig9"])
     @pytest.mark.parametrize("lane", ["slotted", "columnar"])
     def test_lane_with_shards_rejected(self, run_fig, lane):
-        # The sharded lane is its own execution model: asking for another
-        # one as well used to be silently ignored.
-        with pytest.raises(ValueError, match=r"lane=.*shards="):
+        # The sharded lane is its own execution model, and the record
+        # names the other: a runner takes no lane to combine with shards.
+        with pytest.raises(TypeError, match="lane"):
             run_fig(duration_scale=SCALE, seed=0, lane=lane, shards=2)
 
 
 class TestWorkerFailure:
-    def test_worker_death_raises_typed_error_not_hang(self, monkeypatch):
+    def test_worker_death_raises_typed_error_not_hang(self):
         # Shard 0 calls os._exit(3) at the top of epoch 1; with recovery
         # disabled the barrier must detect the dead process and raise
         # within its timeout (the PR 7 fail-stop contract, preserved).
-        monkeypatch.setenv("REPRO_SHARD_FAULT", "0:1")
         world = SHARDED_WORLDS["fig6"](duration_scale=SCALE, seed=0,
                                    replicas=REPLICAS)
         runner = ShardedRunner(world, shards=2, epoch_timeout=30.0,
-                               recovery=None)
+                               recovery=None, faults=["0:1"])
         with pytest.raises(ShardWorkerError, match="died mid-window"):
             runner.run()
 
@@ -323,11 +316,6 @@ class TestWorkerFailure:
             runner.run()
         with pytest.raises(FileNotFoundError):
             shared_memory.SharedMemory(name=runner._plane.spec.name)
-
-    def test_fault_env_ignored_by_other_shards(self, monkeypatch):
-        # A fault address that never fires must leave results untouched.
-        monkeypatch.setenv("REPRO_SHARD_FAULT", "99:0")
-        assert digest("fig6", 2) == digest("fig6", 1)
 
     def test_explicit_out_of_range_fault_is_typed_error(self):
         world = SHARDED_WORLDS["fig6"](duration_scale=SCALE, seed=0,

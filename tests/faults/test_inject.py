@@ -1,7 +1,12 @@
 """FaultInjector: link impairment, partitions, crashes, target validation."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.analysis.replay import combined_digest
+from repro.cluster.columnar import LaneError
+from repro.experiments.figures import fig6_world
 from repro.faults.inject import FaultInjector
 from repro.faults.plan import (
     FaultPlan,
@@ -133,3 +138,34 @@ class TestCrashes:
         assert world.protocol_nodes["R2"].alive
         assert "R2" in world.tree            # heartbeats brought it back
         assert world.membership.rejoins == 1
+
+
+class TestLanes:
+    """The columnar lane never asks a server or redirector whether it is
+    alive, so a plan that crashes one must refuse that lane instead of
+    running as if nothing had failed.  Partitions and protocol-node
+    crashes reach only the combining tree, which both lanes share."""
+
+    @pytest.mark.parametrize("event", [
+        ServerCrash(at=3.0, server="S", until=9.0),
+        RedirectorCrash(at=3.0, redirector="R1", until=9.0),
+    ], ids=["server", "redirector"])
+    def test_crashes_refuse_the_columnar_lane(self, event):
+        world = replace(fig6_world(0.05), faults=FaultPlan(events=[event]))
+        with pytest.raises(LaneError, match="crash of .* per-request events"):
+            world.build()
+        sc = world.scenario("slotted")
+        if isinstance(event, ServerCrash):
+            assert sc.servers["S"].refused > 0
+        else:
+            assert sc.injector.log
+
+    @pytest.mark.parametrize("event", [
+        PartitionFault(at=3.0, until=9.0, groups=(("R1",), ("R2",))),
+        NodeCrash(at=3.0, node="R2", until=9.0),
+    ], ids=["partition", "node"])
+    def test_tree_faults_run_columnar_bit_for_bit(self, event):
+        world = replace(fig6_world(0.05), faults=FaultPlan(events=[event]))
+        slotted, columnar = (world.scenario(lane) for lane in ("slotted", "columnar"))
+        assert columnar.columnar is not None and columnar.injector.log
+        assert combined_digest(columnar) == combined_digest(slotted)

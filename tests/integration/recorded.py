@@ -94,27 +94,20 @@ def _record(build) -> Tuple[Record, object]:
 
 
 def figure_scenario(figure: str, seed: int = 0, lane: Optional[str] = None):
-    """Run ``figure`` at 1/20 scale on ``lane`` (its record's default when
-    None); returns (its Scenario, its result)."""
-    worlds = []
-
-    class Recorded(figures.Scenario):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            worlds.append(self)
-
-    with mock.patch.object(figures, "Scenario", Recorded):
-        result = figures.ALL_FIGURES[figure](
-            duration_scale=0.05, seed=seed, lane=lane)
-    (sc,) = worlds
-    return sc, result
+    """Run ``figure``'s world at 1/20 scale on ``lane`` (its record's when
+    None); returns (its Scenario, its measured result)."""
+    world = figures.WORLDS[figure](0.05, seed)
+    sc = world.scenario(lane)
+    return sc, world.measure(sc)
 
 
 _RUNS: Dict[tuple, Record] = {}
 
 
 def figure_run(figure: str, lane: Optional[str] = None) -> Record:
-    """The record of ``figure_scenario(figure, 0, lane)``."""
+    """The record of ``figure_scenario(figure, 0, lane)``; naming the
+    record's own lane shares its default run."""
+    lane = lane or figures.WORLDS[figure]().lane
     key = ("figure", figure, lane, check_enabled())
     if key not in _RUNS:
         _RUNS[key] = _record(lambda: figure_scenario(figure, 0, lane))[0]

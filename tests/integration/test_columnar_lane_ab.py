@@ -19,12 +19,17 @@ refill granularity (1k, 64k, or one whole phase per block) is
 unobservable.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import repro.experiments.harness as harness
-from repro.analysis.replay import columnar_replay, scenario_digest
-from repro.experiments.figures import WORLDS, fig6_world, fig9_world
+from repro.analysis.replay import columnar_replay, combined_digest, scenario_digest
+from repro.experiments.figures import WORLDS, fig1_world, fig6_world, fig9_world
+from repro.experiments.scaling import scaling_world
+from repro.experiments.sweeps import contended_world
+from repro.scheduling.window import WindowConfig
 from tests.l4.packet_oracle import PacketL4Switch
 
 SCALE = 0.05
@@ -79,6 +84,21 @@ def test_columnar_replay_digests_identical(figure):
     assert report.meta["columnar_requests"] > 0
     assert report.identical, report.render()
     assert report.ok, report.render()
+
+
+@pytest.mark.parametrize("world", [
+    *(pytest.param(replace(contended_world(20.0, 5.0), window=WindowConfig(w)),
+                   id=f"contended-{w}") for w in (0.05, 0.1, 0.5)),
+    pytest.param(scaling_world(6), id="scaling-6"),
+    pytest.param(fig1_world(10.0), id="fig1d"),
+])
+def test_derived_records_run_columnar_bit_for_bit(world):
+    """The records beside fig6-fig10 that default to columnar: the sweeps'
+    contended world, the scaling study and the coordinated fig1, which
+    ``repro check`` does not reach."""
+    col = world.scenario()
+    assert (col.lane, col.lane_fallback) == ("columnar", None)
+    assert combined_digest(col) == combined_digest(world.scenario("slotted"))
 
 
 @pytest.mark.parametrize("batch", [1024, 65536, 1 << 22],

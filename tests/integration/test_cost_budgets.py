@@ -30,7 +30,8 @@ from tests.integration.recorded import columnar_load_run, figure_run
 
 # figure -> run mode -> (events scheduled, plans computed).  The mode is the
 # lane the figure ran on, "+check" when the invariant hooks were on: they
-# schedule events of their own, and under REPRO_CHECK=1 fig6/9/10 run slotted.
+# schedule events of their own, and under REPRO_CHECK=1 every figure runs
+# slotted.
 PINNED_COSTS = {
     "fig6": {"columnar": (1362, 300), "slotted+check": (11495, 300)},
     "fig7": {"columnar": (687, 150), "slotted": (5474, 150),
@@ -89,7 +90,7 @@ def test_figure_costs(figure):
 
 
 @pytest.mark.parametrize("figure, lane", [("fig7", "slotted"),
-                                          ("fig8", "columnar")])
+                                          ("fig8", "slotted")])
 def test_figure_costs_on_the_other_lane(figure, lane):
     _assert_budgets(figure, lane)
 

@@ -23,20 +23,12 @@ SCALE = 0.05
 def _run_slotted(figure, monkeypatch, oracle):
     """Run ``figure`` on the slotted lane, on the oracle switch if asked;
     returns (its Scenario, its result)."""
-    worlds = []
-
-    class Recorded(harness.Scenario):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            worlds.append(self)
-
+    world = figures.WORLDS[figure](SCALE)
     with monkeypatch.context() as m:
-        m.setattr(figures, "Scenario", Recorded)
         if oracle:
             m.setattr(harness, "L4Switch", PacketL4Switch)
-        result = figures.ALL_FIGURES[figure](duration_scale=SCALE,
-                                             lane="slotted")
-    (sc,) = worlds
+        sc = world.scenario("slotted")
+    result = world.measure(sc)
     switch_cls = PacketL4Switch if oracle else harness.L4Switch
     assert [type(sw) for sw in sc.l4_switches.values()] == [switch_cls]
     return sc, result

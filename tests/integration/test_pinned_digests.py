@@ -20,9 +20,10 @@ held.
 
 fig6, fig9 and fig10 have run on the columnar lane by default since the
 commit that let it park refused requests, fig7 since the commit that made
-the server lanes drain in request blocks; their constants did not move.
-fig7 runs here on slotted as well, and fig8, which defaults to slotted, on
-columnar, against the same constants.
+the server lanes drain in request blocks, and fig8 since the commit that
+took the lane out of the figure runners; their constants did not move.
+fig7 and fig8 run here on the slotted oracle as well, against the same
+constants.
 The columnar server lanes drain in blocks of about a thousand requests,
 so the figures' drains reach the busy-period pass as well;
 ``PINNED_COLUMNAR_LOAD`` pins the benchmark's 100x columnar world, whose
@@ -185,12 +186,13 @@ def test_l7_figure_reproduces_parent_digests(figure):
 
 @pytest.mark.parametrize("figure", ["fig8"])
 def test_slotted_default_figure_reproduces_parent_digests_on_columnar(figure):
-    # The constants were captured on the slotted lane; columnar must land
-    # on the same bits.
+    # fig8's constants were captured while its record said slotted; the
+    # columnar lane, named here whatever the record says, must land on the
+    # same bits.
     _assert_pinned(figure, PINNED, lane="columnar")
 
 
-@pytest.mark.parametrize("figure", ["fig7"])
+@pytest.mark.parametrize("figure", ["fig7", "fig8"])
 def test_columnar_default_figure_reproduces_parent_digests_on_slotted(figure):
     # The record's default lane moved to columnar under these constants;
     # the slotted oracle must still land on them.

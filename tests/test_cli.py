@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -99,25 +100,25 @@ class TestCommands:
         assert "|" in out and "* A" in out   # the terminal chart rendered
 
     def test_figures_scalar_lane_is_a_usage_error(self, capsys):
-        # The per-packet L4 path is a test oracle, not a lane.
+        # The per-packet L4 path is a test oracle, not a lane, and no lane
+        # is an option: each world's record names its own.
         with pytest.raises(SystemExit) as exc:
             main(["figures", "--only", "fig9", "--scale", "0.1",
                   "--lane", "scalar"])
         assert exc.value.code == 2
-        assert "invalid choice: 'scalar'" in capsys.readouterr().err
+        assert "unrecognized arguments: --lane scalar" in capsys.readouterr().err
 
     def test_figures_lane_with_shards_is_a_usage_error(self, capsys):
-        # Naming the default lane conflicts with --shards as much as any.
         for lane in ("slotted", "columnar"):
-            rc = main(["figures", "--only", "fig6", "--scale", "0.05",
-                       "--lane", lane, "--shards", "2"])
-            assert rc == 2
-            err = capsys.readouterr().err
-            assert f"lane={lane!r}" in err and "shards=2" in err
+            with pytest.raises(SystemExit) as exc:
+                main(["figures", "--only", "fig6", "--scale", "0.05",
+                      "--lane", lane, "--shards", "2"])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --lane" in capsys.readouterr().err
 
     def test_figures_default_lane_shards(self, capsys, monkeypatch):
-        # The default lane is columnar, yet --shards alone picks the
-        # sharded lane: only a lane the caller names conflicts with it.
+        # The records' lane is columnar, yet --shards picks the sharded
+        # lane.
         from repro.experiments import sharded
 
         runs = []
@@ -134,12 +135,11 @@ class TestCommands:
         assert "fig6: ok" in capsys.readouterr().out
         assert runs == [("fig6", 2)]
 
-    @pytest.mark.parametrize("lane", ["columnar", "slotted"])
-    @pytest.mark.parametrize("figure", ["fig7", "fig8"])
-    def test_figures_lane_is_the_lane_that_ran(self, figure, lane, capsys,
-                                               monkeypatch):
-        # --lane once reached fig6/fig9/fig10 only: fig7 and fig8 ran
-        # slotted whatever was asked for.
+    @pytest.mark.parametrize("figure", ["fig6", "fig7", "fig8", "fig9", "fig10",
+                                        "fig1d", "faultmatrix"])
+    def test_figures_run_the_record_lane(self, figure, capsys, monkeypatch):
+        # Every §5 figure and the coordinated fig1 run columnar; fig1's
+        # end-point side and the fault matrix say slotted in their records.
         from repro.experiments import figures
 
         monkeypatch.delenv("REPRO_CHECK", raising=False)
@@ -151,7 +151,32 @@ class TestCommands:
                 super().run(duration)
 
         monkeypatch.setattr(figures, "Scenario", Spy)
-        main(["figures", "--only", figure, "--scale", "0.05", "--lane", lane])
+        main(["figures", "--only", figure, "--scale", "0.05"])
+        assert f"{figure}: " in capsys.readouterr().out
+        assert ran == {"fig1d": ["slotted", "columnar"],
+                       "faultmatrix": ["slotted"]}.get(figure, ["columnar"])
+
+    @pytest.mark.parametrize("lane", ["columnar", "slotted"])
+    @pytest.mark.parametrize("figure", ["fig7", "fig8"])
+    def test_figures_lane_is_the_lane_that_ran(self, figure, lane, capsys,
+                                               monkeypatch):
+        # The record is the only place that names a lane: a record that
+        # says slotted runs slotted, one that says columnar runs columnar.
+        from repro.experiments import figures
+
+        monkeypatch.delenv("REPRO_CHECK", raising=False)
+        make = getattr(figures, f"{figure}_world")
+        monkeypatch.setattr(figures, f"{figure}_world",
+                            lambda *a, **k: replace(make(*a, **k), lane=lane))
+        ran = []
+
+        class Spy(figures.Scenario):
+            def run(self, duration):
+                ran.append(self.lane)
+                super().run(duration)
+
+        monkeypatch.setattr(figures, "Scenario", Spy)
+        main(["figures", "--only", figure, "--scale", "0.05"])
         assert f"{figure}: " in capsys.readouterr().out
         assert ran == [lane]
 

@@ -10,13 +10,11 @@ import repro.scheduling.wrr
 import repro.sim.engine
 import repro.sim.monitor
 import repro.sim.rng
-import repro.sim.trace
 
 MODULES = [
     repro.sim.engine,
     repro.sim.monitor,
     repro.sim.rng,
-    repro.sim.trace,
     repro.scheduling.wrr,
     repro.experiments.ascii,
 ]

@@ -1,9 +1,11 @@
-"""``lane=`` is the only execution selector: the four A/B accelerator
-switches stay deleted everywhere (the schedulers' ``lp_cache=`` too: plan
-reuse is the window allocator's policy, with no switch), and
-so do the sharded lane's transport and checkpoint-store knobs, the strict
-open-loop world variant the columnar lane once needed, and the L4
-switch's per-packet lane (now a test oracle)."""
+"""A world's record is the only place that chooses its lane: no figure
+runner, batch helper or CLI option takes one, and ``Scenario`` takes
+``lane=`` but no tracer.  The four A/B accelerator switches stay deleted
+everywhere (the schedulers' ``lp_cache=`` too: plan reuse is the window
+allocator's policy, with no switch), and so do the sharded lane's
+transport and checkpoint-store knobs, the strict open-loop world variant
+the columnar lane once needed, and the L4 switch's per-packet lane (now a
+test oracle)."""
 
 import inspect
 
@@ -66,18 +68,25 @@ def test_accelerator_switches_are_gone(fn):
     assert not [name for name in sorted(gone) if _accepts(fn, name)]
 
 
-@pytest.mark.parametrize("name", list(figures.WORLDS))
-def test_every_figure_runner_takes_the_lane(name):
-    # The registry's figures all select a lane, fig7 and fig8 included.
-    assert "lane" in inspect.signature(figures.ALL_FIGURES[name]).parameters
+@pytest.mark.parametrize("name", list(figures.ALL_FIGURES))
+def test_no_figure_runner_takes_the_lane(name):
+    # The record chooses; FigureWorld.build(lane) alone reaches the oracle.
+    assert not _accepts(figures.ALL_FIGURES[name], "lane")
+
+
+@pytest.mark.parametrize("fn", [figures.run_figure, parallel.figure_kwargs,
+                                parallel.run_figures_parallel])
+def test_no_figure_batch_takes_the_lane(fn):
+    assert not _accepts(fn, "lane")
 
 
 def test_scenario_takes_the_lane_and_nothing_else():
-    assert list(inspect.signature(Scenario).parameters) == [
-        "graph", "window", "seed", "bin_width", "trace", "check_invariants",
-        "lane",
+    params = inspect.signature(Scenario).parameters
+    assert list(params) == [
+        "graph", "window", "seed", "bin_width", "check_invariants", "lane",
     ]
-    assert inspect.signature(Scenario).parameters["lane"].default == "slotted"
+    assert "trace" not in params
+    assert params["lane"].default == "slotted"
 
 
 @pytest.mark.parametrize("flag", [
@@ -103,12 +112,15 @@ def test_check_has_no_columnar_flag(capsys):
 
 
 @pytest.mark.parametrize("lane", ["slotted", "columnar"])
-def test_parser_accepts_lane(lane):
-    assert build_parser().parse_args(["figures", "--lane", lane]).lane == lane
+def test_parser_rejects_lane(lane, capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["figures", "--lane", lane])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --lane" in capsys.readouterr().err
 
 
 def test_parser_rejects_the_scalar_lane(capsys):
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(["figures", "--lane", "scalar"])
     assert exc.value.code == 2
-    assert "invalid choice: 'scalar'" in capsys.readouterr().err
+    assert "unrecognized arguments: --lane scalar" in capsys.readouterr().err

@@ -94,7 +94,7 @@ _SET_RETURNING_METHODS = frozenset({
 # part of the digest/stat contract and a refactor that reorders dict
 # insertion silently changes recorded bits.
 _DIGEST_SINK_FILES = frozenset({
-    "stats.py", "trace.py", "replay.py", "monitor.py", "report.py",
+    "stats.py", "replay.py", "monitor.py", "report.py",
 })
 
 # Reductions whose result depends on element order (float rounding) or on
@@ -627,8 +627,8 @@ def lint_tree(tree: ast.Module, path: str = "<string>") -> List[Violation]:
     exempt from SIM001 (measuring wall time is their purpose); files under
     ``experiments/`` activate SIM005's threading check, modules named
     ``parallel.py`` its shared-global check, and the digest/stat sink
-    modules (``stats.py``, ``trace.py``, ``replay.py``, ``monitor.py``,
-    ``report.py``) arm SIM010's dict-view arm.
+    modules (``stats.py``, ``replay.py``, ``monitor.py``, ``report.py``)
+    arm SIM010's dict-view arm.
 
     Suppression comments are *not* applied here — the caller filters with
     :func:`filter_suppressed` so project-rule findings share the same
