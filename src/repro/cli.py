@@ -38,6 +38,7 @@ The static determinism lint is not a subcommand: it is the stand-alone
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional
 
@@ -67,11 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated figure ids (default: all)")
     p_fig.add_argument("--plot", action="store_true",
                        help="render each figure's rate series as a terminal chart")
-    p_fig.add_argument("--shards", type=int, default=0, metavar="R",
-                       help="run the sharded figures on the sharded lane "
-                            "with R worker processes synchronised at "
-                            "window-epoch barriers (digests are independent "
-                            "of R)")
     p_fig.add_argument("--jobs", type=int, default=1,
                        help="worker processes for the figure batch "
                             "(results are independent of this)")
@@ -201,18 +197,23 @@ def _cmd_figures(args) -> int:
     from repro.experiments.figures import ALL_FIGURES
     from repro.experiments.parallel import run_figures_parallel
 
-    if getattr(args, "check_invariants", False):
-        # Env (not a kwarg) so fork-based parallel workers inherit it.
-        import os
-
-        os.environ["REPRO_CHECK"] = "1"
     wanted = [f.strip() for f in args.only.split(",") if f.strip()] or list(ALL_FIGURES)
+    # The checker is switched on by environment (not a kwarg) so forked
+    # pool workers inherit it, and only for this batch.
+    saved = os.environ.get("REPRO_CHECK")
+    if getattr(args, "check_invariants", False):
+        os.environ["REPRO_CHECK"] = "1"
+    try:
+        results = dict(run_figures_parallel(
+            [n for n in wanted if n in ALL_FIGURES], scale=args.scale,
+            seed=args.seed, jobs=max(1, getattr(args, "jobs", 1)),
+        ))
+    finally:
+        if saved is None:
+            os.environ.pop("REPRO_CHECK", None)
+        else:
+            os.environ["REPRO_CHECK"] = saved
     failures = 0
-    results = dict(run_figures_parallel(
-        [n for n in wanted if n in ALL_FIGURES], scale=args.scale,
-        seed=args.seed, jobs=max(1, getattr(args, "jobs", 1)),
-        shards=getattr(args, "shards", 0) or None,
-    ))
     for name in wanted:
         result = results.get(name)
         if result is None:

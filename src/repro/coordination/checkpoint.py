@@ -51,6 +51,7 @@ from repro.coordination.aggregation import StreamStats
 __all__ = [
     "ClusterCheckpoint",
     "RecoveryPolicy",
+    "PER_EPOCH_RETRIES",
     "ShardRestart",
     "ShardReassignment",
     "epoch_digest",
@@ -229,33 +230,33 @@ def unpack_checkpoint(row: np.ndarray,
                              response=response, clock=float(flt[18]))
 
 
+# A single (shard, epoch) may burn at most this many respawns; respawn
+# attempt n waits min(BACKOFF_CAP, backoff_base × BACKOFF_FACTOR^n) s.
+PER_EPOCH_RETRIES = 2
+BACKOFF_FACTOR = 2.0
+BACKOFF_CAP = 2.0
+
+
 @dataclass(frozen=True)
 class RecoveryPolicy:
     """How the parent spends respawns before degrading to reassignment.
 
     ``max_restarts`` caps respawns across the whole run; a single
-    (shard, epoch) may burn at most ``per_epoch_retries`` of them — a
+    (shard, epoch) may burn at most :data:`PER_EPOCH_RETRIES` of them — a
     deterministic crasher must not consume the entire budget replaying
-    one window.  Respawn attempts back off exponentially
-    (``backoff_base × backoff_factor^attempt``, capped) in wall-clock
-    time; simulation state is unaffected, recovery happens *between*
-    epochs.  With ``reassign_on_exhaustion`` (the default) an exhausted
-    budget degrades the run — the dead shard's clusters move to the
-    survivors — instead of aborting it; set it False to get the PR 7
-    fail-stop behaviour once the budget is gone.
+    one window.  Respawn attempts back off exponentially from
+    ``backoff_base`` in wall-clock time; simulation state is unaffected,
+    recovery happens *between* epochs.  An exhausted budget degrades the
+    run — the dead shard's clusters move to the survivors — instead of
+    aborting it; a runner with no policy is the fail-stop one.
     """
 
     max_restarts: int = 4
-    per_epoch_retries: int = 2
     backoff_base: float = 0.05
-    backoff_factor: float = 2.0
-    backoff_cap: float = 2.0
-    reassign_on_exhaustion: bool = True
 
     def backoff(self, attempt: int) -> float:
         """Wall-clock delay before respawn ``attempt`` (0-based)."""
-        return min(self.backoff_cap,
-                   self.backoff_base * self.backoff_factor ** attempt)
+        return min(BACKOFF_CAP, self.backoff_base * BACKOFF_FACTOR ** attempt)
 
 
 @dataclass(frozen=True)

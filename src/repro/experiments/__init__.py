@@ -33,7 +33,6 @@ from repro.experiments.parallel import (
     default_jobs,
     parallel_map,
     run_figures_parallel,
-    scenario_seed,
 )
 from repro.experiments.report import render_result, render_all
 
@@ -54,7 +53,6 @@ __all__ = [
     "ALL_FIGURES",
     "render_result",
     "render_all",
-    "scenario_seed",
     "default_jobs",
     "parallel_map",
     "run_figures_parallel",

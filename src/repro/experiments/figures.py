@@ -8,7 +8,9 @@ phase timeline — with the rates the paper reports for each phase.
 simulated testbed (:meth:`FigureWorld.scenario` builds and runs it),
 :func:`run_figure` measures it, and the sharded lane derives its own world
 from the same record (:func:`repro.experiments.sharded.shard_world`).
-:data:`WORLDS` is the registry every caller reads the figure names from.
+:data:`WORLDS` is the registry every caller reads the figure names from,
+and :data:`ALL_FIGURES` runs any figure as one call,
+``ALL_FIGURES[name](duration_scale, seed)``.
 Every other experiment — the simulated Fig 1, the sweeps, the scaling
 study, the WRR baseline and the fault matrix — is a record too, most of
 them a :func:`dataclasses.replace` of fig6's, fig8's or :func:`fig1_world`.
@@ -28,7 +30,7 @@ from repro.core.valuation import value_currencies
 from repro.experiments.harness import FigureResult, PhaseExpectation, Scenario
 from repro.faults.inject import FaultInjector
 from repro.faults.plan import FaultPlan
-from repro.scheduling.community import CommunityScheduler
+from repro.scheduling.community import CommunityPlan
 from repro.scheduling.endpoint import endpoint_allocate
 from repro.scheduling.window import WindowConfig
 
@@ -85,15 +87,15 @@ def run_fig1() -> Fig1Result:
     a2 = endpoint_allocate(s2_demand, shares, capacity=50.0)
     endpoint = {p: a1[p] + a2[p] for p in shares}
 
-    # Coordinated: one community LP over the aggregate demand and servers.
+    # Coordinated: the community LP's optimum over the aggregate demand and
+    # servers, in the closed form the window allocator runs every window.
     from repro.core.access import compute_access_levels
 
     access = compute_access_levels(fig1_world().graph())
-    sched = CommunityScheduler(access, WindowConfig(1.0))
-    plan = sched.schedule(
-        {"A": r1_load["A"] + r2_load["A"], "B": r1_load["B"] + r2_load["B"]}
-    )
-    coordinated = {p: plan.served(p) for p in shares}
+    load = {p: r1_load[p] + r2_load[p] for p in shares}
+    _, served, _ = CommunityPlan(access, WindowConfig(1.0))(
+        [load.get(n, 0.0) for n in access.names])
+    coordinated = {p: served[access.index(p)] for p in shares}
     return Fig1Result(endpoint=endpoint, coordinated=coordinated)
 
 
@@ -365,28 +367,9 @@ class FigureWorld:
         )
 
 
-def run_figure(world: FigureWorld, shards: Optional[int] = None) -> FigureResult:
+def run_figure(world: FigureWorld) -> FigureResult:
     """Run a figure's world on its record's lane and measure its phases
-    against the paper.
-
-    ``shards`` routes a sharded world to the sharded lane instead (one
-    worker process per shard, window-epoch barriers — see
-    :mod:`repro.experiments.sharded`), digest-identical for every shard
-    count.
-    """
-    if shards is not None and shards > 0:
-        from repro.experiments.sharded import ShardedRunner, shard_world
-
-        run = ShardedRunner(shard_world(world), shards=shards).run()
-        world = replace(
-            world, title=world.title + " (sharded lane)",
-            notes=(f"sharded lane: shards={run.shards}, "
-                   f"data plane {run.data_plane}, "
-                   f"{run.n_windows} window epochs, "
-                   f"{run.lp_solves} window plans, "
-                   f"{len(run.restarts)} restarts, "
-                   f"{len(run.reassignments)} reassignments"))
-        return world.measure(run)
+    against the paper."""
     return world.measure(world.scenario())
 
 
@@ -599,11 +582,9 @@ WORLDS: Dict[str, Callable[..., FigureWorld]] = {
 }
 
 
-def run_fig6(
-    duration_scale: float = 1.0, seed: int = 0, shards: Optional[int] = None,
-) -> FigureResult:
+def run_fig6(duration_scale: float = 1.0, seed: int = 0) -> FigureResult:
     """:func:`fig6_world` through :func:`run_figure`."""
-    return run_figure(fig6_world(duration_scale, seed), shards)
+    return run_figure(fig6_world(duration_scale, seed))
 
 
 def run_fig7(duration_scale: float = 1.0, seed: int = 0) -> FigureResult:
@@ -618,11 +599,9 @@ def run_fig8(
     return run_figure(fig8_world(duration_scale, seed, lag))
 
 
-def run_fig9(
-    duration_scale: float = 1.0, seed: int = 0, shards: Optional[int] = None,
-) -> FigureResult:
+def run_fig9(duration_scale: float = 1.0, seed: int = 0) -> FigureResult:
     """:func:`fig9_world` through :func:`run_figure`."""
-    return run_figure(fig9_world(duration_scale, seed), shards)
+    return run_figure(fig9_world(duration_scale, seed))
 
 
 def run_fig10(duration_scale: float = 1.0, seed: int = 0) -> FigureResult:
@@ -640,10 +619,14 @@ def run_faultmatrix(
     return run_fault_matrix(duration_scale, seed, check_invariants)
 
 
-ALL_FIGURES = {
-    "fig1": run_fig1,
-    "fig1d": run_fig1_distributed,
-    "fig3": run_fig3,
+# Every figure by name, one call each: (duration_scale, seed) -> result.
+# fig1 and fig3 are arithmetic and take neither; fig1d's run lasts
+# 100 s × duration_scale, at least 20 s.
+ALL_FIGURES: Dict[str, Callable[[float, int], Any]] = {
+    "fig1": lambda duration_scale, seed: run_fig1(),
+    "fig1d": lambda duration_scale, seed: run_fig1_distributed(
+        max(20.0, 100.0 * duration_scale), seed),
+    "fig3": lambda duration_scale, seed: run_fig3(),
     "fig6": run_fig6,
     "fig7": run_fig7,
     "fig8": run_fig8,

@@ -6,7 +6,6 @@ from typing import Iterable, List, Optional
 
 from repro.experiments.figures import ALL_FIGURES, Fig1Result, Fig3Result
 from repro.experiments.harness import FigureResult
-from repro.experiments.parallel import figure_kwargs
 
 __all__ = ["render_result", "render_all"]
 
@@ -82,6 +81,6 @@ def render_all(
                 "versus coordinated L7 redirectors — same demand, real "
                 "clients and windows.)*\n"
             )
-        result = ALL_FIGURES[name](**figure_kwargs(name, duration_scale, seed))
+        result = ALL_FIGURES[name](duration_scale, seed)
         parts.append(render_result(result))
     return "\n".join(parts)

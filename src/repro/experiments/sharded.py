@@ -96,6 +96,7 @@ from repro.coordination.barrier import (
     WorkerFailure,
 )
 from repro.coordination.checkpoint import (
+    PER_EPOCH_RETRIES,
     ClusterCheckpoint,
     RecoveryPolicy,
     ShardReassignment,
@@ -1020,12 +1021,10 @@ class ShardedRunner:
             raise err
         attempt = self._epoch_attempts.get((shard, k), 0)
         if (len(self.restarts) < policy.max_restarts
-                and attempt < policy.per_epoch_retries):
+                and attempt < PER_EPOCH_RETRIES):
             self._respawn(barrier, shard, k, err, attempt)
-        elif policy.reassign_on_exhaustion:
-            self._reassign(barrier, shard, k, frac, err)
         else:
-            raise err
+            self._reassign(barrier, shard, k, frac, err)
 
     def _respawn(
         self, barrier: EpochBarrier, shard: int, k: int,
@@ -1186,7 +1185,6 @@ def run_sharded(
     shards: int = 1,
     replicas: int = 1,
     load_scale: float = 1.0,
-    epoch_timeout: float = 120.0,
     recovery: Optional[RecoveryPolicy] = RecoveryPolicy(),
     faults: Optional[Sequence[Any]] = None,
     transport: str = "shm",
@@ -1206,7 +1204,6 @@ def run_sharded(
         ) from None
     world = build(duration_scale=duration_scale, seed=seed,
                   replicas=replicas, load_scale=load_scale)
-    runner = ShardedRunner(world, shards=shards,
-                           epoch_timeout=epoch_timeout,
-                           recovery=recovery, faults=faults)
+    runner = ShardedRunner(world, shards=shards, recovery=recovery,
+                           faults=faults)
     return runner.run()

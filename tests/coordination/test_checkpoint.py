@@ -189,14 +189,16 @@ class TestStructPacking:
 
 class TestRecoveryPolicy:
     def test_backoff_is_capped_exponential(self):
-        policy = RecoveryPolicy(backoff_base=0.05, backoff_factor=2.0,
-                                backoff_cap=0.3)
+        policy = RecoveryPolicy()
         assert policy.backoff(0) == pytest.approx(0.05)
         assert policy.backoff(1) == pytest.approx(0.10)
         assert policy.backoff(2) == pytest.approx(0.20)
-        assert policy.backoff(3) == pytest.approx(0.30)   # capped
-        assert policy.backoff(10) == pytest.approx(0.30)
+        assert policy.backoff(5) == pytest.approx(1.60)
+        assert policy.backoff(6) == pytest.approx(2.0)    # capped
+        assert policy.backoff(10) == pytest.approx(2.0)
 
     def test_defaults_degrade_not_abort(self):
-        assert RecoveryPolicy().reassign_on_exhaustion is True
+        # Exhausting the budget always reassigns; only a runner with no
+        # policy (recovery=None) is fail-stop.
+        assert set(vars(RecoveryPolicy())) == {"max_restarts", "backoff_base"}
         assert RecoveryPolicy().max_restarts >= 1

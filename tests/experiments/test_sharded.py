@@ -23,7 +23,9 @@ from repro.coordination.aggregation import StreamStats
 from repro.coordination.barrier import EpochBarrier, ShardWorkerError
 from repro.coordination.checkpoint import RecoveryPolicy
 from repro.coordination.shm import ShmDataPlane, ShmUnavailable
-from repro.experiments.figures import fig10_world, run_fig6, run_fig9, run_figure
+from repro.experiments.figures import (
+    fig6_world, fig9_world, fig10_world, run_fig6, run_fig9,
+)
 from repro.experiments.sharded import (
     ShardCluster,
     ShardedRunner,
@@ -31,6 +33,7 @@ from repro.experiments.sharded import (
     _Scratch,
     SHARDED_WORLDS,
     run_sharded,
+    shard_world,
 )
 from repro.faults.plan import FaultPlanError
 from repro.sim.rng import RngStreams
@@ -178,11 +181,6 @@ class TestDataPlane:
         # The deferred checkpoint ring is accounted, not hidden.
         assert res.ring_bytes_per_epoch > 0
 
-    def test_figure_notes_name_the_data_plane(self):
-        res = run_fig6(duration_scale=SCALE, seed=0,
-                                 shards=2)
-        assert "data plane shm" in res.notes
-
 
 @pytest.fixture
 def no_shm(monkeypatch):
@@ -239,39 +237,39 @@ class TestInlineFallback:
         assert report.meta["transport_fallback"]
 
 
+def _sharded_figure(make_world):
+    """A figure's record measured on a 2-shard run of its sharded world."""
+    world = make_world(0.2)
+    return world.measure(ShardedRunner(shard_world(world), shards=2).run())
+
+
 class TestFigureIntegration:
     def test_fig6_phase_rates_match_paper(self):
-        res = run_fig6(duration_scale=0.2, seed=0, shards=2)
-        assert res.ok, res.notes
-        assert "shards=2" in res.notes
+        res = _sharded_figure(fig6_world)
+        assert res.ok, res.deviations()
 
     def test_fig9_phase_rates_match_paper(self):
-        res = run_fig9(duration_scale=0.2, seed=0, shards=2)
-        assert res.ok, res.notes
-
-    def test_run_fig6_routes_to_sharded_lane(self):
-        res = run_fig6(duration_scale=0.2, seed=0, shards=2)
-        assert "sharded lane" in res.notes
-
-    def test_run_fig9_routes_to_sharded_lane(self):
-        res = run_fig9(duration_scale=0.2, seed=0, shards=2)
-        assert "sharded lane" in res.notes
+        res = _sharded_figure(fig9_world)
+        assert res.ok, res.deviations()
 
     def test_unknown_figure_rejected(self):
         with pytest.raises(ValueError, match="sharded lane supports"):
             run_sharded("fig10")
         # A record that does not run sharded is refused, not approximated.
         with pytest.raises(ValueError, match="sharded lane supports"):
-            run_figure(fig10_world(0.02), shards=2)
+            shard_world(fig10_world(0.02))
 
     @pytest.mark.parametrize("run_fig", [run_fig6, run_fig9],
                              ids=["fig6", "fig9"])
     @pytest.mark.parametrize("lane", ["slotted", "columnar"])
     def test_lane_with_shards_rejected(self, run_fig, lane):
-        # The sharded lane is its own execution model, and the record
-        # names the other: a runner takes no lane to combine with shards.
+        # A figure runner takes neither a shard count nor a lane: the
+        # sharded lane is its own model, reached through ShardedRunner and
+        # run_sharded, and the record names the lane.
+        with pytest.raises(TypeError, match="shards"):
+            run_fig(duration_scale=SCALE, seed=0, shards=2)
         with pytest.raises(TypeError, match="lane"):
-            run_fig(duration_scale=SCALE, seed=0, lane=lane, shards=2)
+            run_fig(duration_scale=SCALE, seed=0, lane=lane)
 
 
 class TestWorkerFailure:
@@ -381,16 +379,6 @@ class TestCrashRecovery:
         assert move.shard == 0 and move.epoch == 4
         assert set(move.assignments.values()) == {1}   # only survivor
         assert res.digest() == digest("fig6", 1)
-
-    def test_no_reassign_policy_fails_stop(self):
-        policy = RecoveryPolicy(max_restarts=0, reassign_on_exhaustion=False,
-                                backoff_base=0.01)
-        world = SHARDED_WORLDS["fig6"](duration_scale=SCALE, seed=0,
-                                   replicas=REPLICAS)
-        runner = ShardedRunner(world, shards=2, epoch_timeout=30.0,
-                               recovery=policy, faults=["0:2:exc"])
-        with pytest.raises(ShardWorkerError):
-            runner.run()
 
     def test_fig9_recovery_parity(self):
         res = faulted("fig9", 2, ["0:3:kill"])

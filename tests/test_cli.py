@@ -116,24 +116,32 @@ class TestCommands:
             assert exc.value.code == 2
             assert "unrecognized arguments: --lane" in capsys.readouterr().err
 
-    def test_figures_default_lane_shards(self, capsys, monkeypatch):
-        # The records' lane is columnar, yet --shards picks the sharded
-        # lane.
-        from repro.experiments import sharded
+    def test_figures_shards_is_a_usage_error(self, capsys):
+        # The sharded lane is its own model: `check` and `chaos --shards`
+        # reach it, never a figure's name.
+        with pytest.raises(SystemExit) as exc:
+            main(["figures", "--only", "fig6", "--scale", "0.05",
+                  "--shards", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --shards" in capsys.readouterr().err
 
-        runs = []
+    @pytest.mark.parametrize("before", [None, "0"])
+    def test_figures_check_invariants_is_scoped_to_the_batch(
+            self, before, capsys, monkeypatch):
+        # The checker reaches pool workers by environment; the caller's
+        # environment must read as it did before, and the next world must
+        # build on its record's lane.
+        from repro.experiments.figures import fig6_world
 
-        class Spy(sharded.ShardedRunner):
-            def __init__(self, world, shards=1, **kwargs):
-                runs.append((world.name, shards))
-                super().__init__(world, shards=shards, **kwargs)
-
-        monkeypatch.setattr(sharded, "ShardedRunner", Spy)
-        rc = main(["figures", "--only", "fig6", "--scale", "0.05",
-                   "--shards", "2"])
-        assert rc == 0
-        assert "fig6: ok" in capsys.readouterr().out
-        assert runs == [("fig6", 2)]
+        if before is None:
+            monkeypatch.delenv("REPRO_CHECK", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_CHECK", before)
+        assert main(["figures", "--only", "fig3", "--check-invariants"]) == 0
+        assert "fig3: ok" in capsys.readouterr().out
+        assert os.environ.get("REPRO_CHECK") == before
+        sc = fig6_world(0.02).build()
+        assert sc.lane == "columnar" and sc.lane_fallback is None
 
     @pytest.mark.parametrize("figure", ["fig6", "fig7", "fig8", "fig9", "fig10",
                                         "fig1d", "faultmatrix"])

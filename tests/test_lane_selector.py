@@ -1,6 +1,6 @@
 """A world's record is the only place that chooses its lane: no figure
-runner, batch helper or CLI option takes one, and ``Scenario`` takes
-``lane=`` but no tracer.  The four A/B accelerator switches stay deleted
+runner, batch helper or CLI option takes one (nor a shard count), and
+``Scenario`` takes ``lane=`` but no tracer.  The four A/B accelerator switches stay deleted
 everywhere (the schedulers' ``lp_cache=`` too: plan reuse is the window
 allocator's policy, with no switch), and so do the sharded lane's
 transport and checkpoint-store knobs, the strict open-loop world variant
@@ -32,10 +32,12 @@ GONE = {"lp_cache", "fast_periodic", "fast_lane", "l4_fast_lane",
 
 SWITCHLESS = [
     Scenario,
-    *figures.ALL_FIGURES.values(),
+    figures.run_fig1, figures.run_fig1_distributed, figures.run_fig3,
+    figures.run_fig6, figures.run_fig7, figures.run_fig8, figures.run_fig9,
+    figures.run_fig10, figures.run_faultmatrix,
     *figures.WORLDS.values(), figures.FigureWorld.build,
     figures.FigureWorld.scenario, figures.run_figure,
-    parallel.figure_kwargs, parallel.run_figures_parallel,
+    parallel.run_figures_parallel,
     faultmatrix.fault_matrix_world, faultmatrix.run_fault_matrix,
     faultmatrix.run_crash_recovery_matrix,
     replay.figure_replay, replay.chaos_replay,
@@ -74,10 +76,28 @@ def test_no_figure_runner_takes_the_lane(name):
     assert not _accepts(figures.ALL_FIGURES[name], "lane")
 
 
-@pytest.mark.parametrize("fn", [figures.run_figure, parallel.figure_kwargs,
+@pytest.mark.parametrize("fn", [figures.run_figure,
                                 parallel.run_figures_parallel])
 def test_no_figure_batch_takes_the_lane(fn):
     assert not _accepts(fn, "lane")
+
+
+@pytest.mark.parametrize(
+    "fn", [*figures.ALL_FIGURES.values(), figures.run_figure,
+           parallel.run_figures_parallel],
+    ids=[*figures.ALL_FIGURES, "run_figure", "run_figures_parallel"],
+)
+def test_no_figure_runner_takes_shards(fn):
+    # The sharded lane is its own model, reached through ShardedRunner,
+    # run_sharded and `check` / `chaos --shards`, never under a figure's
+    # name.
+    assert not _accepts(fn, "shards")
+
+
+@pytest.mark.parametrize("name", list(figures.ALL_FIGURES))
+def test_every_figure_takes_scale_and_seed(name):
+    # One uniform call: ALL_FIGURES[name](duration_scale, seed).
+    inspect.signature(figures.ALL_FIGURES[name]).bind(0.05, 0)
 
 
 def test_scenario_takes_the_lane_and_nothing_else():
