@@ -238,10 +238,6 @@ class Scenario:
         capacity: Optional[float] = None,
         **kw,
     ) -> L4Switch:
-        if self.lane == "columnar" and kw.get("health") is not None:
-            # Health-checked pools need the checker's event-path probes.
-            raise LaneError(f"L4 switch {name!r}",
-                            "health-checked L4 pools need per-flow events")
         switch_cls = ColumnarL4Switch if self.lane == "columnar" else L4Switch
         switch = switch_cls(
             self.sim, name, self.access.names, servers, window=self.window, **kw,

@@ -51,7 +51,7 @@ class StreamingStats:
 
     __slots__ = (
         "count", "min", "max", "_n", "_mean", "_m2", "_buf",
-        "_cap", "_samples", "_sample_seq", "_state", "_logw", "_next",
+        "_cap", "_samples", "_sample_seq", "_state", "_logw", "_next", "_slot",
     )
 
     def __init__(self, reservoir: int = 4096, seed: int = 0x9E3779B9) -> None:
@@ -80,8 +80,10 @@ class StreamingStats:
         # of the next observation that replaces a slot.
         self._logw = 0.0
         self._next = self._cap - 1
+        # Reservoir slot the next replacement overwrites, drawn ahead.
+        self._slot = 0
         if self._cap:
-            self._skip()
+            self._sample(0, None)
 
     def add(self, x: float) -> None:
         i = self.count
@@ -98,7 +100,7 @@ class StreamingStats:
             self._samples.append(x)
             self._sample_seq.append(i)
         elif i == self._next:
-            self._replace(i, x)
+            self._sample(i, (x,))
 
     def update_many(self, values) -> None:
         """Fold a batch of observations in — the columnar lane's bulk path.
@@ -131,10 +133,8 @@ class StreamingStats:
             fill = min(m, cap - first)
             self._samples.extend(vals[:fill].tolist())
             self._sample_seq.extend(range(first, first + fill))
-        if cap:
-            while self._next < self.count:
-                i = self._next
-                self._replace(i, float(vals[i - first]))
+        if cap and self._next < self.count:
+            self._sample(first, vals)
 
     # -- moments -----------------------------------------------------------
 
@@ -179,25 +179,41 @@ class StreamingStats:
 
     # -- reservoir ---------------------------------------------------------
 
-    def _uniform(self) -> float:
-        """Next xorshift64 variate, strictly inside (0, 1)."""
+    def _sample(self, first: int, vals) -> None:
+        """Algorithm L over the observations ``vals`` (index ``first`` on):
+        each replacement index below ``count`` overwrites the slot drawn
+        for it; then W tightens, ``_next`` jumps ahead and the next
+        replacement's slot is drawn — three xorshift64 variates, strictly
+        inside (0, 1), per step, in one loop over locals.  ``vals`` None
+        makes the construction-time step, which replaces nothing."""
+        cap = self._cap
         s = self._state
-        s = (s ^ (s << 13)) & _MASK64
-        s ^= s >> 7
-        s = (s ^ (s << 17)) & _MASK64
+        logw = self._logw
+        nxt = self._next
+        slot = self._slot
+        samples, seq = self._samples, self._sample_seq
+        end = self.count
+        while True:
+            if vals is not None:
+                if nxt >= end:
+                    break
+                samples[slot] = float(vals[nxt - first])
+                seq[slot] = nxt
+            u = []
+            for _ in range(3):
+                s = (s ^ (s << 13)) & _MASK64
+                s ^= s >> 7
+                s = (s ^ (s << 17)) & _MASK64
+                u.append(((s >> 12) + 0.5) * 2.0 ** -52)
+            logw += log(u[0]) / cap
+            nxt += int(log(u[1]) / log(-expm1(logw))) + 1
+            slot = int(u[2] * cap)
+            if vals is None:
+                break
         self._state = s
-        return ((s >> 12) + 0.5) * 2.0 ** -52
-
-    def _skip(self) -> None:
-        """Algorithm L: tighten W, then jump to the next replacement."""
-        self._logw += log(self._uniform()) / self._cap
-        self._next += int(log(self._uniform()) / log(-expm1(self._logw))) + 1
-
-    def _replace(self, i: int, x: float) -> None:
-        j = int(self._uniform() * self._cap)
-        self._samples[j] = x
-        self._sample_seq[j] = i
-        self._skip()
+        self._logw = logw
+        self._next = nxt
+        self._slot = slot
 
     @property
     def samples(self) -> List[float]:

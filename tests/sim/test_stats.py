@@ -140,6 +140,48 @@ class TestUpdateMany:
         assert split.variance == whole.variance
         assert split.samples == whole.samples
 
+    def test_batch_split_at_replacements(self):
+        # Batches that start at, end at, or hold just one replacement index
+        # (and runs of replacements split between batches) replay the
+        # scalar reservoir exactly, slot order and indices included.
+        xs = np.random.default_rng(6).exponential(2.0, size=3000)
+        scalar = StreamingStats(reservoir=32, seed=3)
+        replaced = []
+        for i, x in enumerate(xs):
+            if i >= 32 and i == scalar._next:
+                replaced.append(i)
+            scalar.add(float(x))
+        assert len(replaced) > 50
+        cuts = sorted({0, len(xs), *replaced[::2],
+                       *(i + 1 for i in replaced[1::3])})
+        split = StreamingStats(reservoir=32, seed=3)
+        for lo, hi in zip(cuts, cuts[1:]):
+            split.update_many(xs[lo:hi])
+        assert split._sample_seq == scalar._sample_seq
+        assert split.samples == scalar.samples
+        assert (split.mean, split.variance) == (scalar.mean, scalar.variance)
+
+    @settings(max_examples=60, deadline=None)
+    @given(cap=hs.integers(1, 24), n=hs.integers(0, 700),
+           cuts=hs.lists(hs.integers(0, 700), max_size=16),
+           seed=hs.integers(1, 2**32 - 1))
+    def test_any_batch_split_replays_scalar_add(self, cap, n, cuts, seed):
+        xs = np.random.default_rng(seed).exponential(2.0, size=n)
+        scalar = StreamingStats(reservoir=cap, seed=seed)
+        for x in xs:
+            scalar.add(float(x))
+        split = StreamingStats(reservoir=cap, seed=seed)
+        bounds = sorted({0, n, *(c for c in cuts if c <= n)})
+        for lo, hi in zip(bounds, bounds[1:]):
+            if hi - lo == 1:
+                split.add(float(xs[lo]))
+            else:
+                split.update_many(xs[lo:hi])
+        assert split._sample_seq == scalar._sample_seq
+        assert split.samples == scalar.samples
+        assert split.count == scalar.count
+        assert (split.mean, split.variance) == (scalar.mean, scalar.variance)
+
     def test_interleaves_with_scalar_add(self):
         rng = np.random.default_rng(5)
         xs = rng.uniform(0.0, 9.0, size=500)
