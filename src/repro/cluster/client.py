@@ -126,13 +126,18 @@ class ParkedRequests:
 
     def reoffer(self, now: float) -> None:
         """Offer each FIFO oldest-first through the owner's ``handle`` until
-        one is refused again, dropping those whose client went inactive.
-        What stays parked counts as this window's demand (``handle`` already
-        counted the refused head), so the LP keeps seeing the backlog."""
+        one is refused again, dropping those whose client went inactive
+        (each client asked once).  What stays parked counts as this
+        window's demand (``handle`` already counted the refused head), so
+        the LP keeps seeing the backlog."""
+        active: Dict["ClientMachine", bool] = {}
         for p, q in self._fifo.items():
             while q:
                 client, request = q[0]
-                if not client.is_active(now):
+                live = active.get(client)
+                if live is None:
+                    live = active[client] = client.is_active(now)
+                if not live:
                     client.dropped += 1
                 elif client._offer(request, client._on_done) is None:
                     self._arrivals[p] += self._cost[p] - request.cost
